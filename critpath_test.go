@@ -8,6 +8,8 @@ package wavefront_test
 // path.
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -48,18 +50,37 @@ func within1pct(got, want int64) bool {
 }
 
 func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
-	const n, procs, block = 64, 4, 8
-	rec := tracedTomcatv(t, procs, block, n)
+	// n is large enough that a goroutine start-up delay (hundreds of µs on
+	// a time-sliced host) is small beside the waves; at n = 64 it was a
+	// third of the run once scatter stopped dominating it.
+	const n, procs, block = 256, 4, 8
 
-	rep, err := wavefront.AnalyzeCritPath(rec, nil)
-	if err != nil {
-		t.Fatalf("AnalyzeCritPath: %v", err)
+	// How the ranks interleave is the scheduler's choice, and one legal
+	// outcome is a path that never leaves rank 0 (its gather finishes
+	// last). So the accounting identities are checked on every traced
+	// run, the cross-rank shape on any one of a few.
+	const attempts = 5
+	var shape error
+	for i := 0; i < attempts; i++ {
+		rec := tracedTomcatv(t, procs, block, n)
+		rep, err := wavefront.AnalyzeCritPath(rec, nil)
+		if err != nil {
+			t.Fatalf("AnalyzeCritPath: %v", err)
+		}
+		if len(rep.Violations) != 0 {
+			t.Fatalf("clean traced run produced violations: %+v", rep.Violations)
+		}
+		checkCritPathAccounting(t, rep, rec.Summarize())
+		if shape = crossRankShape(rep); shape == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", i, shape)
 	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("clean traced run produced violations: %+v", rep.Violations)
-	}
-	sum := rec.Summarize()
+	t.Errorf("no cross-rank critical path in %d traced runs of a %d-rank pipeline; last: %v", attempts, procs, shape)
+}
 
+func checkCritPathAccounting(t *testing.T, rep *wavefront.CritPathReport, sum *wavefront.TraceSummary) {
+	t.Helper()
 	// Whole-run totals: the analyzer classifies every span with the same
 	// rules as trace.Summarize, so the totals must reconcile within 1%.
 	var busy, comm, wait time.Duration
@@ -95,12 +116,19 @@ func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
 	if got := rep.PathFillNs + rep.PathSteadyNs + rep.PathDrainNs; got != span {
 		t.Errorf("phase split %dns != path interval %dns", got, span)
 	}
-	// The path must be a real cross-rank walk: it covers most of the wall
-	// clock (the backward walk may stop after the initial scatter, so it
-	// need not reach the very first timestamp) and crosses at least one
-	// message edge on a 4-rank pipeline.
+	if rep.String() == "" {
+		t.Error("Report.String is empty")
+	}
+}
+
+// crossRankShape says why rep's path is not a real cross-rank walk, or nil:
+// it must cover most of the wall clock (the backward walk may stop after
+// the initial scatter, so it need not reach the very first timestamp) and
+// cross at least one message edge, which puts it on at least two rings
+// (ByRing lists only rings the path visits).
+func crossRankShape(rep *wavefront.CritPathReport) error {
 	if rep.Coverage < 0.75 {
-		t.Errorf("path covers %.2f of the wall clock, want most of it", rep.Coverage)
+		return fmt.Errorf("path covers %.2f of the wall clock, want most of it", rep.Coverage)
 	}
 	crossed := 0
 	for _, s := range rep.Steps {
@@ -109,16 +137,12 @@ func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
 		}
 	}
 	if crossed == 0 {
-		t.Error("critical path never crossed a send→recv edge on a 4-rank pipeline")
+		return errors.New("critical path never crossed a send→recv edge")
 	}
-	// ByRing lists only rings the path visits; a msg crossing means at
-	// least two.
 	if len(rep.ByRing) < 2 {
-		t.Errorf("ByRing has %d entries, want >= 2", len(rep.ByRing))
+		return fmt.Errorf("ByRing has %d entries, want >= 2", len(rep.ByRing))
 	}
-	if rep.String() == "" {
-		t.Error("Report.String is empty")
-	}
+	return nil
 }
 
 // TestCritPathCatchesFalsifiedEdge intentionally breaks one recorded

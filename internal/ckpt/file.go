@@ -13,20 +13,40 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
+// fileMagic names the file format, the seal algorithm included: "WFCPKT02"
+// is the first sealed with the word-wise hash. A "WFCPKT01" file carries a
+// byte-wise FNV-1a seal this version cannot verify, so it is refused by
+// name rather than reported as corrupt.
+const (
+	fileMagic    = 0x574643504b543032 // "WFCPKT02"
+	fileMagicV01 = 0x574643504b543031 // "WFCPKT01"
+)
 
-const fileMagic = 0x574643504b543031 // "WFCPKT01"
+// FormatError reports a snapshot file that cannot be decoded at all — as
+// opposed to ErrChecksum, a file that decodes but fails its seal.
+type FormatError struct {
+	// Version is the format name the file carries when it is a snapshot
+	// file of another version ("WFCPKT01"); empty otherwise.
+	Version string
+	// Reason says what was wrong.
+	Reason string
+}
 
-// FileStore persists each rank's latest snapshot as dir/rank-N.ckpt.
+func (e *FormatError) Error() string {
+	if e.Version != "" {
+		return fmt.Sprintf("ckpt: snapshot file has format %s, this version reads only WFCPKT02: %s", e.Version, e.Reason)
+	}
+	return "ckpt: unreadable snapshot file: " + e.Reason
+}
+
+// FileStore persists each rank's latest snapshot as dir/rank-N.ckpt. Each
+// slot's snapshot mirrors its file: Latest decodes once, later calls reuse
+// the mirror.
 type FileStore struct {
-	dir string
-	mu  sync.Mutex
-	// cache mirrors the files: Latest decodes once, later calls reuse it.
-	cache map[int]*Snapshot
-	seqs  map[int]int64
+	dir   string
+	slots slots
 }
 
 // NewFileStore opens (creating if needed) a file-backed store rooted at dir.
@@ -34,7 +54,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return &FileStore{dir: dir, cache: map[int]*Snapshot{}, seqs: map[int]int64{}}, nil
+	return &FileStore{dir: dir}, nil
 }
 
 func (f *FileStore) path(rank int) string {
@@ -43,14 +63,13 @@ func (f *FileStore) path(rank int) string {
 
 // Save seals s and atomically replaces rank s.Rank's snapshot file.
 func (f *FileStore) Save(s *Snapshot) error {
-	if s.Rank < 0 {
-		return fmt.Errorf("ckpt: snapshot with invalid rank %d", s.Rank)
+	if err := checkRank(s.Rank); err != nil {
+		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seqs[s.Rank]++
-	s.Seq = f.seqs[s.Rank]
-	s.Checksum = checksum(s)
+	sl := f.slots.get(s.Rank)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	sl.seal(s)
 	buf := encode(nil, s)
 	tmp, err := os.CreateTemp(f.dir, "ckpt-*")
 	if err != nil {
@@ -69,25 +88,30 @@ func (f *FileStore) Save(s *Snapshot) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	slot := f.cache[s.Rank]
-	if slot == nil {
-		slot = &Snapshot{}
-		f.cache[s.Rank] = slot
-	}
-	copyInto(slot, s)
+	sl.keep(s)
 	return nil
 }
 
 // Latest returns rank's snapshot, decoding its file when the in-memory
-// mirror is cold (a fresh process recovering a previous run's state).
+// mirror is cold (a fresh process recovering a previous run's state). A
+// rank with neither a slot nor a file gets nil and no slot.
 func (f *FileStore) Latest(rank int) (*Snapshot, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.cache[rank]; ok {
-		if checksum(s) != s.Checksum {
-			return nil, fmt.Errorf("%w (rank %d seq %d)", ErrChecksum, rank, s.Seq)
+	if err := checkRank(rank); err != nil {
+		return nil, err
+	}
+	if f.slots.lookup(rank) == nil {
+		if _, err := os.Stat(f.path(rank)); os.IsNotExist(err) {
+			return nil, nil
 		}
-		return s, nil
+	}
+	sl := f.slots.get(rank)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.snap != nil {
+		if err := verify(sl.snap); err != nil {
+			return nil, err
+		}
+		return sl.snap, nil
 	}
 	buf, err := os.ReadFile(f.path(rank))
 	if os.IsNotExist(err) {
@@ -98,14 +122,14 @@ func (f *FileStore) Latest(rank int) (*Snapshot, error) {
 	}
 	s := &Snapshot{}
 	if err := decode(buf, s); err != nil {
+		return nil, fmt.Errorf("%s: %w", f.path(rank), err)
+	}
+	if err := verify(s); err != nil {
 		return nil, err
 	}
-	if checksum(s) != s.Checksum {
-		return nil, fmt.Errorf("%w (rank %d seq %d)", ErrChecksum, rank, s.Seq)
-	}
-	f.cache[rank] = s
-	if s.Seq > f.seqs[rank] {
-		f.seqs[rank] = s.Seq
+	sl.snap = s
+	if s.Seq > sl.seq {
+		sl.seq = s.Seq
 	}
 	return s, nil
 }
@@ -113,9 +137,13 @@ func (f *FileStore) Latest(rank int) (*Snapshot, error) {
 // Close drops the in-memory mirrors; the snapshot files stay for a later
 // process to recover from.
 func (f *FileStore) Close() error {
-	f.mu.Lock()
-	f.cache = map[int]*Snapshot{}
-	f.mu.Unlock()
+	f.slots.mu.Lock()
+	defer f.slots.mu.Unlock()
+	for _, sl := range f.slots.m {
+		sl.mu.Lock()
+		sl.snap = nil
+		sl.mu.Unlock()
+	}
 	return nil
 }
 
@@ -141,7 +169,7 @@ func encode(b []byte, s *Snapshot) []byte {
 	}
 	b = le.AppendUint64(b, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
-		b = le.AppendUint64(b, floatBits(v))
+		b = le.AppendUint64(b, math.Float64bits(v))
 	}
 	b = le.AppendUint64(b, uint64(len(s.Fields)))
 	for i := range s.Fields {
@@ -155,7 +183,7 @@ func encode(b []byte, s *Snapshot) []byte {
 		}
 		b = le.AppendUint64(b, uint64(len(fs.Data)))
 		for _, v := range fs.Data {
-			b = le.AppendUint64(b, floatBits(v))
+			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
 	b = le.AppendUint64(b, s.Checksum)
@@ -172,7 +200,7 @@ func (d *decoder) u64() uint64 {
 		return 0
 	}
 	if len(d.b) < 8 {
-		d.err = fmt.Errorf("ckpt: truncated snapshot file")
+		d.err = &FormatError{Reason: "truncated"}
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b)
@@ -186,7 +214,7 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) count() int {
 	n := d.u64()
 	if d.err == nil && n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("ckpt: corrupt length %d in snapshot file", n)
+		d.err = &FormatError{Reason: fmt.Sprintf("length %d exceeds the %d bytes left", n, len(d.b))}
 		return 0
 	}
 	return int(n)
@@ -198,7 +226,7 @@ func (d *decoder) str() string {
 		return ""
 	}
 	if len(d.b) < n {
-		d.err = fmt.Errorf("ckpt: truncated snapshot file")
+		d.err = &FormatError{Reason: "truncated"}
 		return ""
 	}
 	s := string(d.b[:n])
@@ -232,8 +260,13 @@ func (d *decoder) f64s() []float64 {
 
 func decode(b []byte, s *Snapshot) error {
 	d := &decoder{b: b}
-	if d.u64() != fileMagic {
-		return fmt.Errorf("ckpt: not a snapshot file (bad magic)")
+	switch magic := d.u64(); {
+	case d.err != nil:
+		return d.err
+	case magic == fileMagicV01:
+		return &FormatError{Version: "WFCPKT01", Reason: "its seal is byte-wise FNV-1a; re-run from the start to write fresh snapshots"}
+	case magic != fileMagic:
+		return &FormatError{Reason: "bad magic"}
 	}
 	s.Rank = int(int64(d.u64()))
 	s.Wave = int(int64(d.u64()))

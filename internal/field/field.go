@@ -182,14 +182,6 @@ func (f *Field) FillFunc(r grid.Region, fn func(grid.Point) float64) {
 	})
 }
 
-// CopyRegion copies the elements of region r from src into f. Both fields
-// must cover r.
-func (f *Field) CopyRegion(r grid.Region, src *Field) {
-	r.Each(nil, func(p grid.Point) {
-		f.Set(p, src.At(p))
-	})
-}
-
 // Clone returns a deep copy of the field, sharing nothing.
 func (f *Field) Clone() *Field {
 	g := &Field{

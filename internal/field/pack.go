@@ -6,23 +6,30 @@ import (
 	"wavefront/internal/grid"
 )
 
-// This file is the marshalling half of boundary exchange: packing a
-// region of a field into the flat slice a message carries, and unpacking
-// a received slice back into a region. The canonical order — every
-// dimension low-to-high, dimension 0 outermost — is the wire format both
-// ends agree on.
+// This file is the bulk-copy half of the package: packing a region of a
+// field into the flat slice a message carries, unpacking a received slice
+// back into a region, and copying a region between two fields (scatter,
+// gather, reset). The canonical buffer order — every dimension
+// low-to-high, dimension 0 outermost — is the wire format both ends of a
+// message agree on.
 //
-// PackInto and UnpackFrom are the allocation-free forms: they walk the
-// region with a fixed-size odometer (no per-point closure, no Point
-// allocation) over precomputed storage strides, and degrade to a single
-// memmove per innermost run when the region's last dimension is
-// contiguous in storage. PackRegion/UnpackRegion remain as the
-// allocating conveniences, now built on the same loop.
+// All three run on one walker, copyBlock: a fixed-size odometer (no
+// per-point closure, no Point allocation) over a (destination steps,
+// source steps) pair, validated once per call by checkRegion, that
+// degrades to a single memmove per innermost run wherever both sides are
+// unit-stride. A message buffer is just the side whose steps are the dense
+// row-major ones. PackRegion/UnpackRegion remain as the allocating
+// conveniences built on the same loop.
 
 // maxOdoRank bounds the stack-allocated odometer; regions of higher rank
 // (none exist in practice — the paper's workloads are rank 2 and 3) fall
 // back to the Each-based walk.
 const maxOdoRank = 8
+
+// dimVec holds one int per region dimension on the stack: point counts, or
+// one side's steps — the element distance between consecutive region
+// points along each dimension.
+type dimVec [maxOdoRank]int
 
 // PackInto copies the elements of region r out of the field into dst in
 // canonical order and returns the number of elements written. It is an
@@ -49,7 +56,10 @@ func (f *Field) PackInto(r grid.Region, dst []float64) (int, error) {
 		})
 		return size, nil
 	}
-	f.odometer(r, dst[:size], false)
+	var count, fs, bs dimVec
+	base := f.regionSteps(r, &count, &fs)
+	denseSteps(r.Rank(), &count, &bs)
+	copyBlock(r.Rank(), &count, dst[:size], &bs, f.data[base:], &fs)
 	return size, nil
 }
 
@@ -79,8 +89,39 @@ func (f *Field) UnpackFrom(r grid.Region, src []float64) (int, error) {
 		})
 		return size, nil
 	}
-	f.odometer(r, src[:size], true)
+	var count, fs, bs dimVec
+	base := f.regionSteps(r, &count, &fs)
+	denseSteps(r.Rank(), &count, &bs)
+	copyBlock(r.Rank(), &count, f.data[base:], &fs, src[:size], &bs)
 	return size, nil
+}
+
+// CopyRegion copies the elements of region r from src into f. Both fields
+// must cover r: a rank mismatch or a region reaching outside either
+// field's storage bounds panics before anything is written. The two fields
+// may differ in layout and bounds. CopyRegion never allocates for regions
+// of rank <= 8.
+func (f *Field) CopyRegion(r grid.Region, src *Field) {
+	size, err := f.checkRegion(r)
+	if err != nil {
+		panic(fmt.Sprintf("field %q: copy: %v", f.name, err))
+	}
+	if _, err := src.checkRegion(r); err != nil {
+		panic(fmt.Sprintf("field %q: copy source: %v", src.name, err))
+	}
+	if size == 0 {
+		return
+	}
+	if r.Rank() > maxOdoRank {
+		r.Each(nil, func(p grid.Point) {
+			f.data[f.Index(p)] = src.data[src.Index(p)]
+		})
+		return
+	}
+	var count, ds, ss dimVec
+	dBase := f.regionSteps(r, &count, &ds)
+	sBase := src.regionSteps(r, &count, &ss)
+	copyBlock(r.Rank(), &count, f.data[dBase:], &ds, src.data[sBase:], &ss)
 }
 
 // checkRegion validates that r matches the field's rank and lies within
@@ -106,57 +147,73 @@ func (f *Field) checkRegion(r grid.Region) (int, error) {
 	return size, nil
 }
 
-// odometer walks region r in canonical order with a stack-allocated
-// multi-index, either copying field elements out into buf (pack) or
-// writing buf into the field (unpack). When the innermost dimension is
-// contiguous in storage each innermost run is a single copy.
-func (f *Field) odometer(r grid.Region, buf []float64, unpack bool) {
-	rank := r.Rank()
-	var count, step [maxOdoRank]int
-	base := 0
-	for d := 0; d < rank; d++ {
+// regionSteps fills count with region r's points per dimension and st with
+// the field's element step along each of r's dimensions, and returns the
+// storage offset of r's first point.
+func (f *Field) regionSteps(r grid.Region, count, st *dimVec) (base int) {
+	for d := 0; d < r.Rank(); d++ {
 		dim := r.Dim(d)
 		count[d] = dim.Size()
-		step[d] = f.strides[d] * dim.Stride
+		st[d] = f.strides[d] * dim.Stride
 		base += (dim.Lo - f.bounds.Dim(d).Lo) * f.strides[d]
 	}
-	inner := rank - 1
-	nInner, sInner := count[inner], step[inner]
-	var idx [maxOdoRank]int
-	off, k := base, 0
+	return base
+}
+
+// denseSteps fills st with the steps of a flat buffer holding exactly
+// count[0]×…×count[rank-1] points in canonical order.
+func denseSteps(rank int, count, st *dimVec) {
+	s := 1
+	for d := rank - 1; d >= 0; d-- {
+		st[d] = s
+		s *= count[d]
+	}
+}
+
+// copyBlock copies a block of count[0]×…×count[rank-1] points (non-empty,
+// rank <= maxOdoRank, already bounds-checked on both sides) from src to
+// dst, where point (i0, i1, ...) lives at offset sum(ik*step[k]) of each
+// slice. Both sides are addressed by step, so the walk order is free: a
+// dimension that is unit-stride on both sides is walked innermost and each
+// of its runs is a single copy; otherwise the innermost run is a scalar
+// strided loop, along dst's unit-stride dimension if it has one (mixed
+// layouts: strided loads cost far less than strided stores). It reorders
+// count, ds and ss in place.
+func copyBlock(rank int, count *dimVec, dst []float64, ds *dimVec, src []float64, ss *dimVec) {
+	last := rank - 1
+	inner, both := last, false
+	for d := 0; d < rank && !both; d++ {
+		if ds[d] == 1 {
+			inner, both = d, ss[d] == 1
+		}
+	}
+	count[inner], count[last] = count[last], count[inner]
+	ds[inner], ds[last] = ds[last], ds[inner]
+	ss[inner], ss[last] = ss[last], ss[inner]
+	n, dIn, sIn := count[last], ds[last], ss[last]
+	var idx dimVec
+	do, so := 0, 0
 	for {
-		if sInner == 1 {
-			if unpack {
-				copy(f.data[off:off+nInner], buf[k:k+nInner])
-			} else {
-				copy(buf[k:k+nInner], f.data[off:off+nInner])
-			}
-			k += nInner
+		if dIn == 1 && sIn == 1 {
+			copy(dst[do:do+n], src[so:so+n])
 		} else {
-			o := off
-			if unpack {
-				for i := 0; i < nInner; i++ {
-					f.data[o] = buf[k]
-					k++
-					o += sInner
-				}
-			} else {
-				for i := 0; i < nInner; i++ {
-					buf[k] = f.data[o]
-					k++
-					o += sInner
-				}
+			for i, p, q := 0, do, so; i < n; i++ {
+				dst[p] = src[q]
+				p += dIn
+				q += sIn
 			}
 		}
-		d := inner - 1
+		d := last - 1
 		for ; d >= 0; d-- {
 			idx[d]++
-			off += step[d]
+			do += ds[d]
+			so += ss[d]
 			if idx[d] < count[d] {
 				break
 			}
 			idx[d] = 0
-			off -= count[d] * step[d]
+			do -= count[d] * ds[d]
+			so -= count[d] * ss[d]
 		}
 		if d < 0 {
 			return

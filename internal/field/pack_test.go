@@ -245,3 +245,23 @@ func FuzzPackRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkPackUnpackRow is the message path's use of the walker: one
+// boundary row of a 512² field packed into a buffer and unpacked again,
+// small enough that the per-call set-up shows.
+func BenchmarkPackUnpackRow(b *testing.B) {
+	const n = 512
+	f := MustNew("a", grid.MustRegion(grid.NewRange(1, n), grid.NewRange(1, n)), RowMajor)
+	fillSeq(f)
+	row := grid.MustRegion(grid.NewRange(n/2, n/2), grid.NewRange(1, n))
+	buf := make([]float64, n)
+	b.SetBytes(2 * 8 * n)
+	for i := 0; i < b.N; i++ {
+		if _, err := f.PackInto(row, buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.UnpackFrom(row, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -51,10 +51,14 @@ type ckptRuntime struct {
 	p       int
 	pending []atomic.Bool   // pending[r]: rank r's next body invocation is a restart
 	scratch []ckpt.Snapshot // per-rank reusable snapshot (Save deep-copies)
+	names   [][]string      // per-rank sorted local-array names, built at the first snapshot
 	pm      *pipeMetrics
 	// restarts counts granted rank restarts this run; the flight recorder
 	// treats any nonzero count as a structured failure worth a bundle.
 	restarts atomic.Int64
+	// storeErr is the first snapshot-store failure that made the comm
+	// layer refuse a restart (see refused).
+	storeErr atomic.Pointer[error]
 }
 
 func newCkptRuntime(cfg *CheckpointConfig, p int, pm *pipeMetrics) *ckptRuntime {
@@ -68,6 +72,7 @@ func newCkptRuntime(cfg *CheckpointConfig, p int, pm *pipeMetrics) *ckptRuntime 
 		p:       p,
 		pending: make([]atomic.Bool, p),
 		scratch: make([]ckpt.Snapshot, p),
+		names:   make([][]string, p),
 		pm:      pm,
 	}
 }
@@ -80,6 +85,10 @@ func (ck *ckptRuntime) recovery(maxRestarts int) *comm.Recovery {
 		MaxRestarts: maxRestarts,
 		Cursors: func(rank int) (recv, send []int64, ok bool) {
 			s, err := ck.store.Latest(rank)
+			if err != nil {
+				err = fmt.Errorf("pipeline: rank %d: restart refused: %w", rank, err)
+				ck.storeErr.CompareAndSwap(nil, &err)
+			}
 			if err != nil || s == nil {
 				return nil, nil, false
 			}
@@ -93,6 +102,21 @@ func (ck *ckptRuntime) recovery(maxRestarts int) *comm.Recovery {
 			}
 		},
 	}
+}
+
+// refused folds in the store failure, if any, that made a restart
+// impossible. The comm layer only learns that no cursors were available and
+// fails the run with the crash that asked for the restart; the reason —
+// a snapshot that fails its seal, a truncated or old-format file — is
+// what the caller has to act on, so it must be in the error too.
+func (ck *ckptRuntime) refused(runErr error) error {
+	if ck == nil || runErr == nil {
+		return runErr
+	}
+	if se := ck.storeErr.Load(); se != nil {
+		return fmt.Errorf("%w; %w", runErr, *se)
+	}
+	return runErr
 }
 
 // shouldSnap reports whether a snapshot is due before tile t. Tile 0 is
@@ -124,29 +148,20 @@ func (ck *ckptRuntime) snapshot(e *comm.Endpoint, rank, wave, recvd int,
 	s.Ints = append(s.Ints[:0], int64(recvd))
 	s.Names, s.Vals = s.Names[:0], s.Vals[:0]
 
-	if cap(s.Fields) < len(locals) {
-		s.Fields = make([]ckpt.FieldSnap, 0, len(locals))
-	}
-	s.Fields = s.Fields[:0]
-	names := make([]string, 0, len(locals))
-	for name := range locals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	elems := 0
-	for _, name := range names {
-		f := locals[name]
-		s.Fields = append(s.Fields, ckpt.FieldSnap{})
-		fs := &s.Fields[len(s.Fields)-1]
-		fs.Name = name
-		fs.Layout = int(f.Layout())
-		fs.Dims = fs.Dims[:0]
-		for _, r := range f.Bounds().Dims() {
-			fs.Dims = append(fs.Dims, r.Lo, r.Hi)
+	// A rank's locals keep their names for the whole run (a restart
+	// rebuilds the same set from the snapshot), so the canonical order is
+	// worked out once.
+	names := ck.names[rank]
+	if names == nil {
+		names = make([]string, 0, len(locals))
+		for name := range locals {
+			names = append(names, name)
 		}
-		fs.Data = append(fs.Data[:0], f.Data()...)
-		elems += len(fs.Data)
+		sort.Strings(names)
+		ck.names[rank] = names
 	}
+	var elems int
+	s.Fields, elems = snapFields(s.Fields, names, locals)
 	if err := ck.store.Save(s); err != nil {
 		return fmt.Errorf("pipeline: rank %d: checkpoint at wave %d: %w", rank, wave, err)
 	}
@@ -160,6 +175,33 @@ func (ck *ckptRuntime) snapshot(e *comm.Endpoint, rank, wave, recvd int,
 		tr.Record(ev)
 	}
 	return nil
+}
+
+// snapFields describes locals, in the order of names, as snapshot fields
+// reusing dst's backing (the Dims slices included), and returns them with
+// their total element count. Data aliases the fields' live storage instead
+// of copying it: Store.Save deep-copies and has finished with the snapshot
+// when it returns, and the caller is the only goroutine that writes these
+// fields at a wave boundary (task-DAG workers are parked between runs), so
+// a copy here would only be made to be copied again.
+func snapFields(dst []ckpt.FieldSnap, names []string, locals map[string]*field.Field) ([]ckpt.FieldSnap, int) {
+	if cap(dst) < len(names) {
+		dst = make([]ckpt.FieldSnap, len(names))
+	}
+	dst = dst[:len(names)]
+	elems := 0
+	for i, name := range names {
+		f, fs := locals[name], &dst[i]
+		fs.Name = name
+		fs.Layout = int(f.Layout())
+		fs.Dims = fs.Dims[:0]
+		for d, b := 0, f.Bounds(); d < b.Rank(); d++ {
+			fs.Dims = append(fs.Dims, b.Dim(d).Lo, b.Dim(d).Hi)
+		}
+		fs.Data = f.Data()
+		elems += len(fs.Data)
+	}
+	return dst, elems
 }
 
 // restore rebuilds rank's locals and scheduler counters from its latest

@@ -278,6 +278,7 @@ func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
 	err = topo.Run(func(e *comm.Endpoint) error {
 		return runRank(b, env, pl, e, phase, tr, pm, ck)
 	})
+	err = ck.refused(err)
 	elapsed := time.Since(start)
 	// From here to the early return, every rank goroutine has joined
 	// (topo.Run waits even on error), so the trace rings are quiescent:

@@ -522,6 +522,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		}
 		return rk.gather()
 	})
+	err = ck.refused(err)
 	elapsed := time.Since(start)
 	var drift *metrics.DriftReport
 	if pm != nil {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wavefront/internal/ckpt"
 	"wavefront/internal/trace"
 )
 
@@ -100,17 +99,14 @@ func (r *Rank) snapshotSession(ck *ckptRuntime, op int) error {
 			s.Vals = append(s.Vals, m[name])
 		}
 	}
+	// Dirty and written marks are only ever set on session arrays, whose
+	// names the session sorted once.
 	marks := func(tag string, m map[string]bool) {
-		names := make([]string, 0, len(m))
-		for name, set := range m {
-			if set {
-				names = append(names, name)
+		for _, name := range r.sess.names {
+			if m[name] {
+				s.Names = append(s.Names, tag+name)
+				s.Vals = append(s.Vals, 1)
 			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s.Names = append(s.Names, tag+name)
-			s.Vals = append(s.Vals, 1)
 		}
 	}
 	tagged(ckTagScalar, r.lenv.scalars)
@@ -122,24 +118,8 @@ func (r *Rank) snapshotSession(ck *ckptRuntime, op int) error {
 		s.Vals = append(s.Vals, v)
 	}
 
-	if cap(s.Fields) < len(r.sess.names) {
-		s.Fields = make([]ckpt.FieldSnap, 0, len(r.sess.names))
-	}
-	s.Fields = s.Fields[:0]
-	elems := 0
-	for _, name := range r.sess.names {
-		f := r.locals[name]
-		s.Fields = append(s.Fields, ckpt.FieldSnap{})
-		fs := &s.Fields[len(s.Fields)-1]
-		fs.Name = name
-		fs.Layout = int(f.Layout())
-		fs.Dims = fs.Dims[:0]
-		for _, rg := range f.Bounds().Dims() {
-			fs.Dims = append(fs.Dims, rg.Lo, rg.Hi)
-		}
-		fs.Data = append(fs.Data[:0], f.Data()...)
-		elems += len(fs.Data)
-	}
+	var elems int
+	s.Fields, elems = snapFields(s.Fields, r.sess.names, r.locals)
 	if err := ck.store.Save(s); err != nil {
 		return fmt.Errorf("pipeline: rank %d: session checkpoint at op %d: %w", r.id, op, err)
 	}
