@@ -12,8 +12,11 @@ import (
 	"wavefront"
 	"wavefront/internal/cachesim"
 	"wavefront/internal/critpath"
+	"wavefront/internal/dep"
 	"wavefront/internal/exp"
+	"wavefront/internal/expr"
 	"wavefront/internal/field"
+	"wavefront/internal/grid"
 	"wavefront/internal/machine"
 	"wavefront/internal/metrics"
 	"wavefront/internal/model"
@@ -920,4 +923,84 @@ func BenchmarkReduceMax(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n*n), "elems/op")
+}
+
+// BenchmarkReduce is the local fold of Tomcatv's convergence test,
+// max<<(|rx|, |ry|), over the 510² interior through a warm Reducer — what
+// one rank of a session pays per reduction after the first: closure is the
+// per-point fold (the oracle, and the path of small regions), tape the
+// span-tape fold.
+func BenchmarkReduce(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		engine scan.Engine
+	}{{"closure", scan.EngineClosure}, {"tape", scan.EngineTape}} {
+		b.Run(c.name, func(b *testing.B) {
+			t, err := workload.NewTomcatv(512, field.RowMajor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := t.Step(); err != nil {
+				b.Fatal(err)
+			}
+			rd := scan.NewReducer(wavefront.Max(
+				expr.Call{Fn: expr.Abs, Args: []expr.Node{wavefront.Ref("rx")}},
+				expr.Call{Fn: expr.Abs, Args: []expr.Node{wavefront.Ref("ry")}}), t.Env)
+			rd.SetEngine(c.engine)
+			want := t.ResidualMax()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := rd.Reduce(scan.MaxReduce, t.Interior)
+				if err != nil || got != want {
+					b.Fatalf("fold = %v, %v; want %v", got, err, want)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(t.Interior.Size())), "ns/point")
+		})
+	}
+}
+
+// BenchmarkKernelTileWidth runs the Tomcatv forward kernel over one rank's
+// share of n = 512 at p = 2 (255 rows) cut into pipeline tiles of the given
+// width, tile after tile as the static schedule runs them. Equation (1)
+// assumes the per-point cost does not depend on the width; ns/point here is
+// how far it does (per-span dispatch, and at this size row pitch misses).
+func BenchmarkKernelTileWidth(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		width int
+	}{{"w16", 16}, {"w32", 32}, {"w64", 64}, {"full", 510}} {
+		b.Run(c.name, func(b *testing.B) {
+			t, err := workload.NewTomcatv(512, field.RowMajor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := t.ForwardBlock()
+			an, err := scan.Analyze(blk, dep.Preference{PreferLow: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			k, err := scan.NewKernelDeps(blk, t.Env, an.UDVs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := grid.NewRange(2, 256)
+			var tiles []grid.Region
+			for _, cols := range grid.Tiles(blk.Region.Dim(1), c.width) {
+				tiles = append(tiles, grid.MustRegion(rows, cols))
+			}
+			points := float64(rows.Size() * blk.Region.Dim(1).Size())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, tile := range tiles {
+					k.Run(tile, an.Loop)
+				}
+			}
+			b.StopTimer()
+			if pc := k.PathCounts(); pc.Span == 0 || pc.Span != pc.Total() {
+				b.Fatalf("tiles left the span path: %v", pc)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*points), "ns/point")
+		})
+	}
 }

@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"wavefront"
+	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
@@ -66,24 +68,28 @@ func runValidate(n, block int) error {
 		fmt.Printf("MISMATCH %-8s %-16s %-8s max|diff|=%g\n", wl, leg, name, diff)
 	}
 
-	// Tomcatv: the full five-block step, iterated.
+	// Tomcatv: the full five-block step, iterated, with the reduce legs
+	// (residual max, its min and sum twins) folded after every iteration.
 	{
 		iters := 3
 		ref, err := workload.NewTomcatv(n, field.RowMajor)
 		if err != nil {
 			return err
 		}
-		if err := tomcatvSerial(ref, iters, scan.ExecOptions{Engine: scan.EngineClosure}); err != nil {
+		refFolds, err := tomcatvSerial(ref, iters, scan.ExecOptions{Engine: scan.EngineClosure})
+		if err != nil {
 			return err
 		}
 		tape, err := workload.NewTomcatv(n, field.RowMajor)
 		if err != nil {
 			return err
 		}
-		if err := tomcatvSerial(tape, iters, scan.ExecOptions{Engine: scan.EngineTape, Metrics: paths.reg("tomcatv")}); err != nil {
+		tapeFolds, err := tomcatvSerial(tape, iters, scan.ExecOptions{Engine: scan.EngineTape, Metrics: paths.reg("tomcatv")})
+		if err != nil {
 			return err
 		}
 		compareArrays("tomcatv", "serial tape", ref.All, ref.Env.Arrays, tape.Env.Arrays, report)
+		compareFolds("tomcatv", "serial tape", 1, refFolds, tapeFolds, report)
 		for _, p := range procs {
 			for _, leg := range valLegs() {
 				w, _ := workload.NewTomcatv(n, field.RowMajor)
@@ -94,11 +100,21 @@ func runValidate(n, block int) error {
 				if err != nil {
 					return err
 				}
+				var folds []float64
 				err = sess.Run(func(r *wavefront.Rank) error {
 					for i := 0; i < iters; i++ {
 						for _, b := range blocks {
 							if err := r.Exec(b); err != nil {
 								return err
+							}
+						}
+						for _, f := range reduceLegs {
+							v, err := r.Reduce(f.op, w.Interior, f.node)
+							if err != nil {
+								return err
+							}
+							if r.ID() == 0 {
+								folds = append(folds, v)
 							}
 						}
 					}
@@ -107,7 +123,9 @@ func runValidate(n, block int) error {
 				if err != nil {
 					return err
 				}
-				compareArrays("tomcatv", fmt.Sprintf("p=%d %s", p, leg.name), ref.All, ref.Env.Arrays, w.Env.Arrays, report)
+				legName := fmt.Sprintf("p=%d %s", p, leg.name)
+				compareArrays("tomcatv", legName, ref.All, ref.Env.Arrays, w.Env.Arrays, report)
+				compareFolds("tomcatv", legName, p, refFolds, folds, report)
 			}
 		}
 	}
@@ -385,15 +403,61 @@ func compareFactor(wl, leg string, w *workload.Factor, oracle map[string]*field.
 	}
 }
 
-func tomcatvSerial(t *workload.Tomcatv, iters int, opt scan.ExecOptions) error {
+// reduceLegs are the reductions the Tomcatv legs fold after every
+// iteration: the program's own convergence test and a min and a sum over
+// shifted, multi-array operands, so all three folds and both yield kinds
+// (register and memory operand) run under every engine and scheduler.
+var reduceLegs = []struct {
+	op   scan.ReduceOp
+	node wavefront.Expr
+}{
+	{scan.MaxReduce, wavefront.Max(
+		expr.Call{Fn: expr.Abs, Args: []expr.Node{wavefront.Ref("rx")}},
+		expr.Call{Fn: expr.Abs, Args: []expr.Node{wavefront.Ref("ry")}})},
+	{scan.MinReduce, expr.Binary{Op: expr.Sub, L: wavefront.Ref("x").At(grid.North), R: wavefront.Ref("y")}},
+	{scan.SumReduce, expr.Binary{Op: expr.Mul, L: wavefront.Ref("rx"), R: wavefront.Ref("d").At(grid.West)}},
+}
+
+// tomcatvSerial runs iters whole iterations under opt and returns every
+// iteration's reduce-leg results, folded with opt's engine.
+func tomcatvSerial(t *workload.Tomcatv, iters int, opt scan.ExecOptions) (folds []float64, err error) {
 	for i := 0; i < iters; i++ {
 		for _, b := range t.Blocks() {
 			if err := scan.Exec(b, t.Env, opt); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		for _, f := range reduceLegs {
+			rd := scan.NewReducer(f.node, t.Env)
+			rd.SetEngine(opt.Engine)
+			v, err := rd.Reduce(f.op, t.Interior)
+			if err != nil {
+				return nil, err
+			}
+			folds = append(folds, v)
+		}
 	}
-	return nil
+	return folds, nil
+}
+
+// compareFolds holds a leg's reduce results to the serial closure fold's:
+// bit for bit, except that a sum across p > 1 ranks adds per-rank partial
+// sums — a different association — and is held to a relative 1e-12.
+func compareFolds(wl, leg string, p int, ref, got []float64, report func(wl, leg, name string, diff float64)) {
+	if len(got) != len(ref) {
+		report(wl, leg, "reduce-count", float64(len(got)-len(ref)))
+		return
+	}
+	for i, want := range ref {
+		f := reduceLegs[i%len(reduceLegs)]
+		same := math.Float64bits(got[i]) == math.Float64bits(want)
+		if f.op == scan.SumReduce && p > 1 {
+			same = math.Abs(got[i]-want) <= 1e-12*math.Abs(want)
+		}
+		if !same {
+			report(wl, leg, f.op.String(), math.Abs(got[i]-want))
+		}
+	}
 }
 
 func simpleSerial(s *workload.Simple, steps int, opt scan.ExecOptions) error {

@@ -376,3 +376,49 @@ func Validate(n Node, rank int, env Env) error {
 	})
 	return err
 }
+
+// Equal reports whether two trees are structurally identical: same node
+// types, operators, names, shifts (a nil shift differs from an all-zero
+// one), primes and shift names, and constants with the same bit pattern. It
+// does not allocate, so a cache of compiled operands — expression nodes hold
+// slices and cannot be map keys — can match through it on a hot path.
+func Equal(a, b Node) bool {
+	switch x := a.(type) {
+	case Const:
+		y, ok := b.(Const)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case Scalar:
+		y, ok := b.(Scalar)
+		return ok && x == y
+	case ArrayRef:
+		y, ok := b.(ArrayRef)
+		if !ok || x.Name != y.Name || x.Primed != y.Primed || x.ShiftName != y.ShiftName ||
+			(x.Shift == nil) != (y.Shift == nil) || len(x.Shift) != len(y.Shift) {
+			return false
+		}
+		for i := range x.Shift {
+			if x.Shift[i] != y.Shift[i] {
+				return false
+			}
+		}
+		return true
+	case Unary:
+		y, ok := b.(Unary)
+		return ok && x.Op == y.Op && Equal(x.X, y.X)
+	case Binary:
+		y, ok := b.(Binary)
+		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case Call:
+		y, ok := b.(Call)
+		if !ok || x.Fn != y.Fn || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !Equal(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}

@@ -1,0 +1,107 @@
+package kernel
+
+import (
+	"fmt"
+
+	"wavefront/internal/bufpool"
+	"wavefront/internal/expr"
+	"wavefront/internal/grid"
+)
+
+// yieldDst is the destination index of a statement that has none: its tape
+// ends in opYield and its value is handed to the caller span by span.
+const yieldDst = 0xffff
+
+// Expr is a bare expression — a reduction's operand — lowered to the span
+// tape. It has no destination and carries no dependence, so it always runs
+// as whole spans of the last dimension, in the canonical order of
+// grid.Region.Each(nil, …): dimension 0 outermost, every dimension
+// ascending. The caller folds the spans itself, which keeps the fold's
+// order and comparison semantics where the closure fold has them.
+//
+// Like a Program, an Expr is not safe for concurrent use.
+type Expr struct {
+	pr     *Program
+	region grid.Region
+	n      int
+}
+
+// LowerExpr lowers node against env for regions of the given rank. Scalars
+// are captured now, as Lower captures them. An error means the expression is
+// not tape-executable and the caller should evaluate it per point.
+func LowerExpr(rank int, node expr.Node, env expr.Env) (*Expr, error) {
+	if rank < 1 {
+		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
+	}
+	pr := &Program{rank: rank}
+	lw := &lowerer{pr: pr, env: env}
+	v, err := lw.lower(node)
+	if err != nil {
+		return nil, err
+	}
+	pr.stmts = []stmtTape{{ins: lw.ins, out: lw.materialize(v), dst: yieldDst}}
+	pr.nregs = lw.high
+	if err := pr.buildFused(); err != nil {
+		return nil, err
+	}
+	pr.buildUnit()
+	pr.stmts = nil // there is no destination for a per-point tape to store to
+	pr.allocState()
+	return &Expr{pr: pr}, nil
+}
+
+// SetScratch routes register leases through pool under rank's shard, as
+// Program.SetScratch does.
+func (x *Expr) SetScratch(pool *bufpool.Pool, rank int) { x.pr.SetScratch(pool, rank) }
+
+// ReleaseScratch returns the leased registers; the next Begin re-leases.
+func (x *Expr) ReleaseScratch() { x.pr.ReleaseScratch() }
+
+// Begin prepares evaluation over region and returns the number of spans
+// that cover it (0 for an empty region). Every referenced field must
+// contain every shifted read of the region; the caller checks.
+func (x *Expr) Begin(region grid.Region) int {
+	pr := x.pr
+	if region.Rank() != pr.rank {
+		panic(fmt.Sprintf("kernel: region rank %d, expression rank %d", region.Rank(), pr.rank))
+	}
+	spans := 1
+	for d := 0; d < pr.rank; d++ {
+		if region.Dim(d).Empty() {
+			return 0
+		}
+		if d < pr.rank-1 {
+			spans *= region.Dim(d).Size()
+		}
+	}
+	x.region = region
+	x.n = pr.beginSpans(region, pr.rank-1)
+	for fi := range pr.fields {
+		off := 0
+		for d := 0; d < pr.rank; d++ {
+			off += (region.Dim(d).Lo - pr.lows[fi][d]) * pr.strides[fi][d]
+		}
+		pr.base[fi] = off
+	}
+	return spans
+}
+
+// Span evaluates span k of the region given to Begin (0 <= k < the count
+// Begin returned, in canonical order) and returns its values. The slice is
+// a scratch register or, for a bare unit-step array reference, the field's
+// own storage: read it before the next call and do not write it.
+func (x *Expr) Span(k int) []float64 {
+	pr := x.pr
+	copy(pr.rbase, pr.base)
+	for d := pr.rank - 2; d >= 0; d-- {
+		r := x.region.Dim(d)
+		sz := r.Size()
+		i := k % sz
+		k /= sz
+		for fi := range pr.rbase {
+			pr.rbase[fi] += i * r.Stride * pr.strides[fi][d]
+		}
+	}
+	pr.execRun(x.n)
+	return pr.yielded(x.n)
+}

@@ -118,6 +118,7 @@ func (pr *Program) runSkewed(region grid.Region, loop dep.LoopSpec, sk dep.Skew)
 		maxRun = m
 	}
 	pr.ensureRegs(maxRun)
+	pr.setUnitRun(false) // a diagonal steps by a row and a column at once
 	for fi := range pr.fields {
 		sa := pr.strides[fi][sk.A]
 		if loop.Dirs[sk.A] == grid.HighToLow {
@@ -145,7 +146,7 @@ func (pr *Program) runSkewOuter(region grid.Region, loop dep.LoopSpec, lvl, na, 
 	if loop.Dirs[d] == grid.HighToLow {
 		step = -step
 	}
-	save := pr.saved[lvl]
+	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
 	copy(save, pr.base)
 	for i := 0; ; i++ {
 		pr.runSkewOuter(region, loop, lvl+1, na, nb, ca, cb)

@@ -10,7 +10,11 @@
 // arithmetic and intrinsics; the final register stores back to the
 // statement's destination field. Registers are full inner-loop spans leased
 // from a bufpool (or plainly allocated when no pool is attached) and
-// retained across runs, so the steady state allocates nothing.
+// retained across runs, so the steady state allocates nothing. On a run
+// where every field steps by one element — the common case, a row-major
+// span — a field's span is a slice of its storage, and the tape reads
+// operands from it and writes results to it directly wherever classify
+// shows the copy through a register to be unobservable.
 //
 // Span legality comes from the block's unconstrained distance vectors: a
 // dimension v is span-executable iff every non-zero UDV either has a zero
@@ -65,18 +69,44 @@ const (
 	opPowImmR // dst = pow(a, imm)
 	opPowImmL // dst = pow(imm, a)
 	opStore   // field[base+e*step] = a; fld is the destination field
+	opYield   // a is the value of a bare expression (Expr); ends its tape
 )
 
 // instr is one tape instruction. dst/a/b index scratch registers; fld
 // indexes the program's field table; off is the constant flat-offset delta
 // of a shifted load (sum of shift[d]*stride[d] over the field's dims).
+// flags, la and lb are lowering-time annotations (see classify) from which
+// the unit-step tape is built; no executor reads them. They sit in what was
+// padding, so an instr is still 32 bytes.
 type instr struct {
-	op   op
-	dst  uint16
-	a, b uint16
-	fld  uint16
-	off  int
-	imm  float64
+	op     op
+	flags  uint8
+	dst    uint16
+	a, b   uint16
+	fld    uint16
+	la, lb uint16 // tape index of the elided load behind operand a, b (on that load, la is its ops slot)
+	off    int
+	imm    float64
+}
+
+// Annotations classify leaves on the fused tape: what an instruction may do
+// differently on a run where every field steps by one element. buildUnit
+// turns them into the unit-step tape.
+const (
+	// fElide marks an instruction the unit-step tape drops: a load whose
+	// consumers read the field's memory directly, or a store whose value the
+	// preceding instruction wrote in place.
+	fElide  uint8 = 1 << iota
+	fMemA         // operand a is the memory span of the elided load fused[la]
+	fMemB         // likewise b and fused[lb]
+	fMemDst       // the result goes to field fld's span, not register dst
+)
+
+// memView is a span of a field that a unit-step run reads or writes where
+// it lies: the field and the flat offset from the run's start.
+type memView struct {
+	fld uint16
+	off int
 }
 
 // stmtTape is one statement's lowered form: run the instructions, then
@@ -110,22 +140,37 @@ type Program struct {
 	// runs with (nil until the first non-spannable Run).
 	skc *skewCache
 
-	// Scratch state. regs are leased spans retained across runs; base is
+	// Scratch state. regs are leased spans retained across runs (the fused
+	// tape's operand table); base is
 	// the per-field flat offset of the current outer-loop position; saved
-	// holds one base snapshot per loop level for the odometer recursion.
-	// rbase/steps are the per-field flat start and per-element flat step of
-	// the current run (a span or a skewed diagonal); stepA/stepB are the
-	// skewed executor's per-field iteration steps along the inner loop pair.
+	// holds one base snapshot per loop level (level l at [l*nf, (l+1)*nf))
+	// for the odometer recursion. rbase/steps are the per-field flat start
+	// and per-element flat step of the current run (a span or a skewed
+	// diagonal); stepA/stepB are the skewed executor's per-field iteration
+	// steps along the inner loop pair. The six tables are rewritten per run
+	// or per span, so allocState carves them from one allocation that shares
+	// no cache line with anything else — in particular not with the tables
+	// of the next worker's Program, lowered right after this one.
 	pool   *bufpool.Pool
 	prank  int
 	regs   [][]float64
 	regCap int
 	base   []int
-	saved  [][]int
+	saved  []int
 	rbase  []int
 	steps  []int
 	stepA  []int
 	stepB  []int
+	// The unit-step tape: fused with the elided loads and stores removed and
+	// every operand an index into ops — regs is its head, and from len(regs)
+	// on it holds views, ops[len(regs)+k] being views[k] of the current span.
+	// unitRun selects it: true on a span run where every field steps by one
+	// element (and there is a view to gain by it), decided once per Run. ops is rewritten per span, so like the
+	// offset tables it owns its cache lines.
+	unit    []instr
+	views   []memView
+	ops     [][]float64
+	unitRun bool
 }
 
 // Path identifies which executor a Run actually used.
@@ -168,19 +213,23 @@ func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []
 	if len(dsts) != len(rhs) {
 		return nil, fmt.Errorf("kernel: %d destinations for %d statements", len(dsts), len(rhs))
 	}
-	pr := &Program{rank: rank}
+	pr := &Program{rank: rank, stmts: make([]stmtTape, 0, len(rhs))}
+	// One lowerer, one instruction arena: each statement's tape is the
+	// stretch of it emitted while the statement lowered.
+	lw := &lowerer{pr: pr, env: env, ins: make([]instr, 0, 4*len(rhs))}
 	for i := range rhs {
 		di, err := pr.fieldIndex(dsts[i])
 		if err != nil {
 			return nil, err
 		}
-		lw := &lowerer{pr: pr, env: env}
+		start := len(lw.ins)
+		lw.next, lw.high = 0, 0
 		v, err := lw.lower(rhs[i])
 		if err != nil {
 			return nil, err
 		}
 		out := lw.materialize(v)
-		pr.stmts = append(pr.stmts, stmtTape{ins: lw.ins, out: out, dst: di})
+		pr.stmts = append(pr.stmts, stmtTape{ins: lw.ins[start:len(lw.ins):len(lw.ins)], out: out, dst: di})
 		if lw.high > pr.nregs {
 			pr.nregs = lw.high
 		}
@@ -190,17 +239,90 @@ func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []
 	if err := pr.buildFused(); err != nil {
 		return nil, err
 	}
-	nf := len(pr.fields)
-	pr.base = make([]int, nf)
-	pr.rbase = make([]int, nf)
-	pr.steps = make([]int, nf)
-	pr.stepA = make([]int, nf)
-	pr.stepB = make([]int, nf)
-	pr.saved = make([][]int, rank)
-	for i := range pr.saved {
-		pr.saved[i] = make([]int, nf)
-	}
+	pr.buildUnit()
+	pr.allocState()
 	return pr, nil
+}
+
+// cacheLine is the coherence granule the per-span state is kept apart by.
+const cacheLine = 64
+
+// allocState carves base, rbase, steps, stepA, stepB and saved out of the
+// middle of one allocation with a cache line of padding on either side, so
+// every line the tables touch lies inside the allocation.
+func (pr *Program) allocState() {
+	const pad = cacheLine / 8 // ints per line
+	nf := len(pr.fields)
+	need := (5 + pr.rank) * nf
+	if need == 0 {
+		return // a constant expression touches no field
+	}
+	buf := make([]int, need+2*pad)[pad : pad+need]
+	cut := func(n int) []int {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	pr.base, pr.rbase, pr.steps = cut(nf), cut(nf), cut(nf)
+	pr.stepA, pr.stepB = cut(nf), cut(nf)
+	pr.saved = cut(pr.rank * nf)
+}
+
+// buildUnit derives the unit-step tape from the annotated fused tape: the
+// elided loads and stores go, each elided load and each in-place
+// destination becomes a view, and operands are renumbered into ops —
+// registers keep their numbers, view k is ops[regCount()+k]. A program
+// with nothing to elide has no views and never runs unit-step.
+func (pr *Program) buildUnit() {
+	nv := 0
+	for i := range pr.fused {
+		if in := &pr.fused[i]; in.op == opLoad && in.flags&fElide != 0 || in.flags&fMemDst != 0 {
+			nv++
+		}
+	}
+	if nv == 0 {
+		return
+	}
+	r := pr.regCount()
+	pr.views = make([]memView, 0, nv)
+	pr.unit = make([]instr, 0, len(pr.fused)-nv)
+	view := func(fld uint16, off int) uint16 {
+		pr.views = append(pr.views, memView{fld, off})
+		return uint16(r + len(pr.views) - 1)
+	}
+	for i := range pr.fused {
+		in := &pr.fused[i]
+		if in.flags&fElide != 0 {
+			if in.op == opLoad {
+				in.la = view(in.fld, in.off) // where its consumers find it
+			}
+			continue
+		}
+		ni := *in
+		if in.flags&fMemA != 0 {
+			ni.a = pr.fused[in.la].la
+		}
+		if in.flags&fMemB != 0 {
+			ni.b = pr.fused[in.lb].la
+		}
+		if in.flags&fMemDst != 0 {
+			ni.dst = view(in.fld, 0)
+		}
+		pr.unit = append(pr.unit, ni)
+	}
+}
+
+// regCount is the number of scratch registers the program leases: the
+// wider of the per-statement file and the fused pass's, at least one.
+func (pr *Program) regCount() int {
+	nr := pr.nregs
+	if pr.fusedRegs > nr {
+		nr = pr.fusedRegs
+	}
+	if nr < 1 {
+		nr = 1
+	}
+	return nr
 }
 
 // readsA reports whether o reads register operand a (opStore reads a as its
@@ -223,22 +345,25 @@ func readsB(o op) bool {
 // subsequent loads of the stored field at offset zero while invalidating
 // that field's other cached loads. The reused register holds exactly the
 // values a fresh load would read, so the fused pass is bit-identical to the
-// per-statement passes. Registers are renamed to SSA form first, then
+// per-statement passes. Registers are renamed to SSA form first — a value's
+// SSA name is the tape index of the instruction that defines it — then
 // compacted through a last-use scan back to a stack-discipline footprint.
+// A statement whose destination is yieldDst (a bare expression) ends in
+// opYield instead of a store.
 func (pr *Program) buildFused() error {
-	type key struct {
-		fld uint16
-		off int
+	total := len(pr.stmts)
+	for _, st := range pr.stmts {
+		total += len(st.ins)
 	}
-	cache := map[key]uint16{}
+	if total > 0xffff {
+		return fmt.Errorf("kernel: fused tape needs too many registers")
+	}
 	remap := make([]uint16, pr.nregs)
-	var ssa []instr
-	next := 0
+	ssa := make([]instr, 0, total)
 	for _, st := range pr.stmts {
 		for _, in := range st.ins {
 			if in.op == opLoad {
-				k := key{in.fld, in.off}
-				if r, ok := cache[k]; ok {
+				if r, ok := loadedValue(ssa, in.fld, in.off); ok {
 					remap[in.dst] = r
 					continue
 				}
@@ -250,37 +375,47 @@ func (pr *Program) buildFused() error {
 			if readsB(in.op) {
 				ni.b = remap[in.b]
 			}
-			if next > 0xffff {
-				return fmt.Errorf("kernel: fused tape needs too many registers")
-			}
-			ni.dst = uint16(next)
-			next++
+			ni.dst = uint16(len(ssa))
 			remap[in.dst] = ni.dst
 			ssa = append(ssa, ni)
-			if in.op == opLoad {
-				cache[key{in.fld, in.off}] = ni.dst
-			}
 		}
 		out := remap[st.out]
-		ssa = append(ssa, instr{op: opStore, a: out, fld: st.dst})
-		for k := range cache {
-			if k.fld == st.dst {
-				delete(cache, k)
-			}
+		if st.dst == yieldDst {
+			ssa = append(ssa, instr{op: opYield, a: out})
+			continue
 		}
-		cache[key{fld: st.dst}] = out
+		ssa = append(ssa, instr{op: opStore, a: out, fld: st.dst})
 	}
-	pr.fused, pr.fusedRegs = compactRegs(ssa, next)
+	pr.fused, pr.fusedRegs = compactRegs(ssa)
 	return nil
 }
 
-// compactRegs renumbers an SSA-form tape (every dst written exactly once)
-// onto a small physical register set: a last-use scan frees each register at
-// its final read, and a LIFO free list hands the hottest register back
-// first, so the fused pass keeps roughly the per-statement stack-discipline
-// working set and its spans stay cache-resident.
-func compactRegs(ssa []instr, nssa int) ([]instr, int) {
-	last := make([]int, nssa)
+// loadedValue finds the SSA value on the tape so far that already holds
+// field fld at offset off. Scanning back from the end, the latest store to
+// fld decides: its value forwards to an offset-zero read, and it hides
+// every load of fld before it; short of such a store, an identical load is
+// reused.
+func loadedValue(ssa []instr, fld uint16, off int) (uint16, bool) {
+	for i := len(ssa) - 1; i >= 0; i-- {
+		switch in := &ssa[i]; {
+		case in.op == opStore && in.fld == fld:
+			return in.a, off == 0
+		case in.op == opLoad && in.fld == fld && in.off == off:
+			return uint16(i), true
+		}
+	}
+	return 0, false
+}
+
+// compactRegs renumbers an SSA-form tape (instruction i defines value i;
+// stores define nothing) in place onto a small physical register set: a
+// last-use scan frees each register at its final read, and a LIFO free list
+// hands the hottest register back first, so the fused pass keeps roughly
+// the per-statement stack-discipline working set and its spans stay
+// cache-resident. The same scan feeds classify, which annotates each
+// instruction for unit-step runs as it is renumbered.
+func compactRegs(ssa []instr) ([]instr, int) {
+	last := make([]int, len(ssa))
 	for i := range last {
 		last[i] = -1
 	}
@@ -293,11 +428,12 @@ func compactRegs(ssa []instr, nssa int) ([]instr, int) {
 			last[in.b] = i
 		}
 	}
-	phys := make([]uint16, nssa)
+	phys := make([]uint16, len(ssa))
 	var free []uint16
 	high := 0
-	out := make([]instr, len(ssa))
-	for i, in := range ssa {
+	for i := range ssa {
+		in := &ssa[i]
+		classify(ssa, last, i)
 		sa, sb := in.a, in.b
 		ra, rb := readsA(in.op), readsB(in.op)
 		if ra {
@@ -315,7 +451,7 @@ func compactRegs(ssa []instr, nssa int) ([]instr, int) {
 		if rb && last[sb] == i && sb != sa {
 			free = append(free, phys[sb])
 		}
-		if in.op != opStore {
+		if in.op != opStore && in.op != opYield {
 			var p uint16
 			if n := len(free); n > 0 {
 				p, free = free[n-1], free[:n-1]
@@ -323,12 +459,83 @@ func compactRegs(ssa []instr, nssa int) ([]instr, int) {
 				p = uint16(high)
 				high++
 			}
-			phys[in.dst] = p
+			phys[i] = p
 			in.dst = p
 		}
-		out[i] = in
 	}
-	return out, high
+	return ssa, high
+}
+
+// classify annotates ssa[i] — whose operands a and b still carry SSA names,
+// while every earlier instruction is already final — for runs on which all
+// fields step by one element, where a span of a field is a slice of its
+// storage and need not be copied to be read or written:
+//
+//   - A load becomes a memory operand (fElide; its consumers get fMemA/fMemB
+//     and its tape index) when every read of its value precedes the next
+//     store to the loaded field: the consumers then see, at their own later
+//     position, the very values the load would have copied, because nothing
+//     writes that field in between. A load whose value is still read at or
+//     after such a store stays a copy.
+//   - A store is elided, and the instruction before it writes the
+//     destination span itself (fMemDst), when that instruction is the
+//     arithmetic (or broadcast) producing the stored value, nothing else
+//     reads the value — a store-forwarded value keeps its register and is
+//     stored by copy — and the instruction reads no shifted memory operand
+//     of the destination field. By the first rule the only memory operands
+//     of the destination still unread at that point are the instruction's
+//     own. One at offset zero aliases the result exactly, which the
+//     read-group-then-write contract of vec.go already covers (the
+//     compactor aliases registers the same way); one at any other offset
+//     would, from the second group on, read elements the first groups have
+//     just overwritten, so it keeps the statement on the copying sequence.
+//
+// Both rewrites move a memory access to a later (load) or earlier (store)
+// tape position across instructions that do not touch that memory, so a
+// unit-step run computes bit for bit what the copying sequence computes.
+func classify(ssa []instr, last []int, i int) {
+	in := &ssa[i]
+	switch in.op {
+	case opLoad:
+		if last[i] < 0 {
+			return
+		}
+		for j := i + 1; j <= last[i]; j++ {
+			if ssa[j].op == opStore && ssa[j].fld == in.fld {
+				return
+			}
+		}
+		in.flags |= fElide
+		return
+	case opConst:
+		return
+	}
+	if ld := &ssa[in.a]; ld.op == opLoad && ld.flags&fElide != 0 {
+		in.flags |= fMemA
+		in.la = in.a
+	}
+	if readsB(in.op) {
+		if ld := &ssa[in.b]; ld.op == opLoad && ld.flags&fElide != 0 {
+			in.flags |= fMemB
+			in.lb = in.b
+		}
+	}
+	if in.op != opStore || i == 0 || int(in.a) != i-1 || last[i-1] != i {
+		return
+	}
+	prev := &ssa[i-1]
+	if prev.op == opLoad {
+		return
+	}
+	shifted := func(mem uint8, l uint16) bool {
+		return prev.flags&mem != 0 && ssa[l].fld == in.fld && ssa[l].off != 0
+	}
+	if shifted(fMemA, prev.la) || shifted(fMemB, prev.lb) {
+		return
+	}
+	prev.flags |= fMemDst
+	prev.fld = in.fld
+	in.flags |= fElide
 }
 
 // SpanMask reports, per dimension, whether the dimension may legally run as
@@ -385,6 +592,23 @@ func (pr *Program) FusedLoads() int {
 	return n
 }
 
+// FusedShape reports how classify annotated the fused tape for unit-step
+// runs: loads that became memory operands, stores elided because the value
+// is written in place, and stores that still copy (for tests).
+func (pr *Program) FusedShape() (memOperands, inPlace, stored int) {
+	for _, in := range pr.fused {
+		switch {
+		case in.op == opLoad && in.flags&fElide != 0:
+			memOperands++
+		case in.op == opStore && in.flags&fElide != 0:
+			inPlace++
+		case in.op == opStore:
+			stored++
+		}
+	}
+	return
+}
+
 // fieldIndex interns f into the program's field table.
 func (pr *Program) fieldIndex(f *field.Field) (uint16, error) {
 	if f == nil {
@@ -424,8 +648,9 @@ type val struct {
 	konst bool
 }
 
-// lowerer emits one statement's tape with stack-discipline register reuse:
-// registers free in LIFO order, so a tree of depth d needs O(d) registers.
+// lowerer emits statement tapes with stack-discipline register reuse:
+// registers free in LIFO order, so a tree of depth d needs O(d) registers
+// (next and high restart with every statement).
 type lowerer struct {
 	pr   *Program
 	env  expr.Env
@@ -711,7 +936,7 @@ func (pr *Program) ReleaseScratch() {
 		pr.pool.Put(pr.prank, pr.regs[i])
 		pr.regs[i] = nil
 	}
-	pr.regs = nil
+	pr.regs, pr.ops = nil, nil
 	pr.regCap = 0
 }
 
@@ -720,14 +945,13 @@ func (pr *Program) ensureRegs(n int) {
 		return
 	}
 	pr.ReleaseScratch()
-	nr := pr.nregs
-	if pr.fusedRegs > nr {
-		nr = pr.fusedRegs
-	}
-	if nr < 1 {
-		nr = 1
-	}
-	pr.regs = make([][]float64, nr)
+	// One table: the registers, then the unit tape's views. The views are
+	// repointed every span, so the table is padded like the offset tables —
+	// a line of slice headers either side.
+	const pad = (cacheLine + 23) / 24
+	nr := pr.regCount()
+	pr.ops = make([][]float64, nr+len(pr.views)+2*pad)[pad : pad+nr+len(pr.views)]
+	pr.regs = pr.ops[:nr]
 	for i := range pr.regs {
 		pr.regs[i] = pr.pool.Get(pr.prank, n)
 	}
@@ -770,12 +994,7 @@ func (pr *Program) Run(region grid.Region, loop dep.LoopSpec) Path {
 	pr.initBase(region, loop, span, v)
 	switch path {
 	case PathSpan:
-		d := region.Dim(v)
-		pr.ensureRegs(d.Size())
-		for fi := range pr.fields {
-			pr.steps[fi] = pr.strides[fi][v] * d.Stride
-		}
-		pr.runSpan(region, loop, 0, d.Size())
+		pr.runSpan(region, loop, 0, pr.beginSpans(region, v))
 	case PathSkewed:
 		pr.runSkewed(region, loop, sk)
 	default:
@@ -800,6 +1019,31 @@ func (pr *Program) RunScalar(region grid.Region, loop dep.LoopSpec) {
 	pr.initBase(region, loop, false, 0)
 	pr.ensureRegs(1)
 	pr.runScalar(region, loop, 0)
+}
+
+// beginSpans readies the registers, the per-field steps and the unit-step
+// decision for span runs of region along dimension v, and returns the span
+// length.
+func (pr *Program) beginSpans(region grid.Region, v int) int {
+	d := region.Dim(v)
+	pr.ensureRegs(d.Size())
+	unit := len(pr.views) > 0
+	for fi := range pr.fields {
+		pr.steps[fi] = pr.strides[fi][v] * d.Stride
+		if pr.steps[fi] != 1 {
+			unit = false
+		}
+	}
+	pr.setUnitRun(unit)
+	return d.Size()
+}
+
+// setUnitRun writes only on change: the Program header may share a cache
+// line with another worker's, and tiles of one kernel all decide alike.
+func (pr *Program) setUnitRun(unit bool) {
+	if pr.unitRun != unit {
+		pr.unitRun = unit
+	}
 }
 
 // initBase sets each field's flat offset to the loop's starting corner. In
@@ -836,7 +1080,7 @@ func (pr *Program) runSpan(region grid.Region, loop dep.LoopSpec, lvl, n int) {
 	if loop.Dirs[d] == grid.HighToLow {
 		step = -step
 	}
-	save := pr.saved[lvl]
+	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
 	copy(save, pr.base)
 	for i := 0; ; i++ {
 		pr.runSpan(region, loop, lvl+1, n)
@@ -850,17 +1094,32 @@ func (pr *Program) runSpan(region grid.Region, loop dep.LoopSpec, lvl, n int) {
 	copy(pr.base, save)
 }
 
-// execRun executes the fused tape over one run of n points — a span or a
-// skewed diagonal. Each field's start offset is rbase[fld] and per-element
-// flat step is steps[fld] (negative for runs that walk a dimension
-// downward). The arithmetic bodies are the register-blocked helpers of
-// vec.go; the math-call ops stay as plain loops, where the call dominates.
+// execRun executes one run of n points — a span or a skewed diagonal. Each
+// field's start offset is rbase[fld] and per-element flat step is
+// steps[fld] (negative for runs that walk a dimension downward). The
+// arithmetic bodies are the register-blocked helpers of vec.go; the
+// math-call ops stay as plain loops, where the call dominates.
+//
+// A run executes the fused tape over the registers, or — on a unit-step
+// run — the unit tape over ops, whose views are first pointed at the
+// current span of their fields. Which one is settled before the loop; the
+// instructions themselves do not know.
 func (pr *Program) execRun(n int) {
-	for ii := range pr.fused {
-		in := &pr.fused[ii]
+	tape, ops := pr.fused, pr.regs
+	if pr.unitRun {
+		tape, ops = pr.unit, pr.ops
+		vs := ops[len(ops)-len(pr.views):]
+		for k := range pr.views {
+			v := &pr.views[k]
+			b := pr.rbase[v.fld] + v.off
+			vs[k] = pr.data[v.fld][b : b+n]
+		}
+	}
+	for ii := range tape {
+		in := &tape[ii]
 		switch in.op {
 		case opLoad:
-			dst := pr.regs[in.dst][:n]
+			dst := ops[in.dst][:n]
 			src := pr.data[in.fld]
 			b := pr.rbase[in.fld] + in.off
 			if step := pr.steps[in.fld]; step == 1 {
@@ -869,7 +1128,7 @@ func (pr *Program) execRun(n int) {
 				vgather(dst, src, b, step)
 			}
 		case opStore:
-			out := pr.regs[in.a][:n]
+			out := ops[in.a][:n]
 			dd := pr.data[in.fld]
 			b := pr.rbase[in.fld]
 			if step := pr.steps[in.fld]; step == 1 {
@@ -878,74 +1137,83 @@ func (pr *Program) execRun(n int) {
 				vscatter(dd, out, b, step)
 			}
 		case opConst:
-			vfill(pr.regs[in.dst][:n], in.imm)
+			vfill(ops[in.dst][:n], in.imm)
 		case opAdd:
-			vadd(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vadd(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opSub:
-			vsub(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vsub(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opMul:
-			vmul(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vmul(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opDiv:
-			vdiv(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vdiv(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opAddImm:
-			vaddImm(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vaddImm(ops[in.dst][:n], ops[in.a], in.imm)
 		case opSubImmR:
-			vsubImmR(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vsubImmR(ops[in.dst][:n], ops[in.a], in.imm)
 		case opSubImmL:
-			vsubImmL(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vsubImmL(ops[in.dst][:n], ops[in.a], in.imm)
 		case opMulImm:
-			vmulImm(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vmulImm(ops[in.dst][:n], ops[in.a], in.imm)
 		case opDivImmR:
-			vdivImmR(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vdivImmR(ops[in.dst][:n], ops[in.a], in.imm)
 		case opDivImmL:
-			vdivImmL(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vdivImmL(ops[in.dst][:n], ops[in.a], in.imm)
 		case opNeg:
-			vneg(pr.regs[in.dst][:n], pr.regs[in.a])
+			vneg(ops[in.dst][:n], ops[in.a])
 		case opSqrt:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = sqrt(a[e])
 			}
 		case opAbs:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = abs(a[e])
 			}
 		case opExp:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = exp(a[e])
 			}
 		case opLog:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = logf(a[e])
 			}
 		case opMin:
-			vmin(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vmin(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opMax:
-			vmax(pr.regs[in.dst][:n], pr.regs[in.a], pr.regs[in.b])
+			vmax(ops[in.dst][:n], ops[in.a], ops[in.b])
 		case opPow:
-			dst, a, b := pr.regs[in.dst][:n], pr.regs[in.a][:n], pr.regs[in.b][:n]
+			dst, a, b := ops[in.dst][:n], ops[in.a][:n], ops[in.b][:n]
 			for e := range dst {
 				dst[e] = pow(a[e], b[e])
 			}
 		case opMinImm:
-			vminImm(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vminImm(ops[in.dst][:n], ops[in.a], in.imm)
 		case opMaxImm:
-			vmaxImm(pr.regs[in.dst][:n], pr.regs[in.a], in.imm)
+			vmaxImm(ops[in.dst][:n], ops[in.a], in.imm)
 		case opPowImmR:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = pow(a[e], in.imm)
 			}
 		case opPowImmL:
-			dst, a := pr.regs[in.dst][:n], pr.regs[in.a][:n]
+			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
 				dst[e] = pow(in.imm, a[e])
 			}
 		}
 	}
+}
+
+// yielded is the value span of the run an Expr's tape just executed: the
+// operand of the opYield that ends whichever tape ran.
+func (pr *Program) yielded(n int) []float64 {
+	if pr.unitRun {
+		return pr.ops[pr.unit[len(pr.unit)-1].a][:n]
+	}
+	return pr.regs[pr.fused[len(pr.fused)-1].a][:n]
 }
 
 // runScalar is the scalar-tape odometer: all levels step base offsets, and
@@ -959,7 +1227,7 @@ func (pr *Program) runScalar(region grid.Region, loop dep.LoopSpec, lvl int) {
 	if loop.Dirs[d] == grid.HighToLow {
 		step = -step
 	}
-	save := pr.saved[lvl]
+	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
 	copy(save, pr.base)
 	inner := lvl == pr.rank-1
 	for i := 0; ; i++ {

@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"wavefront/internal/bufpool"
 	"wavefront/internal/dep"
+	"wavefront/internal/expr"
+	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 	"wavefront/internal/trace"
 )
@@ -192,5 +195,97 @@ func TestTracingDefaultOff(t *testing.T) {
 	}
 	if stats.Summary != nil {
 		t.Fatal("untraced run must return a nil Summary")
+	}
+}
+
+// TestDifferentialCorpusReduce is the corpus's reduce leg: after each
+// corpus block has run in a session, +<<, max<< and min<< fold operands
+// drawn over the block's arrays — shifted along both dimensions, across the
+// slab boundary as far as the session's halos reach, so a fold right after
+// the block must refresh the halos the block dirtied — serially and at
+// p = 1..4, on the tape engine and on the closure engine. Max and min must
+// match the serial closure fold bit for bit everywhere; a sum does at p = 1
+// and within rounding of the partial-sum association beyond.
+func TestDifferentialCorpusReduce(t *testing.T) {
+	seeds := []int64{3, 7, 10, 13, 33, 41}
+	ops := []scan.ReduceOp{scan.SumReduce, scan.MaxReduce, scan.MinReduce}
+	region := genRegion()
+	ran := 0
+	for _, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		blk := genScanBlock(rng)
+		for _, p := range []int{1, 2, 3, 4} {
+			for _, eng := range []scan.Engine{scan.EngineTape, scan.EngineClosure} {
+				env := genEnv(seed)
+				sess, err := NewSession(env, []*scan.Block{blk}, SessionConfig{Procs: p, Domain: region, Block: 3, Kernel: eng})
+				if errors.Is(err, ErrUnsupported) {
+					continue // this block does not decompose along dimension 0
+				}
+				if err != nil {
+					t.Fatalf("seed %d p=%d: %v\n%s", seed, p, err, blk)
+				}
+				ran++
+				// Operands may reach across the slab boundary exactly as far
+				// as the block's own references made the session allocate.
+				orng := rand.New(rand.NewSource(seed * 31))
+				ref := func() expr.Node {
+					name := sess.names[orng.Intn(len(sess.names))] // the arrays the block touches
+					h := sess.halos[name]
+					d0 := orng.Intn(h.neg[0]+h.pos[0]+1) - h.neg[0]
+					d1 := orng.Intn(2*genHalo+1) - genHalo
+					return expr.Ref(name).At(grid.Direction{d0, d1})
+				}
+				operands := []expr.Node{
+					ref(),
+					expr.Call{Fn: expr.Max, Args: []expr.Node{expr.Call{Fn: expr.Abs, Args: []expr.Node{ref()}}, ref()}},
+					expr.Binary{Op: expr.Sub, L: expr.MulN(expr.Const(0.5), ref()), R: ref()},
+				}
+				got := make([]float64, 0, len(operands)*len(ops))
+				err = sess.Run(func(r *Rank) error {
+					if err := r.Exec(blk); err != nil {
+						return err
+					}
+					for _, node := range operands {
+						for _, op := range ops {
+							v, err := r.Reduce(op, region, node)
+							if err != nil {
+								return err
+							}
+							if r.ID() == 0 {
+								got = append(got, v)
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("seed %d p=%d %v: %v\n%s", seed, p, eng, err, blk)
+				}
+				// env now holds the gathered arrays: the serial oracle folds
+				// over them with the closure engine.
+				i := 0
+				for _, node := range operands {
+					for _, op := range ops {
+						rd := scan.NewReducer(node, env)
+						rd.SetEngine(scan.EngineClosure)
+						want, err := rd.Reduce(op, region)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same := math.Float64bits(got[i]) == math.Float64bits(want)
+						if op == scan.SumReduce && p > 1 {
+							same = math.Abs(got[i]-want) <= 1e-12*math.Abs(want)
+						}
+						if !same {
+							t.Errorf("seed %d p=%d %v: %v %s = %v, serial closure fold %v\n%s", seed, p, eng, op, node, got[i], want, blk)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+	if ran < 24 {
+		t.Errorf("only %d of 48 session cells were accepted; the reduce leg exercises too little", ran)
 	}
 }

@@ -663,6 +663,10 @@ type Rank struct {
 	xregs map[string]xchgRegs
 	// needs is the reusable scratch list of stale arrays (Exec, Reduce).
 	needs []string
+	// reducers caches each distinct reduction operand's prepared fold, like
+	// kernels: built on first Reduce, matched structurally (see reducerFor),
+	// scratch returned by releaseScratch, gone with the Run.
+	reducers []*rankReducer
 	// Checkpoint fast-forward state (all zero when checkpointing is off).
 	// ops counts leaf operations (Exec of a registered block, Reduce,
 	// Barrier) executed by the SPMD body; because every rank runs the same
@@ -1334,22 +1338,42 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 		r.reduceIdx++
 		return v, nil
 	}
-	w := r.sess.cfg.WavefrontDim
+	rr := r.reducerFor(node)
 	needs := r.needs[:0]
-	for _, ref := range expr.Refs(node) {
-		if ref.Shift != nil && ref.Shift[w] != 0 && r.dirty[ref.Name] {
-			needs = append(needs, ref.Name)
+	for _, name := range rr.halo {
+		if r.dirty[name] {
+			needs = append(needs, name)
 		}
 	}
-	sort.Strings(needs)
-	needs = dedup(needs)
 	r.needs = needs
 	if err := r.exchange(needs); err != nil {
 		return 0, err
 	}
-	local, err := scan.Reduce(op, r.portion(region), node, r.lenv)
+	if !rr.sized || !rr.region.Equal(region) {
+		rr.region, rr.portion, rr.sized = region, r.portion(region), true
+	}
+	// The local fold is compute like any block's: a traced span with its
+	// point count and a share of the rank's busy time. It does not go
+	// through pm.tile, whose samples calibrate the drift monitor's per-point
+	// tile cost — a fold's per-point cost is not a wavefront tile's.
+	tr := r.tr()
+	pm := r.pm()
+	foldT0 := tr.Now()
+	var mT0 int64
+	if pm != nil {
+		mT0 = pm.now()
+	}
+	local, err := rr.fold.Reduce(op, rr.portion)
 	if err != nil {
 		return 0, err
+	}
+	if pm != nil {
+		pm.busyNs.Add(r.id, pm.now()-mT0)
+	}
+	if tr != nil {
+		ev := trace.Ev(trace.KindCompute, r.id, foldT0, tr.Now())
+		ev.Elems = rr.portion.Size()
+		tr.Record(ev)
 	}
 	commOp := comm.SumOp
 	switch op {
@@ -1363,19 +1387,67 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 			return b
 		}
 	}
-	tr := r.tr()
 	reduceT0 := tr.Now()
 	out, err := r.e.AllReduce(local, commOp)
 	if err == nil && r.sess.ck != nil {
 		r.reduceLog = append(r.reduceLog, out)
 	}
-	if pm := r.pm(); pm != nil {
+	if pm != nil {
 		pm.reductions.Add(r.id, 1)
 	}
 	if tr != nil {
 		tr.Record(trace.Ev(trace.KindReduce, r.id, reduceT0, tr.Now()))
 	}
 	return out, err
+}
+
+// rankReducer is one reduction operand's state on a rank: the prepared
+// fold, the names of the arrays it reads across the slab boundary (sorted,
+// distinct — the halos to refresh when dirty), and this rank's portion of
+// the last region reduced over.
+type rankReducer struct {
+	node    expr.Node
+	fold    *scan.Reducer
+	halo    []string
+	region  grid.Region
+	portion grid.Region
+	sized   bool
+}
+
+// maxReducers bounds the per-rank operand cache. A program reduces over a
+// handful of operands; one that builds a fresh operand per call would
+// otherwise grow the list (and its leased registers) without limit, so past
+// the bound the oldest entry is replaced.
+const maxReducers = 8
+
+// reducerFor returns the rank's cached state for an operand, preparing it on
+// first sight. Expression nodes hold slices, so they cannot key a map; the
+// list is short and expr.Equal does not allocate.
+func (r *Rank) reducerFor(node expr.Node) *rankReducer {
+	for _, rr := range r.reducers {
+		if expr.Equal(rr.node, node) {
+			return rr
+		}
+	}
+	rr := &rankReducer{node: node, fold: scan.NewReducer(node, r.lenv)}
+	rr.fold.SetEngine(r.sess.cfg.Kernel)
+	rr.fold.SetScratch(r.sess.cfg.Pool, r.id)
+	w := r.sess.cfg.WavefrontDim
+	for _, ref := range expr.Refs(node) {
+		if ref.Shift != nil && w < len(ref.Shift) && ref.Shift[w] != 0 {
+			rr.halo = append(rr.halo, ref.Name)
+		}
+	}
+	sort.Strings(rr.halo)
+	rr.halo = dedup(rr.halo)
+	if len(r.reducers) < maxReducers {
+		r.reducers = append(r.reducers, rr)
+	} else {
+		r.reducers[0].fold.ReleaseScratch()
+		copy(r.reducers, r.reducers[1:])
+		r.reducers[maxReducers-1] = rr
+	}
+	return rr
 }
 
 func dedup(sorted []string) []string {
@@ -1396,6 +1468,9 @@ func dedup(sorted []string) []string {
 func (r *Rank) releaseScratch() {
 	for _, kern := range r.kernels {
 		kern.ReleaseScratch()
+	}
+	for _, rr := range r.reducers {
+		rr.fold.ReleaseScratch()
 	}
 	for _, pd := range r.dags {
 		pd.close()

@@ -97,7 +97,15 @@ func TestSessionCrashRecovery(t *testing.T) {
 // crash a rank after it has completed reductions, and demand the replayed
 // results reproduce the same residual history a fault-free session yields.
 func TestSessionCrashRecoveryReduceReplay(t *testing.T) {
-	n, iters, procs := 26, 3, 2
+	// n = 26 keeps every rank's fold on the closure; at n = 72 the portions
+	// are large enough to fold on the span tape.
+	for _, n := range []int{26, 72} {
+		crashRecoveryReduceReplay(t, n)
+	}
+}
+
+func crashRecoveryReduceReplay(t *testing.T, n int) {
+	iters, procs := 3, 2
 	par, err := workload.NewTomcatv(n, field.RowMajor)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +173,7 @@ func TestSessionCrashRecoveryReduceReplay(t *testing.T) {
 	for r := 0; r < procs; r++ {
 		for i := range refResid {
 			if resid[r][i] != refResid[i] {
-				t.Errorf("rank %d iter %d: residual %g != %g", r, i, resid[r][i], refResid[i])
+				t.Errorf("n=%d rank %d iter %d: residual %g != %g", n, r, i, resid[r][i], refResid[i])
 			}
 		}
 	}
