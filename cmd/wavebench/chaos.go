@@ -61,7 +61,7 @@ func runChaos(mode string, procs, block, n, linkCap int, seed int64, sched wavef
 func runChaosMode(mode string, procs, block, n, linkCap int, seed int64, sched wavefront.Scheduler, workers int, tcfg wavefront.TransportConfig, ckptEvery int, oracle *workload.Tomcatv, pmDir string) error {
 	// The rule tables live in internal/chaosspec so this demonstration and
 	// the repo's failure-drill tests inject identical schedules.
-	rules, err := chaosspec.Rules(mode, sched)
+	rules, err := chaosspec.Rules(mode)
 	if err != nil {
 		return err
 	}

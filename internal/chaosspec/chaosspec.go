@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"wavefront/internal/fault"
-	"wavefront/internal/scan"
 )
 
 // Modes lists the chaos scenarios in canonical run order.
@@ -34,10 +33,11 @@ func Clean(mode string) bool {
 
 // Rules returns mode's fault schedule. Pipeline boundary messages flow
 // rank r → r+1 (the forward wavefront travels north to south) with tags
-// equal to tile indices, so rules pinned to the 0→1 link deterministically
-// hit boundary traffic. backpressure returns no rules: it is the bounded
-// -link-cap run with no injector at all.
-func Rules(mode string, sched scan.Scheduler) ([]fault.Rule, error) {
+// equal to tile indices under either scheduler, so rules pinned to a link
+// and a tag deterministically hit one tile's boundary traffic. The one-block
+// run is a single wave, so nothing here pins by Wave. backpressure returns
+// no rules: it is the bounded -link-cap run with no injector at all.
+func Rules(mode string) ([]fault.Rule, error) {
 	switch mode {
 	case "drop":
 		return []fault.Rule{{Op: fault.OpSend, Rank: 0, Peer: 1,
@@ -57,32 +57,19 @@ func Rules(mode string, sched scan.Scheduler) ([]fault.Rule, error) {
 	case "backpressure":
 		return nil, nil
 	case "recover":
-		// Crash one rank at a pinned point and demand checkpoint-restart
-		// recovery. The static schedule registers wave numbers, so the crash
-		// pins to a wave; the task-DAG schedule runs its whole portion as
-		// wave 1, so occurrence counting pins it instead.
-		if sched == scan.SchedTaskDAG {
-			return []fault.Rule{{Op: fault.OpSend, Rank: 1, Peer: 2,
-				Tag: fault.Any, After: 2, Wave: 1, Action: fault.ActCrash}}, nil
-		}
+		// Crash rank 1 on its third boundary receive and demand
+		// checkpoint-restart recovery: under the static schedule that is the
+		// top of tile 2, inside the sweep (with a snapshot every 2 cut points
+		// the restart resumes there); under the task DAG it is inside the
+		// receive phase, and the restart re-runs the sweep from its start.
 		return []fault.Rule{{Op: fault.OpRecv, Rank: 1, Peer: 0,
-			Tag: fault.Any, Wave: 2, Action: fault.ActCrash}}, nil
+			Tag: 2, Action: fault.ActCrash}}, nil
 	case "recover-multi":
 		// Two ranks crash at different points; each restarts from its own
 		// snapshot and the run still completes bit-identical.
-		if sched == scan.SchedTaskDAG {
-			return []fault.Rule{
-				{Op: fault.OpSend, Rank: 1, Peer: 2,
-					Tag: fault.Any, After: 2, Wave: 1, Action: fault.ActCrash},
-				{Op: fault.OpSend, Rank: 2, Peer: 3,
-					Tag: fault.Any, After: 3, Wave: 1, Action: fault.ActCrash},
-			}, nil
-		}
 		return []fault.Rule{
-			{Op: fault.OpRecv, Rank: 1, Peer: 0,
-				Tag: fault.Any, Wave: 2, Action: fault.ActCrash},
-			{Op: fault.OpRecv, Rank: 2, Peer: 1,
-				Tag: fault.Any, Wave: 3, Action: fault.ActCrash},
+			{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: 1, Action: fault.ActCrash},
+			{Op: fault.OpRecv, Rank: 2, Peer: 1, Tag: 2, Action: fault.ActCrash},
 		}, nil
 	}
 	return nil, fmt.Errorf("chaosspec: unknown mode %q (want one of %v)", mode, Modes)

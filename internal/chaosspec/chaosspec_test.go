@@ -4,56 +4,59 @@ import (
 	"testing"
 
 	"wavefront/internal/fault"
-	"wavefront/internal/scan"
 )
 
-// TestRulesEveryMode walks the canonical mode list under both schedulers:
-// every listed mode must compile, recovery modes must crash a rank (that is
-// what forces the restart), and backpressure is the one injector-free run.
+// TestRulesEveryMode walks the canonical mode list: every listed mode must
+// compile, recovery modes must crash a rank (that is what forces the
+// restart) without pinning a wave (a one-block run has only one), and
+// backpressure is the one injector-free run.
 func TestRulesEveryMode(t *testing.T) {
-	for _, sched := range []scan.Scheduler{scan.SchedStatic, scan.SchedTaskDAG} {
-		for _, mode := range Modes {
-			rules, err := Rules(mode, sched)
-			if err != nil {
-				t.Fatalf("mode %q sched %v: %v", mode, sched, err)
+	for _, mode := range Modes {
+		rules, err := Rules(mode)
+		if err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		if mode == "backpressure" {
+			if len(rules) != 0 {
+				t.Fatalf("backpressure must run without an injector, got %d rules", len(rules))
 			}
-			if mode == "backpressure" {
-				if len(rules) != 0 {
-					t.Fatalf("backpressure must run without an injector, got %d rules", len(rules))
-				}
-				continue
+			continue
+		}
+		if len(rules) == 0 {
+			t.Fatalf("mode %q: no rules", mode)
+		}
+		// Every schedule must compile into a valid fault plan.
+		if _, err := fault.New(fault.Plan{Rules: rules}); err != nil {
+			t.Fatalf("mode %q: plan does not compile: %v", mode, err)
+		}
+		for _, r := range rules {
+			if r.Wave != 0 {
+				t.Errorf("mode %q: rule %v pins a wave; a one-block run is a single wave", mode, r)
 			}
-			if len(rules) == 0 {
-				t.Fatalf("mode %q sched %v: no rules", mode, sched)
+		}
+		if Recovery(mode) {
+			crashes := 0
+			for _, r := range rules {
+				if r.Action == fault.ActCrash {
+					crashes++
+				}
 			}
-			// Every schedule must compile into a valid fault plan.
-			if _, err := fault.New(fault.Plan{Rules: rules}); err != nil {
-				t.Fatalf("mode %q sched %v: plan does not compile: %v", mode, sched, err)
+			if crashes != len(rules) {
+				t.Fatalf("mode %q: recovery schedules must be all-crash, got %d/%d", mode, crashes, len(rules))
 			}
-			if Recovery(mode) {
-				crashes := 0
-				for _, r := range rules {
-					if r.Action == fault.ActCrash {
-						crashes++
-					}
-				}
-				if crashes != len(rules) {
-					t.Fatalf("mode %q: recovery schedules must be all-crash, got %d/%d", mode, crashes, len(rules))
-				}
-				want := 1
-				if mode == "recover-multi" {
-					want = 2
-				}
-				if crashes != want {
-					t.Fatalf("mode %q: want %d crash rules, got %d", mode, want, crashes)
-				}
+			want := 1
+			if mode == "recover-multi" {
+				want = 2
+			}
+			if crashes != want {
+				t.Fatalf("mode %q: want %d crash rules, got %d", mode, want, crashes)
 			}
 		}
 	}
 }
 
 func TestRulesUnknownMode(t *testing.T) {
-	if _, err := Rules("supernova", scan.SchedStatic); err == nil {
+	if _, err := Rules("supernova"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

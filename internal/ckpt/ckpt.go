@@ -1,16 +1,18 @@
 // Package ckpt holds the checkpoint/restart state machine's data layer: a
 // per-rank Snapshot of everything a wavefront rank needs to resume from a
-// wave boundary, a checksum sealing it, and two Store implementations — an
+// cut point, a checksum sealing it, and two Store implementations — an
 // in-memory store with pooled per-rank slots (the default: restart is an
 // in-process affair) and a file-backed store layered on the same encoding
 // (crash-stop durability, used by tests and the CLI's file mode).
 //
-// Wave boundaries are the only safe cut points: mid-wave, a rank's portion
-// mixes elements from two waves and the inbound halo cursor does not
-// correspond to any prefix of the send sequence, so no consistent global
-// state exists to restore. At a boundary, the portion fields plus the link
-// cursors plus the scalar environment are the complete rank state — the
-// proof is the restart path itself, which resumes bit-identically.
+// The runtime cuts only between operations and between the tiles of a
+// wavefront sweep (internal/pipeline/ckpt.go says why those are safe):
+// mid-tile, a rank's portion mixes updated and stale elements and the
+// inbound halo cursor does not correspond to any prefix of the send
+// sequence, so no consistent global state exists to restore. At a cut
+// point, the local fields plus the link cursors plus the scalar environment
+// are the complete rank state — the proof is the restart path itself,
+// which resumes bit-identically.
 package ckpt
 
 import (
@@ -21,7 +23,7 @@ import (
 	"sync"
 )
 
-// FieldSnap is one portion field captured at a wave boundary.
+// FieldSnap is one local field captured at a cut point.
 type FieldSnap struct {
 	// Name is the array's program name.
 	Name string
@@ -34,14 +36,15 @@ type FieldSnap struct {
 	Data []float64
 }
 
-// Snapshot is one rank's complete resumable state at a wave boundary.
+// Snapshot is one rank's complete resumable state at a cut point.
 // Stores deep-copy on Save and are done with the caller's snapshot when
 // Save returns, so a caller may reuse its snapshot scratch across waves
 // and may point FieldSnap.Data straight at live array storage, provided
 // nothing writes that storage while Save runs.
 type Snapshot struct {
-	// Rank owns the snapshot; Wave is the 1-based wave the rank is about to
-	// run (everything before it is captured); Seq orders snapshots per rank.
+	// Rank owns the snapshot; Wave is the 1-based wavefront sweep the cut
+	// lies inside or before (everything before the cut is captured); Seq
+	// orders snapshots per rank.
 	Rank, Wave int
 	Seq        int64
 	// RecvCursor[p] is the consumed count on the p→rank link at the

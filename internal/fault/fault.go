@@ -101,12 +101,18 @@ type Rule struct {
 	// Times bounds how many matches fire after the After window: 0 means
 	// once, n > 0 means n times, -1 means every subsequent match.
 	Times int
-	// Wave restricts the rule to one wave of the computation: a 1-based
-	// wave number matched against the value the runtime registers with
-	// SetWave, 0 matching every wave (the default). Combined with Rank,
-	// this is the deterministic "crash rank R at wave N" knob the recovery
-	// tests are built on — occurrence counting (After) alone cannot pin a
-	// fault to a wave when earlier waves' message counts vary.
+	// Wave restricts the rule to one wave of the computation — one sweep of
+	// a wavefront block through the ranks, what trace.Event.Wave numbers
+	// from 0: a 1-based count of the sweeps the rank has entered, matched
+	// against the value the runtime registers with SetWave at the start of
+	// each sweep and keeps until the next (so halo exchanges and
+	// reductions after a sweep still carry its number), 0 matching every
+	// wave (the default). Combined with Rank, this is the deterministic
+	// "crash rank R in sweep N" knob the session recovery tests are built on
+	// — occurrence counting (After) alone cannot pin a fault to a sweep when
+	// earlier sweeps' message counts vary. A one-block run is a single wave;
+	// pin a tile inside it by Tag (boundary message t carries tag t) or
+	// After.
 	Wave int
 	// Action is the injected fault.
 	Action Action
@@ -244,7 +250,8 @@ func MustNew(p Plan) *Injector {
 func (in *Injector) Enabled() bool { return in != nil }
 
 // SetWave registers rank's current wave (1-based) for Wave-pinned rules.
-// Schedulers call it as each rank enters a wave; a nil injector ignores it.
+// The runtime calls it as each rank enters a wavefront sweep; a nil
+// injector ignores it.
 // Operations performed before any SetWave carry wave 0 and only match
 // rules with Wave == 0 (the any-wave wildcard).
 func (in *Injector) SetWave(rank, wave int) {

@@ -10,6 +10,7 @@ import (
 
 	"wavefront/internal/comm"
 	"wavefront/internal/fault"
+	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 	"wavefront/internal/trace"
 )
@@ -51,6 +52,12 @@ func TestChaosSoakCorpus(t *testing.T) {
 			continue
 		}
 		soaked++
+		// The faults target the pipeline's first link. Rank i holds slab i,
+		// so on a high-to-low wavefront that link is procs-1 → procs-2.
+		src, dst := 0, 1
+		if stats.Loop.Dirs[stats.WavefrontDim] == grid.HighToLow {
+			src, dst = procs-1, procs-2
+		}
 
 		run := func(rules []fault.Rule, linkCap int, rec *trace.Recorder) (*Stats, error) {
 			cfg := DefaultConfig(procs, block)
@@ -73,22 +80,22 @@ func TestChaosSoakCorpus(t *testing.T) {
 		}
 
 		t.Run(fmt.Sprintf("seed%d/drop", seed), func(t *testing.T) {
-			_, err := run([]fault.Rule{{Op: fault.OpSend, Rank: 0, Peer: 1,
+			_, err := run([]fault.Rule{{Op: fault.OpSend, Rank: src, Peer: dst,
 				Tag: fault.Any, Times: -1, Action: fault.ActDrop}}, 0, nil)
 			var dl *comm.DeadlockError
 			if !errors.As(err, &dl) {
-				t.Fatalf("dropping every 0→1 message must be diagnosed as a deadlock, got: %v", err)
+				t.Fatalf("dropping every %d→%d message must be diagnosed as a deadlock, got: %v", src, dst, err)
 			}
 			if len(dl.Waits) == 0 {
 				t.Fatal("deadlock diagnosis carries no wait-for entries")
 			}
-			if !strings.Contains(dl.Error(), "rank 1 blocked in recv from rank 0") {
+			if !strings.Contains(dl.Error(), fmt.Sprintf("rank %d blocked in recv from rank %d", dst, src)) {
 				t.Errorf("diagnosis does not name the starved link:\n%v", dl)
 			}
 		})
 
 		t.Run(fmt.Sprintf("seed%d/stall", seed), func(t *testing.T) {
-			_, err := run([]fault.Rule{{Op: fault.OpRecv, Rank: 1, Peer: 0,
+			_, err := run([]fault.Rule{{Op: fault.OpRecv, Rank: dst, Peer: src,
 				Tag: fault.Any, Action: fault.ActStall}}, 0, nil)
 			var dl *comm.DeadlockError
 			if !errors.As(err, &dl) {
@@ -100,7 +107,7 @@ func TestChaosSoakCorpus(t *testing.T) {
 		})
 
 		t.Run(fmt.Sprintf("seed%d/crash", seed), func(t *testing.T) {
-			_, err := run([]fault.Rule{{Op: fault.OpSend, Rank: 0, Peer: 1,
+			_, err := run([]fault.Rule{{Op: fault.OpSend, Rank: src, Peer: dst,
 				Tag: fault.Any, Action: fault.ActCrash}}, 0, nil)
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("an injected crash must propagate out of Run, got: %v", err)
@@ -116,7 +123,7 @@ func TestChaosSoakCorpus(t *testing.T) {
 			// on the block's tile lag, a single tile's halo rows may never be
 			// read downstream, but a corrupted link as a whole must show.
 			cfg.Faults = fault.MustNew(fault.Plan{Seed: seed, Rules: []fault.Rule{
-				{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: fault.Any, Times: -1, Action: fault.ActCorrupt}}})
+				{Op: fault.OpSend, Rank: src, Peer: dst, Tag: fault.Any, Times: -1, Action: fault.ActCorrupt}}})
 			env := genEnv(seed)
 			if _, err := Run(blk, env, cfg); err != nil {
 				t.Fatalf("a corrupted run must still complete, got: %v", err)
@@ -136,12 +143,12 @@ func TestChaosSoakCorpus(t *testing.T) {
 				// corrupted halo is read but the result is dead. The
 				// aggregate check below requires the sensitive majority of
 				// the corpus to expose corruption.
-				t.Logf("seed %d: corrupted 0→1 link invisible (corruption-insensitive block)", seed)
+				t.Logf("seed %d: corrupted %d→%d link invisible (corruption-insensitive block)", seed, src, dst)
 			}
 		})
 
 		t.Run(fmt.Sprintf("seed%d/delay", seed), func(t *testing.T) {
-			if _, err := run([]fault.Rule{{Op: fault.OpSend, Rank: 0, Peer: 1,
+			if _, err := run([]fault.Rule{{Op: fault.OpSend, Rank: src, Peer: dst,
 				Tag: fault.Any, Times: 2, Action: fault.ActDelay,
 				Delay: 200 * time.Microsecond}}, 0, nil); err != nil {
 				t.Fatalf("delays must not change the result: %v", err)

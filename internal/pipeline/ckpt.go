@@ -1,17 +1,34 @@
 package pipeline
 
-// Wave-boundary checkpoint/restart for the pipelined runtime. The comm
-// layer owns message replay and send suppression (comm/recovery.go); this
-// file owns the state half: cutting a rank's portion fields, link cursors,
-// and scheduler counters into a ckpt.Snapshot at wave boundaries, and
-// rebuilding a restarted rank's locals from its latest snapshot.
+// Checkpoint/restart for the pipelined runtime. The comm layer owns message
+// replay and send suppression (comm/recovery.go); this file owns the state
+// half: cutting a rank's local fields, link cursors, tag counters and
+// scalar state into a ckpt.Snapshot at a cut point, and rebuilding a
+// restarted rank from its latest snapshot.
 //
-// Wave boundaries are the only safe cut points. Mid-tile, the portion
-// mixes updated and stale elements along the wavefront dimension (the UDV
-// dependence reach spans the whole tile) and the halo does not correspond
-// to any received-message prefix; at a boundary — before tile t's receives
-// — the portion state is exactly "tiles < t computed, recvd messages
-// consumed", which the link cursors pin down completely.
+// A rank runs an arbitrary SPMD body, so there are two kinds of cut point.
+// The start of a leaf operation — an Exec of a registered block, a Reduce,
+// a Barrier — is one: every rank executes the same body, so equal
+// operation counts identify the same boundary on every rank. The top of a
+// tile inside a static-schedule wavefront sweep, before the tile's
+// receives, is the other: there the portion is exactly "tiles < t
+// computed, recvd messages consumed", the sweep's halo exchange is
+// complete and its arrays marked clean, and the tag counters say which
+// boundary messages have gone each way. Mid-tile is never safe: the portion
+// mixes updated and stale elements along the wavefront dimension and the
+// halo corresponds to no received-message prefix. At either kind of cut
+// the snapshot plus the comm layer's link cursors pins the rank's progress
+// down completely.
+//
+// A restarted rank cannot resume the user's closure mid-flight; instead it
+// re-runs the body from the top and fast-forwards: operations below the
+// snapshot's index are skipped (their effects are already in the restored
+// state), with Reduce results replayed from a log so the body sees the
+// same values without re-communicating. Real execution resumes at the
+// snapshot's operation — at its start, or for a cut inside a sweep at the
+// snapshot's tile with the sweep's preamble skipped — where send
+// suppression and inbound replay make the message stream
+// indistinguishable from an uninterrupted run.
 
 import (
 	"fmt"
@@ -21,15 +38,20 @@ import (
 	"wavefront/internal/ckpt"
 	"wavefront/internal/comm"
 	"wavefront/internal/field"
-	"wavefront/internal/grid"
 	"wavefront/internal/trace"
 )
 
-// CheckpointConfig enables wave-boundary checkpointing and crash recovery.
+// CheckpointConfig enables checkpointing and crash recovery.
 type CheckpointConfig struct {
-	// Every is the snapshot interval in waves (tiles): a snapshot before
-	// tile 0 (the mandatory anchor — restart is impossible without one) and
-	// before every Every-th tile after it. <= 0 defaults to 1.
+	// Every is the snapshot interval in cut points: the start of each leaf
+	// operation (Exec of a registered block, Reduce, Barrier) and the top
+	// of each tile after the first inside a static-schedule wavefront sweep
+	// (the first tile's cut is its operation's start; a task-DAG sweep runs
+	// its portion in one piece and has no other). A rank snapshots at its
+	// first cut point (the mandatory anchor — restart is impossible without
+	// one) and whenever Every cut points have passed since its last
+	// snapshot, so a one-block run snapshots before tile 0 and before every
+	// Every-th tile after it. <= 0 defaults to 1.
 	Every int
 	// Store persists the snapshots; nil selects a fresh in-memory store.
 	Store ckpt.Store
@@ -48,10 +70,8 @@ func (c *CheckpointConfig) every() int {
 type ckptRuntime struct {
 	store   ckpt.Store
 	every   int
-	p       int
 	pending []atomic.Bool   // pending[r]: rank r's next body invocation is a restart
 	scratch []ckpt.Snapshot // per-rank reusable snapshot (Save deep-copies)
-	names   [][]string      // per-rank sorted local-array names, built at the first snapshot
 	pm      *pipeMetrics
 	// restarts counts granted rank restarts this run; the flight recorder
 	// treats any nonzero count as a structured failure worth a bundle.
@@ -69,17 +89,17 @@ func newCkptRuntime(cfg *CheckpointConfig, p int, pm *pipeMetrics) *ckptRuntime 
 	return &ckptRuntime{
 		store:   st,
 		every:   cfg.every(),
-		p:       p,
 		pending: make([]atomic.Bool, p),
 		scratch: make([]ckpt.Snapshot, p),
-		names:   make([][]string, p),
 		pm:      pm,
 	}
 }
 
 // recovery builds the comm-layer bridge: cursors come from the rank's
 // latest snapshot, and a granted restart marks the rank pending so its
-// next body invocation restores instead of re-scattering.
+// next body invocation restores instead of re-scattering (by the time a
+// crash can occur, other ranks' gathers may already have overwritten the
+// globals it scattered from, so re-scattering is never sound).
 func (ck *ckptRuntime) recovery(maxRestarts int) *comm.Recovery {
 	return &comm.Recovery{
 		MaxRestarts: maxRestarts,
@@ -119,71 +139,13 @@ func (ck *ckptRuntime) refused(runErr error) error {
 	return runErr
 }
 
-// shouldSnap reports whether a snapshot is due before tile t. Tile 0 is
-// mandatory (the restore anchor: by the time a crash can occur, upstream
-// gathers may already have overwritten the globals this rank scattered
-// from, so re-scattering is never sound).
-func (ck *ckptRuntime) shouldSnap(t int) bool {
-	return t == 0 || t%ck.every == 0
-}
-
-// snapshot cuts rank's state before tile wave and saves it, then trims the
-// comm layer's retention below the snapshot's receive cursors. recvd is
-// the count of upstream boundary messages consumed so far. Skipped while
-// post-restart send suppression is draining (see Endpoint.RecoveryQuiescent).
-func (ck *ckptRuntime) snapshot(e *comm.Endpoint, rank, wave, recvd int,
-	locals map[string]*field.Field, tr *trace.Recorder) error {
-	if !e.RecoveryQuiescent() {
-		return nil
-	}
-	t0 := tr.Now()
-	s := &ck.scratch[rank]
-	s.Rank, s.Wave = rank, wave
-	if cap(s.RecvCursor) < ck.p {
-		s.RecvCursor = make([]int64, ck.p)
-		s.SendCursor = make([]int64, ck.p)
-	}
-	s.RecvCursor, s.SendCursor = s.RecvCursor[:ck.p], s.SendCursor[:ck.p]
-	e.Cursors(s.RecvCursor, s.SendCursor)
-	s.Ints = append(s.Ints[:0], int64(recvd))
-	s.Names, s.Vals = s.Names[:0], s.Vals[:0]
-
-	// A rank's locals keep their names for the whole run (a restart
-	// rebuilds the same set from the snapshot), so the canonical order is
-	// worked out once.
-	names := ck.names[rank]
-	if names == nil {
-		names = make([]string, 0, len(locals))
-		for name := range locals {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		ck.names[rank] = names
-	}
-	var elems int
-	s.Fields, elems = snapFields(s.Fields, names, locals)
-	if err := ck.store.Save(s); err != nil {
-		return fmt.Errorf("pipeline: rank %d: checkpoint at wave %d: %w", rank, wave, err)
-	}
-	e.TrimRetained(s.RecvCursor)
-	if ck.pm != nil {
-		ck.pm.ckptSnaps.Add(rank, 1)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindCkpt, rank, t0, tr.Now())
-		ev.Wave, ev.Elems = wave, elems
-		tr.Record(ev)
-	}
-	return nil
-}
-
 // snapFields describes locals, in the order of names, as snapshot fields
 // reusing dst's backing (the Dims slices included), and returns them with
 // their total element count. Data aliases the fields' live storage instead
 // of copying it: Store.Save deep-copies and has finished with the snapshot
 // when it returns, and the caller is the only goroutine that writes these
-// fields at a wave boundary (task-DAG workers are parked between runs), so
-// a copy here would only be made to be copied again.
+// fields at a cut point (task-DAG workers are parked between runs), so a
+// copy here would only be made to be copied again.
 func snapFields(dst []ckpt.FieldSnap, names []string, locals map[string]*field.Field) ([]ckpt.FieldSnap, int) {
 	if cap(dst) < len(names) {
 		dst = make([]ckpt.FieldSnap, len(names))
@@ -204,56 +166,219 @@ func snapFields(dst []ckpt.FieldSnap, names []string, locals map[string]*field.F
 	return dst, elems
 }
 
-// restore rebuilds rank's locals and scheduler counters from its latest
-// snapshot. Returns the snapshot for the caller to resume from.
-func (ck *ckptRuntime) restore(rank int, tr *trace.Recorder) (*ckpt.Snapshot, map[string]*field.Field, error) {
-	t0 := tr.Now()
-	snap, err := ck.store.Latest(rank)
-	if err != nil {
-		return nil, nil, err
+// Tag prefixes for the snapshot's Names/Vals pairs: rank-local scalars,
+// kernel-captured scalars, dirty and written array marks, and the reduce
+// log (in operation order).
+const (
+	ckTagScalar   = "s:"
+	ckTagCaptured = "c:"
+	ckTagDirty    = "d:"
+	ckTagWrote    = "w:"
+	ckTagReduce   = "r:"
+)
+
+// ckInts is the count of fixed counters at the head of a snapshot's Ints:
+// operation, tile, boundary messages received, cut index, sweeps begun and
+// tile width; the per-peer send and receive tag counters follow.
+const ckInts = 6
+
+// ckOp advances the rank's leaf-operation counter under checkpointing.
+// It returns skip=true while fast-forwarding through operations already
+// covered by the restored snapshot; otherwise the operation's start is a
+// cut point. With checkpointing off it is a single nil check.
+func (r *Rank) ckOp() (skip bool, err error) {
+	ck := r.sess.ck
+	if ck == nil {
+		return false, nil
 	}
-	if snap == nil {
-		return nil, nil, fmt.Errorf("pipeline: rank %d restarted without a snapshot", rank)
+	op := r.ops
+	r.ops++
+	switch {
+	case op < r.ffOp:
+		return true, nil
+	case op == r.ffOp && r.ffTile > 0:
+		// The restored snapshot was cut inside this operation's sweep: its
+		// start is behind the snapshot and was counted before it.
+		return false, nil
 	}
-	locals, err := localsFromSnapshot(snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ck.pm != nil {
-		ck.pm.ckptRestores.Add(rank, 1)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindRestore, rank, t0, tr.Now())
-		ev.Wave, ev.Seq = snap.Wave, int(snap.Seq)
-		tr.Record(ev)
-	}
-	return snap, locals, nil
+	return false, r.cut(ck, 0, 0)
 }
 
-// localsFromSnapshot reconstructs the rank's local fields byte-for-byte
-// from the snapshot's field captures.
-func localsFromSnapshot(snap *ckpt.Snapshot) (map[string]*field.Field, error) {
-	locals := make(map[string]*field.Field, len(snap.Fields))
+// cut passes one cut point — tile 0 for an operation's start, else the tile
+// of the running sweep about to begin, with recvd upstream boundary
+// messages consumed — and snapshots when one is due: at the rank's first
+// cut point and whenever Every have passed since its last snapshot.
+func (r *Rank) cut(ck *ckptRuntime, tile, recvd int) error {
+	c := r.cuts
+	r.cuts++
+	if c != 0 && c-r.lastSnap < ck.every {
+		return nil
+	}
+	return r.snapshot(ck, c, tile, recvd)
+}
+
+// snapshot cuts the rank's state at cut point c and saves it, then trims
+// the comm layer's retention below the snapshot's receive cursors. Skipped
+// while post-restart send suppression is still draining — the link counters
+// would overstate the restarted incarnation's logical progress (see
+// Endpoint.RecoveryQuiescent).
+func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
+	if !r.e.RecoveryQuiescent() {
+		return nil
+	}
+	tr := r.tr()
+	t0 := tr.Now()
+	p := r.sess.cfg.Procs
+	op := r.ops - 1
+	s := &ck.scratch[r.id]
+	// Wave is the 1-based sweep the cut lies inside (tile > 0: waveRuns
+	// already counts it) or before.
+	s.Rank, s.Wave = r.id, r.waveRuns
+	if tile == 0 {
+		s.Wave++
+	}
+	if cap(s.RecvCursor) < p {
+		s.RecvCursor = make([]int64, p)
+		s.SendCursor = make([]int64, p)
+	}
+	s.RecvCursor, s.SendCursor = s.RecvCursor[:p], s.SendCursor[:p]
+	r.e.Cursors(s.RecvCursor, s.SendCursor)
+
+	s.Ints = append(s.Ints[:0], int64(op), int64(tile), int64(recvd), int64(c), int64(r.waveRuns), int64(r.curBlock))
+	for _, v := range r.sendSeq {
+		s.Ints = append(s.Ints, int64(v))
+	}
+	for _, v := range r.recvSeq {
+		s.Ints = append(s.Ints, int64(v))
+	}
+	s.Names, s.Vals = s.Names[:0], s.Vals[:0]
+	tagged := func(tag string, m map[string]float64) {
+		names := make([]string, 0, len(m))
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			s.Names = append(s.Names, tag+name)
+			s.Vals = append(s.Vals, m[name])
+		}
+	}
+	// Dirty and written marks are only ever set on session arrays, whose
+	// names the session sorted once.
+	marks := func(tag string, m map[string]bool) {
+		for _, name := range r.sess.names {
+			if m[name] {
+				s.Names = append(s.Names, tag+name)
+				s.Vals = append(s.Vals, 1)
+			}
+		}
+	}
+	tagged(ckTagScalar, r.lenv.scalars)
+	tagged(ckTagCaptured, r.captured)
+	marks(ckTagDirty, r.dirty)
+	marks(ckTagWrote, r.wrote)
+	for _, v := range r.reduceLog {
+		s.Names = append(s.Names, ckTagReduce)
+		s.Vals = append(s.Vals, v)
+	}
+
+	var elems int
+	s.Fields, elems = snapFields(s.Fields, r.sess.names, r.locals)
+	if err := ck.store.Save(s); err != nil {
+		return fmt.Errorf("pipeline: rank %d: checkpoint at op %d tile %d: %w", r.id, op, tile, err)
+	}
+	r.e.TrimRetained(s.RecvCursor)
+	r.lastSnap = c
+	if ck.pm != nil {
+		ck.pm.ckptSnaps.Add(r.id, 1)
+	}
+	if tr != nil {
+		ev := trace.Ev(trace.KindCkpt, r.id, t0, tr.Now())
+		ev.Wave, ev.Tile, ev.Elems = s.Wave-1, tile, elems
+		tr.Record(ev)
+	}
+	return nil
+}
+
+// restore rebuilds a restarted rank from its latest snapshot: array data is
+// copied into the freshly allocated locals (geometry is a pure function of
+// the session config, so bounds always agree), counters and tagged state
+// overwrite the rank's zero state, and the fast-forward horizon is set to
+// the snapshot's operation and tile.
+func (r *Rank) restore(ck *ckptRuntime) error {
+	tr := r.tr()
+	t0 := tr.Now()
+	snap, err := ck.store.Latest(r.id)
+	if err != nil {
+		return err
+	}
+	if snap == nil {
+		return fmt.Errorf("pipeline: rank %d restarted without a snapshot", r.id)
+	}
+	p := r.sess.cfg.Procs
+	if len(snap.Ints) != ckInts+2*p {
+		return fmt.Errorf("pipeline: rank %d: snapshot holds %d counters, want %d",
+			r.id, len(snap.Ints), ckInts+2*p)
+	}
+	if len(snap.Fields) != len(r.locals) {
+		return fmt.Errorf("pipeline: rank %d: snapshot holds %d arrays, session has %d",
+			r.id, len(snap.Fields), len(r.locals))
+	}
 	for i := range snap.Fields {
 		fs := &snap.Fields[i]
-		dims := make([]grid.Range, len(fs.Dims)/2)
-		for d := range dims {
-			dims[d] = grid.NewRange(fs.Dims[2*d], fs.Dims[2*d+1])
-		}
-		bounds, err := grid.NewRegion(dims...)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: snapshot field %q: %w", fs.Name, err)
-		}
-		f, err := field.New(fs.Name, bounds, field.Layout(fs.Layout))
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: snapshot field %q: %w", fs.Name, err)
+		f := r.locals[fs.Name]
+		if f == nil {
+			return fmt.Errorf("pipeline: snapshot names unknown array %q", fs.Name)
 		}
 		if len(fs.Data) != len(f.Data()) {
-			return nil, fmt.Errorf("pipeline: snapshot field %q holds %d elements, bounds need %d",
+			return fmt.Errorf("pipeline: snapshot array %q holds %d elements, locals need %d",
 				fs.Name, len(fs.Data), len(f.Data()))
 		}
 		copy(f.Data(), fs.Data)
-		locals[fs.Name] = f
 	}
-	return locals, nil
+	r.ops = 0
+	r.ffOp, r.ffTile, r.ffRecvd = int(snap.Ints[0]), int(snap.Ints[1]), int(snap.Ints[2])
+	r.cuts, r.lastSnap = int(snap.Ints[3]), int(snap.Ints[3])
+	r.waveRuns = int(snap.Ints[4])
+	r.curBlock = int(snap.Ints[5])
+	for i := 0; i < p; i++ {
+		r.sendSeq[i] = int(snap.Ints[ckInts+i])
+		r.recvSeq[i] = int(snap.Ints[ckInts+p+i])
+	}
+	r.reduceLog = r.reduceLog[:0]
+	r.reduceIdx = 0
+	for i, name := range snap.Names {
+		v := snap.Vals[i]
+		switch {
+		case len(name) < 2:
+			return fmt.Errorf("pipeline: snapshot carries untagged entry %q", name)
+		case name[:2] == ckTagScalar:
+			if r.lenv.scalars == nil {
+				r.lenv.scalars = map[string]float64{}
+			}
+			r.lenv.scalars[name[2:]] = v
+		case name[:2] == ckTagCaptured:
+			if r.captured == nil {
+				r.captured = map[string]float64{}
+			}
+			r.captured[name[2:]] = v
+		case name[:2] == ckTagDirty:
+			r.dirty[name[2:]] = true
+		case name[:2] == ckTagWrote:
+			r.wrote[name[2:]] = true
+		case name[:2] == ckTagReduce:
+			r.reduceLog = append(r.reduceLog, v)
+		default:
+			return fmt.Errorf("pipeline: snapshot carries unknown tag %q", name[:2])
+		}
+	}
+	if ck.pm != nil {
+		ck.pm.ckptRestores.Add(r.id, 1)
+	}
+	if tr != nil {
+		ev := trace.Ev(trace.KindRestore, r.id, t0, tr.Now())
+		ev.Wave, ev.Tile, ev.Seq = snap.Wave-1, r.ffTile, int(snap.Seq)
+		tr.Record(ev)
+	}
+	return nil
 }

@@ -75,10 +75,13 @@ func TestRestartFromDamagedSnapshotFile(t *testing.T) {
 			return errors.As(err, &fe) && fe.Version == "WFCPKT01"
 		}},
 	}
-	crashRank1 := func(t *testing.T) *fault.Injector {
-		inj, err := fault.New(fault.Plan{Rules: []fault.Rule{{
-			Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash,
-		}}})
+	// Both crash rank 1 on a receive from rank 0: the one-block run on its
+	// third boundary message (a wave is a whole sweep, so a tile inside the
+	// only one is pinned by tag), the session in its third sweep.
+	thirdMessage := fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: 2, Action: fault.ActCrash}
+	thirdSweep := fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}
+	crashRank1 := func(t *testing.T, rule fault.Rule) *fault.Injector {
+		inj, err := fault.New(fault.Plan{Rules: []fault.Rule{rule}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +97,7 @@ func TestRestartFromDamagedSnapshotFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := DefaultConfig(3, 4)
-			cfg.Faults = crashRank1(t)
+			cfg.Faults = crashRank1(t, thirdMessage)
 			cfg.Checkpoint = &CheckpointConfig{Every: 2, Store: st}
 			_, err = Run(tom.ForwardBlock(), tom.Env, cfg)
 			return err
@@ -107,7 +110,7 @@ func TestRestartFromDamagedSnapshotFile(t *testing.T) {
 			blocks := tom.Blocks()
 			sess, err := NewSession(tom.Env, blocks, SessionConfig{
 				Procs: 3, Domain: tom.All, Block: 4,
-				Faults:     crashRank1(t),
+				Faults:     crashRank1(t, thirdSweep),
 				Checkpoint: &CheckpointConfig{Every: 2, Store: st},
 			})
 			if err != nil {

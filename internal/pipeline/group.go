@@ -7,7 +7,6 @@ import (
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 	"wavefront/internal/taskdag"
-	"wavefront/internal/trace"
 )
 
 // groupDAG is one rank's cached merged executor for a group of mutually
@@ -47,7 +46,7 @@ func (r *Rank) ExecGroup(blocks []*scan.Block) error {
 	if err := scan.CheckGroupIndependent(blocks); err != nil {
 		return err
 	}
-	merged := r.sess.cfg.Procs == 1
+	merged := r.sess.cfg.Procs == 1 && r.sess.cfg.Scheduler == scan.SchedTaskDAG
 	pls := make([]*plan, 0, len(blocks))
 	for _, b := range blocks {
 		if _, ok := r.sess.subBlocks[b]; ok {
@@ -58,7 +57,7 @@ func (r *Rank) ExecGroup(blocks []*scan.Block) error {
 		if !ok {
 			return fmt.Errorf("pipeline: block %p was not registered with the session", b)
 		}
-		if pl.sched != scan.SchedTaskDAG || pl.an.NeedsTemp() || len(pl.pipeNames) != 0 {
+		if pl.an.NeedsTemp() || len(pl.pipeNames) != 0 {
 			merged = false
 		}
 		pls = append(pls, pl)
@@ -78,22 +77,9 @@ func (r *Rank) ExecGroup(blocks []*scan.Block) error {
 	if err != nil {
 		return err
 	}
-	tr := r.tr()
-	pm := r.pm()
-	computeT0 := tr.Now()
-	var mT0 int64
-	if pm != nil {
-		mT0 = pm.now()
-	}
+	sp := r.begin()
 	gd.g.Run()
-	if pm != nil {
-		pm.tile(r.id, gd.elems, mT0, pm.now())
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindCompute, r.id, computeT0, tr.Now())
-		ev.Elems = gd.elems
-		tr.Record(ev)
-	}
+	r.computed(sp, gd.elems, -1, -1, -1, -1)
 	for _, pl := range pls {
 		for name := range pl.written {
 			r.dirty[name] = true
@@ -111,29 +97,14 @@ func (r *Rank) groupDAGFor(blocks []*scan.Block, pls []*plan) (*groupDAG, error)
 	if gd, ok := r.groupDags[blocks[0]]; ok {
 		return gd, nil
 	}
-	s := r.sess
-	workers := pls[0].workers
 	specs := make([]taskdag.Spec, len(blocks))
-	portions := make([]grid.Region, len(blocks))
 	elems := 0
 	for i, b := range blocks {
-		L, ok := r.portions[b]
-		if !ok {
-			L = r.portion(b.Region)
-			r.portions[b] = L
-		}
-		portions[i] = L
+		L := r.portion(b)
 		specs[i] = taskdag.Spec{Region: L, Loop: pls[i].an.Loop, UDVs: pls[i].an.UDVs}
 		elems += L.Size() * len(b.Stmts)
 	}
-	g, err := taskdag.NewMulti(specs, taskdag.Options{
-		Workers:     workers,
-		Trace:       s.cfg.Trace,
-		TraceBase:   taskTraceBase(s.cfg.Procs, r.id, workers),
-		Metrics:     s.cfg.Metrics,
-		MetricsRank: r.id,
-		StealSeed:   taskdagStealSeed,
-	})
+	g, err := taskdag.NewMulti(specs, r.dagOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -142,14 +113,10 @@ func (r *Rank) groupDAGFor(blocks []*scan.Block, pls []*plan) (*groupDAG, error)
 		gd.loops[i] = pls[i].an.Loop
 		gd.kernels[i] = make([]*scan.Kernel, g.Workers())
 		for w := range gd.kernels[i] {
-			k, err := scan.NewKernelDeps(b, r.lenv, pls[i].an.UDVs)
-			if err != nil {
+			if gd.kernels[i][w], err = r.newKernel(b, pls[i]); err != nil {
 				g.Stop()
 				return nil, err
 			}
-			k.SetEngine(s.cfg.Kernel)
-			k.SetScratch(s.cfg.Pool, r.id)
-			gd.kernels[i][w] = k
 		}
 	}
 	g.SetRunnerSub(func(worker, sub int, tile grid.Region) {
@@ -157,6 +124,9 @@ func (r *Rank) groupDAGFor(blocks []*scan.Block, pls []*plan) (*groupDAG, error)
 	})
 	if taskdagHook != nil {
 		taskdagHook(g)
+	}
+	if r.groupDags == nil {
+		r.groupDags = map[*scan.Block]*groupDAG{}
 	}
 	r.groupDags[blocks[0]] = gd
 	return gd, nil

@@ -14,7 +14,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"wavefront/internal/bufpool"
@@ -94,12 +93,13 @@ type Config struct {
 	// default) or a loopback TCP/unix-socket transport (see comm.Transport).
 	// Socket transports are incompatible with LinkCapacity.
 	Transport comm.TransportConfig
-	// Checkpoint, when non-nil, snapshots every rank's portion state at
-	// wave boundaries and restarts a crashed rank from its latest snapshot,
-	// replaying the halo messages it had consumed — the run then completes
-	// bit-identical to a fault-free run instead of canceling. Nil — the
-	// default — keeps the fail-fast cancellation behavior and the
-	// zero-alloc steady state.
+	// Checkpoint, when non-nil, snapshots every rank's state at the cut
+	// points CheckpointConfig.Every counts — for this one-block run, the
+	// top of each tile — and restarts a crashed rank from its latest
+	// snapshot, replaying the boundary messages it had consumed: the run
+	// then completes bit-identical to a fault-free run instead of
+	// canceling. Nil — the default — keeps the fail-fast cancellation
+	// behavior and the zero-alloc steady state.
 	Checkpoint *CheckpointConfig
 	// AutoTune, when true and Metrics is non-nil, consults the drift
 	// monitor before planning: when the α/β/τ estimates rest on enough
@@ -133,7 +133,9 @@ func DefaultConfig(procs, block int) Config {
 	return Config{Procs: procs, Block: block, WavefrontDim: -1, TileDim: -1}
 }
 
-// Stats reports what a run did.
+// Stats reports what a run did. Rank i held the i-th slab in index order
+// along WavefrontDim; where Loop travels that dimension high to low the
+// wavefront entered at rank Procs-1 and boundary messages flowed i+1 → i.
 type Stats struct {
 	Procs        int
 	Block        int
@@ -164,16 +166,17 @@ type Stats struct {
 // processor boundary against the wavefront direction).
 var ErrUnsupported = errors.New("pipeline: unsupported dependence pattern")
 
-// plan is the decomposition derived from the analysis.
+// plan is one block's decomposition along the session's wavefront
+// dimension: what flows through the pipeline, how far each array's halo
+// reaches, and how the tile dimension is cut. It holds no run state — a
+// plan is shared by every rank and changes only between Runs (Retune).
 type plan struct {
 	an     *scan.Analysis
 	region grid.Region // the block's region (tilings derive from it)
 	wDim   int
 	tDim   int
-	p      int
 	block  int
-	slabs  []grid.Region // indexed by pipeline position (upstream first)
-	tiles  []grid.Range  // tile ranges along tDim, in traversal order
+	tiles  []grid.Range // tile ranges along tDim, in traversal order
 	// tileTravel orders the tiles so every dependence points to the same or
 	// an earlier tile; it may differ from the within-tile loop direction.
 	tileTravel grid.LoopDir
@@ -188,21 +191,6 @@ type plan struct {
 	halo map[string]haloSpec
 	// written arrays (gathered back at the end).
 	written map[string]bool
-	// engine selects the kernel execution strategy for every rank.
-	engine scan.Engine
-	// scratch, when non-nil, backs the tape engine's register leases (one
-	// shard per rank); released when the rank retires.
-	scratch *bufpool.Pool
-	// sched selects each rank's portion schedule (static pipeline tiles or
-	// the work-stealing task DAG); workers is the resolved DAG pool size.
-	sched   scan.Scheduler
-	workers int
-	// metrics carries the registry through to the task-DAG pools (per-rank
-	// tile/steal/park counters).
-	metrics *metrics.Registry
-	// inj mirrors Config.Faults so schedulers can register wave numbers
-	// for Wave-pinned fault rules (nil-safe).
-	inj *fault.Injector
 }
 
 type haloSpec struct {
@@ -210,168 +198,54 @@ type haloSpec struct {
 }
 
 // Run executes the block across cfg.Procs ranks and returns statistics.
-// The result in env's fields is identical to serial execution.
+// The result in env's fields is identical to serial execution. It is a
+// Session over the block's region with the block as its whole program:
+// rank i holds the i-th slab in index order along the wavefront dimension
+// whatever the travel direction, so on a high-to-low wavefront rank i's
+// upstream neighbour is rank i+1.
 func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
-	if cfg.AutoTune {
-		if bOpt, ok := cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
-			cfg.Block = bOpt
-		}
-	}
-	pl, err := makePlan(b, env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// tr is the effective recorder: the user's, or — when only the flight
-	// recorder is armed — an internal ring so a post-mortem bundle still
-	// carries the lead-up to a failure. Stats.Summary stays tied to the
-	// user's recorder.
-	tr := cfg.Trace
-	wtr := 0 // worker rings per rank, for ring→rank attribution
-	if pl.sched == scan.SchedTaskDAG {
-		wtr = pl.workers
-	}
-	if tr == nil && cfg.Postmortem.Enabled() {
-		tr = trace.New(pl.p*(1+wtr), critpath.FlightCapacity)
-	}
-	topo, err := comm.NewTopology(pl.p)
-	if err != nil {
-		return nil, err
-	}
-	if err := topo.SetTrace(tr); err != nil {
-		return nil, err
-	}
-	topo.SetFaults(cfg.Faults)
-	if cfg.Faults == nil {
-		if err := topo.SetBufPool(cfg.Pool); err != nil {
-			return nil, err
-		}
-	}
-	if err := topo.SetLinkCapacity(cfg.LinkCapacity); err != nil {
-		return nil, err
-	}
-	if err := topo.SetMetrics(cfg.Metrics); err != nil {
-		return nil, err
-	}
-	if err := topo.SetTransport(cfg.Transport); err != nil {
-		return nil, err
-	}
-	defer topo.Close()
-	pm := newPipeMetrics(cfg.Metrics, pl.p)
-	var ck *ckptRuntime
-	if cfg.Checkpoint != nil {
-		ck = newCkptRuntime(cfg.Checkpoint, pl.p, pm)
-		if err := topo.SetRecovery(ck.recovery(cfg.Checkpoint.MaxRestarts)); err != nil {
-			return nil, err
-		}
-	}
-	// Phase barriers around the parallel section: a rank must not gather
-	// into the global arrays while another is still scattering from them
-	// (and vice versa). Without pipeline messages nothing else orders the
-	// ranks.
-	phase := comm.NewSyncBarrier(pl.p)
-	var mem0 runtime.MemStats
-	if pm != nil {
-		runtime.ReadMemStats(&mem0)
-	}
-	dropBase := pm.traceDropBase(tr)
-	start := time.Now()
-	err = topo.Run(func(e *comm.Endpoint) error {
-		return runRank(b, env, pl, e, phase, tr, pm, ck)
-	})
-	err = ck.refused(err)
-	elapsed := time.Since(start)
-	// From here to the early return, every rank goroutine has joined
-	// (topo.Run waits even on error), so the trace rings are quiescent:
-	// safe for drop accounting and the flight recorder.
-	pendingMsgs := 0
+	sess, err := oneBlockSession(b, env, cfg)
 	if err == nil {
-		if n := topo.PendingMessages(); n != 0 {
-			pendingMsgs = n
-			err = fmt.Errorf("pipeline: %d messages left undelivered", n)
-		}
-	}
-	pm.publishTraceDrops(tr, dropBase, pl.p, wtr)
-	if cfg.Postmortem.Enabled() {
-		in := critpath.CaptureInput{
-			Err: err, Config: runConfig(cfg, pl), Trace: tr, Metrics: cfg.Metrics,
-			Procs: pl.p, Workers: wtr, PendingMessages: pendingMsgs,
-		}
-		if ck != nil {
-			in.CkptStore = ck.store
-			in.Restarts = int(ck.restarts.Load())
-		}
-		if cfg.Faults != nil {
-			in.FaultsFired = cfg.Faults.Fired()
-		}
-		cfg.Postmortem.RunEnded(in)
+		err = sess.arm()
 	}
 	if err != nil {
 		return nil, err
 	}
-	var drift *metrics.DriftReport
-	if pm != nil {
-		nW := b.Region.Dim(pl.wDim).Size()
-		nT := b.Region.Dim(pl.tDim).Size()
-		bUsed := pl.block
-		if pl.noTiling || bUsed < 1 {
-			bUsed = nT
-		}
-		rep := pm.finishRun(nW, nT, pl.p, bUsed, elapsed)
-		drift = &rep
-		var mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem1)
-		pm.publishAlloc(int64(mem1.Mallocs-mem0.Mallocs), int64(pl.p), topo.BufPool())
+	if err := sess.Run(func(r *Rank) error { return r.Exec(b) }); err != nil {
+		return nil, err
 	}
-	var poolStats *bufpool.Stats
-	if p := topo.BufPool(); p != nil {
-		st := p.Stats()
-		poolStats = &st
-	}
+	pl, st := sess.plans[b], sess.stats
 	return &Stats{
-		Procs:        pl.p,
+		Procs:        cfg.Procs,
 		Block:        pl.block,
 		WavefrontDim: pl.wDim,
 		TileDim:      pl.tDim,
 		Tiles:        len(pl.tiles),
 		Loop:         pl.an.Loop,
 		Pipelined:    pl.pipeArrays,
-		Comm:         topo.Stats(),
-		Elapsed:      elapsed,
-		Summary:      cfg.Trace.Summarize(),
-		Drift:        drift,
-		Pool:         poolStats,
+		Comm:         st.Comm,
+		Elapsed:      st.Elapsed,
+		Summary:      st.Summary,
+		Drift:        st.Drift,
+		Pool:         st.Pool,
 	}, nil
-}
-
-// runConfig condenses the run's shape for a post-mortem bundle.
-func runConfig(cfg Config, pl *plan) critpath.RunConfig {
-	rc := critpath.RunConfig{
-		Procs: pl.p, Block: pl.block,
-		WavefrontDim: pl.wDim, TileDim: pl.tDim,
-		Scheduler:    pl.sched.String(),
-		Transport:    cfg.Transport.Kind.String(),
-		LinkCapacity: cfg.LinkCapacity,
-	}
-	if pl.sched == scan.SchedTaskDAG {
-		rc.Workers = pl.workers
-	}
-	if cfg.Checkpoint != nil {
-		rc.CheckpointEvery = cfg.Checkpoint.every()
-	}
-	return rc
 }
 
 // Plan exposes the decomposition the runtime would use, for tools and
 // tests.
 func Plan(b *scan.Block, env expr.Env, cfg Config) (wDim, tDim, tiles int, pipelined map[string]int, err error) {
-	pl, err := makePlan(b, env, cfg)
+	sess, err := oneBlockSession(b, env, cfg)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
+	pl := sess.plans[b]
 	return pl.wDim, pl.tDim, len(pl.tiles), pl.pipeArrays, nil
 }
 
-func makePlan(b *scan.Block, env expr.Env, cfg Config) (*plan, error) {
+// oneBlockSession builds the session Run executes, not yet armed: the
+// block's region is the domain, and the wavefront dimension is the first
+// candidate along which the block decomposes.
+func oneBlockSession(b *scan.Block, env expr.Env, cfg Config) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("pipeline: need at least 1 rank, got %d", cfg.Procs)
 	}
@@ -389,6 +263,9 @@ func makePlan(b *scan.Block, env expr.Env, cfg Config) (*plan, error) {
 		return nil, fmt.Errorf("%w: statement requires a temporary; no wavefront to pipeline", ErrUnsupported)
 	}
 	rank := b.Region.Rank()
+	if cfg.TileDim >= rank {
+		return nil, fmt.Errorf("pipeline: tile dimension %d out of range for rank %d", cfg.TileDim, rank)
+	}
 
 	// Candidate wavefront dimensions: an explicit override is tried alone;
 	// otherwise the classification's pipelined dimensions are tried first,
@@ -414,42 +291,25 @@ func makePlan(b *scan.Block, env expr.Env, cfg Config) (*plan, error) {
 		}
 	}
 
+	scfg := SessionConfig{
+		Procs: cfg.Procs, Domain: b.Region, Block: cfg.Block,
+		Trace: cfg.Trace, Faults: cfg.Faults, LinkCapacity: cfg.LinkCapacity,
+		Transport: cfg.Transport, Checkpoint: cfg.Checkpoint, Metrics: cfg.Metrics,
+		Pool: cfg.Pool, AutoTune: cfg.AutoTune, Kernel: cfg.Kernel,
+		Scheduler: cfg.Scheduler, Workers: cfg.Workers, Postmortem: cfg.Postmortem,
+	}
 	var firstErr error
 	for _, wDim := range candidates {
-		pl := &plan{an: an, region: b.Region, p: cfg.Procs, block: cfg.Block, wDim: wDim,
-			pipeArrays: map[string]int{}, written: map[string]bool{},
-			engine: cfg.Kernel, scratch: cfg.Pool,
-			sched: cfg.Scheduler, workers: resolveWorkers(cfg.Workers), metrics: cfg.Metrics,
-			inj: cfg.Faults}
-		pl.tDim = cfg.TileDim
-		if pl.tDim < 0 {
-			for _, d := range an.Class.ParallelDims() {
-				if d != wDim {
-					pl.tDim = d
-					break
-				}
-			}
-			if pl.tDim < 0 {
-				for d := 0; d < rank; d++ {
-					if d != wDim {
-						pl.tDim = d
-						break
-					}
-				}
-			}
+		if cfg.TileDim == wDim {
+			return nil, fmt.Errorf("pipeline: tile dimension %d equals wavefront dimension", wDim)
 		}
-		if pl.tDim == pl.wDim {
-			return nil, fmt.Errorf("pipeline: tile dimension %d equals wavefront dimension", pl.tDim)
-		}
-		if pl.tDim >= rank {
-			return nil, fmt.Errorf("pipeline: tile dimension %d out of range for rank %d", pl.tDim, rank)
-		}
-		err := pl.analyzeRefs(b)
+		scfg.WavefrontDim = wDim
+		sess, err := newSession(env, scfg)
 		if err == nil {
-			err = pl.decompose(b)
+			err = sess.adopt(b, an, cfg.TileDim)
 		}
 		if err == nil {
-			return pl, nil
+			return sess, nil
 		}
 		if firstErr == nil {
 			firstErr = err

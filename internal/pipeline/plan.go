@@ -9,6 +9,35 @@ import (
 	"wavefront/internal/scan"
 )
 
+// newPlan derives b's decomposition along wDim from its analysis. tDim < 0
+// picks the tile dimension: the first parallel dimension, else the first
+// dimension other than wDim.
+func newPlan(b *scan.Block, an *scan.Analysis, wDim, tDim, block int) (*plan, error) {
+	if tDim < 0 {
+		for _, d := range an.Class.ParallelDims() {
+			if d != wDim {
+				tDim = d
+				break
+			}
+		}
+	}
+	if tDim < 0 {
+		for d := 0; d < b.Region.Rank(); d++ {
+			if d != wDim {
+				tDim = d
+				break
+			}
+		}
+	}
+	pl := &plan{an: an, region: b.Region, block: block, wDim: wDim, tDim: tDim,
+		pipeArrays: map[string]int{}, written: map[string]bool{}}
+	if err := pl.analyzeRefs(b); err != nil {
+		return nil, err
+	}
+	pl.tiles = pl.tilesFor(block)
+	return pl, nil
+}
+
 // analyzeRefs walks every array reference, computing per-array halo
 // requirements, the set of arrays whose boundary values must flow through
 // the pipeline, and the forward reach of cross-boundary reads along the
@@ -143,39 +172,6 @@ func (pl *plan) chooseTileTravel() {
 	}
 }
 
-// decompose splits the region into slabs (ordered upstream-first along the
-// travel direction) and cuts the tile dimension into traversal-ordered
-// tiles.
-func (pl *plan) decompose(b *scan.Block) error {
-	ext := b.Region.Dim(pl.wDim).Size()
-	if pl.p > ext {
-		return fmt.Errorf("pipeline: %d ranks exceed the wavefront extent %d", pl.p, ext)
-	}
-	slabs, err := grid.SplitRegion(b.Region, pl.wDim, pl.p)
-	if err != nil {
-		return err
-	}
-	if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
-		for i, j := 0, len(slabs)-1; i < j; i, j = i+1, j-1 {
-			slabs[i], slabs[j] = slabs[j], slabs[i]
-		}
-	}
-	// Every slab must be at least as deep as the largest pipelined halo, or
-	// a rank would need data from two ranks upstream.
-	if pl.p > 1 {
-		if d := pl.maxPipeDepth(); d > 0 {
-			for _, s := range slabs {
-				if s.Dim(pl.wDim).Size() < d {
-					return fmt.Errorf("pipeline: slab %v thinner than dependence depth %d; use fewer ranks", s, d)
-				}
-			}
-		}
-	}
-	pl.slabs = slabs
-	pl.decomposeTiles(b)
-	return nil
-}
-
 // maxPipeDepth returns the deepest pipelined halo.
 func (pl *plan) maxPipeDepth() int {
 	maxDepth := 0
@@ -188,9 +184,8 @@ func (pl *plan) maxPipeDepth() int {
 }
 
 // tilesFor cuts the tile dimension into traversal-ordered tiles of the
-// given width. It is the width-parameterized core of decomposeTiles:
-// online retuning builds rank-local tilings from it without mutating the
-// shared plan.
+// given width. Online retuning builds rank-local tilings from it without
+// mutating the shared plan.
 func (pl *plan) tilesFor(width int) []grid.Range {
 	if pl.tDim < 0 {
 		return nil
@@ -207,11 +202,6 @@ func (pl *plan) tilesFor(width int) []grid.Range {
 	return tiles
 }
 
-// decomposeTiles cuts the tile dimension into traversal-ordered tiles.
-func (pl *plan) decomposeTiles(b *scan.Block) {
-	pl.tiles = pl.tilesFor(pl.block)
-}
-
 // tileCountOf returns the number of pipeline steps a tiling implies.
 func tileCountOf(tiles []grid.Range) int {
 	if len(tiles) == 0 {
@@ -219,9 +209,6 @@ func tileCountOf(tiles []grid.Range) int {
 	}
 	return len(tiles)
 }
-
-// tileCount returns the number of pipeline steps per rank.
-func (pl *plan) tileCount() int { return tileCountOf(pl.tiles) }
 
 // neededUpstreamIn returns the index of the last upstream message a rank
 // must hold before computing tile t of the given tiling: with no forward
@@ -251,9 +238,6 @@ func (pl *plan) neededUpstreamIn(t int, tiles []grid.Range) int {
 	return last
 }
 
-// neededUpstream is neededUpstreamIn over the plan's own tiling.
-func (pl *plan) neededUpstream(t int) int { return pl.neededUpstreamIn(t, pl.tiles) }
-
 // tileRegionIn restricts slab L to tile t of the given tiling.
 func (pl *plan) tileRegionIn(L grid.Region, t int, tiles []grid.Range) grid.Region {
 	if len(tiles) == 0 {
@@ -262,11 +246,6 @@ func (pl *plan) tileRegionIn(L grid.Region, t int, tiles []grid.Range) grid.Regi
 	dims := L.Dims()
 	dims[pl.tDim] = tiles[t]
 	return grid.MustRegion(dims...)
-}
-
-// tileRegion restricts slab L to tile t.
-func (pl *plan) tileRegion(L grid.Region, t int) grid.Region {
-	return pl.tileRegionIn(L, t, pl.tiles)
 }
 
 // boundaryRegionIn returns, in global coordinates, the rows array `name`
@@ -286,9 +265,4 @@ func (pl *plan) boundaryRegionIn(L grid.Region, name string, t int, tiles []grid
 		dims[pl.tDim] = tiles[t]
 	}
 	return grid.MustRegion(dims...)
-}
-
-// boundaryRegion is boundaryRegionIn over the plan's own tiling.
-func (pl *plan) boundaryRegion(L grid.Region, name string, t int) grid.Region {
-	return pl.boundaryRegionIn(L, name, t, pl.tiles)
 }

@@ -47,6 +47,9 @@ type Session struct {
 	subBlocks map[*scan.Block][]*scan.Block
 	halos     map[string]haloSpec // per-array union over all registered blocks
 	names     []string            // sorted array names
+	// workers is each rank's resolved task-DAG pool size — also the number
+	// of worker trace rings per rank — and 0 under SchedStatic.
+	workers int
 	// mu guards topo, which exists only while Run is in flight (Cancel may
 	// be called from any goroutine).
 	mu    sync.Mutex
@@ -96,17 +99,18 @@ type SessionConfig struct {
 	// or a loopback TCP/unix-socket transport (see comm.Transport). Socket
 	// transports are incompatible with LinkCapacity.
 	Transport comm.TransportConfig
-	// Checkpoint, when non-nil, snapshots every rank's session state —
-	// local arrays, scalars, tag counters, reduce results — at operation
-	// boundaries and restarts a crashed rank from its latest snapshot: the
-	// restarted rank fast-forwards through the SPMD body's already-covered
-	// operations, replays the messages it had consumed, and the run
+	// Checkpoint, when non-nil, snapshots every rank's state — local
+	// arrays, scalars, tag counters, reduce results — at the cut points
+	// CheckpointConfig.Every counts (the start of each leaf operation and
+	// the top of each tile inside a wavefront sweep) and restarts a crashed
+	// rank from its latest snapshot: the restarted rank fast-forwards
+	// through the SPMD body's already-covered operations, resumes a sweep at
+	// the snapshot's tile, replays the messages it had consumed, and the run
 	// completes bit-identical to a fault-free run instead of canceling.
-	// Every counts leaf operations (Exec, Reduce, Barrier) here, not
-	// waves. Because the body re-runs from the top on a restarted rank,
-	// side effects outside rank state (appending to a caller slice, say)
-	// repeat during fast-forward; keep such effects idempotent or keyed.
-	// Nil (the default) keeps fail-fast cancellation.
+	// Because the body re-runs from the top on a restarted rank, side
+	// effects outside rank state (appending to a caller slice, say) repeat
+	// during fast-forward; keep such effects idempotent or keyed. Nil (the
+	// default) keeps fail-fast cancellation.
 	Checkpoint *CheckpointConfig
 	// Metrics, when non-nil, streams counters, latency histograms, and the
 	// online model-drift estimate into the registry; it may be scraped
@@ -190,6 +194,21 @@ type SessionStats struct {
 // be bound in env, and every rank's slab must intersect every block's
 // region (use fewer ranks otherwise).
 func NewSession(env expr.Env, blocks []*scan.Block, cfg SessionConfig) (*Session, error) {
+	sess, err := newSession(env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range blocks {
+		if err := sess.register(b); err != nil {
+			return nil, err
+		}
+	}
+	return sess, sess.arm()
+}
+
+// newSession validates the decomposition and splits the domain; blocks are
+// added by register (or adopt), then arm readies the session to Run.
+func newSession(env expr.Env, cfg SessionConfig) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("pipeline: session needs at least 1 rank, got %d", cfg.Procs)
 	}
@@ -218,41 +237,42 @@ func NewSession(env expr.Env, blocks []*scan.Block, cfg SessionConfig) (*Session
 		subBlocks: map[*scan.Block][]*scan.Block{},
 		halos:     map[string]haloSpec{},
 	}
-	for _, b := range blocks {
-		if err := sess.register(b); err != nil {
-			return nil, err
-		}
+	if cfg.Scheduler == scan.SchedTaskDAG {
+		sess.workers = resolveWorkers(cfg.Workers)
 	}
-	sess.names = make([]string, 0, len(sess.halos))
-	for name := range sess.halos {
-		sess.names = append(sess.names, name)
+	return sess, nil
+}
+
+// arm fixes the array set and starts what outlives a single Run: the
+// internal flight ring and the metrics endpoint.
+func (s *Session) arm() error {
+	cfg := s.cfg
+	s.names = make([]string, 0, len(s.halos))
+	for name := range s.halos {
+		s.names = append(s.names, name)
 	}
-	sort.Strings(sess.names)
-	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && sess.cfg.Trace == nil {
+	sort.Strings(s.names)
+	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && cfg.Trace == nil {
 		// Arm an internal flight ring: the flight recorder needs a trace
 		// tail and /debug/critpath needs events, but the caller asked for
 		// no user-facing trace (Summary stays nil).
-		rings := cfg.Procs
-		if cfg.Scheduler == scan.SchedTaskDAG {
-			rings = cfg.Procs * (1 + resolveWorkers(cfg.Workers))
-		}
-		sess.cfg.Trace = trace.New(rings, critpath.FlightCapacity)
-		sess.flightTrace = true
+		s.cfg.Trace = trace.New(cfg.Procs*(1+s.workers), critpath.FlightCapacity)
+		s.flightTrace = true
 	}
 	if cfg.MetricsAddr != "" {
-		if sess.cfg.Metrics == nil {
-			sess.cfg.Metrics = metrics.New(cfg.Procs)
+		if s.cfg.Metrics == nil {
+			s.cfg.Metrics = metrics.New(cfg.Procs)
 		}
-		sess.cpHolder = &critpath.Holder{}
-		srv, err := metrics.Serve(cfg.MetricsAddr, sess.cfg.Metrics,
-			metrics.Endpoint{Path: "/debug/critpath", Handler: sess.cpHolder},
+		s.cpHolder = &critpath.Holder{}
+		srv, err := metrics.Serve(cfg.MetricsAddr, s.cfg.Metrics,
+			metrics.Endpoint{Path: "/debug/critpath", Handler: s.cpHolder},
 			metrics.Endpoint{Path: "/debug/bundle", Handler: cfg.Postmortem})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sess.msrv = srv
+		s.msrv = srv
 	}
-	return sess, nil
+	return nil
 }
 
 // Metrics returns the session's registry (nil when metrics are disabled).
@@ -312,30 +332,17 @@ func (s *Session) register(b *scan.Block) error {
 	if err != nil {
 		return err
 	}
-	pl := &plan{
-		an: an, region: b.Region, p: s.cfg.Procs, block: s.cfg.Block, wDim: s.cfg.WavefrontDim,
-		pipeArrays: map[string]int{}, written: map[string]bool{},
-		sched: s.cfg.Scheduler, workers: resolveWorkers(s.cfg.Workers), metrics: s.cfg.Metrics,
-	}
-	pl.tDim = -1
-	for _, d := range an.Class.ParallelDims() {
-		if d != pl.wDim {
-			pl.tDim = d
-			break
-		}
-	}
-	if pl.tDim < 0 {
-		for d := 0; d < b.Region.Rank(); d++ {
-			if d != pl.wDim {
-				pl.tDim = d
-				break
-			}
-		}
-	}
-	if err := pl.analyzeRefs(b); err != nil {
+	return s.adopt(b, an, -1)
+}
+
+// adopt plans an analyzed single-kernel block along the session's
+// decomposition (tDim < 0 lets the plan pick the tile dimension) and folds
+// its halo needs into the session's.
+func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
+	pl, err := newPlan(b, an, s.cfg.WavefrontDim, tDim, s.cfg.Block)
+	if err != nil {
 		return err
 	}
-	pl.decomposeTiles(b)
 	// Wavefront blocks flow through the ranks whose slabs they touch, in
 	// slab order. A slab wholly outside the block's wavefront extent sits
 	// the sweep out — the active ranks pipeline around it (see activeSpan)
@@ -411,9 +418,9 @@ func (s *Session) Retune(b int) {
 		return
 	}
 	s.cfg.Block = b
-	for blk, pl := range s.plans {
+	for _, pl := range s.plans {
 		pl.block = b
-		pl.decomposeTiles(blk)
+		pl.tiles = pl.tilesFor(b)
 	}
 }
 
@@ -497,7 +504,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			if err != nil {
 				return err
 			}
-			if err := rk.restoreSession(ck); err != nil {
+			if err := rk.restore(ck); err != nil {
 				return err
 			}
 		} else {
@@ -532,8 +539,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		if nW > 0 {
 			nT = s.cfg.Domain.Size() / nW
 		}
-		bUsed := s.cfg.Block
-		rep := pm.finishRun(nW, nT, s.cfg.Procs, bUsed, elapsed)
+		rep := pm.finishRun(nW, nT, s.cfg.Procs, s.cfg.Block, elapsed)
 		drift = &rep
 		var mem1 runtime.MemStats
 		runtime.ReadMemStats(&mem1)
@@ -551,7 +557,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			err = fmt.Errorf("pipeline: session left %d messages undelivered", n)
 		}
 	}
-	pm.publishTraceDrops(tr, dropBase, s.cfg.Procs, s.taskWorkers())
+	pm.publishTraceDrops(tr, dropBase, s.cfg.Procs, s.workers)
 	summary := tr.Summarize()
 	if s.flightTrace {
 		summary = nil // the flight ring is internal; the caller asked for no trace
@@ -564,7 +570,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			Trace:           tr,
 			Metrics:         s.cfg.Metrics,
 			Procs:           s.cfg.Procs,
-			Workers:         s.taskWorkers(),
+			Workers:         s.workers,
 			PendingMessages: pendingMsgs,
 		}
 		if ck != nil {
@@ -578,7 +584,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	}
 	if s.cpHolder != nil && tr != nil {
 		rep, _ := critpath.Analyze(tr.Events(), critpath.Options{
-			Procs: s.cfg.Procs, Workers: s.taskWorkers(),
+			Procs: s.cfg.Procs, Workers: s.workers,
 			Dropped: tr.Dropped(), Tolerant: true, Metrics: s.cfg.Metrics,
 		})
 		s.cpHolder.Set(rep)
@@ -586,17 +592,9 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	return err
 }
 
-// taskWorkers is the per-rank worker-ring count the trace exposes: the
-// resolved pool size under SchedTaskDAG, 0 under SchedStatic.
-func (s *Session) taskWorkers() int {
-	if s.cfg.Scheduler != scan.SchedTaskDAG {
-		return 0
-	}
-	return resolveWorkers(s.cfg.Workers)
-}
-
 // runConfigPM condenses the session's configuration into the post-mortem
-// bundle's RunConfig.
+// bundle's RunConfig. A session has one tile dimension to name only when
+// it holds a single block.
 func (s *Session) runConfigPM() critpath.RunConfig {
 	rc := critpath.RunConfig{
 		Procs:        s.cfg.Procs,
@@ -606,7 +604,12 @@ func (s *Session) runConfigPM() critpath.RunConfig {
 		Scheduler:    s.cfg.Scheduler.String(),
 		Transport:    s.cfg.Transport.Kind.String(),
 		LinkCapacity: s.cfg.LinkCapacity,
-		Workers:      s.taskWorkers(),
+		Workers:      s.workers,
+	}
+	if len(s.plans) == 1 {
+		for _, pl := range s.plans {
+			rc.TileDim = pl.tDim
+		}
 	}
 	if s.cfg.Checkpoint != nil {
 		rc.CheckpointEvery = s.cfg.Checkpoint.every()
@@ -626,7 +629,8 @@ type Rank struct {
 	// dirty marks arrays written since their halos were last exchanged.
 	dirty map[string]bool
 	// captured records scalar values baked into compiled kernels, to
-	// detect illegal later changes.
+	// detect illegal later changes. Like dags, groupDags and reducers it is
+	// allocated on first write: most runs never fill it.
 	captured map[string]float64
 	// wrote marks arrays written at all (gathered at the end).
 	wrote map[string]bool
@@ -658,8 +662,9 @@ type Rank struct {
 	// portions caches each block's share of this rank (portion builds two
 	// slices per call; slab and block regions never change).
 	portions map[*scan.Block]grid.Region
-	// xregs holds each array's precomputed halo-exchange regions per
-	// neighbour side; exchange reads them instead of rebuilding regions.
+	// xregs holds each array's halo-exchange regions per neighbour side,
+	// built by the first exchange (a run that never exchanges a halo never
+	// pays for them) and read by every later one.
 	xregs map[string]xchgRegs
 	// needs is the reusable scratch list of stale arrays (Exec, Reduce).
 	needs []string
@@ -667,18 +672,40 @@ type Rank struct {
 	// kernels: built on first Reduce, matched structurally (see reducerFor),
 	// scratch returned by releaseScratch, gone with the Run.
 	reducers []*rankReducer
-	// Checkpoint fast-forward state (all zero when checkpointing is off).
-	// ops counts leaf operations (Exec of a registered block, Reduce,
-	// Barrier) executed by the SPMD body; because every rank runs the same
-	// body, equal counts identify the same operation on every rank. A
-	// restarted rank re-runs the body from the top with ffUntil set to the
+	// Checkpoint state (all zero when checkpointing is off). ops counts leaf
+	// operations (Exec of a registered block, Reduce, Barrier) executed by
+	// the SPMD body; because every rank runs the same body, equal counts
+	// identify the same operation on every rank. cuts counts checkpoint cut
+	// points passed and lastSnap is the cut index of the latest snapshot. A
+	// restarted rank re-runs the body from the top with ffOp set to the
 	// snapshot's operation index: operations below it are skipped — their
 	// effects are already in the restored state — with Reduce results
-	// replayed from reduceLog instead of re-communicated. lastSnapOps is
-	// the operation index of the rank's latest snapshot.
-	ops, ffUntil, lastSnapOps int
-	reduceLog                 []float64
-	reduceIdx                 int
+	// replayed from reduceLog instead of re-communicated. When the snapshot
+	// was cut inside a wavefront sweep, ffTile > 0 is the tile operation
+	// ffOp resumes at and ffRecvd the boundary messages consumed by then;
+	// the sweep clears both as it picks them up.
+	ops, cuts, lastSnap   int
+	ffOp, ffTile, ffRecvd int
+	reduceLog             []float64
+	reduceIdx             int
+}
+
+// forwardEnv resolves arrays from the rank's local fields; scalars come
+// from the rank-local overlay first (SPMD-updated values), then the global
+// environment.
+type forwardEnv struct {
+	arrays  map[string]*field.Field
+	scalars map[string]float64 // rank-local overlay; may be nil
+	parent  expr.Env
+}
+
+func (f *forwardEnv) Array(name string) *field.Field { return f.arrays[name] }
+
+func (f *forwardEnv) Scalar(name string) (float64, bool) {
+	if v, ok := f.scalars[name]; ok {
+		return v, true
+	}
+	return f.parent.Scalar(name)
 }
 
 // xchgRegs is one array's halo-exchange geometry: the rows to send to and
@@ -689,29 +716,28 @@ type xchgRegs struct {
 	sendHi, recvHi grid.Region
 }
 
-// newRank builds one rank's local state. When restoring, the local fields
-// are allocated but left unfilled — restoreSession overwrites every
-// element from the snapshot, and reading the globals here would race the
-// gathers of ranks that already finished.
+// newRank builds one rank's local state: each session array over the
+// rank's slab plus its halo along the wavefront dimension (clipped to the
+// global storage box) and the array's full extent elsewhere. When
+// restoring, the local fields are allocated but left unfilled — restore
+// overwrites every element from the snapshot, and reading the globals here
+// would race the gathers of ranks that already finished.
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.cfg.Trace.Now()
 	r := &Rank{
-		sess:      s,
-		e:         e,
-		id:        e.Rank(),
-		locals:    map[string]*field.Field{},
-		kernels:   map[*scan.Block]*scan.Kernel{},
-		dirty:     map[string]bool{},
-		captured:  map[string]float64{},
-		wrote:     map[string]bool{},
-		sendSeq:   make([]int, s.cfg.Procs),
-		recvSeq:   make([]int, s.cfg.Procs),
-		curBlock:  s.cfg.Block,
-		eplans:    map[*scan.Block]*execPlan{},
-		dags:      map[*scan.Block]*portionDAG{},
-		groupDags: map[*scan.Block]*groupDAG{},
-		portions:  map[*scan.Block]grid.Region{},
-		needs:     make([]string, 0, len(s.names)),
+		sess:     s,
+		e:        e,
+		id:       e.Rank(),
+		locals:   map[string]*field.Field{},
+		kernels:  map[*scan.Block]*scan.Kernel{},
+		dirty:    map[string]bool{},
+		wrote:    map[string]bool{},
+		sendSeq:  make([]int, s.cfg.Procs),
+		recvSeq:  make([]int, s.cfg.Procs),
+		curBlock: s.cfg.Block,
+		eplans:   map[*scan.Block]*execPlan{},
+		portions: map[*scan.Block]grid.Region{},
+		needs:    make([]string, 0, len(s.names)),
 	}
 	slab := s.slabs[r.id]
 	for _, name := range s.names {
@@ -743,45 +769,6 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 			lf.CopyRegion(bounds, g)
 		}
 		r.locals[name] = lf
-	}
-	// Precompute the halo-exchange geometry: for each array and each
-	// neighbour side, the rows of my slab the neighbour's halo needs
-	// (send) and the rows of its slab my halo needs (recv).
-	r.xregs = make(map[string]xchgRegs, len(s.names))
-	w := s.cfg.WavefrontDim
-	for _, name := range s.names {
-		h := s.halos[name]
-		rowRegion := func(rows grid.Range) grid.Region {
-			dims := r.locals[name].Bounds().Dims()
-			dims[w] = rows
-			return grid.MustRegion(dims...)
-		}
-		var x xchgRegs
-		if peer := r.id - 1; peer >= 0 {
-			// Peer below me in index order: it needs my lowest pos[w] rows; I
-			// need its highest neg[w] rows.
-			if h.pos[w] > 0 {
-				lo := slab.Dim(w).Lo
-				x.sendLo = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
-			}
-			if h.neg[w] > 0 {
-				hi := s.slabs[peer].Dim(w).Hi
-				x.recvLo = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
-			}
-		}
-		if peer := r.id + 1; peer < s.cfg.Procs {
-			// Peer above me: it needs my highest neg[w] rows; I need its
-			// lowest pos[w] rows.
-			if h.neg[w] > 0 {
-				hi := slab.Dim(w).Hi
-				x.sendHi = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
-			}
-			if h.pos[w] > 0 {
-				lo := s.slabs[peer].Dim(w).Lo
-				x.recvHi = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
-			}
-		}
-		r.xregs[name] = x
 	}
 	r.lenv = &forwardEnv{arrays: r.locals, parent: s.genv}
 	if tr := s.cfg.Trace; tr != nil && !restoring {
@@ -827,6 +814,12 @@ func (r *Rank) Barrier() error {
 	if skip, err := r.ckOp(); err != nil || skip {
 		return err
 	}
+	return r.barrier()
+}
+
+// barrier is Barrier without the leaf-operation accounting, for
+// synchronization that is part of another operation.
+func (r *Rank) barrier() error {
 	pm := r.pm()
 	if pm == nil {
 		return r.e.Barrier()
@@ -848,6 +841,33 @@ func (r *Rank) recvNext(from int) ([]float64, error) {
 	tag := r.recvSeq[from]
 	r.recvSeq[from]++
 	return r.e.Recv(from, tag)
+}
+
+// span is an open compute span: the trace and metrics clocks at its start,
+// each read only when its observer is attached.
+type span struct{ t0, m0 int64 }
+
+func (r *Rank) begin() span {
+	sp := span{t0: r.tr().Now()}
+	if pm := r.pm(); pm != nil {
+		sp.m0 = pm.now()
+	}
+	return sp
+}
+
+// computed closes a compute span over elems points as one tile of the
+// drift monitor's cost fit and one traced compute event. tile and wave
+// identify a wavefront tile, peer and need the upstream message it waited
+// for; -1 marks what does not apply.
+func (r *Rank) computed(sp span, elems, tile, wave, peer, need int) {
+	if pm := r.pm(); pm != nil {
+		pm.tile(r.id, elems, sp.m0, pm.now())
+	}
+	if tr := r.tr(); tr != nil {
+		ev := trace.Ev(trace.KindCompute, r.id, sp.t0, tr.Now())
+		ev.Elems, ev.Tile, ev.Wave, ev.Peer, ev.Need = elems, tile, wave, peer, need
+		tr.Record(ev)
+	}
 }
 
 // activeSpan returns the first and last rank whose slab intersects the
@@ -872,17 +892,57 @@ func (r *Rank) activeSpan(pl *plan) (lo, hi int) {
 	return lo, hi
 }
 
-// portion returns this rank's share of a block region: the slab's rows,
-// the block's extent elsewhere.
-func (r *Rank) portion(region grid.Region) grid.Region {
+// portion returns this rank's share of a block region — the slab's rows,
+// the block's extent elsewhere — cached per block (it builds two slices
+// per call; slab and block regions never change).
+func (r *Rank) portion(b *scan.Block) grid.Region {
+	if L, ok := r.portions[b]; ok {
+		return L
+	}
+	L := r.portionOf(b.Region, r.id)
+	r.portions[b] = L
+	return L
+}
+
+// portionOf returns rank's share of region.
+func (r *Rank) portionOf(region grid.Region, rank int) grid.Region {
 	w := r.sess.cfg.WavefrontDim
 	dims := region.Dims()
-	rows, err := dims[w].Intersect(r.sess.slabs[r.id].Dim(w))
+	rows, err := dims[w].Intersect(r.sess.slabs[rank].Dim(w))
 	if err != nil {
 		panic(err) // strides validated at registration
 	}
 	dims[w] = rows
 	return grid.MustRegion(dims...)
+}
+
+// newKernel compiles b against the rank's local fields. It is the
+// runtime's one kernel-construction site — the static schedule's kernel
+// and every task-DAG worker's come from here — so each kernel reuses the
+// dependence walk of the block's analysis, runs on the session's engine,
+// leases tape registers from the rank's pool shard, and publishes its
+// path tallies. The scalars the compiled kernel bakes in are recorded so
+// SetScalar can refuse to change them afterwards.
+func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
+	kern, err := scan.NewKernelDeps(b, r.lenv, pl.an.UDVs)
+	if err != nil {
+		return nil, err
+	}
+	cfg := &r.sess.cfg
+	kern.SetEngine(cfg.Kernel)
+	kern.SetScratch(cfg.Pool, r.id)
+	kern.SetMetrics(cfg.Metrics, r.id)
+	for _, st := range b.Stmts {
+		for _, name := range expr.Scalars(st.RHS) {
+			if v, ok := r.lenv.Scalar(name); ok {
+				if r.captured == nil {
+					r.captured = map[string]float64{}
+				}
+				r.captured[name] = v
+			}
+		}
+	}
+	return kern, nil
 }
 
 // Exec runs one registered block on this rank, exchanging stale halos
@@ -921,70 +981,23 @@ func (r *Rank) Exec(b *scan.Block) error {
 		return err
 	}
 
-	L, ok := r.portions[b]
-	if !ok {
-		L = r.portion(b.Region)
-		r.portions[b] = L
-	}
-	if pl.an.NeedsTemp() {
+	L := r.portion(b)
+	var err error
+	switch {
+	case pl.an.NeedsTemp():
 		// Contradictory anti-dependences: materialize the right-hand side
 		// into a temporary over this rank's portion (the halo carries the
 		// required pre-block values).
 		sub := scan.NewPlain(L, b.Stmts...)
-		if err := scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.tr(), TraceRank: r.id}); err != nil {
-			return err
-		}
-	} else {
-		kern, ok := r.kernels[b]
-		if !ok {
-			var err error
-			kern, err = scan.NewKernel(b, r.lenv)
-			if err != nil {
-				return err
-			}
-			kern.SetEngine(r.sess.cfg.Kernel)
-			kern.SetScratch(r.sess.cfg.Pool, r.id)
-			r.kernels[b] = kern
-			for _, st := range b.Stmts {
-				for _, name := range expr.Scalars(st.RHS) {
-					if v, ok := r.lenv.Scalar(name); ok {
-						r.captured[name] = v
-					}
-				}
-			}
-		}
-		if len(pl.pipeNames) == 0 {
-			// Fully parallel (or anti-dependences only): compute the portion.
-			tr := r.tr()
-			pm := r.pm()
-			var pd *portionDAG
-			if pl.sched == scan.SchedTaskDAG {
-				var err error
-				if pd, err = r.portionDAGFor(b, pl, L); err != nil {
-					return err
-				}
-			}
-			computeT0 := tr.Now()
-			var mT0 int64
-			if pm != nil {
-				mT0 = pm.now()
-			}
-			if pd != nil {
-				pd.run()
-			} else {
-				kern.Run(L, pl.an.Loop)
-			}
-			if pm != nil {
-				pm.tile(r.id, L.Size(), mT0, pm.now())
-			}
-			if tr != nil {
-				ev := trace.Ev(trace.KindCompute, r.id, computeT0, tr.Now())
-				ev.Elems = L.Size()
-				tr.Record(ev)
-			}
-		} else if err := r.execWavefront(b, pl, kern, L); err != nil {
-			return err
-		}
+		err = scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.tr(), TraceRank: r.id})
+	case len(pl.pipeNames) > 0:
+		err = r.execWavefront(b, pl, L)
+	default:
+		// Fully parallel (or anti-dependences only): compute the portion.
+		err = r.execParallel(b, pl, L)
+	}
+	if err != nil {
+		return err
 	}
 	for name := range pl.written {
 		r.dirty[name] = true
@@ -993,13 +1006,70 @@ func (r *Rank) Exec(b *scan.Block) error {
 	return nil
 }
 
-// execWavefront pipelines one wavefront block: receive upstream boundary
-// tiles, compute own tiles, forward boundary tiles downstream. Travel
-// direction follows the block's derived loop, so forward and backward
-// sweeps flow through opposite neighbours. The schedule (tile regions,
-// boundary regions, message sizes) comes from a cached execPlan, so the
-// steady-state wave allocates nothing when a buffer pool is attached.
-func (r *Rank) execWavefront(b *scan.Block, pl *plan, kern *scan.Kernel, L grid.Region) error {
+// kernelFor returns the rank's cached static-schedule kernel for b.
+func (r *Rank) kernelFor(b *scan.Block, pl *plan) (*scan.Kernel, error) {
+	if kern, ok := r.kernels[b]; ok {
+		return kern, nil
+	}
+	kern, err := r.newKernel(b, pl)
+	if err != nil {
+		return nil, err
+	}
+	r.kernels[b] = kern
+	return kern, nil
+}
+
+// portionDAGFor returns the rank's cached task-DAG executor for b over L,
+// building graph and per-worker kernels on first use.
+func (r *Rank) portionDAGFor(b *scan.Block, pl *plan, L grid.Region) (*portionDAG, error) {
+	if pd, ok := r.dags[b]; ok {
+		return pd, nil
+	}
+	pd, err := r.newPortionDAG(b, pl, L)
+	if err != nil {
+		return nil, err
+	}
+	if r.dags == nil {
+		r.dags = map[*scan.Block]*portionDAG{}
+	}
+	r.dags[b] = pd
+	return pd, nil
+}
+
+// execParallel computes a block without pipelined arrays over the rank's
+// whole portion, in one piece: no boundary messages order the ranks.
+func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
+	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
+		pd, err := r.portionDAGFor(b, pl, L)
+		if err != nil {
+			return err
+		}
+		sp := r.begin()
+		pd.run()
+		r.computed(sp, L.Size(), -1, -1, -1, -1)
+		return nil
+	}
+	kern, err := r.kernelFor(b, pl)
+	if err != nil {
+		return err
+	}
+	sp := r.begin()
+	kern.Run(L, pl.an.Loop)
+	r.computed(sp, L.Size(), -1, -1, -1, -1)
+	return nil
+}
+
+// execWavefront is the paper's parallel loop, the runtime's only one:
+// receive the upstream boundary messages a tile needs, compute the tile,
+// forward its boundary downstream. Travel direction follows the block's
+// derived loop, so forward and backward sweeps flow through opposite
+// neighbours. The schedule (tile regions, boundary regions, message sizes)
+// comes from a cached execPlan, so the steady-state wave allocates nothing
+// when a buffer pool is attached. With checkpointing on, the top of every
+// tile after the first is a cut point (the first tile's is the operation's
+// start, see ckOp) — always before the tile's receives, where the portion
+// is exactly "tiles < t computed, recvd messages consumed".
+func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 	if L.Dim(pl.wDim).Empty() {
 		// This rank's slab misses the block's wavefront extent entirely
 		// (shrinking factorization steps, sub-region sweeps): the active
@@ -1009,24 +1079,39 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, kern *scan.Kernel, L grid.
 		r.waveRuns++
 		return nil
 	}
-	// Mid-run retune: every k-th sweep, synchronize and re-read the drift
-	// gauges. They have been frozen since the last Run's finishRun, so
-	// every rank computes the same width and the message tilings stay in
-	// agreement; the barrier pins the switch to a wave boundary, after all
-	// of the previous sweep's messages have been consumed.
-	if k := r.sess.cfg.AutoTuneEvery; k > 0 && r.sess.cfg.AutoTune && r.waveRuns > 0 && r.waveRuns%k == 0 {
-		if err := r.Barrier(); err != nil {
-			return err
+	pm := r.pm()
+	// A restarted rank whose snapshot was cut inside this sweep resumes at
+	// that tile; what precedes the tile loop its previous incarnation
+	// already did, and the restored counters account for it.
+	t0, recvd := r.ffTile, r.ffRecvd
+	r.ffTile, r.ffRecvd = 0, 0
+	if t0 == 0 {
+		// Mid-run retune: every k-th sweep, synchronize and re-read the
+		// drift gauges. They have been frozen since the last Run's
+		// finishRun, so every rank computes the same width and the message
+		// tilings stay in agreement; the barrier pins the switch to a wave
+		// boundary, after all of the previous sweep's messages have been
+		// consumed.
+		if k := r.sess.cfg.AutoTuneEvery; k > 0 && r.sess.cfg.AutoTune && r.waveRuns > 0 && r.waveRuns%k == 0 {
+			if err := r.barrier(); err != nil {
+				return err
+			}
+			if bOpt, ok := r.sess.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
+				r.curBlock = bOpt
+			}
 		}
-		if bOpt, ok := r.sess.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
-			r.curBlock = bOpt
+		r.waveRuns++
+		if pm != nil {
+			pm.waves.Add(r.id, 1)
 		}
 	}
+	wave := r.waveRuns - 1
+	r.sess.cfg.Faults.SetWave(r.id, wave+1)
+
 	ep := r.eplans[b]
 	if ep == nil || ep.width != r.curBlock {
-		travelLow := pl.an.Loop.Dirs[pl.wDim] == grid.LowToHigh
 		upstream, downstream := r.id-1, r.id+1
-		if !travelLow {
+		if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
 			upstream, downstream = r.id+1, r.id-1
 		}
 		// Only ranks whose slabs intersect the block region take part in
@@ -1038,58 +1123,39 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, kern *scan.Kernel, L grid.
 		hasDown := downstream >= aLo && downstream <= aHi
 		var upPortion grid.Region
 		if hasUp {
-			dims := b.Region.Dims()
-			rows, err := dims[pl.wDim].Intersect(r.sess.slabs[upstream].Dim(pl.wDim))
-			if err != nil {
-				return err
-			}
-			dims[pl.wDim] = rows
-			upPortion = grid.MustRegion(dims...)
+			upPortion = r.portionOf(b.Region, upstream)
 		}
 		ep = buildExecPlan(pl, r.curBlock, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
 		r.eplans[b] = ep
 	}
-
-	tr := r.tr()
-	pm := r.pm()
-	wave := r.waveRuns
-	r.waveRuns++
-	r.sess.cfg.Faults.SetWave(r.id, wave+1)
-	if pm != nil {
-		pm.waves.Add(r.id, 1)
-	}
-	if pl.sched == scan.SchedTaskDAG {
+	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
 		return r.execWavefrontDAG(b, pl, ep, L, wave)
 	}
-	T := len(ep.tiles)
-	recvd := 0
-	for t := 0; t < T; t++ {
+	kern, err := r.kernelFor(b, pl)
+	if err != nil {
+		return err
+	}
+	ck := r.sess.ck
+	peer := -1
+	if ep.hasUp {
+		peer = ep.upstream
+	}
+	for t := t0; t < len(ep.tiles); t++ {
+		if ck != nil && t > 0 {
+			if err := r.cut(ck, t, recvd); err != nil {
+				return err
+			}
+		}
 		need := ep.needUp[t]
-		if ep.hasUp {
-			for ; recvd <= need; recvd++ {
-				if err := r.recvWave(ep, recvd, wave); err != nil {
-					return err
-				}
+		for ; recvd <= need; recvd++ {
+			if err := r.recvWave(ep, recvd, wave); err != nil {
+				return err
 			}
 		}
 		tile := ep.tiles[t]
-		computeT0 := tr.Now()
-		var mT0 int64
-		if pm != nil {
-			mT0 = pm.now()
-		}
+		sp := r.begin()
 		kern.Run(tile, pl.an.Loop)
-		if pm != nil {
-			pm.tile(r.id, tile.Size(), mT0, pm.now())
-		}
-		if tr != nil {
-			ev := trace.Ev(trace.KindCompute, r.id, computeT0, tr.Now())
-			ev.Tile, ev.Wave, ev.Elems = t, wave, tile.Size()
-			if ep.hasUp {
-				ev.Peer, ev.Need = ep.upstream, need
-			}
-			tr.Record(ev)
-		}
+		r.computed(sp, tile.Size(), t, wave, peer, need)
 		if ep.hasDown {
 			if err := r.sendWave(ep, t, wave); err != nil {
 				return err
@@ -1109,7 +1175,8 @@ func (r *Rank) recvWave(ep *execPlan, recvd, wave int) error {
 		return err
 	}
 	if len(buf) < ep.recvTotal[recvd] {
-		return fmt.Errorf("pipeline: rank %d: wavefront message %d too short", r.id, recvd)
+		return fmt.Errorf("pipeline: rank %d: wavefront message %d too short: need %d elements, have %d",
+			r.id, recvd, ep.recvTotal[recvd], len(buf))
 	}
 	off := 0
 	for i, f := range ep.fields {
@@ -1131,7 +1198,6 @@ func (r *Rank) recvWave(ep *execPlan, recvd, wave int) error {
 // sendWave packs and forwards tile t's boundary rows downstream.
 func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
 	tr := r.tr()
-	pm := r.pm()
 	waveT0 := tr.Now()
 	buf := r.e.Lease(ep.sendTotal[t])
 	off := 0
@@ -1145,7 +1211,7 @@ func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
 	if err := r.sendNext(ep.downstream, buf); err != nil {
 		return err
 	}
-	if pm != nil {
+	if pm := r.pm(); pm != nil {
 		pm.waveSend(r.id, len(buf))
 	}
 	if tr != nil {
@@ -1156,33 +1222,20 @@ func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
 	return nil
 }
 
-// portionDAGFor returns the rank's cached task-DAG executor for b over L,
-// building graph and per-worker kernels on first use.
-func (r *Rank) portionDAGFor(b *scan.Block, pl *plan, L grid.Region) (*portionDAG, error) {
-	if pd, ok := r.dags[b]; ok {
-		return pd, nil
-	}
-	s := r.sess
-	pd, err := newPortionDAG(b, r.lenv, pl.an, L, s.cfg.Kernel, s.cfg.Pool, r.id, pl.workers,
-		s.cfg.Trace, taskTraceBase(s.cfg.Procs, r.id, pl.workers), s.cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	r.dags[b] = pd
-	return pd, nil
-}
-
 // execWavefrontDAG runs one wavefront sweep under the task-DAG scheduler:
 // receive every upstream boundary message, execute the portion as a tile
 // DAG on the worker pool, forward every boundary message. Counts, tags,
 // and payloads match the static schedule exactly (boundary values are
 // final once the portion has computed), so downstream ranks — static or
-// taskdag — cannot tell the difference and results stay bit-identical.
+// taskdag — cannot tell the difference and results stay bit-identical; the
+// price is pipeline overlap across ranks, which the in-rank parallelism
+// replaces. The portion runs as one piece, so the operation's start is the
+// sweep's only checkpoint cut point.
 func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Region, wave int) error {
-	tr := r.tr()
-	pm := r.pm()
 	T := len(ep.tiles)
+	peer, need := -1, -1
 	if ep.hasUp {
+		peer, need = ep.upstream, T-1
 		for recvd := 0; recvd < T; recvd++ {
 			if err := r.recvWave(ep, recvd, wave); err != nil {
 				return err
@@ -1193,23 +1246,9 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 	if err != nil {
 		return err
 	}
-	computeT0 := tr.Now()
-	var mT0 int64
-	if pm != nil {
-		mT0 = pm.now()
-	}
+	sp := r.begin()
 	pd.run()
-	if pm != nil {
-		pm.tile(r.id, L.Size(), mT0, pm.now())
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindCompute, r.id, computeT0, tr.Now())
-		ev.Tile, ev.Wave, ev.Elems = 0, wave, L.Size()
-		if ep.hasUp {
-			ev.Peer, ev.Need = ep.upstream, T-1
-		}
-		tr.Record(ev)
-	}
+	r.computed(sp, L.Size(), 0, wave, peer, need)
 	if ep.hasDown {
 		for t := 0; t < T; t++ {
 			if err := r.sendWave(ep, t, wave); err != nil {
@@ -1220,9 +1259,53 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 	return nil
 }
 
-// sendReg and recvReg read the precomputed exchange geometry for one
-// array and one neighbour side (0 = rank id-1, 1 = rank id+1). A zero
-// Region marks an absent transfer.
+// buildXregs works out the halo-exchange geometry: for each array and each
+// neighbour side, the rows of my slab the neighbour's halo needs (send) and
+// the rows of its slab my halo needs (recv).
+func (r *Rank) buildXregs() {
+	s := r.sess
+	slab := s.slabs[r.id]
+	r.xregs = make(map[string]xchgRegs, len(s.names))
+	w := s.cfg.WavefrontDim
+	for _, name := range s.names {
+		h := s.halos[name]
+		rowRegion := func(rows grid.Range) grid.Region {
+			dims := r.locals[name].Bounds().Dims()
+			dims[w] = rows
+			return grid.MustRegion(dims...)
+		}
+		var x xchgRegs
+		if peer := r.id - 1; peer >= 0 {
+			// Peer below me in index order: it needs my lowest pos[w] rows; I
+			// need its highest neg[w] rows.
+			if h.pos[w] > 0 {
+				lo := slab.Dim(w).Lo
+				x.sendLo = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
+			}
+			if h.neg[w] > 0 {
+				hi := s.slabs[peer].Dim(w).Hi
+				x.recvLo = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
+			}
+		}
+		if peer := r.id + 1; peer < s.cfg.Procs {
+			// Peer above me: it needs my highest neg[w] rows; I need its
+			// lowest pos[w] rows.
+			if h.neg[w] > 0 {
+				hi := slab.Dim(w).Hi
+				x.sendHi = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
+			}
+			if h.pos[w] > 0 {
+				lo := s.slabs[peer].Dim(w).Lo
+				x.recvHi = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
+			}
+		}
+		r.xregs[name] = x
+	}
+}
+
+// sendReg and recvReg read the exchange geometry for one array and one
+// neighbour side (0 = rank id-1, 1 = rank id+1). A zero Region marks an
+// absent transfer.
 func (r *Rank) sendReg(name string, side int) grid.Region {
 	x := r.xregs[name]
 	if side == 0 {
@@ -1242,15 +1325,19 @@ func (r *Rank) recvReg(name string, side int) grid.Region {
 // exchange swaps boundary rows of the named arrays with both neighbours
 // and marks them clean. The wire format is one coalesced message per
 // neighbour: names in sorted order, each array's region back-to-back in
-// canonical order. Regions come precomputed from newRank and payloads are
-// leased, so a steady-state exchange allocates nothing when a buffer pool
-// is attached; receivers return each payload to its sender's shard.
+// canonical order. Regions are worked out once, by the first exchange, and
+// payloads are leased, so a steady-state exchange allocates nothing when a
+// buffer pool is attached; receivers return each payload to its sender's
+// shard.
 func (r *Rank) exchange(names []string) error {
 	if len(names) == 0 || r.P() == 1 {
 		for _, n := range names {
 			r.dirty[n] = false
 		}
 		return nil
+	}
+	if r.xregs == nil {
+		r.buildXregs()
 	}
 	tr := r.tr()
 	exchangeT0 := tr.Now()
@@ -1350,7 +1437,7 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 		return 0, err
 	}
 	if !rr.sized || !rr.region.Equal(region) {
-		rr.region, rr.portion, rr.sized = region, r.portion(region), true
+		rr.region, rr.portion, rr.sized = region, r.portionOf(region, r.id), true
 	}
 	// The local fold is compute like any block's: a traced span with its
 	// point count and a share of the rank's busy time. It does not go
@@ -1460,7 +1547,6 @@ func dedup(sorted []string) []string {
 	return out
 }
 
-// gather writes every written array's slab back to the global fields.
 // releaseScratch retires the rank's execution resources when its Run ends:
 // cached kernels return pool-leased tape registers, and cached task-DAG
 // executors stop their worker pools (which also returns their kernels'
@@ -1480,6 +1566,8 @@ func (r *Rank) releaseScratch() {
 	}
 }
 
+// gather writes every written array's slab back to the global fields.
+// Slabs are disjoint, so concurrent ranks touch disjoint elements.
 func (r *Rank) gather() error {
 	tr := r.tr()
 	gatherT0 := tr.Now()

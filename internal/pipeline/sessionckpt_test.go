@@ -7,7 +7,9 @@ import (
 	"wavefront/internal/expr"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
+	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
+	"wavefront/internal/trace"
 	"wavefront/internal/workload"
 )
 
@@ -176,5 +178,123 @@ func crashRecoveryReduceReplay(t *testing.T, n int) {
 				t.Errorf("n=%d rank %d iter %d: residual %g != %g", n, r, i, resid[r][i], refResid[i])
 			}
 		}
+	}
+}
+
+// TestSessionMidSweepRecovery crashes a rank inside a wavefront sweep of a
+// multi-block program — rank 1, on the third boundary message of the second
+// forward sweep — with a snapshot every 2 cut points. Under the static
+// schedule a cut point lies at the top of every tile, so the restart must
+// resume from a snapshot cut inside that very sweep rather than re-run it
+// from its start; the task DAG runs a sweep in one piece and restarts it
+// whole. Arrays and the residual history must match serial execution bit for
+// bit either way, also when every sweep opens with the mid-run retune
+// barrier (which is part of the sweep's operation, not one of its own).
+func TestSessionMidSweepRecovery(t *testing.T) {
+	const n, iters, procs = 26, 3, 3
+	ref, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refResid []float64
+	for i := 0; i < iters; i++ {
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		refResid = append(refResid, ref.ResidualMax())
+	}
+	absRx := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
+	absRy := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("ry")}}
+
+	for _, c := range []struct {
+		name    string
+		sched   scan.Scheduler
+		retune  bool
+		midTile bool // the restore must resume inside the crashed sweep
+	}{
+		{"static", scan.SchedStatic, false, true},
+		{"static+retune", scan.SchedStatic, true, true},
+		{"taskdag", scan.SchedTaskDAG, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			par, _ := workload.NewTomcatv(n, field.RowMajor)
+			// Each iteration runs the forward then the backward sweep, so the
+			// second forward sweep is wave 3; After counts rank 1's receives
+			// from rank 0 inside it only.
+			inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{{
+				Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any,
+				Wave: 3, After: 2, Action: fault.ActCrash,
+			}}})
+			rec := trace.New(procs*3, trace.DefaultCapacity)
+			cfg := SessionConfig{
+				Procs: procs, Domain: par.All, Block: 4,
+				Scheduler: c.sched, Workers: 2,
+				Faults: inj, Trace: rec,
+				Checkpoint: &CheckpointConfig{Every: 2},
+			}
+			if c.retune {
+				cfg.Metrics = metrics.New(procs)
+				preloadDrift(cfg.Metrics, 100, 5, 2.0)
+				cfg.AutoTune, cfg.AutoTuneEvery = true, 1
+			}
+			blocks := par.Blocks()
+			sess, err := NewSession(par.Env, blocks, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resid := make([]float64, iters)
+			err = sess.Run(func(r *Rank) error {
+				for i := 0; i < iters; i++ {
+					for _, b := range blocks {
+						if err := r.Exec(b); err != nil {
+							return err
+						}
+					}
+					vx, err := r.Reduce(scan.MaxReduce, par.Interior, absRx)
+					if err != nil {
+						return err
+					}
+					vy, err := r.Reduce(scan.MaxReduce, par.Interior, absRy)
+					if err != nil {
+						return err
+					}
+					if r.ID() == 1 {
+						resid[i] = math.Max(vx, vy)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("crash did not recover: %v", err)
+			}
+			if inj.Fired() == 0 {
+				t.Fatal("crash rule never fired; the run proves nothing")
+			}
+			for _, name := range workload.TomcatvArrays {
+				if d := par.Env.Arrays[name].MaxAbsDiff(par.All, ref.Env.Arrays[name]); d != 0 {
+					t.Errorf("%s differs from serial by %g after recovery", name, d)
+				}
+			}
+			for i := range refResid {
+				if resid[i] != refResid[i] {
+					t.Errorf("iter %d: the crashed rank saw residual %g, serial %g", i, resid[i], refResid[i])
+				}
+			}
+			restores := 0
+			for _, ev := range rec.Events() {
+				if ev.Kind != trace.KindRestore {
+					continue
+				}
+				restores++
+				// trace waves count from 0: the second forward sweep is wave 2.
+				if c.midTile && (ev.Rank != 1 || ev.Wave != 2 || ev.Tile < 1) {
+					t.Errorf("restore on rank %d resumed at wave %d tile %d, want rank 1 inside wave 2 (tile > 0)",
+						ev.Rank, ev.Wave, ev.Tile)
+				}
+			}
+			if restores != 1 {
+				t.Errorf("traced %d restores, want 1", restores)
+			}
+		})
 	}
 }

@@ -3,12 +3,9 @@ package pipeline
 import (
 	"runtime"
 
-	"wavefront/internal/bufpool"
 	"wavefront/internal/grid"
-	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
 	"wavefront/internal/taskdag"
-	"wavefront/internal/trace"
 )
 
 // Test hooks for the task-DAG scheduler, mirroring the scan package's:
@@ -50,37 +47,22 @@ type portionDAG struct {
 // newPortionDAG builds the graph and per-worker kernels for a block's
 // portion. The graph's edges come from the same UDVs as the block's loop
 // derivation, so the dynamic schedule satisfies exactly the dependences
-// the static schedule does.
-func newPortionDAG(b *scan.Block, env *forwardEnv, an *scan.Analysis, L grid.Region,
-	engine scan.Engine, scratch *bufpool.Pool, rank, workers int,
-	tr *trace.Recorder, trBase int, reg *metrics.Registry) (*portionDAG, error) {
-	g, err := taskdag.New(L, an.Loop, an.UDVs, taskdag.Options{
-		Workers:     workers,
-		Trace:       tr,
-		TraceBase:   trBase,
-		Metrics:     reg,
-		MetricsRank: rank,
-		StealSeed:   taskdagStealSeed,
-	})
+// the static schedule does. Workers share the rank's pool shard; the shard
+// is mutex-guarded, and each kernel leases its own registers, so
+// concurrent first runs are safe.
+func (r *Rank) newPortionDAG(b *scan.Block, pl *plan, L grid.Region) (*portionDAG, error) {
+	g, err := taskdag.New(L, pl.an.Loop, pl.an.UDVs, r.dagOptions())
 	if err != nil {
 		return nil, err
 	}
 	pd := &portionDAG{g: g, kernels: make([]*scan.Kernel, g.Workers())}
 	for i := range pd.kernels {
-		k, err := scan.NewKernelDeps(b, env, an.UDVs)
-		if err != nil {
+		if pd.kernels[i], err = r.newKernel(b, pl); err != nil {
 			g.Stop()
 			return nil, err
 		}
-		k.SetEngine(engine)
-		// Workers share the rank's pool shard; the shard is mutex-guarded,
-		// and each kernel leases its own registers, so concurrent first
-		// runs are safe.
-		k.SetScratch(scratch, rank)
-		k.SetMetrics(reg, rank)
-		pd.kernels[i] = k
 	}
-	loop := an.Loop
+	loop := pl.an.Loop
 	g.SetRunner(func(worker int, tile grid.Region) {
 		pd.kernels[worker].Run(tile, loop)
 	})
@@ -88,6 +70,20 @@ func newPortionDAG(b *scan.Block, env *forwardEnv, an *scan.Analysis, L grid.Reg
 		taskdagHook(g)
 	}
 	return pd, nil
+}
+
+// dagOptions wires a rank's task graphs to the session's pool size, trace
+// rings and registry.
+func (r *Rank) dagOptions() taskdag.Options {
+	s := r.sess
+	return taskdag.Options{
+		Workers:     s.workers,
+		Trace:       s.cfg.Trace,
+		TraceBase:   taskTraceBase(s.cfg.Procs, r.id, s.workers),
+		Metrics:     s.cfg.Metrics,
+		MetricsRank: r.id,
+		StealSeed:   taskdagStealSeed,
+	}
 }
 
 // run executes the portion once; allocation-free after the first call.

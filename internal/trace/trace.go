@@ -75,12 +75,13 @@ const (
 	// index, Tile/Wave the depending tile. Start == End == the tile's
 	// start instant.
 	KindTaskDep
-	// KindCkpt marks a wave-boundary checkpoint snapshot; Wave is the wave
-	// about to run, Elems the snapshotted element count.
+	// KindCkpt marks a checkpoint snapshot; Wave is the sweep the cut lies
+	// inside (Tile > 0, the tile about to run) or before (Tile 0, the start
+	// of an operation), Elems the snapshotted element count.
 	KindCkpt
 	// KindRestore marks a rank restored from its checkpoint after a crash;
-	// Wave is the wave the restart resumes at, Seq the restored snapshot's
-	// sequence number.
+	// Wave and Tile are the restored snapshot's (the restart resumes
+	// there), Seq its sequence number.
 	KindRestore
 	numKinds
 )

@@ -34,7 +34,7 @@ func TestPostmortemBundleAcrossChaosScenarios(t *testing.T) {
 	for _, mode := range chaosspec.Modes {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			rules, err := chaosspec.Rules(mode, wavefront.SchedStatic)
+			rules, err := chaosspec.Rules(mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,10 @@ func TestPostmortemBundleAcrossChaosScenarios(t *testing.T) {
 			if len(b.TraceTail) == 0 {
 				t.Error("bundle has no trace tail: the flight ring never armed")
 			}
-			if b.Config.Procs != procs || b.Config.Block != block {
+			// The Tomcatv forward block pipelines along dimension 0 and tiles
+			// dimension 1; a one-block run's bundle names both.
+			if b.Config.Procs != procs || b.Config.Block != block ||
+				b.Config.WavefrontDim != 0 || b.Config.TileDim != 1 {
 				t.Errorf("bundle config %+v does not record the run", b.Config)
 			}
 			if chaosspec.Recovery(mode) {
@@ -102,7 +105,7 @@ func TestPostmortemBundleAcrossChaosScenarios(t *testing.T) {
 
 func TestPostmortemTamperedFileRejected(t *testing.T) {
 	const n, procs, block = 64, 4, 8
-	rules, err := chaosspec.Rules("crash", wavefront.SchedStatic)
+	rules, err := chaosspec.Rules("crash")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,11 +65,12 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	for _, tp := range transports {
 		t.Run(tp.name, func(t *testing.T) {
 			tc, oracle := tomcatvOracle(t, n)
-			// Crash rank 1 at wave 3, deterministically, on its receive
-			// from rank 0.
+			// Crash rank 1 inside the sweep, deterministically: on its
+			// receive of the third boundary message from rank 0 (the run is
+			// one wave, so the tile is pinned by its message tag).
 			inj, err := wavefront.NewFaultInjector(wavefront.FaultPlan{Rules: []wavefront.FaultRule{{
 				Op: wavefront.FaultOnRecv, Rank: 1, Peer: 0,
-				Tag: wavefront.FaultAny, Wave: 3, Action: wavefront.FaultCrash,
+				Tag: 2, Action: wavefront.FaultCrash,
 			}}})
 			if err != nil {
 				t.Fatal(err)
@@ -95,6 +96,11 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			for _, ev := range tr.Events() {
 				if ev.Rank == 1 && ev.Kind.String() == "restore" {
 					restores++
+					// Every: 2 cut a snapshot at the top of tile 2, just
+					// before the receive that crashed.
+					if ev.Wave != 0 || ev.Tile != 2 {
+						t.Errorf("restore resumed at wave %d tile %d, want wave 0 tile 2", ev.Wave, ev.Tile)
+					}
 				}
 			}
 			if restores == 0 {
@@ -111,7 +117,7 @@ func TestCrashRecoveryTaskDAG(t *testing.T) {
 	tc, oracle := tomcatvOracle(t, n)
 	inj, err := wavefront.NewFaultInjector(wavefront.FaultPlan{Rules: []wavefront.FaultRule{{
 		Op: wavefront.FaultOnSend, Rank: 1, Peer: 2,
-		Tag: wavefront.FaultAny, After: 2, Wave: 1, Action: wavefront.FaultCrash,
+		Tag: wavefront.FaultAny, After: 2, Action: wavefront.FaultCrash,
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +152,7 @@ func TestCrashRecoveryFileStore(t *testing.T) {
 	defer store.Close()
 	inj, err := wavefront.NewFaultInjector(wavefront.FaultPlan{Rules: []wavefront.FaultRule{{
 		Op: wavefront.FaultOnRecv, Rank: 1, Peer: 0,
-		Tag: wavefront.FaultAny, Wave: 2, Action: wavefront.FaultCrash,
+		Tag: 1, Action: wavefront.FaultCrash,
 	}}})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"wavefront"
 	"wavefront/internal/chaosspec"
 	"wavefront/internal/field"
-	"wavefront/internal/scan"
 	"wavefront/internal/workload"
 )
 
@@ -37,7 +36,7 @@ func TestSWCrashRecoveryBitIdentical(t *testing.T) {
 			ref := w.Reference()
 			refEnd, refOps := w.TracebackOf(ref)
 
-			rules, err := chaosspec.Rules("recover", scan.Scheduler(sched.sched))
+			rules, err := chaosspec.Rules("recover")
 			if err != nil {
 				t.Fatal(err)
 			}
