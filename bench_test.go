@@ -22,6 +22,7 @@ import (
 	"wavefront/internal/model"
 	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
+	"wavefront/internal/taskdag"
 	"wavefront/internal/workload"
 	"wavefront/internal/zpl"
 )
@@ -965,11 +966,44 @@ func BenchmarkReduce(b *testing.B) {
 // width, tile after tile as the static schedule runs them. Equation (1)
 // assumes the per-point cost does not depend on the width; ns/point here is
 // how far it does (per-span dispatch, and at this size row pitch misses).
+// The handwritten legs walk the same tiles with a straight Go loop over the
+// same fields: the floor under each width, and the evidence that the cliff
+// is the 4 KB-pitch access pattern rather than the tape.
 func BenchmarkKernelTileWidth(b *testing.B) {
+	rows := grid.NewRange(2, 256)
 	for _, c := range []struct {
 		name  string
 		width int
 	}{{"w16", 16}, {"w32", 32}, {"w64", 64}, {"full", 510}} {
+		b.Run("handwritten-"+c.name, func(b *testing.B) {
+			t, err := workload.NewTomcatv(512, field.RowMajor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := t.Env.Arrays
+			r, aa, d, dd, rx, ry := a["r"].Data(), a["aa"].Data(), a["d"].Data(), a["dd"].Data(), a["rx"].Data(), a["ry"].Data()
+			fr := a["r"]
+			pitch := fr.Stride(0)
+			cols := t.ForwardBlock().Region.Dim(1)
+			tiles := grid.Tiles(cols, c.width)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, tile := range tiles {
+					for row := rows.Lo; row <= rows.Hi; row++ {
+						lo, hi := fr.Index2(row, tile.Lo), fr.Index2(row, tile.Hi)
+						for k := lo; k <= hi; k++ {
+							up := k - pitch
+							v := aa[k] * d[up]
+							r[k] = v
+							d[k] = 1 / (dd[k] - aa[up]*v)
+							rx[k] -= rx[up] * v
+							ry[k] -= ry[up] * v
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(rows.Size()*cols.Size())), "ns/point")
+		})
 		b.Run(c.name, func(b *testing.B) {
 			t, err := workload.NewTomcatv(512, field.RowMajor)
 			if err != nil {
@@ -984,7 +1018,6 @@ func BenchmarkKernelTileWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows := grid.NewRange(2, 256)
 			var tiles []grid.Region
 			for _, cols := range grid.Tiles(blk.Region.Dim(1), c.width) {
 				tiles = append(tiles, grid.MustRegion(rows, cols))
@@ -1002,5 +1035,66 @@ func BenchmarkKernelTileWidth(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*points), "ns/point")
 		})
+	}
+}
+
+// BenchmarkTaskDAGTileShape runs the Tomcatv forward then backward wavefront
+// at n = 512 on one pair of tile graphs, at the automatic geometry and at
+// explicit rows x cols tile shapes, on pools of one and two workers. No
+// dependence crosses a column boundary, so every column cut only shortens
+// the row-spans the kernel walks (BenchmarkKernelTileWidth is the same cliff
+// without a scheduler); the automatic geometry must sit with the best
+// explicit shape at each pool width.
+func BenchmarkTaskDAGTileShape(b *testing.B) {
+	shapes := []struct {
+		name  string
+		tileW []int
+	}{{"auto", nil}, {"64x64", []int{64, 64}}, {"64x128", []int{64, 128}},
+		{"64x255", []int{64, 255}}, {"64x510", []int{64, 510}}}
+	for _, workers := range []int{1, 2} {
+		for _, shape := range shapes {
+			b.Run("w"+itoa(workers)+"/"+shape.name, func(b *testing.B) {
+				t, err := workload.NewTomcatv(512, field.RowMajor)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var graphs []*taskdag.Graph
+				points := 0
+				for _, blk := range []*scan.Block{t.ForwardBlock(), t.BackwardBlock()} {
+					an, err := scan.Analyze(blk, dep.Preference{PreferLow: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					g, err := taskdag.New(blk.Region, an.Loop, an.UDVs, taskdag.Options{Workers: workers, TileW: shape.tileW})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer g.Stop()
+					kernels := make([]*scan.Kernel, workers)
+					for i := range kernels {
+						if kernels[i], err = scan.NewKernelDeps(blk, t.Env, an.UDVs); err != nil {
+							b.Fatal(err)
+						}
+					}
+					loop := an.Loop
+					g.SetRunner(func(worker int, tile grid.Region) { kernels[worker].Run(tile, loop) })
+					graphs = append(graphs, g)
+					points += blk.Region.Size()
+				}
+				sweep := func() {
+					for _, g := range graphs {
+						g.Run()
+					}
+				}
+				sweep() // warm: lowers the tapes and sizes their registers
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sweep()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(points)), "ns/point")
+				b.ReportMetric(float64(graphs[0].Tiles()+graphs[1].Tiles()), "tiles/sweep")
+			})
+		}
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 		critPathF = flag.Bool("critpath", false, "print the cross-rank critical-path decomposition after a -trace run")
 		postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
 		validate  = flag.Bool("validate", false, "run Tomcatv/SIMPLE/Sweep3D under both engines and both schedulers, serial and pipelined, and exit nonzero on any bit-level disagreement")
-		speedup   = flag.Bool("speedup", false, "time the Tomcatv forward wavefront under -sched=taskdag at 1 worker vs -workers workers and report the wall-clock ratio")
+		speedup   = flag.Bool("speedup", false, "time the Tomcatv forward wavefront as the serial kernel and under -sched=taskdag at 1 worker and at -workers workers; report each leg against the serial kernel with its tile geometry")
 	)
 	flag.Parse()
 

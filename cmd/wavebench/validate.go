@@ -37,9 +37,10 @@ type valLeg struct {
 }
 
 // valLegs is the full scheduler×engine validation matrix: all three engines
-// under the static schedule, plus the task-DAG scheduler at 1, 2, 4, and 8
+// under the static schedule, plus the task-DAG scheduler at 1, 2, 3, 4, and 8
 // workers (1 worker pins the degenerate pool; the wider pools exercise
-// stealing, with 8 oversubscribing most portions). The scalar leg pins the
+// stealing, with 8 oversubscribing most portions; 3 cuts a dependence-free
+// span dimension into ragged chunks). The scalar leg pins the
 // forced per-point tape — the baseline the span and skewed paths must stay
 // bit-identical to.
 func valLegs() []valLeg {
@@ -49,6 +50,7 @@ func valLegs() []valLeg {
 		{"scalar", wavefront.KernelScalar, wavefront.SchedStatic, 0},
 		{"taskdag-w1", wavefront.KernelTape, wavefront.SchedTaskDAG, 1},
 		{"taskdag-w2", wavefront.KernelTape, wavefront.SchedTaskDAG, 2},
+		{"taskdag-w3", wavefront.KernelTape, wavefront.SchedTaskDAG, 3},
 		{"taskdag-w4", wavefront.KernelTape, wavefront.SchedTaskDAG, 4},
 		{"taskdag-w8", wavefront.KernelTape, wavefront.SchedTaskDAG, 8},
 	}
@@ -389,7 +391,7 @@ func runValidate(n, block int) error {
 	if mismatches > 0 {
 		return fmt.Errorf("%w: %d disagreement(s) across the engine/scheduler matrix", errCheckFailed, mismatches)
 	}
-	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial and p=1/2/4; static and taskdag w=1/2/4/8)")
+	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial and p=1/2/4; static and taskdag w=1/2/3/4/8)")
 	return nil
 }
 

@@ -110,6 +110,10 @@ const (
 	TaskSteals  = "taskdag_steals_total"
 	TaskParks   = "taskdag_parks_total"
 	TaskUnparks = "taskdag_unparks_total"
+	// TaskSpanWidth is a gauge, set when a graph is built: the tile width
+	// along the loop's innermost (span) dimension — how long a row-span the
+	// chosen tile geometry leaves the kernel.
+	TaskSpanWidth = "taskdag_span_width"
 
 	// checkpoint/restart (per-rank counters; see internal/ckpt and the
 	// pipeline's Checkpoint wiring).

@@ -82,7 +82,10 @@ func TestDifferentialCorpus(t *testing.T) {
 						// must stay bit-identical to the serial oracle and
 						// pass the dynamic-schedule validator. The recorder
 						// carries p*(1+w) rings so every DAG worker records.
-						for _, w := range []int{1, 2, 4, 8} {
+						// Three workers cut a dependence-free span
+						// dimension into ragged chunks (8 + 6 of 14 points,
+						// neither a multiple of the tape's unroll).
+						for _, w := range []int{1, 2, 3, 4, 8} {
 							dagEnv := genEnv(seed)
 							dagTrace := trace.New(p*(1+w), 1024)
 							dcfg := Config{Procs: p, Block: b, WavefrontDim: d.w, TileDim: d.t,

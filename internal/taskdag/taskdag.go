@@ -14,6 +14,16 @@
 // loop nest orders the tile space, the DAG embeds in a linear order — and
 // dimensions that defeat the derivation are collapsed to a single tile.
 //
+// Tile geometry follows the paper's split between wavefront dimensions and
+// fully parallel ones, plus the loop order. A dimension a dependence crosses
+// must be cut for tiles to pipeline, and a dependence-free outer dimension
+// can be cut for free; both get about 4*Workers chunks. The loop's innermost
+// (span) dimension is the one the kernel walks as contiguous row-spans, so
+// when no dependence crosses it every cut shortens every row-span and buys
+// only parallelism: it is cut into just the chunks the pool still lacks
+// after the other free dimensions have supplied theirs — one (whole rows)
+// when they supply enough, Workers when it is the only free dimension.
+//
 // Ready tiles execute on a work-stealing pool: the caller participates as
 // worker 0 and Workers-1 goroutines (spawned once at New, parked between
 // runs) each own a LIFO deque. A worker pops its own tail, steals half of a
@@ -33,6 +43,7 @@ package taskdag
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,8 +59,12 @@ type Options struct {
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
 	// TileW fixes per-dimension tile widths; entries <= 0 (and a nil or
-	// short slice) select the automatic width — the dimension split into
-	// about 4*Workers chunks, never below the dependence reach.
+	// short slice) select the automatic width: about 4*Workers chunks (at
+	// least 8 points wide) for a dimension a dependence crosses or a
+	// dependence-free outer dimension, and max(1, ceil(Workers/P)) chunks
+	// for a dependence-free innermost (span) dimension, P being the chunks
+	// the other dependence-free dimensions supply. Set or automatic, a
+	// width is never below the dependence reach.
 	TileW []int
 	// Trace, when non-nil, records per-worker KindTaskTile / KindTaskDep
 	// events into rings TraceBase..TraceBase+Workers-1. When the recorder
@@ -59,7 +74,8 @@ type Options struct {
 	TraceBase int
 	// Metrics, when non-nil, receives the pool's tile/steal/park totals
 	// (metrics.TaskTiles and friends) in the MetricsRank shard after each
-	// Run.
+	// Run, and the span-dimension tile width (metrics.TaskSpanWidth) at
+	// build.
 	Metrics     *metrics.Registry
 	MetricsRank int
 	// StealSeed, when non-zero, deterministically perturbs victim order
@@ -248,6 +264,7 @@ func (g *Graph) initPool(W int, opt Options) {
 		g.mSteals = opt.Metrics.Counter(metrics.TaskSteals)
 		g.mParks = opt.Metrics.Counter(metrics.TaskParks)
 		g.mUnpark = opt.Metrics.Counter(metrics.TaskUnparks)
+		opt.Metrics.Gauge(metrics.TaskSpanWidth).Set(float64(g.tileW[g.loop.Perm[g.rank-1]]))
 	}
 
 	for i := 1; i < W; i++ {
@@ -280,16 +297,18 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 		}
 	}
 	tw := make([]int, rank)
-	for d := 0; d < rank; d++ {
+	shape := make([]int, rank)
+	// setWidth fixes dimension d's tile width: the caller's TileW entry
+	// when set, else the dimension cut into about `chunks` pieces — tiles
+	// below 8 points per side would defeat the span engine's dispatch
+	// amortization — and in both cases never below the dependence reach.
+	setWidth := func(d, chunks int) {
 		w := 0
 		if d < len(tileW) {
 			w = tileW[d]
 		}
 		if w <= 0 {
-			// About 4*W chunks per dimension gives the pool slack to
-			// balance; tiles below 8 points per side would defeat the span
-			// engine's dispatch amortization.
-			w = (sizes[d] + 4*W - 1) / (4 * W)
+			w = (sizes[d] + chunks - 1) / chunks
 			if w < 8 {
 				w = 8
 			}
@@ -304,11 +323,33 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 			w = sizes[d]
 		}
 		tw[d] = w
+		shape[d] = (sizes[d] + w - 1) / w
 	}
-	shape := make([]int, rank)
+	// About 4*W chunks give the pool slack to balance along a dimension a
+	// dependence crosses (the wavefront must be cut for tiles to pipeline)
+	// and along a dependence-free outer dimension (cutting it costs
+	// nothing: a tile still walks whole rows). The span dimension — the
+	// loop's innermost, the one the kernel walks contiguously — is
+	// different when no dependence crosses it: every cut shortens every
+	// row-span of every tile and buys only parallelism, so it is cut only
+	// as far as the pool still lacks independent chains after the other
+	// free dimensions have supplied theirs.
+	span := g.loop.Perm[rank-1]
+	free := 1 // independent chains the dependence-free non-span dimensions supply
 	for d := 0; d < rank; d++ {
-		shape[d] = (sizes[d] + tw[d] - 1) / tw[d]
+		if d == span {
+			continue
+		}
+		setWidth(d, 4*W)
+		if reach[d] == 0 {
+			free *= shape[d]
+		}
 	}
+	chunks := 4 * W
+	if reach[span] == 0 {
+		chunks = (W + free - 1) / free
+	}
+	setWidth(span, chunks)
 
 	// Acyclicity: the offset vectors are tile-space dependence distances,
 	// so if the loop derivation finds a nest satisfying them, the DAG
@@ -407,12 +448,13 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 // tileOffsets derives the tile-space dependence offsets: per non-zero UDV,
 // the cross product over dimensions of {0, sign(dist)} minus the zero
 // vector, with components zeroed where only one tile exists. Deduplicated
-// across UDVs.
+// across UDVs on the offset's sign vector packed base 3 (a session rebuilds
+// every block's graph on every Run, so the build stays off the formatter).
 func tileOffsets(udvs []dep.UDV, shape []int) [][]int {
 	rank := len(shape)
-	seen := map[string]bool{}
+	var seen []int
 	var out [][]int
-	sign := make([]int, rank)
+	sign, cand := make([]int, rank), make([]int, rank)
 	var nz []int
 	for _, u := range udvs {
 		if u.Zero() {
@@ -437,16 +479,19 @@ func tileOffsets(udvs []dep.UDV, shape []int) [][]int {
 			continue
 		}
 		for mask := 1; mask < 1<<len(nz); mask++ {
-			e := make([]int, rank)
+			clear(cand)
 			for i, d := range nz {
 				if mask&(1<<i) != 0 {
-					e[d] = sign[d]
+					cand[d] = sign[d]
 				}
 			}
-			key := fmt.Sprint(e)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, e)
+			key := 0
+			for _, c := range cand {
+				key = key*3 + c + 1
+			}
+			if !slices.Contains(seen, key) {
+				seen = append(seen, key)
+				out = append(out, append([]int(nil), cand...))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package taskdag
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,17 +158,20 @@ func runDAGAndCheckOrder(t *testing.T, g *Graph) {
 	var seq atomic.Int64
 	order := make([]int64, g.Tiles())
 	ran := make([]atomic.Int32, g.Tiles())
+	// Identify a tile by its region (the runner API deliberately passes
+	// regions, not indices).
+	index := make(map[string]int, g.Tiles())
+	for i := 0; i < g.Tiles(); i++ {
+		index[fmt.Sprint(g.TileRegion(i))] = i
+	}
 	g.SetRunner(func(worker int, tile grid.Region) {
-		// Identify the tile by its region (the runner API deliberately
-		// passes regions, not indices).
-		for i := 0; i < g.Tiles(); i++ {
-			if fmt.Sprint(g.TileRegion(i)) == fmt.Sprint(tile) {
-				ran[i].Add(1)
-				order[i] = seq.Add(1)
-				return
-			}
+		i, ok := index[fmt.Sprint(tile)]
+		if !ok {
+			t.Errorf("runner got unknown tile %v", tile)
+			return
 		}
-		t.Errorf("runner got unknown tile %v", tile)
+		ran[i].Add(1)
+		order[i] = seq.Add(1)
 	})
 	g.Run()
 	for i := 0; i < g.Tiles(); i++ {
@@ -404,4 +408,245 @@ func TestStopIdempotentAndRacesNothing(t *testing.T) {
 	}
 	wg.Wait()
 	g.Stop()
+}
+
+// TestAutoGeometry pins the automatic tile geometry per dependence class and
+// pool width: a dimension a dependence crosses, and a dependence-free outer
+// dimension, are cut into about 4*W chunks; a dependence-free span dimension
+// (the loop's innermost) only into the ceil(W/P) chunks the pool still lacks
+// once the other free dimensions supply P. Restoring the 4*W cut on the span
+// dimension fails here, on the shape, not on a timing threshold.
+func TestAutoGeometry(t *testing.T) {
+	workers := []int{1, 2, 3, 8}
+	u := func(d ...int) dep.UDV { return dep.UDV{Dist: grid.Direction(d), Kind: dep.True} }
+	size := func(n ...int) grid.Region {
+		dims := make([]grid.Range, len(n))
+		for i, s := range n {
+			dims[i] = grid.NewRange(2, s+1)
+		}
+		return grid.MustRegion(dims...)
+	}
+	perm3 := []int{0, 1, 2}
+	cases := []struct {
+		name   string
+		region grid.Region
+		perm   []int
+		udvs   []dep.UDV
+		tileW  []int
+		want   [4][]int // tiles per dimension at W = 1, 2, 3, 8
+	}{
+		{"tomcatv-forward", size(509, 510), []int{0, 1}, []dep.UDV{u(1, 0), u(0, 0)}, nil,
+			[4][]int{{4, 1}, {8, 2}, {12, 3}, {32, 8}}},
+		{"tomcatv-backward", size(509, 510), []int{0, 1}, []dep.UDV{u(-1, 0), u(0, 0)}, nil,
+			[4][]int{{4, 1}, {8, 2}, {12, 3}, {32, 8}}},
+		{"sw-both-carried-diagonal", size(512, 512), []int{0, 1}, []dep.UDV{u(0, 1), u(1, 0), u(1, 1)}, nil,
+			[4][]int{{4, 4}, {8, 8}, {12, 12}, {32, 32}}},
+		{"span-carried-outer-free", size(512, 512), []int{0, 1}, []dep.UDV{u(0, 1)}, nil,
+			[4][]int{{4, 4}, {8, 8}, {12, 12}, {32, 32}}},
+		{"plain-no-udvs", size(509, 510), []int{0, 1}, nil, nil,
+			[4][]int{{4, 1}, {8, 1}, {12, 1}, {32, 1}}},
+		{"span-is-dim0", size(510, 509), []int{1, 0}, []dep.UDV{u(0, 1)}, nil,
+			[4][]int{{1, 4}, {2, 8}, {3, 12}, {8, 32}}},
+		{"rank3-one-carried-two-free", size(256, 256, 64), perm3, []dep.UDV{u(1, 0, 0)}, nil,
+			[4][]int{{4, 4, 1}, {8, 8, 1}, {12, 12, 1}, {32, 32, 1}}},
+		// The free outer dimension is only 16 wide (two 8-point chunks), so
+		// the span dimension makes up the rest: ceil(W/2) chunks.
+		{"rank3-short-free-outer", size(256, 16, 512), perm3, []dep.UDV{u(1, 0, 0)}, nil,
+			[4][]int{{4, 2, 1}, {8, 2, 1}, {12, 2, 2}, {32, 2, 4}}},
+		{"sweep3d-all-carried", size(64, 64, 64), perm3, []dep.UDV{u(1, 0, 0), u(0, 1, 0), u(0, 0, 1)}, nil,
+			[4][]int{{4, 4, 4}, {8, 8, 8}, {8, 8, 8}, {8, 8, 8}}},
+		{"span-narrower-than-8W", size(509, 20), []int{0, 1}, []dep.UDV{u(1, 0)}, nil,
+			[4][]int{{4, 1}, {8, 2}, {12, 3}, {32, 3}}},
+		{"explicit-both", size(509, 510), []int{0, 1}, []dep.UDV{u(1, 0)}, []int{64, 64},
+			[4][]int{{8, 8}, {8, 8}, {8, 8}, {8, 8}}},
+		{"explicit-span-only", size(509, 510), []int{0, 1}, []dep.UDV{u(1, 0)}, []int{0, 64},
+			[4][]int{{4, 8}, {8, 8}, {12, 8}, {32, 8}}},
+		{"explicit-outer-only", size(509, 510), []int{0, 1}, []dep.UDV{u(1, 0)}, []int{64},
+			[4][]int{{8, 1}, {8, 2}, {8, 3}, {8, 8}}},
+		// An explicit cut of a free outer dimension counts toward P.
+		{"explicit-free-outer-feeds-span", size(256, 64, 512), perm3, []dep.UDV{u(1, 0, 0)}, []int{0, 32},
+			[4][]int{{4, 2, 1}, {8, 2, 1}, {12, 2, 2}, {32, 2, 4}}},
+	}
+	for _, c := range cases {
+		for wi, W := range workers {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, W), func(t *testing.T) {
+				loop, err := dep.DerivePreferred(len(c.perm), c.udvs, dep.Preference{DimOrder: c.perm, PreferLow: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(loop.Perm) != fmt.Sprint(c.perm) {
+					t.Fatalf("derived perm %v, case wants %v", loop.Perm, c.perm)
+				}
+				g, err := New(c.region, loop, c.udvs, Options{Workers: W, TileW: c.tileW})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer g.Stop()
+				if got := g.Shape(); fmt.Sprint(got) != fmt.Sprint(c.want[wi]) {
+					t.Fatalf("shape = %v, want %v", got, c.want[wi])
+				}
+				// The shapes this rule produces — W long chains, nothing to
+				// steal once each worker holds one — must still hand off
+				// through park/unpark correctly.
+				runDAGAndCheckOrder(t, g)
+			})
+		}
+	}
+}
+
+// TestAutoGeometryProperty sweeps random legal UDV sets over odd-sized,
+// strided regions: whatever geometry decompose picks, the tiles partition the
+// region exactly once, the tile graph is acyclic and the pool drains it, and
+// an automatically cut dependence-free span dimension never has more chunks
+// than the pool has workers.
+func TestAutoGeometryProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	legal := 0
+	for trial := 0; trial < 600; trial++ {
+		rank := 2 + rng.Intn(2)
+		udvs := make([]dep.UDV, rng.Intn(4))
+		for i := range udvs {
+			d := make(grid.Direction, rank)
+			for k := range d {
+				if rng.Intn(2) == 0 {
+					d[k] = rng.Intn(5) - 2
+				}
+			}
+			udvs[i] = dep.UDV{Dist: d, Kind: dep.True}
+		}
+		loop, err := dep.DerivePreferred(rank, udvs, dep.Preference{PreferLow: true})
+		if err != nil {
+			continue
+		}
+		legal++
+		dims := make([]grid.Range, rank)
+		maxSize := 61
+		if rank == 3 {
+			maxSize = 27
+		}
+		for d := range dims {
+			lo, stride := rng.Intn(7)-3, 1+rng.Intn(2)
+			n := 1 + 2*rng.Intn(maxSize/2+1) // odd
+			dims[d] = grid.Range{Lo: lo, Hi: lo + (n-1)*stride, Stride: stride}
+		}
+		region := grid.MustRegion(dims...)
+		W := 1 + rng.Intn(8)
+		g, err := New(region, loop, udvs, Options{Workers: W})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		desc := fmt.Sprintf("trial %d: region %v udvs %v perm %v W=%d shape %v", trial, region, udvs, loop.Perm, W, g.Shape())
+
+		covered := make([]int, region.Size())
+		for i := 0; i < g.Tiles(); i++ {
+			g.TileRegion(i).Each(nil, func(p grid.Point) {
+				at := 0
+				for d, r := range dims {
+					if !r.Contains(p[d]) {
+						t.Fatalf("%s: tile %d holds %v, outside the region", desc, i, p)
+					}
+					at = at*r.Size() + (p[d]-r.Lo)/r.Stride
+				}
+				covered[at]++
+			})
+		}
+		for at, n := range covered {
+			if n != 1 {
+				t.Fatalf("%s: point #%d covered %d times", desc, at, n)
+			}
+		}
+
+		span := loop.Perm[rank-1]
+		free := true
+		for _, u := range udvs {
+			if u.Dist[span] != 0 {
+				free = false
+			}
+		}
+		if free && g.Shape()[span] > W {
+			t.Fatalf("%s: dependence-free span dimension %d cut into more chunks than workers", desc, span)
+		}
+
+		// Kahn's algorithm over the predecessor lists: every tile must
+		// retire, or the graph has a cycle and Run would hang.
+		indeg := make([]int, g.Tiles())
+		succs := make([][]int, g.Tiles())
+		var ready []int
+		for i := range indeg {
+			ps := g.Preds(i)
+			indeg[i] = len(ps)
+			for _, p := range ps {
+				succs[p] = append(succs[p], i)
+			}
+			if len(ps) == 0 {
+				ready = append(ready, i)
+			}
+		}
+		retired := 0
+		for len(ready) > 0 {
+			i := ready[len(ready)-1]
+			ready = ready[:len(ready)-1]
+			retired++
+			for _, s := range succs[i] {
+				if indeg[s]--; indeg[s] == 0 {
+					ready = append(ready, s)
+				}
+			}
+		}
+		if retired != g.Tiles() {
+			t.Fatalf("%s: only %d of %d tiles can retire (cyclic tile graph)", desc, retired, g.Tiles())
+		}
+		var ran atomic.Int64
+		g.SetRunner(func(int, grid.Region) { ran.Add(1) })
+		g.Run()
+		g.Stop()
+		if int(ran.Load()) != g.Tiles() {
+			t.Fatalf("%s: pool ran %d of %d tiles", desc, ran.Load(), g.Tiles())
+		}
+	}
+	if legal < 100 {
+		t.Fatalf("only %d of 600 random UDV sets were legal; the sweep proves little", legal)
+	}
+}
+
+// TestBuildAllocs bounds what one graph build allocates on the two UDV sets
+// a session rebuilds graphs for most (Tomcatv's row-carried pair and
+// Smith-Waterman's three, diagonal included): the tile-offset dedup must not
+// format a string and insert into a map per candidate offset.
+func TestBuildAllocs(t *testing.T) {
+	u := func(d ...int) dep.UDV { return dep.UDV{Dist: grid.Direction(d), Kind: dep.True} }
+	for _, c := range []struct {
+		name  string
+		udvs  []dep.UDV
+		tiles int
+		max   float64
+	}{
+		// Measured 57 and 111; the string-keyed dedup read 64 and 139 (a
+		// formatted key per candidate offset per UDV, plus the map).
+		{"tomcatv", []dep.UDV{u(1, 0), u(0, 0), {Dist: grid.Direction{0, 0}, Kind: dep.Anti}, u(1, 0), u(0, 0)}, 8, 60},
+		{"sw", []dep.UDV{u(0, 1), u(0, 1), u(1, 0), u(1, 0), u(1, 1), u(0, 0)}, 16, 118},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			region := grid.Square(2, 1, 64)
+			opt := Options{Workers: 1, TileW: []int{16, 16}}
+			if c.name == "tomcatv" {
+				opt.TileW = []int{8, 64}
+			}
+			build := func() *Graph {
+				g, err := New(region, loop2(), c.udvs, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			if got := build().Tiles(); got != c.tiles {
+				t.Fatalf("graph has %d tiles, want %d", got, c.tiles)
+			}
+			allocs := testing.AllocsPerRun(20, func() { build().Stop() })
+			t.Logf("%s: %.0f allocs per build (%d tiles)", c.name, allocs, c.tiles)
+			if allocs > c.max {
+				t.Fatalf("%.0f allocs per build, bound %.0f", allocs, c.max)
+			}
+		})
+	}
 }
