@@ -621,19 +621,24 @@ func BenchmarkFactorization(b *testing.B) {
 }
 
 // BenchmarkMultiOctant prices two counter-propagating octants plus the
-// combine pass: back-to-back blocks vs the merged task-DAG group, whose
-// opposing wavefronts fill each other's ramp idle time on one pool.
+// combine pass at n = 256, like with like: the serial kernel, the blocks
+// back to back each on its own two-worker tile graph, and the one-shot
+// merged group (scan.ExecGroup) whose opposing wavefronts fill each other's
+// ramp idle time on one two-worker pool. Both task-DAG legs build their
+// graphs inside the timed op, as every one-shot caller does.
 func BenchmarkMultiOctant(b *testing.B) {
+	w2 := scan.ExecOptions{Scheduler: scan.SchedTaskDAG, Workers: 2}
 	for _, c := range []struct {
 		name    string
 		grouped bool
 		opt     scan.ExecOptions
 	}{
-		{"sequential", false, scan.ExecOptions{}},
-		{"grouped-w4", true, scan.ExecOptions{Scheduler: scan.SchedTaskDAG, Workers: 4}},
+		{"serial", false, scan.ExecOptions{}},
+		{"blocks-w2", false, w2},
+		{"grouped-w2", true, w2},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			w, err := workload.NewMultiOctant(96, 2, field.RowMajor)
+			w, err := workload.NewMultiOctant(256, 2, field.RowMajor)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -687,7 +692,7 @@ func requireKernelPath(b *testing.B, blk *scan.Block, env *wavefront.Env, engine
 
 // BenchmarkKernelTapeVsClosure is the engine A/B for this PR's acceptance
 // criterion: the vector tape engine versus the per-point closure engine
-// and the forced scalar tape on the same serial scans. Rank 2 is the
+// and the tape forced to walk point by point on the same serial scans. Rank 2 is the
 // Tomcatv forward wave at n=512 (the span path: dependence along dim 0
 // only, dim 1 runs as unit-stride spans); rank 3 is a Sweep3D octant,
 // where every axis carries a dependence and the tape runs skewed

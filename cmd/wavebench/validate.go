@@ -338,8 +338,9 @@ func runValidate(n, block int) error {
 	}
 
 	// Multi-octant transport: two counter-propagating octants executed as
-	// one scheduling group (merged task DAG at p=1, overlapping sequential
-	// waves otherwise), then the combine pass.
+	// one scheduling group in the session legs (an independence check,
+	// then the blocks back to back, their waves overlapping across ranks),
+	// then the combine pass.
 	{
 		mn, k := 20, 2
 		ref, err := workload.NewMultiOctant(mn, k, field.RowMajor)

@@ -1,8 +1,8 @@
 package wavefront_test
 
 // Critical-path analyzer acceptance tests on a real traced Tomcatv run:
-// the analyzer's whole-run totals and phase envelope must reconcile with
-// the trace summary it shares classification rules with, and an
+// the analyzer's whole-run totals and phase envelope must equal the trace
+// summary's (both read trace.RingClass, the one classifier), and an
 // intentionally falsified send→recv edge in the recorded stream must be
 // caught as a causality violation rather than silently absorbed into the
 // path.
@@ -30,23 +30,6 @@ func tracedTomcatv(t *testing.T, procs, block, n int) *wavefront.TraceRecorder {
 		t.Fatal(err)
 	}
 	return rec
-}
-
-// within1pct reports whether got is within 1% of want (absolute slop of
-// one timer tick for tiny quantities).
-func within1pct(got, want int64) bool {
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	if d <= 1 {
-		return true
-	}
-	w := want
-	if w < 0 {
-		w = -w
-	}
-	return float64(d) <= 0.01*float64(w)
 }
 
 func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
@@ -81,8 +64,9 @@ func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
 
 func checkCritPathAccounting(t *testing.T, rep *wavefront.CritPathReport, sum *wavefront.TraceSummary) {
 	t.Helper()
-	// Whole-run totals: the analyzer classifies every span with the same
-	// rules as trace.Summarize, so the totals must reconcile within 1%.
+	// Whole-run totals and envelope: the analyzer and trace.Summarize read
+	// one classification of the same rings, so they agree to the
+	// nanosecond — no tolerance.
 	var busy, comm, wait time.Duration
 	for _, rs := range sum.Ranks {
 		busy += rs.Busy
@@ -101,8 +85,8 @@ func checkCritPathAccounting(t *testing.T, rep *wavefront.CritPathReport, sum *w
 		{"drain", rep.DrainNs, int64(sum.Drain)},
 	}
 	for _, c := range checks {
-		if !within1pct(c.got, c.want) {
-			t.Errorf("%s: critpath %dns vs summary %dns — off by more than 1%%", c.name, c.got, c.want)
+		if c.got != c.want {
+			t.Errorf("%s: critpath %dns != summary %dns", c.name, c.got, c.want)
 		}
 	}
 

@@ -73,7 +73,13 @@ type sockTransport struct {
 	delivered atomic.Int64
 }
 
-// InFlight reports frames written but not yet enqueued on a link queue.
+// InFlight reports frames written but not yet enqueued on a link queue. The
+// demux loop enqueues a frame before it counts it delivered, so that the
+// deadlock watchdog over- rather than under-counts what is still on its
+// way: the reading can therefore trail the queues by a frame per
+// connection — a receiver may already have consumed a message InFlight
+// still counts — and reaches zero a moment after the last delivery, not
+// necessarily before the Run that received it returns.
 func (s *sockTransport) InFlight() int64 { return s.sent.Load() - s.delivered.Load() }
 
 // sockLink is one ordered pair's sender state, touched only by the sending

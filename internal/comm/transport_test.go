@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"wavefront/internal/fault"
 )
@@ -59,8 +60,16 @@ func TestSockReconnectOnDrop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run across dropped connections = %v", err)
 			}
+			// The demux loop counts a frame delivered after enqueueing it
+			// (see InFlight), so the last receive — and with it Run — can
+			// finish before the counter catches up: it must settle at zero,
+			// not read zero at once.
+			deadline := time.Now().Add(2 * time.Second)
+			for st.InFlight() != 0 && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
 			if n := st.InFlight(); n != 0 {
-				t.Errorf("InFlight after a completed run = %d, want 0", n)
+				t.Errorf("InFlight after a completed run settled at %d, want 0", n)
 			}
 		})
 	}

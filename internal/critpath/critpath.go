@@ -26,11 +26,12 @@
 // spans (a KindWaveRecv wrapping the KindRecv recorded just before it)
 // are never double-counted.
 //
-// Analyze also recomputes the run-level envelope (fill / steady / drain
-// and per-ring busy / comm / wait) with the same classification rules as
-// trace.Summarize, so the report reconciles against the trace summary,
-// and cross-checks every matched message edge for causality: a receive
-// that ends before its sender began is a falsified edge and an error.
+// Analyze also reports the run-level envelope (fill / steady / drain and
+// per-ring busy / comm / wait) from the classification trace.Summarize
+// uses (trace.RingClass), so the report reconciles against the trace
+// summary by construction, and cross-checks every matched message edge
+// for causality: a receive that ends before its sender began is a
+// falsified edge and an error.
 package critpath
 
 import (
@@ -128,8 +129,8 @@ type ModelComparison struct {
 	Samples           float64 `json:"samples"`
 }
 
-// Report is the analyzer's result: the run envelope (same rules as
-// trace.Summarize), the critical path and its attribution, per-wave
+// Report is the analyzer's result: the run envelope (trace.RingClass, as
+// in trace.Summarize), the critical path and its attribution, per-wave
 // slack, and any causal violations.
 type Report struct {
 	Version int   `json:"version"`
@@ -138,7 +139,7 @@ type Report struct {
 	Events  int   `json:"events"`
 	Dropped int64 `json:"dropped"`
 
-	// Run envelope, mirroring trace.Summarize: WallNs spans first start to
+	// Run envelope, as in trace.Summarize: WallNs spans first start to
 	// last end; fill/steady/drain come from the per-ring compute envelopes
 	// (fill + steady + drain == last compute end - first compute start).
 	WallNs   int64 `json:"wall_ns"`
@@ -146,9 +147,9 @@ type Report struct {
 	SteadyNs int64 `json:"steady_ns"`
 	DrainNs  int64 `json:"drain_ns"`
 
-	// Whole-run totals summed over every ring with trace.Summarize's
-	// classification (busy = compute spans, comm = data movement minus
-	// blocked time, wait = blocked receives/sends plus barriers).
+	// Whole-run totals summed over every ring's trace.RingClass (busy =
+	// compute spans, comm = data movement minus blocked time, wait =
+	// blocked receives/sends plus barriers).
 	TotalBusyNs int64 `json:"total_busy_ns"`
 	TotalCommNs int64 `json:"total_comm_ns"`
 	TotalWaitNs int64 `json:"total_wait_ns"`
@@ -363,8 +364,6 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 		}
 	}
 
-	// Run envelope and totals, with trace.Summarize's rules so the report
-	// reconciles against the summary.
 	rep.fillEnvelope(rings)
 
 	// Backward walk from the last event to finish.
@@ -435,85 +434,33 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 }
 
 // fillEnvelope computes WallNs, the fill/steady/drain phase split, and the
-// run totals, ring by ring with trace.Summarize's classification.
+// run totals from the trace package's one ring classification — the same
+// one trace.Summarize reports, so the two reconcile by construction.
 func (rep *Report) fillEnvelope(rings [][]*node) {
-	var minStart, maxEnd int64 = -1, -1
-	var firstStarts, lastEnds []int64
+	env := trace.NewEnvelope()
 	for _, ring := range rings {
-		var busy, comm, wait, kernelBusy int64
-		first, last := int64(-1), int64(-1)
-		kFirst, kLast := int64(-1), int64(-1)
-		hasCompute := false
+		c := trace.NewRingClass()
 		for _, n := range ring {
-			ev := n.ev
-			if minStart < 0 || ev.Start < minStart {
-				minStart = ev.Start
-			}
-			if ev.End > maxEnd {
-				maxEnd = ev.End
-			}
-			d := ev.End - ev.Start
-			switch ev.Kind {
-			case trace.KindCompute, trace.KindTaskTile:
-				hasCompute = true
-				busy += d
-				if first < 0 || ev.Start < first {
-					first = ev.Start
-				}
-				if ev.End > last {
-					last = ev.End
-				}
-			case trace.KindKernel:
-				kernelBusy += d
-				if kFirst < 0 || ev.Start < kFirst {
-					kFirst = ev.Start
-				}
-				if ev.End > kLast {
-					kLast = ev.End
-				}
-			case trace.KindScatter, trace.KindGather:
-				comm += d
-			case trace.KindSend, trace.KindRecv:
-				wait += ev.Blocked
-				comm += d - ev.Blocked
-			case trace.KindBarrier:
-				wait += d
-			}
+			c.Add(&n.ev)
 		}
-		if !hasCompute && kernelBusy > 0 {
-			busy, first, last = kernelBusy, kFirst, kLast
-		}
-		rep.TotalBusyNs += busy
-		rep.TotalCommNs += comm
-		rep.TotalWaitNs += wait
-		if first >= 0 {
-			firstStarts = append(firstStarts, first)
-			lastEnds = append(lastEnds, last)
-		}
+		c.Close()
+		env.Add(&c)
+		rep.TotalBusyNs += int64(c.Busy)
+		rep.TotalCommNs += int64(c.Comm)
+		rep.TotalWaitNs += int64(c.Wait)
 	}
-	if minStart >= 0 {
-		rep.WallNs = maxEnd - minStart
+	rep.WallNs = int64(env.Wall())
+	rep.FillNs, rep.DrainNs = int64(env.Fill()), int64(env.Drain())
+	if env.Computing == 0 {
+		return
 	}
-	if len(firstStarts) > 0 {
-		sort.Slice(firstStarts, func(i, j int) bool { return firstStarts[i] < firstStarts[j] })
-		sort.Slice(lastEnds, func(i, j int) bool { return lastEnds[i] < lastEnds[j] })
-		maxFirst := firstStarts[len(firstStarts)-1]
-		minLast := lastEnds[0]
-		if len(firstStarts) > 1 {
-			rep.FillNs = maxFirst - firstStarts[0]
-			rep.DrainNs = lastEnds[len(lastEnds)-1] - minLast
-		}
-		if s := minLast - maxFirst; s > 0 {
-			rep.SteadyNs = s
-		}
-		rep.fillEndNs = maxFirst
-		rep.steadyEndNs = minLast
-		if rep.steadyEndNs < rep.fillEndNs {
-			// No steady overlap: the drain begins where the fill ends, so
-			// the phase boundaries still partition the timeline.
-			rep.steadyEndNs = rep.fillEndNs
-		}
+	rep.fillEndNs, rep.steadyEndNs = env.FillEnd, env.SteadyEnd
+	if rep.steadyEndNs < rep.fillEndNs {
+		// No steady overlap: the drain begins where the fill ends, so
+		// the phase boundaries still partition the timeline.
+		rep.steadyEndNs = rep.fillEndNs
 	}
+	rep.SteadyNs = rep.steadyEndNs - rep.fillEndNs
 }
 
 // attribute sweeps the path forward with a moving cursor, charging every

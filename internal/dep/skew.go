@@ -36,7 +36,7 @@ func (s Skew) String() string {
 // NoSkewError reports that no positive skew of the two innermost loop levels
 // satisfies the block's dependences, carrying an in-plane witness UDV that
 // every candidate hyperplane failed to carry. The caller falls back to the
-// scalar tape, which follows the derived loop order point by point.
+// point walk, which follows the derived loop order point by point.
 type NoSkewError struct {
 	Witness UDV
 }

@@ -13,7 +13,7 @@ import (
 
 // TestTapeAgreesWithEvalCompile is the tape leg of the engine-consistency
 // suite: the same operator/intrinsic table as TestEvalCompileCompile2Agree,
-// lowered to the span tape and to the forced scalar tape, must reproduce
+// lowered to the tape and run over spans and with spans ruled out, must reproduce
 // the closure engines bit for bit at every point. It lives in the external
 // test package because internal/kernel imports expr.
 func TestTapeAgreesWithEvalCompile(t *testing.T) {
@@ -62,8 +62,8 @@ func TestTapeAgreesWithEvalCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", n, err)
 		}
-		// Span tape (no UDVs: every dimension legal) and scalar tape (a
-		// dependence along each dimension disqualifies spans everywhere).
+		// Spans (no UDVs: every dimension legal) and no spans (a
+		// dependence along each dimension disqualifies them everywhere).
 		for _, scalar := range []bool{false, true} {
 			var udvs []dep.UDV
 			if scalar {

@@ -26,7 +26,8 @@ type Expr struct {
 	n      int
 }
 
-// LowerExpr lowers node against env for regions of the given rank. Scalars
+// LowerExpr lowers node against env for regions of the given rank (a
+// statement with no destination, so no store and no dependence). Scalars
 // are captured now, as Lower captures them. An error means the expression is
 // not tape-executable and the caller should evaluate it per point.
 func LowerExpr(rank int, node expr.Node, env expr.Env) (*Expr, error) {
@@ -34,19 +35,13 @@ func LowerExpr(rank int, node expr.Node, env expr.Env) (*Expr, error) {
 		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
 	}
 	pr := &Program{rank: rank}
-	lw := &lowerer{pr: pr, env: env}
-	v, err := lw.lower(node)
-	if err != nil {
+	lw := newLowerer(pr, env, node)
+	if err := lw.statement(node, yieldDst); err != nil {
 		return nil, err
 	}
-	pr.stmts = []stmtTape{{ins: lw.ins, out: lw.materialize(v), dst: yieldDst}}
-	pr.nregs = lw.high
-	if err := pr.buildFused(); err != nil {
+	if err := pr.finish(lw); err != nil {
 		return nil, err
 	}
-	pr.buildUnit()
-	pr.stmts = nil // there is no destination for a per-point tape to store to
-	pr.allocState()
 	return &Expr{pr: pr}, nil
 }
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math"
 	"testing"
 
 	"wavefront/internal/dep"
@@ -69,77 +68,120 @@ func TestFusedStoreForwarding(t *testing.T) {
 	}
 }
 
-// TestFusedStoreInvalidation: a *shifted* read of an earlier destination
-// must NOT forward (the stored register holds offset-0 values), and a
-// cached load of the destination made before the store must be dropped.
-// The shifted read here is along the span axis at distance (0,1), an
-// anti-dependence the span order preserves; bit-identity against the
-// scalar tape proves the cache invalidation is sound.
+// fuseCase is a two-statement program over fuseEnv's u and v, judged
+// against the closure oracle — expr.Compile'd right-hand sides walked point
+// by point (or span by span) with no tape anywhere near them. The tape's
+// point walk is a third column, not the reference: it executes the very
+// fused tape under test, so agreeing with it proves traversal order, not
+// lowering.
+type fuseCase struct {
+	name       string
+	rhsU, rhsV expr.Node
+	udvs       []dep.UDV
+	want       Path
+	// arraySemantics marks a program that is only legal as whole-span array
+	// operations (no UDVs declared, a shifted self-read along the span): the
+	// span oracle is its reference and the point walk computes something
+	// else, legitimately.
+	arraySemantics bool
+}
+
+func (c fuseCase) run(t *testing.T, n int) {
+	t.Helper()
+	region := grid.Square(2, 0, n-1)
+	loop := dep.Identity(2)
+	lower := func(env *expr.MapEnv) *Program {
+		pr, err := Lower(2, []*field.Field{env.Arrays["u"], env.Arrays["v"]},
+			[]expr.Node{c.rhsU, c.rhsV}, env, c.udvs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return pr
+	}
+	same := func(leg string, got, want *expr.MapEnv) {
+		t.Helper()
+		for _, name := range []string{"u", "v"} {
+			g, w := got.Arrays[name], want.Arrays[name]
+			if p, differ := firstBitDiff(region, g, w); differ {
+				t.Fatalf("%s: %s at %v: %s %v != closure oracle %v", c.name, name, p, leg, g.At(p), w.At(p))
+			}
+		}
+	}
+	oracle := fuseEnv(n)
+	closureOracle(oracle, []string{"u", "v"}, []expr.Node{c.rhsU, c.rhsV}, region, loop, c.arraySemantics)
+
+	fused := fuseEnv(n)
+	if path := lower(fused).Run(region, loop); path != c.want {
+		t.Fatalf("%s: Run took %v, want %v", c.name, path, c.want)
+	}
+	same("fused "+c.want.String()+" run", fused, oracle)
+	if c.arraySemantics {
+		return
+	}
+	points := fuseEnv(n)
+	lower(points).RunScalar(region, loop)
+	same("point walk", points, oracle)
+}
+
+// TestFusedStoreInvalidation: what a store does to the loads cached before
+// it. The stored register forwards to a later offset-zero read, which must
+// see the NEW value and not a load of the old one made before the store; a
+// *shifted* read of the destination must not forward (the stored register
+// holds offset-0 values) and must not reuse a load cached before the store
+// either. All but the last case fail against the closure oracle when
+// loadedValue stops looking at stores; the last pins the path instead — a
+// run of length 1 cannot observe a stale shifted load.
 func TestFusedStoreInvalidation(t *testing.T) {
 	at := func(name string, dist ...int) expr.Node { return expr.Ref(name).At(grid.Direction(dist)) }
-	// Statement 1 reads u@(0,1) then writes u; statement 2 reads u@(0,1)
-	// again — it must see the NEW u, not statement 1's cached load.
-	rhsU := expr.Binary{Op: expr.Add, L: at("u", 0, 1), R: expr.Ref("a")}
-	rhsV := expr.Binary{Op: expr.Add, L: at("u", 0, 1), R: expr.Ref("b")}
-	udvs := []dep.UDV{{Kind: dep.Anti, Dist: grid.Direction{0, -1}, Array: "u"}}
-	region := grid.Square(2, 0, 7)
-	loop := dep.Identity(2)
-
-	envA, envB := fuseEnv(8), fuseEnv(8)
-	prA, err := Lower(2, []*field.Field{envA.Arrays["u"], envA.Arrays["v"]},
-		[]expr.Node{rhsU, rhsV}, envA, udvs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prB, err := Lower(2, []*field.Field{envB.Arrays["u"], envB.Arrays["v"]},
-		[]expr.Node{rhsU, rhsV}, envB, udvs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prA.Run(region, loop)
-	prB.RunScalar(region, loop)
-	for _, name := range []string{"u", "v"} {
-		got, want := envA.Arrays[name], envB.Arrays[name]
-		region.Each(nil, func(p grid.Point) {
-			if math.Float64bits(got.At(p)) != math.Float64bits(want.At(p)) {
-				t.Fatalf("%s at %v: fused %v != scalar %v", name, p, got.At(p), want.At(p))
-			}
-		})
+	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
+	half := func(n expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: expr.Const(0.5), R: n} }
+	for _, c := range []fuseCase{
+		{
+			// Statement 1 loads u, then writes it; statement 2's u is the
+			// stored value.
+			name: "offset-zero re-read over spans",
+			rhsU: add(half(expr.Ref("u")), expr.Ref("a")), rhsV: add(expr.Ref("u"), expr.Ref("b")),
+			want: PathSpan,
+		},
+		{
+			// The same with a carried dependence: the rows above feed u.
+			name: "offset-zero re-read under an outer-carried recurrence",
+			rhsU: add(half(expr.Ref("u")), at("u", -1, 0)), rhsV: add(expr.Ref("u"), at("u", -1, 0)),
+			udvs: []dep.UDV{udv(1, 0)}, want: PathSpan,
+		},
+		{
+			// Statement 1 reads u@(0,1) then writes u over the span;
+			// statement 2 reads u@(0,1) again and must see the new u.
+			name: "shifted re-read along the span",
+			rhsU: add(at("u", 0, 1), expr.Ref("a")), rhsV: add(at("u", 0, 1), expr.Ref("b")),
+			want: PathSpan, arraySemantics: true,
+		},
+		{
+			// Declared as the anti-dependence it is, the same program may
+			// not run as spans; point by point both statements read the old
+			// u@(0,1), which is what the closure engine computes.
+			name: "shifted re-read along the span, dependence declared",
+			rhsU: add(at("u", 0, 1), expr.Ref("a")), rhsV: add(at("u", 0, 1), expr.Ref("b")),
+			udvs: []dep.UDV{{Kind: dep.Anti, Dist: grid.Direction{0, -1}, Array: "u"}}, want: PathScalar,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) { c.run(t, 8) })
 	}
 }
 
 // TestFusedSkewedMultiStatement runs a two-statement recurrence down the
-// skewed path and checks bit-identity against the scalar tape: fusion and
-// skewed addressing compose.
+// skewed path against the closure oracle: fusion and skewed addressing
+// compose. u is a two-dimensional recurrence (skew required) that also
+// reads its own old value; v accumulates the new u at zero distance — the
+// store-forwarded register, not the load statement 1 made before storing.
 func TestFusedSkewedMultiStatement(t *testing.T) {
 	at := func(name string, dist ...int) expr.Node { return expr.Ref(name).At(grid.Direction(dist)) }
 	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
-	// u is a two-dimensional recurrence (skew required); v accumulates u at
-	// zero distance (store-forwarded) plus the same shared src reads.
-	rhsU := add(add(at("u", -1, 0), at("u", 0, -1)), expr.Ref("a"))
-	rhsV := add(expr.Ref("u"), expr.Ref("a"))
-	udvs := []dep.UDV{udv(1, 0), udv(0, 1)}
-	region := grid.Square(2, 0, 9)
-	loop := dep.Identity(2)
-
-	envA, envB := fuseEnv(10), fuseEnv(10)
-	prA, err := Lower(2, []*field.Field{envA.Arrays["u"], envA.Arrays["v"]},
-		[]expr.Node{rhsU, rhsV}, envA, udvs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prB, err := Lower(2, []*field.Field{envB.Arrays["u"], envB.Arrays["v"]},
-		[]expr.Node{rhsU, rhsV}, envB, udvs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path := prA.Run(region, loop); path != PathSkewed {
-		t.Fatalf("Run took %v, want skewed", path)
-	}
-	prB.RunScalar(region, loop)
-	for _, name := range []string{"u", "v"} {
-		if d := envA.Arrays[name].MaxAbsDiff(region, envB.Arrays[name]); d != 0 {
-			t.Errorf("%s: fused skewed run differs from scalar by %g", name, d)
-		}
-	}
+	half := func(n expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: expr.Const(0.5), R: n} }
+	fuseCase{
+		name: "skewed two-statement recurrence",
+		rhsU: add(add(half(at("u", -1, 0)), half(at("u", 0, -1))), add(half(expr.Ref("u")), expr.Ref("a"))),
+		rhsV: add(expr.Ref("u"), expr.Ref("a")),
+		udvs: []dep.UDV{udv(1, 0), udv(0, 1)}, want: PathSkewed,
+	}.run(t, 10)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // Hand-built SSA tapes for the classifier: value i is defined by
-// instruction i, exactly what buildFused hands compactRegs.
+// instruction i, exactly what fuse hands compactRegs.
 
 func ld(fld uint16, off int) instr      { return instr{op: opLoad, fld: fld, off: off} }
 func st(fld, val uint16) instr          { return instr{op: opStore, fld: fld, a: val} }
@@ -236,14 +236,22 @@ func TestProgramStateOwnsItsCacheLines(t *testing.T) {
 	_ = keep
 }
 
-// spanOracle executes statements with the span path's defining semantics
-// through per-point closures only: outer dimensions in the loop's order,
-// and at each outer position statement after statement, each one's
-// right-hand side evaluated over the whole span before any of it is
-// assigned. For a legal block this is what the closure engine computes; for
-// the deliberately unordered programs below (a := a@east + a@west) it is
-// the array semantics the span path promises.
-func spanOracle(env *expr.MapEnv, dsts []string, rhs []expr.Node, region grid.Region, loop dep.LoopSpec) {
+// closureOracle executes statements through per-point closures only, outer
+// dimensions in the loop's order, with one of the two semantics the tape's
+// traversal orders promise.
+//
+// spans: at each outer position, statement after statement, each one's
+// right-hand side evaluated over the whole (ascending) span before any of
+// it is assigned — the span path's defining semantics. For a legal block
+// this is what the closure engine computes; for the deliberately unordered
+// programs below (a := a@east + a@west) it is the array semantics the span
+// path promises.
+//
+// !spans: every loop level stepped in the loop's directions, and at each
+// point every statement evaluated and assigned in turn — what the closure
+// engine computes for any program at all, and so what a walk by runs of
+// length 1 must compute whatever the dependences.
+func closureOracle(env *expr.MapEnv, dsts []string, rhs []expr.Node, region grid.Region, loop dep.LoopSpec, spans bool) {
 	rank := region.Rank()
 	v := loop.Perm[rank-1]
 	var cls []expr.Compiled
@@ -259,7 +267,13 @@ func spanOracle(env *expr.MapEnv, dsts []string, rhs []expr.Node, region grid.Re
 	p := make(grid.Point, rank)
 	var walk func(lvl int)
 	walk = func(lvl int) {
-		if lvl == rank-1 {
+		if lvl == rank {
+			for si := range cls {
+				env.Arrays[dsts[si]].Set(p, cls[si](p))
+			}
+			return
+		}
+		if lvl == rank-1 && spans {
 			for si := range cls {
 				for e := range tmp {
 					p[v] = inner.Lo + e*inner.Stride
@@ -351,22 +365,58 @@ type memopCase struct {
 	loop    dep.LoopSpec
 }
 
-// check runs the case on the tape and through spanOracle from identical
-// inputs and demands bit-identical arrays. It reports whether the tape ran
-// unit-step, which it must exactly when it has something to read or write
-// in place and every field it touches steps by one element along the
-// innermost loop dimension.
-func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
+// lower lowers the case against env with no declared dependences, which
+// leaves every dimension span-legal: Run takes the span path.
+func (c memopCase) lower(t *testing.T, env *expr.MapEnv) *Program {
 	t.Helper()
-	got, want := memopEnv(c.bounds, c.layouts, seed), memopEnv(c.bounds, c.layouts, seed)
 	var dsts []*field.Field
 	for _, d := range c.dsts {
-		dsts = append(dsts, got.Arrays[d])
+		dsts = append(dsts, env.Arrays[d])
 	}
-	pr, err := Lower(c.region.Rank(), dsts, c.rhs, got, nil)
+	pr, err := Lower(c.region.Rank(), dsts, c.rhs, env, nil)
 	if err != nil {
 		t.Fatalf("%s: Lower: %v", c.name, err)
 	}
+	return pr
+}
+
+// firstBitDiff returns the first point of region (canonical order) at which
+// got and want differ bit for bit.
+func firstBitDiff(region grid.Region, got, want *field.Field) (at grid.Point, differ bool) {
+	region.Each(nil, func(p grid.Point) {
+		if !differ && math.Float64bits(got.At(p)) != math.Float64bits(want.At(p)) {
+			at, differ = append(grid.Point(nil), p...), true
+		}
+	})
+	return at, differ
+}
+
+// sameBits demands bit-identical generator arrays over the whole storage.
+func (c memopCase) sameBits(t *testing.T, leg string, got, want *expr.MapEnv) {
+	t.Helper()
+	for _, name := range memopNames {
+		g, w := got.Arrays[name], want.Arrays[name]
+		if p, differ := firstBitDiff(c.bounds, g, w); differ {
+			t.Fatalf("%s: %s: %s at %v: tape %v != closure oracle %v\nstatements: %v := %v\nregion %v loop %v layouts %v",
+				c.name, leg, name, p, g.At(p), w.At(p), c.dsts, c.rhs, c.region, c.loop, c.layouts)
+		}
+	}
+}
+
+// check runs the case on the tape twice from identical inputs — over spans,
+// against the closure oracle's span semantics, and point by point, against
+// its per-point semantics — and demands bit-identical arrays both times.
+// The two semantics differ for most generated programs (a shifted self-read
+// along the span dimension is an array operation on one and a carried
+// dependence on the other); a run of length 1 must be legal for all of
+// them. It reports whether the span leg ran unit-step, which it must
+// exactly when it has something to read or write in place and every field
+// it touches steps by one element along the innermost loop dimension; the
+// point leg must whenever it has something to read or write in place.
+func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
+	t.Helper()
+	got, want := memopEnv(c.bounds, c.layouts, seed), memopEnv(c.bounds, c.layouts, seed)
+	pr := c.lower(t, got)
 	if path := pr.Run(c.region, c.loop); path != PathSpan {
 		t.Fatalf("%s: ran on %v, want the span path", c.name, path)
 	}
@@ -382,16 +432,17 @@ func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
 			t.Fatalf("%s: unit-step = %v, want %v (region %v, layouts %v, loop %v)", c.name, unit, wantUnit, c.region, c.layouts, c.loop)
 		}
 	}
-	spanOracle(want, c.dsts, c.rhs, c.region, c.loop)
-	for _, name := range memopNames {
-		g, w := got.Arrays[name], want.Arrays[name]
-		c.bounds.Each(nil, func(p grid.Point) {
-			if math.Float64bits(g.At(p)) != math.Float64bits(w.At(p)) {
-				t.Fatalf("%s: %s at %v: tape %v != closure oracle %v\nstatements: %v := %v\nregion %v loop %v layouts %v",
-					c.name, name, p, g.At(p), w.At(p), c.dsts, c.rhs, c.region, c.loop, c.layouts)
-			}
-		})
+	closureOracle(want, c.dsts, c.rhs, c.region, c.loop, true)
+	c.sameBits(t, "spans", got, want)
+
+	got, want = memopEnv(c.bounds, c.layouts, seed), memopEnv(c.bounds, c.layouts, seed)
+	pr = c.lower(t, got)
+	pr.RunScalar(c.region, c.loop)
+	if !c.region.Empty() && pr.unitRun != (len(pr.views) > 0) {
+		t.Fatalf("%s: point walk unit-step = %v with %d views", c.name, pr.unitRun, len(pr.views))
 	}
+	closureOracle(want, c.dsts, c.rhs, c.region, c.loop, false)
+	c.sameBits(t, "points", got, want)
 	return unit
 }
 
@@ -436,8 +487,9 @@ func TestInPlaceAliasingTable(t *testing.T) {
 }
 
 // TestInPlaceMatchesClosureProperty is the tape-vs-closure property
-// generator for multi-statement programs: random statements full of
-// self-reads and ±1 views — the span dimension included — over rank 1–3,
+// generator for multi-statement programs, over spans and point by point:
+// random statements full of self-reads and ±1 views — the span dimension
+// included, so the point leg walks real carried dependences — over rank 1–3,
 // both layouts and mixtures, unit and strided regions, every loop order
 // whose innermost dimension the fields make unit-step and the others too,
 // and a 4096-byte row pitch (an aliasing distance the set-associative
@@ -529,10 +581,10 @@ func TestUnitStepMatchesCopyingSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := pr.beginSpans(region, 1)
+			tr := traversal{region: region, loop: dep.Identity(2), path: PathSpan, depth: 1, n: pr.beginSpans(region, 1)}
 			pr.unitRun = pr.unitRun && unit
-			pr.initBase(region, dep.Identity(2), true, 1)
-			pr.runSpan(region, dep.Identity(2), 0, n)
+			pr.initBase(region, tr.loop, true, 1)
+			pr.odometer(&tr, 0)
 			return env
 		}
 		unit, copying := run(true), run(false)

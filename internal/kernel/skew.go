@@ -31,7 +31,7 @@ import (
 // executed before this run starts; a dependence between two points of one
 // run would need dot product zero, which the strict inequality excludes.
 // The runs therefore execute an order-legal permutation of the same
-// per-point arithmetic as the scalar and closure engines — bit-identical
+// per-point arithmetic as the point walk and the closure engine — bit-identical
 // results, the same argument that makes the task-DAG schedule exact.
 
 // skewCache memoizes the hyperplane derivation for one loop spec. A kernel
@@ -78,8 +78,8 @@ func loopEqual(a, b dep.LoopSpec) bool {
 
 // skewRunnable gates the skewed executor on unit region strides along the
 // plane dimensions: UDV distances are in element units, so on a strided
-// region the iteration-space distances would need rescaling — the scalar
-// tape handles that (rare) case instead.
+// region the iteration-space distances would need rescaling — the point
+// walk handles that (rare) case instead.
 func skewRunnable(region grid.Region, sk dep.Skew) bool {
 	return region.Dim(sk.A).Stride == 1 && region.Dim(sk.B).Stride == 1
 }
@@ -108,11 +108,11 @@ func (pr *Program) SkewRunLen(region grid.Region, loop dep.LoopSpec) int {
 	return m
 }
 
-// runSkewed executes the fused tape over hyperplane waves: levels
-// 0..rank-3 step the per-field base offsets exactly as the other odometers
-// do; the two innermost levels execute as diagonal runs.
-func (pr *Program) runSkewed(region grid.Region, loop dep.LoopSpec, sk dep.Skew) {
-	na, nb := region.Dim(sk.A).Size(), region.Dim(sk.B).Size()
+// beginWaves readies the registers and the per-field steps for hyperplane
+// waves of an na × nb plane: stepA/stepB walk the plane's two iteration
+// axes, steps walks one diagonal run. The odometer steps levels 0..rank-3
+// exactly as it does for the other orders; its leaf is execWaves.
+func (pr *Program) beginWaves(loop dep.LoopSpec, sk dep.Skew, na, nb int) {
 	maxRun := (na + sk.Cb - 1) / sk.Cb
 	if m := (nb + sk.Ca - 1) / sk.Ca; m < maxRun {
 		maxRun = m
@@ -131,39 +131,12 @@ func (pr *Program) runSkewed(region grid.Region, loop dep.LoopSpec, sk dep.Skew)
 		pr.stepA[fi], pr.stepB[fi] = sa, sb
 		pr.steps[fi] = sk.Cb*sa - sk.Ca*sb
 	}
-	pr.runSkewOuter(region, loop, 0, na, nb, sk.Ca, sk.Cb)
-}
-
-func (pr *Program) runSkewOuter(region grid.Region, loop dep.LoopSpec, lvl, na, nb, ca, cb int) {
-	if lvl == pr.rank-2 {
-		pr.execWaves(na, nb, ca, cb)
-		return
-	}
-	d := loop.Perm[lvl]
-	r := region.Dim(d)
-	cnt := r.Size()
-	step := r.Stride
-	if loop.Dirs[d] == grid.HighToLow {
-		step = -step
-	}
-	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
-	copy(save, pr.base)
-	for i := 0; ; i++ {
-		pr.runSkewOuter(region, loop, lvl+1, na, nb, ca, cb)
-		if i+1 >= cnt {
-			break
-		}
-		for fi := range pr.base {
-			pr.base[fi] += step * pr.strides[fi][d]
-		}
-	}
-	copy(pr.base, save)
 }
 
 // execWaves sweeps one (A, B) plane wave by wave. base holds each field's
 // flat offset of the plane's iteration origin (both dimensions at their
 // direction start); wave w's run starts at iteration (xlo, y0) and its
-// per-element flat steps were precomputed by runSkewed.
+// per-element flat steps were precomputed by beginWaves.
 func (pr *Program) execWaves(na, nb, ca, cb int) {
 	// Ca⁻¹ mod Cb selects the congruence class of x on each wave; the
 	// coefficients are coprime and tiny, so a linear scan finds it.

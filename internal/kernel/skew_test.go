@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math"
 	"testing"
 
 	"wavefront/internal/dep"
@@ -11,10 +10,11 @@ import (
 )
 
 // skewCase is one recurrence whose dependences rule out span execution, so
-// the tape must either run skewed hyperplane diagonals or fall back to the
-// scalar interpreter. The reference is the scalar tape itself: both paths
-// execute identical per-point arithmetic, so any ordering bug shows up as a
-// bit-level mismatch.
+// the tape must either run skewed hyperplane diagonals or walk point by
+// point. The reference is the closure oracle (closureOracle: compiled
+// right-hand sides, per point, in the derived loop order), which shares
+// nothing with the tape; the tape's own point walk is checked against it
+// too, as a third column.
 type skewCase struct {
 	name   string
 	rank   int
@@ -94,30 +94,41 @@ func skewEnv(rank, n int) *expr.MapEnv {
 	return env
 }
 
-// runSkewPair lowers the case twice against two identical environments,
-// runs the first Program on its chosen path and the second on the forced
-// scalar tape, and returns both dst fields plus the chosen path.
-func runSkewPair(t *testing.T, c skewCase, region grid.Region, n int) (*field.Field, *field.Field, Path) {
+// runSkew lowers the case against two identical environments, runs the
+// first Program on its chosen path and the second on the forced point walk,
+// and holds both to the closure oracle over the whole storage. It returns
+// the chosen path.
+func runSkew(t *testing.T, c skewCase, region grid.Region, n int) Path {
 	t.Helper()
+	lower := func(env *expr.MapEnv) *Program {
+		pr, err := Lower(c.rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{c.node}, env, c.udvs)
+		if err != nil {
+			t.Fatalf("Lower: %v", err)
+		}
+		return pr
+	}
+	oracle := skewEnv(c.rank, n)
+	closureOracle(oracle, []string{"dst"}, []expr.Node{c.node}, region, c.loop, false)
+	want := oracle.Arrays["dst"]
+	same := func(leg string, got *field.Field) {
+		t.Helper()
+		if p, differ := firstBitDiff(got.Bounds(), got, want); differ {
+			t.Errorf("at %v: %s %v != closure oracle %v (region %v)", p, leg, got.At(p), want.At(p), region)
+		}
+	}
 	envA, envB := skewEnv(c.rank, n), skewEnv(c.rank, n)
-	prA, err := Lower(c.rank, []*field.Field{envA.Arrays["dst"]}, []expr.Node{c.node}, envA, c.udvs)
-	if err != nil {
-		t.Fatalf("Lower: %v", err)
-	}
-	prB, err := Lower(c.rank, []*field.Field{envB.Arrays["dst"]}, []expr.Node{c.node}, envB, c.udvs)
-	if err != nil {
-		t.Fatalf("Lower: %v", err)
-	}
-	path := prA.Run(region, c.loop)
-	prB.RunScalar(region, c.loop)
-	return envA.Arrays["dst"], envB.Arrays["dst"], path
+	path := lower(envA).Run(region, c.loop)
+	same(path.String()+" run", envA.Arrays["dst"])
+	lower(envB).RunScalar(region, c.loop)
+	same("point walk", envB.Arrays["dst"])
+	return path
 }
 
-// TestSkewedRecurrenceMatchesScalar pins the skewed executor: recurrences
+// TestSkewedRecurrenceMatchesClosure pins the skewed executor: recurrences
 // whose dependence structure forbids spans run as hyperplane diagonals, the
 // derived coefficients match the decision table, and every point is
-// bit-identical to the scalar tape's in-order execution.
-func TestSkewedRecurrenceMatchesScalar(t *testing.T) {
+// bit-identical to the closure oracle's in-order execution.
+func TestSkewedRecurrenceMatchesClosure(t *testing.T) {
 	const n = 13
 	for _, c := range skewCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -134,17 +145,12 @@ func TestSkewedRecurrenceMatchesScalar(t *testing.T) {
 			if got := pr.SkewRunLen(region, c.loop); got <= 0 {
 				t.Fatalf("SkewRunLen = %d, want > 0", got)
 			}
-			got, want, path := runSkewPair(t, c, region, n)
-			if path != PathSkewed {
+			if sk, ok := pr.skewFor(c.loop); !ok || sk.Ca != c.wantCa || sk.Cb != c.wantCb {
+				t.Fatalf("derived hyperplane (%d,%d) ok=%v, want (%d,%d)", sk.Ca, sk.Cb, ok, c.wantCa, c.wantCb)
+			}
+			if path := runSkew(t, c, region, n); path != PathSkewed {
 				t.Fatalf("Run took %v, want skewed", path)
 			}
-			mismatch := 0
-			region.Each(nil, func(p grid.Point) {
-				if math.Float64bits(got.At(p)) != math.Float64bits(want.At(p)) && mismatch == 0 {
-					mismatch++
-					t.Errorf("at %v: skewed %v != scalar %v", p, got.At(p), want.At(p))
-				}
-			})
 		})
 	}
 }
@@ -165,80 +171,110 @@ func TestSkewedDegenerateRegions(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			region := grid.MustRegion(sh.dims...)
-			got, want, path := runSkewPair(t, c, region, 11)
-			if !region.Dim(0).Empty() && !region.Dim(1).Empty() && path != PathSkewed {
+			if path := runSkew(t, c, grid.MustRegion(sh.dims...), 11); path != PathSkewed {
 				t.Fatalf("Run took %v, want skewed", path)
-			}
-			if d := got.MaxAbsDiff(grid.Square(2, -1, 12), want); d != 0 {
-				t.Errorf("skewed differs from scalar by %g (whole storage, degenerate region %v)", d, region)
 			}
 		})
 	}
 }
 
-// TestSkewedStridedFallsBack pins the legality gate: the skew addressing
-// assumes element-unit distances on both plane dimensions, so a strided
-// region must take the scalar tape instead, and still match it bit for bit.
-func TestSkewedStridedFallsBack(t *testing.T) {
-	c := skewCases()[0]
-	region := grid.MustRegion(grid.Range{Lo: 0, Hi: 10, Stride: 2}, grid.Range{Lo: 0, Hi: 10, Stride: 1})
-	got, want, path := runSkewPair(t, c, region, 11)
-	if path != PathScalar {
-		t.Fatalf("strided region took %v, want scalar fallback", path)
+// TestPointWalkFallbacks pins the cases with neither a span nor a runnable
+// skew to PathScalar — the tape walked one point at a time — and holds
+// them to the closure oracle: a strided plane (the skew addressing assumes
+// element-unit distances on both plane dimensions), a UDV set that admits
+// no positive hyperplane (SkewRunLen must report 0, which is what the
+// profitability gate consults), and a rank-1 recurrence, which has no
+// second level to skew against.
+func TestPointWalkFallbacks(t *testing.T) {
+	dst := func(dist ...int) expr.Node { return expr.Ref("dst").At(grid.Direction(dist)) }
+	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
+	strided := skewCases()[0]
+	strided.name = "strided plane"
+	cases := []struct {
+		skewCase
+		region grid.Region
+	}{
+		{strided, grid.MustRegion(grid.Range{Lo: 0, Hi: 10, Stride: 2}, grid.Range{Lo: 0, Hi: 10, Stride: 1})},
+		{skewCase{
+			name: "no legal skew", rank: 2,
+			// The mirrored anti-diagonal pair refuses every candidate. The
+			// expression itself is a plain stencil; only the declared UDVs
+			// drive path selection.
+			udvs: []dep.UDV{udv(0, 1), udv(1, -1), udv(-1, 1)},
+			node: add(expr.Ref("src"), expr.Const(2)),
+			loop: dep.Identity(2),
+		}, grid.Square(2, 0, 11)},
+		{skewCase{
+			name: "rank-1 recurrence", rank: 1,
+			udvs: []dep.UDV{udv(1)},
+			node: add(dst(-1), expr.Ref("src")),
+			loop: dep.Identity(1),
+		}, grid.Square(1, 0, 11)},
+		{skewCase{
+			name: "rank-1 recurrence, descending", rank: 1,
+			udvs: []dep.UDV{udv(-1)},
+			node: add(dst(1), expr.Ref("src")),
+			loop: dep.LoopSpec{Perm: []int{0}, Dirs: []grid.LoopDir{grid.HighToLow}},
+		}, grid.Square(1, 0, 11)},
 	}
-	if d := got.MaxAbsDiff(region, want); d != 0 {
-		t.Errorf("fallback differs from scalar by %g", d)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := skewEnv(c.rank, 11)
+			pr, err := Lower(c.rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{c.node}, env, c.udvs)
+			if err != nil {
+				t.Fatalf("Lower: %v", err)
+			}
+			if got := pr.SkewRunLen(c.region, c.loop); got != 0 {
+				t.Fatalf("SkewRunLen = %d, want 0 with no runnable skew", got)
+			}
+			if path := runSkew(t, c.skewCase, c.region, 11); path != PathScalar {
+				t.Fatalf("Run took %v, want the point walk", path)
+			}
+		})
 	}
 }
 
-// TestSkewedNoLegalSkewFallsBack: when the UDV set admits no positive
-// hyperplane the run must take the scalar path (and SkewRunLen must report
-// 0, which is what the profitability gate consults).
-func TestSkewedNoLegalSkewFallsBack(t *testing.T) {
-	c := skewCase{
-		rank: 2,
-		// The mirrored anti-diagonal pair refuses every candidate. The
-		// expression itself is a plain stencil; only the declared UDVs
-		// drive path selection.
-		udvs: []dep.UDV{udv(0, 1), udv(1, -1), udv(-1, 1)},
-		node: expr.Binary{Op: expr.Add, L: expr.Ref("src"), R: expr.Const(2)},
+// TestWalkZeroAlloc locks in the steady-state allocation contract of the
+// one odometer under all three of its leaves: after the first run (which
+// leases registers and, off the span path, caches the skew derivation)
+// further runs allocate nothing — the traversal is a value on walk's
+// stack, never a closure built per Run.
+func TestWalkZeroAlloc(t *testing.T) {
+	const n = 24
+	general := skewCases()[1] // (2,1) coefficients
+	rank3 := skewCases()[3]   // one odometer level above the waves
+	spans := skewCase{
+		name: "tomcatv-shaped spans", rank: 2,
+		udvs: []dep.UDV{udv(1, 0)},
+		node: expr.Binary{Op: expr.Add, L: expr.Ref("dst").At(grid.Direction{-1, 0}), R: expr.Ref("src")},
 		loop: dep.Identity(2),
 	}
-	region := grid.Square(2, 0, 11)
-	envP := skewEnv(2, 11)
-	pr, err := Lower(2, []*field.Field{envP.Arrays["dst"]}, []expr.Node{c.node}, envP, c.udvs)
-	if err != nil {
-		t.Fatalf("Lower: %v", err)
-	}
-	if got := pr.SkewRunLen(region, c.loop); got != 0 {
-		t.Fatalf("SkewRunLen = %d, want 0 with no legal skew", got)
-	}
-	got, want, path := runSkewPair(t, c, region, 11)
-	if path != PathScalar {
-		t.Fatalf("Run took %v, want scalar fallback", path)
-	}
-	if d := got.MaxAbsDiff(region, want); d != 0 {
-		t.Errorf("fallback differs from scalar by %g", d)
-	}
-}
-
-// TestSkewedZeroAlloc locks in the steady-state allocation contract for the
-// skewed path: after the first run (which leases registers and caches the
-// derived skew) further runs allocate nothing.
-func TestSkewedZeroAlloc(t *testing.T) {
-	c := skewCases()[1] // general (2,1) coefficients
-	const n = 24
-	env := skewEnv(c.rank, n)
-	pr, err := Lower(c.rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{c.node}, env, c.udvs)
-	if err != nil {
-		t.Fatalf("Lower: %v", err)
-	}
-	region := grid.Square(c.rank, 0, n)
-	if path := pr.Run(region, c.loop); path != PathSkewed { // warm: lease + skew cache
-		t.Fatalf("Run took %v, want skewed", path)
-	}
-	if a := testing.AllocsPerRun(10, func() { pr.Run(region, c.loop) }); a != 0 {
-		t.Errorf("steady-state skewed run allocates %.0f times, want 0", a)
+	for _, c := range []struct {
+		skewCase
+		scalar bool
+		want   Path
+	}{
+		{spans, false, PathSpan},
+		{general, false, PathSkewed},
+		{rank3, false, PathSkewed},
+		{general, true, PathScalar},
+		{rank3, true, PathScalar},
+	} {
+		env := skewEnv(c.rank, n)
+		pr, err := Lower(c.rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{c.node}, env, c.udvs)
+		if err != nil {
+			t.Fatalf("Lower: %v", err)
+		}
+		region := grid.Square(c.rank, 0, n)
+		run := func() Path { return pr.Run(region, c.loop) }
+		if c.scalar {
+			run = func() Path { pr.RunScalar(region, c.loop); return PathScalar }
+		}
+		if path := run(); path != c.want { // warm: lease + skew cache
+			t.Fatalf("%s: Run took %v, want %v", c.name, path, c.want)
+		}
+		if a := testing.AllocsPerRun(10, func() { run() }); a != 0 {
+			t.Errorf("%s on %v: steady-state run allocates %.0f times, want 0", c.name, c.want, a)
+		}
 	}
 }

@@ -1,29 +1,34 @@
-// Package kernel lowers compiled statement right-hand sides into flat
-// instruction tapes executed over whole inner-loop spans at a time — the
+// Package kernel lowers compiled statement right-hand sides into one flat
+// instruction tape executed over whole inner-loop spans at a time — the
 // fused, unit-stride loop bodies the paper credits for the serial speedups
 // of Figure 6 — instead of dispatching a tree of per-point closures.
 //
-// A Program is the lowered form of one block: a shared table of the fields
-// the statements touch, plus one tape per statement. Each tape instruction
-// reads spans (load at a constant flat offset from the current loop
-// position), broadcast constants, or combines scratch registers with
-// arithmetic and intrinsics; the final register stores back to the
-// statement's destination field. Registers are full inner-loop spans leased
-// from a bufpool (or plainly allocated when no pool is attached) and
-// retained across runs, so the steady state allocates nothing. On a run
-// where every field steps by one element — the common case, a row-major
-// span — a field's span is a slice of its storage, and the tape reads
-// operands from it and writes results to it directly wherever classify
-// shows the copy through a register to be unobservable.
+// A Program is the lowered form of one block: a table of the fields the
+// statements touch and one fused tape for all of them (plus that tape's
+// unit-step form, below). Each tape instruction reads spans (load at a
+// constant flat offset from the current loop position), broadcast
+// constants, combines scratch registers with arithmetic and intrinsics, or
+// stores a register back to a statement's destination field. Registers are
+// full inner-loop spans leased from a bufpool (or plainly allocated when no
+// pool is attached) and retained across runs, so the steady state allocates
+// nothing. On a run where every field steps by one element — the common
+// case, a row-major span — a field's span is a slice of its storage, and
+// the unit-step tape reads operands from it and writes results to it
+// directly wherever classify shows the copy through a register to be
+// unobservable.
 //
-// Span legality comes from the block's unconstrained distance vectors: a
-// dimension v is span-executable iff every non-zero UDV either has a zero
-// component along v or a non-zero component along some other dimension (in
-// which case an outer loop carries it and no dependence connects two points
-// of one span). A UDV non-zero only along v — a primed reference whose
-// shift lies in the inner dimension — forces the scalar tape: the same
-// instructions executed point at a time in exactly the derived loop order,
-// still free of per-point closure calls and grid.Point allocations.
+// There is one interpreter (execRun: one run of n points of the tape) and
+// one odometer over the outer loop levels; what varies is the order in
+// which the odometer hands runs to the interpreter. Span legality comes
+// from the block's unconstrained distance vectors: a dimension v is
+// span-executable iff every non-zero UDV either has a zero component along
+// v or a non-zero component along some other dimension (in which case an
+// outer loop carries it and no dependence connects two points of one span).
+// When v is not, the two innermost levels may still admit a hyperplane
+// whose diagonals are runs (skew.go). Failing both — a UDV non-zero only
+// along v with no runnable skew — the same tape is walked one point at a
+// time in exactly the derived loop order: a run of length 1 is legal under
+// any dependence.
 package kernel
 
 import (
@@ -109,14 +114,6 @@ type memView struct {
 	off int
 }
 
-// stmtTape is one statement's lowered form: run the instructions, then
-// store register out to the destination field (unshifted LHS).
-type stmtTape struct {
-	ins []instr
-	out uint16
-	dst uint16 // destination's field-table index
-}
-
 // Program is a block lowered against concrete fields. It is not safe for
 // concurrent use; the pipelined runtime builds one per rank.
 type Program struct {
@@ -125,14 +122,13 @@ type Program struct {
 	data    [][]float64
 	strides [][]int // per field, per dimension
 	lows    [][]int
-	stmts   []stmtTape // per-statement tapes: the scalar (per-point) path
-	nregs   int        // register count of the widest statement tape
-	spanOK  []bool     // per dimension, from the block's UDVs
-	udvs    []dep.UDV  // retained for skew derivation
+	spanOK  []bool    // per dimension, from the block's UDVs
+	udvs    []dep.UDV // retained for skew derivation
 
-	// fused is every statement in one vector pass — loads deduped across
+	// fused is every statement in one pass — loads deduped across
 	// statements, stores inline via opStore, in statement order — executed
-	// per span or per skewed diagonal run. fusedRegs is its register count.
+	// one run at a time: a span, a skewed diagonal, or a single point.
+	// fusedRegs is its register count.
 	fused     []instr
 	fusedRegs int
 
@@ -173,17 +169,18 @@ type Program struct {
 	unitRun bool
 }
 
-// Path identifies which executor a Run actually used.
+// Path identifies the order in which a Run walked the tape: what the
+// odometer hands the interpreter once its outer levels are placed.
 type Path int8
 
 const (
-	// PathScalar is the per-point tape in the derived loop order.
+	// PathScalar is one point at a time — runs of length 1 — with every
+	// loop level stepped in the derived order.
 	PathScalar Path = iota
-	// PathSpan is the vector tape over whole spans of the innermost
-	// (span-legal) dimension.
+	// PathSpan is whole spans of the innermost (span-legal) dimension.
 	PathSpan
-	// PathSkewed is the vector tape over hyperplane (skewed diagonal) runs
-	// of the two innermost loop levels.
+	// PathSkewed is hyperplane (skewed diagonal) runs of the two innermost
+	// loop levels.
 	PathSkewed
 )
 
@@ -213,35 +210,36 @@ func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []
 	if len(dsts) != len(rhs) {
 		return nil, fmt.Errorf("kernel: %d destinations for %d statements", len(dsts), len(rhs))
 	}
-	pr := &Program{rank: rank, stmts: make([]stmtTape, 0, len(rhs))}
-	// One lowerer, one instruction arena: each statement's tape is the
-	// stretch of it emitted while the statement lowered.
-	lw := &lowerer{pr: pr, env: env, ins: make([]instr, 0, 4*len(rhs))}
+	pr := &Program{rank: rank}
+	lw := newLowerer(pr, env, rhs...)
 	for i := range rhs {
 		di, err := pr.fieldIndex(dsts[i])
 		if err != nil {
 			return nil, err
 		}
-		start := len(lw.ins)
-		lw.next, lw.high = 0, 0
-		v, err := lw.lower(rhs[i])
-		if err != nil {
+		if err := lw.statement(rhs[i], di); err != nil {
 			return nil, err
-		}
-		out := lw.materialize(v)
-		pr.stmts = append(pr.stmts, stmtTape{ins: lw.ins[start:len(lw.ins):len(lw.ins)], out: out, dst: di})
-		if lw.high > pr.nregs {
-			pr.nregs = lw.high
 		}
 	}
 	pr.spanOK = spanMask(rank, udvs)
 	pr.udvs = udvs
-	if err := pr.buildFused(); err != nil {
+	if err := pr.finish(lw); err != nil {
 		return nil, err
 	}
+	return pr, nil
+}
+
+// finish turns the lowerer's statements into the program's fused tape and
+// its unit-step form, and carves the per-run state.
+func (pr *Program) finish(lw *lowerer) error {
+	ssa, err := fuse(lw.ins, lw.regs)
+	if err != nil {
+		return err
+	}
+	pr.fused, pr.fusedRegs = compactRegs(ssa)
 	pr.buildUnit()
 	pr.allocState()
-	return pr, nil
+	return nil
 }
 
 // cacheLine is the coherence granule the per-span state is kept apart by.
@@ -271,7 +269,7 @@ func (pr *Program) allocState() {
 // buildUnit derives the unit-step tape from the annotated fused tape: the
 // elided loads and stores go, each elided load and each in-place
 // destination becomes a view, and operands are renumbered into ops —
-// registers keep their numbers, view k is ops[regCount()+k]. A program
+// registers keep their numbers, view k is ops[Registers()+k]. A program
 // with nothing to elide has no views and never runs unit-step.
 func (pr *Program) buildUnit() {
 	nv := 0
@@ -283,7 +281,7 @@ func (pr *Program) buildUnit() {
 	if nv == 0 {
 		return
 	}
-	r := pr.regCount()
+	r := pr.Registers()
 	pr.views = make([]memView, 0, nv)
 	pr.unit = make([]instr, 0, len(pr.fused)-nv)
 	view := func(fld uint16, off int) uint16 {
@@ -312,19 +310,6 @@ func (pr *Program) buildUnit() {
 	}
 }
 
-// regCount is the number of scratch registers the program leases: the
-// wider of the per-statement file and the fused pass's, at least one.
-func (pr *Program) regCount() int {
-	nr := pr.nregs
-	if pr.fusedRegs > nr {
-		nr = pr.fusedRegs
-	}
-	if nr < 1 {
-		nr = 1
-	}
-	return nr
-}
-
 // readsA reports whether o reads register operand a (opStore reads a as its
 // value to store); readsB likewise for b.
 func readsA(o op) bool { return o != opLoad && o != opConst }
@@ -337,57 +322,44 @@ func readsB(o op) bool {
 	return false
 }
 
-// buildFused concatenates the statement tapes into the single vector pass
-// the span and skewed executors run: statements stay in order (each one's
-// opStore precedes the next statement's instructions, exactly the order
-// execSpans used to produce), but a load of a field at an offset already
-// loaded reuses the earlier register, and a store forwards its register to
-// subsequent loads of the stored field at offset zero while invalidating
-// that field's other cached loads. The reused register holds exactly the
-// values a fresh load would read, so the fused pass is bit-identical to the
-// per-statement passes. Registers are renamed to SSA form first — a value's
-// SSA name is the tape index of the instruction that defines it — then
-// compacted through a last-use scan back to a stack-discipline footprint.
-// A statement whose destination is yieldDst (a bare expression) ends in
-// opYield instead of a store.
-func (pr *Program) buildFused() error {
-	total := len(pr.stmts)
-	for _, st := range pr.stmts {
-		total += len(st.ins)
+// fuse rewrites the lowerer's output — the statements one after another,
+// each ending in its opStore (or opYield), over nregs stack-discipline
+// registers — into the single pass every traversal runs. Statements stay in
+// order, but a load of a field at an offset already loaded reuses the
+// earlier register, and a store forwards its register to subsequent loads
+// of the stored field at offset zero while invalidating that field's other
+// cached loads. The reused register holds exactly the values a fresh load
+// would read, so the fused pass is bit-identical to the unfused one.
+// Registers are renamed to SSA form here — a value's SSA name is the tape
+// index of the instruction that defines it (every statement defines its
+// registers before it reads them, so one remap table serves them all) —
+// and compacted by compactRegs back to a stack-discipline footprint.
+func fuse(ins []instr, nregs int) ([]instr, error) {
+	if len(ins) > 0xffff {
+		return nil, fmt.Errorf("kernel: fused tape needs too many registers")
 	}
-	if total > 0xffff {
-		return fmt.Errorf("kernel: fused tape needs too many registers")
-	}
-	remap := make([]uint16, pr.nregs)
-	ssa := make([]instr, 0, total)
-	for _, st := range pr.stmts {
-		for _, in := range st.ins {
-			if in.op == opLoad {
-				if r, ok := loadedValue(ssa, in.fld, in.off); ok {
-					remap[in.dst] = r
-					continue
-				}
+	remap := make([]uint16, nregs)
+	ssa := make([]instr, 0, len(ins))
+	for _, in := range ins {
+		if in.op == opLoad {
+			if r, ok := loadedValue(ssa, in.fld, in.off); ok {
+				remap[in.dst] = r
+				continue
 			}
-			ni := in
-			if readsA(in.op) {
-				ni.a = remap[in.a]
-			}
-			if readsB(in.op) {
-				ni.b = remap[in.b]
-			}
-			ni.dst = uint16(len(ssa))
-			remap[in.dst] = ni.dst
-			ssa = append(ssa, ni)
 		}
-		out := remap[st.out]
-		if st.dst == yieldDst {
-			ssa = append(ssa, instr{op: opYield, a: out})
-			continue
+		if readsA(in.op) {
+			in.a = remap[in.a]
 		}
-		ssa = append(ssa, instr{op: opStore, a: out, fld: st.dst})
+		if readsB(in.op) {
+			in.b = remap[in.b]
+		}
+		if in.op != opStore && in.op != opYield {
+			remap[in.dst] = uint16(len(ssa))
+			in.dst = uint16(len(ssa))
+		}
+		ssa = append(ssa, in)
 	}
-	pr.fused, pr.fusedRegs = compactRegs(ssa)
-	return nil
+	return ssa, nil
 }
 
 // loadedValue finds the SSA value on the tape so far that already holds
@@ -570,14 +542,13 @@ func spanMask(rank int, udvs []dep.UDV) []bool {
 // SpanOK reports whether dimension v may run as whole spans.
 func (pr *Program) SpanOK(v int) bool { return pr.spanOK[v] }
 
-// Registers returns the scratch register count the program leases — the
-// wider of the scalar path's per-statement file and the fused pass's file
-// (for tests and sizing).
+// Registers returns the scratch register count the program leases: the
+// fused tape's file, at least one.
 func (pr *Program) Registers() int {
-	if pr.fusedRegs > pr.nregs {
-		return pr.fusedRegs
+	if pr.fusedRegs < 1 {
+		return 1
 	}
-	return pr.nregs
+	return pr.fusedRegs
 }
 
 // FusedLoads returns the number of load instructions in the fused pass
@@ -648,22 +619,67 @@ type val struct {
 	konst bool
 }
 
-// lowerer emits statement tapes with stack-discipline register reuse:
-// registers free in LIFO order, so a tree of depth d needs O(d) registers
-// (next and high restart with every statement).
+// lowerer emits a block's statements into one instruction stream with
+// stack-discipline register reuse: registers free in LIFO order, so a tree
+// of depth d needs O(d) registers. next restarts with every statement;
+// regs is the widest any of them got.
 type lowerer struct {
 	pr   *Program
 	env  expr.Env
 	ins  []instr
 	next int
-	high int
+	regs int
+}
+
+// newLowerer sizes the instruction stream for the statements it is about to
+// lower, so lowering allocates it once and leaves no outgrown copies behind.
+func newLowerer(pr *Program, env expr.Env, rhs ...expr.Node) *lowerer {
+	n := len(rhs) // one store (or yield) each
+	for _, r := range rhs {
+		n += maxInstrs(r)
+	}
+	return &lowerer{pr: pr, env: env, ins: make([]instr, 0, n)}
+}
+
+// maxInstrs bounds the instructions n lowers to: at most one per node,
+// since constants fold into their consumers and never expand.
+func maxInstrs(n expr.Node) int {
+	k := 1
+	switch t := n.(type) {
+	case expr.Unary:
+		k += maxInstrs(t.X)
+	case expr.Binary:
+		k += maxInstrs(t.L) + maxInstrs(t.R)
+	case expr.Call:
+		for _, a := range t.Args {
+			k += maxInstrs(a)
+		}
+	}
+	return k
+}
+
+// statement lowers rhs followed by the store of its value to field dst —
+// or by opYield when dst is yieldDst (a bare expression).
+func (lw *lowerer) statement(rhs expr.Node, dst uint16) error {
+	lw.next = 0
+	v, err := lw.lower(rhs)
+	if err != nil {
+		return err
+	}
+	out := lw.materialize(v)
+	if dst == yieldDst {
+		lw.emit(instr{op: opYield, a: out})
+		return nil
+	}
+	lw.emit(instr{op: opStore, a: out, fld: dst})
+	return nil
 }
 
 func (lw *lowerer) alloc() uint16 {
 	r := lw.next
 	lw.next++
-	if lw.next > lw.high {
-		lw.high = lw.next
+	if lw.next > lw.regs {
+		lw.regs = lw.next
 	}
 	if r > 0xffff {
 		panic("kernel: register overflow")
@@ -949,7 +965,7 @@ func (pr *Program) ensureRegs(n int) {
 	// repointed every span, so the table is padded like the offset tables —
 	// a line of slice headers either side.
 	const pad = (cacheLine + 23) / 24
-	nr := pr.regCount()
+	nr := pr.Registers()
 	pr.ops = make([][]float64, nr+len(pr.views)+2*pad)[pad : pad+nr+len(pr.views)]
 	pr.regs = pr.ops[:nr]
 	for i := range pr.regs {
@@ -959,66 +975,78 @@ func (pr *Program) ensureRegs(n int) {
 }
 
 // Run executes the program over region in the derived loop order and
-// reports which executor ran. When the innermost dimension is
-// span-executable the fused tape runs over whole spans (always ascending —
-// legal, since no dependence connects two points of a span). When it is not
-// but a legal hyperplane of the two innermost levels exists, the fused tape
-// runs over skewed diagonal runs, wave by wave. Otherwise the scalar tape
-// runs the statements interleaved point by point in exactly the loop's
-// directions.
+// reports how it walked the tape. When the innermost dimension is
+// span-executable the tape runs over whole spans (always ascending — legal,
+// since no dependence connects two points of a span). When it is not but a
+// legal hyperplane of the two innermost levels exists, the tape runs over
+// skewed diagonal runs, wave by wave. Otherwise it runs point by point in
+// exactly the loop's directions.
 func (pr *Program) Run(region grid.Region, loop dep.LoopSpec) Path {
-	if region.Rank() != pr.rank {
-		panic(fmt.Sprintf("kernel: region rank %d, program rank %d", region.Rank(), pr.rank))
-	}
-	v := loop.Perm[len(loop.Perm)-1]
-	span := pr.spanOK[v]
-	var sk dep.Skew
-	skew := false
-	if !span && pr.rank >= 2 {
-		if s, ok := pr.skewFor(loop); ok && skewRunnable(region, s) {
-			sk, skew = s, true
-		}
-	}
+	pr.checkRank(region)
 	path := PathScalar
-	switch {
-	case span:
+	var sk dep.Skew
+	if v := loop.Perm[pr.rank-1]; pr.spanOK[v] {
 		path = PathSpan
-	case skew:
-		path = PathSkewed
-	}
-	for d := 0; d < pr.rank; d++ {
-		if region.Dim(d).Empty() {
-			return path
+	} else if pr.rank >= 2 {
+		if s, ok := pr.skewFor(loop); ok && skewRunnable(region, s) {
+			path, sk = PathSkewed, s
 		}
 	}
-	pr.initBase(region, loop, span, v)
-	switch path {
-	case PathSpan:
-		pr.runSpan(region, loop, 0, pr.beginSpans(region, v))
-	case PathSkewed:
-		pr.runSkewed(region, loop, sk)
-	default:
-		pr.ensureRegs(1)
-		pr.runScalar(region, loop, 0)
-	}
+	pr.walk(region, loop, path, sk)
 	return path
 }
 
-// RunScalar executes the scalar tape unconditionally — every statement per
-// point, interleaved, in the derived loop order — regardless of span or
-// skew legality. It is the baseline engine behind -kernel=scalar.
+// RunScalar walks the tape point by point in the derived loop order
+// regardless of span or skew legality. It is the baseline engine behind
+// -kernel=scalar.
 func (pr *Program) RunScalar(region grid.Region, loop dep.LoopSpec) {
+	pr.checkRank(region)
+	pr.walk(region, loop, PathScalar, dep.Skew{})
+}
+
+func (pr *Program) checkRank(region grid.Region) {
 	if region.Rank() != pr.rank {
 		panic(fmt.Sprintf("kernel: region rank %d, program rank %d", region.Rank(), pr.rank))
 	}
+}
+
+// traversal is one walk of a region: the order (path), how many loop levels
+// the odometer steps before it reaches a leaf (depth), and the leaf's
+// shape — n points per run for spans and points, the plane's extents and
+// hyperplane coefficients for waves. It is plain data on walk's stack (no
+// closure per Run), so a steady-state Run allocates nothing.
+type traversal struct {
+	region         grid.Region
+	loop           dep.LoopSpec
+	path           Path
+	depth          int
+	n              int
+	na, nb, ca, cb int
+}
+
+// walk executes the tape over region in the order path names (sk is the
+// hyperplane of PathSkewed).
+func (pr *Program) walk(region grid.Region, loop dep.LoopSpec, path Path, sk dep.Skew) {
 	for d := 0; d < pr.rank; d++ {
 		if region.Dim(d).Empty() {
 			return
 		}
 	}
-	pr.initBase(region, loop, false, 0)
-	pr.ensureRegs(1)
-	pr.runScalar(region, loop, 0)
+	t := traversal{region: region, loop: loop, path: path}
+	v := loop.Perm[pr.rank-1]
+	switch path {
+	case PathSpan:
+		t.depth, t.n = pr.rank-1, pr.beginSpans(region, v)
+	case PathSkewed:
+		t.depth = pr.rank - 2
+		t.na, t.nb, t.ca, t.cb = region.Dim(sk.A).Size(), region.Dim(sk.B).Size(), sk.Ca, sk.Cb
+		pr.beginWaves(loop, sk, t.na, t.nb)
+	default:
+		t.depth, t.n = pr.rank, 1
+		pr.beginPoints()
+	}
+	pr.initBase(region, loop, path == PathSpan, v)
+	pr.odometer(&t, 0)
 }
 
 // beginSpans readies the registers, the per-field steps and the unit-step
@@ -1036,6 +1064,19 @@ func (pr *Program) beginSpans(region grid.Region, v int) int {
 	}
 	pr.setUnitRun(unit)
 	return d.Size()
+}
+
+// beginPoints readies one-element registers for runs of length 1. Such a
+// run has no second element, so any step addresses it; 1 takes the
+// interpreter's contiguous load and store, and the unit-step tape applies
+// whatever the fields' strides are — a single element of a field is always
+// a slice of its storage.
+func (pr *Program) beginPoints() {
+	pr.ensureRegs(1)
+	for fi := range pr.steps {
+		pr.steps[fi] = 1
+	}
+	pr.setUnitRun(len(pr.views) > 0)
 }
 
 // setUnitRun writes only on change: the Program header may share a cache
@@ -1064,26 +1105,32 @@ func (pr *Program) initBase(region grid.Region, loop dep.LoopSpec, span bool, v 
 	}
 }
 
-// runSpan is the outer-loop odometer: levels 0..rank-2 step the per-field
-// base offsets; the innermost level executes the fused tape over one whole
-// span (the per-run steps are fixed before the recursion starts).
-func (pr *Program) runSpan(region grid.Region, loop dep.LoopSpec, lvl, n int) {
-	if lvl == pr.rank-1 {
+// odometer is the one base-offset recursion: loop levels 0..depth-1 step
+// the per-field base offsets in the derived order, and at depth the leaf
+// executes — one run of t.n points at the current position (a whole span,
+// or a single point when every level is stepped), or the wave sweep of the
+// inner plane.
+func (pr *Program) odometer(t *traversal, lvl int) {
+	if lvl == t.depth {
+		if t.path == PathSkewed {
+			pr.execWaves(t.na, t.nb, t.ca, t.cb)
+			return
+		}
 		copy(pr.rbase, pr.base)
-		pr.execRun(n)
+		pr.execRun(t.n)
 		return
 	}
-	d := loop.Perm[lvl]
-	r := region.Dim(d)
+	d := t.loop.Perm[lvl]
+	r := t.region.Dim(d)
 	cnt := r.Size()
 	step := r.Stride
-	if loop.Dirs[d] == grid.HighToLow {
+	if t.loop.Dirs[d] == grid.HighToLow {
 		step = -step
 	}
 	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
 	copy(save, pr.base)
 	for i := 0; ; i++ {
-		pr.runSpan(region, loop, lvl+1, n)
+		pr.odometer(t, lvl+1)
 		if i+1 >= cnt {
 			break
 		}
@@ -1214,98 +1261,4 @@ func (pr *Program) yielded(n int) []float64 {
 		return pr.ops[pr.unit[len(pr.unit)-1].a][:n]
 	}
 	return pr.regs[pr.fused[len(pr.fused)-1].a][:n]
-}
-
-// runScalar is the scalar-tape odometer: all levels step base offsets, and
-// the innermost level executes every statement per point, interleaved, in
-// exactly the derived loop's directions.
-func (pr *Program) runScalar(region grid.Region, loop dep.LoopSpec, lvl int) {
-	d := loop.Perm[lvl]
-	r := region.Dim(d)
-	cnt := r.Size()
-	step := r.Stride
-	if loop.Dirs[d] == grid.HighToLow {
-		step = -step
-	}
-	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
-	copy(save, pr.base)
-	inner := lvl == pr.rank-1
-	for i := 0; ; i++ {
-		if inner {
-			pr.execPoint()
-		} else {
-			pr.runScalar(region, loop, lvl+1)
-		}
-		if i+1 >= cnt {
-			break
-		}
-		for fi := range pr.base {
-			pr.base[fi] += step * pr.strides[fi][d]
-		}
-	}
-	copy(pr.base, save)
-}
-
-// execPoint runs every statement's tape at the current point through the
-// registers' element 0.
-func (pr *Program) execPoint() {
-	for si := range pr.stmts {
-		st := &pr.stmts[si]
-		for ii := range st.ins {
-			in := &st.ins[ii]
-			var x float64
-			switch in.op {
-			case opLoad:
-				x = pr.data[in.fld][pr.base[in.fld]+in.off]
-			case opConst:
-				x = in.imm
-			case opAdd:
-				x = pr.regs[in.a][0] + pr.regs[in.b][0]
-			case opSub:
-				x = pr.regs[in.a][0] - pr.regs[in.b][0]
-			case opMul:
-				x = pr.regs[in.a][0] * pr.regs[in.b][0]
-			case opDiv:
-				x = pr.regs[in.a][0] / pr.regs[in.b][0]
-			case opAddImm:
-				x = pr.regs[in.a][0] + in.imm
-			case opSubImmR:
-				x = pr.regs[in.a][0] - in.imm
-			case opSubImmL:
-				x = in.imm - pr.regs[in.a][0]
-			case opMulImm:
-				x = pr.regs[in.a][0] * in.imm
-			case opDivImmR:
-				x = pr.regs[in.a][0] / in.imm
-			case opDivImmL:
-				x = in.imm / pr.regs[in.a][0]
-			case opNeg:
-				x = -pr.regs[in.a][0]
-			case opSqrt:
-				x = sqrt(pr.regs[in.a][0])
-			case opAbs:
-				x = abs(pr.regs[in.a][0])
-			case opExp:
-				x = exp(pr.regs[in.a][0])
-			case opLog:
-				x = logf(pr.regs[in.a][0])
-			case opMin:
-				x = minf(pr.regs[in.a][0], pr.regs[in.b][0])
-			case opMax:
-				x = maxf(pr.regs[in.a][0], pr.regs[in.b][0])
-			case opPow:
-				x = pow(pr.regs[in.a][0], pr.regs[in.b][0])
-			case opMinImm:
-				x = minf(pr.regs[in.a][0], in.imm)
-			case opMaxImm:
-				x = maxf(pr.regs[in.a][0], in.imm)
-			case opPowImmR:
-				x = pow(pr.regs[in.a][0], in.imm)
-			case opPowImmL:
-				x = pow(in.imm, pr.regs[in.a][0])
-			}
-			pr.regs[in.dst][0] = x
-		}
-		pr.data[st.dst][pr.base[st.dst]] = pr.regs[st.out][0]
-	}
 }

@@ -93,7 +93,7 @@ func genTree(rng *rand.Rand, rank, depth int) expr.Node {
 }
 
 // forceScalar builds UDVs that disqualify every dimension from span
-// execution, steering Run onto the scalar tape.
+// execution, steering Run off the span path.
 func forceScalar(rank int) []dep.UDV {
 	var udvs []dep.UDV
 	for d := 0; d < rank; d++ {
@@ -117,8 +117,9 @@ func randLoop(rng *rand.Rand, rank int) dep.LoopSpec {
 
 // TestTapeMatchesClosure is the core property test: random expression trees
 // × random regions (strided included) × random loop orders must agree
-// bit-for-bit with Eval and Compile, on the span tape and on the forced
-// scalar tape, across ranks 1–3 and both layouts.
+// bit-for-bit with Eval and Compile, over spans and — with spans ruled out
+// — over skewed diagonals or point by point, across ranks 1–3 and both
+// layouts.
 func TestTapeMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 400; iter++ {

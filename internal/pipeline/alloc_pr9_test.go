@@ -256,9 +256,9 @@ func multiOctantSession(t *testing.T, procs int) (*Session, []*scan.Block) {
 // The grouped path (Rank.ExecGroup) does NOT share the zero guarantee: it
 // re-validates group independence on every call (CheckGroupIndependent
 // builds its read/write name sets on the heap), which is the price of
-// refusing to merge an unsound group. TestExecGroupAllocFloor below locks
-// that documented floor in so an accidental per-tile allocation cannot
-// hide inside it.
+// refusing an unsound group. TestExecGroupAllocFloor below pins the grouped
+// pass to exactly that check plus the zero-allocation blocks, so an
+// accidental per-tile allocation cannot hide inside it.
 func TestSteadyWaveZeroAllocsMultiOctant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -349,12 +349,12 @@ func TestSteadyVerdict(t *testing.T) {
 	}
 }
 
-// TestExecGroupAllocFloor documents and bounds the grouped path's per-call
-// allocation floor: the independence validation allocates a handful of
-// map/set nodes per ExecGroup call (a per-CALL cost proportional to the
-// statement count, never to the tile or point count). If this bound ever
-// breaks, either validation grew a per-tile allocation — a real regression
-// — or it got cached, in which case tighten the bound to zero.
+// TestExecGroupAllocFloor pins what a grouped pass allocates: exactly what
+// scan.CheckGroupIndependent allocates (its per-call read/write name sets —
+// proportional to the statement count, never to the tile or point count),
+// because Rank.ExecGroup is that check followed by Exec of each block, and
+// those allocate nothing in the steady state. Measured on the one-rank
+// task-DAG session, where every block runs on its own cached tile graph.
 func TestExecGroupAllocFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -370,15 +370,18 @@ func TestExecGroupAllocFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := measurePassAllocs(t, sess, func(r *Rank) error {
+	grouped := measurePassAllocs(t, sess, func(r *Rank) error {
 		if err := r.ExecGroup(oct); err != nil {
 			return err
 		}
 		return r.Exec(comb)
 	})
-	const floor = 64
-	if allocs > floor {
-		t.Errorf("grouped pass allocated %.0f times per call, want <= %d (validation-only floor)", allocs, floor)
+	check := testing.AllocsPerRun(allocRuns, func() {
+		if err := scan.CheckGroupIndependent(oct); err != nil {
+			panic(err)
+		}
+	})
+	if grouped != check {
+		t.Errorf("grouped pass allocated %.0f times per call, want the independence check's %.0f and nothing else", grouped, check)
 	}
-	t.Logf("grouped multi-octant pass: %.0f allocs per call (validation floor, bounded at %d)", allocs, floor)
 }

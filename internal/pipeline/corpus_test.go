@@ -108,7 +108,7 @@ func TestDifferentialCorpus(t *testing.T) {
 						// Engine legs: the default runs above use the tape
 						// (span or skewed as legality allows); the same cell
 						// forced onto the per-point closure reference path
-						// and onto the forced scalar tape must both stay
+						// and onto the forced point walk must both stay
 						// bit-identical.
 						for _, eng := range []scan.Engine{scan.EngineClosure, scan.EngineScalar} {
 							engEnv := genEnv(seed)

@@ -15,7 +15,7 @@ import (
 // forward/backward scans exercise the span path (dependence along dim 0
 // only), Sweep3D's octants the skewed hyperplane path (a dependence along
 // every dimension, carried by the (1,1) skew of the inner loop pair), and
-// SIMPLE a mix of plain and scan blocks. The forced scalar tape rides
+// SIMPLE a mix of plain and scan blocks. The forced point walk rides
 // along as a third leg: it is the baseline the vector paths are measured
 // against, and it must agree bit for bit too.
 

@@ -629,7 +629,7 @@ type Rank struct {
 	// dirty marks arrays written since their halos were last exchanged.
 	dirty map[string]bool
 	// captured records scalar values baked into compiled kernels, to
-	// detect illegal later changes. Like dags, groupDags and reducers it is
+	// detect illegal later changes. Like dags and reducers it is
 	// allocated on first write: most runs never fill it.
 	captured map[string]float64
 	// wrote marks arrays written at all (gathered at the end).
@@ -656,9 +656,6 @@ type Rank struct {
 	// Exec and reused so steady-state DAG waves allocate nothing. Closed by
 	// releaseScratch when the Run retires.
 	dags map[*scan.Block]*portionDAG
-	// groupDags caches merged multi-block executors built by ExecGroup,
-	// keyed by the group's first block. Closed by releaseScratch.
-	groupDags map[*scan.Block]*groupDAG
 	// portions caches each block's share of this rank (portion builds two
 	// slices per call; slab and block regions never change).
 	portions map[*scan.Block]grid.Region
@@ -1560,9 +1557,6 @@ func (r *Rank) releaseScratch() {
 	}
 	for _, pd := range r.dags {
 		pd.close()
-	}
-	for _, gd := range r.groupDags {
-		gd.close()
 	}
 }
 

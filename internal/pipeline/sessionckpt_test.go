@@ -7,6 +7,7 @@ import (
 	"wavefront/internal/expr"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
+	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
 	"wavefront/internal/trace"
@@ -181,17 +182,27 @@ func crashRecoveryReduceReplay(t *testing.T, n int) {
 	}
 }
 
-// TestSessionMidSweepRecovery crashes a rank inside a wavefront sweep of a
-// multi-block program — rank 1, on the third boundary message of the second
-// forward sweep — with a snapshot every 2 cut points. Under the static
-// schedule a cut point lies at the top of every tile, so the restart must
-// resume from a snapshot cut inside that very sweep rather than re-run it
-// from its start; the task DAG runs a sweep in one piece and restarts it
-// whole. Arrays and the residual history must match serial execution bit for
-// bit either way, also when every sweep opens with the mid-run retune
-// barrier (which is part of the sweep's operation, not one of its own).
-func TestSessionMidSweepRecovery(t *testing.T) {
-	const n, iters, procs = 26, 3, 3
+// midSweepProgram is one program of TestSessionMidSweepRecovery's table: a
+// session body, the crash that interrupts it inside a sweep, and the serial
+// oracle it must still match.
+type midSweepProgram struct {
+	env    *expr.MapEnv
+	domain grid.Region
+	blocks []*scan.Block
+	body   func(r *Rank) error
+	// crash fires on the third boundary message of the sweep it names;
+	// wave is that sweep's index in the trace (which counts from 0).
+	crash fault.Rule
+	wave  int
+	// check compares what the recovered run produced with serial execution.
+	check func(t *testing.T)
+}
+
+// tomcatvMidSweep is three Tomcatv iterations with their residual
+// reductions; rank 1 crashes in the second forward sweep (each iteration
+// runs the forward then the backward sweep, so that is wave 3).
+func tomcatvMidSweep(t *testing.T, n int) midSweepProgram {
+	const iters = 3
 	ref, err := workload.NewTomcatv(n, field.RowMajor)
 	if err != nil {
 		t.Fatal(err)
@@ -205,71 +216,35 @@ func TestSessionMidSweepRecovery(t *testing.T) {
 	}
 	absRx := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
 	absRy := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("ry")}}
-
-	for _, c := range []struct {
-		name    string
-		sched   scan.Scheduler
-		retune  bool
-		midTile bool // the restore must resume inside the crashed sweep
-	}{
-		{"static", scan.SchedStatic, false, true},
-		{"static+retune", scan.SchedStatic, true, true},
-		{"taskdag", scan.SchedTaskDAG, false, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			par, _ := workload.NewTomcatv(n, field.RowMajor)
-			// Each iteration runs the forward then the backward sweep, so the
-			// second forward sweep is wave 3; After counts rank 1's receives
-			// from rank 0 inside it only.
-			inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{{
-				Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any,
-				Wave: 3, After: 2, Action: fault.ActCrash,
-			}}})
-			rec := trace.New(procs*3, trace.DefaultCapacity)
-			cfg := SessionConfig{
-				Procs: procs, Domain: par.All, Block: 4,
-				Scheduler: c.sched, Workers: 2,
-				Faults: inj, Trace: rec,
-				Checkpoint: &CheckpointConfig{Every: 2},
-			}
-			if c.retune {
-				cfg.Metrics = metrics.New(procs)
-				preloadDrift(cfg.Metrics, 100, 5, 2.0)
-				cfg.AutoTune, cfg.AutoTuneEvery = true, 1
-			}
-			blocks := par.Blocks()
-			sess, err := NewSession(par.Env, blocks, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resid := make([]float64, iters)
-			err = sess.Run(func(r *Rank) error {
-				for i := 0; i < iters; i++ {
-					for _, b := range blocks {
-						if err := r.Exec(b); err != nil {
-							return err
-						}
-					}
-					vx, err := r.Reduce(scan.MaxReduce, par.Interior, absRx)
-					if err != nil {
+	par, _ := workload.NewTomcatv(n, field.RowMajor)
+	blocks := par.Blocks()
+	resid := make([]float64, iters)
+	return midSweepProgram{
+		env: par.Env, domain: par.All, blocks: blocks,
+		body: func(r *Rank) error {
+			for i := 0; i < iters; i++ {
+				for _, b := range blocks {
+					if err := r.Exec(b); err != nil {
 						return err
-					}
-					vy, err := r.Reduce(scan.MaxReduce, par.Interior, absRy)
-					if err != nil {
-						return err
-					}
-					if r.ID() == 1 {
-						resid[i] = math.Max(vx, vy)
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("crash did not recover: %v", err)
+				vx, err := r.Reduce(scan.MaxReduce, par.Interior, absRx)
+				if err != nil {
+					return err
+				}
+				vy, err := r.Reduce(scan.MaxReduce, par.Interior, absRy)
+				if err != nil {
+					return err
+				}
+				if r.ID() == 1 {
+					resid[i] = math.Max(vx, vy)
+				}
 			}
-			if inj.Fired() == 0 {
-				t.Fatal("crash rule never fired; the run proves nothing")
-			}
+			return nil
+		},
+		crash: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, After: 2, Action: fault.ActCrash},
+		wave:  2,
+		check: func(t *testing.T) {
 			for _, name := range workload.TomcatvArrays {
 				if d := par.Env.Arrays[name].MaxAbsDiff(par.All, ref.Env.Arrays[name]); d != 0 {
 					t.Errorf("%s differs from serial by %g after recovery", name, d)
@@ -280,16 +255,101 @@ func TestSessionMidSweepRecovery(t *testing.T) {
 					t.Errorf("iter %d: the crashed rank saw residual %g, serial %g", i, resid[i], refResid[i])
 				}
 			}
+		},
+	}
+}
+
+// groupMidSweep is the counter-propagating octant pair run as one
+// ExecGroup, then the combine pass; rank 1 crashes inside the group's
+// second block, whose wave travels from the high ranks down (so its
+// upstream peer is rank 2). Each block of a group is its own checkpoint
+// operation: the first must not be re-executed, the second must resume.
+func groupMidSweep(t *testing.T, n int) midSweepProgram {
+	w, err := workload.NewMultiOctant(n, 2, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := w.Reference()
+	return midSweepProgram{
+		env: w.Env, domain: w.All, blocks: w.Blocks(),
+		body: func(r *Rank) error {
+			if err := r.ExecGroup(w.OctantBlocks()); err != nil {
+				return err
+			}
+			return r.Exec(w.CombineBlock())
+		},
+		crash: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 2, Tag: fault.Any, Wave: 2, After: 2, Action: fault.ActCrash},
+		wave:  1,
+		check: func(t *testing.T) {
+			for _, name := range workload.MultiOctantArrays(2) {
+				if d := w.Env.Arrays[name].MaxAbsDiff(w.Inner, oracle[name]); d != 0 {
+					t.Errorf("%s differs from the reference by %g after recovery", name, d)
+				}
+			}
+		},
+	}
+}
+
+// TestSessionMidSweepRecovery crashes a rank inside a wavefront sweep of a
+// multi-block program — rank 1, on the third boundary message of the sweep
+// — with a snapshot every 2 cut points. Under the static schedule a cut
+// point lies at the top of every tile, so the restart must resume from a
+// snapshot cut inside that very sweep rather than re-run it from its start;
+// the task DAG runs a sweep in one piece and restarts it whole. The result
+// must match serial execution bit for bit either way, also when every sweep
+// opens with the mid-run retune barrier (which is part of the sweep's
+// operation, not one of its own), and when the crashed sweep is the second
+// block of an ExecGroup.
+func TestSessionMidSweepRecovery(t *testing.T) {
+	const n, procs = 26, 3
+	for _, c := range []struct {
+		name    string
+		prog    func(*testing.T, int) midSweepProgram
+		sched   scan.Scheduler
+		retune  bool
+		midTile bool // the restore must resume inside the crashed sweep
+	}{
+		{"static", tomcatvMidSweep, scan.SchedStatic, false, true},
+		{"static+retune", tomcatvMidSweep, scan.SchedStatic, true, true},
+		{"taskdag", tomcatvMidSweep, scan.SchedTaskDAG, false, false},
+		{"group/static", groupMidSweep, scan.SchedStatic, false, true},
+		{"group/taskdag", groupMidSweep, scan.SchedTaskDAG, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := c.prog(t, n)
+			inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{prog.crash}})
+			rec := trace.New(procs*3, trace.DefaultCapacity)
+			cfg := SessionConfig{
+				Procs: procs, Domain: prog.domain, Block: 4,
+				Scheduler: c.sched, Workers: 2,
+				Faults: inj, Trace: rec,
+				Checkpoint: &CheckpointConfig{Every: 2},
+			}
+			if c.retune {
+				cfg.Metrics = metrics.New(procs)
+				preloadDrift(cfg.Metrics, 100, 5, 2.0)
+				cfg.AutoTune, cfg.AutoTuneEvery = true, 1
+			}
+			sess, err := NewSession(prog.env, prog.blocks, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Run(prog.body); err != nil {
+				t.Fatalf("crash did not recover: %v", err)
+			}
+			if inj.Fired() == 0 {
+				t.Fatal("crash rule never fired; the run proves nothing")
+			}
+			prog.check(t)
 			restores := 0
 			for _, ev := range rec.Events() {
 				if ev.Kind != trace.KindRestore {
 					continue
 				}
 				restores++
-				// trace waves count from 0: the second forward sweep is wave 2.
-				if c.midTile && (ev.Rank != 1 || ev.Wave != 2 || ev.Tile < 1) {
-					t.Errorf("restore on rank %d resumed at wave %d tile %d, want rank 1 inside wave 2 (tile > 0)",
-						ev.Rank, ev.Wave, ev.Tile)
+				if c.midTile && (ev.Rank != 1 || ev.Wave != prog.wave || ev.Tile < 1) {
+					t.Errorf("restore on rank %d resumed at wave %d tile %d, want rank 1 inside wave %d (tile > 0)",
+						ev.Rank, ev.Wave, ev.Tile, prog.wave)
 				}
 			}
 			if restores != 1 {

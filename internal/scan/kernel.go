@@ -20,44 +20,26 @@ const (
 	// EngineTape (the default) executes lowered instruction tapes over
 	// whole inner-loop spans where the dependences allow, over skewed
 	// hyperplane runs when every dimension carries a dependence but a
-	// legal skew exists, and with a scalar tape otherwise. Blocks that
+	// legal skew exists, and point by point otherwise. Blocks that
 	// cannot be lowered (unbound names, mismatched field ranks) silently
 	// fall back to the closure path.
 	EngineTape Engine = iota
 	// EngineClosure forces the per-point compiled-closure reference path.
 	EngineClosure
-	// EngineScalar forces the scalar tape — the per-point interpreter in
-	// the derived loop order, with span and skewed execution disabled. It
-	// is the baseline the vector paths are measured against.
+	// EngineScalar forces the point walk — the tape executed one point at a
+	// time in the derived loop order, with span and skewed execution
+	// disabled. It is the baseline the vector orders are measured against.
 	EngineScalar
 )
 
-// Path identifies which executor a kernel Run actually used; the span,
-// skewed, and scalar values mirror kernel.Path, with PathClosure covering
-// both the compiled-closure reference engine and the rank-2 closure pair
-// the tape engine falls back to below the span profitability threshold.
-type Path int8
-
+// pathClosure extends kernel.Path — how a lowered Program walked its tape
+// — with the one executor the kernel package does not own: the compiled
+// closures, both the reference engine and the rank-2 closure pair the tape
+// engine falls back to below the span profitability threshold.
 const (
-	PathScalar Path = iota
-	PathSpan
-	PathSkewed
-	PathClosure
+	pathClosure = kernel.PathSkewed + 1
+	numPaths    = int(pathClosure) + 1
 )
-
-func (p Path) String() string {
-	switch p {
-	case PathScalar:
-		return "scalar"
-	case PathSpan:
-		return "span"
-	case PathSkewed:
-		return "skewed"
-	case PathClosure:
-		return "closure"
-	}
-	return fmt.Sprintf("Path(%d)", int8(p))
-}
 
 // PathCounts tallies, per executor path, how many statement-runs a kernel
 // (or an accumulation of kernels) performed: each Run adds the block's
@@ -92,12 +74,13 @@ type Kernel struct {
 	// Tracing (nil = disabled): every Run records one fused-loop span.
 	tr     *trace.Recorder
 	trRank int
-	// Path accounting: paths tallies locally (always on — four int64 adds
-	// per tile); the resolved counters (nil = disabled) publish to a
-	// metrics registry under mRank's shard.
-	paths                      PathCounts
-	mSpan, mSkew, mScal, mClos *metrics.Counter
-	mRank                      int
+	// Path accounting, indexed by kernel.Path (pathClosure last): paths
+	// tallies locally (always on — one int64 add per tile); the resolved
+	// counters (nil = disabled) publish to a metrics registry under mRank's
+	// shard.
+	paths [numPaths]int64
+	mPath [numPaths]*metrics.Counter
+	mRank int
 	// Tape engine (nil when the block could not be lowered).
 	prog *kernel.Program
 	// Generic closure path.
@@ -221,7 +204,7 @@ func (k *Kernel) Run(region grid.Region, loop dep.LoopSpec) {
 func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 	if k.prog != nil && k.engine == EngineScalar {
 		k.prog.RunScalar(region, loop)
-		k.tally(PathScalar)
+		k.tally(kernel.PathScalar)
 		return
 	}
 	if k.prog != nil && k.engine == EngineTape {
@@ -231,23 +214,16 @@ func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 		// exists, that pair is faster — and bit-identical, so the choice
 		// is pure dispatch.
 		if k.rhs2 == nil || region.Rank() != 2 || k.tapeProfitable(region, loop) {
-			switch k.prog.Run(region, loop) {
-			case kernel.PathSpan:
-				k.tally(PathSpan)
-			case kernel.PathSkewed:
-				k.tally(PathSkewed)
-			default:
-				k.tally(PathScalar)
-			}
+			k.tally(k.prog.Run(region, loop))
 			return
 		}
 		k.run2(region, loop)
-		k.tally(PathClosure)
+		k.tally(pathClosure)
 		return
 	}
 	if k.rhs2 != nil && region.Rank() == 2 {
 		k.run2(region, loop)
-		k.tally(PathClosure)
+		k.tally(pathClosure)
 		return
 	}
 	forEach(region, loop, func(p grid.Point) {
@@ -255,7 +231,7 @@ func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 			k.dst[i].Set(p, k.rhs[i](p))
 		}
 	})
-	k.tally(PathClosure)
+	k.tally(pathClosure)
 }
 
 // minSpan is the inner-run length at which vector (span or skewed-run)
@@ -273,35 +249,30 @@ func (k *Kernel) tapeProfitable(region grid.Region, loop dep.LoopSpec) bool {
 }
 
 // tally records which executor path a Run took, one count per statement.
-func (k *Kernel) tally(p Path) {
+func (k *Kernel) tally(p kernel.Path) {
 	ns := int64(len(k.rhs))
-	switch p {
-	case PathSpan:
-		k.paths.Span += ns
-		k.mSpan.Add(k.mRank, ns)
-	case PathSkewed:
-		k.paths.Skewed += ns
-		k.mSkew.Add(k.mRank, ns)
-	case PathScalar:
-		k.paths.Scalar += ns
-		k.mScal.Add(k.mRank, ns)
-	case PathClosure:
-		k.paths.Closure += ns
-		k.mClos.Add(k.mRank, ns)
-	}
+	k.paths[p] += ns
+	k.mPath[p].Add(k.mRank, ns)
 }
 
 // PathCounts returns the kernel's local executor-path tally.
-func (k *Kernel) PathCounts() PathCounts { return k.paths }
+func (k *Kernel) PathCounts() PathCounts {
+	return PathCounts{
+		Span:    k.paths[kernel.PathSpan],
+		Skewed:  k.paths[kernel.PathSkewed],
+		Scalar:  k.paths[kernel.PathScalar],
+		Closure: k.paths[pathClosure],
+	}
+}
 
 // SetMetrics publishes the kernel's path tallies to reg's kernel_path
 // counters under rank's shard (resolved once here, per the registry's
 // attach-time rule). A nil registry disables publication.
 func (k *Kernel) SetMetrics(reg *metrics.Registry, rank int) {
-	k.mSpan = reg.Counter(metrics.KernelPathSpan)
-	k.mSkew = reg.Counter(metrics.KernelPathSkewed)
-	k.mScal = reg.Counter(metrics.KernelPathScalar)
-	k.mClos = reg.Counter(metrics.KernelPathClosure)
+	k.mPath[kernel.PathSpan] = reg.Counter(metrics.KernelPathSpan)
+	k.mPath[kernel.PathSkewed] = reg.Counter(metrics.KernelPathSkewed)
+	k.mPath[kernel.PathScalar] = reg.Counter(metrics.KernelPathScalar)
+	k.mPath[pathClosure] = reg.Counter(metrics.KernelPathClosure)
 	k.mRank = rank
 }
 

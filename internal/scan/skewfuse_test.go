@@ -42,8 +42,9 @@ func skewExecEnv(n int) *expr.MapEnv {
 
 // TestSkewedEngineSelection pins the scan layer's engine dispatch and path
 // accounting on a skew-requiring recurrence: EngineTape takes the skewed
-// path, EngineScalar forces the scalar tape, EngineClosure the closure
-// path — and all three agree bit for bit.
+// path, EngineScalar forces the point walk, EngineClosure the closure
+// path — and both tape orders agree bit for bit with the closures, the one
+// engine that shares no lowering with them.
 func TestSkewedEngineSelection(t *testing.T) {
 	const n = 16
 	region := grid.MustRegion(grid.NewRange(1, n-1), grid.NewRange(1, n-1))
@@ -84,9 +85,9 @@ func TestSkewedEngineSelection(t *testing.T) {
 	for _, o := range []struct {
 		name string
 		env  *expr.MapEnv
-	}{{"scalar", envS}, {"closure", envC}} {
-		if d := envT.Arrays["a"].MaxAbsDiff(region, o.env.Arrays["a"]); d != 0 {
-			t.Errorf("tape (skewed) differs from %s by %g", o.name, d)
+	}{{"tape (skewed)", envT}, {"tape (point walk)", envS}} {
+		if d := o.env.Arrays["a"].MaxAbsDiff(region, envC.Arrays["a"]); d != 0 {
+			t.Errorf("%s differs from the closure engine by %g", o.name, d)
 		}
 	}
 }
@@ -143,8 +144,8 @@ func mkGroupBlocks(t *testing.T, n, nblocks int) ([]*Block, *expr.MapEnv) {
 
 // TestFuseGroupStatic pins static group fusion: independent same-region
 // scan blocks merge into one block (one tape pass, shared src loaded once),
-// and the fused execution is bit-identical to running the blocks in
-// sequence.
+// and the fused execution — over spans and point by point — is
+// bit-identical to running the blocks in sequence on the closure engine.
 func TestFuseGroupStatic(t *testing.T) {
 	const n = 16
 	blocks, env := mkGroupBlocks(t, n, 2)
@@ -156,10 +157,11 @@ func TestFuseGroupStatic(t *testing.T) {
 		t.Fatalf("fused block has %d statements, want 2", len(fb.Stmts))
 	}
 
-	// Reference: the same group executed sequentially on fresh fields.
+	// Reference: the same group executed sequentially on fresh fields by
+	// compiled closures — no tape, so no shared load to get wrong.
 	refBlocks, refEnv := mkGroupBlocks(t, n, 2)
 	for _, b := range refBlocks {
-		if err := Exec(b, refEnv, ExecOptions{}); err != nil {
+		if err := Exec(b, refEnv, ExecOptions{Engine: EngineClosure}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,9 +169,16 @@ func TestFuseGroupStatic(t *testing.T) {
 	if err := ExecGroup(blocks, env, ExecOptions{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
+	ptBlocks, ptEnv := mkGroupBlocks(t, n, 2)
+	if err := ExecGroup(ptBlocks, ptEnv, ExecOptions{Engine: EngineScalar}); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"u", "v"} {
 		if d := env.Arrays[name].MaxAbsDiff(blocks[0].Region, refEnv.Arrays[name]); d != 0 {
-			t.Errorf("%s: fused group differs from sequential by %g", name, d)
+			t.Errorf("%s: fused group differs from sequential closures by %g", name, d)
+		}
+		if d := ptEnv.Arrays[name].MaxAbsDiff(blocks[0].Region, refEnv.Arrays[name]); d != 0 {
+			t.Errorf("%s: fused group walked point by point differs from sequential closures by %g", name, d)
 		}
 	}
 	// One fused kernel Run tallies both statements on the span path.

@@ -62,114 +62,36 @@ func (r *Recorder) Summarize() *Summary {
 		return nil
 	}
 	s := &Summary{Procs: r.Procs()}
-	var minStart, maxEnd int64 = -1, -1
+	env := NewEnvelope()
 	var computes []span
-	for rank := 0; rank < r.Procs(); rank++ {
-		rs := RankSummary{Rank: rank, FirstComputeStart: -1, LastComputeEnd: -1,
-			Dropped: r.ranks[rank].dropped}
-		events := r.RankEvents(rank)
-		rs.Events = len(events)
-		busyKernel := time.Duration(0)
-		hasCompute := false
-		for _, ev := range events {
-			if minStart < 0 || ev.Start < minStart {
-				minStart = ev.Start
-			}
-			if ev.End > maxEnd {
-				maxEnd = ev.End
-			}
-			d := time.Duration(ev.End - ev.Start)
-			switch ev.Kind {
-			case KindCompute, KindTaskTile:
-				hasCompute = true
-				rs.Busy += d
-				computes = append(computes, span{ev.Start, ev.End})
-				if rs.FirstComputeStart < 0 || ev.Start < rs.FirstComputeStart {
-					rs.FirstComputeStart = ev.Start
-				}
-				if ev.End > rs.LastComputeEnd {
-					rs.LastComputeEnd = ev.End
-				}
-			case KindKernel:
-				busyKernel += d
-			case KindScatter, KindGather:
-				rs.Comm += d
-			case KindSend, KindRecv:
-				// Backpressured sends and blocking receives split into the
-				// blocked wait and the data movement proper. (The separate
-				// KindBlockedSend span covers the same interval as the send's
-				// Blocked field and is not double-counted.)
-				rs.Wait += time.Duration(ev.Blocked)
-				rs.Comm += d - time.Duration(ev.Blocked)
-			case KindBarrier:
-				rs.Wait += d
-			case KindFault:
-				rs.Faults++
-			case KindCancel:
-				rs.Cancels++
-			}
-		}
-		if !hasCompute && busyKernel > 0 {
-			// Serial traces have only fused kernel runs; count them as busy.
-			rs.Busy = busyKernel
-			for _, ev := range events {
-				if ev.Kind != KindKernel {
-					continue
-				}
-				computes = append(computes, span{ev.Start, ev.End})
-				if rs.FirstComputeStart < 0 || ev.Start < rs.FirstComputeStart {
-					rs.FirstComputeStart = ev.Start
-				}
-				if ev.End > rs.LastComputeEnd {
-					rs.LastComputeEnd = ev.End
-				}
-			}
-		}
-		s.Ranks = append(s.Ranks, rs)
-	}
-	if minStart >= 0 {
-		s.Wall = time.Duration(maxEnd - minStart)
-	}
-
-	// Fill and drain from the per-rank compute envelopes.
-	var firstStarts, lastEnds []int64
 	var busyTotal time.Duration
-	for _, rs := range s.Ranks {
-		busyTotal += rs.Busy
-		if rs.FirstComputeStart >= 0 {
-			firstStarts = append(firstStarts, rs.FirstComputeStart)
-			lastEnds = append(lastEnds, rs.LastComputeEnd)
+	for rank := 0; rank < r.Procs(); rank++ {
+		events := r.RankEvents(rank)
+		c := NewRingClass()
+		for i := range events {
+			c.Add(&events[i])
 		}
+		c.Close()
+		env.Add(&c)
+		for i := range events {
+			if ev := &events[i]; c.IsCompute(ev.Kind) {
+				computes = append(computes, span{ev.Start, ev.End})
+			}
+		}
+		busyTotal += c.Busy
+		s.Ranks = append(s.Ranks, RankSummary{
+			Rank: rank, Busy: c.Busy, Comm: c.Comm, Wait: c.Wait,
+			Events: len(events), Dropped: r.ranks[rank].dropped,
+			Faults: c.Faults, Cancels: c.Cancels,
+			FirstComputeStart: c.FirstCompute, LastComputeEnd: c.LastCompute,
+		})
 	}
-	if len(firstStarts) > 1 {
-		s.Fill = time.Duration(maxOf(firstStarts) - minOf(firstStarts))
-		s.Drain = time.Duration(maxOf(lastEnds) - minOf(lastEnds))
-	}
+	s.Wall, s.Fill, s.Drain = env.Wall(), env.Fill(), env.Drain()
 	if s.Wall > 0 && s.Procs > 0 {
 		s.Utilization = float64(busyTotal) / (float64(s.Wall) * float64(s.Procs))
 	}
 	s.Overlap = overlapFraction(computesToIntervals(computes))
 	return s
-}
-
-func minOf(v []int64) int64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(v []int64) int64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 type span struct{ start, end int64 }

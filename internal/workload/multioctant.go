@@ -18,10 +18,13 @@ import (
 //	total  = flux_0 + flux_1 + ...                          (combine pass)
 //
 // The octant blocks are mutually independent (each writes only its own
-// flux array), so they compose into one scheduling group: under the merged
-// task DAG the work-stealing pool interleaves tiles from octants whose
-// wavefronts travel in opposite directions, filling the ramp-up/ramp-down
-// idle time a single diagonal wavefront always has.
+// flux array), so they compose into one scheduling group. The serial
+// executor (scan.ExecGroup under SchedTaskDAG) merges their tile graphs
+// onto one work-stealing pool, which interleaves tiles from octants whose
+// wavefronts travel in opposite directions and so fills the ramp-up /
+// ramp-down idle time a single diagonal wavefront always has; a pipelined
+// session (pipeline.Rank.ExecGroup) runs them back to back and gets its
+// overlap across ranks instead.
 type MultiOctant struct {
 	N, K int
 	Env  *expr.MapEnv

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"wavefront/internal/field"
@@ -95,8 +96,8 @@ func TestMultiOctantGroupValidation(t *testing.T) {
 }
 
 // TestMultiOctantSession: the full program through the pipelined session at
-// p=1/2/4 under both schedulers, via ExecGroup — merged multi-graph at p=1
-// with taskdag, overlapping sequential waves otherwise.
+// p=1/2/4 under both schedulers, via ExecGroup — independence checked, then
+// the octants back to back, their waves overlapping across ranks.
 func TestMultiOctantSession(t *testing.T) {
 	scheds := []struct {
 		name    string
@@ -136,6 +137,60 @@ func TestMultiOctantSession(t *testing.T) {
 						t.Errorf("k=%d %s p=%d: %s differs from oracle by %g", k, sc.name, p, name, d)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMultiOctantVaryingGroups runs groups that share their leading block
+// in one body — [o0,o1], [o0,o2], [o0,o3] (re-sweeping an octant is
+// idempotent) — and demands the reference: every group must execute the
+// blocks it was given. An executor cached per group under its first block,
+// as the session's merged-group graph once was, would run [o0,o1] three
+// times and leave flux2 and flux3 at zero.
+func TestMultiOctantVaryingGroups(t *testing.T) {
+	ref, err := NewMultiOctant(24, 4, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := ref.Reference()
+	for _, c := range []struct {
+		name    string
+		procs   int
+		sched   scan.Scheduler
+		workers int
+	}{
+		{"p1-taskdag-w2", 1, scan.SchedTaskDAG, 2},
+		{"p2-static", 2, scan.SchedStatic, 0},
+	} {
+		w, _ := NewMultiOctant(24, 4, field.RowMajor)
+		sess, err := pipeline.NewSession(w.Env, w.Blocks(), pipeline.SessionConfig{
+			Procs: c.procs, Domain: w.All, Block: 6,
+			Scheduler: c.sched, Workers: c.workers,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		err = sess.Run(func(r *pipeline.Rank) error {
+			oct := w.OctantBlocks()
+			// The combine pass reads what the octant writes: refused before
+			// anything executes.
+			if err := r.ExecGroup([]*scan.Block{oct[0], w.CombineBlock()}); err == nil {
+				return errors.New("a group whose second block reads the first block's output was accepted")
+			}
+			for _, other := range oct[1:] {
+				if err := r.ExecGroup([]*scan.Block{oct[0], other}); err != nil {
+					return err
+				}
+			}
+			return r.Exec(w.CombineBlock())
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, name := range MultiOctantArrays(4) {
+			if d := w.Env.Arrays[name].MaxAbsDiff(w.Inner, oracle[name]); d != 0 {
+				t.Errorf("%s: %s differs from oracle by %g", c.name, name, d)
 			}
 		}
 	}
