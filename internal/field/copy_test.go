@@ -16,24 +16,49 @@ func refCopyRegion(dst *Field, r grid.Region, src *Field) {
 	})
 }
 
+// fillRand writes every element through its index, never Data() flat: a
+// padded field's pad elements must stay zero.
 func fillRand(f *Field, rng *rand.Rand) {
-	for i, d := 0, f.Data(); i < len(d); i++ {
-		d[i] = rng.NormFloat64()
+	f.FillFunc(f.Bounds(), func(grid.Point) float64 { return rng.NormFloat64() })
+}
+
+// mustPadded is MustNew with pad unused elements after every contiguous
+// run — the storage NewLocal produces, at sizes a test can afford.
+func mustPadded(name string, bounds grid.Region, layout Layout, pad int) *Field {
+	f, err := newField(name, bounds, layout, pad)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// checkPadsZero fails if any storage element that no index maps to holds
+// a non-zero value.
+func checkPadsZero(t *testing.T, f *Field) {
+	t.Helper()
+	real := make([]bool, f.Len())
+	f.Bounds().Each(nil, func(p grid.Point) { real[f.Index(p)] = true })
+	for i, v := range f.Data() {
+		if !real[i] && v != 0 {
+			t.Fatalf("%s: pad element %d holds %g, want 0", f.Name(), i, v)
+		}
 	}
 }
 
 // checkCopyAgainstOracle copies r from src into two identically filled
-// destinations, one through CopyRegion and one through the oracle, and
-// requires the whole storage (not just r) to agree bit for bit, so a write
-// outside the region shows too.
-func checkCopyAgainstOracle(t *testing.T, dstBounds grid.Region, dstLayout Layout, r grid.Region, src *Field) {
+// destinations (dstPad pad elements per run), one through CopyRegion and
+// one through the oracle, and requires the whole storage (not just r, and
+// pad elements included) to agree bit for bit, so a write outside the
+// region shows too.
+func checkCopyAgainstOracle(t *testing.T, dstBounds grid.Region, dstLayout Layout, dstPad int, r grid.Region, src *Field) {
 	t.Helper()
-	got := MustNew("got", dstBounds, dstLayout)
-	want := MustNew("want", dstBounds, dstLayout)
+	got := mustPadded("got", dstBounds, dstLayout, dstPad)
+	want := mustPadded("want", dstBounds, dstLayout, dstPad)
 	got.Fill(-7)
 	want.Fill(-7)
 	got.CopyRegion(r, src)
 	refCopyRegion(want, r, src)
+	checkPadsZero(t, got)
 	for i, w := range want.Data() {
 		if g := got.Data()[i]; g != w {
 			t.Fatalf("CopyRegion(%v) %s <- %s %v: storage element %d = %g, want %g",
@@ -89,13 +114,19 @@ func TestCopyRegionMatchesOracle(t *testing.T) {
 			},
 		},
 	}
+	// Every pairing of dense and padded storage: 8 is NewLocal's pad, 3
+	// leaves runs that start on no particular alignment.
 	for _, c := range cases {
 		for _, sl := range layouts {
-			src := MustNew("src", c.srcBounds, sl)
-			fillRand(src, rng)
-			for _, dl := range layouts {
-				for _, r := range c.regions {
-					checkCopyAgainstOracle(t, c.dstBounds, dl, r, src)
+			for _, srcPad := range []int{0, 8} {
+				src := mustPadded("src", c.srcBounds, sl, srcPad)
+				fillRand(src, rng)
+				for _, dl := range layouts {
+					for _, dstPad := range []int{0, 3, 8} {
+						for _, r := range c.regions {
+							checkCopyAgainstOracle(t, c.dstBounds, dl, dstPad, r, src)
+						}
+					}
 				}
 			}
 		}
@@ -103,9 +134,23 @@ func TestCopyRegionMatchesOracle(t *testing.T) {
 }
 
 // TestCopyRegionProperty draws random ranks, layouts, overlapping bounds
-// and strided regions inside their intersection.
+// and strided regions inside their intersection, over dense fields and —
+// second pass, same generator — over fields with a padded pitch on either
+// or both sides.
 func TestCopyRegionProperty(t *testing.T) {
+	for _, padded := range []bool{false, true} {
+		copyRegionProperty(t, padded)
+	}
+}
+
+func copyRegionProperty(t *testing.T, padded bool) {
 	rng := rand.New(rand.NewSource(12))
+	pad := func() int {
+		if !padded {
+			return 0
+		}
+		return []int{0, 1, 8}[rng.Intn(3)]
+	}
 	for iter := 0; iter < 500; iter++ {
 		rank := 1 + rng.Intn(3)
 		sb := make([]grid.Range, rank)
@@ -121,16 +166,23 @@ func TestCopyRegionProperty(t *testing.T) {
 			sb[d] = grid.NewRange(lo-rng.Intn(3), rd[d].Hi+rng.Intn(3))
 			db[d] = grid.NewRange(lo-rng.Intn(3), rd[d].Hi+rng.Intn(3))
 		}
-		src := MustNew("src", grid.MustRegion(sb...), Layout(rng.Intn(2)))
+		src := mustPadded("src", grid.MustRegion(sb...), Layout(rng.Intn(2)), pad())
 		fillRand(src, rng)
-		checkCopyAgainstOracle(t, grid.MustRegion(db...), Layout(rng.Intn(2)), grid.MustRegion(rd...), src)
+		checkCopyAgainstOracle(t, grid.MustRegion(db...), Layout(rng.Intn(2)), pad(), grid.MustRegion(rd...), src)
 	}
 }
 
-func TestCopyRegionPanics(t *testing.T) {
-	big := MustNew("big", grid.Square(2, 0, 9), RowMajor)
-	small := MustNew("small", grid.Square(2, 2, 7), ColMajor)
-	line := MustNew("line", grid.MustRegion(grid.NewRange(0, 9)), RowMajor)
+// TestCopyRegionPanics: every refusal happens before anything is written,
+// over dense fields and over padded ones — where a region one column past
+// the bounds would land on pad elements, inside the storage slice, and
+// must still be refused.
+func TestCopyRegionPanics(t *testing.T)       { copyRegionPanics(t, 0) }
+func TestCopyRegionPanicsPadded(t *testing.T) { copyRegionPanics(t, 8) }
+
+func copyRegionPanics(t *testing.T, pad int) {
+	big := mustPadded("big", grid.Square(2, 0, 9), RowMajor, pad)
+	small := mustPadded("small", grid.Square(2, 2, 7), ColMajor, pad)
+	line := mustPadded("line", grid.MustRegion(grid.NewRange(0, 9)), RowMajor, pad)
 	over := grid.Square(2, 1, 7) // inside big, outside small
 	for _, c := range []struct {
 		name     string

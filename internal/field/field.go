@@ -7,11 +7,25 @@
 // Storage layout is selectable between row-major and column-major so that
 // the cache experiments can reproduce the paper's column-major Fortran
 // setting faithfully.
+//
+// Bounds and pitch are separate things. The bounds say which global indices
+// the field holds; the strides say where they live. A field built by New is
+// dense: Len() equals the bounds' size and Data() holds exactly the
+// elements, in layout order. A field built by NewLocal may carry a row
+// pitch longer than its contiguous extent (see NewLocal for when): then
+// Len() exceeds the bounds' size and Data() is storage order with pad
+// elements after every contiguous run. Pad elements belong to no index —
+// Index, the bulk copies and every kernel address through Stride(d) and
+// never reach them — and they are always zero: nothing here writes them,
+// Fill included. Code that walks Data() flat (snapshots, checksums, a
+// whole-field copy between two fields of one geometry) stays correct; code
+// that wants element k of a dense array must use a field from New.
 package field
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"wavefront/internal/grid"
 )
@@ -41,48 +55,94 @@ type Field struct {
 	strides []int
 	data    []float64
 	layout  Layout
+	// run and pitch describe the storage as contiguous runs: run elements
+	// of the unit-stride dimension, then pitch-run pad elements. A dense
+	// field has pitch == run.
+	run, pitch int
 }
 
 // New allocates a Field whose storage covers the stride-1 bounding box of
-// bounds. The region's strides are ignored for storage purposes.
+// bounds, densely. The region's strides are ignored for storage purposes.
 func New(name string, bounds grid.Region, layout Layout) (*Field, error) {
+	return newField(name, bounds, layout, 0)
+}
+
+// Pitch padding of NewLocal. When a contiguous run is a whole number of
+// aliasPeriod bytes, every run starts at the same offset into a page and —
+// in a set-indexed cache — the same column of every run, of every such
+// field, competes for the same few sets; a tile that walks a narrow band of
+// columns down many rows then misses on rows it touched a moment ago. One
+// cache line of pad per run (padElems float64s) staggers the runs across
+// the sets. A wide band loses more than it gains: its runs no longer start
+// on page boundaries, and at half a row per run the padded walk measured
+// 8–10 % slower than the dense one, level at a quarter (EXPERIMENTS.md,
+// "Tile pitch and halo direction") — hence narrowDiv.
+const (
+	aliasPeriod = 4096
+	padElems    = 8
+	narrowDiv   = 4
+)
+
+// NewLocal is New for storage nobody outside the runtime addresses flat —
+// a rank's local portion of an array — whose owner will walk it in tiles
+// tile elements wide along the contiguous dimension (0: whole runs). The
+// row pitch is padded by one cache line exactly when the contiguous extent
+// is a whole number of 4096 bytes and the tiles are at most a quarter of it
+// wide (512 float64s walked 32 at a time pad; 128 do not, nor do 512
+// walked whole), so such a field may have Len() larger than its bounds'
+// size. Everything else is as New says.
+func NewLocal(name string, bounds grid.Region, layout Layout, tile int) (*Field, error) {
+	pad := 0
+	if rank := bounds.Rank(); rank >= 2 && tile > 0 {
+		unit := rank - 1
+		if layout == ColMajor {
+			unit = 0
+		}
+		if n := bounds.Dim(unit).Size(); n*8%aliasPeriod == 0 && narrowDiv*tile <= n {
+			pad = padElems
+		}
+	}
+	return newField(name, bounds, layout, pad)
+}
+
+// newField allocates the storage box of bounds with pad unused elements
+// after every contiguous run.
+func newField(name string, bounds grid.Region, layout Layout, pad int) (*Field, error) {
 	if bounds.Rank() == 0 {
 		return nil, fmt.Errorf("field %q: rank must be >= 1", name)
 	}
 	dims := make([]grid.Range, bounds.Rank())
-	size := 1
 	for i := 0; i < bounds.Rank(); i++ {
 		d := bounds.Dim(i)
 		if d.Hi < d.Lo {
 			return nil, fmt.Errorf("field %q: empty bounds %v in dim %d", name, d, i)
 		}
 		dims[i] = grid.NewRange(d.Lo, d.Hi)
-		size *= dims[i].Size()
 	}
 	box, err := grid.NewRegion(dims...)
 	if err != nil {
 		return nil, err
 	}
-	f := &Field{
-		name:   name,
-		bounds: box,
-		data:   make([]float64, size),
-		layout: layout,
-	}
-	f.strides = make([]int, box.Rank())
-	if layout == RowMajor {
-		s := 1
-		for i := box.Rank() - 1; i >= 0; i-- {
-			f.strides[i] = s
-			s *= box.Dim(i).Size()
+	f := &Field{name: name, bounds: box, layout: layout}
+	// Strides from the unit-stride dimension outwards; only its extent is
+	// padded, so every outer stride is a whole number of pitches.
+	rank := box.Rank()
+	f.strides = make([]int, rank)
+	s := 1
+	for k := 0; k < rank; k++ {
+		d := rank - 1 - k
+		if layout == ColMajor {
+			d = k
 		}
-	} else {
-		s := 1
-		for i := 0; i < box.Rank(); i++ {
-			f.strides[i] = s
-			s *= box.Dim(i).Size()
+		f.strides[d] = s
+		s *= box.Dim(d).Size()
+		if k == 0 {
+			f.run = s
+			s += pad
+			f.pitch = s
 		}
 	}
+	f.data = make([]float64, s)
 	return f, nil
 }
 
@@ -122,11 +182,13 @@ func (f *Field) Rank() int { return f.bounds.Rank() }
 // Layout reports the storage order.
 func (f *Field) Layout() Layout { return f.layout }
 
-// Len returns the number of stored elements.
+// Len returns the number of stored elements, pad elements included: the
+// bounds' size for a field from New, possibly more for one from NewLocal.
 func (f *Field) Len() int { return len(f.data) }
 
 // Data exposes the raw backing slice in storage order. Intended for kernels
-// and tests that need direct access; the bounds/stride contract still holds.
+// and tests that need direct access; the bounds/stride contract still holds,
+// and a padded field's pad elements (always zero) sit between the runs.
 func (f *Field) Data() []float64 { return f.data }
 
 // Stride returns the storage stride of dimension d, in elements.
@@ -167,10 +229,13 @@ func (f *Field) At2(i, j int) float64 { return f.data[f.Index2(i, j)] }
 // Set2 writes element (i, j) of a rank-2 field.
 func (f *Field) Set2(i, j int, v float64) { f.data[f.Index2(i, j)] = v }
 
-// Fill sets every stored element (including fluff) to v.
+// Fill sets every element (including fluff, excluding pitch padding) to v.
 func (f *Field) Fill(v float64) {
-	for i := range f.data {
-		f.data[i] = v
+	for base := 0; base < len(f.data); base += f.pitch {
+		run := f.data[base : base+f.run]
+		for i := range run {
+			run[i] = v
+		}
 	}
 }
 
@@ -190,6 +255,8 @@ func (f *Field) Clone() *Field {
 		strides: append([]int(nil), f.strides...),
 		data:    append([]float64(nil), f.data...),
 		layout:  f.layout,
+		run:     f.run,
+		pitch:   f.pitch,
 	}
 	return g
 }
@@ -223,18 +290,18 @@ func (f *Field) Format2(r grid.Region) string {
 	if r.Rank() != 2 {
 		return fmt.Sprintf("<rank-%d field>", r.Rank())
 	}
-	out := ""
+	var out strings.Builder
 	d0, d1 := r.Dim(0), r.Dim(1)
 	for i := d0.Lo; i <= d0.Hi; i += d0.Stride {
 		for j := d1.Lo; j <= d1.Hi; j += d1.Stride {
 			if j > d1.Lo {
-				out += " "
+				out.WriteByte(' ')
 			}
-			out += trimFloat(f.At2(i, j))
+			out.WriteString(trimFloat(f.At2(i, j)))
 		}
-		out += "\n"
+		out.WriteByte('\n')
 	}
-	return out
+	return out.String()
 }
 
 func trimFloat(v float64) string {

@@ -177,6 +177,28 @@ const (
 	ckTagReduce   = "r:"
 )
 
+// A dirty mark's snapshot value carries its sides without a new field: 1,
+// the only value snapshots held before marks had sides, means both; one
+// side alone is 1 plus its bit (2 = neg, 3 = pos).
+func dirtyMarkVal(d uint8) float64 {
+	if d == dirtyBoth {
+		return 1
+	}
+	return float64(1 + d)
+}
+
+func dirtyMarkSides(v float64) (uint8, bool) {
+	switch v {
+	case 1:
+		return dirtyBoth, true
+	case float64(1 + dirtyNeg):
+		return dirtyNeg, true
+	case float64(1 + dirtyPos):
+		return dirtyPos, true
+	}
+	return 0, false
+}
+
 // ckInts is the count of fixed counters at the head of a snapshot's Ints:
 // operation, tile, boundary messages received, cut index, sweeps begun and
 // tile width; the per-peer send and receive tag counters follow.
@@ -263,20 +285,22 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 			s.Vals = append(s.Vals, m[name])
 		}
 	}
-	// Dirty and written marks are only ever set on session arrays, whose
-	// names the session sorted once.
-	marks := func(tag string, m map[string]bool) {
-		for _, name := range r.sess.names {
-			if m[name] {
-				s.Names = append(s.Names, tag+name)
-				s.Vals = append(s.Vals, 1)
-			}
-		}
-	}
 	tagged(ckTagScalar, r.lenv.scalars)
 	tagged(ckTagCaptured, r.captured)
-	marks(ckTagDirty, r.dirty)
-	marks(ckTagWrote, r.wrote)
+	// Dirty and written marks are only ever set on session arrays, whose
+	// names the session sorted once.
+	for _, name := range r.sess.names {
+		if d := r.dirty[name]; d != 0 {
+			s.Names = append(s.Names, ckTagDirty+name)
+			s.Vals = append(s.Vals, dirtyMarkVal(d))
+		}
+	}
+	for _, name := range r.sess.names {
+		if r.wrote[name] {
+			s.Names = append(s.Names, ckTagWrote+name)
+			s.Vals = append(s.Vals, 1)
+		}
+	}
 	for _, v := range r.reduceLog {
 		s.Names = append(s.Names, ckTagReduce)
 		s.Vals = append(s.Vals, v)
@@ -363,7 +387,11 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 			}
 			r.captured[name[2:]] = v
 		case name[:2] == ckTagDirty:
-			r.dirty[name[2:]] = true
+			d, ok := dirtyMarkSides(v)
+			if !ok {
+				return fmt.Errorf("pipeline: snapshot dirty mark %q carries unknown value %g", name[2:], v)
+			}
+			r.dirty[name[2:]] = d
 		case name[:2] == ckTagWrote:
 			r.wrote[name[2:]] = true
 		case name[:2] == ckTagReduce:

@@ -189,12 +189,37 @@ type plan struct {
 	pipeNames  []string // sorted for deterministic message layout
 	// halo per array: negative and positive expansion per dimension.
 	halo map[string]haloSpec
+	// refresh[side] names, sorted, the arrays whose halo on that side of the
+	// wavefront dimension the block reads as the last exchange left it (see
+	// analyzeRefs); a dirty one is exchanged before the block runs.
+	refresh [2][]string
 	// written arrays (gathered back at the end).
 	written map[string]bool
 }
 
 type haloSpec struct {
 	neg, pos []int
+}
+
+// The two sides of a rank's slab along the wavefront dimension, as halo
+// indices and as bits of a dirty mark: the neg halo holds rows owned by
+// rank id-1, the pos halo rows owned by rank id+1.
+const (
+	sideNeg = iota
+	sidePos
+
+	dirtyNeg  uint8 = 1 << sideNeg
+	dirtyPos  uint8 = 1 << sidePos
+	dirtyBoth       = dirtyNeg | dirtyPos
+)
+
+// sideOf returns the halo a reference shifted by sw along the wavefront
+// dimension reads.
+func sideOf(sw int) int {
+	if sw < 0 {
+		return sideNeg
+	}
+	return sidePos
 }
 
 // Run executes the block across cfg.Procs ranks and returns statistics.

@@ -9,10 +9,10 @@ import (
 	"wavefront/internal/scan"
 )
 
-// newPlan derives b's decomposition along wDim from its analysis. tDim < 0
-// picks the tile dimension: the first parallel dimension, else the first
-// dimension other than wDim.
-func newPlan(b *scan.Block, an *scan.Analysis, wDim, tDim, block int) (*plan, error) {
+// newPlan derives b's decomposition along wDim over the given slabs from
+// its analysis. tDim < 0 picks the tile dimension: the first parallel
+// dimension, else the first dimension other than wDim.
+func newPlan(b *scan.Block, an *scan.Analysis, slabs []grid.Region, wDim, tDim, block int) (*plan, error) {
 	if tDim < 0 {
 		for _, d := range an.Class.ParallelDims() {
 			if d != wDim {
@@ -31,7 +31,7 @@ func newPlan(b *scan.Block, an *scan.Analysis, wDim, tDim, block int) (*plan, er
 	}
 	pl := &plan{an: an, region: b.Region, block: block, wDim: wDim, tDim: tDim,
 		pipeArrays: map[string]int{}, written: map[string]bool{}}
-	if err := pl.analyzeRefs(b); err != nil {
+	if err := pl.analyzeRefs(b, slabs); err != nil {
 		return nil, err
 	}
 	pl.tiles = pl.tilesFor(block)
@@ -40,9 +40,22 @@ func newPlan(b *scan.Block, an *scan.Analysis, wDim, tDim, block int) (*plan, er
 
 // analyzeRefs walks every array reference, computing per-array halo
 // requirements, the set of arrays whose boundary values must flow through
-// the pipeline, and the forward reach of cross-boundary reads along the
-// tile dimension.
-func (pl *plan) analyzeRefs(b *scan.Block) error {
+// the pipeline, the forward reach of cross-boundary reads along the tile
+// dimension, and — per side of the wavefront dimension — the arrays the
+// block reads from exchanged halo values (refresh).
+//
+// A reference shifted along the wavefront dimension reads the halo on the
+// side it points to, and what it finds there is what the last halo
+// exchange put there — with one exception: a true-dependence read of the
+// upstream side gets the values this block writes, and those arrive as
+// wave messages (pipeArrays). The exception covers only points inside the
+// block's region. A true-dependence read still needs the exchanged halo
+// where it leaves the region across a slab boundary: sideways, when it is
+// also shifted in another dimension (the edge columns of a diagonal read),
+// and at the sweep's entry, when a slab boundary separates the region's
+// first rows from the rows before them (LU's pivot-row broadcast starts
+// one row below the pivot, which may be the last row of the slab above).
+func (pl *plan) analyzeRefs(b *scan.Block, slabs []grid.Region) error {
 	rank := b.Region.Rank()
 	writers := b.Writers()
 	pl.halo = map[string]haloSpec{}
@@ -50,6 +63,9 @@ func (pl *plan) analyzeRefs(b *scan.Block) error {
 	pl.chooseTileTravel()
 	tileLow := pl.tileTravel == grid.LowToHigh
 	antiUpstream := map[string]bool{}
+	exchanged := func(name string, sw int) {
+		pl.refresh[sideOf(sw)] = append(pl.refresh[sideOf(sw)], name)
+	}
 
 	grow := func(name string, shift grid.Direction) {
 		h, ok := pl.halo[name]
@@ -78,8 +94,12 @@ func (pl *plan) analyzeRefs(b *scan.Block) error {
 				shift = make(grid.Direction, rank)
 			}
 			grow(r.Name, shift)
+			sw := shift[pl.wDim]
 			ws, written := writers[r.Name]
 			if !written {
+				if sw != 0 {
+					exchanged(r.Name, sw)
+				}
 				continue
 			}
 			trueDep := r.Primed
@@ -91,9 +111,11 @@ func (pl *plan) analyzeRefs(b *scan.Block) error {
 					}
 				}
 			}
-			sw := shift[pl.wDim]
 			upstream := (travelLow && sw < 0) || (!travelLow && sw > 0)
 			downstream := (travelLow && sw > 0) || (!travelLow && sw < 0)
+			if sw != 0 && !(trueDep && upstream) {
+				exchanged(r.Name, sw)
+			}
 			switch {
 			case trueDep && upstream:
 				depth := sw
@@ -102,6 +124,9 @@ func (pl *plan) analyzeRefs(b *scan.Block) error {
 				}
 				if depth > pl.pipeArrays[r.Name] {
 					pl.pipeArrays[r.Name] = depth
+				}
+				if leavesRegionSideways(shift, pl.wDim) || pl.entryCrossesSlab(slabs, depth) {
+					exchanged(r.Name, sw)
 				}
 				if pl.tDim >= 0 {
 					ct := shift[pl.tDim]
@@ -130,7 +155,44 @@ func (pl *plan) analyzeRefs(b *scan.Block) error {
 		pl.pipeNames = append(pl.pipeNames, name)
 	}
 	sort.Strings(pl.pipeNames)
+	sortSides(&pl.refresh)
 	return nil
+}
+
+// leavesRegionSideways reports whether a reference shifted along the
+// wavefront dimension is shifted in another dimension too: at the region's
+// edge in that dimension it then reads a point the block does not write.
+func leavesRegionSideways(shift grid.Direction, wDim int) bool {
+	for d, c := range shift {
+		if d != wDim && c != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// entryCrossesSlab reports whether the first depth rows of the sweep read,
+// depth rows upstream of themselves, rows of another rank's slab that lie
+// outside the region. Every rank evaluates it over the same slabs, so all
+// ranks agree. (A slab boundary inside the region never qualifies: adopt
+// refuses portions thinner than the dependence depth, so a read that
+// crosses such a boundary stays inside the upstream portion.)
+func (pl *plan) entryCrossesSlab(slabs []grid.Region, depth int) bool {
+	ext := pl.region.Dim(pl.wDim)
+	if pl.an.Loop.Dirs[pl.wDim] == grid.LowToHigh {
+		for _, s := range slabs[1:] {
+			if lo := s.Dim(pl.wDim).Lo; lo > ext.Lo-depth && lo <= ext.Lo {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range slabs[:len(slabs)-1] {
+		if hi := s.Dim(pl.wDim).Hi; hi >= ext.Hi && hi < ext.Hi+depth {
+			return true
+		}
+	}
+	return false
 }
 
 // chooseTileTravel picks the order in which tiles execute (and messages

@@ -92,7 +92,9 @@ type SessionConfig struct {
 	Faults *fault.Injector
 	// LinkCapacity bounds every comm link to at most this many queued
 	// messages; senders then block on a full link (backpressure). 0 (the
-	// default) keeps links unbounded.
+	// default) keeps links unbounded: a rank whose body never consumes what
+	// its neighbour produces may then run ahead of it by as many sweeps as
+	// the body holds.
 	LinkCapacity int
 	// Transport selects how messages physically travel between ranks: the
 	// in-process channel transport (the zero value and zero-alloc default)
@@ -125,7 +127,11 @@ type SessionConfig struct {
 	// Pool, when non-nil, recycles pipeline and halo-exchange message
 	// buffers (see internal/bufpool): senders lease payloads from their
 	// per-rank shard, receivers return them to the sender's shard, and the
-	// steady-state wave allocates nothing. Nil (the default) allocates a
+	// steady-state wave allocates nothing — as long as the ranks stay
+	// within a free list's depth (16 buffers per size class) of each other:
+	// a halo refresh moves rows only toward the rank that reads them, so a
+	// rank that only produces (the head of a sweep repeated in a loop) is
+	// held back by nothing but LinkCapacity. Nil (the default) allocates a
 	// fresh buffer per message. Ignored when Faults is set — injected
 	// duplicates and corruptions alias buffers a recycling pool must never
 	// see.
@@ -326,6 +332,19 @@ func (s *Session) register(b *scan.Block) error {
 			subs = append(subs, sub)
 		}
 		s.subBlocks[b] = subs
+		// The statements' halo refreshes coalesce into the first statement's
+		// operation: one rendezvous for the group instead of one per
+		// statement, and checkpoint cut points stay where they were. The sub-
+		// blocks are private to this group, so the first one's plan can carry
+		// the union. A later statement still checks its own needs, which
+		// catches an array an earlier statement of the group re-dirtied.
+		first := s.plans[subs[0]]
+		for _, sub := range subs[1:] {
+			for side, names := range s.plans[sub].refresh {
+				first.refresh[side] = append(first.refresh[side], names...)
+			}
+		}
+		sortSides(&first.refresh)
 		return nil
 	}
 	an, err := scan.Analyze(b, dep.Preference{PreferLow: true})
@@ -339,7 +358,7 @@ func (s *Session) register(b *scan.Block) error {
 // decomposition (tDim < 0 lets the plan pick the tile dimension) and folds
 // its halo needs into the session's.
 func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
-	pl, err := newPlan(b, an, s.cfg.WavefrontDim, tDim, s.cfg.Block)
+	pl, err := newPlan(b, an, s.slabs, s.cfg.WavefrontDim, tDim, s.cfg.Block)
 	if err != nil {
 		return err
 	}
@@ -626,8 +645,10 @@ type Rank struct {
 	locals  map[string]*field.Field
 	lenv    *forwardEnv
 	kernels map[*scan.Block]*scan.Kernel
-	// dirty marks arrays written since their halos were last exchanged.
-	dirty map[string]bool
+	// dirty marks, per side (dirtyNeg, dirtyPos), the arrays written since
+	// that side's halo was last exchanged. Every rank executes the same
+	// operations, so every rank holds the same marks.
+	dirty map[string]uint8
 	// captured records scalar values baked into compiled kernels, to
 	// detect illegal later changes. Like dags and reducers it is
 	// allocated on first write: most runs never fill it.
@@ -659,12 +680,13 @@ type Rank struct {
 	// portions caches each block's share of this rank (portion builds two
 	// slices per call; slab and block regions never change).
 	portions map[*scan.Block]grid.Region
-	// xregs holds each array's halo-exchange regions per neighbour side,
-	// built by the first exchange (a run that never exchanges a halo never
-	// pays for them) and read by every later one.
+	// xregs holds each array's halo-exchange regions per neighbour, built by
+	// the first exchange (a run that never exchanges a halo never pays for
+	// them) and read by every later one.
 	xregs map[string]xchgRegs
-	// needs is the reusable scratch list of stale arrays (Exec, Reduce).
-	needs []string
+	// needs is the reusable scratch list, per halo side, of the stale arrays
+	// an operation is about to read (refresh).
+	needs [2][]string
 	// reducers caches each distinct reduction operand's prepared fold, like
 	// kernels: built on first Reduce, matched structurally (see reducerFor),
 	// scratch returned by releaseScratch, gone with the Run.
@@ -706,11 +728,11 @@ func (f *forwardEnv) Scalar(name string) (float64, bool) {
 }
 
 // xchgRegs is one array's halo-exchange geometry: the rows to send to and
-// receive from each neighbour side (Lo = rank id-1, Hi = rank id+1). A
-// zero Region (rank 0) marks an absent transfer.
+// receive from each neighbour, indexed by the side the neighbour is on
+// (sideNeg = rank id-1, sidePos = rank id+1). A zero Region (rank 0) marks
+// an absent transfer.
 type xchgRegs struct {
-	sendLo, recvLo grid.Region
-	sendHi, recvHi grid.Region
+	send, recv [2]grid.Region
 }
 
 // newRank builds one rank's local state: each session array over the
@@ -727,16 +749,25 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		id:       e.Rank(),
 		locals:   map[string]*field.Field{},
 		kernels:  map[*scan.Block]*scan.Kernel{},
-		dirty:    map[string]bool{},
+		dirty:    map[string]uint8{},
 		wrote:    map[string]bool{},
 		sendSeq:  make([]int, s.cfg.Procs),
 		recvSeq:  make([]int, s.cfg.Procs),
 		curBlock: s.cfg.Block,
 		eplans:   map[*scan.Block]*execPlan{},
 		portions: map[*scan.Block]grid.Region{},
-		needs:    make([]string, 0, len(s.names)),
+	}
+	for side := range r.needs {
+		r.needs[side] = make([]string, 0, len(s.names))
 	}
 	slab := s.slabs[r.id]
+	// The static schedule walks a sweep in tiles cfg.Block wide; the task
+	// DAG keeps whole rows or one long column chain per worker (see
+	// taskdag.decompose), and the naive schedule whole rows.
+	tile := 0
+	if s.cfg.Scheduler == scan.SchedStatic {
+		tile = s.cfg.Block
+	}
 	for _, name := range s.names {
 		g := s.genv.Array(name)
 		if g == nil {
@@ -758,7 +789,10 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		if err != nil {
 			return nil, err
 		}
-		lf, err := field.New(name, bounds, g.Layout())
+		// The one place rank-local storage is allocated: its pitch is the
+		// runtime's to choose (see field.NewLocal), the caller's arrays
+		// stay dense.
+		lf, err := field.NewLocal(name, bounds, g.Layout(), tile)
 		if err != nil {
 			return nil, err
 		}
@@ -961,20 +995,7 @@ func (r *Rank) Exec(b *scan.Block) error {
 	if skip, err := r.ckOp(); err != nil || skip {
 		return err
 	}
-	// Refresh halos of dirty arrays this block reads across the slab
-	// boundary. Pipelined arrays also refresh: their upstream halo rows are
-	// overwritten by pipeline messages tile by tile, while anti-dependence
-	// reads need the pre-block values installed here.
-	needs := r.needs[:0]
-	w := r.sess.cfg.WavefrontDim
-	for name, h := range pl.halo {
-		if (h.neg[w] > 0 || h.pos[w] > 0) && r.dirty[name] {
-			needs = append(needs, name)
-		}
-	}
-	sort.Strings(needs)
-	r.needs = needs
-	if err := r.exchange(needs); err != nil {
+	if err := r.refresh(&pl.refresh); err != nil {
 		return err
 	}
 
@@ -997,7 +1018,7 @@ func (r *Rank) Exec(b *scan.Block) error {
 		return err
 	}
 	for name := range pl.written {
-		r.dirty[name] = true
+		r.dirty[name] = dirtyBoth
 		r.wrote[name] = true
 	}
 	return nil
@@ -1277,11 +1298,11 @@ func (r *Rank) buildXregs() {
 			// need its highest neg[w] rows.
 			if h.pos[w] > 0 {
 				lo := slab.Dim(w).Lo
-				x.sendLo = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
+				x.send[sideNeg] = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
 			}
 			if h.neg[w] > 0 {
 				hi := s.slabs[peer].Dim(w).Hi
-				x.recvLo = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
+				x.recv[sideNeg] = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
 			}
 		}
 		if peer := r.id + 1; peer < s.cfg.Procs {
@@ -1289,71 +1310,87 @@ func (r *Rank) buildXregs() {
 			// lowest pos[w] rows.
 			if h.neg[w] > 0 {
 				hi := slab.Dim(w).Hi
-				x.sendHi = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
+				x.send[sidePos] = rowRegion(grid.NewRange(hi-h.neg[w]+1, hi))
 			}
 			if h.pos[w] > 0 {
 				lo := s.slabs[peer].Dim(w).Lo
-				x.recvHi = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
+				x.recv[sidePos] = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
 			}
 		}
 		r.xregs[name] = x
 	}
 }
 
-// sendReg and recvReg read the exchange geometry for one array and one
-// neighbour side (0 = rank id-1, 1 = rank id+1). A zero Region marks an
-// absent transfer.
-func (r *Rank) sendReg(name string, side int) grid.Region {
-	x := r.xregs[name]
-	if side == 0 {
-		return x.sendLo
-	}
-	return x.sendHi
-}
-
-func (r *Rank) recvReg(name string, side int) grid.Region {
-	x := r.xregs[name]
-	if side == 0 {
-		return x.recvLo
-	}
-	return x.recvHi
-}
-
-// exchange swaps boundary rows of the named arrays with both neighbours
-// and marks them clean. The wire format is one coalesced message per
-// neighbour: names in sorted order, each array's region back-to-back in
-// canonical order. Regions are worked out once, by the first exchange, and
-// payloads are leased, so a steady-state exchange allocates nothing when a
-// buffer pool is attached; receivers return each payload to its sender's
-// shard.
-func (r *Rank) exchange(names []string) error {
-	if len(names) == 0 || r.P() == 1 {
-		for _, n := range names {
-			r.dirty[n] = false
+// refresh brings up to date the halos an operation is about to read: of the
+// arrays want names per side, those whose mark for that side is dirty.
+func (r *Rank) refresh(want *[2][]string) error {
+	for side, names := range want {
+		needs := r.needs[side][:0]
+		for _, name := range names {
+			if r.dirty[name]&(1<<side) != 0 {
+				needs = append(needs, name)
+			}
 		}
+		r.needs[side] = needs
+	}
+	return r.exchange(&r.needs)
+}
+
+// exchange refreshes, on every rank at once, the named arrays' halos on
+// the named sides and marks them clean. A side's rows move one way: every
+// rank's neg halo is filled by the rank below it, so refreshing neg halos
+// sends rows up (to id+1) and nothing down, and pos halos the reverse. The
+// wire format is one coalesced message per direction: names in sorted
+// order, each array's region back-to-back in canonical order. A direction
+// with no array to move has no message at all; sender and receiver skip it
+// alike, because both derive the lists from the same plan and the same
+// dirty marks — so the per-peer tag counters stay in step. Regions are
+// worked out once, by the first exchange, and payloads are leased, so a
+// steady-state exchange allocates nothing when a buffer pool is attached;
+// receivers return each payload to its sender's shard.
+func (r *Rank) exchange(needs *[2][]string) error {
+	if len(needs[sideNeg])+len(needs[sidePos]) == 0 {
 		return nil
 	}
+	if r.P() > 1 {
+		if err := r.moveRows(needs); err != nil {
+			return err
+		}
+	}
+	for side, names := range needs {
+		for _, name := range names {
+			r.dirty[name] &^= 1 << side
+		}
+	}
+	return nil
+}
+
+// moveRows is the communication half of exchange.
+func (r *Rank) moveRows(needs *[2][]string) error {
 	if r.xregs == nil {
 		r.buildXregs()
 	}
 	tr := r.tr()
 	exchangeT0 := tr.Now()
-	// Send to both sides first (sends never block), then receive.
-	for side := 0; side < 2; side++ {
-		peer := r.id - 1 + 2*side
-		if peer < 0 || peer >= r.P() {
+	var took [2]bool // the neighbours that took part, by the side they are on
+	elems := 0
+	// Send first (sends never block), then receive. The rows for a halo on
+	// one side go to the neighbour on the other.
+	for side, names := range needs {
+		to := r.id + 1 - 2*side
+		if len(names) == 0 || to < 0 || to >= r.P() {
 			continue
 		}
 		total := 0
 		for _, name := range names {
-			if reg := r.sendReg(name, side); reg.Rank() != 0 {
+			if reg := r.xregs[name].send[1-side]; reg.Rank() != 0 {
 				total += reg.Size()
 			}
 		}
 		buf := r.e.Lease(total)
 		off := 0
 		for _, name := range names {
-			reg := r.sendReg(name, side)
+			reg := r.xregs[name].send[1-side]
 			if reg.Rank() == 0 {
 				continue
 			}
@@ -1363,44 +1400,53 @@ func (r *Rank) exchange(names []string) error {
 			}
 			off += n
 		}
-		if err := r.sendNext(peer, buf); err != nil {
+		if err := r.sendNext(to, buf); err != nil {
 			return err
 		}
+		took[1-side] = true
+		elems += total
 	}
-	for side := 0; side < 2; side++ {
-		peer := r.id - 1 + 2*side
-		if peer < 0 || peer >= r.P() {
+	for side, names := range needs {
+		from := r.id - 1 + 2*side
+		if len(names) == 0 || from < 0 || from >= r.P() {
 			continue
 		}
-		buf, err := r.recvNext(peer)
+		buf, err := r.recvNext(from)
 		if err != nil {
 			return err
 		}
 		off := 0
 		for _, name := range names {
-			reg := r.recvReg(name, side)
+			reg := r.xregs[name].recv[side]
 			if reg.Rank() == 0 {
 				continue
 			}
 			sz := reg.Size()
 			if off+sz > len(buf) {
-				return fmt.Errorf("pipeline: rank %d: halo message from %d too short", r.id, peer)
+				return fmt.Errorf("pipeline: rank %d: halo message from %d too short", r.id, from)
 			}
 			if _, err := r.locals[name].UnpackFrom(reg, buf[off:off+sz]); err != nil {
 				return err
 			}
 			off += sz
 		}
-		r.e.ReleaseTo(peer, buf)
-	}
-	for _, n := range names {
-		r.dirty[n] = false
+		r.e.ReleaseTo(from, buf)
+		took[side] = true
+		elems += off
 	}
 	if pm := r.pm(); pm != nil {
 		pm.exchanges.Add(r.id, 1)
 	}
 	if tr != nil {
-		tr.Record(trace.Ev(trace.KindExchange, r.id, exchangeT0, tr.Now()))
+		ev := trace.Ev(trace.KindExchange, r.id, exchangeT0, tr.Now())
+		ev.Peer, ev.Seq, ev.Elems = r.id-1, r.id+1, elems
+		if !took[sideNeg] {
+			ev.Peer = ev.Seq
+		}
+		if !took[sidePos] {
+			ev.Seq = ev.Peer
+		}
+		tr.Record(ev)
 	}
 	return nil
 }
@@ -1423,14 +1469,7 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 		return v, nil
 	}
 	rr := r.reducerFor(node)
-	needs := r.needs[:0]
-	for _, name := range rr.halo {
-		if r.dirty[name] {
-			needs = append(needs, name)
-		}
-	}
-	r.needs = needs
-	if err := r.exchange(needs); err != nil {
+	if err := r.refresh(&rr.halo); err != nil {
 		return 0, err
 	}
 	if !rr.sized || !rr.region.Equal(region) {
@@ -1486,13 +1525,14 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 }
 
 // rankReducer is one reduction operand's state on a rank: the prepared
-// fold, the names of the arrays it reads across the slab boundary (sorted,
-// distinct — the halos to refresh when dirty), and this rank's portion of
-// the last region reduced over.
+// fold, the names of the arrays it reads across the slab boundary on each
+// side, by the sign of the reference's shift (sorted, distinct — the halos
+// to refresh when dirty), and this rank's portion of the last region
+// reduced over.
 type rankReducer struct {
 	node    expr.Node
 	fold    *scan.Reducer
-	halo    []string
+	halo    [2][]string
 	region  grid.Region
 	portion grid.Region
 	sized   bool
@@ -1519,11 +1559,11 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 	w := r.sess.cfg.WavefrontDim
 	for _, ref := range expr.Refs(node) {
 		if ref.Shift != nil && w < len(ref.Shift) && ref.Shift[w] != 0 {
-			rr.halo = append(rr.halo, ref.Name)
+			side := sideOf(ref.Shift[w])
+			rr.halo[side] = append(rr.halo[side], ref.Name)
 		}
 	}
-	sort.Strings(rr.halo)
-	rr.halo = dedup(rr.halo)
+	sortSides(&rr.halo)
 	if len(r.reducers) < maxReducers {
 		r.reducers = append(r.reducers, rr)
 	} else {
@@ -1534,14 +1574,19 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 	return rr
 }
 
-func dedup(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
+// sortSides puts each side's names in sorted order, each once: the order
+// of a refresh message's payload, which both ends must agree on.
+func sortSides(lists *[2][]string) {
+	for side, names := range lists {
+		sort.Strings(names)
+		out := names[:0]
+		for i, s := range names {
+			if i == 0 || s != names[i-1] {
+				out = append(out, s)
+			}
 		}
+		lists[side] = out
 	}
-	return out
 }
 
 // releaseScratch retires the rank's execution resources when its Run ends:

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"wavefront/internal/ckpt"
 	"wavefront/internal/expr"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
@@ -14,47 +17,16 @@ import (
 	"wavefront/internal/workload"
 )
 
-// TestSessionCrashRecovery runs the whole Tomcatv program — stencils, both
-// wavefront sweeps, reductions — with a deterministic rank crash and
-// session checkpointing, and demands the recovered run match serial
-// execution bit-for-bit, residual history included.
-func TestSessionCrashRecovery(t *testing.T) {
-	n, iters, procs := 26, 3, 4
-	ref, err := workload.NewTomcatv(n, field.RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _ := workload.NewTomcatv(n, field.RowMajor)
-	var refResid []float64
-	for i := 0; i < iters; i++ {
-		if _, err := ref.Step(); err != nil {
-			t.Fatal(err)
+// tomcatvSession is the whole Tomcatv program — stencils, both wavefront
+// sweeps, reductions — as a session body over the blocks the session
+// registered, recording rank 0's residual history.
+func tomcatvSession(par *workload.Tomcatv, blocks []*scan.Block, iters int, resid *[]float64) func(r *Rank) error {
+	absRx := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
+	absRy := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("ry")}}
+	return func(r *Rank) error {
+		if r.ID() == 0 {
+			*resid = (*resid)[:0] // a restarted rank 0 re-runs the body from the top
 		}
-		refResid = append(refResid, ref.ResidualMax())
-	}
-
-	// Crash rank 1 mid-program: on its receive from rank 0 in the third
-	// wavefront sweep it has entered (iteration 2's forward sweep).
-	inj, err := fault.New(fault.Plan{Rules: []fault.Rule{{
-		Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any,
-		Wave: 3, Action: fault.ActCrash,
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := par.Blocks()
-	sess, err := NewSession(par.Env, blocks, SessionConfig{
-		Procs: procs, Domain: par.All, Block: 4,
-		Faults:     inj,
-		Checkpoint: &CheckpointConfig{Every: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parResid []float64
-	err = sess.Run(func(r *Rank) error {
-		absRx := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
-		absRy := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("ry")}}
 		for i := 0; i < iters; i++ {
 			for _, b := range blocks {
 				if err := r.Exec(b); err != nil {
@@ -70,28 +42,229 @@ func TestSessionCrashRecovery(t *testing.T) {
 				return err
 			}
 			if r.ID() == 0 {
-				parResid = append(parResid, math.Max(vx, vy))
+				*resid = append(*resid, math.Max(vx, vy))
 			}
 		}
 		return nil
+	}
+}
+
+// refreshRecvTag runs the Tomcatv session once, fault-free and traced, and
+// returns the tag of the message that carries the one-sided refresh before
+// the given iteration's forward sweep: the receive from rank 0 inside rank
+// 1's last exchange event ahead of that sweep's first compute. Tags are
+// per-peer counters over a deterministic operation sequence, so the same
+// tag names the same message in the faulted run.
+func refreshRecvTag(t *testing.T, n, procs, iter int) int {
+	t.Helper()
+	par, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(procs, trace.DefaultCapacity)
+	blocks := par.Blocks()
+	sess, err := NewSession(par.Env, blocks, SessionConfig{Procs: procs, Domain: par.All, Block: 4, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resid []float64
+	if err := sess.Run(tomcatvSession(par, blocks, iter+1, &resid)); err != nil {
+		t.Fatal(err)
+	}
+	var sweepStart int64 = -1
+	for _, ev := range rec.Events() {
+		if ev.Rank == 1 && ev.Kind == trace.KindCompute && ev.Wave == 2*iter && (sweepStart < 0 || ev.Start < sweepStart) {
+			sweepStart = ev.Start
+		}
+	}
+	var xchg trace.Event
+	for _, ev := range rec.Events() {
+		if ev.Rank == 1 && ev.Kind == trace.KindExchange && ev.End <= sweepStart && ev.Start >= xchg.Start {
+			xchg = ev
+		}
+	}
+	if sweepStart < 0 || xchg.End == 0 {
+		t.Fatalf("no exchange before iteration %d's forward sweep in the clean trace", iter)
+	}
+	// One-sided: inside the exchange rank 1 takes rows from rank 0 and passes
+	// its own up to rank 2; nothing travels down.
+	tag, found := 0, false
+	for _, ev := range rec.Events() {
+		if ev.Rank != 1 || ev.Start < xchg.Start || ev.End > xchg.End {
+			continue
+		}
+		switch {
+		case ev.Kind == trace.KindRecv && ev.Peer == 0 && !found:
+			tag, found = ev.Tag, true
+		case ev.Kind == trace.KindRecv && ev.Peer != 0, ev.Kind == trace.KindSend && ev.Peer != 2:
+			t.Fatalf("the refresh before the forward sweep moved rows down: %v with rank %d", ev.Kind, ev.Peer)
+		}
+	}
+	if !found {
+		t.Fatal("the exchange event holds no receive from rank 0")
+	}
+	return tag
+}
+
+// TestSessionCrashRecovery runs the whole Tomcatv program — stencils, both
+// wavefront sweeps, reductions — with a deterministic rank crash and
+// session checkpointing, and demands the recovered run match serial
+// execution bit-for-bit, residual history included. The crashes sit around
+// the one-sided refresh that precedes iteration 1's forward sweep (aa's
+// boundary row, rank i to rank i+1, nothing back): on the rank that
+// received it, before its first tile; on the rank that only sent it; and
+// inside it, on the receive itself. With a snapshot at every cut point the
+// restart re-executes the refresh — the receive replayed from the comm
+// layer's retention, the send suppressed — and with one every third the
+// restart begins operations earlier.
+func TestSessionCrashRecovery(t *testing.T) {
+	const n, iters, procs = 26, 3, 4
+	ref, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refResid []float64
+	for i := 0; i < iters; i++ {
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		refResid = append(refResid, ref.ResidualMax())
+	}
+	for _, c := range []struct {
+		name  string
+		rule  fault.Rule
+		every int
+	}{
+		// Rank 1's first boundary receive of the third sweep it enters
+		// (iteration 1's forward sweep): the refresh is behind it, no tile
+		// has run.
+		{"receiver, before its first tile",
+			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 3},
+		{"receiver, every cut point",
+			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 1},
+		// Rank 0 heads that sweep: it sent aa's row up, received nothing, and
+		// crashes on its first boundary send.
+		{"sender, before its first boundary message",
+			fault.Rule{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 1},
+		// The refresh message itself.
+		{"receiver, inside the refresh",
+			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshRecvTag(t, n, procs, 1), Action: fault.ActCrash}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			par, _ := workload.NewTomcatv(n, field.RowMajor)
+			inj, err := fault.New(fault.Plan{Rules: []fault.Rule{c.rule}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := par.Blocks()
+			sess, err := NewSession(par.Env, blocks, SessionConfig{
+				Procs: procs, Domain: par.All, Block: 4,
+				Faults:     inj,
+				Checkpoint: &CheckpointConfig{Every: c.every},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var parResid []float64
+			if err := sess.Run(tomcatvSession(par, blocks, iters, &parResid)); err != nil {
+				t.Fatalf("crash did not recover: %v", err)
+			}
+			if inj.Fired() == 0 {
+				t.Fatal("crash rule never fired; the run proves nothing")
+			}
+			for _, name := range workload.TomcatvArrays {
+				if d := par.Env.Arrays[name].MaxAbsDiff(par.All, ref.Env.Arrays[name]); d != 0 {
+					t.Errorf("%s differs from serial by %g after recovery", name, d)
+				}
+			}
+			if len(parResid) != len(refResid) {
+				t.Fatalf("recovered run produced %d residuals, want %d", len(parResid), len(refResid))
+			}
+			for i := range refResid {
+				if parResid[i] != refResid[i] {
+					t.Errorf("iter %d: residual %g != %g", i, parResid[i], refResid[i])
+				}
+			}
+		})
+	}
+}
+
+// sidelessStore is a snapshot store from before dirty marks had sides: it
+// saves every dirty mark with the value 1, whatever sides it carried, and
+// counts the one-sided marks it flattened.
+type sidelessStore struct {
+	ckpt.Store
+	flattened atomic.Int64
+}
+
+func (s *sidelessStore) Save(snap *ckpt.Snapshot) error {
+	for i, name := range snap.Names {
+		if strings.HasPrefix(name, ckTagDirty) && snap.Vals[i] != 1 {
+			snap.Vals[i] = 1
+			s.flattened.Add(1)
+		}
+	}
+	return s.Store.Save(snap)
+}
+
+// TestRestoreSidelessDirtyMarks: a snapshot whose dirty marks carry no side
+// restores them as dirty on both — the only reading that can never skip a
+// needed refresh — and the run still completes bit-identical. The crash is
+// in the backward sweep, when aa's mark is pos-only (the forward sweep's
+// refresh cleaned its neg side), so the restored snapshot is one the store
+// really flattened.
+func TestRestoreSidelessDirtyMarks(t *testing.T) {
+	for v, want := range map[float64]uint8{1: dirtyBoth, 2: dirtyNeg, 3: dirtyPos} {
+		if got, ok := dirtyMarkSides(v); !ok || got != want {
+			t.Errorf("mark value %g decodes to sides %b (ok=%v), want %b", v, got, ok, want)
+		}
+		if back := dirtyMarkVal(want); back != v {
+			t.Errorf("sides %b encode as %g, want %g", want, back, v)
+		}
+	}
+	for _, v := range []float64{0, 4, -1, 1.5, math.NaN()} {
+		if _, ok := dirtyMarkSides(v); ok {
+			t.Errorf("mark value %g was accepted", v)
+		}
+	}
+
+	const n, iters, procs = 26, 2, 3
+	ref, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < iters; i++ {
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	par, _ := workload.NewTomcatv(n, field.RowMajor)
+	// Rank 1's third boundary receive of iteration 1's backward sweep (the
+	// fourth sweep; it flows from rank 2 down).
+	inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{{
+		Op: fault.OpRecv, Rank: 1, Peer: 2, Tag: fault.Any, Wave: 4, After: 2, Action: fault.ActCrash}}})
+	store := &sidelessStore{Store: ckpt.NewMemStore()}
+	blocks := par.Blocks()
+	sess, err := NewSession(par.Env, blocks, SessionConfig{
+		Procs: procs, Domain: par.All, Block: 4, Faults: inj,
+		Checkpoint: &CheckpointConfig{Every: 1, Store: store},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var resid []float64
+	if err := sess.Run(tomcatvSession(par, blocks, iters, &resid)); err != nil {
 		t.Fatalf("crash did not recover: %v", err)
 	}
 	if inj.Fired() == 0 {
-		t.Fatal("crash rule never fired; the run proves nothing")
+		t.Fatal("crash rule never fired")
+	}
+	if store.flattened.Load() == 0 {
+		t.Fatal("no snapshot held a one-sided dirty mark; the drill restored nothing sideless")
 	}
 	for _, name := range workload.TomcatvArrays {
 		if d := par.Env.Arrays[name].MaxAbsDiff(par.All, ref.Env.Arrays[name]); d != 0 {
-			t.Errorf("%s differs from serial by %g after recovery", name, d)
-		}
-	}
-	if len(parResid) != len(refResid) {
-		t.Fatalf("recovered run produced %d residuals, want %d", len(parResid), len(refResid))
-	}
-	for i := range refResid {
-		if parResid[i] != refResid[i] {
-			t.Errorf("iter %d: residual %g != %g", i, parResid[i], refResid[i])
+			t.Errorf("%s differs from serial by %g after restoring sideless marks", name, d)
 		}
 	}
 }

@@ -89,6 +89,13 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 			}
 		case KindKernel:
 			ce.Args["elems"] = ev.Elems
+		case KindExchange:
+			// peer is the lowest neighbour that took part, peer_hi the
+			// highest: equal for a refresh that moved rows one way only.
+			if ev.Seq >= 0 {
+				ce.Args["peer_hi"] = ev.Seq
+			}
+			ce.Args["elems"] = ev.Elems
 		case KindBlockedSend:
 			ce.Args["tag"] = ev.Tag
 			ce.Args["blocked_ns"] = ev.Blocked

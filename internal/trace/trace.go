@@ -51,7 +51,10 @@ const (
 	KindGather
 	// KindBarrier is a phase-barrier wait (scatter/gather separation).
 	KindBarrier
-	// KindExchange is a halo exchange with the neighbouring ranks.
+	// KindExchange is a halo refresh: rows sent to and received from the
+	// neighbouring ranks that took part. Peer is the lowest-numbered of
+	// them and Seq the highest (the same rank when rows moved across one
+	// slab boundary only), Elems the elements sent plus received.
 	KindExchange
 	// KindReduce is a cross-rank reduction.
 	KindReduce

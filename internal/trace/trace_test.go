@@ -175,3 +175,46 @@ func TestChromeExportRoundTrips(t *testing.T) {
 		t.Fatal("exporting a nil recorder must error")
 	}
 }
+
+// TestChromeExchangeNamesItsPeers: an exchange span carries the neighbours
+// that took part, so a refresh that moved rows across one slab boundary
+// only (peer == peer_hi) can be told from a two-sided one on the timeline.
+func TestChromeExchangeNamesItsPeers(t *testing.T) {
+	r := New(3, 8)
+	one := Ev(KindExchange, 0, 100, 200)
+	one.Peer, one.Seq, one.Elems = 1, 1, 510
+	r.Record(one)
+	two := Ev(KindExchange, 1, 100, 300)
+	two.Peer, two.Seq, two.Elems = 0, 2, 2040
+	r.Record(two)
+
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][3]float64{0: {1, 1, 510}, 1: {0, 2, 2040}}
+	seen := 0
+	for _, ev := range decoded.TraceEvents {
+		if ev.Name != "exchange" {
+			continue
+		}
+		seen++
+		w := want[ev.Tid]
+		if ev.Args["peer"] != w[0] || ev.Args["peer_hi"] != w[1] || ev.Args["elems"] != w[2] {
+			t.Errorf("rank %d exchange args %v, want peer %v peer_hi %v elems %v", ev.Tid, ev.Args, w[0], w[1], w[2])
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("exported %d exchange spans, want 2", seen)
+	}
+}
