@@ -16,10 +16,10 @@
 // Len() exceeds the bounds' size and Data() is storage order with pad
 // elements after every contiguous run. Pad elements belong to no index —
 // Index, the bulk copies and every kernel address through Stride(d) and
-// never reach them — and they are always zero: nothing here writes them,
-// Fill included. Code that walks Data() flat (snapshots, checksums, a
-// whole-field copy between two fields of one geometry) stays correct; code
-// that wants element k of a dense array must use a field from New.
+// never reach them — and their contents mean nothing. Code that walks
+// Data() flat (Fill, snapshots, checksums, a whole-field copy between two
+// fields of one geometry) stays correct; code that wants element k of a
+// dense array must use a field from New.
 package field
 
 import (
@@ -55,10 +55,6 @@ type Field struct {
 	strides []int
 	data    []float64
 	layout  Layout
-	// run and pitch describe the storage as contiguous runs: run elements
-	// of the unit-stride dimension, then pitch-run pad elements. A dense
-	// field has pitch == run.
-	run, pitch int
 }
 
 // New allocates a Field whose storage covers the stride-1 bounding box of
@@ -137,9 +133,7 @@ func newField(name string, bounds grid.Region, layout Layout, pad int) (*Field, 
 		f.strides[d] = s
 		s *= box.Dim(d).Size()
 		if k == 0 {
-			f.run = s
 			s += pad
-			f.pitch = s
 		}
 	}
 	f.data = make([]float64, s)
@@ -188,7 +182,7 @@ func (f *Field) Len() int { return len(f.data) }
 
 // Data exposes the raw backing slice in storage order. Intended for kernels
 // and tests that need direct access; the bounds/stride contract still holds,
-// and a padded field's pad elements (always zero) sit between the runs.
+// and a padded field's pad elements sit between the runs.
 func (f *Field) Data() []float64 { return f.data }
 
 // Stride returns the storage stride of dimension d, in elements.
@@ -229,13 +223,10 @@ func (f *Field) At2(i, j int) float64 { return f.data[f.Index2(i, j)] }
 // Set2 writes element (i, j) of a rank-2 field.
 func (f *Field) Set2(i, j int, v float64) { f.data[f.Index2(i, j)] = v }
 
-// Fill sets every element (including fluff, excluding pitch padding) to v.
+// Fill sets every stored element (including fluff) to v.
 func (f *Field) Fill(v float64) {
-	for base := 0; base < len(f.data); base += f.pitch {
-		run := f.data[base : base+f.run]
-		for i := range run {
-			run[i] = v
-		}
+	for i := range f.data {
+		f.data[i] = v
 	}
 }
 
@@ -255,8 +246,6 @@ func (f *Field) Clone() *Field {
 		strides: append([]int(nil), f.strides...),
 		data:    append([]float64(nil), f.data...),
 		layout:  f.layout,
-		run:     f.run,
-		pitch:   f.pitch,
 	}
 	return g
 }

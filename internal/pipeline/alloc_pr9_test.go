@@ -16,18 +16,10 @@ import (
 // Zero-alloc lock-ins for the PR9 workload families. Each family's steady
 // state is one full program pass (every block executed once) through a
 // persistent pooled session; after the warm pass fills the kernel, plan,
-// and free-list caches, a pass must allocate nothing. Every family runs
-// its passes in lockstep (lockstepPasses): a halo refresh moves rows only
-// toward the rank that reads them, so nothing holds a pipeline's head rank
-// back, and under AllocsPerRun's single P it would run every remaining
-// pass before its peers return one buffer to the pool.
+// and free-list caches, a pass must allocate nothing.
 
 // measurePassAllocs measures heap allocations per steady-state program
-// pass with AllocsPerRun on rank 0, where body executes the full block
-// program on one rank and every other rank runs a matched count. Only for
-// sessions whose ranks cannot drift apart on AllocsPerRun's single P: one
-// rank, or bounded links (a head rank that blocks on a full link yields to
-// the peer that drains it).
+// pass, where body executes the family's full block program on one rank.
 func measurePassAllocs(t *testing.T, sess *Session, body func(r *Rank) error) float64 {
 	t.Helper()
 	var allocs float64
@@ -72,9 +64,9 @@ func TestSteadyWaveZeroAllocsSW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes := lockstepPasses(t, sess, func(r *Rank) error { return r.Exec(blk) })
-		if err := steadyVerdict(passes); err != nil {
-			t.Errorf("procs=%d: SW steady-state pass: %v; mallocs per measured pass: %v", procs, err, passes)
+		allocs := measurePassAllocs(t, sess, func(r *Rank) error { return r.Exec(blk) })
+		if allocs != 0 {
+			t.Errorf("procs=%d: SW steady-state pass allocated %.0f times, want 0", procs, allocs)
 		}
 	}
 }
@@ -94,17 +86,12 @@ func TestSteadyWaveZeroAllocsFactor(t *testing.T) {
 			t.Fatal(err)
 		}
 		blocks := w.Blocks()
-		// Every dependence of the elimination points down the ranks, so no
-		// message ever holds a low rank back: within a pass rank 0 would run
-		// the whole program ahead of its peers, with more buffers in flight
-		// than a pool free list retains (16 per class). Bounded links are the
-		// runtime's answer to an unthrottled producer, here as anywhere.
 		sess, err := NewSession(w.Env, blocks, SessionConfig{
-			Procs: procs, Domain: w.All, Block: 4, Pool: bufpool.New(procs), LinkCapacity: 8})
+			Procs: procs, Domain: w.All, Block: 4, Pool: bufpool.New(procs)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes := lockstepPasses(t, sess, func(r *Rank) error {
+		allocs := measurePassAllocs(t, sess, func(r *Rank) error {
 			for _, b := range blocks {
 				if err := r.Exec(b); err != nil {
 					return err
@@ -112,8 +99,8 @@ func TestSteadyWaveZeroAllocsFactor(t *testing.T) {
 			}
 			return nil
 		})
-		if err := steadyVerdict(passes); err != nil {
-			t.Errorf("procs=%d: LU steady-state pass: %v; mallocs per measured pass: %v", procs, err, passes)
+		if allocs != 0 {
+			t.Errorf("procs=%d: LU steady-state pass allocated %.0f times, want 0", procs, allocs)
 		}
 	}
 }
@@ -257,8 +244,9 @@ func multiOctantSession(t *testing.T, procs int) (*Session, []*scan.Block) {
 // TestSteadyWaveZeroAllocsMultiOctant: per-block execution of the octants
 // plus the combine reaches zero like any other block program.
 //
-// No family can use AllocsPerRun: that helper pins GOMAXPROCS(1) for the
-// measured window, which lets pipelines drift far apart (under single-core
+// This family cannot use AllocsPerRun: that helper pins GOMAXPROCS(1) for
+// the measured window, which lets the counter-propagating pipelines drift
+// far apart (each octant has a different head rank, so under single-core
 // bursts a leading rank streams waves into a lagging peer's link queue and
 // occasionally grows its ring — a topology-lifetime cost this measurement
 // would misread as per-wave). Instead every rank runs the pass in lockstep

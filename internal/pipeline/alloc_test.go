@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"slices"
 	"testing"
 
 	"wavefront/internal/bufpool"
@@ -31,15 +30,13 @@ const (
 )
 
 // sessionAllocsPerExec measures heap allocations per steady-state Exec of
-// the Tomcatv forward wavefront through a persistent session: the mallocs
-// of every measured lockstep pass (see lockstepPasses). The forward sweep
-// is rank-2 (the kernel's allocation-free fast path) and carries the
-// pipelined boundary messages; its only halo read, aa@north, is of an array
-// the block never dirties, so no exchange reins the head rank in and —
-// like the multi-octant family — the ranks must be held in lockstep for
-// the count to mean per-wave cost rather than pool misses of a rank that
-// ran a dozen sweeps ahead on AllocsPerRun's single P.
-func sessionAllocsPerExec(t *testing.T, procs int, pooled, postmortem bool) []uint64 {
+// the Tomcatv forward wavefront through a persistent session. Rank 0 runs
+// the measured executions; every other rank executes the same count so the
+// pipeline stays matched. The forward sweep is rank-2 (the kernel's
+// allocation-free fast path) and dirties its arrays every run, so each
+// measured Exec carries a full coalesced halo exchange plus the pipelined
+// boundary messages.
+func sessionAllocsPerExec(t *testing.T, procs int, pooled, postmortem bool) float64 {
 	t.Helper()
 	tom, err := workload.NewTomcatv(48, field.RowMajor)
 	if err != nil {
@@ -57,7 +54,32 @@ func sessionAllocsPerExec(t *testing.T, procs int, pooled, postmortem bool) []ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lockstepPasses(t, sess, func(r *Rank) error { return r.Exec(blk) })
+	var allocs float64
+	err = sess.Run(func(r *Rank) error {
+		exec := func() {
+			if err := r.Exec(blk); err != nil {
+				panic(err)
+			}
+		}
+		if r.ID() == 0 {
+			for i := 0; i < allocWarm; i++ {
+				exec()
+			}
+			// AllocsPerRun invokes exec allocRuns+1 times (one extra
+			// warmup), so the peers below run allocRuns+1 past their warm
+			// phase to match.
+			allocs = testing.AllocsPerRun(allocRuns, exec)
+			return nil
+		}
+		for i := 0; i < allocWarm+allocRuns+1; i++ {
+			exec()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }
 
 // TestSteadyWaveZeroAllocs is the acceptance gate: pooled steady-state
@@ -67,9 +89,8 @@ func TestSteadyWaveZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	for _, procs := range []int{1, 2, 4} {
-		passes := sessionAllocsPerExec(t, procs, true, false)
-		if err := steadyVerdict(passes); err != nil {
-			t.Errorf("procs=%d: steady-state Exec with pooling on: %v; mallocs per measured pass: %v", procs, err, passes)
+		if got := sessionAllocsPerExec(t, procs, true, false); got != 0 {
+			t.Errorf("procs=%d: steady-state Exec allocated %.0f times per wave with pooling on, want 0", procs, got)
 		}
 	}
 }
@@ -83,9 +104,8 @@ func TestSteadyWaveZeroAllocsPostmortem(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	for _, procs := range []int{1, 4} {
-		passes := sessionAllocsPerExec(t, procs, true, true)
-		if err := steadyVerdict(passes); err != nil {
-			t.Errorf("procs=%d: steady-state Exec with the flight recorder armed: %v; mallocs per measured pass: %v", procs, err, passes)
+		if got := sessionAllocsPerExec(t, procs, true, true); got != 0 {
+			t.Errorf("procs=%d: steady-state Exec allocated %.0f times per wave with the flight recorder armed, want 0", procs, got)
 		}
 	}
 }
@@ -110,9 +130,30 @@ func TestSteadyWaveZeroAllocsRank3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes := lockstepPasses(t, sess, func(r *Rank) error { return r.Exec(blk) })
-		if err := steadyVerdict(passes); err != nil {
-			t.Errorf("procs=%d: rank-3 steady-state Exec with pooling on: %v; mallocs per measured pass: %v", procs, err, passes)
+		var allocs float64
+		err = sess.Run(func(r *Rank) error {
+			exec := func() {
+				if err := r.Exec(blk); err != nil {
+					panic(err)
+				}
+			}
+			if r.ID() == 0 {
+				for i := 0; i < allocWarm; i++ {
+					exec()
+				}
+				allocs = testing.AllocsPerRun(allocRuns, exec)
+				return nil
+			}
+			for i := 0; i < allocWarm+allocRuns+1; i++ {
+				exec()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("procs=%d: rank-3 steady-state Exec allocated %.0f times per wave with pooling on, want 0", procs, allocs)
 		}
 	}
 }
@@ -125,11 +166,11 @@ func TestSteadyWaveAllocBaseline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	base := slices.Min(sessionAllocsPerExec(t, 2, false, false))
+	base := sessionAllocsPerExec(t, 2, false, false)
 	if base == 0 {
-		t.Error("pooling off allocated nothing in some steady-state Exec; the measurement is broken")
+		t.Error("pooling off allocated nothing per steady-state Exec; the measurement is broken")
 	}
-	t.Logf("baseline without pooling: at least %d allocs per steady-state Exec (pooled: 0)", base)
+	t.Logf("baseline without pooling: %.0f allocs per steady-state Exec (pooled: 0)", base)
 }
 
 // TestRunPoolReuseAcrossRuns: a pool shared across Run calls keeps its

@@ -177,9 +177,14 @@ const (
 	ckTagReduce   = "r:"
 )
 
-// A dirty mark's snapshot value carries its sides without a new field: 1,
-// the only value snapshots held before marks had sides, means both; one
-// side alone is 1 plus its bit (2 = neg, 3 = pos).
+// A dirty mark's snapshot value carries its sides without a new field: 1
+// means both, one side alone is 1 plus its bit (2 = neg, 3 = pos). Marks
+// must restore exactly: a restarted rank's live peers still hold theirs,
+// and refresh messages are skipped by marks every rank agrees on. (1 is
+// also the only value a snapshot from before marks had sides could hold.
+// Reading it as both is sound only when every rank restores from such a
+// snapshot; the runtime restores single ranks, and only from snapshots the
+// Run in flight wrote, so every 1 it reads is a both it wrote.)
 func dirtyMarkVal(d uint8) float64 {
 	if d == dirtyBoth {
 		return 1

@@ -53,7 +53,8 @@ type Config struct {
 	Faults *fault.Injector
 	// LinkCapacity bounds every comm link to at most this many queued
 	// messages; senders then block on a full link (backpressure). 0 — the
-	// default — keeps links unbounded.
+	// default — never blocks a sender: a link then holds the whole sweep's
+	// messages (see Session.linkCapacity).
 	LinkCapacity int
 	// Metrics, when non-nil, streams counters, latency histograms, and the
 	// online model-drift estimate into the registry (see internal/metrics);

@@ -161,3 +161,68 @@ func TestPaddedPitchSessionBitIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalTileFollowsTheTiling pins the width newRank hands field.NewLocal:
+// the static schedule's Block when a registered sweep cuts the array's
+// unit-stride dimension into tiles that stay that wide for the whole Run,
+// else 0 — dense storage.
+func TestLocalTileFollowsTheTiling(t *testing.T) {
+	pp := newPitchProgram()
+	rowMajor := pp.env.Arrays["a"]
+	colMajor := field.MustNew("cm", pp.all, field.ColMajor)
+	for _, c := range []struct {
+		name   string
+		blocks []*scan.Block
+		edit   func(*SessionConfig)
+		f      *field.Field
+		want   int
+	}{
+		{"static sweeps tile the columns", pp.blocks, func(*SessionConfig) {}, rowMajor, 32},
+		{"a column-major array's unit stride runs down the rows, which no sweep tiles",
+			pp.blocks, func(*SessionConfig) {}, colMajor, 0},
+		{"no sweep, no tiles", pp.blocks[:1], func(*SessionConfig) {}, rowMajor, 0},
+		{"a retune may widen the tiles after the storage is laid out",
+			pp.blocks, func(c *SessionConfig) { c.AutoTune = true }, rowMajor, 0},
+		{"the task DAG walks wide chains", pp.blocks,
+			func(c *SessionConfig) { c.Scheduler, c.Workers = scan.SchedTaskDAG, 2 }, rowMajor, 0},
+		{"the naive schedule walks whole rows", pp.blocks, func(c *SessionConfig) { c.Block = 0 }, rowMajor, 0},
+	} {
+		cfg := SessionConfig{Procs: 2, Domain: pp.all, Block: 32}
+		c.edit(&cfg)
+		sess, err := NewSession(pp.env, c.blocks, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := sess.localTile(c.f); got != c.want {
+			t.Errorf("%s: localTile = %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	// A rank-3 sweep distributed along dimension 0 tiles dimension 1, not
+	// the unit-stride dimension 2: 512-wide rows stay dense.
+	all3 := grid.MustRegion(grid.NewRange(1, 8), grid.NewRange(1, 6), grid.NewRange(1, 512))
+	inner3 := grid.MustRegion(grid.NewRange(2, 8), grid.NewRange(1, 6), grid.NewRange(1, 512))
+	u := field.MustNew("u", all3, field.RowMajor)
+	u.Fill(1)
+	env := &expr.MapEnv{Arrays: map[string]*field.Field{"u": u}, Scalars: map[string]float64{}}
+	sweep := scan.NewScan(inner3, scan.Stmt{LHS: expr.Ref("u"), RHS: expr.MulN(expr.Const(0.5),
+		expr.Ref("u").At(grid.Direction{-1, 0, 0}).Prime())})
+	sess, err := NewSession(env, []*scan.Block{sweep}, SessionConfig{Procs: 2, Domain: all3, Block: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl := sess.plans[sweep]; pl.tDim != 1 {
+		t.Fatalf("the rank-3 sweep tiles dimension %d, want 1", pl.tDim)
+	}
+	if got := sess.localTile(u); got != 0 {
+		t.Errorf("rank 3, tiles along dimension 1: localTile = %d, want 0", got)
+	}
+	if err := sess.Run(func(r *Rank) error {
+		if f := r.locals["u"]; f.Stride(1) != 512 {
+			t.Errorf("rank %d: local u has pitch %d, want the dense 512", r.ID(), f.Stride(1))
+		}
+		return r.Exec(sweep)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

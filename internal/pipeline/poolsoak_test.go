@@ -26,14 +26,8 @@ func TestPoolSoakSteadyHitRatio(t *testing.T) {
 	}
 	blk := tom.ForwardBlock()
 	pool := bufpool.New(4)
-	// A forward sweep repeated in a loop has no message that flows back, so
-	// nothing but a bounded link keeps the head ranks from running hundreds
-	// of sweeps ahead — and a pool free list keeps 16 buffers per class, not
-	// hundreds. Two sweeps' messages per link is ample slack.
-	const block = 8
 	sess, err := NewSession(tom.Env, []*scan.Block{blk}, SessionConfig{
-		Procs: 4, Domain: tom.All, Block: block, Pool: pool,
-		LinkCapacity: 2 * ((tom.WaveCols() + block - 1) / block),
+		Procs: 4, Domain: tom.All, Block: 8, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)

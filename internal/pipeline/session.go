@@ -92,9 +92,9 @@ type SessionConfig struct {
 	Faults *fault.Injector
 	// LinkCapacity bounds every comm link to at most this many queued
 	// messages; senders then block on a full link (backpressure). 0 (the
-	// default) keeps links unbounded: a rank whose body never consumes what
-	// its neighbour produces may then run ahead of it by as many sweeps as
-	// the body holds.
+	// default) lets the session choose: one sweep's messages per link on the
+	// in-process transport (see Session.linkCapacity), unbounded over
+	// sockets, which have the kernel's backpressure instead.
 	LinkCapacity int
 	// Transport selects how messages physically travel between ranks: the
 	// in-process channel transport (the zero value and zero-alloc default)
@@ -127,11 +127,7 @@ type SessionConfig struct {
 	// Pool, when non-nil, recycles pipeline and halo-exchange message
 	// buffers (see internal/bufpool): senders lease payloads from their
 	// per-rank shard, receivers return them to the sender's shard, and the
-	// steady-state wave allocates nothing — as long as the ranks stay
-	// within a free list's depth (16 buffers per size class) of each other:
-	// a halo refresh moves rows only toward the rank that reads them, so a
-	// rank that only produces (the head of a sweep repeated in a loop) is
-	// held back by nothing but LinkCapacity. Nil (the default) allocates a
+	// steady-state wave allocates nothing. Nil (the default) allocates a
 	// fresh buffer per message. Ignored when Faults is set — injected
 	// duplicates and corruptions alias buffers a recycling pool must never
 	// see.
@@ -443,6 +439,33 @@ func (s *Session) Retune(b int) {
 	}
 }
 
+// linkCapacity is the bound Run puts on every comm link: the configured
+// one, else — on the in-process transport, the only one with bounded links —
+// the most messages one sweep of a registered block puts on a link. A halo
+// refresh moves rows only toward the rank that reads them, so no message
+// ever flows back to a rank that only produces (the head of a forward sweep
+// repeated in a loop, the low ranks of a factorization); the bound is what
+// keeps such a rank within a sweep of its consumer, and the messages queued
+// and buffers in flight independent of how long the body runs. It does not
+// bind inside a sweep: every message of an operation is consumed by the
+// peer's same operation, and ranks execute operations in one order, so a
+// full link always faces a receiver that is behind and draining it. (A
+// mid-run retune to narrower tiles can put more messages in a sweep than
+// the bound computed here; a sweep's messages flow one way, so that delays
+// the sender and cannot deadlock it, as with any configured capacity.)
+func (s *Session) linkCapacity() int {
+	if s.cfg.LinkCapacity > 0 || s.cfg.Transport.Kind != comm.TransportChan {
+		return s.cfg.LinkCapacity
+	}
+	n := 1 // a halo refresh or a collective: one message per link and operation
+	for _, pl := range s.plans {
+		if t := len(pl.tiles); len(pl.pipeNames) > 0 && t > n {
+			n = t
+		}
+	}
+	return n
+}
+
 // Run scatters the arrays, executes body on every rank concurrently,
 // gathers the written portions back into the global arrays, and records
 // statistics. A Session may Run multiple times; each Run re-scatters.
@@ -465,7 +488,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			return err
 		}
 	}
-	if err := topo.SetLinkCapacity(s.cfg.LinkCapacity); err != nil {
+	if err := topo.SetLinkCapacity(s.linkCapacity()); err != nil {
 		return err
 	}
 	if err := topo.SetMetrics(s.cfg.Metrics); err != nil {
@@ -622,7 +645,7 @@ func (s *Session) runConfigPM() critpath.RunConfig {
 		TileDim:      -1,
 		Scheduler:    s.cfg.Scheduler.String(),
 		Transport:    s.cfg.Transport.Kind.String(),
-		LinkCapacity: s.cfg.LinkCapacity,
+		LinkCapacity: s.linkCapacity(),
 		Workers:      s.workers,
 	}
 	if len(s.plans) == 1 {
@@ -761,13 +784,6 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		r.needs[side] = make([]string, 0, len(s.names))
 	}
 	slab := s.slabs[r.id]
-	// The static schedule walks a sweep in tiles cfg.Block wide; the task
-	// DAG keeps whole rows or one long column chain per worker (see
-	// taskdag.decompose), and the naive schedule whole rows.
-	tile := 0
-	if s.cfg.Scheduler == scan.SchedStatic {
-		tile = s.cfg.Block
-	}
 	for _, name := range s.names {
 		g := s.genv.Array(name)
 		if g == nil {
@@ -792,7 +808,7 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		// The one place rank-local storage is allocated: its pitch is the
 		// runtime's to choose (see field.NewLocal), the caller's arrays
 		// stay dense.
-		lf, err := field.NewLocal(name, bounds, g.Layout(), tile)
+		lf, err := field.NewLocal(name, bounds, g.Layout(), s.localTile(g))
 		if err != nil {
 			return nil, err
 		}
@@ -806,6 +822,29 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		tr.Record(trace.Ev(trace.KindScatter, r.id, scatterT0, tr.Now()))
 	}
 	return r, nil
+}
+
+// localTile is the width of the tiles this session's sweeps walk along g's
+// unit-stride dimension, for field.NewLocal's pitch choice; 0 — whole runs,
+// dense storage — unless the width is known and narrow for the whole Run:
+// the static schedule (the task DAG keeps whole rows or one long column
+// chain per worker, see taskdag.decompose, and the naive schedule whole
+// rows), a tiling that a retune will not widen, and a registered sweep that
+// cuts that dimension rather than another.
+func (s *Session) localTile(g *field.Field) int {
+	if s.cfg.Scheduler != scan.SchedStatic || s.cfg.AutoTune {
+		return 0
+	}
+	unit := g.Rank() - 1
+	if g.Layout() == field.ColMajor {
+		unit = 0
+	}
+	for _, pl := range s.plans {
+		if len(pl.pipeNames) > 0 && pl.tDim == unit && !pl.noTiling {
+			return s.cfg.Block
+		}
+	}
+	return 0
 }
 
 // ID returns the rank index.
@@ -1321,9 +1360,21 @@ func (r *Rank) buildXregs() {
 	}
 }
 
-// refresh brings up to date the halos an operation is about to read: of the
-// arrays want names per side, those whose mark for that side is dirty.
+// refresh brings up to date, on every rank at once, the halos an operation
+// is about to read — of the arrays want names per side, those whose mark for
+// that side is dirty — and marks them clean. A side's rows move one way:
+// every rank's neg halo is filled by the rank below it, so refreshing neg
+// halos sends rows up (to id+1) and nothing down, and pos halos the reverse.
+// The wire format is one coalesced message per direction: names in sorted
+// order, each array's region back-to-back in canonical order. A direction
+// with no array to move has no message at all; sender and receiver skip it
+// alike, because both derive the lists from the same plan and the same
+// dirty marks — so the per-peer tag counters stay in step. Regions are
+// worked out once, by the first refresh that moves rows, and payloads are
+// leased, so a steady-state refresh allocates nothing when a buffer pool is
+// attached; receivers return each payload to its sender's shard.
 func (r *Rank) refresh(want *[2][]string) error {
+	stale := 0
 	for side, names := range want {
 		needs := r.needs[side][:0]
 		for _, name := range names {
@@ -1332,32 +1383,17 @@ func (r *Rank) refresh(want *[2][]string) error {
 			}
 		}
 		r.needs[side] = needs
+		stale += len(needs)
 	}
-	return r.exchange(&r.needs)
-}
-
-// exchange refreshes, on every rank at once, the named arrays' halos on
-// the named sides and marks them clean. A side's rows move one way: every
-// rank's neg halo is filled by the rank below it, so refreshing neg halos
-// sends rows up (to id+1) and nothing down, and pos halos the reverse. The
-// wire format is one coalesced message per direction: names in sorted
-// order, each array's region back-to-back in canonical order. A direction
-// with no array to move has no message at all; sender and receiver skip it
-// alike, because both derive the lists from the same plan and the same
-// dirty marks — so the per-peer tag counters stay in step. Regions are
-// worked out once, by the first exchange, and payloads are leased, so a
-// steady-state exchange allocates nothing when a buffer pool is attached;
-// receivers return each payload to its sender's shard.
-func (r *Rank) exchange(needs *[2][]string) error {
-	if len(needs[sideNeg])+len(needs[sidePos]) == 0 {
+	if stale == 0 {
 		return nil
 	}
 	if r.P() > 1 {
-		if err := r.moveRows(needs); err != nil {
+		if err := r.moveRows(&r.needs); err != nil {
 			return err
 		}
 	}
-	for side, names := range needs {
+	for side, names := range r.needs {
 		for _, name := range names {
 			r.dirty[name] &^= 1 << side
 		}
@@ -1365,7 +1401,7 @@ func (r *Rank) exchange(needs *[2][]string) error {
 	return nil
 }
 
-// moveRows is the communication half of exchange.
+// moveRows is the communication half of refresh.
 func (r *Rank) moveRows(needs *[2][]string) error {
 	if r.xregs == nil {
 		r.buildXregs()
@@ -1374,8 +1410,9 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 	exchangeT0 := tr.Now()
 	var took [2]bool // the neighbours that took part, by the side they are on
 	elems := 0
-	// Send first (sends never block), then receive. The rows for a halo on
-	// one side go to the neighbour on the other.
+	// Send first (a refresh puts one message on a link, so the send blocks
+	// only on a peer still in an earlier operation), then receive. The rows
+	// for a halo on one side go to the neighbour on the other.
 	for side, names := range needs {
 		to := r.id + 1 - 2*side
 		if len(names) == 0 || to < 0 || to >= r.P() {

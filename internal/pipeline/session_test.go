@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"wavefront/internal/comm"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -306,5 +309,78 @@ func TestSessionReduceOps(t *testing.T) {
 	}
 	if max != 99 || min != 11 {
 		t.Errorf("max/min = %g/%g, want 99/11", max, min)
+	}
+}
+
+// TestProducerOnlyRankIsHeldBack: a forward sweep repeated in a loop sends
+// rank 0 nothing — its one halo read, aa@north, is of an array the sweep
+// never dirties, so no refresh flows back either — and nothing in the
+// program keeps it from finishing every sweep before rank 1 wakes up. The
+// session's own link bound does: one sweep's messages per link at the
+// default configuration, so rank 0 completes sweep j only once rank 1 has
+// consumed every message of sweep j-1, and queued messages and buffers in
+// flight stay independent of how long the loop runs.
+func TestProducerOnlyRankIsHeldBack(t *testing.T) {
+	tom, err := workload.NewTomcatv(48, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := tom.ForwardBlock()
+	const block, sweeps = 8, 200
+	cfg := SessionConfig{Procs: 2, Domain: tom.All, Block: block}
+	sess, err := NewSession(tom.Env, []*scan.Block{blk}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSweep := (tom.WaveCols() + block - 1) / block
+	if got := sess.linkCapacity(); got != perSweep {
+		t.Errorf("default link bound = %d, want one sweep's %d messages", got, perSweep)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*SessionConfig)
+		want int
+	}{
+		{"a configured capacity wins", func(c *SessionConfig) { c.LinkCapacity = 3 }, 3},
+		{"sockets have no bounded links", func(c *SessionConfig) { c.Transport.Kind = comm.TransportUnix }, 0},
+		{"the naive schedule sends one message per sweep", func(c *SessionConfig) { c.Block = 0 }, 1},
+	} {
+		cc := cfg
+		c.edit(&cc)
+		s, err := NewSession(tom.Env, []*scan.Block{blk}, cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.linkCapacity(); got != c.want {
+			t.Errorf("%s: link bound = %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	var done [2]atomic.Int64
+	maxLead := int64(0)
+	err = sess.Run(func(r *Rank) error {
+		if r.ID() == 1 {
+			// Long enough for an unthrottled rank 0 to run the whole loop.
+			time.Sleep(50 * time.Millisecond)
+		}
+		for i := 0; i < sweeps; i++ {
+			if err := r.Exec(blk); err != nil {
+				return err
+			}
+			mine := done[r.ID()].Add(1)
+			if r.ID() == 0 {
+				maxLead = max(maxLead, mine-done[1].Load())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxLead > 2 {
+		t.Errorf("rank 0 finished %d sweeps more than rank 1 had; the link bound allows 2", maxLead)
+	}
+	if sess.Stats().Comm.BlockedSends == 0 {
+		t.Error("no send ever blocked: nothing held rank 0 back while rank 1 slept")
 	}
 }

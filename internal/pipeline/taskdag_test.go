@@ -210,14 +210,10 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 	}
 }
 
-// taskdagAllocsPerExec measures heap allocations per steady-state Exec of
-// the Tomcatv forward wavefront under the task-DAG scheduler, through a
-// persistent session, on rank 0 while the peers run a matched count. The
-// links hold one sweep's messages: nothing else stops the head rank from
-// running every measured sweep before its peer returns a buffer (see
-// measurePassAllocs). The pipelined families' lockstep passes do not suit
-// this one — each pass parks and wakes 2 x workers goroutines on two Ps,
-// and the runtime's sudog refills outlast the verdict's noise allowance.
+// taskdagAllocsPerExec mirrors sessionAllocsPerExec under the task-DAG
+// scheduler: steady-state Execs of the Tomcatv forward wavefront through a
+// persistent pooled session, measured on rank 0 while the peers run a
+// matched count.
 func taskdagAllocsPerExec(t *testing.T, procs, workers int, pooled bool) float64 {
 	t.Helper()
 	tom, err := workload.NewTomcatv(48, field.RowMajor)
@@ -225,10 +221,8 @@ func taskdagAllocsPerExec(t *testing.T, procs, workers int, pooled bool) float64
 		t.Fatal(err)
 	}
 	blk := tom.ForwardBlock()
-	const block = 8
-	cfg := SessionConfig{Procs: procs, Domain: tom.All, Block: block,
-		Scheduler: scan.SchedTaskDAG, Workers: workers,
-		LinkCapacity: (tom.WaveCols() + block - 1) / block}
+	cfg := SessionConfig{Procs: procs, Domain: tom.All, Block: 8,
+		Scheduler: scan.SchedTaskDAG, Workers: workers}
 	if pooled {
 		cfg.Pool = bufpool.New(procs)
 	}
@@ -236,7 +230,29 @@ func taskdagAllocsPerExec(t *testing.T, procs, workers int, pooled bool) float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	return measurePassAllocs(t, sess, func(r *Rank) error { return r.Exec(blk) })
+	var allocs float64
+	err = sess.Run(func(r *Rank) error {
+		exec := func() {
+			if err := r.Exec(blk); err != nil {
+				panic(err)
+			}
+		}
+		if r.ID() == 0 {
+			for i := 0; i < allocWarm; i++ {
+				exec()
+			}
+			allocs = testing.AllocsPerRun(allocRuns, exec)
+			return nil
+		}
+		for i := 0; i < allocWarm+allocRuns+1; i++ {
+			exec()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }
 
 // TestSteadyWaveZeroAllocsTaskDAG extends the zero-allocation contract to
