@@ -97,6 +97,6 @@ func (x *Expr) Span(k int) []float64 {
 			pr.rbase[fi] += i * r.Stride * pr.strides[fi][d]
 		}
 	}
-	pr.execRun(x.n)
+	pr.execRun(pr.rbase, x.n)
 	return pr.yielded(x.n)
 }

@@ -185,3 +185,32 @@ func TestFusedSkewedMultiStatement(t *testing.T) {
 		udvs: []dep.UDV{udv(1, 0), udv(0, 1)}, want: PathSkewed,
 	}.run(t, 10)
 }
+
+// TestFusedMulAddOnEveryPath holds the multiply-then-add instructions to the
+// closure oracle where the copying tape runs them — along skewed diagonals,
+// where every operand is a gathered register — and where the unit-step tape
+// does, over spans under an outer-carried recurrence: products of the
+// destination's own shifted values feeding sums and differences, the second
+// statement consuming the first's value.
+func TestFusedMulAddOnEveryPath(t *testing.T) {
+	at := func(name string, dist ...int) expr.Node { return expr.Ref(name).At(grid.Direction(dist)) }
+	bin := func(o expr.Op, l, r expr.Node) expr.Node { return expr.Binary{Op: o, L: l, R: r} }
+	damp := func(n expr.Node) expr.Node { return bin(expr.Mul, expr.Const(0.25), n) }
+	for _, c := range []fuseCase{
+		{
+			name: "skewed: a + b*c, a - b*c and b*imm - a over gathered diagonals",
+			rhsU: bin(expr.Add, damp(expr.Ref("a")), bin(expr.Mul, damp(at("u", -1, 0)), at("u", 0, -1))),
+			rhsV: bin(expr.Sub, bin(expr.Sub, expr.Ref("u"), bin(expr.Mul, at("v", -1, -1), damp(expr.Ref("b")))),
+				bin(expr.Sub, bin(expr.Mul, at("v", 0, -1), expr.Const(0.5)), expr.Ref("a"))),
+			udvs: []dep.UDV{udv(1, 0), udv(0, 1), udv(1, 1)}, want: PathSkewed,
+		},
+		{
+			name: "spans: u := u - u@north*a in place, v reads it back",
+			rhsU: bin(expr.Sub, expr.Ref("u"), bin(expr.Mul, at("u", -1, 0), damp(expr.Ref("a")))),
+			rhsV: bin(expr.Add, expr.Ref("v"), bin(expr.Mul, expr.Ref("u"), damp(at("v", -1, 0)))),
+			udvs: []dep.UDV{udv(1, 0)}, want: PathSpan,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) { c.run(t, 10) })
+	}
+}

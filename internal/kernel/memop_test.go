@@ -81,17 +81,44 @@ func TestMemOperandClassifier(t *testing.T) {
 		}
 	})
 
-	t.Run("forwarded value keeps its register", func(t *testing.T) {
-		// f := g*2 ; (later) g := f + g reads the forwarded register.
+	t.Run("forwarded value written in place, read back from the field", func(t *testing.T) {
+		// f := g*2 ; (later) g := f + g reads the forwarded value — out of
+		// f's span, where the multiply put it: f is not stored again before
+		// that read.
 		tape := classified([]instr{
 			ld(g, 0), immOp(opMulImm, 0), st(f, 1),
 			bin(opAdd, 1, 0), st(g, 3),
 		})
-		if hasFlag(tape[1], fMemDst) || elided(tape[2]) {
-			t.Error("a value read again after its store must stay in a register and be stored by copy")
+		if !inPlace(tape[1], f) || !elided(tape[2]) {
+			t.Errorf("a forwarded value whose field is not stored again before its last read is written in place: %+v", tape[1:3])
+		}
+		if !memA(tape[3], 1) {
+			t.Errorf("the forwarded read takes f's span, named by the instruction that wrote it: %+v", tape[3])
 		}
 		if !inPlace(tape[3], g) || !elided(tape[4]) || !memB(tape[3], 0) {
 			t.Errorf("second statement: want in place over its own operand, got %+v", tape[3])
+		}
+	})
+
+	t.Run("forwarded value keeps its register", func(t *testing.T) {
+		// ... when it outlives the next store to its field: the value stored
+		// to f is read once more after f is stored again,
+		// when f's span no longer holds it (no lowering produces this — a
+		// load of f forwards from the latest store — but the rule must not
+		// depend on that).
+		tape := classified([]instr{
+			ld(g, 0), immOp(opMulImm, 0), st(f, 1),
+			immOp(opAddImm, 0), st(f, 3),
+			bin(opAdd, 1, 3), st(g, 5),
+		})
+		if hasFlag(tape[1], fMemDst) || elided(tape[2]) {
+			t.Error("a value read again after the next store to its field must stay in a register and be stored by copy")
+		}
+		if hasFlag(tape[5], fMemA) {
+			t.Error("its readers must read the register")
+		}
+		if !inPlace(tape[3], f) || !memB(tape[5], 3) {
+			t.Errorf("the second value of f is written in place and read back: %+v", tape[3:6])
 		}
 	})
 
@@ -134,44 +161,87 @@ func tomcatvEnv(n int) *expr.MapEnv {
 	return env
 }
 
+// tomcatvForward is the paper's Figure 2(b) forward block over env's arrays.
+func tomcatvForward(env *expr.MapEnv) (dsts []*field.Field, rhs []expr.Node, udvs []dep.UDV) {
+	ref := func(n string) expr.ArrayRef { return expr.Ref(n) }
+	north := grid.North
+	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
+	sub := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Sub, L: l, R: r} }
+	for _, d := range []string{"r", "d", "rx", "ry"} {
+		dsts = append(dsts, env.Arrays[d])
+	}
+	return dsts, []expr.Node{
+		mul(ref("aa"), ref("d").At(north).Prime()),
+		expr.Binary{Op: expr.Div, L: expr.Const(1), R: sub(ref("dd"), mul(ref("aa").At(north), ref("r")))},
+		sub(ref("rx"), mul(ref("rx").At(north).Prime(), ref("r"))),
+		sub(ref("ry"), mul(ref("ry").At(north).Prime(), ref("r"))),
+	}, []dep.UDV{udv(1, 0)}
+}
+
+// mulAdds counts the multiply-then-add superinstructions on a tape.
+func mulAdds(tape []instr) (n int) {
+	for _, in := range tape {
+		if in.op >= opSubMul && in.op <= opAddMulImm {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTomcatvTapeShapes pins the instruction counts the unit-step rewrite
-// was sized on: per row-span the forward block runs 8 arithmetic ops and one
-// store where it ran 8 loads, 8 ops and 4 stores.
+// and the multiply-then-add peephole were sized on. Per row-span the forward
+// block runs 5 instructions — r in place, three a − b·c, one 1/x — where
+// the copying tape runs 8 loads, the same 5 and 4 stores; the Sweep3D octant, which
+// runs the copying tape along skewed diagonals, folds its three
+// cosine·flux products into the sums that consume them.
 func TestTomcatvTapeShapes(t *testing.T) {
-	env := tomcatvEnv(16)
 	ref := func(n string) expr.ArrayRef { return expr.Ref(n) }
 	north, south := grid.North, grid.South
 	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
 	sub := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Sub, L: l, R: r} }
+	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
+	_, forward, forwardUDVs := tomcatvForward(tomcatvEnv(16))
 	lap := func(a string) expr.Node {
 		return sub(expr.AddN(ref(a).At(north), ref(a).At(south), ref(a).At(grid.West), ref(a).At(grid.East)),
 			mul(expr.Const(4), ref(a)))
 	}
 	back := func(a string) expr.Node { return mul(sub(ref(a), mul(ref("aa"), ref(a).At(south).Prime())), ref("d")) }
+	upd := func(a, r string) expr.Node { return add(ref(a), mul(expr.Const(0.9), ref(r))) }
+	flux := func(dist ...int) expr.Node { return mul(expr.Const(0.3), ref("flux").At(grid.Direction(dist)).Prime()) }
+	cube := grid.Square(3, 0, 9)
+	sweepEnv := &expr.MapEnv{Arrays: map[string]*field.Field{
+		"flux": field.MustNew("flux", cube, field.RowMajor),
+		"src":  field.MustNew("src", cube, field.RowMajor),
+	}, Scalars: map[string]float64{}}
 	cases := []struct {
 		name              string
+		env               *expr.MapEnv
 		dsts              []string
 		rhs               []expr.Node
 		udvs              []dep.UDV
 		mem, place, store int
-		execute           int // instructions a unit-step span executes
+		copying, execute  int // instructions a copying run and a unit-step span execute
+		super             int // multiply-then-adds, on either tape
 	}{
-		{"forward", []string{"r", "d", "rx", "ry"}, []expr.Node{
-			mul(ref("aa"), ref("d").At(north).Prime()),
-			expr.Binary{Op: expr.Div, L: expr.Const(1), R: sub(ref("dd"), mul(ref("aa").At(north), ref("r")))},
-			sub(ref("rx"), mul(ref("rx").At(north).Prime(), ref("r"))),
-			sub(ref("ry"), mul(ref("ry").At(north).Prime(), ref("r"))),
-		}, []dep.UDV{udv(1, 0)}, 8, 3, 1, 9},
-		{"backward", []string{"rx", "ry"}, []expr.Node{back("rx"), back("ry")},
-			[]dep.UDV{udv(-1, 0)}, 6, 2, 0, 6},
-		{"residual", []string{"rx", "ry"}, []expr.Node{lap("x"), lap("y")}, nil, 10, 2, 0, 10},
+		{"forward", nil, []string{"r", "d", "rx", "ry"}, forward, forwardUDVs, 8, 4, 0, 17, 5, 3},
+		{"backward", nil, []string{"rx", "ry"}, []expr.Node{back("rx"), back("ry")},
+			[]dep.UDV{udv(-1, 0)}, 6, 2, 0, 12, 4, 2},
+		{"residual", nil, []string{"rx", "ry"}, []expr.Node{lap("x"), lap("y")}, nil, 10, 2, 0, 20, 8, 2},
+		{"update", nil, []string{"x", "y"}, []expr.Node{upd("x", "rx"), upd("y", "ry")}, nil, 4, 2, 0, 8, 2, 2},
+		{"sweep3d octant", sweepEnv, []string{"flux"}, []expr.Node{expr.Binary{Op: expr.Div,
+			L: expr.AddN(ref("src"), flux(-1, 0, 0), flux(0, -1, 0), flux(0, 0, -1)), R: expr.Const(1.5)}},
+			[]dep.UDV{udv(1, 0, 0), udv(0, 1, 0), udv(0, 0, 1)}, 4, 1, 0, 9, 4, 3},
 	}
 	for _, c := range cases {
+		env := c.env
+		if env == nil {
+			env = tomcatvEnv(16)
+		}
 		var dsts []*field.Field
 		for _, d := range c.dsts {
 			dsts = append(dsts, env.Arrays[d])
 		}
-		pr, err := Lower(2, dsts, c.rhs, env, c.udvs)
+		pr, err := Lower(dsts[0].Rank(), dsts, c.rhs, env, c.udvs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -180,8 +250,12 @@ func TestTomcatvTapeShapes(t *testing.T) {
 			t.Errorf("%s: %d memory operands / %d in place / %d stored, want %d / %d / %d",
 				c.name, mem, place, store, c.mem, c.place, c.store)
 		}
-		if got := len(pr.fused) - mem - place; got != c.execute {
-			t.Errorf("%s: a unit-step span executes %d of %d instructions, want %d", c.name, got, len(pr.fused), c.execute)
+		if len(pr.fused) != c.copying || len(pr.unit) != c.execute {
+			t.Errorf("%s: a copying run executes %d instructions and a unit-step span %d, want %d and %d",
+				c.name, len(pr.fused), len(pr.unit), c.copying, c.execute)
+		}
+		if f, u := mulAdds(pr.fused), mulAdds(pr.unit); f != c.super || u != c.super {
+			t.Errorf("%s: %d multiply-then-adds on the copying tape, %d on the unit-step tape, want %d on both", c.name, f, u, c.super)
 		}
 	}
 }
@@ -321,8 +395,12 @@ func memopEnv(bounds grid.Region, layouts []field.Layout, seed int64) *expr.MapE
 // genStmtRHS draws a damped right-hand side: two to four references to the
 // generator arrays — often the destination itself, often shifted by ±1
 // along any dimension, the span dimension included — combined with random
-// arithmetic.
+// arithmetic, products feeding sums and differences among it: every
+// multiply-then-add form, with the destination at a north/south/west/east
+// or diagonal shift for a multiplicand, and often (a := a − a@shift·…) with
+// the whole statement written in place over it.
 func genStmtRHS(rng *rand.Rand, rank int, lhs string) expr.Node {
+	unit := func() int { return 1 - 2*rng.Intn(2) }
 	ref := func() expr.Node {
 		name := memopNames[rng.Intn(len(memopNames))]
 		if rng.Intn(3) == 0 {
@@ -331,23 +409,39 @@ func genStmtRHS(rng *rand.Rand, rank int, lhs string) expr.Node {
 		r := expr.Ref(name)
 		if rng.Intn(2) == 0 {
 			shift := make(grid.Direction, rank)
-			shift[rng.Intn(rank)] = 1 - 2*rng.Intn(2)
+			shift[rng.Intn(rank)] = unit()
 			if rng.Intn(4) == 0 {
-				shift[rank-1] = 1 - 2*rng.Intn(2)
+				shift[rank-1] = unit()
 			}
 			r = r.At(shift)
 		}
 		return r
 	}
+	selfShift := func() expr.Node {
+		shift := make(grid.Direction, rank)
+		shift[rng.Intn(rank)] = unit()
+		if rng.Intn(3) == 0 {
+			shift[rng.Intn(rank)] = unit() // a diagonal, two times in three
+		}
+		return expr.Ref(lhs).At(shift)
+	}
+	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
 	n := ref()
 	for k := 1 + rng.Intn(3); k > 0; k-- {
-		switch rng.Intn(5) {
+		switch rng.Intn(8) {
 		case 0:
 			n = expr.Binary{Op: expr.Sub, L: n, R: expr.MulN(expr.Const(0.25), ref())}
 		case 1:
 			n = expr.Call{Fn: expr.Max, Args: []expr.Node{n, ref()}}
 		case 2:
 			n = expr.Binary{Op: expr.Div, L: ref(), R: expr.Binary{Op: expr.Add, L: expr.Scalar("s"), R: expr.Call{Fn: expr.Abs, Args: []expr.Node{n}}}}
+		case 3:
+			n = expr.Binary{Op: expr.Sub, L: expr.Ref(lhs), R: mul(selfShift(), expr.MulN(expr.Const(0.5), n))}
+		case 4:
+			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n), R: mul(ref(), selfShift())}
+		case 5:
+			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n),
+				R: expr.Binary{Op: expr.Sub, L: mul(selfShift(), expr.Const(0.25)), R: ref()}}
 		default:
 			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n), R: expr.MulN(expr.Const(0.25), ref())}
 		}

@@ -173,6 +173,6 @@ func (pr *Program) execWaves(na, nb, ca, cb int) {
 		for fi := range pr.rbase {
 			pr.rbase[fi] = pr.base[fi] + xlo*pr.stepA[fi] + y0*pr.stepB[fi]
 		}
-		pr.execRun(m)
+		pr.execRun(pr.rbase, m)
 	}
 }

@@ -43,9 +43,14 @@ import (
 
 // op enumerates the tape ISA. Arithmetic comes in register-register and
 // register-immediate forms; the non-commutative ops carry both immediate
-// sides. There is deliberately no fused multiply-add: an fma computes with
-// a single rounding where the closure path rounds twice, so including it
-// would break the bit-identity contract between the engines.
+// sides. The six multiply-then-add instructions are superinstructions, not
+// fmas: each rounds the product and then the sum — two roundings, what the
+// opMul/opAdd pair it replaces (and the closure path) computes — and saves
+// the pass over a register that carried the product between the two. No
+// statement lowers to them; fuseMulAdd forms them on the finished tapes. A
+// hardware fma rounds once and would break the bit-identity contract
+// between the engines, which is why vec.go converts every product
+// explicitly.
 type op uint8
 
 const (
@@ -71,27 +76,34 @@ const (
 	opPow
 	opMinImm
 	opMaxImm
-	opPowImmR // dst = pow(a, imm)
-	opPowImmL // dst = pow(imm, a)
-	opStore   // field[base+e*step] = a; fld is the destination field
-	opYield   // a is the value of a bare expression (Expr); ends its tape
+	opPowImmR   // dst = pow(a, imm)
+	opPowImmL   // dst = pow(imm, a)
+	opSubMul    // dst = a - b*c
+	opMulSub    // dst = b*c - a
+	opAddMul    // dst = a + b*c
+	opSubMulImm // dst = a - b*imm
+	opMulImmSub // dst = b*imm - a
+	opAddMulImm // dst = a + b*imm
+	opStore     // field[base+e*step] = a; fld is the destination field
+	opYield     // a is the value of a bare expression (Expr); ends its tape
 )
 
-// instr is one tape instruction. dst/a/b index scratch registers; fld
-// indexes the program's field table; off is the constant flat-offset delta
-// of a shifted load (sum of shift[d]*stride[d] over the field's dims).
-// flags, la and lb are lowering-time annotations (see classify) from which
-// the unit-step tape is built; no executor reads them. They sit in what was
-// padding, so an instr is still 32 bytes.
+// instr is one tape instruction. dst/a/b/c index scratch registers (c only
+// on the three-operand multiply-then-add forms); fld indexes the program's
+// field table; off is the constant flat-offset delta of a shifted load (sum
+// of shift[d]*stride[d] over the field's dims). flags, la and lb are
+// lowering-time annotations (see classify) from which the unit-step tape is
+// built; no executor reads them, and they mean nothing once finish returns.
+// Annotations and c sit in what was padding, so an instr is still 32 bytes.
 type instr struct {
-	op     op
-	flags  uint8
-	dst    uint16
-	a, b   uint16
-	fld    uint16
-	la, lb uint16 // tape index of the elided load behind operand a, b (on that load, la is its ops slot)
-	off    int
-	imm    float64
+	op      op
+	flags   uint8
+	dst     uint16
+	a, b, c uint16
+	fld     uint16
+	la, lb  uint16 // tape index of the instruction whose memory span operand a, b reads
+	off     int
+	imm     float64
 }
 
 // Annotations classify leaves on the fused tape: what an instruction may do
@@ -102,16 +114,23 @@ const (
 	// consumers read the field's memory directly, or a store whose value the
 	// preceding instruction wrote in place.
 	fElide  uint8 = 1 << iota
-	fMemA         // operand a is the memory span of the elided load fused[la]
+	fMemA         // operand a is the memory span fused[la] loads, or writes in place
 	fMemB         // likewise b and fused[lb]
 	fMemDst       // the result goes to field fld's span, not register dst
+	// fInner marks (from the lowerer on) a load whose shift moves along a
+	// dimension its field lays out contiguously: its span overlaps the
+	// offset-zero span of the same field one run writes. A shift along the
+	// other dimensions only lies at least a whole row away.
+	fInner
 )
 
 // memView is a span of a field that a unit-step run reads or writes where
-// it lies: the field and the flat offset from the run's start.
+// it lies: the field, the flat offset from the run's start, and whether
+// that offset moves along the run (fInner).
 type memView struct {
-	fld uint16
-	off int
+	fld   uint16
+	inner bool
+	off   int
 }
 
 // Program is a block lowered against concrete fields. It is not safe for
@@ -137,16 +156,17 @@ type Program struct {
 	skc *skewCache
 
 	// Scratch state. regs are leased spans retained across runs (the fused
-	// tape's operand table); base is
-	// the per-field flat offset of the current outer-loop position; saved
-	// holds one base snapshot per loop level (level l at [l*nf, (l+1)*nf))
-	// for the odometer recursion. rbase/steps are the per-field flat start
-	// and per-element flat step of the current run (a span or a skewed
-	// diagonal); stepA/stepB are the skewed executor's per-field iteration
-	// steps along the inner loop pair. The six tables are rewritten per run
-	// or per span, so allocState carves them from one allocation that shares
-	// no cache line with anything else — in particular not with the tables
-	// of the next worker's Program, lowered right after this one.
+	// tape's operand table); base is the per-field flat offset of the current
+	// outer-loop position; saved holds one base snapshot per loop level
+	// (level l at [l*nf, (l+1)*nf)) for the odometer recursion. steps is the
+	// per-element flat step of the current run (a span or a skewed diagonal).
+	// A span or a point starts at base itself; rbase is the per-field flat
+	// start of a run that does not — a skewed diagonal, an Expr span.
+	// stepA/stepB are the skewed executor's per-field iteration steps along
+	// the inner loop pair. The six tables are rewritten per run or per span,
+	// so allocState carves them from one allocation that shares no cache
+	// line with anything else — in particular not with the tables of the
+	// next worker's Program, lowered right after this one.
 	pool   *bufpool.Pool
 	prank  int
 	regs   [][]float64
@@ -230,7 +250,8 @@ func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []
 }
 
 // finish turns the lowerer's statements into the program's fused tape and
-// its unit-step form, and carves the per-run state.
+// its unit-step form, forms the multiply-then-add superinstructions on both,
+// and carves the per-run state.
 func (pr *Program) finish(lw *lowerer) error {
 	ssa, err := fuse(lw.ins, lw.regs)
 	if err != nil {
@@ -238,6 +259,8 @@ func (pr *Program) finish(lw *lowerer) error {
 	}
 	pr.fused, pr.fusedRegs = compactRegs(ssa)
 	pr.buildUnit()
+	pr.fused = fuseMulAdd(pr.fused, nil)
+	pr.unit = fuseMulAdd(pr.unit, pr.overwrites)
 	pr.allocState()
 	return nil
 }
@@ -267,10 +290,10 @@ func (pr *Program) allocState() {
 }
 
 // buildUnit derives the unit-step tape from the annotated fused tape: the
-// elided loads and stores go, each elided load and each in-place
-// destination becomes a view, and operands are renumbered into ops —
-// registers keep their numbers, view k is ops[Registers()+k]. A program
-// with nothing to elide has no views and never runs unit-step.
+// elided loads and stores go, each distinct span an elided load reads or an
+// in-place destination writes becomes a view, and operands are renumbered
+// into ops — registers keep their numbers, view k is ops[Registers()+k]. A
+// program with nothing to elide has no views and never runs unit-step.
 func (pr *Program) buildUnit() {
 	nv := 0
 	for i := range pr.fused {
@@ -284,34 +307,136 @@ func (pr *Program) buildUnit() {
 	r := pr.Registers()
 	pr.views = make([]memView, 0, nv)
 	pr.unit = make([]instr, 0, len(pr.fused)-nv)
-	view := func(fld uint16, off int) uint16 {
-		pr.views = append(pr.views, memView{fld, off})
+	// One view per (field, offset): two instructions that name the same
+	// span share the slice header execRun points at it.
+	view := func(fld uint16, off int, inner bool) uint16 {
+		for k, v := range pr.views {
+			if v.fld == fld && v.off == off {
+				return uint16(r + k)
+			}
+		}
+		pr.views = append(pr.views, memView{fld: fld, off: off, inner: inner})
 		return uint16(r + len(pr.views) - 1)
+	}
+	// The span behind a memory operand: what the elided load fused[at] would
+	// have copied, or — off is zero on everything but a load — the
+	// destination span the arithmetic fused[at] wrote in place.
+	source := func(at uint16) uint16 {
+		src := &pr.fused[at]
+		return view(src.fld, src.off, src.flags&fInner != 0)
 	}
 	for i := range pr.fused {
 		in := &pr.fused[i]
 		if in.flags&fElide != 0 {
-			if in.op == opLoad {
-				in.la = view(in.fld, in.off) // where its consumers find it
-			}
 			continue
 		}
 		ni := *in
 		if in.flags&fMemA != 0 {
-			ni.a = pr.fused[in.la].la
+			ni.a = source(in.la)
 		}
 		if in.flags&fMemB != 0 {
-			ni.b = pr.fused[in.lb].la
+			ni.b = source(in.lb)
 		}
 		if in.flags&fMemDst != 0 {
-			ni.dst = view(in.fld, 0)
+			ni.dst = view(in.fld, 0, false)
 		}
 		pr.unit = append(pr.unit, ni)
 	}
 }
 
+// overwrites reports whether, on the unit-step tape, an instruction writing
+// ops[dst] group by group would overwrite elements of ops[src] that later
+// groups still read: dst is an in-place destination and src another span of
+// the same field, shifted along the run. (The same span exactly is the
+// aliasing vec.go's read-group-then-write contract covers; a span shifted
+// along outer dimensions only lies a whole pitch away.)
+func (pr *Program) overwrites(dst, src uint16) bool {
+	r := pr.Registers()
+	if int(dst) < r || int(src) < r {
+		return false
+	}
+	d, s := pr.views[int(dst)-r], pr.views[int(src)-r]
+	return d.fld == s.fld && s.off != d.off && s.inner
+}
+
+// fuseMulAdd is the superinstruction peephole, run over a finished tape
+// (either one: operands are whatever the tape's executor indexes). A
+// multiply whose result lands in a scratch register only the very next
+// instruction — an add or a subtract — reads becomes one multiply-then-add
+// that takes the multiplicands as its second and third operands and the
+// consumer's destination as its own: the same two roundings, one pass over
+// the span less, and no register traffic for the product. overwrites (nil
+// when no destination can alias memory) vetoes a pair whose fused form would
+// write in place over a multiplicand it has yet to read. The tape is
+// rewritten where it lies and its shortened form returned.
+func fuseMulAdd(tape []instr, overwrites func(dst, src uint16) bool) []instr {
+	w := 0
+	for i := 0; i < len(tape); i++ {
+		if o := tape[i].op; (o == opMul || o == opMulImm) && i+1 < len(tape) {
+			if f, ok := mulAdd(tape, i, overwrites); ok {
+				tape[w] = f
+				w++
+				i++
+				continue
+			}
+		}
+		if w != i {
+			tape[w] = tape[i]
+		}
+		w++
+	}
+	return tape[:w]
+}
+
+// mulAdd forms the superinstruction of the multiply tape[i] and the
+// instruction after it, if they are a pair.
+func mulAdd(tape []instr, i int, overwrites func(dst, src uint16) bool) (instr, bool) {
+	m, s := &tape[i], &tape[i+1]
+	if s.op != opAdd && s.op != opSub {
+		return instr{}, false
+	}
+	p := m.dst
+	if (s.a == p) == (s.b == p) || m.flags&fMemDst != 0 {
+		return instr{}, false // not the product's reader, or p + p; or the product is a field's value
+	}
+	// The product must die with the pair: nothing may read its register
+	// before the register is defined again. (The tail from i+2 on is still
+	// as lowered — rewritten instructions land at or before i.)
+	for j := i + 2; s.dst != p && j < len(tape); j++ {
+		in := &tape[j]
+		if readsA(in.op) && in.a == p || readsB(in.op) && in.b == p {
+			return instr{}, false
+		}
+		if in.op != opStore && in.op != opYield && in.dst == p {
+			break
+		}
+	}
+	if overwrites != nil && (overwrites(s.dst, m.a) || m.op == opMul && overwrites(s.dst, m.b)) {
+		return instr{}, false
+	}
+	f := instr{dst: s.dst, a: s.a, b: m.a, c: m.b, imm: m.imm}
+	form := [3]op{opSubMul, opMulSub, opAddMul}
+	if m.op == opMulImm {
+		form, f.c = [3]op{opSubMulImm, opMulImmSub, opAddMulImm}, 0
+	}
+	switch {
+	case s.op == opSub && s.b == p:
+		f.op = form[0]
+	case s.op == opSub:
+		f.op, f.a = form[1], s.b
+	default:
+		f.op = form[2]
+		if s.a == p {
+			f.a = s.b
+		}
+	}
+	return f, true
+}
+
 // readsA reports whether o reads register operand a (opStore reads a as its
-// value to store); readsB likewise for b.
+// value to store); readsB likewise for b. Both speak of the instructions the
+// lowerer emits: the multiply-then-add forms exist only once fuseMulAdd has
+// run, and nothing asks about them.
 func readsA(o op) bool { return o != opLoad && o != opConst }
 
 func readsB(o op) bool {
@@ -451,10 +576,12 @@ func compactRegs(ssa []instr) ([]instr, int) {
 //     after such a store stays a copy.
 //   - A store is elided, and the instruction before it writes the
 //     destination span itself (fMemDst), when that instruction is the
-//     arithmetic (or broadcast) producing the stored value, nothing else
-//     reads the value — a store-forwarded value keeps its register and is
-//     stored by copy — and the instruction reads no shifted memory operand
-//     of the destination field. By the first rule the only memory operands
+//     arithmetic (or broadcast) producing the stored value, every other read
+//     of the value precedes the next store to the destination field — those
+//     readers, statements the store forwards its value to, then take the
+//     field's offset-zero span as a memory operand, by the first rule's
+//     argument — and the instruction reads no shifted memory operand of the
+//     destination field. By the first rule the only memory operands
 //     of the destination still unread at that point are the instruction's
 //     own. One at offset zero aliases the result exactly, which the
 //     read-group-then-write contract of vec.go already covers (the
@@ -467,36 +594,42 @@ func compactRegs(ssa []instr) ([]instr, int) {
 // unit-step run computes bit for bit what the copying sequence computes.
 func classify(ssa []instr, last []int, i int) {
 	in := &ssa[i]
-	switch in.op {
-	case opLoad:
-		if last[i] < 0 {
-			return
-		}
-		for j := i + 1; j <= last[i]; j++ {
-			if ssa[j].op == opStore && ssa[j].fld == in.fld {
-				return
+	// storedBefore reports a store to fld after tape position from, up to and
+	// including position until.
+	storedBefore := func(fld uint16, from, until int) bool {
+		for j := from + 1; j <= until; j++ {
+			if ssa[j].op == opStore && ssa[j].fld == fld {
+				return true
 			}
 		}
-		in.flags |= fElide
+		return false
+	}
+	switch in.op {
+	case opLoad:
+		if last[i] >= 0 && !storedBefore(in.fld, i, last[i]) {
+			in.flags |= fElide
+		}
 		return
 	case opConst:
 		return
 	}
-	if ld := &ssa[in.a]; ld.op == opLoad && ld.flags&fElide != 0 {
+	inMemory := func(v uint16) bool {
+		src := &ssa[v]
+		return src.op == opLoad && src.flags&fElide != 0 || src.flags&fMemDst != 0
+	}
+	if inMemory(in.a) {
 		in.flags |= fMemA
 		in.la = in.a
 	}
-	if readsB(in.op) {
-		if ld := &ssa[in.b]; ld.op == opLoad && ld.flags&fElide != 0 {
-			in.flags |= fMemB
-			in.lb = in.b
-		}
+	if readsB(in.op) && inMemory(in.b) {
+		in.flags |= fMemB
+		in.lb = in.b
 	}
-	if in.op != opStore || i == 0 || int(in.a) != i-1 || last[i-1] != i {
+	if in.op != opStore || i == 0 || int(in.a) != i-1 {
 		return
 	}
 	prev := &ssa[i-1]
-	if prev.op == opLoad {
+	if prev.op == opLoad || storedBefore(in.fld, i, last[i-1]) {
 		return
 	}
 	shifted := func(mem uint8, l uint16) bool {
@@ -725,16 +858,21 @@ func (lw *lowerer) lower(n expr.Node) (val, error) {
 			return val{}, err
 		}
 		off := 0
+		var flags uint8
 		if t.Shift != nil {
 			if len(t.Shift) != lw.pr.rank {
 				return val{}, fmt.Errorf("kernel: reference %s has shift rank %d, want %d", t, len(t.Shift), lw.pr.rank)
 			}
 			for d, c := range t.Shift {
-				off += c * lw.pr.strides[fi][d]
+				stride := lw.pr.strides[fi][d]
+				off += c * stride
+				if c != 0 && stride == 1 {
+					flags = fInner
+				}
 			}
 		}
 		dst := lw.alloc()
-		lw.emit(instr{op: opLoad, dst: dst, fld: fi, off: off})
+		lw.emit(instr{op: opLoad, flags: flags, dst: dst, fld: fi, off: off})
 		return val{reg: int(dst)}, nil
 	case expr.Unary:
 		if t.Op != expr.Neg {
@@ -1116,8 +1254,7 @@ func (pr *Program) odometer(t *traversal, lvl int) {
 			pr.execWaves(t.na, t.nb, t.ca, t.cb)
 			return
 		}
-		copy(pr.rbase, pr.base)
-		pr.execRun(t.n)
+		pr.execRun(pr.base, t.n)
 		return
 	}
 	d := t.loop.Perm[lvl]
@@ -1142,7 +1279,8 @@ func (pr *Program) odometer(t *traversal, lvl int) {
 }
 
 // execRun executes one run of n points — a span or a skewed diagonal. Each
-// field's start offset is rbase[fld] and per-element flat step is
+// field's start offset is base[fld] (the odometer's own table for a span or
+// a point, rbase for a diagonal) and per-element flat step is
 // steps[fld] (negative for runs that walk a dimension downward). The
 // arithmetic bodies are the register-blocked helpers of vec.go; the
 // math-call ops stay as plain loops, where the call dominates.
@@ -1151,14 +1289,14 @@ func (pr *Program) odometer(t *traversal, lvl int) {
 // run — the unit tape over ops, whose views are first pointed at the
 // current span of their fields. Which one is settled before the loop; the
 // instructions themselves do not know.
-func (pr *Program) execRun(n int) {
+func (pr *Program) execRun(base []int, n int) {
 	tape, ops := pr.fused, pr.regs
 	if pr.unitRun {
 		tape, ops = pr.unit, pr.ops
 		vs := ops[len(ops)-len(pr.views):]
 		for k := range pr.views {
 			v := &pr.views[k]
-			b := pr.rbase[v.fld] + v.off
+			b := base[v.fld] + v.off
 			vs[k] = pr.data[v.fld][b : b+n]
 		}
 	}
@@ -1168,7 +1306,7 @@ func (pr *Program) execRun(n int) {
 		case opLoad:
 			dst := ops[in.dst][:n]
 			src := pr.data[in.fld]
-			b := pr.rbase[in.fld] + in.off
+			b := base[in.fld] + in.off
 			if step := pr.steps[in.fld]; step == 1 {
 				copy(dst, src[b:b+n])
 			} else {
@@ -1177,7 +1315,7 @@ func (pr *Program) execRun(n int) {
 		case opStore:
 			out := ops[in.a][:n]
 			dd := pr.data[in.fld]
-			b := pr.rbase[in.fld]
+			b := base[in.fld]
 			if step := pr.steps[in.fld]; step == 1 {
 				copy(dd[b:b+n], out)
 			} else {
@@ -1250,6 +1388,18 @@ func (pr *Program) execRun(n int) {
 			for e := range dst {
 				dst[e] = pow(in.imm, a[e])
 			}
+		case opSubMul:
+			vsubMul(ops[in.dst][:n], ops[in.a], ops[in.b], ops[in.c])
+		case opMulSub:
+			vmulSub(ops[in.dst][:n], ops[in.a], ops[in.b], ops[in.c])
+		case opAddMul:
+			vaddMul(ops[in.dst][:n], ops[in.a], ops[in.b], ops[in.c])
+		case opSubMulImm:
+			vsubMulImm(ops[in.dst][:n], ops[in.a], ops[in.b], in.imm)
+		case opMulImmSub:
+			vmulImmSub(ops[in.dst][:n], ops[in.a], ops[in.b], in.imm)
+		case opAddMulImm:
+			vaddMulImm(ops[in.dst][:n], ops[in.a], ops[in.b], in.imm)
 		}
 	}
 }

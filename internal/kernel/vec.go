@@ -5,7 +5,7 @@ package kernel
 // registers and schedules the independent element operations together; the
 // up-front re-slices hoist the bounds checks out of the loops. The
 // element-wise arithmetic is exactly the scalar expression per element — no
-// reassociation, no fused multiply-add — so blocking cannot perturb
+// reassociation, no single-rounding multiply-add — so blocking cannot perturb
 // bit-identity with the closure engine. A destination may alias an operand
 // (the register compactor reuses operand registers): each group reads all
 // its inputs before writing, and groups are disjoint, so aliasing is safe.
@@ -246,5 +246,97 @@ func vmaxImm(dst, a []float64, imm float64) {
 	}
 	for ; e < n; e++ {
 		dst[e] = maxf(a[e], imm)
+	}
+}
+
+// The multiply-then-add bodies. Each product is rounded to float64 before
+// the sum is — the explicit conversion is what the language gives for that:
+// without it a compiler may contract x*y ± z into one fma with a single
+// rounding (arm64, ppc64le, riscv64 and s390x builds do), and the result
+// would differ from the opMul/opAdd pair the instruction replaces in the
+// last bit. TestNoContractedMultiplyAdd reads the arm64 assembly to see that
+// none is.
+
+func vsubMul(dst, a, b, c []float64) {
+	n := len(dst)
+	a, b, c = a[:n], b[:n], c[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := a[e]-float64(b[e]*c[e]), a[e+1]-float64(b[e+1]*c[e+1])
+		d2, d3 := a[e+2]-float64(b[e+2]*c[e+2]), a[e+3]-float64(b[e+3]*c[e+3])
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = a[e] - float64(b[e]*c[e])
+	}
+}
+
+func vmulSub(dst, a, b, c []float64) {
+	n := len(dst)
+	a, b, c = a[:n], b[:n], c[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := float64(b[e]*c[e])-a[e], float64(b[e+1]*c[e+1])-a[e+1]
+		d2, d3 := float64(b[e+2]*c[e+2])-a[e+2], float64(b[e+3]*c[e+3])-a[e+3]
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = float64(b[e]*c[e]) - a[e]
+	}
+}
+
+func vaddMul(dst, a, b, c []float64) {
+	n := len(dst)
+	a, b, c = a[:n], b[:n], c[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := a[e]+float64(b[e]*c[e]), a[e+1]+float64(b[e+1]*c[e+1])
+		d2, d3 := a[e+2]+float64(b[e+2]*c[e+2]), a[e+3]+float64(b[e+3]*c[e+3])
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = a[e] + float64(b[e]*c[e])
+	}
+}
+
+func vsubMulImm(dst, a, b []float64, imm float64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := a[e]-float64(b[e]*imm), a[e+1]-float64(b[e+1]*imm)
+		d2, d3 := a[e+2]-float64(b[e+2]*imm), a[e+3]-float64(b[e+3]*imm)
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = a[e] - float64(b[e]*imm)
+	}
+}
+
+func vmulImmSub(dst, a, b []float64, imm float64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := float64(b[e]*imm)-a[e], float64(b[e+1]*imm)-a[e+1]
+		d2, d3 := float64(b[e+2]*imm)-a[e+2], float64(b[e+3]*imm)-a[e+3]
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = float64(b[e]*imm) - a[e]
+	}
+}
+
+func vaddMulImm(dst, a, b []float64, imm float64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		d0, d1 := a[e]+float64(b[e]*imm), a[e+1]+float64(b[e+1]*imm)
+		d2, d3 := a[e+2]+float64(b[e+2]*imm), a[e+3]+float64(b[e+3]*imm)
+		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
+	}
+	for ; e < n; e++ {
+		dst[e] = a[e] + float64(b[e]*imm)
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"wavefront/internal/expr"
+	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
+	"wavefront/internal/workload"
 )
 
 // TestPipelineRunPopulatesMetrics runs the Tomcatv wavefront with a
@@ -65,6 +68,10 @@ func TestPipelineRunPopulatesMetrics(t *testing.T) {
 	}
 	if g := snap.Gauges[metrics.ModelDrift]; g != stats.Drift.DriftRatio {
 		t.Errorf("drift gauge %g != report %g", g, stats.Drift.DriftRatio)
+	}
+	// One sweep: the whole makespan is what the model is held against.
+	if stats.Drift.ObservedNs != float64(stats.Elapsed) {
+		t.Errorf("a one-shot is judged by %g ns, want its wall-clock %d", stats.Drift.ObservedNs, stats.Elapsed)
 	}
 }
 
@@ -177,5 +184,81 @@ func TestSessionServesMetricsWhileRunning(t *testing.T) {
 	}
 	if got := reg.Counter(metrics.SessExchanges).Value(); got <= 0 {
 		t.Errorf("exchanges = %d, want > 0 (the reduce reads a halo the sweeps left stale)", got)
+	}
+}
+
+// tomcatvDrift runs iters whole Tomcatv iterations (five blocks and the
+// residual reduction) in a session of procs ranks with a registry attached and
+// returns the run's drift report and wall-clock.
+func tomcatvDrift(t *testing.T, procs, n, block, iters int) (metrics.DriftReport, time.Duration) {
+	t.Helper()
+	w, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := w.Blocks()
+	sess, err := NewSession(w.Env, blocks, SessionConfig{Procs: procs, Domain: w.All, Block: block, Metrics: metrics.New(procs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	resid := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
+	if err := sess.Run(func(r *Rank) error {
+		for it := 0; it < iters; it++ {
+			for _, b := range blocks {
+				if err := r.Exec(b); err != nil {
+					return err
+				}
+			}
+			if _, err := r.Reduce(scan.MaxReduce, w.Interior, resid); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Stats().Drift == nil {
+		t.Fatal("session carries no drift report with metrics attached")
+	}
+	return *sess.Stats().Drift, sess.Stats().Elapsed
+}
+
+// TestSessionDriftIsPerSweep: Equation (1) predicts one sweep, and a session
+// that runs many — with parallel blocks, halo refreshes and a reduction
+// between them — must hold the prediction against one sweep's time, not the
+// whole body's wall-clock (which read 198 on the repository benchmark's
+// 25-iteration session). Three Tomcatv iterations are six sweeps; the ratio
+// of their mean makespan to the prediction at the optimal width is pinned
+// inside [0.5, 3] on one rank, where it reads 2.0–2.3 whatever else the host
+// is doing (the cost fit's τ averages the cheap parallel blocks in with the
+// sweeps; one goroutine's tiles and their sum slow down together). On two
+// ranks fill and the skew between the ranks add to it: 2.4–2.7 on a quiet
+// 2-CPU host, 3.0–4.1 for as long as other packages' tests hold a CPU — not
+// the model's claim, so that leg retries with a growing pause and is held to
+// 4. Either bound is an order of magnitude under what judging the body whole
+// reads (20 and up for these three iterations). A one-shot run sweeps once and
+// is judged, as ever, by its whole makespan — TestPipelineRunPopulatesMetrics.
+func TestSessionDriftIsPerSweep(t *testing.T) {
+	const n, block, iters = 512, 128, 3
+	for procs, limit := range map[int]float64{1: 3, 2: 4} {
+		var rep metrics.DriftReport
+		var whole time.Duration
+		for try := 0; try < 10; try++ {
+			time.Sleep(time.Duration(try) * 100 * time.Millisecond)
+			rep, whole = tomcatvDrift(t, procs, n, block, iters)
+			t.Logf("p = %d, try %d: observed %.0f ns per sweep, predicted %.0f at b = %d (%.0f at the session's b = %d): drift %.2f",
+				procs, try, rep.ObservedNs, rep.PredictedOptNs, rep.OptimalBlock, rep.PredictedActualNs, block, rep.DriftRatio)
+			if rep.DriftRatio >= 0.5 && rep.DriftRatio <= limit {
+				break
+			}
+		}
+		if rep.DriftRatio < 0.5 || rep.DriftRatio > limit {
+			t.Errorf("p = %d: session drift ratio %.2f outside [0.5, %g]: observed %.0f ns against %.0f predicted for one sweep",
+				procs, rep.DriftRatio, limit, rep.ObservedNs, rep.PredictedOptNs)
+		}
+		if rep.ObservedNs > float64(whole)/2 {
+			t.Errorf("p = %d: observed %.0f ns per sweep is no fraction of a %d ns body of %d sweeps", procs, rep.ObservedNs, whole, 2*iters)
+		}
 	}
 }

@@ -25,9 +25,14 @@ type pipeMetrics struct {
 	tileNs                          *metrics.Histogram
 	compCost                        *metrics.Fit
 	// first/last bound each rank's compute activity in ns since the
-	// registry epoch. Each rank's goroutine writes only its own slot;
-	// finishRun reads after the run's WaitGroup.
-	first, last []int64
+	// registry epoch. sweeps counts the wavefront sweeps this run whose
+	// pipeline the rank headed, and sweepNs sums clock readings, signed:
+	// minus the start of each sweep the rank headed, plus the end of each
+	// whose last rank it was — so over all ranks sweepNs sums the sweeps'
+	// makespans. Each rank's goroutine writes only its own slot; finishRun
+	// reads after the run's WaitGroup.
+	first, last     []int64
+	sweeps, sweepNs []int64
 }
 
 func newPipeMetrics(reg *metrics.Registry, p int) *pipeMetrics {
@@ -52,9 +57,10 @@ func newPipeMetrics(reg *metrics.Registry, p int) *pipeMetrics {
 		traceDropped: reg.Counter(metrics.TraceDropped),
 		tileNs:       reg.Histogram(metrics.PipeTileNs),
 		compCost:     reg.Fit(metrics.ModelCompFit),
-		first:        make([]int64, p),
-		last:         make([]int64, p),
 	}
+	slots := make([]int64, 4*p)
+	pm.first, pm.last = slots[:p:p], slots[p:2*p:2*p]
+	pm.sweeps, pm.sweepNs = slots[2*p:3*p:3*p], slots[3*p:]
 	for i := range pm.first {
 		pm.first[i] = -1
 	}
@@ -87,6 +93,19 @@ func (pm *pipeMetrics) tile(rank, elems int, start, end int64) {
 		pm.first[rank] = start
 	}
 	pm.last[rank] = end
+}
+
+// swept closes rank's part in one wavefront sweep it entered at start. The
+// pipeline's head (no upstream neighbour) opened the sweep then; its tail (no
+// downstream neighbour) closes it now.
+func (pm *pipeMetrics) swept(rank int, head, tail bool, start int64) {
+	if head {
+		pm.sweeps[rank]++
+		pm.sweepNs[rank] -= start
+	}
+	if tail {
+		pm.sweepNs[rank] += pm.now()
+	}
 }
 
 // waveSend records one pipeline boundary message leaving rank.
@@ -163,6 +182,13 @@ func (pm *pipeMetrics) publishAlloc(mallocs, waves int64, pool *bufpool.Pool) {
 // finishRun publishes the fill/drain/steady phase split from the per-rank
 // compute envelopes, records the observed makespan, and refreshes the
 // model-drift gauges. Call once per Run, after every rank has retired.
+//
+// Equation (1) predicts one sweep, so one sweep is what it is held against.
+// A run that swept once — a one-shot — is judged by its whole wall-clock, as
+// its caller saw it, scatter and gather included. A session body that swept
+// again and again (and ran parallel blocks, exchanges and reductions in
+// between) is judged by its sweeps' mean makespan: head rank's first tile to
+// tail rank's last.
 func (pm *pipeMetrics) finishRun(nW, nT, p, b int, elapsed time.Duration) metrics.DriftReport {
 	var minFirst, maxFirst, minLast, maxLast int64 = -1, -1, -1, -1
 	for r := range pm.first {
@@ -198,7 +224,16 @@ func (pm *pipeMetrics) finishRun(nW, nT, p, b int, elapsed time.Duration) metric
 	if b < 1 {
 		b = nT
 	}
+	observed := int64(elapsed)
+	var sweeps, inSweeps int64
+	for r := range pm.sweeps {
+		sweeps += pm.sweeps[r]
+		inSweeps += pm.sweepNs[r]
+	}
+	if sweeps > 1 {
+		observed = inSweeps / sweeps
+	}
 	return pm.reg.UpdateDrift(metrics.DriftInput{
-		NW: nW, NT: nT, P: p, B: b, ObservedNs: int64(elapsed),
+		NW: nW, NT: nT, P: p, B: b, ObservedNs: observed,
 	})
 }

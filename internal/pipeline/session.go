@@ -1185,6 +1185,9 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 		ep = buildExecPlan(pl, r.curBlock, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
 		r.eplans[b] = ep
 	}
+	if pm != nil {
+		defer pm.swept(r.id, !ep.hasUp, !ep.hasDown, pm.now())
+	}
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
 		return r.execWavefrontDAG(b, pl, ep, L, wave)
 	}
