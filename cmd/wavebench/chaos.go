@@ -16,6 +16,10 @@ import (
 // chaosModes are the -chaos scenarios, in run order for "all".
 var chaosModes = chaosspec.Modes
 
+// chaosCkptEvery is the recovery scenarios' snapshot interval in tiles:
+// wide enough that a restart replays a tile it had already computed.
+const chaosCkptEvery = 2
+
 // runChaos demonstrates the fault-tolerant runtime on the Tomcatv forward
 // wavefront: it injects one seeded fault scenario (or all of them),
 // verifies the run ends the way the scenario predicts — a structured
@@ -23,7 +27,7 @@ var chaosModes = chaosspec.Modes
 // corruption, a clean bit-identical run for delay and backpressure, a
 // checkpoint-restart recovery to a bit-identical result for the recover
 // scenarios — and prints the injector accounting and diagnostics.
-func runChaos(mode string, procs, block, n, linkCap int, seed int64, sched wavefront.Scheduler, workers int, tcfg wavefront.TransportConfig, ckptEvery int, pmDir string) error {
+func runChaos(mode string, procs, block, n, linkCap int, seed int64, sched wavefront.Scheduler, workers int, tcfg wavefront.TransportConfig, pmDir string) error {
 	modes := []string{mode}
 	if mode == "all" {
 		modes = chaosModes
@@ -47,7 +51,7 @@ func runChaos(mode string, procs, block, n, linkCap int, seed int64, sched wavef
 			fmt.Printf("chaos %s: skipped under the %v transport (no bounded links)\n\n", m, tcfg.Kind)
 			continue
 		}
-		if err := runChaosMode(m, procs, block, n, linkCap, seed, sched, workers, tcfg, ckptEvery, oracle, pmDir); err != nil {
+		if err := runChaosMode(m, procs, block, n, linkCap, seed, sched, workers, tcfg, oracle, pmDir); err != nil {
 			fmt.Printf("chaos %s: FAILED: %v\n\n", m, err)
 			failed = true
 		}
@@ -58,7 +62,7 @@ func runChaos(mode string, procs, block, n, linkCap int, seed int64, sched wavef
 	return nil
 }
 
-func runChaosMode(mode string, procs, block, n, linkCap int, seed int64, sched wavefront.Scheduler, workers int, tcfg wavefront.TransportConfig, ckptEvery int, oracle *workload.Tomcatv, pmDir string) error {
+func runChaosMode(mode string, procs, block, n, linkCap int, seed int64, sched wavefront.Scheduler, workers int, tcfg wavefront.TransportConfig, oracle *workload.Tomcatv, pmDir string) error {
 	// The rule tables live in internal/chaosspec so this demonstration and
 	// the repo's failure-drill tests inject identical schedules.
 	rules, err := chaosspec.Rules(mode)
@@ -96,7 +100,7 @@ func runChaosMode(mode string, procs, block, n, linkCap int, seed int64, sched w
 	if recovery {
 		reg = wavefront.NewMetrics(procs)
 		cfg.Metrics = reg
-		cfg.Checkpoint = &wavefront.Checkpoint{Every: ckptEvery}
+		cfg.Checkpoint = &wavefront.Checkpoint{Every: chaosCkptEvery}
 	}
 	_, err = wavefront.RunPipelined(t.ForwardBlock(), t.Env, cfg)
 

@@ -4,65 +4,42 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"wavefront"
-	"wavefront/internal/critpath"
-	"wavefront/internal/metrics"
 )
 
-// runLive loops the Tomcatv forward wavefront with metrics on, optionally
-// serving the registry over HTTP (-serve) and/or printing a periodic
-// one-line summary (-watch). The loop stops after -duration, or on
-// SIGINT/SIGTERM when the duration is 0.
-func runLive(addr string, watch bool, procs, block, n int, dur time.Duration, pooled, autotune bool, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, pmDir string) error {
+// runLive loops the Tomcatv forward wavefront in one session that serves
+// its metrics over HTTP (-serve): the session owns the registry, the
+// endpoint (/metrics, /debug/vars, /debug/pprof/, the last Run's critical
+// path at /debug/critpath, the last post-mortem bundle at /debug/bundle),
+// the flight ring behind the last two, and one buffer pool whose warm free
+// lists carry from Run to Run, so after the first the steady-state waves
+// stop allocating. With autotune each Run re-plans from the drift fitted
+// over all prior ones. The loop stops after -duration, or on SIGINT/SIGTERM
+// when the duration is 0.
+func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, pmDir string) error {
 	t, err := prepTomcatv(n)
 	if err != nil {
 		return err
-	}
-	reg := wavefront.NewMetrics(procs)
-	// One pool shared across every run keeps the free lists warm, so after
-	// the first run the steady-state waves stop allocating. AutoTune reads
-	// the same registry the loop publishes into, so each run consumes the
-	// drift fitted over all prior runs.
-	var pool *wavefront.BufferPool
-	if pooled {
-		pool = wavefront.NewBufferPool(procs)
-	}
-
-	// When serving or flight-recording, each iteration runs traced on a
-	// flight ring (reset per run) so /debug/critpath always shows the last
-	// completed run's critical path and failure bundles carry a trace tail.
-	var rec *wavefront.TraceRecorder
-	wtr := 0
-	if addr != "" || pmDir != "" {
-		rings := procs
-		if sched == wavefront.SchedTaskDAG {
-			wtr = workers
-			if wtr <= 0 {
-				wtr = runtime.GOMAXPROCS(0)
-			}
-			rings = procs * (1 + wtr)
-		}
-		rec = wavefront.NewTraceRecorder(rings)
 	}
 	var pm *wavefront.FlightRecorder
 	if pmDir != "" {
 		pm = wavefront.NewFlightRecorder(pmDir)
 	}
-	holder := &wavefront.CritPathHolder{}
-	if addr != "" {
-		srv, err := wavefront.ServeMetrics(addr, reg,
-			wavefront.MetricsEndpoint{Path: "/debug/critpath", Handler: holder},
-			wavefront.MetricsEndpoint{Path: "/debug/bundle", Handler: pm})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("serving metrics on http://%s  (/metrics, /debug/vars, /debug/pprof/, /debug/critpath, /debug/bundle)\n", srv.Addr())
+	fwd := t.ForwardBlock()
+	sess, err := wavefront.NewSession(t.Env, []*wavefront.Block{fwd}, wavefront.SessionConfig{
+		Procs: procs, Domain: fwd.Region, Block: block,
+		MetricsAddr: addr, Postmortem: pm,
+		Pool: wavefront.NewBufferPool(procs), AutoTune: autotune,
+		Kernel: engine, Scheduler: sched, Workers: workers,
+	})
+	if err != nil {
+		return err
 	}
+	defer sess.Close()
+	fmt.Printf("serving metrics on http://%s  (/metrics, /debug/vars, /debug/pprof/, /debug/critpath, /debug/bundle)\n", sess.MetricsAddr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
@@ -72,19 +49,8 @@ func runLive(addr string, watch bool, procs, block, n int, dur time.Duration, po
 		deadline = time.After(dur)
 	}
 
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if watch {
-		ticker = time.NewTicker(time.Second)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-
 	fmt.Printf("looping tomcatv forward: n=%d procs=%d block=%d\n", n, procs, block)
-	var lastTiles, lastBusy int64
-	lastAt := time.Now()
-	runs := 0
-	for {
+	for runs := 0; ; runs++ {
 		select {
 		case <-stop:
 			fmt.Printf("\nstopped after %d runs\n", runs)
@@ -92,41 +58,13 @@ func runLive(addr string, watch bool, procs, block, n int, dur time.Duration, po
 		case <-deadline:
 			fmt.Printf("done: %d runs in %v\n", runs, dur)
 			return nil
-		case <-tick:
-			snap := reg.Snapshot()
-			now := time.Now()
-			wall := now.Sub(lastAt)
-			tiles := snap.Counters[metrics.PipeTiles].Total
-			busy := snap.Counters[metrics.PipeBusyNs].Total
-			rate := float64(tiles-lastTiles) / wall.Seconds()
-			util := float64(busy-lastBusy) / (wall.Seconds() * 1e9 * float64(procs))
-			fmt.Printf("tiles/s=%-9.0f utilization=%-5.2f drift=%-5.2f opt_b=%-4.0f runs=%d\n",
-				rate, util, snap.Gauges[metrics.ModelDrift], snap.Gauges[metrics.ModelOptBlock], runs)
-			lastTiles, lastBusy, lastAt = tiles, busy, now
 		default:
-			if rec != nil {
-				rec.Reset()
+		}
+		if err := sess.Run(func(r *wavefront.Rank) error { return r.Exec(fwd) }); err != nil {
+			if _, bp := pm.Last(); bp != "" {
+				fmt.Printf("post-mortem bundle: %s\n", bp)
 			}
-			if _, err := wavefront.RunPipelined(t.ForwardBlock(), t.Env,
-				wavefront.Pipeline{Procs: procs, Block: block, Metrics: reg,
-					Pool: pool, AutoTune: autotune, Kernel: engine,
-					Scheduler: sched, Workers: workers, Trace: rec,
-					Postmortem: pm}); err != nil {
-				if pm != nil {
-					if _, bp := pm.Last(); bp != "" {
-						fmt.Printf("post-mortem bundle: %s\n", bp)
-					}
-				}
-				return err
-			}
-			if rec != nil {
-				if rep, err := critpath.Analyze(rec.Events(), critpath.Options{
-					Procs: procs, Workers: wtr, Dropped: rec.Dropped(),
-					Tolerant: true, Metrics: reg}); err == nil {
-					holder.Set(rep)
-				}
-			}
-			runs++
+			return err
 		}
 	}
 }

@@ -21,16 +21,18 @@
 // fault scenario (drop, corrupt, stall, crash, delay, backpressure,
 // recover, recover-multi, or all) into the same workload and verifies the
 // run ends with the predicted diagnosis instead of hanging. The recovery
-// scenarios crash ranks at pinned waves with checkpointing on (-ckpt-every)
+// scenarios crash ranks at pinned waves with a snapshot every second tile
 // and demand the restarted run complete bit-identical to the serial oracle.
 // -link-cap bounds every comm link so senders feel backpressure (0 =
 // unbounded); it applies to -trace and -chaos runs. -transport selects how
 // messages travel between ranks (in-process channels, loopback TCP, or unix
 // sockets) for the -chaos scenarios.
 //
-// -critpath adds the cross-rank critical-path decomposition to a -trace
-// run: the longest causal chain through the recorded events, its
-// compute/comm/wait split, and where it crosses ranks. -postmortem DIR arms
+// A -trace run also prints the cross-rank critical-path decomposition: the
+// longest causal chain through the recorded events, its compute/comm/wait
+// split, and where it crosses ranks. -serve ADDR loops the workload in one
+// session that serves its live metrics, the last run's critical path and
+// the last post-mortem bundle over HTTP. -postmortem DIR arms
 // the flight recorder for -trace, -chaos, and -serve runs: structured
 // failures (and, for -trace, the completed run) capture a checksummed JSON
 // bundle — trace tail, metrics, wait-for graph, checkpoint metadata, run
@@ -58,33 +60,31 @@ import (
 // tell "the workload misbehaved" from "the tool was invoked wrong".
 var errCheckFailed = errors.New("check failed")
 
+// The flags, at package level so the README test can walk
+// flag.CommandLine without running main.
+var (
+	id        = flag.String("exp", "all", "experiment id, or 'all'")
+	quick     = flag.Bool("quick", false, "shrink problem sizes (for smoke runs)")
+	list      = flag.Bool("list", false, "list experiments and exit")
+	traceOut  = flag.String("trace", "", "record a traced pipeline run and write Chrome trace JSON to this file")
+	procs     = flag.Int("procs", 4, "ranks for -trace, -chaos, and -serve")
+	blockSize = flag.Int("block", 16, "tile width for -trace, -chaos, and -serve (0 = naive)")
+	n         = flag.Int("n", 128, "problem size for -trace, -chaos, and -serve")
+	chaos     = flag.String("chaos", "", "inject a fault scenario (drop|corrupt|stall|crash|delay|backpressure|recover|recover-multi|all)")
+	linkCap   = flag.Int("link-cap", 0, "bound every comm link to this many queued messages (0 = unbounded)")
+	seed      = flag.Int64("seed", 1, "fault-plan seed for -chaos")
+	transp    = flag.String("transport", "chan", "message transport: chan (in-process), tcp, or unix (loopback sockets)")
+	serve     = flag.String("serve", "", "serve live metrics at this address (e.g. :8080) while looping the workload")
+	duration  = flag.Duration("duration", 0, "stop the -serve workload loop after this long (0 = until interrupted)")
+	autotune  = flag.Bool("autotune", false, "let the drift monitor retune the tile width between -serve workload-loop runs")
+	kernelSel = flag.String("kernel", "tape", "kernel execution engine: tape (span and skewed-run instruction tapes), closure (per-point reference path), or scalar (forced per-point tape baseline)")
+	schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (work-stealing tile DAG)")
+	workers   = flag.Int("workers", 0, "task-DAG pool size per rank for -sched=taskdag (0 = GOMAXPROCS)")
+	postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
+	validate  = flag.Bool("validate", false, "run Tomcatv/SIMPLE/Sweep3D under both engines and both schedulers, serial and pipelined, and exit nonzero on any bit-level disagreement")
+)
+
 func main() {
-	var (
-		id        = flag.String("exp", "all", "experiment id, or 'all'")
-		quick     = flag.Bool("quick", false, "shrink problem sizes (for smoke runs)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		traceOut  = flag.String("trace", "", "record a traced pipeline run and write Chrome trace JSON to this file")
-		procs     = flag.Int("procs", 4, "ranks for -trace, -chaos, and -serve")
-		blockSize = flag.Int("block", 16, "tile width for -trace, -chaos, and -serve (0 = naive)")
-		n         = flag.Int("n", 128, "problem size for -trace, -chaos, and -serve")
-		chaos     = flag.String("chaos", "", "inject a fault scenario (drop|corrupt|stall|crash|delay|backpressure|recover|recover-multi|all)")
-		linkCap   = flag.Int("link-cap", 0, "bound every comm link to this many queued messages (0 = unbounded)")
-		seed      = flag.Int64("seed", 1, "fault-plan seed for -chaos")
-		transp    = flag.String("transport", "chan", "message transport: chan (in-process), tcp, or unix (loopback sockets)")
-		ckptEvery = flag.Int("ckpt-every", 2, "snapshot interval in waves for the -chaos recovery scenarios")
-		serve     = flag.String("serve", "", "serve live metrics at this address (e.g. :8080) while looping the workload")
-		watch     = flag.Bool("watch", false, "print a periodic one-line live summary while looping the workload")
-		duration  = flag.Duration("duration", 0, "stop the -serve/-watch workload loop after this long (0 = until interrupted)")
-		pool      = flag.Bool("pool", false, "reuse message buffers across waves (zero-alloc steady state) in the workload loop")
-		autotune  = flag.Bool("autotune", false, "let the drift monitor retune the tile width between workload-loop runs")
-		kernelSel = flag.String("kernel", "tape", "kernel execution engine: tape (span and skewed-run instruction tapes), closure (per-point reference path), or scalar (forced per-point tape baseline)")
-		schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (work-stealing tile DAG)")
-		workers   = flag.Int("workers", 0, "task-DAG pool size per rank for -sched=taskdag (0 = GOMAXPROCS)")
-		critPathF = flag.Bool("critpath", false, "print the cross-rank critical-path decomposition after a -trace run")
-		postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
-		validate  = flag.Bool("validate", false, "run Tomcatv/SIMPLE/Sweep3D under both engines and both schedulers, serial and pipelined, and exit nonzero on any bit-level disagreement")
-		speedup   = flag.Bool("speedup", false, "time the Tomcatv forward wavefront as the serial kernel and under -sched=taskdag at 1 worker and at -workers workers; report each leg against the serial kernel with its tile geometry")
-	)
 	flag.Parse()
 
 	if *list {
@@ -119,23 +119,18 @@ func main() {
 		return
 	}
 
-	if *speedup {
-		exitOn(runSpeedup(*n, *blockSize, *workers))
-		return
-	}
-
-	if *serve != "" || *watch {
-		exitOn(runLive(*serve, *watch, *procs, *blockSize, *n, *duration, *pool, *autotune, engine, sched, *workers, *postmort))
+	if *serve != "" {
+		exitOn(runLive(*serve, *procs, *blockSize, *n, *duration, *autotune, engine, sched, *workers, *postmort))
 		return
 	}
 
 	if *chaos != "" {
-		exitOn(runChaos(*chaos, *procs, *blockSize, *n, *linkCap, *seed, sched, *workers, tcfg, *ckptEvery, *postmort))
+		exitOn(runChaos(*chaos, *procs, *blockSize, *n, *linkCap, *seed, sched, *workers, tcfg, *postmort))
 		return
 	}
 
 	if *traceOut != "" {
-		exitOn(runTraced(*traceOut, *procs, *blockSize, *n, *linkCap, engine, sched, *workers, *critPathF, *postmort))
+		exitOn(runTraced(*traceOut, *procs, *blockSize, *n, *linkCap, engine, sched, *workers, *postmort))
 		return
 	}
 
@@ -165,11 +160,12 @@ func main() {
 }
 
 // runTraced pipelines the Tomcatv forward elimination across ranks with
-// tracing on, prints the summary, validates the schedule, and writes the
-// Chrome trace. Under -sched=taskdag the recorder carries procs*(1+workers)
-// rings so every DAG worker's tile spans land in the trace and the
-// validator replays the dynamic schedule too.
-func runTraced(path string, procs, block, n, linkCap int, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, doCritPath bool, pmDir string) error {
+// tracing on, prints the summary and the critical-path decomposition,
+// validates the schedule, and writes the Chrome trace. Under -sched=taskdag
+// the recorder carries procs*(1+workers) rings so every DAG worker's tile
+// spans land in the trace and the validator replays the dynamic schedule
+// too.
+func runTraced(path string, procs, block, n, linkCap int, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, pmDir string) error {
 	t, err := workload.NewTomcatv(n, field.RowMajor)
 	if err != nil {
 		return err
@@ -207,14 +203,12 @@ func runTraced(path string, procs, block, n, linkCap int, engine wavefront.Kerne
 			linkCap, stats.Comm.BlockedSends, stats.Comm.BlockedSendTime)
 	}
 	fmt.Println(stats.Summary.String())
-	if doCritPath {
-		rep, cerr := critpath.Analyze(rec.Events(), critpath.Options{
-			Procs: procs, Workers: wtr, Dropped: rec.Dropped(), Tolerant: true})
-		if cerr != nil {
-			return fmt.Errorf("critical-path analysis FAILED (%w): %v", errCheckFailed, cerr)
-		}
-		fmt.Println(rep.String())
+	rep, cerr := critpath.Analyze(rec.Events(), critpath.Options{
+		Procs: procs, Workers: wtr, Dropped: rec.Dropped(), Tolerant: true})
+	if cerr != nil {
+		return fmt.Errorf("critical-path analysis FAILED (%w): %v", errCheckFailed, cerr)
 	}
+	fmt.Println(rep.String())
 	if pm != nil {
 		_, bp, cerr := pm.CaptureNow("traced-run")
 		if cerr != nil {

@@ -2,13 +2,16 @@ package main
 
 // In-package drills for the wavebench entry points. Each mode function is
 // exercised the way CI invokes the binary (validate matrix, chaos sweep,
-// traced run with critical path, speedup table, live loop), so the command
+// traced run with critical path, live loop), so the command
 // paths stay under the coverage floor instead of counting as dead weight.
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +52,7 @@ func TestRunChaosAll(t *testing.T) {
 	} {
 		t.Run(sched.name, func(t *testing.T) {
 			err := runChaos("all", 4, 8, 64, 0, 1, sched.sched, sched.workers,
-				wavefront.TransportConfig{}, 2, t.TempDir())
+				wavefront.TransportConfig{}, t.TempDir())
 			if err != nil {
 				t.Fatalf("chaos sweep failed: %v", err)
 			}
@@ -59,7 +62,7 @@ func TestRunChaosAll(t *testing.T) {
 
 func TestRunChaosUnknownMode(t *testing.T) {
 	err := runChaos("meteor", 4, 8, 32, 0, 1, wavefront.SchedStatic, 0,
-		wavefront.TransportConfig{}, 2, "")
+		wavefront.TransportConfig{}, "")
 	if !errors.Is(err, errCheckFailed) {
 		t.Fatalf("want errCheckFailed for an unknown mode, got: %v", err)
 	}
@@ -67,11 +70,11 @@ func TestRunChaosUnknownMode(t *testing.T) {
 
 // TestRunTraced records a pipelined run, validates the schedule, writes the
 // Chrome trace JSON, runs the critical-path decomposition, and arms the
-// flight recorder — the full -trace -critpath -postmortem path.
+// flight recorder — the full -trace -postmortem path.
 func TestRunTraced(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "trace.json")
-	if err := runTraced(out, 4, 8, 32, 2, wavefront.KernelTape, wavefront.SchedStatic, 0, true, dir); err != nil {
+	if err := runTraced(out, 4, 8, 32, 2, wavefront.KernelTape, wavefront.SchedStatic, 0, dir); err != nil {
 		t.Fatalf("traced run failed: %v", err)
 	}
 	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
@@ -79,18 +82,35 @@ func TestRunTraced(t *testing.T) {
 	}
 }
 
-func TestRunSpeedup(t *testing.T) {
-	if err := runSpeedup(32, 8, 2); err != nil {
-		t.Fatalf("speedup table failed: %v", err)
+// TestRunLive loops the workload for a short bounded duration in a serving
+// session with autotune and the flight recorder on.
+func TestRunLive(t *testing.T) {
+	err := runLive("127.0.0.1:0", 2, 8, 24, 300*time.Millisecond,
+		true, wavefront.KernelTape, wavefront.SchedStatic, 0, t.TempDir())
+	if err != nil {
+		t.Fatalf("live loop failed: %v", err)
 	}
 }
 
-// TestRunLive loops the workload for a short bounded duration with the
-// metrics server, watch ticker, pool, autotune, and flight recorder all on.
-func TestRunLive(t *testing.T) {
-	err := runLive("127.0.0.1:0", true, 2, 8, 24, 300*time.Millisecond,
-		true, true, wavefront.KernelTape, wavefront.SchedStatic, 0, t.TempDir())
+// TestEveryFlagIsInREADME walks the registered flags and fails on any that
+// README.md never writes as `-name`: a flag nobody documented is a flag
+// nobody can find, and the next candidate for deletion.
+func TestEveryFlagIsInREADME(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
-		t.Fatalf("live loop failed: %v", err)
+		t.Fatal(err)
+	}
+	count := 0
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		count++
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f.Name) + `\b`).Match(readme) {
+			t.Errorf("README.md never mentions -%s", f.Name)
+		}
+	})
+	if count == 0 || count > 19 {
+		t.Errorf("wavebench registers %d flags, want 1..19", count)
 	}
 }

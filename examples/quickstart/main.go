@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"log"
 
+	"wavefront"
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
-	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
 )
 
@@ -58,7 +58,7 @@ func main() {
 	fmt.Print(serial.Arrays["a"].Format2(region))
 
 	par := mkEnv()
-	stats, err := pipeline.Run(block, par, pipeline.DefaultConfig(4, 2))
+	stats, err := wavefront.RunPipelined(block, par, wavefront.Pipeline{Procs: 4, Block: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"log"
 
+	"wavefront"
 	"wavefront/internal/field"
-	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
 	"wavefront/internal/workload"
 )
@@ -60,14 +60,14 @@ func main() {
 	if err := scan.Exec(serial.ForwardSweepBlock(), serial.Env, scan.ExecOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	fstats, err := pipeline.Run(par.ForwardSweepBlock(), par.Env, pipeline.DefaultConfig(*p, *b))
+	fstats, err := wavefront.RunPipelined(par.ForwardSweepBlock(), par.Env, wavefront.Pipeline{Procs: *p, Block: *b})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := scan.Exec(serial.BackwardSweepBlock(), serial.Env, scan.ExecOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	bstats, err := pipeline.Run(par.BackwardSweepBlock(), par.Env, pipeline.DefaultConfig(*p, *b))
+	bstats, err := wavefront.RunPipelined(par.BackwardSweepBlock(), par.Env, wavefront.Pipeline{Procs: *p, Block: *b})
 	if err != nil {
 		log.Fatal(err)
 	}

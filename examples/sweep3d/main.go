@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"log"
 
+	"wavefront"
 	"wavefront/internal/dep"
 	"wavefront/internal/field"
-	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
 	"wavefront/internal/workload"
 )
@@ -55,7 +55,7 @@ func main() {
 	if err := scan.Exec(serial.OctantBlock(dirs), serial.Env, scan.ExecOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	stats, err := pipeline.Run(par.OctantBlock(dirs), par.Env, pipeline.DefaultConfig(*p, *b))
+	stats, err := wavefront.RunPipelined(par.OctantBlock(dirs), par.Env, wavefront.Pipeline{Procs: *p, Block: *b})
 	if err != nil {
 		log.Fatal(err)
 	}

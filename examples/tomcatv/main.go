@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
+	"wavefront"
 	"wavefront/internal/dep"
 	"wavefront/internal/field"
-	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
 	"wavefront/internal/workload"
 )
@@ -60,7 +60,7 @@ func main() {
 	if err := scan.Exec(serial.ForwardBlock(), serial.Env, scan.ExecOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	stats, err := pipeline.Run(par.ForwardBlock(), par.Env, pipeline.DefaultConfig(*p, *b))
+	stats, err := wavefront.RunPipelined(par.ForwardBlock(), par.Env, wavefront.Pipeline{Procs: *p, Block: *b})
 	if err != nil {
 		log.Fatal(err)
 	}

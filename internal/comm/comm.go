@@ -393,10 +393,6 @@ func (e *Endpoint) P() int { return e.topo.p }
 // receiver, which returns it with ReleaseTo(sender, buf).
 func (e *Endpoint) Lease(n int) []float64 { return e.topo.pool.Get(e.rank, n) }
 
-// Release returns a buffer to this rank's own pool shard. A no-op
-// without a pool; the caller must not touch the buffer afterwards.
-func (e *Endpoint) Release(buf []float64) { e.topo.pool.Put(e.rank, buf) }
-
 // ReleaseTo returns a received buffer to rank's pool shard — pass the
 // sending rank, so the shard that leased the buffer is the one refilled.
 // In a steady one-way pipeline this is what keeps the upstream sender's

@@ -155,14 +155,10 @@ func (e *OverconstrainedError) Error() string {
 // Preference biases Derive's search. DimOrder lists dimensions from most to
 // least preferred for the outer loop positions; nil means 0, 1, 2, ....
 // PreferLow, when true (the default via Derive), tries low-to-high before
-// high-to-low for each dimension. Innermost lists dimensions the search
-// should push toward the inner loop positions when the dependences allow —
-// span-capable executors use it to bias the longest unit-stride dimension
-// innermost; nil applies no bias.
+// high-to-low for each dimension.
 type Preference struct {
 	DimOrder  []int
 	PreferLow bool
-	Innermost []int
 }
 
 // Derive finds a loop structure satisfying the UDVs, preferring the identity
@@ -186,30 +182,6 @@ func DerivePreferred(rank int, udvs []UDV, pref Preference) (LoopSpec, error) {
 		for i := range order {
 			order[i] = i
 		}
-	}
-	if len(pref.Innermost) > 0 {
-		// The search assigns loops outermost-first, so moving a dimension to
-		// the back of the preference order biases it innermost. Later entries
-		// of Innermost are pushed deeper (moved to the back last).
-		inner := make(map[int]bool, len(pref.Innermost))
-		for _, k := range pref.Innermost {
-			if k >= 0 && k < rank {
-				inner[k] = true
-			}
-		}
-		reordered := make([]int, 0, len(order))
-		for _, k := range order {
-			if !inner[k] {
-				reordered = append(reordered, k)
-			}
-		}
-		for _, k := range pref.Innermost {
-			if inner[k] {
-				reordered = append(reordered, k)
-				inner[k] = false
-			}
-		}
-		order = reordered
 	}
 	// Only non-zero UDVs constrain the nest.
 	var active []UDV

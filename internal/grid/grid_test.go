@@ -218,24 +218,30 @@ func TestTiles(t *testing.T) {
 	}
 }
 
+// TestTilesCoverExactly: the tiles' indices, in order, are the range's
+// indices — at every stride, also when Hi lies off the lattice — and every
+// tile but the last holds b of them.
 func TestTilesCoverExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		lo := rng.Intn(20) - 10
 		n := rng.Intn(50) + 1
 		b := rng.Intn(60)
-		tiles := Tiles(NewRange(lo, lo+n-1), b)
-		total := 0
+		stride := 1 + rng.Intn(3)
+		r := Range{Lo: lo, Hi: lo + (n-1)*stride + rng.Intn(stride), Stride: stride}
+		tiles := Tiles(r, b)
 		next := lo
-		for _, tl := range tiles {
-			if tl.Lo != next {
-				t.Fatalf("gap: tile %v, expected lo %d", tl, next)
+		for k, tl := range tiles {
+			if tl.Stride != stride || tl.Lo != next {
+				t.Fatalf("%v b=%d: tile %v, expected lo %d at stride %d", r, b, tl, next, stride)
 			}
-			next = tl.Hi + 1
-			total += tl.Size()
+			if k < len(tiles)-1 && tl.Size() != b {
+				t.Fatalf("%v b=%d: inner tile %v holds %d indices", r, b, tl, tl.Size())
+			}
+			next += tl.Size() * stride
 		}
-		if total != n {
-			t.Fatalf("tiles cover %d of %d", total, n)
+		if next != lo+n*stride {
+			t.Fatalf("%v b=%d: tiles %v cover %d of %d indices", r, b, tiles, (next-lo)/stride, n)
 		}
 	}
 }

@@ -50,8 +50,9 @@ func SplitRegion(g Region, dim, p int) ([]Region, error) {
 	return out, nil
 }
 
-// Tiles cuts a stride-1 range into consecutive tiles of width b (the last
-// tile may be narrower). b < 1 or b >= size yields a single tile.
+// Tiles cuts a range into consecutive tiles of b iterations each (the last
+// tile may hold fewer); every tile keeps the range's stride and starts on
+// its lattice. b < 1 or b >= size yields a single tile.
 func Tiles(r Range, b int) []Range {
 	n := r.Size()
 	if n == 0 {
@@ -60,13 +61,11 @@ func Tiles(r Range, b int) []Range {
 	if b < 1 || b >= n {
 		return []Range{r}
 	}
-	var out []Range
-	for lo := r.Lo; lo <= r.Hi; lo += b {
-		hi := lo + b - 1
-		if hi > r.Hi {
-			hi = r.Hi
-		}
-		out = append(out, Range{Lo: lo, Hi: hi, Stride: 1})
+	last := r.Lo + (n-1)*r.Stride // r.Hi may lie off the lattice
+	out := make([]Range, 0, (n+b-1)/b)
+	for lo := r.Lo; lo <= last; lo += b * r.Stride {
+		hi := min(lo+(b-1)*r.Stride, last)
+		out = append(out, Range{Lo: lo, Hi: hi, Stride: r.Stride})
 	}
 	return out
 }

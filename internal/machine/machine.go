@@ -168,15 +168,6 @@ func (p Params) Simulate(d *DAG) Result {
 	return res
 }
 
-// SerialTime returns the time one processor needs for the whole DAG's work.
-func (p Params) SerialTime(d *DAG) float64 {
-	total := 0.0
-	for _, t := range d.Tasks {
-		total += t.Elems
-	}
-	return total * p.ElemCost
-}
-
 // Speedup returns serial time over makespan for a simulated result.
 func Speedup(serial float64, r Result) float64 {
 	if r.Makespan <= 0 {

@@ -80,20 +80,18 @@ const (
 	SessBarriers   = "session_barriers_total"
 
 	// model-drift monitor (fits fed by the runtime, gauges set by
-	// UpdateDrift; the probed pair is seeded by pipeline.RecordProbe).
-	ModelCommFit       = "model_comm_cost"    // fit: x = message elems, y = ns
-	ModelCompFit       = "model_compute_cost" // fit: x = tile elems, y = ns
-	ModelAlphaNs       = "model_alpha_ns"
-	ModelBetaNs        = "model_beta_ns"
-	ModelElemNs        = "model_elem_ns"
-	ModelOptBlock      = "model_optimal_block"
-	ModelPredictedNs   = "model_predicted_ns"        // at the recomputed optimal b
-	ModelPredActualNs  = "model_predicted_actual_ns" // at the block size actually used
-	ModelObservedNs    = "model_observed_ns"
-	ModelDrift         = "model_drift_ratio"
-	ModelProbedAlphaNs = "model_probed_alpha_ns"
-	ModelProbedBetaNs  = "model_probed_beta_ns"
-	ModelSamples       = "model_comm_samples" // comm-cost observations behind α/β
+	// UpdateDrift).
+	ModelCommFit      = "model_comm_cost"    // fit: x = message elems, y = ns
+	ModelCompFit      = "model_compute_cost" // fit: x = tile elems, y = ns
+	ModelAlphaNs      = "model_alpha_ns"
+	ModelBetaNs       = "model_beta_ns"
+	ModelElemNs       = "model_elem_ns"
+	ModelOptBlock     = "model_optimal_block"
+	ModelPredictedNs  = "model_predicted_ns"        // at the recomputed optimal b
+	ModelPredActualNs = "model_predicted_actual_ns" // at the block size actually used
+	ModelObservedNs   = "model_observed_ns"
+	ModelDrift        = "model_drift_ratio"
+	ModelSamples      = "model_comm_samples" // comm-cost observations behind α/β
 
 	// buffer pool and allocation health (gauges refreshed per run from the
 	// pool's own totals; see internal/bufpool).

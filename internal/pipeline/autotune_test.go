@@ -75,10 +75,7 @@ func TestRunAutoTune(t *testing.T) {
 		par, _ := workload.NewTomcatv(32, field.RowMajor)
 		reg := metrics.New(4)
 		preloadDrift(reg, c.samples, 8, 2.0)
-		cfg := DefaultConfig(4, 2)
-		cfg.Metrics = reg
-		cfg.AutoTune = true
-		stats, err := Run(par.ForwardBlock(), par.Env, cfg)
+		stats, err := Run(par.ForwardBlock(), par.Env, Config{Procs: 4, Block: 2, Metrics: reg, AutoTune: true})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -147,10 +144,8 @@ func TestSessionRetune(t *testing.T) {
 }
 
 // TestSessionAutoTune: a session Run with AutoTune retunes at entry from
-// the preloaded drift verdict, and with AutoTuneEvery the ranks re-check
-// mid-run at wave boundaries (the same frozen gauges on every rank, so the
-// barrier-pinned decision is identical everywhere). Results must stay
-// bit-identical to serial execution throughout.
+// the preloaded drift verdict, every rank walks the retuned tiling, and the
+// results stay bit-identical to serial execution.
 func TestSessionAutoTune(t *testing.T) {
 	n, iters := 26, 6
 	ref, err := workload.NewTomcatv(n, field.RowMajor)
@@ -173,7 +168,7 @@ func TestSessionAutoTune(t *testing.T) {
 	pfwd, pbwd := par.ForwardBlock(), par.BackwardBlock()
 	sess, err := NewSession(par.Env, []*scan.Block{pfwd, pbwd}, SessionConfig{
 		Procs: 2, Domain: par.All, Block: 3,
-		Metrics: reg, AutoTune: true, AutoTuneEvery: 2,
+		Metrics: reg, AutoTune: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +182,8 @@ func TestSessionAutoTune(t *testing.T) {
 				return err
 			}
 		}
-		if r.curBlock != 5 {
-			t.Errorf("rank %d finished at width %d, want the suggested 5", r.ID(), r.curBlock)
+		if w := r.eplans[pfwd].tiles[0].Dim(sess.plans[pfwd].tDim).Size(); w != 5 {
+			t.Errorf("rank %d walked tiles of width %d, want the suggested 5", r.ID(), w)
 		}
 		return nil
 	})

@@ -206,7 +206,9 @@ func dirtyMarkSides(v float64) (uint8, bool) {
 
 // ckInts is the count of fixed counters at the head of a snapshot's Ints:
 // operation, tile, boundary messages received, cut index, sweeps begun and
-// tile width; the per-peer send and receive tag counters follow.
+// the session's tile width (the tile and message counts mean nothing at
+// another, so restore refuses a snapshot cut at one); the per-peer send and
+// receive tag counters follow.
 const ckInts = 6
 
 // ckOp advances the rank's leaf-operation counter under checkpointing.
@@ -271,7 +273,7 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 	s.RecvCursor, s.SendCursor = s.RecvCursor[:p], s.SendCursor[:p]
 	r.e.Cursors(s.RecvCursor, s.SendCursor)
 
-	s.Ints = append(s.Ints[:0], int64(op), int64(tile), int64(recvd), int64(c), int64(r.waveRuns), int64(r.curBlock))
+	s.Ints = append(s.Ints[:0], int64(op), int64(tile), int64(recvd), int64(c), int64(r.waveRuns), int64(r.sess.cfg.Block))
 	for _, v := range r.sendSeq {
 		s.Ints = append(s.Ints, int64(v))
 	}
@@ -349,6 +351,10 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 		return fmt.Errorf("pipeline: rank %d: snapshot holds %d counters, want %d",
 			r.id, len(snap.Ints), ckInts+2*p)
 	}
+	if w := int(snap.Ints[5]); w != r.sess.cfg.Block {
+		return fmt.Errorf("pipeline: rank %d: snapshot was cut at tile width %d, session runs at %d",
+			r.id, w, r.sess.cfg.Block)
+	}
 	if len(snap.Fields) != len(r.locals) {
 		return fmt.Errorf("pipeline: rank %d: snapshot holds %d arrays, session has %d",
 			r.id, len(snap.Fields), len(r.locals))
@@ -369,7 +375,6 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 	r.ffOp, r.ffTile, r.ffRecvd = int(snap.Ints[0]), int(snap.Ints[1]), int(snap.Ints[2])
 	r.cuts, r.lastSnap = int(snap.Ints[3]), int(snap.Ints[3])
 	r.waveRuns = int(snap.Ints[4])
-	r.curBlock = int(snap.Ints[5])
 	for i := 0; i < p; i++ {
 		r.sendSeq[i] = int(snap.Ints[ckInts+i])
 		r.recvSeq[i] = int(snap.Ints[ckInts+p+i])

@@ -43,10 +43,9 @@ func TestDifferentialCorpus(t *testing.T) {
 		for _, p := range procs {
 			for _, b := range blocks {
 				for _, d := range dims {
-					cfg := Config{Procs: p, Block: b, WavefrontDim: d.w, TileDim: d.t,
-						Trace: trace.New(p, trace.DefaultCapacity)}
+					cfg := Config{Procs: p, Block: b, Trace: trace.New(p, trace.DefaultCapacity)}
 					parEnv := genEnv(seed)
-					stats, err := Run(blk, parEnv, cfg)
+					stats, err := runDims(blk, parEnv, cfg, d.w, d.t)
 					if err != nil {
 						if errors.Is(err, ErrUnsupported) {
 							continue // honestly refused for this decomposition
@@ -65,8 +64,7 @@ func TestDifferentialCorpus(t *testing.T) {
 						// Pooled leg of the differential: same cell with a
 						// buffer pool attached must stay bit-identical.
 						poolEnv := genEnv(seed)
-						pcfg := Config{Procs: p, Block: b, WavefrontDim: d.w, TileDim: d.t,
-							Pool: bufpool.New(p)}
+						pcfg := Config{Procs: p, Block: b, Pool: bufpool.New(p)}
 						if _, err := Run(blk, poolEnv, pcfg); err != nil {
 							t.Fatalf("seed %d p=%d b=%d: pooled run failed where unpooled passed: %v\n%s",
 								seed, p, b, err, blk)
@@ -88,8 +86,7 @@ func TestDifferentialCorpus(t *testing.T) {
 						for _, w := range []int{1, 2, 3, 4, 8} {
 							dagEnv := genEnv(seed)
 							dagTrace := trace.New(p*(1+w), 1024)
-							dcfg := Config{Procs: p, Block: b, WavefrontDim: d.w, TileDim: d.t,
-								Scheduler: scan.SchedTaskDAG, Workers: w, Trace: dagTrace}
+							dcfg := Config{Procs: p, Block: b, Scheduler: scan.SchedTaskDAG, Workers: w, Trace: dagTrace}
 							if _, err := Run(blk, dagEnv, dcfg); err != nil {
 								t.Fatalf("seed %d p=%d b=%d workers=%d: taskdag run failed where static passed: %v\n%s",
 									seed, p, b, w, err, blk)
@@ -112,8 +109,7 @@ func TestDifferentialCorpus(t *testing.T) {
 						// bit-identical.
 						for _, eng := range []scan.Engine{scan.EngineClosure, scan.EngineScalar} {
 							engEnv := genEnv(seed)
-							ecfg := Config{Procs: p, Block: b, WavefrontDim: d.w, TileDim: d.t,
-								Kernel: eng}
+							ecfg := Config{Procs: p, Block: b, Kernel: eng}
 							if _, err := Run(blk, engEnv, ecfg); err != nil {
 								t.Fatalf("seed %d p=%d b=%d: engine %v run failed where tape passed: %v\n%s",
 									seed, p, b, eng, err, blk)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wavefront/internal/comm"
-	"wavefront/internal/metrics"
 	"wavefront/internal/model"
 )
 
@@ -97,18 +96,6 @@ func Probe(rounds int) (alpha, beta float64, err error) {
 		beta = 0
 	}
 	return alpha, beta, nil
-}
-
-// RecordProbe publishes a Probe measurement (alpha, beta in seconds) to
-// the registry's model_probed_* gauges, next to the drift monitor's online
-// estimates so the startup calibration and the live fit can be compared on
-// one scrape. Nil registry is a no-op.
-func RecordProbe(reg *metrics.Registry, alpha, beta float64) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge(metrics.ModelProbedAlphaNs).Set(alpha * 1e9)
-	reg.Gauge(metrics.ModelProbedBetaNs).Set(beta * 1e9)
 }
 
 // ChooseBlock applies Equation (1) with machine costs normalized to the

@@ -6,15 +6,11 @@ import (
 )
 
 // execPlan is a rank's fully materialized schedule for one wavefront
-// block at one tile width: every tile region, every boundary region, and
-// every message size the hot loop needs, resolved once so the steady-state
-// wave touches no maps, builds no regions, and — with a buffer pool
-// attached — allocates nothing. A retune (a new tile width) simply builds
-// a new plan; the shared *plan is never mutated by a running rank.
+// block: every tile region, every boundary region, and every message size
+// the hot loop needs, resolved once per Run so the steady-state wave
+// touches no maps, builds no regions, and — with a buffer pool attached —
+// allocates nothing.
 type execPlan struct {
-	// width is the tile width the plan was built for; a differing current
-	// width invalidates the cache entry.
-	width                int
 	upstream, downstream int
 	hasUp, hasDown       bool
 	// tiles[t] is the compute region of pipeline step t (the slab
@@ -42,12 +38,10 @@ type execPlan struct {
 // buildExecPlan materializes the schedule for one rank. L is the rank's
 // portion of the block region, upPortion the upstream neighbour's (only
 // read when hasUp). locals resolves array names to the rank's fields.
-func buildExecPlan(pl *plan, width int, locals map[string]*field.Field,
+func buildExecPlan(pl *plan, locals map[string]*field.Field,
 	L, upPortion grid.Region, hasUp, hasDown bool, upstream, downstream int) *execPlan {
-	tiles := pl.tilesFor(width)
-	T := tileCountOf(tiles)
+	T := pl.steps()
 	ep := &execPlan{
-		width:    width,
 		upstream: upstream, downstream: downstream,
 		hasUp: hasUp, hasDown: hasDown,
 		tiles:  make([]grid.Region, T),
@@ -58,9 +52,9 @@ func buildExecPlan(pl *plan, width int, locals map[string]*field.Field,
 		ep.fields[i] = locals[name]
 	}
 	for t := 0; t < T; t++ {
-		ep.tiles[t] = pl.tileRegionIn(L, t, tiles)
+		ep.tiles[t] = pl.tileRegion(L, t)
 		if hasUp {
-			ep.needUp[t] = pl.neededUpstreamIn(t, tiles)
+			ep.needUp[t] = pl.neededUpstream(t)
 		} else {
 			ep.needUp[t] = -1
 		}
@@ -74,7 +68,7 @@ func buildExecPlan(pl *plan, width int, locals map[string]*field.Field,
 			sizes := make([]int, len(pl.pipeNames))
 			total := 0
 			for i, name := range pl.pipeNames {
-				regs[i] = pl.boundaryRegionIn(L, name, t, tiles)
+				regs[i] = pl.boundaryRegion(L, name, t)
 				sizes[i] = regs[i].Size()
 				total += sizes[i]
 			}
@@ -90,7 +84,7 @@ func buildExecPlan(pl *plan, width int, locals map[string]*field.Field,
 			sizes := make([]int, len(pl.pipeNames))
 			total := 0
 			for i, name := range pl.pipeNames {
-				regs[i] = pl.boundaryRegionIn(upPortion, name, t, tiles)
+				regs[i] = pl.boundaryRegion(upPortion, name, t)
 				sizes[i] = regs[i].Size()
 				total += sizes[i]
 			}

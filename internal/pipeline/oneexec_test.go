@@ -83,7 +83,7 @@ func TestRunStatsPinned(t *testing.T) {
 		{"backward", func() (*Stats, error) { return Run(tom.BackwardBlock(), tom.Env, DefaultConfig(3, 4)) },
 			8, 16, 128, 0, 1, map[string]int{"rx": 1, "ry": 1}, grid.HighToLow},
 		{"rank-3 octant, explicit dims", func() (*Stats, error) {
-			return Run(sw.OctantBlock(sw.Octants()[5]), sw.Env, Config{Procs: 3, Block: 4, WavefrontDim: 1, TileDim: 2})
+			return runDims(sw.OctantBlock(sw.Octants()[5]), sw.Env, Config{Procs: 3, Block: 4}, 1, 2)
 		}, 3, 6, 288, 1, 2, map[string]int{"flux": 1}, grid.LowToHigh},
 	} {
 		st, err := c.run()

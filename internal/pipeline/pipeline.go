@@ -14,7 +14,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"wavefront/internal/bufpool"
 	"wavefront/internal/comm"
@@ -28,97 +27,118 @@ import (
 	"wavefront/internal/trace"
 )
 
-// Config selects the decomposition and the tiling of a parallel run.
+// Config is the run configuration, the only one: a Session is built from
+// it, and a one-shot Run is a Session over the block's region, so it takes
+// the same struct (SessionConfig, wavefront.Pipeline and
+// wavefront.SessionConfig are aliases). Every optional layer is off at its
+// zero value, at the cost of one pointer check per operation.
 type Config struct {
 	// Procs is the number of ranks along the wavefront dimension.
 	Procs int
+	// Domain is the region a session block-distributes along WavefrontDim;
+	// every registered block's region must lie within the domain's extent
+	// along that dimension. Run derives it from its block and refuses a
+	// config that sets it.
+	Domain grid.Region
+	// WavefrontDim is a session's distributed dimension (default 0). Run
+	// ignores it: it tries the dimensions the block's analysis offers.
+	WavefrontDim int
 	// Block is the tile width b along the tile dimension; 0 requests the
 	// naive schedule (one tile spanning the whole width).
 	Block int
-	// WavefrontDim overrides the analysis' choice of wavefront dimension;
-	// -1 (or leaving Auto true semantics via -1) accepts the analysis.
-	WavefrontDim int
-	// TileDim overrides the tiled orthogonal dimension; -1 accepts the
-	// default (the first parallel dimension, else the first non-wavefront
-	// dimension).
-	TileDim int
 	// Trace, when non-nil, records every rank's execution (sends, receives,
-	// per-tile compute spans, scatter/gather) to the recorder; Stats then
-	// carries the derived Summary. Nil — the default — disables tracing at
-	// the cost of a pointer check per operation.
+	// per-tile compute spans, scatter/gather); the stats then carry the
+	// derived Summary.
 	Trace *trace.Recorder
 	// Faults, when non-nil, injects the compiled fault plan into every send
-	// and receive (see internal/fault). Nil — the default — disables
-	// injection at the cost of a pointer check per operation.
+	// and receive (see internal/fault).
 	Faults *fault.Injector
 	// LinkCapacity bounds every comm link to at most this many queued
-	// messages; senders then block on a full link (backpressure). 0 — the
-	// default — never blocks a sender: a link then holds the whole sweep's
-	// messages (see Session.linkCapacity).
+	// messages; senders then block on a full link (backpressure). 0 (the
+	// default) lets the session choose: one sweep's messages per link on the
+	// in-process transport (see Session.linkCapacity), unbounded over
+	// sockets, which have the kernel's backpressure instead.
 	LinkCapacity int
+	// Transport selects how messages physically travel between ranks: the
+	// in-process channel transport (the zero value and zero-alloc default)
+	// or a loopback TCP/unix-socket transport (see comm.Transport). Socket
+	// transports are incompatible with LinkCapacity.
+	Transport comm.TransportConfig
+	// Checkpoint, when non-nil, snapshots every rank's state — local
+	// arrays, scalars, tag counters, reduce results — at the cut points
+	// CheckpointConfig.Every counts (the start of each leaf operation and
+	// the top of each tile inside a wavefront sweep; for a one-shot Run, the
+	// top of each tile) and restarts a crashed rank from its latest
+	// snapshot: the restarted rank fast-forwards through the SPMD body's
+	// already-covered operations, resumes a sweep at the snapshot's tile,
+	// replays the messages it had consumed, and the run completes
+	// bit-identical to a fault-free run instead of canceling. Because the
+	// body re-runs from the top on a restarted rank, side effects outside
+	// rank state (appending to a caller slice, say) repeat during
+	// fast-forward; keep such effects idempotent or keyed. Nil (the default)
+	// keeps fail-fast cancellation and the zero-alloc steady state.
+	Checkpoint *CheckpointConfig
 	// Metrics, when non-nil, streams counters, latency histograms, and the
-	// online model-drift estimate into the registry (see internal/metrics);
-	// the registry may be scraped concurrently, e.g. via metrics.Serve. Nil
-	// — the default — disables collection at the cost of a pointer check
-	// per operation.
+	// online model-drift estimate into the registry; it may be scraped
+	// concurrently while ranks run, e.g. via metrics.Serve. Nil (the
+	// default) disables collection — unless MetricsAddr is set, which
+	// creates a registry automatically.
 	Metrics *metrics.Registry
-	// Pool, when non-nil, recycles pipeline message buffers through
-	// size-classed per-rank free lists (see internal/bufpool): senders
-	// lease payloads from their shard, receivers return them to it, and
-	// the steady-state wave allocates nothing. Nil — the default —
-	// allocates a fresh buffer per message. Pooling is incompatible with
-	// fault injection (duplicated and corrupted payloads alias buffers a
-	// recycling pool must never see), so the pool is ignored when Faults
-	// is also set.
+	// MetricsAddr, when non-empty, serves the registry over HTTP at this
+	// address (":0" picks a free port; see Session.MetricsAddr): Prometheus
+	// text at /metrics, expvar JSON at /debug/vars, pprof under
+	// /debug/pprof/, the last Run's critical path at /debug/critpath and
+	// the last post-mortem bundle at /debug/bundle. The listener lives until
+	// Session.Close, so Run, which has no session to close, refuses it.
+	MetricsAddr string
+	// Pool, when non-nil, recycles pipeline and halo-exchange message
+	// buffers (see internal/bufpool): senders lease payloads from their
+	// per-rank shard, receivers return them to the sender's shard, and the
+	// steady-state wave allocates nothing. Nil (the default) allocates a
+	// fresh buffer per message. Ignored when Faults is set — injected
+	// duplicates and corruptions alias buffers a recycling pool must never
+	// see.
 	Pool *bufpool.Pool
+	// AutoTune, when true and metrics are enabled, re-reads the drift
+	// monitor's α/β/τ estimates at the start of every Run and re-plans all
+	// registered blocks at Equation (1)'s recomputed optimal tile width
+	// when the estimates rest on enough observations and the predicted
+	// mistune penalty exceeds ~5% (see metrics.SuggestBlock). Calibration
+	// carries across Runs through the registry, so a long-lived session, or
+	// a Config reused with the same registry, converges onto the model's
+	// choice as the machine drifts.
+	AutoTune bool
 	// Kernel selects the execution engine for compiled kernels: the span
 	// tape by default, or scan.EngineClosure to force the per-point
 	// compiled-closure reference path (the A/B leg for validation).
 	Kernel scan.Engine
-	// Scheduler selects how each rank executes its portion: the static
-	// tile-by-tile pipeline schedule (scan.SchedStatic, the default) or a
-	// work-stealing task DAG over dependency-counted tiles on real
-	// goroutines (scan.SchedTaskDAG; see internal/taskdag). Under the task
-	// DAG a rank receives all upstream boundary messages, runs its portion
-	// as a tile DAG across Workers goroutines, then forwards all boundary
-	// messages — the message sequence is identical to the static schedule,
-	// so results stay bit-identical and mixed-scheduler pipelines
-	// interoperate.
+	// Scheduler selects how each rank executes its portion of a block: the
+	// static tile-by-tile pipeline schedule (scan.SchedStatic, default) or
+	// a work-stealing task DAG over dependency-counted tiles on real
+	// goroutines (scan.SchedTaskDAG; see internal/taskdag). The task-DAG
+	// rank receives all upstream boundary messages, runs its portion as a
+	// DAG, then forwards all boundary messages; the message sequence is
+	// identical to the static schedule's, so results stay bit-identical and
+	// mixed-scheduler pipelines interoperate. When tracing, DAG workers
+	// record into rings Procs + rank*Workers onward — size the recorder for
+	// Procs*(1+Workers) rings or worker tracing is disabled.
 	Scheduler scan.Scheduler
 	// Workers is each rank's task-DAG pool size, including the rank's own
 	// goroutine; <= 0 selects runtime.GOMAXPROCS(0). Ignored under
 	// SchedStatic.
 	Workers int
-	// Transport selects how boundary messages physically travel between
-	// ranks: the in-process channel transport (the zero value and zero-alloc
-	// default) or a loopback TCP/unix-socket transport (see comm.Transport).
-	// Socket transports are incompatible with LinkCapacity.
-	Transport comm.TransportConfig
-	// Checkpoint, when non-nil, snapshots every rank's state at the cut
-	// points CheckpointConfig.Every counts — for this one-block run, the
-	// top of each tile — and restarts a crashed rank from its latest
-	// snapshot, replaying the boundary messages it had consumed: the run
-	// then completes bit-identical to a fault-free run instead of
-	// canceling. Nil — the default — keeps the fail-fast cancellation
-	// behavior and the zero-alloc steady state.
-	Checkpoint *CheckpointConfig
-	// AutoTune, when true and Metrics is non-nil, consults the drift
-	// monitor before planning: when the α/β/τ estimates rest on enough
-	// observations and predict that Block is mistuned by more than ~5%,
-	// the run uses Equation (1)'s recomputed optimal width instead. The
-	// registry carries calibration across runs, so a Config reused with
-	// the same registry converges onto the model's choice.
-	AutoTune bool
 	// Postmortem, when non-nil, arms the flight recorder: every structured
 	// failure (deadlock, injected fault, cancellation, checkpoint checksum
-	// error, recovery restart) captures a post-mortem bundle at run end,
-	// and clean runs stash their state for Postmortem.CaptureNow. When
-	// Trace is nil the runtime arms an internal flight ring so the bundle
-	// still carries a trace tail; Stats.Summary stays nil in that case.
-	// Nil — the default — disables the recorder at the cost of a pointer
-	// check per run.
+	// error, recovery restart) captures a post-mortem bundle at the end of
+	// the Run, and clean Runs stash their state for Postmortem.CaptureNow.
+	// When Trace is nil the session arms an internal flight ring (reset per
+	// Run) so bundles still carry a trace tail; the stats' Summary stays
+	// nil in that case.
 	Postmortem *critpath.Postmortem
 }
+
+// SessionConfig is Config under the name NewSession's callers use.
+type SessionConfig = Config
 
 // Retuning thresholds: how many comm-cost samples the α/β estimate needs
 // before it is trusted, and the predicted mistune penalty (predicted
@@ -129,14 +149,16 @@ const (
 	autoTuneMistune    = 1.05
 )
 
-// DefaultConfig returns a Config that accepts the analysis' choices.
+// DefaultConfig returns a Config for procs ranks and tile width block with
+// every optional layer off.
 func DefaultConfig(procs, block int) Config {
-	return Config{Procs: procs, Block: block, WavefrontDim: -1, TileDim: -1}
+	return Config{Procs: procs, Block: block}
 }
 
-// Stats reports what a run did. Rank i held the i-th slab in index order
-// along WavefrontDim; where Loop travels that dimension high to low the
-// wavefront entered at rank Procs-1 and boundary messages flowed i+1 → i.
+// Stats reports what a one-shot Run did. Rank i held the i-th slab in index
+// order along WavefrontDim; where Loop travels that dimension high to low
+// the wavefront entered at rank Procs-1 and boundary messages flowed
+// i+1 → i.
 type Stats struct {
 	Procs        int
 	Block        int
@@ -147,19 +169,10 @@ type Stats struct {
 	// Pipelined lists the arrays whose boundaries flowed through the
 	// pipeline, with their halo depths.
 	Pipelined map[string]int
-	Comm      comm.Stats
-	Elapsed   time.Duration
-	// Summary is the per-rank busy/wait/comm breakdown with pipeline
-	// fill/drain/overlap, derived from the trace; nil when Config.Trace
-	// was nil.
-	Summary *trace.Summary
-	// Drift is the model-drift report refreshed by this run (measured α/β,
-	// recomputed optimal block, predicted vs observed makespan); nil when
-	// Config.Metrics was nil.
-	Drift *metrics.DriftReport
-	// Pool is a snapshot of the buffer pool's cumulative totals after the
-	// run; nil when Config.Pool was nil or ignored.
-	Pool *bufpool.Stats
+	// SessionStats is the one-block session's account of the run: Comm,
+	// Elapsed, and the Summary, Drift and Pool reports of the layers that
+	// were on.
+	SessionStats
 }
 
 // ErrUnsupported marks scan blocks whose dependence pattern the 1-D
@@ -228,9 +241,17 @@ func sideOf(sw int) int {
 // Session over the block's region with the block as its whole program:
 // rank i holds the i-th slab in index order along the wavefront dimension
 // whatever the travel direction, so on a high-to-low wavefront rank i's
-// upstream neighbour is rank i+1.
+// upstream neighbour is rank i+1. Domain and WavefrontDim come from the
+// block, and a metrics endpoint needs a session to close it: a config that
+// sets Domain or MetricsAddr is refused (use NewSession).
 func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
-	sess, err := oneBlockSession(b, env, cfg)
+	return runDims(b, env, cfg, -1, -1)
+}
+
+// runDims is Run with the wavefront and tile dimensions pinned (-1 accepts
+// the analysis' choice), for tests that walk every legal pair.
+func runDims(b *scan.Block, env expr.Env, cfg Config, wDim, tDim int) (*Stats, error) {
+	sess, err := oneBlockSession(b, env, cfg, wDim, tDim)
 	if err == nil {
 		err = sess.arm()
 	}
@@ -240,7 +261,7 @@ func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
 	if err := sess.Run(func(r *Rank) error { return r.Exec(b) }); err != nil {
 		return nil, err
 	}
-	pl, st := sess.plans[b], sess.stats
+	pl := sess.plans[b]
 	return &Stats{
 		Procs:        cfg.Procs,
 		Block:        pl.block,
@@ -249,18 +270,14 @@ func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
 		Tiles:        len(pl.tiles),
 		Loop:         pl.an.Loop,
 		Pipelined:    pl.pipeArrays,
-		Comm:         st.Comm,
-		Elapsed:      st.Elapsed,
-		Summary:      st.Summary,
-		Drift:        st.Drift,
-		Pool:         st.Pool,
+		SessionStats: sess.stats,
 	}, nil
 }
 
 // Plan exposes the decomposition the runtime would use, for tools and
 // tests.
 func Plan(b *scan.Block, env expr.Env, cfg Config) (wDim, tDim, tiles int, pipelined map[string]int, err error) {
-	sess, err := oneBlockSession(b, env, cfg)
+	sess, err := oneBlockSession(b, env, cfg, -1, -1)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -270,10 +287,16 @@ func Plan(b *scan.Block, env expr.Env, cfg Config) (wDim, tDim, tiles int, pipel
 
 // oneBlockSession builds the session Run executes, not yet armed: the
 // block's region is the domain, and the wavefront dimension is the first
-// candidate along which the block decomposes.
-func oneBlockSession(b *scan.Block, env expr.Env, cfg Config) (*Session, error) {
+// candidate along which the block decomposes (wDim alone when >= 0).
+func oneBlockSession(b *scan.Block, env expr.Env, cfg Config, wDim, tDim int) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("pipeline: need at least 1 rank, got %d", cfg.Procs)
+	}
+	if cfg.Domain.Rank() != 0 {
+		return nil, errors.New("pipeline: Run distributes its block's own region; Domain belongs to NewSession")
+	}
+	if cfg.MetricsAddr != "" {
+		return nil, errors.New("pipeline: Run has no session to close a metrics endpoint; set MetricsAddr on NewSession")
 	}
 	if b.Kind == scan.PlainKind && len(b.Stmts) > 1 {
 		return nil, fmt.Errorf("%w: plain multi-statement blocks run statement-at-a-time; parallelize each statement", ErrUnsupported)
@@ -289,21 +312,21 @@ func oneBlockSession(b *scan.Block, env expr.Env, cfg Config) (*Session, error) 
 		return nil, fmt.Errorf("%w: statement requires a temporary; no wavefront to pipeline", ErrUnsupported)
 	}
 	rank := b.Region.Rank()
-	if cfg.TileDim >= rank {
-		return nil, fmt.Errorf("pipeline: tile dimension %d out of range for rank %d", cfg.TileDim, rank)
+	if tDim >= rank {
+		return nil, fmt.Errorf("pipeline: tile dimension %d out of range for rank %d", tDim, rank)
 	}
 
-	// Candidate wavefront dimensions: an explicit override is tried alone;
-	// otherwise the classification's pipelined dimensions are tried first,
-	// then every remaining dimension — a dimension the three-case rule calls
-	// serial can still pipeline here when the runtime's tile-lag mechanism
-	// covers its diagonal dependences.
+	// Candidate wavefront dimensions: a pinned one is tried alone; otherwise
+	// the classification's pipelined dimensions are tried first, then every
+	// remaining dimension — a dimension the three-case rule calls serial can
+	// still pipeline here when the runtime's tile-lag mechanism covers its
+	// diagonal dependences.
 	var candidates []int
-	if cfg.WavefrontDim >= 0 {
-		if cfg.WavefrontDim >= rank {
-			return nil, fmt.Errorf("pipeline: wavefront dimension %d out of range for rank %d", cfg.WavefrontDim, rank)
+	if wDim >= 0 {
+		if wDim >= rank {
+			return nil, fmt.Errorf("pipeline: wavefront dimension %d out of range for rank %d", wDim, rank)
 		}
-		candidates = []int{cfg.WavefrontDim}
+		candidates = []int{wDim}
 	} else {
 		seen := make([]bool, rank)
 		for _, d := range an.Class.WavefrontDims() {
@@ -317,22 +340,16 @@ func oneBlockSession(b *scan.Block, env expr.Env, cfg Config) (*Session, error) 
 		}
 	}
 
-	scfg := SessionConfig{
-		Procs: cfg.Procs, Domain: b.Region, Block: cfg.Block,
-		Trace: cfg.Trace, Faults: cfg.Faults, LinkCapacity: cfg.LinkCapacity,
-		Transport: cfg.Transport, Checkpoint: cfg.Checkpoint, Metrics: cfg.Metrics,
-		Pool: cfg.Pool, AutoTune: cfg.AutoTune, Kernel: cfg.Kernel,
-		Scheduler: cfg.Scheduler, Workers: cfg.Workers, Postmortem: cfg.Postmortem,
-	}
+	cfg.Domain = b.Region
 	var firstErr error
-	for _, wDim := range candidates {
-		if cfg.TileDim == wDim {
-			return nil, fmt.Errorf("pipeline: tile dimension %d equals wavefront dimension", wDim)
+	for _, w := range candidates {
+		if tDim == w {
+			return nil, fmt.Errorf("pipeline: tile dimension %d equals wavefront dimension", w)
 		}
-		scfg.WavefrontDim = wDim
-		sess, err := newSession(env, scfg)
+		cfg.WavefrontDim = w
+		sess, err := newSession(env, cfg)
 		if err == nil {
-			err = sess.adopt(b, an, cfg.TileDim)
+			err = sess.adopt(b, an, tDim)
 		}
 		if err == nil {
 			return sess, nil
@@ -340,7 +357,7 @@ func oneBlockSession(b *scan.Block, env expr.Env, cfg Config) (*Session, error) 
 		if firstErr == nil {
 			firstErr = err
 		}
-		if !errors.Is(err, ErrUnsupported) && cfg.WavefrontDim >= 0 {
+		if !errors.Is(err, ErrUnsupported) && wDim >= 0 {
 			return nil, err
 		}
 	}

@@ -58,6 +58,13 @@ func tomcatv(n int) (*scan.Block, []string) {
 // floating-point operations in the same order per element).
 func checkAgainstSerial(t *testing.T, blk *scan.Block, names []string, bounds grid.Region, cfg Config) *Stats {
 	t.Helper()
+	return checkAgainstSerialDims(t, blk, names, bounds, cfg, -1, -1)
+}
+
+// checkAgainstSerialDims is checkAgainstSerial with the wavefront and tile
+// dimensions pinned.
+func checkAgainstSerialDims(t *testing.T, blk *scan.Block, names []string, bounds grid.Region, cfg Config, wDim, tDim int) *Stats {
+	t.Helper()
 	ref := env2(names, bounds)
 	seed(ref, bounds, 1)
 	if err := scan.Exec(blk, ref, scan.ExecOptions{}); err != nil {
@@ -65,7 +72,7 @@ func checkAgainstSerial(t *testing.T, blk *scan.Block, names []string, bounds gr
 	}
 	par := env2(names, bounds)
 	seed(par, bounds, 1)
-	stats, err := Run(blk, par, cfg)
+	stats, err := runDims(blk, par, cfg, wDim, tDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +236,7 @@ func TestExplicitWavefrontDim(t *testing.T) {
 				L: expr.Ref("a").At(grid.North).Prime(),
 				R: expr.Ref("a").At(grid.West).Prime()}},
 	})
-	cfg := Config{Procs: 3, Block: 4, WavefrontDim: 1, TileDim: 0}
-	stats := checkAgainstSerial(t, blk, []string{"a"}, bounds, cfg)
+	stats := checkAgainstSerialDims(t, blk, []string{"a"}, bounds, Config{Procs: 3, Block: 4}, 1, 0)
 	if stats.WavefrontDim != 1 || stats.TileDim != 0 {
 		t.Errorf("dims = (%d,%d), want (1,0)", stats.WavefrontDim, stats.TileDim)
 	}

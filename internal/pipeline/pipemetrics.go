@@ -10,9 +10,8 @@ import (
 
 // pipeMetrics is the pipeline runtime's resolved instrument set, the
 // counterpart of comm's SetMetrics resolution: one struct built per Run
-// when Config.Metrics / SessionConfig.Metrics is non-nil, so the tile
-// loop pays a single nil check and a few atomic adds per tile. A nil
-// *pipeMetrics disables everything.
+// when Config.Metrics is non-nil, so the tile loop pays a single nil check
+// and a few atomic adds per tile. A nil *pipeMetrics disables everything.
 type pipeMetrics struct {
 	reg                             *metrics.Registry
 	tiles, waves, points            *metrics.Counter

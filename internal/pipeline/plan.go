@@ -34,7 +34,7 @@ func newPlan(b *scan.Block, an *scan.Analysis, slabs []grid.Region, wDim, tDim, 
 	if err := pl.analyzeRefs(b, slabs); err != nil {
 		return nil, err
 	}
-	pl.tiles = pl.tilesFor(block)
+	pl.tiles = pl.cutTiles()
 	return pl, nil
 }
 
@@ -245,13 +245,13 @@ func (pl *plan) maxPipeDepth() int {
 	return maxDepth
 }
 
-// tilesFor cuts the tile dimension into traversal-ordered tiles of the
-// given width. Online retuning builds rank-local tilings from it without
-// mutating the shared plan.
-func (pl *plan) tilesFor(width int) []grid.Range {
+// cutTiles cuts the tile dimension into traversal-ordered tiles of width
+// pl.block.
+func (pl *plan) cutTiles() []grid.Range {
 	if pl.tDim < 0 {
 		return nil
 	}
+	width := pl.block
 	if pl.noTiling {
 		width = 0 // single tile: the only legal granularity
 	}
@@ -264,57 +264,55 @@ func (pl *plan) tilesFor(width int) []grid.Range {
 	return tiles
 }
 
-// tileCountOf returns the number of pipeline steps a tiling implies.
-func tileCountOf(tiles []grid.Range) int {
-	if len(tiles) == 0 {
+// steps returns the number of pipeline steps the tiling implies.
+func (pl *plan) steps() int {
+	if len(pl.tiles) == 0 {
 		return 1
 	}
-	return len(tiles)
+	return len(pl.tiles)
 }
 
-// neededUpstreamIn returns the index of the last upstream message a rank
-// must hold before computing tile t of the given tiling: with no forward
-// reach it is t; diagonal cross-boundary reads extend it by the forward
-// reach in traversal-position terms.
-func (pl *plan) neededUpstreamIn(t int, tiles []grid.Range) int {
-	last := tileCountOf(tiles) - 1
+// neededUpstream returns the index of the last upstream message a rank
+// must hold before computing tile t: with no forward reach it is t;
+// diagonal cross-boundary reads extend it by the forward reach in
+// traversal-position terms.
+func (pl *plan) neededUpstream(t int) int {
+	tiles := pl.tiles
 	if pl.maxFwd == 0 || len(tiles) == 0 {
 		return t
 	}
 	// Traversal-position of the end of tile t, plus the forward reach,
 	// locates the furthest column read; find the tile containing it.
-	pos := 0
-	end := 0
+	end := -1
 	for k := 0; k <= t; k++ {
-		end = pos + tiles[k].Size() - 1
-		pos += tiles[k].Size()
+		end += tiles[k].Size()
 	}
 	target := end + pl.maxFwd
 	cum := 0
-	for k := 0; k < len(tiles); k++ {
+	for k := range tiles {
 		cum += tiles[k].Size()
 		if target < cum {
 			return k
 		}
 	}
-	return last
+	return len(tiles) - 1
 }
 
-// tileRegionIn restricts slab L to tile t of the given tiling.
-func (pl *plan) tileRegionIn(L grid.Region, t int, tiles []grid.Range) grid.Region {
-	if len(tiles) == 0 {
+// tileRegion restricts slab L to tile t.
+func (pl *plan) tileRegion(L grid.Region, t int) grid.Region {
+	if len(pl.tiles) == 0 {
 		return L
 	}
 	dims := L.Dims()
-	dims[pl.tDim] = tiles[t]
+	dims[pl.tDim] = pl.tiles[t]
 	return grid.MustRegion(dims...)
 }
 
-// boundaryRegionIn returns, in global coordinates, the rows array `name`
-// must ship downstream after tile t of the given tiling: the sender
-// slab's last depth rows in travel order, restricted to tile t along the
-// tile dimension (other dimensions span the slab).
-func (pl *plan) boundaryRegionIn(L grid.Region, name string, t int, tiles []grid.Range) grid.Region {
+// boundaryRegion returns, in global coordinates, the rows array `name`
+// must ship downstream after tile t: the sender slab's last depth rows in
+// travel order, restricted to tile t along the tile dimension (other
+// dimensions span the slab).
+func (pl *plan) boundaryRegion(L grid.Region, name string, t int) grid.Region {
 	depth := pl.pipeArrays[name]
 	dims := L.Dims()
 	w := dims[pl.wDim]
@@ -323,8 +321,8 @@ func (pl *plan) boundaryRegionIn(L grid.Region, name string, t int, tiles []grid
 	} else {
 		dims[pl.wDim] = grid.NewRange(w.Lo, w.Lo+depth-1)
 	}
-	if len(tiles) > 0 {
-		dims[pl.tDim] = tiles[t]
+	if len(pl.tiles) > 0 {
+		dims[pl.tDim] = pl.tiles[t]
 	}
 	return grid.MustRegion(dims...)
 }

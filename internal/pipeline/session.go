@@ -12,7 +12,6 @@ import (
 	"wavefront/internal/critpath"
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
-	"wavefront/internal/fault"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
@@ -28,7 +27,7 @@ import (
 // travel direction, and results gather at the end. Run executes an SPMD
 // body on every rank.
 //
-//	sess, _ := pipeline.NewSession(env, blocks, pipeline.SessionConfig{Procs: 4, Domain: all, Block: 8})
+//	sess, _ := pipeline.NewSession(env, blocks, pipeline.Config{Procs: 4, Domain: all, Block: 8})
 //	err := sess.Run(func(r *pipeline.Rank) error {
 //	    for i := 0; i < iters; i++ {
 //	        for _, b := range blocks {
@@ -38,7 +37,7 @@ import (
 //	    return nil
 //	})
 type Session struct {
-	cfg   SessionConfig
+	cfg   Config
 	genv  expr.Env
 	slabs []grid.Region // index order along the wavefront dimension
 	plans map[*scan.Block]*plan
@@ -60,7 +59,7 @@ type Session struct {
 	pm   *pipeMetrics
 	msrv *metrics.Server
 	// ck is the checkpoint runtime of the Run in flight (nil when
-	// SessionConfig.Checkpoint is nil).
+	// Config.Checkpoint is nil).
 	ck *ckptRuntime
 	// flightTrace marks cfg.Trace as the session-owned flight ring (armed
 	// for the flight recorder or the /debug/critpath endpoint, reset per
@@ -71,123 +70,20 @@ type Session struct {
 	cpHolder *critpath.Holder
 }
 
-// SessionConfig fixes a session's decomposition.
-type SessionConfig struct {
-	// Procs is the number of ranks.
-	Procs int
-	// Domain is the region block-distributed along WavefrontDim; every
-	// registered block's region must lie within the domain's extent along
-	// that dimension.
-	Domain grid.Region
-	// WavefrontDim is the distributed dimension (default 0).
-	WavefrontDim int
-	// Block is the pipeline tile width for wavefront blocks (0 = naive).
-	Block int
-	// Trace, when non-nil, records every rank's execution; SessionStats
-	// then carries the derived Summary. Nil (the default) disables tracing.
-	Trace *trace.Recorder
-	// Faults, when non-nil, injects the compiled fault plan into every send
-	// and receive (see internal/fault). Nil (the default) disables
-	// injection.
-	Faults *fault.Injector
-	// LinkCapacity bounds every comm link to at most this many queued
-	// messages; senders then block on a full link (backpressure). 0 (the
-	// default) lets the session choose: one sweep's messages per link on the
-	// in-process transport (see Session.linkCapacity), unbounded over
-	// sockets, which have the kernel's backpressure instead.
-	LinkCapacity int
-	// Transport selects how messages physically travel between ranks: the
-	// in-process channel transport (the zero value and zero-alloc default)
-	// or a loopback TCP/unix-socket transport (see comm.Transport). Socket
-	// transports are incompatible with LinkCapacity.
-	Transport comm.TransportConfig
-	// Checkpoint, when non-nil, snapshots every rank's state — local
-	// arrays, scalars, tag counters, reduce results — at the cut points
-	// CheckpointConfig.Every counts (the start of each leaf operation and
-	// the top of each tile inside a wavefront sweep) and restarts a crashed
-	// rank from its latest snapshot: the restarted rank fast-forwards
-	// through the SPMD body's already-covered operations, resumes a sweep at
-	// the snapshot's tile, replays the messages it had consumed, and the run
-	// completes bit-identical to a fault-free run instead of canceling.
-	// Because the body re-runs from the top on a restarted rank, side
-	// effects outside rank state (appending to a caller slice, say) repeat
-	// during fast-forward; keep such effects idempotent or keyed. Nil (the
-	// default) keeps fail-fast cancellation.
-	Checkpoint *CheckpointConfig
-	// Metrics, when non-nil, streams counters, latency histograms, and the
-	// online model-drift estimate into the registry; it may be scraped
-	// concurrently while ranks run. Nil (the default) disables collection —
-	// unless MetricsAddr is set, which creates a registry automatically.
-	Metrics *metrics.Registry
-	// MetricsAddr, when non-empty, serves the registry over HTTP at this
-	// address (":0" picks a free port; see Session.MetricsAddr): Prometheus
-	// text at /metrics, expvar JSON at /debug/vars, and pprof under
-	// /debug/pprof/. The listener lives until Session.Close.
-	MetricsAddr string
-	// Pool, when non-nil, recycles pipeline and halo-exchange message
-	// buffers (see internal/bufpool): senders lease payloads from their
-	// per-rank shard, receivers return them to the sender's shard, and the
-	// steady-state wave allocates nothing. Nil (the default) allocates a
-	// fresh buffer per message. Ignored when Faults is set — injected
-	// duplicates and corruptions alias buffers a recycling pool must never
-	// see.
-	Pool *bufpool.Pool
-	// AutoTune, when true and metrics are enabled, re-reads the drift
-	// monitor's α/β/τ estimates at the start of every Run and re-plans all
-	// registered blocks at Equation (1)'s recomputed optimal tile width
-	// when the predicted mistune penalty exceeds ~5% (see
-	// metrics.SuggestBlock). Calibration carries across Runs through the
-	// registry, so a long-lived session converges onto the model's choice
-	// as the machine drifts.
-	AutoTune bool
-	// AutoTuneEvery, when > 0 alongside AutoTune, additionally re-checks
-	// the decision every k wavefront sweeps inside a Run, behind a
-	// barrier: all ranks read the same frozen gauges, reach the same
-	// decision, and switch tilings together at a wave boundary. 0 (the
-	// default) retunes only between Runs.
-	AutoTuneEvery int
-	// Kernel selects the execution engine for compiled kernels: the span
-	// tape by default, or scan.EngineClosure to force the per-point
-	// compiled-closure reference path (the A/B leg for validation).
-	Kernel scan.Engine
-	// Scheduler selects how each rank executes its portion of a block: the
-	// static tile-by-tile pipeline schedule (scan.SchedStatic, default) or
-	// a work-stealing task DAG over dependency-counted tiles on real
-	// goroutines (scan.SchedTaskDAG; see internal/taskdag). The task-DAG
-	// rank receives all upstream boundary messages, runs its portion as a
-	// DAG, then forwards all boundary messages; the message sequence is
-	// identical to the static schedule's, so results stay bit-identical.
-	// When tracing, DAG workers record into rings Procs + rank*Workers
-	// onward — size the recorder for Procs*(1+Workers) rings or worker
-	// tracing is disabled.
-	Scheduler scan.Scheduler
-	// Workers is each rank's task-DAG pool size, including the rank's own
-	// goroutine; <= 0 selects runtime.GOMAXPROCS(0). Ignored under
-	// SchedStatic.
-	Workers int
-	// Postmortem, when non-nil, arms the flight recorder: every structured
-	// failure (deadlock, injected fault, cancellation, checkpoint checksum
-	// error, recovery restart) captures a post-mortem bundle at the end of
-	// the Run, and clean Runs stash their state for Postmortem.CaptureNow.
-	// When Trace is nil the session arms an internal flight ring (reset per
-	// Run) so bundles still carry a trace tail; SessionStats.Summary stays
-	// nil in that case. With MetricsAddr set, the last bundle is served at
-	// /debug/bundle. Nil (the default) disables the recorder.
-	Postmortem *critpath.Postmortem
-}
-
 // SessionStats summarizes a finished Run.
 type SessionStats struct {
 	Comm    comm.Stats
 	Elapsed time.Duration
 	// Summary is the per-rank busy/wait/comm breakdown with pipeline
-	// fill/drain/overlap; nil when SessionConfig.Trace was nil.
+	// fill/drain/overlap, derived from the trace; nil when Config.Trace was
+	// nil.
 	Summary *trace.Summary
-	// Drift is the model-drift report refreshed by the run; nil when
+	// Drift is the model-drift report refreshed by the run (measured α/β,
+	// recomputed optimal block, predicted vs observed makespan); nil when
 	// metrics were disabled.
 	Drift *metrics.DriftReport
 	// Pool is a snapshot of the buffer pool's cumulative totals after the
-	// run; nil when SessionConfig.Pool was nil or ignored.
+	// run; nil when Config.Pool was nil or ignored.
 	Pool *bufpool.Stats
 }
 
@@ -195,7 +91,7 @@ type SessionStats struct {
 // precomputes every block's plan. All arrays referenced by any block must
 // be bound in env, and every rank's slab must intersect every block's
 // region (use fewer ranks otherwise).
-func NewSession(env expr.Env, blocks []*scan.Block, cfg SessionConfig) (*Session, error) {
+func NewSession(env expr.Env, blocks []*scan.Block, cfg Config) (*Session, error) {
 	sess, err := newSession(env, cfg)
 	if err != nil {
 		return nil, err
@@ -210,7 +106,7 @@ func NewSession(env expr.Env, blocks []*scan.Block, cfg SessionConfig) (*Session
 
 // newSession validates the decomposition and splits the domain; blocks are
 // added by register (or adopt), then arm readies the session to Run.
-func newSession(env expr.Env, cfg SessionConfig) (*Session, error) {
+func newSession(env expr.Env, cfg Config) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("pipeline: session needs at least 1 rank, got %d", cfg.Procs)
 	}
@@ -281,7 +177,7 @@ func (s *Session) arm() error {
 func (s *Session) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
 // MetricsAddr returns the bound address of the metrics endpoint, or ""
-// when SessionConfig.MetricsAddr was empty.
+// when Config.MetricsAddr was empty.
 func (s *Session) MetricsAddr() string {
 	if s.msrv == nil {
 		return ""
@@ -426,8 +322,8 @@ func (s *Session) Slab(r int) grid.Region { return s.slabs[r] }
 
 // Retune re-plans every registered block at tile width b. It must not be
 // called while a Run is in flight; Runs themselves call it when AutoTune
-// decides a new width is justified. Ranks mid-run retile locally (see
-// execPlan), so the shared plans only ever change here, between Runs.
+// decides a new width is justified. The shared plans change nowhere else,
+// so every rank of a Run walks one tiling.
 func (s *Session) Retune(b int) {
 	if b < 1 || b == s.cfg.Block {
 		return
@@ -435,7 +331,7 @@ func (s *Session) Retune(b int) {
 	s.cfg.Block = b
 	for _, pl := range s.plans {
 		pl.block = b
-		pl.tiles = pl.tilesFor(b)
+		pl.tiles = pl.cutTiles()
 	}
 }
 
@@ -449,10 +345,7 @@ func (s *Session) Retune(b int) {
 // and buffers in flight independent of how long the body runs. It does not
 // bind inside a sweep: every message of an operation is consumed by the
 // peer's same operation, and ranks execute operations in one order, so a
-// full link always faces a receiver that is behind and draining it. (A
-// mid-run retune to narrower tiles can put more messages in a sweep than
-// the bound computed here; a sweep's messages flow one way, so that delays
-// the sender and cannot deadlock it, as with any configured capacity.)
+// full link always faces a receiver that is behind and draining it.
 func (s *Session) linkCapacity() int {
 	if s.cfg.LinkCapacity > 0 || s.cfg.Transport.Kind != comm.TransportChan {
 		return s.cfg.LinkCapacity
@@ -537,9 +430,10 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		restoring := ck != nil && ck.pending[e.Rank()].Swap(false)
 		rk, err := s.newRank(e, restoring)
 		if rk != nil {
-			// Pool-leased tape registers go back when the rank's sweep ends
+			// Pool-leased tape registers go back when the rank's body ends
 			// — error paths included — so post-run Outstanding() audits see
-			// a drained pool. Kernels persist and re-lease next Run.
+			// a drained pool. The rank and its kernels go with it: the next
+			// Run builds both anew.
 			defer rk.releaseScratch()
 		}
 		if restoring {
@@ -686,14 +580,7 @@ type Rank struct {
 	// executes the same block sequence, equal counts identify the same run
 	// in the trace on every rank.
 	waveRuns int
-	// curBlock is this rank's current tile width; it starts at the
-	// session's width and moves when a mid-run retune fires. All ranks
-	// move together (the decision is a pure function of gauges frozen
-	// since the last Run), so senders and receivers always agree on the
-	// message tiling.
-	curBlock int
-	// eplans caches the materialized schedule per wavefront block; an
-	// entry built for a different width than curBlock is rebuilt.
+	// eplans caches the materialized schedule per wavefront block.
 	eplans map[*scan.Block]*execPlan
 	// dags caches each block's task-DAG executor (tile graph + per-worker
 	// kernels) when the session scheduler is SchedTaskDAG; built on first
@@ -776,7 +663,6 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		wrote:    map[string]bool{},
 		sendSeq:  make([]int, s.cfg.Procs),
 		recvSeq:  make([]int, s.cfg.Procs),
-		curBlock: s.cfg.Block,
 		eplans:   map[*scan.Block]*execPlan{},
 		portions: map[*scan.Block]grid.Region{},
 	}
@@ -884,12 +770,6 @@ func (r *Rank) Barrier() error {
 	if skip, err := r.ckOp(); err != nil || skip {
 		return err
 	}
-	return r.barrier()
-}
-
-// barrier is Barrier without the leaf-operation accounting, for
-// synchronization that is part of another operation.
-func (r *Rank) barrier() error {
 	pm := r.pm()
 	if pm == nil {
 		return r.e.Barrier()
@@ -1143,20 +1023,6 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 	t0, recvd := r.ffTile, r.ffRecvd
 	r.ffTile, r.ffRecvd = 0, 0
 	if t0 == 0 {
-		// Mid-run retune: every k-th sweep, synchronize and re-read the
-		// drift gauges. They have been frozen since the last Run's
-		// finishRun, so every rank computes the same width and the message
-		// tilings stay in agreement; the barrier pins the switch to a wave
-		// boundary, after all of the previous sweep's messages have been
-		// consumed.
-		if k := r.sess.cfg.AutoTuneEvery; k > 0 && r.sess.cfg.AutoTune && r.waveRuns > 0 && r.waveRuns%k == 0 {
-			if err := r.barrier(); err != nil {
-				return err
-			}
-			if bOpt, ok := r.sess.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
-				r.curBlock = bOpt
-			}
-		}
 		r.waveRuns++
 		if pm != nil {
 			pm.waves.Add(r.id, 1)
@@ -1166,7 +1032,7 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 	r.sess.cfg.Faults.SetWave(r.id, wave+1)
 
 	ep := r.eplans[b]
-	if ep == nil || ep.width != r.curBlock {
+	if ep == nil {
 		upstream, downstream := r.id-1, r.id+1
 		if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
 			upstream, downstream = r.id+1, r.id-1
@@ -1182,7 +1048,7 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 		if hasUp {
 			upPortion = r.portionOf(b.Region, upstream)
 		}
-		ep = buildExecPlan(pl, r.curBlock, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
+		ep = buildExecPlan(pl, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
 		r.eplans[b] = ep
 	}
 	if pm != nil {

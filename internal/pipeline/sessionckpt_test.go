@@ -11,7 +11,6 @@ import (
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
-	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
 	"wavefront/internal/trace"
 	"wavefront/internal/workload"
@@ -485,24 +484,20 @@ func groupMidSweep(t *testing.T, n int) midSweepProgram {
 // point lies at the top of every tile, so the restart must resume from a
 // snapshot cut inside that very sweep rather than re-run it from its start;
 // the task DAG runs a sweep in one piece and restarts it whole. The result
-// must match serial execution bit for bit either way, also when every sweep
-// opens with the mid-run retune barrier (which is part of the sweep's
-// operation, not one of its own), and when the crashed sweep is the second
-// block of an ExecGroup.
+// must match serial execution bit for bit either way, also when the crashed
+// sweep is the second block of an ExecGroup.
 func TestSessionMidSweepRecovery(t *testing.T) {
 	const n, procs = 26, 3
 	for _, c := range []struct {
 		name    string
 		prog    func(*testing.T, int) midSweepProgram
 		sched   scan.Scheduler
-		retune  bool
 		midTile bool // the restore must resume inside the crashed sweep
 	}{
-		{"static", tomcatvMidSweep, scan.SchedStatic, false, true},
-		{"static+retune", tomcatvMidSweep, scan.SchedStatic, true, true},
-		{"taskdag", tomcatvMidSweep, scan.SchedTaskDAG, false, false},
-		{"group/static", groupMidSweep, scan.SchedStatic, false, true},
-		{"group/taskdag", groupMidSweep, scan.SchedTaskDAG, false, false},
+		{"static", tomcatvMidSweep, scan.SchedStatic, true},
+		{"taskdag", tomcatvMidSweep, scan.SchedTaskDAG, false},
+		{"group/static", groupMidSweep, scan.SchedStatic, true},
+		{"group/taskdag", groupMidSweep, scan.SchedTaskDAG, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			prog := c.prog(t, n)
@@ -513,11 +508,6 @@ func TestSessionMidSweepRecovery(t *testing.T) {
 				Scheduler: c.sched, Workers: 2,
 				Faults: inj, Trace: rec,
 				Checkpoint: &CheckpointConfig{Every: 2},
-			}
-			if c.retune {
-				cfg.Metrics = metrics.New(procs)
-				preloadDrift(cfg.Metrics, 100, 5, 2.0)
-				cfg.AutoTune, cfg.AutoTuneEvery = true, 1
 			}
 			sess, err := NewSession(prog.env, prog.blocks, cfg)
 			if err != nil {

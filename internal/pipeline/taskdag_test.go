@@ -118,8 +118,7 @@ func TestTaskDAGScheduleOrderFuzz(t *testing.T) {
 		taskdagStealSeed = int64(i)*2654435761 + 1
 		env := dagDiffEnv(n)
 		rec := trace.New(procs*(1+workers), 1024)
-		cfg := Config{Procs: procs, Block: 4, WavefrontDim: -1, TileDim: -1,
-			Scheduler: scan.SchedTaskDAG, Workers: workers, Trace: rec}
+		cfg := Config{Procs: procs, Block: 4, Scheduler: scan.SchedTaskDAG, Workers: workers, Trace: rec}
 		if _, err := Run(blk, env, cfg); err != nil {
 			t.Fatalf("seed %d: taskdag run failed: %v", i, err)
 		}
@@ -167,8 +166,7 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 	run := func() (float64, error) {
 		env := dagDiffEnv(n)
 		rec := trace.New(1*(1+4), 2048)
-		cfg := Config{Procs: 1, WavefrontDim: -1, TileDim: -1,
-			Scheduler: scan.SchedTaskDAG, Workers: 4, Trace: rec}
+		cfg := Config{Procs: 1, Scheduler: scan.SchedTaskDAG, Workers: 4, Trace: rec}
 		if _, err := Run(blk, env, cfg); err != nil {
 			t.Fatalf("taskdag run failed: %v", err)
 		}

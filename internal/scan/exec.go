@@ -44,28 +44,6 @@ type ExecOptions struct {
 	MetricsRank int
 }
 
-// SpanPreference returns a loop-derivation preference that biases each
-// destination field's contiguous (unit-stride) dimension innermost, so the
-// tape engine gets the longest legal unit-stride spans. The bias only
-// reorders dimensions the dependences leave free; Derive still satisfies
-// every UDV first.
-func SpanPreference(b *Block, env expr.Env) dep.Preference {
-	pref := dep.Preference{PreferLow: true}
-	for _, s := range b.Stmts {
-		if f := env.Array(s.LHS.Name); f != nil {
-			rank := f.Rank()
-			for d := 0; d < rank; d++ {
-				if f.Stride(d) == 1 {
-					pref.Innermost = append(pref.Innermost, d)
-					break
-				}
-			}
-			break
-		}
-	}
-	return pref
-}
-
 // Exec runs the block serially against env. Scan blocks execute as a single
 // fused loop nest in the derived order; plain blocks execute statement by
 // statement with ordinary array semantics.

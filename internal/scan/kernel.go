@@ -160,10 +160,6 @@ func newKernel(b *Block, env expr.Env, udvs []dep.UDV, lower bool) (*Kernel, err
 // closure path keeps running.
 func (k *Kernel) SetEngine(e Engine) { k.engine = e }
 
-// Tape reports whether the tape engine is available (and would be used
-// under EngineTape).
-func (k *Kernel) Tape() bool { return k.prog != nil }
-
 // SetScratch routes the tape engine's register leases through pool under
 // the given pool rank. A nil pool (the default) allocates plainly.
 func (k *Kernel) SetScratch(pool *bufpool.Pool, rank int) {

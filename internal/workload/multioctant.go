@@ -185,11 +185,3 @@ func (w *MultiOctant) Reference() map[string]*field.Field {
 	out["total"] = total
 	return out
 }
-
-// TotalFlux sums the combined flux over the inner region.
-func (w *MultiOctant) TotalFlux() float64 {
-	f := w.Env.Arrays["total"]
-	sum := 0.0
-	w.Inner.Each(nil, func(p grid.Point) { sum += f.At(p) })
-	return sum
-}

@@ -233,9 +233,3 @@ func (s *Simple) TotalEnergy() float64 {
 	s.Interior.Each(nil, func(p grid.Point) { sum += e.At(p) })
 	return sum
 }
-
-// WaveRows and WaveCols report the sweep geometry.
-func (s *Simple) WaveRows() int { return s.Wave.Dim(0).Size() }
-
-// WaveCols reports the sweep width.
-func (s *Simple) WaveCols() int { return s.Wave.Dim(1).Size() }

@@ -272,9 +272,6 @@ func (t *Tomcatv) ResidualMax() float64 {
 	return worst
 }
 
-// WaveRows and WaveCols report the wavefront geometry for the analytic and
-// simulated experiments.
-func (t *Tomcatv) WaveRows() int { return t.Wave.Dim(0).Size() }
-
-// WaveCols reports the wavefront width.
+// WaveCols reports the wavefront width, for the analytic and simulated
+// experiments.
 func (t *Tomcatv) WaveCols() int { return t.Wave.Dim(1).Size() }
