@@ -483,11 +483,11 @@ func BenchmarkPipelineSteadyAllocs(b *testing.B) {
 	}
 }
 
-// --- Task-DAG scheduler: static pipeline vs work-stealing tile DAG ---
+// --- Task-DAG scheduler: static pipeline vs the tile DAG on a pool ---
 
 // BenchmarkTaskDAGScheduler runs the Tomcatv forward wavefront through a
 // single-rank session under the static schedule and under the task-DAG
-// work-stealing scheduler at several pool sizes. With one rank the DAG's
+// scheduler at several pool sizes. With one rank the DAG's
 // in-portion parallelism is the only variable: on a multi-core host the
 // wider pools win wall-clock, on a single hardware thread the numbers
 // document the scheduler's overhead instead.
@@ -658,6 +658,54 @@ func BenchmarkMultiOctant(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*points), "ns/point")
 		})
+	}
+}
+
+// BenchmarkTaskDAGFamilies prices the one-shot task-DAG scheduler on the
+// families whose tile cost varies with position — LU and Cholesky at n = 96,
+// a shrinking trailing block per elimination step, ~480 small graphs a run —
+// and on the Smith-Waterman 256² fill, one graph with every dimension
+// carried, at W = 1 / 2 / 4. It is the table that decides what the pool has
+// to be good at (EXPERIMENTS.md "Scheduler floor"). Each op builds its
+// graphs, as every scan.Exec caller does.
+func BenchmarkTaskDAGFamilies(b *testing.B) {
+	// family returns one op of the named family: a whole factorization from
+	// a reset matrix, or one fill.
+	family := func(b *testing.B, name string) func(scan.ExecOptions) error {
+		if name == "sw" {
+			w, err := workload.NewSW(256, 7, field.RowMajor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := w.Block()
+			return func(opt scan.ExecOptions) error { return scan.Exec(blk, w.Env, opt) }
+		}
+		mk := workload.NewLU
+		if name == "cholesky" {
+			mk = workload.NewCholesky
+		}
+		w, err := mk(96, 3, field.RowMajor)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func(opt scan.ExecOptions) error { w.Reset(); return w.Run(opt) }
+	}
+	for _, name := range []string{"lu", "cholesky", "sw"} {
+		for _, leg := range []struct {
+			name    string
+			workers int
+		}{{"w1", 1}, {"w2", 2}, {"w4", 4}} {
+			b.Run(name+"/"+leg.name, func(b *testing.B) {
+				run := family(b, name)
+				opt := scan.ExecOptions{Scheduler: scan.SchedTaskDAG, Workers: leg.workers}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := run(opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ var (
 	duration  = flag.Duration("duration", 0, "stop the -serve workload loop after this long (0 = until interrupted)")
 	autotune  = flag.Bool("autotune", false, "let the drift monitor retune the tile width between -serve workload-loop runs")
 	kernelSel = flag.String("kernel", "tape", "kernel execution engine: tape (span and skewed-run instruction tapes), closure (per-point reference path), or scalar (forced per-point tape baseline)")
-	schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (work-stealing tile DAG)")
+	schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (tile DAG on a worker pool)")
 	workers   = flag.Int("workers", 0, "task-DAG pool size per rank for -sched=taskdag (0 = GOMAXPROCS)")
 	postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
 	validate  = flag.Bool("validate", false, "run Tomcatv/SIMPLE/Sweep3D under both engines and both schedulers, serial and pipelined, and exit nonzero on any bit-level disagreement")

@@ -38,8 +38,8 @@ type valLeg struct {
 
 // valLegs is the full scheduler×engine validation matrix: all three engines
 // under the static schedule, plus the task-DAG scheduler at 1, 2, 3, 4, and 8
-// workers (1 worker pins the degenerate pool; the wider pools exercise
-// stealing, with 8 oversubscribing most portions; 3 cuts a dependence-free
+// workers (1 worker pins the degenerate pool; the wider pools move tiles
+// between workers, with 8 oversubscribing most portions; 3 cuts a dependence-free
 // span dimension into ragged chunks). The scalar leg pins the
 // forced per-point tape — the baseline the span and skewed paths must stay
 // bit-identical to.

@@ -14,7 +14,7 @@
 //     its KindSend FIFO per (src, dst, tag) — the receive cannot end
 //     before the matched send began;
 //   - dependence edges: a KindTaskTile's KindTaskDep markers name the
-//     predecessor tiles the work-stealing scheduler claims were complete,
+//     predecessor tiles the task-DAG scheduler claims were complete,
 //     keyed (rank, wave, tile).
 //
 // The critical path is the longest chain under those constraints, found

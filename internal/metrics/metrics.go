@@ -103,7 +103,8 @@ const (
 	AllocsPerWave = "allocs_per_wave" // heap objects allocated per wave epoch
 
 	// task-DAG scheduler (per-rank counters; the rank's worker pool flushes
-	// its per-worker totals here after every DAG run).
+	// its per-worker totals here after every DAG run). A steal is a tile run
+	// by a worker other than the one whose completed tile released it.
 	TaskTiles   = "taskdag_tiles_total"
 	TaskSteals  = "taskdag_steals_total"
 	TaskParks   = "taskdag_parks_total"

@@ -228,8 +228,7 @@ func TestSnapshotAliasQuietUnderTaskDAG(t *testing.T) {
 		wDim  int
 		tiles atomic.Int64
 	)
-	defer func() { taskdagHook = nil }()
-	taskdagHook = func(g *taskdag.Graph) {
+	defer scan.SetTaskDAGHook(func(g *taskdag.Graph) {
 		rank := -1
 		first := g.TileRegion(0)
 		for r, slab := range slabs {
@@ -247,7 +246,7 @@ func TestSnapshotAliasQuietUnderTaskDAG(t *testing.T) {
 			base(w, tile)
 			st.inFlight[rank].Add(-1)
 		})
-	}
+	})()
 
 	inj, err := fault.New(fault.Plan{Rules: []fault.Rule{{
 		Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash,

@@ -76,7 +76,7 @@ func TestDifferentialCorpus(t *testing.T) {
 							}
 						}
 						// Scheduler leg: the same cell under the task-DAG
-						// work-stealing scheduler, swept across pool sizes,
+						// scheduler, swept across pool sizes,
 						// must stay bit-identical to the serial oracle and
 						// pass the dynamic-schedule validator. The recorder
 						// carries p*(1+w) rings so every DAG worker records.

@@ -114,7 +114,7 @@ type Config struct {
 	Kernel scan.Engine
 	// Scheduler selects how each rank executes its portion of a block: the
 	// static tile-by-tile pipeline schedule (scan.SchedStatic, default) or
-	// a work-stealing task DAG over dependency-counted tiles on real
+	// a task DAG over dependency-counted tiles on a pool of real
 	// goroutines (scan.SchedTaskDAG; see internal/taskdag). The task-DAG
 	// rank receives all upstream boundary messages, runs its portion as a
 	// DAG, then forwards all boundary messages; the message sequence is

@@ -586,7 +586,7 @@ type Rank struct {
 	// kernels) when the session scheduler is SchedTaskDAG; built on first
 	// Exec and reused so steady-state DAG waves allocate nothing. Closed by
 	// releaseScratch when the Run retires.
-	dags map[*scan.Block]*portionDAG
+	dags map[*scan.Block]*scan.TaskGraph
 	// portions caches each block's share of this rank (portion builds two
 	// slices per call; slab and block regions never change).
 	portions map[*scan.Block]grid.Region
@@ -956,33 +956,16 @@ func (r *Rank) kernelFor(b *scan.Block, pl *plan) (*scan.Kernel, error) {
 	return kern, nil
 }
 
-// portionDAGFor returns the rank's cached task-DAG executor for b over L,
-// building graph and per-worker kernels on first use.
-func (r *Rank) portionDAGFor(b *scan.Block, pl *plan, L grid.Region) (*portionDAG, error) {
-	if pd, ok := r.dags[b]; ok {
-		return pd, nil
-	}
-	pd, err := r.newPortionDAG(b, pl, L)
-	if err != nil {
-		return nil, err
-	}
-	if r.dags == nil {
-		r.dags = map[*scan.Block]*portionDAG{}
-	}
-	r.dags[b] = pd
-	return pd, nil
-}
-
 // execParallel computes a block without pipelined arrays over the rank's
 // whole portion, in one piece: no boundary messages order the ranks.
 func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
-		pd, err := r.portionDAGFor(b, pl, L)
+		tg, err := r.taskGraphFor(b, pl, L)
 		if err != nil {
 			return err
 		}
 		sp := r.begin()
-		pd.run()
+		tg.Run()
 		r.computed(sp, L.Size(), -1, -1, -1, -1)
 		return nil
 	}
@@ -1168,12 +1151,12 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 			}
 		}
 	}
-	pd, err := r.portionDAGFor(b, pl, L)
+	tg, err := r.taskGraphFor(b, pl, L)
 	if err != nil {
 		return err
 	}
 	sp := r.begin()
-	pd.run()
+	tg.Run()
 	r.computed(sp, L.Size(), 0, wave, peer, need)
 	if ep.hasDown {
 		for t := 0; t < T; t++ {
@@ -1506,8 +1489,8 @@ func (r *Rank) releaseScratch() {
 	for _, rr := range r.reducers {
 		rr.fold.ReleaseScratch()
 	}
-	for _, pd := range r.dags {
-		pd.close()
+	for _, tg := range r.dags {
+		tg.Close()
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"wavefront/internal/workload"
 )
 
-// The task-DAG battery locks down the work-stealing scheduler at the
+// The task-DAG battery locks down the dynamic scheduler at the
 // pipeline layer: bit-identity against the serial oracle (rank 2 in the
 // differential corpus, rank 3 here), a seeded schedule-perturbation fuzz,
 // an intentional dependency-counter break the corpus must catch, the
@@ -95,14 +95,14 @@ func TestTaskDAGBitIdenticalSweep3D(t *testing.T) {
 	}
 }
 
-// TestTaskDAGScheduleOrderFuzz perturbs the steal order 200 ways: each run
-// seeds the scheduler's victim-selection and steal-count coin through the
-// package hook, and every resulting dynamic schedule must still produce
+// TestTaskDAGScheduleOrderFuzz perturbs the pop order 200 ways: each run
+// seeds the scheduler's choice among the ready tiles through scan's
+// hook, and every resulting dynamic schedule must still produce
 // bit-identical output and satisfy the trace validator. A scheduler bug
 // that only bites under one interleaving has 200 chances to surface here
 // and a named seed when it does.
 func TestTaskDAGScheduleOrderFuzz(t *testing.T) {
-	defer func() { taskdagStealSeed = 0 }()
+	defer scan.SetTaskDAGOrderSeed(0)()
 	n, procs, workers := 32, 2, 4
 	oracle := dagDiffEnv(n)
 	blk := dagDiffBlock(n)
@@ -115,7 +115,7 @@ func TestTaskDAGScheduleOrderFuzz(t *testing.T) {
 		runs = 25
 	}
 	for i := 0; i < runs; i++ {
-		taskdagStealSeed = int64(i)*2654435761 + 1
+		scan.SetTaskDAGOrderSeed(int64(i)*2654435761 + 1)
 		env := dagDiffEnv(n)
 		rec := trace.New(procs*(1+workers), 1024)
 		cfg := Config{Procs: procs, Block: 4, Scheduler: scan.SchedTaskDAG, Workers: workers, Trace: rec}
@@ -123,7 +123,7 @@ func TestTaskDAGScheduleOrderFuzz(t *testing.T) {
 			t.Fatalf("seed %d: taskdag run failed: %v", i, err)
 		}
 		if diff := env.Arrays["a"].MaxAbsDiff(bounds, oracle.Arrays["a"]); diff != 0 {
-			t.Fatalf("seed %d: perturbed steal order changed the answer by %g", i, diff)
+			t.Fatalf("seed %d: perturbed pop order changed the answer by %g", i, diff)
 		}
 		if err := trace.ValidateRecorder(rec); err != nil {
 			t.Fatalf("seed %d: perturbed schedule failed validation: %v", i, err)
@@ -154,7 +154,7 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the corrupted schedule races tiles by design; the race detector would (correctly) fail the run")
 	}
-	defer func() { taskdagHook = nil }()
+	defer scan.SetTaskDAGHook(nil)()
 	n := 64
 	oracle := dagDiffEnv(n)
 	blk := dagDiffBlock(n)
@@ -174,7 +174,6 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 	}
 
 	// Control: no corruption, so both detectors must stay silent.
-	taskdagHook = nil
 	if diff, verr := run(); diff != 0 || verr != nil {
 		t.Fatalf("uncorrupted control failed (diff=%g, validate=%v); the detectors are miscalibrated", diff, verr)
 	}
@@ -184,7 +183,7 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 	// the overlap open past worker wake-up latency, so either tile 1 reads
 	// stale west-halo values (output differential fires) or the validator
 	// sees its dependence edge start before tile 0 ended.
-	taskdagHook = func(g *taskdag.Graph) {
+	scan.SetTaskDAGHook(func(g *taskdag.Graph) {
 		_ = g.CorruptCounter(1)
 		slow := fmt.Sprint(g.TileRegion(0))
 		base := g.Runner()
@@ -194,7 +193,7 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 			}
 			base(w, tile)
 		})
-	}
+	})
 	detected := false
 	for attempt := 0; attempt < 20 && !detected; attempt++ {
 		diff, verr := run()

@@ -30,8 +30,8 @@ type ExecOptions struct {
 	// EngineClosure forcing the per-point reference path).
 	Engine Engine
 	// Scheduler selects how the iteration space executes: the derived
-	// serial loop nest (SchedStatic, default) or the work-stealing tile
-	// DAG on real goroutines (SchedTaskDAG).
+	// serial loop nest (SchedStatic, default) or the tile DAG on a pool of
+	// real goroutines (SchedTaskDAG).
 	Scheduler Scheduler
 	// Workers is the task-DAG pool size including the caller; <= 0 selects
 	// runtime.GOMAXPROCS(0). Ignored under SchedStatic.
@@ -126,7 +126,7 @@ func checkBounds(b *Block, env expr.Env) error {
 // analysis's UDVs feed the kernel build so the dependence walk runs once.
 func execFused(b *Block, env expr.Env, an *Analysis, opt ExecOptions) error {
 	if opt.Scheduler == SchedTaskDAG {
-		return execTaskDAG(b, env, an, opt)
+		return execTaskGraph([]*Block{b}, []*Analysis{an}, env, opt)
 	}
 	k, err := NewKernelDeps(b, env, an.UDVs)
 	if err != nil {

@@ -4,15 +4,12 @@ import (
 	"fmt"
 
 	"wavefront/internal/expr"
-	"wavefront/internal/grid"
-	"wavefront/internal/taskdag"
-	"wavefront/internal/trace"
 )
 
 // ExecGroup executes several mutually independent blocks as one scheduling
 // unit. Under SchedStatic (or when any block is plain) the blocks simply run
 // in order — independence makes the order irrelevant. Under SchedTaskDAG the
-// scan blocks' tile DAGs merge onto one work-stealing pool (taskdag.NewMulti),
+// scan blocks' tile DAGs merge onto one worker pool (taskdag.NewMulti),
 // so counter-propagating wavefronts keep every worker busy through each
 // other's ramp-up and ramp-down phases.
 //
@@ -55,7 +52,6 @@ func ExecGroup(blocks []*Block, env expr.Env, opt ExecOptions) error {
 		return nil
 	}
 
-	specs := make([]taskdag.Spec, len(blocks))
 	analyses := make([]*Analysis, len(blocks))
 	for i, b := range blocks {
 		if err := checkBounds(b, env); err != nil {
@@ -66,52 +62,8 @@ func ExecGroup(blocks []*Block, env expr.Env, opt ExecOptions) error {
 			return err
 		}
 		analyses[i] = an
-		specs[i] = taskdag.Spec{Region: b.Region, Loop: an.Loop, UDVs: an.UDVs}
 	}
-	g, err := taskdag.NewMulti(specs, taskdag.Options{
-		Workers:   opt.Workers,
-		Trace:     opt.Trace,
-		TraceBase: opt.TraceRank,
-		StealSeed: taskdagStealSeed,
-	})
-	if err != nil {
-		return err
-	}
-	defer g.Stop()
-	// One kernel per (block, worker): tape programs carry mutable scratch
-	// registers, so kernels cannot be shared across goroutines.
-	kernels := make([][]*Kernel, len(blocks))
-	elems := 0
-	for i, b := range blocks {
-		kernels[i] = make([]*Kernel, g.Workers())
-		for w := range kernels[i] {
-			k, err := NewKernelDeps(b, env, analyses[i].UDVs)
-			if err != nil {
-				return err
-			}
-			k.SetEngine(opt.Engine)
-			k.SetMetrics(opt.Metrics, opt.MetricsRank)
-			kernels[i][w] = k
-		}
-		elems += b.Region.Size() * len(b.Stmts)
-	}
-	g.SetRunnerSub(func(worker, sub int, tile grid.Region) {
-		kernels[sub][worker].Run(tile, analyses[sub].Loop)
-	})
-	if taskdagHook != nil {
-		taskdagHook(g)
-	}
-	var t0 int64
-	if opt.Trace != nil {
-		t0 = opt.Trace.Now()
-	}
-	g.Run()
-	if opt.Trace != nil {
-		ev := trace.Ev(trace.KindKernel, opt.TraceRank, t0, opt.Trace.Now())
-		ev.Elems = elems
-		opt.Trace.Record(ev)
-	}
-	return nil
+	return execTaskGraph(blocks, analyses, env, opt)
 }
 
 // fuseGroup merges an all-scan group over one shared region into a single

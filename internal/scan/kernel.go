@@ -233,12 +233,11 @@ func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 // minSpan is the inner-run length from which vector (span or skewed-run)
 // execution is taken over the rank-2 closure pair: on short enough runs the
 // per-run instruction dispatch dominates the per-point closure-tree walk it
-// replaces. The break-even itself lies between runs of 2 and 4 points
-// (BenchmarkKernelTapeVsClosureShortRuns; EXPERIMENTS.md "Tape
-// superinstructions" has the table), so 8 errs towards the closures by a
-// factor of two — on purpose so far: only LU/Cholesky's last few steps run
+// replaces. It is the measured break-even — the tape wins from runs of 3–4
+// points on (BenchmarkKernelTapeVsClosureShortRuns; EXPERIMENTS.md "Tape
+// superinstructions" has the table). Only LU/Cholesky's last few steps run
 // spans that short.
-const minSpan = 8
+const minSpan = 4
 
 func (k *Kernel) tapeProfitable(region grid.Region, loop dep.LoopSpec) bool {
 	v := loop.Perm[len(loop.Perm)-1]

@@ -16,9 +16,9 @@ const (
 	// SchedStatic is the default: the derived serial loop nest (and, under
 	// the parallel runtime, the static pipeline schedule).
 	SchedStatic Scheduler = iota
-	// SchedTaskDAG decomposes the region into tiles with atomic dependency
-	// counters and executes ready tiles on a work-stealing goroutine pool
-	// (see internal/taskdag).
+	// SchedTaskDAG decomposes the region into tiles with dependency
+	// counters and executes ready tiles on a goroutine pool (see
+	// internal/taskdag).
 	SchedTaskDAG
 )
 
@@ -44,67 +44,127 @@ func ParseScheduler(s string) (Scheduler, error) {
 	return SchedStatic, fmt.Errorf("scan: unknown scheduler %q (want static or taskdag)", s)
 }
 
-// Test hooks: taskdagStealSeed seeds the steal-order perturbation of every
-// graph built by execTaskDAG, and taskdagHook observes each graph after
+// Test hooks, read at graph-build time: taskdagOrderSeed is the OrderSeed of
+// every graph NewTaskGraph builds, and taskdagHook observes each graph after
 // construction (the intentional-break battery corrupts counters through
-// it). Both are read at graph-build time by same-package tests only.
+// it). Production code never sets either.
 var (
-	taskdagStealSeed int64
+	taskdagOrderSeed int64
 	taskdagHook      func(*taskdag.Graph)
 )
 
 // SetTaskDAGHook installs a fault-injection observer called with every task
-// graph execTaskDAG builds, and returns a restore func. It exists for the
-// intentional-break test batteries in other packages (corrupting a counter
-// through taskdag.Graph.CorruptCounter); production code never sets it.
-// Not safe for concurrent Exec calls.
+// graph NewTaskGraph builds — in this package's Exec and ExecGroup and in
+// the parallel runtime's ranks — and returns a restore func. It exists for
+// the intentional-break test batteries (corrupting a counter through
+// taskdag.Graph.CorruptCounter). Not safe for concurrent Exec calls.
 func SetTaskDAGHook(fn func(*taskdag.Graph)) (restore func()) {
 	prev := taskdagHook
 	taskdagHook = fn
 	return func() { taskdagHook = prev }
 }
 
-// execTaskDAG runs a fused block under the task-DAG scheduler: one graph
-// over the region, one kernel per worker (the tape program carries mutable
-// scratch registers, so kernels cannot be shared across goroutines), tiles
-// executed by the work-stealing pool. The graph's edges come from the same
-// UDVs as the serial loop derivation, so the dynamic schedule satisfies
-// exactly the dependences the in-place loop order does.
-func execTaskDAG(b *Block, env expr.Env, an *Analysis, opt ExecOptions) error {
-	g, err := taskdag.New(b.Region, an.Loop, an.UDVs, taskdag.Options{
+// SetTaskDAGOrderSeed makes every later task graph pop its ready tiles in
+// the pseudo-random order of seed (taskdag.Options.OrderSeed; zero restores
+// LIFO) and returns a restore func: the schedule-order fuzz batteries' hook,
+// under SetTaskDAGHook's contract.
+func SetTaskDAGOrderSeed(seed int64) (restore func()) {
+	prev := taskdagOrderSeed
+	taskdagOrderSeed = seed
+	return func() { taskdagOrderSeed = prev }
+}
+
+// TaskGraph is the task-DAG scheduler's executor: the tile DAG of one or
+// more blocks' regions on one pool, with one kernel per (spec, worker) — a
+// compiled tape owns mutable scratch registers, so workers cannot share a
+// kernel. The graph's edges come from the same UDVs as each block's loop
+// derivation, so the dynamic schedule satisfies exactly the dependences the
+// in-place loop order does.
+type TaskGraph struct {
+	g       *taskdag.Graph
+	kernels []*Kernel // spec-major: spec sub's kernel for worker w is kernels[sub*Workers+w]
+}
+
+// NewTaskGraph builds the merged graph of specs under opt (its OrderSeed
+// belongs to the test hook) and calls newKernel(sub) once per worker for
+// every spec. Kernels may share a mutex-guarded scratch pool shard: each
+// leases its own registers, so concurrent first runs are safe.
+func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub int) (*Kernel, error)) (*TaskGraph, error) {
+	opt.OrderSeed = taskdagOrderSeed
+	g, err := taskdag.NewMulti(specs, opt)
+	if err != nil {
+		return nil, err
+	}
+	W := g.Workers()
+	tg := &TaskGraph{g: g, kernels: make([]*Kernel, len(specs)*W)}
+	for i := range tg.kernels {
+		if tg.kernels[i], err = newKernel(i / W); err != nil {
+			g.Stop()
+			return nil, err
+		}
+	}
+	if len(specs) == 1 {
+		g.SetRunner(func(worker int, tile grid.Region) {
+			tg.kernels[worker].Run(tile, g.Loop(0))
+		})
+	} else {
+		g.SetRunnerSub(func(worker, sub int, tile grid.Region) {
+			tg.kernels[sub*W+worker].Run(tile, g.Loop(sub))
+		})
+	}
+	if taskdagHook != nil {
+		taskdagHook(g)
+	}
+	return tg, nil
+}
+
+// Run executes every tile once; allocation-free after the first call.
+func (tg *TaskGraph) Run() { tg.g.Run() }
+
+// Close retires the pool's goroutines and returns leased tape registers.
+// The graph cannot Run afterwards.
+func (tg *TaskGraph) Close() {
+	tg.g.Stop()
+	for _, k := range tg.kernels {
+		k.ReleaseScratch()
+	}
+}
+
+// execTaskGraph runs fused scan blocks — one, or a group of mutually
+// independent ones — under the task-DAG scheduler as one TaskGraph, and
+// records the whole run as one kernel span.
+func execTaskGraph(blocks []*Block, analyses []*Analysis, env expr.Env, opt ExecOptions) error {
+	specs := make([]taskdag.Spec, len(blocks))
+	elems := 0
+	for i, b := range blocks {
+		specs[i] = taskdag.Spec{Region: b.Region, Loop: analyses[i].Loop, UDVs: analyses[i].UDVs}
+		elems += b.Region.Size() * len(b.Stmts)
+	}
+	tg, err := NewTaskGraph(specs, taskdag.Options{
 		Workers:   opt.Workers,
 		Trace:     opt.Trace,
 		TraceBase: opt.TraceRank,
-		StealSeed: taskdagStealSeed,
+	}, func(sub int) (*Kernel, error) {
+		k, err := NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
+		if err != nil {
+			return nil, err
+		}
+		k.SetEngine(opt.Engine)
+		k.SetMetrics(opt.Metrics, opt.MetricsRank)
+		return k, nil
 	})
 	if err != nil {
 		return err
 	}
-	defer g.Stop()
-	kernels := make([]*Kernel, g.Workers())
-	for i := range kernels {
-		k, err := NewKernelDeps(b, env, an.UDVs)
-		if err != nil {
-			return err
-		}
-		k.SetEngine(opt.Engine)
-		k.SetMetrics(opt.Metrics, opt.MetricsRank)
-		kernels[i] = k
-	}
-	g.SetRunner(func(worker int, tile grid.Region) {
-		kernels[worker].Run(tile, an.Loop)
-	})
-	if taskdagHook != nil {
-		taskdagHook(g)
-	}
+	defer tg.Close()
 	var t0 int64
 	if opt.Trace != nil {
 		t0 = opt.Trace.Now()
 	}
-	g.Run()
+	tg.Run()
 	if opt.Trace != nil {
 		ev := trace.Ev(trace.KindKernel, opt.TraceRank, t0, opt.Trace.Now())
-		ev.Elems = b.Region.Size() * len(b.Stmts)
+		ev.Elems = elems
 		opt.Trace.Record(ev)
 	}
 	return nil

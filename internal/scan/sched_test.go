@@ -1,12 +1,18 @@
 package scan
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"wavefront/internal/dep"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
+	"wavefront/internal/taskdag"
 	"wavefront/internal/trace"
 )
 
@@ -119,11 +125,11 @@ func TestExecTaskDAGClosureEngine(t *testing.T) {
 	}
 }
 
-// TestExecTaskDAGStealSeedSweep perturbs the steal order through the
+// TestExecTaskDAGOrderSeedSweep perturbs the pop order through the
 // package hook; every perturbed schedule must still produce the exact
 // serial answer.
-func TestExecTaskDAGStealSeedSweep(t *testing.T) {
-	defer func() { taskdagStealSeed = 0 }()
+func TestExecTaskDAGOrderSeedSweep(t *testing.T) {
+	defer func() { taskdagOrderSeed = 0 }()
 	n := 32
 	blk := schedTestBlock(n)
 	oracle := schedTestEnv(n)
@@ -132,13 +138,13 @@ func TestExecTaskDAGStealSeedSweep(t *testing.T) {
 	}
 	bounds := grid.Square(2, 0, n)
 	for seed := int64(1); seed <= 8; seed++ {
-		taskdagStealSeed = seed * 7919
+		taskdagOrderSeed = seed * 7919
 		env := schedTestEnv(n)
 		if err := Exec(blk, env, ExecOptions{Scheduler: SchedTaskDAG, Workers: 4}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if diff := env.Arrays["a"].MaxAbsDiff(bounds, oracle.Arrays["a"]); diff != 0 {
-			t.Errorf("seed %d: perturbed steal order changed the answer by %g", seed, diff)
+			t.Errorf("seed %d: perturbed pop order changed the answer by %g", seed, diff)
 		}
 	}
 }
@@ -160,5 +166,77 @@ func TestExecTaskDAGPlainBlockUnaffected(t *testing.T) {
 	}
 	if diff := env.Arrays["a"].MaxAbsDiff(grid.Square(2, 0, n), oracle.Arrays["a"]); diff != 0 {
 		t.Errorf("plain block under taskdag option differs by %g", diff)
+	}
+}
+
+// TestTaskGraphBindsOneKernelPerSpecAndWorker pins the one place kernels
+// meet workers: the factory is asked once per (spec, worker), spec-major;
+// the merged run equals the blocks run serially; a closed graph refuses to
+// run; and a factory error comes back with the pool already retired.
+func TestTaskGraphBindsOneKernelPerSpecAndWorker(t *testing.T) {
+	const n, workers = 32, 3
+	blocks, env := mkGroupBlocks(t, n, 2)
+	refBlocks, refEnv := mkGroupBlocks(t, n, 2)
+	specs := make([]taskdag.Spec, len(blocks))
+	for i, b := range blocks {
+		if err := Exec(refBlocks[i], refEnv, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		an, err := Analyze(b, dep.Preference{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = taskdag.Spec{Region: b.Region, Loop: an.Loop, UDVs: an.UDVs}
+	}
+	var asked []int
+	tg, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub int) (*Kernel, error) {
+		asked = append(asked, sub)
+		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(asked) != "[0 0 0 1 1 1]" {
+		t.Errorf("factory asked for specs %v, want each spec once per worker, spec-major", asked)
+	}
+	tg.Run()
+	tg.Run() // repeatable: the second pass recomputes from the first's output
+	for i := range refBlocks {
+		if err := Exec(refBlocks[i], refEnv, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range blocks {
+		name := b.Stmts[0].LHS.Name
+		if d := env.Arrays[name].MaxAbsDiff(b.Region, refEnv.Arrays[name]); d != 0 {
+			t.Errorf("%s: merged task graph differs from serial by %g", name, d)
+		}
+	}
+	tg.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "taskdag: Run after Stop" {
+				t.Errorf("Run on a closed TaskGraph recovered %v, want the refusal", r)
+			}
+		}()
+		tg.Run()
+	}()
+
+	before := runtime.NumGoroutine()
+	boom := errors.New("no kernel")
+	if _, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub int) (*Kernel, error) {
+		if sub == 1 {
+			return nil, boom
+		}
+		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
+	}); !errors.Is(err, boom) {
+		t.Fatalf("NewTaskGraph returned %v, want the factory's error", err)
+	}
+	// Stop has waited for the workers' last statement, not for the runtime
+	// to reap them: give the count a moment to settle.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a failed build, %d before: the pool was not retired", runtime.NumGoroutine(), before)
+		}
 	}
 }

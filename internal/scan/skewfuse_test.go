@@ -96,7 +96,7 @@ func TestSkewedEngineSelection(t *testing.T) {
 // below the dispatch break-even takes the rank-2 closure pair under
 // EngineTape, and the tally says so.
 func TestSkewedProfitabilityFallsBackToClosure(t *testing.T) {
-	const n = 6 // runs of length <= 5 < minSpan
+	const n = 4 // runs of length <= 3 < minSpan
 	region := grid.MustRegion(grid.NewRange(1, n-1), grid.NewRange(1, n-1))
 	env := skewExecEnv(n)
 	blk := swBlock(region)

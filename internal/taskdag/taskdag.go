@@ -2,17 +2,17 @@
 // task DAG on real OS threads, turning the simulator's modeled parallelism
 // into wall-clock multicore speedup.
 //
-// The grid is decomposed into rectangular 2D/3D tiles. Each tile carries an
-// atomic dependency counter initialized to its in-degree in the tile DAG,
-// whose edges are derived from the same unconstrained distance vectors
-// (UDVs) the serial loop derivation uses: a UDV with distance d connects an
-// iteration p to its source p - d, so with tile widths of at least the
-// dependence reach per dimension, every cross-tile dependence lands in an
-// adjacent tile and the edge set is the per-UDV cross product of
-// {0, sign(d_k)} offsets. Acyclicity of the resulting DAG is proved by
-// running the loop derivation itself over the offset vectors — if a legal
-// loop nest orders the tile space, the DAG embeds in a linear order — and
-// dimensions that defeat the derivation are collapsed to a single tile.
+// The grid is decomposed into rectangular 2D/3D tiles. Each tile carries a
+// dependency counter initialized to its in-degree in the tile DAG, whose
+// edges are derived from the same unconstrained distance vectors (UDVs) the
+// serial loop derivation uses: a UDV with distance d connects an iteration
+// p to its source p - d, so with tile widths of at least the dependence
+// reach per dimension, every cross-tile dependence lands in an adjacent tile
+// and the edge set is the per-UDV cross product of {0, sign(d_k)} offsets.
+// Acyclicity of the resulting DAG is proved by running the loop derivation
+// itself over the offset vectors — if a legal loop nest orders the tile
+// space, the DAG embeds in a linear order — and dimensions that defeat the
+// derivation are collapsed to a single tile.
 //
 // Tile geometry follows the paper's split between wavefront dimensions and
 // fully parallel ones, plus the loop order. A dimension a dependence crosses
@@ -24,20 +24,22 @@
 // after the other free dimensions have supplied theirs — one (whole rows)
 // when they supply enough, Workers when it is the only free dimension.
 //
-// Ready tiles execute on a work-stealing pool: the caller participates as
-// worker 0 and Workers-1 goroutines (spawned once at New, parked between
-// runs) each own a LIFO deque. A worker pops its own tail, steals half of a
-// victim's deque from the head when empty, and parks on a condition
-// variable when no work exists anywhere; completing a tile decrements each
-// successor's counter and a counter reaching zero pushes the successor and
-// wakes a parked worker. Everything — tiles, adjacency, counters, deques,
-// steal buffers — is preallocated at New, so a steady-state Run allocates
-// nothing and the zero-alloc contract of the static pipeline survives.
+// Ready tiles wait on one LIFO stack under the graph's mutex — the same
+// mutex whose condition variable parks and wakes the pool: the caller
+// participates as worker 0 and Workers-1 goroutines are spawned once at
+// NewMulti and parked between runs. A worker's whole scheduling step is one
+// critical section per tile: count the finished tile's successors down,
+// push the ones that reach zero, pop the next tile, signal one parked
+// worker when it leaves work behind, and park while the stack is empty and
+// tiles are still in flight. A tile is 10 µs of kernel or more, the step
+// tens of nanoseconds, so nothing per worker sits behind it. Everything —
+// tiles, adjacency, counters, the stack — is preallocated at build, so a
+// steady-state Run allocates nothing and the zero-alloc contract of the
+// static pipeline survives.
 //
 // Per-worker trace events (KindTaskTile, KindTaskDep) let trace.Validate
 // check the wavefront safety of the dynamic schedule post-hoc: every tile's
-// predecessors completed before it started, whatever order the steals
-// produced.
+// predecessors completed before it started, whichever worker popped it.
 package taskdag
 
 import (
@@ -78,21 +80,32 @@ type Options struct {
 	// build.
 	Metrics     *metrics.Registry
 	MetricsRank int
-	// StealSeed, when non-zero, deterministically perturbs victim order
-	// and steal amounts (the schedule-order fuzz hook). Zero keeps the
-	// canonical rotation.
-	StealSeed int64
+	// OrderSeed, when non-zero, makes a worker pop a pseudo-random ready
+	// tile instead of the top of the stack (the schedule-order fuzz hook):
+	// every order the seeds produce is a legal one. Zero keeps LIFO.
+	OrderSeed int64
 }
 
 // WorkerStats is one worker's cumulative scheduling counters.
 type WorkerStats struct {
 	// Tiles counts tiles this worker executed.
 	Tiles int64
-	// Steals counts successful steal operations (any batch size).
+	// Steals counts tiles this worker executed that another worker's
+	// completion released: the work that moved between workers.
 	Steals int64
 	// Parks and Unparks count blocking waits on the pool's condition
 	// variable and the wakeups that ended them.
 	Parks, Unparks int64
+}
+
+// Spec describes one independent sub-graph of a merged graph: a region with
+// its own derived loop and dependence vectors. Specs must be mutually
+// independent (no tile of one spec may depend on a tile of another) — the
+// caller guarantees this; NewMulti adds no cross-spec edges.
+type Spec struct {
+	Region grid.Region
+	Loop   dep.LoopSpec
+	UDVs   []dep.UDV
 }
 
 // graphSeq numbers graphs process-wide; it keys the Wave identity of trace
@@ -100,47 +113,44 @@ type WorkerStats struct {
 // numbers) never collide in one recorder.
 var graphSeq atomic.Int64
 
-// Graph is a tiled dependence DAG over one region, bound to a work-stealing
-// pool. Build one with New, attach a tile body with SetRunner, execute with
-// Run (repeatable), and release the pool's goroutines with Stop. Run and
-// Stop must not be called concurrently; WorkerStats and CorruptCounter may
-// only be called with no Run in flight.
+// Graph is the tiled dependence DAG of one or more regions, bound to a
+// worker pool. Build one with New or NewMulti, attach a tile body with
+// SetRunner or SetRunnerSub, execute with Run (repeatable), and release the
+// pool's goroutines with Stop. Run and Stop must not be called
+// concurrently; WorkerStats and CorruptCounter may only be called with no
+// Run in flight.
 type Graph struct {
-	region grid.Region
-	rank   int
-	loop   dep.LoopSpec
+	specs []Spec
 
+	// Geometry of the first spec (Shape, Offsets, the span-width gauge).
 	shape   []int // tiles per dimension
 	tileW   []int // tile width per dimension, in iteration counts
-	strides []int // tile-index strides (row-major over shape)
 	offsets [][]int
 
 	tiles   []grid.Region
-	subOf   []int32 // owning sub-graph per tile (NewMulti; nil for New)
-	subs    int
+	subOf   []int32 // owning spec per tile; nil with one spec
 	preds   [][]int32
 	succs   [][]int32
 	initCnt []int32
-	counts  []atomic.Int32
 	corrupt []bool
-	seedBuf []int32
 
-	workers   []*worker
 	runner    func(worker int, tile grid.Region)
 	runnerSub func(worker, sub int, tile grid.Region)
 	wg        sync.WaitGroup
 
+	// mu guards every field below it: the whole scheduling state.
 	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int64 // run generation (guarded by mu)
-	exited  int   // spawned workers done with the current run (guarded by mu)
-	idle    int   // parked workers (guarded by mu)
-	stopped bool  // guarded by mu
-
-	idleCount atomic.Int32
-	ready     atomic.Int64
-	remaining atomic.Int64
-	done      atomic.Bool
+	cond    sync.Cond
+	counts  []int32 // unmet dependences per tile
+	stack   []int32 // ready tiles; the top is the last element
+	by      []int32 // the worker whose completion released each tile, -1 for a seed
+	pending int     // tiles of the current run not yet completed
+	parked  int     // workers waiting for a ready tile
+	rng     uint64  // OrderSeed's xorshift64 state; 0 pops the top
+	gen     int64   // run generation
+	exited  int     // spawned workers done with the current run
+	stopped bool
+	stats   []WorkerStats
 
 	tr       *trace.Recorder
 	trBase   int
@@ -154,106 +164,67 @@ type Graph struct {
 	flushed                          []WorkerStats
 }
 
-// worker is one pool member: a mutex-guarded ring deque (owner pops the
-// tail, thieves take from the head), a preallocated steal buffer, and
-// single-writer scheduling stats.
-type worker struct {
-	id  int
-	mu  sync.Mutex
-	deq []int32
-	// ring occupancy: entries live at indices head..head+n-1 mod len(deq).
-	head, n  int
-	stealBuf []int32
-	rng      uint64
-	seed     int64
-	stats    WorkerStats
-	_        [64]byte // keep adjacent workers' hot state off one cache line
-}
-
-func (w *worker) pushTailLocked(t int32) {
-	w.deq[(w.head+w.n)%len(w.deq)] = t
-	w.n++
-}
-
-func (w *worker) popTailLocked() int32 {
-	w.n--
-	return w.deq[(w.head+w.n)%len(w.deq)]
-}
-
-// nextRand is a xorshift64 step; only the worker's own goroutine calls it.
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x
-}
-
-// New builds the tile DAG for region under the block's derived loop and
-// UDVs and spawns the worker pool (parked until Run). The loop spec orders
-// execution within a tile only; across tiles the DAG rules.
+// New builds the tile DAG of one region: NewMulti of a single spec.
 func New(region grid.Region, loop dep.LoopSpec, udvs []dep.UDV, opt Options) (*Graph, error) {
-	rank := region.Rank()
-	if rank == 0 {
-		return nil, fmt.Errorf("taskdag: rank-0 region")
+	return NewMulti([]Spec{{Region: region, Loop: loop, UDVs: udvs}}, opt)
+}
+
+// NewMulti builds one Graph whose tile set is the union of every spec's
+// tile DAG — each under its own derived loop and UDVs; a loop spec orders
+// execution within a tile only, across tiles the DAG rules — and spawns the
+// worker pool (parked until Run). Merging is how counter-propagating
+// wavefronts (multi-octant sweeps) share workers: each octant keeps its own
+// internal dependence structure, and the one ready stack interleaves tiles
+// from all of them, so a worker starved by one octant's ramp-down picks up
+// another octant's ramp-up.
+//
+// Tiles carry their spec index; attach the body with SetRunnerSub (or
+// SetRunner when there is one spec). The Shape and Offsets accessors
+// describe only the first spec (per-spec structure is available through
+// SubOf/TileRegion).
+func NewMulti(specs []Spec, opt Options) (*Graph, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("taskdag: NewMulti with no specs")
 	}
-	if len(loop.Perm) != rank {
-		return nil, fmt.Errorf("taskdag: loop spec has rank %d, region has rank %d", len(loop.Perm), rank)
-	}
-	for _, u := range udvs {
-		if len(u.Dist) != rank {
-			return nil, fmt.Errorf("taskdag: UDV %v has rank %d, want %d", u, len(u.Dist), rank)
+	for si, sp := range specs {
+		rank := sp.Region.Rank()
+		if rank == 0 {
+			return nil, fmt.Errorf("taskdag: spec %d has a rank-0 region", si)
+		}
+		if len(sp.Loop.Perm) != rank {
+			return nil, fmt.Errorf("taskdag: spec %d loop spec has rank %d, region has rank %d", si, len(sp.Loop.Perm), rank)
+		}
+		for _, u := range sp.UDVs {
+			if len(u.Dist) != rank {
+				return nil, fmt.Errorf("taskdag: spec %d UDV %v has rank %d, want %d", si, u, len(u.Dist), rank)
+			}
 		}
 	}
 	W := opt.Workers
 	if W <= 0 {
 		W = runtime.GOMAXPROCS(0)
 	}
-	g := &Graph{region: region, rank: rank, loop: loop, metricsRank: opt.MetricsRank}
-	g.cond = sync.NewCond(&g.mu)
+	g := &Graph{specs: slices.Clone(specs), metricsRank: opt.MetricsRank}
+	g.cond.L = &g.mu
 	g.waveBase = int(graphSeq.Add(1)) << 16
-
-	sizes := make([]int, rank)
-	empty := false
-	for d := 0; d < rank; d++ {
-		sizes[d] = region.Dim(d).Size()
-		if sizes[d] == 0 {
-			empty = true
-		}
+	if opt.OrderSeed != 0 {
+		g.rng = uint64(opt.OrderSeed)*0x9e3779b97f4a7c15 | 1
 	}
-	if !empty {
-		g.decompose(sizes, udvs, opt.TileW, W)
-	} else {
-		g.shape = make([]int, rank)
-		g.tileW = make([]int, rank)
-		g.strides = make([]int, rank)
+	for si := range g.specs {
+		g.decompose(si, opt.TileW, W)
+	}
+	first := &g.specs[0]
+	if g.shape == nil { // the first spec's region is empty
+		g.shape = make([]int, first.Region.Rank())
+		g.tileW = make([]int, first.Region.Rank())
 	}
 
-	g.initPool(W, opt)
-	return g, nil
-}
-
-// initPool allocates everything sized by the (now final) tile count and the
-// pool width, wires trace/metrics sinks, and spawns the parked workers. It
-// is the shared tail of New and NewMulti.
-func (g *Graph) initPool(W int, opt Options) {
 	n := len(g.tiles)
-	capDeq := n
-	if capDeq < 1 {
-		capDeq = 1
-	}
-	g.workers = make([]*worker, W)
-	for i := range g.workers {
-		w := &worker{id: i, deq: make([]int32, capDeq), stealBuf: make([]int32, capDeq), seed: opt.StealSeed}
-		w.rng = uint64(opt.StealSeed)*0x9e3779b97f4a7c15 + uint64(i) + 1
-		g.workers[i] = w
-	}
-	g.seedBuf = make([]int32, 0, capDeq)
-	g.counts = make([]atomic.Int32, n)
+	g.counts = make([]int32, n)
+	g.stack = make([]int32, 0, n)
+	g.by = make([]int32, n)
 	g.corrupt = make([]bool, n)
-	g.flushed = make([]WorkerStats, W)
-
+	g.stats = make([]WorkerStats, W)
 	if opt.Trace != nil && opt.TraceBase >= 0 && opt.TraceBase+W <= opt.Trace.Procs() {
 		g.tr = opt.Trace
 		g.trBase = opt.TraceBase
@@ -264,20 +235,30 @@ func (g *Graph) initPool(W int, opt Options) {
 		g.mSteals = opt.Metrics.Counter(metrics.TaskSteals)
 		g.mParks = opt.Metrics.Counter(metrics.TaskParks)
 		g.mUnpark = opt.Metrics.Counter(metrics.TaskUnparks)
-		opt.Metrics.Gauge(metrics.TaskSpanWidth).Set(float64(g.tileW[g.loop.Perm[g.rank-1]]))
+		g.flushed = make([]WorkerStats, W)
+		span := first.Loop.Perm[len(first.Loop.Perm)-1]
+		opt.Metrics.Gauge(metrics.TaskSpanWidth).Set(float64(g.tileW[span]))
 	}
-
 	for i := 1; i < W; i++ {
 		g.wg.Add(1)
 		go g.workerLoop(i)
 	}
+	return g, nil
 }
 
-// decompose chooses tile widths, proves the tile DAG acyclic (collapsing
-// dimensions that defeat the proof), enumerates tile regions, and builds
-// the adjacency lists and initial in-degrees.
-func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
-	rank := g.rank
+// decompose chooses spec si's tile widths, proves its tile DAG acyclic
+// (collapsing dimensions that defeat the proof), and appends its tile
+// regions, adjacency lists and initial in-degrees to the graph's. An empty
+// region contributes no tiles.
+func (g *Graph) decompose(si int, tileW []int, W int) {
+	region, loop, udvs := g.specs[si].Region, g.specs[si].Loop, g.specs[si].UDVs
+	rank := region.Rank()
+	sizes := make([]int, rank)
+	for d := range sizes {
+		if sizes[d] = region.Dim(d).Size(); sizes[d] == 0 {
+			return
+		}
+	}
 	// reach: the farthest (in iteration steps) any dependence spans per
 	// dimension; a tile at least this wide keeps every edge adjacent.
 	reach := make([]int, rank)
@@ -290,7 +271,7 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 			if dist < 0 {
 				dist = -dist
 			}
-			stride := g.region.Dim(d).Stride
+			stride := region.Dim(d).Stride
 			if r := (dist + stride - 1) / stride; r > reach[d] {
 				reach[d] = r
 			}
@@ -334,7 +315,7 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 	// row-span of every tile and buys only parallelism, so it is cut only
 	// as far as the pool still lacks independent chains after the other
 	// free dimensions have supplied theirs.
-	span := g.loop.Perm[rank-1]
+	span := loop.Perm[rank-1]
 	free := 1 // independent chains the dependence-free non-span dimensions supply
 	for d := 0; d < rank; d++ {
 		if d == span {
@@ -366,33 +347,43 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 		for i, e := range offs {
 			ou[i] = dep.UDV{Dist: append(grid.Direction(nil), e...)}
 		}
-		if _, err := dep.DerivePreferred(rank, ou, dep.Preference{DimOrder: g.loop.Perm, PreferLow: true}); err == nil {
+		if _, err := dep.DerivePreferred(rank, ou, dep.Preference{DimOrder: loop.Perm, PreferLow: true}); err == nil {
 			break
 		}
 		d := collapseDim(offs, shape)
 		shape[d] = 1
 		tw[d] = sizes[d]
 	}
-	g.shape = shape
-	g.tileW = tw
-	g.offsets = offs
+	if si == 0 {
+		g.shape, g.tileW, g.offsets = shape, tw, offs
+	}
 
-	// Enumerate tiles row-major over shape.
+	// Enumerate tiles row-major over shape, after the tiles of the specs
+	// before this one.
 	n := 1
-	g.strides = make([]int, rank)
+	strides := make([]int, rank)
 	for d := rank - 1; d >= 0; d-- {
-		g.strides[d] = n
+		strides[d] = n
 		n *= shape[d]
 	}
-	g.tiles = make([]grid.Region, n)
+	base := len(g.tiles)
+	g.tiles = append(g.tiles, make([]grid.Region, n)...)
+	g.preds = append(g.preds, make([][]int32, n)...)
+	g.succs = append(g.succs, make([][]int32, n)...)
+	g.initCnt = append(g.initCnt, make([]int32, n)...)
+	if len(g.specs) > 1 {
+		for i := 0; i < n; i++ {
+			g.subOf = append(g.subOf, int32(si))
+		}
+	}
 	dims := make([]grid.Range, rank)
 	idx := make([]int, rank)
 	for i := 0; i < n; i++ {
 		rem := i
 		for d := 0; d < rank; d++ {
-			idx[d] = rem / g.strides[d]
-			rem %= g.strides[d]
-			r := g.region.Dim(d)
+			idx[d] = rem / strides[d]
+			rem %= strides[d]
+			r := region.Dim(d)
 			lo := idx[d] * tw[d]
 			hi := lo + tw[d]
 			if hi > sizes[d] {
@@ -404,24 +395,14 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 				Stride: r.Stride,
 			}
 		}
-		g.tiles[i] = grid.MustRegion(dims...)
-	}
+		g.tiles[base+i] = grid.MustRegion(dims...)
 
-	// Adjacency: tile τ depends on τ-e for every offset e that stays in
-	// bounds. Offsets are deduplicated, so each (pred, succ) pair appears
-	// once; lists are index-sorted for a deterministic single-worker
-	// schedule.
-	g.preds = make([][]int32, n)
-	g.succs = make([][]int32, n)
-	g.initCnt = make([]int32, n)
-	for i := 0; i < n; i++ {
-		rem := i
-		for d := 0; d < rank; d++ {
-			idx[d] = rem / g.strides[d]
-			rem %= g.strides[d]
-		}
+		// Adjacency: tile τ depends on τ-e for every offset e that stays
+		// in bounds. Offsets are deduplicated, so each (pred, succ) pair
+		// appears once; lists are index-sorted for a deterministic
+		// single-worker schedule.
 		for _, e := range offs {
-			p := 0
+			p := base
 			ok := true
 			for d := 0; d < rank; d++ {
 				s := idx[d] - e[d]
@@ -429,17 +410,17 @@ func (g *Graph) decompose(sizes []int, udvs []dep.UDV, tileW []int, W int) {
 					ok = false
 					break
 				}
-				p += s * g.strides[d]
+				p += s * strides[d]
 			}
 			if !ok {
 				continue
 			}
-			g.preds[i] = append(g.preds[i], int32(p))
-			g.succs[p] = append(g.succs[p], int32(i))
+			g.preds[base+i] = append(g.preds[base+i], int32(p))
+			g.succs[p] = append(g.succs[p], int32(base+i))
 		}
-		g.initCnt[i] = int32(len(g.preds[i]))
+		g.initCnt[base+i] = int32(len(g.preds[base+i]))
 	}
-	for i := range g.succs {
+	for i := base; i < base+n; i++ {
 		sortInt32(g.succs[i])
 		sortInt32(g.preds[i])
 	}
@@ -554,6 +535,11 @@ func sortInt32(s []int32) {
 // nothing.
 func (g *Graph) SetRunner(fn func(worker int, tile grid.Region)) { g.runner = fn }
 
+// SetRunnerSub installs the tile body of a merged graph: fn(worker, sub,
+// tile) executes one tile of spec index sub. It takes precedence over
+// SetRunner's and is under the same contract.
+func (g *Graph) SetRunnerSub(fn func(worker, sub int, tile grid.Region)) { g.runnerSub = fn }
+
 // Runner returns the installed tile runner (nil before SetRunner). Test
 // instrumentation wraps it to gate or delay specific tiles.
 func (g *Graph) Runner() func(worker int, tile grid.Region) { return g.runner }
@@ -562,7 +548,21 @@ func (g *Graph) Runner() func(worker int, tile grid.Region) { return g.runner }
 func (g *Graph) Tiles() int { return len(g.tiles) }
 
 // Workers returns the pool size (including the caller).
-func (g *Graph) Workers() int { return len(g.workers) }
+func (g *Graph) Workers() int { return len(g.stats) }
+
+// Subs returns the number of specs the graph merged (1 for New graphs).
+func (g *Graph) Subs() int { return len(g.specs) }
+
+// SubOf returns the spec index owning tile t.
+func (g *Graph) SubOf(t int) int {
+	if g.subOf == nil {
+		return 0
+	}
+	return int(g.subOf[t])
+}
+
+// Loop returns spec sub's loop, the order of execution within its tiles.
+func (g *Graph) Loop(sub int) dep.LoopSpec { return g.specs[sub].Loop }
 
 // Shape returns the per-dimension tile counts.
 func (g *Graph) Shape() []int { return append([]int(nil), g.shape...) }
@@ -585,13 +585,7 @@ func (g *Graph) Preds(t int) []int32 { return append([]int32(nil), g.preds[t]...
 
 // WorkerStats returns each worker's cumulative counters. Call only with no
 // Run in flight.
-func (g *Graph) WorkerStats() []WorkerStats {
-	out := make([]WorkerStats, len(g.workers))
-	for i, w := range g.workers {
-		out[i] = w.stats
-	}
-	return out
-}
+func (g *Graph) WorkerStats() []WorkerStats { return slices.Clone(g.stats) }
 
 // CorruptCounter under-counts tile t's dependency counter by one on every
 // subsequent Run, releasing the tile before its last predecessor completes.
@@ -609,54 +603,48 @@ func (g *Graph) CorruptCounter(t int) error {
 // Run executes every tile once, respecting the DAG, with the caller acting
 // as worker 0. It returns when all tiles completed and every pool worker
 // has retired from the run. Repeated Runs reuse all state and allocate
-// nothing.
+// nothing. Run before SetRunner and Run after Stop are bugs in the caller
+// and panic.
 func (g *Graph) Run() {
 	if g.runner == nil && g.runnerSub == nil {
 		panic("taskdag: Run before SetRunner")
+	}
+	g.mu.Lock()
+	if g.stopped {
+		g.mu.Unlock()
+		panic("taskdag: Run after Stop")
 	}
 	g.wave = g.waveBase + (g.runSeq & 0xffff)
 	g.runSeq++
 	n := len(g.tiles)
 	if n == 0 {
+		g.mu.Unlock()
 		return
 	}
-	seeds := g.seedBuf[:0]
-	for i := 0; i < n; i++ {
+	// Seeds are pushed in reverse so the stack pops them in DAG order.
+	g.stack = g.stack[:0]
+	for i := n - 1; i >= 0; i-- {
 		c := g.initCnt[i]
 		if g.corrupt[i] && c > 0 {
 			c--
 		}
-		g.counts[i].Store(c)
+		g.counts[i] = c
 		if c == 0 {
-			seeds = append(seeds, int32(i))
+			g.by[i] = -1
+			g.stack = append(g.stack, int32(i))
 		}
 	}
-	g.seedBuf = seeds
-	g.remaining.Store(int64(n))
-	g.done.Store(false)
-	// Seeds round-robin across deques, pushed in reverse so each LIFO
-	// owner pops its share in DAG order.
-	W := len(g.workers)
-	for i := len(seeds) - 1; i >= 0; i-- {
-		w := g.workers[i%W]
-		w.mu.Lock()
-		w.pushTailLocked(seeds[i])
-		w.mu.Unlock()
-	}
-	g.ready.Store(int64(len(seeds)))
-	g.mu.Lock()
+	g.pending = n
 	g.gen++
 	g.exited = 0
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	g.runWorker(g.workers[0])
-	if W > 1 {
-		g.mu.Lock()
-		for g.exited < W-1 {
-			g.cond.Wait()
-		}
-		g.mu.Unlock()
+	g.work(0)
+	g.mu.Lock()
+	for g.exited < len(g.stats)-1 {
+		g.cond.Wait()
 	}
+	g.mu.Unlock()
 	g.flushMetrics()
 }
 
@@ -664,10 +652,6 @@ func (g *Graph) Run() {
 // Idempotent; must not overlap a Run.
 func (g *Graph) Stop() {
 	g.mu.Lock()
-	if g.stopped {
-		g.mu.Unlock()
-		return
-	}
 	g.stopped = true
 	g.cond.Broadcast()
 	g.mu.Unlock()
@@ -678,7 +662,6 @@ func (g *Graph) Stop() {
 // work it dry, check out, repeat until Stop.
 func (g *Graph) workerLoop(id int) {
 	defer g.wg.Done()
-	w := g.workers[id]
 	var last int64
 	for {
 		g.mu.Lock()
@@ -691,140 +674,82 @@ func (g *Graph) workerLoop(id int) {
 		}
 		last = g.gen
 		g.mu.Unlock()
-		g.runWorker(w)
+		g.work(id)
 		g.mu.Lock()
 		g.exited++
-		if g.exited == len(g.workers)-1 {
+		if g.exited == len(g.stats)-1 {
 			g.cond.Broadcast()
 		}
 		g.mu.Unlock()
 	}
 }
 
-// runWorker drains the DAG from one worker's perspective: pop own work,
-// steal, park, until the run's last tile retires.
-func (g *Graph) runWorker(w *worker) {
-	for {
-		t, ok := g.findWork(w)
-		if ok {
-			g.execTile(w, t)
-			continue
-		}
-		if g.done.Load() {
-			return
-		}
-		g.park(w)
-		if g.done.Load() {
-			return
-		}
-	}
-}
-
-// findWork claims one tile: the worker's own tail first (LIFO), then a
-// steal-half pass over the other deques. Victim order rotates from the
-// worker's successor, or is drawn from the seeded generator when the
-// steal-order fuzz hook is armed.
-func (g *Graph) findWork(w *worker) (int32, bool) {
-	w.mu.Lock()
-	if w.n > 0 {
-		t := w.popTailLocked()
-		w.mu.Unlock()
-		g.ready.Add(-1)
-		return t, true
-	}
-	w.mu.Unlock()
-	W := len(g.workers)
-	if W == 1 {
-		return 0, false
-	}
-	start := w.id + 1
-	if w.seed != 0 {
-		start = w.id + 1 + int(w.nextRand()%uint64(W-1))
-	}
-	for i := 0; i < W; i++ {
-		v := g.workers[(start+i)%W]
-		if v == w {
-			continue
-		}
-		k := g.steal(w, v)
-		if k == 0 {
-			continue
-		}
-		w.stats.Steals++
-		t := w.stealBuf[0]
-		if k > 1 {
-			// Keep the oldest stolen tile for execution; re-queue the rest
-			// so the next own pop continues in age order.
-			w.mu.Lock()
-			for j := k - 1; j >= 1; j-- {
-				w.pushTailLocked(w.stealBuf[j])
-			}
-			w.mu.Unlock()
-		}
-		g.ready.Add(-1)
-		return t, true
-	}
-	return 0, false
-}
-
-// steal takes ceil(n/2) tiles from the victim's head into the thief's
-// steal buffer (or a single tile when the fuzz hook flips a coin),
-// returning how many were taken.
-func (g *Graph) steal(w, v *worker) int {
-	v.mu.Lock()
-	if v.n == 0 {
-		v.mu.Unlock()
-		return 0
-	}
-	k := (v.n + 1) / 2
-	if w.seed != 0 && w.nextRand()&1 == 0 {
-		k = 1
-	}
-	for i := 0; i < k; i++ {
-		w.stealBuf[i] = v.deq[v.head]
-		v.head++
-		if v.head == len(v.deq) {
-			v.head = 0
-		}
-	}
-	v.n -= k
-	v.mu.Unlock()
-	return k
-}
-
-// park blocks the worker until the ready count transitions from zero or
-// the run completes. The idle mirror lets pushReady skip the mutex when
-// nobody is parked; the seq-cst ordering of ready.Add before the mirror
-// read (push side) against the mirror write before the ready read (park
-// side) guarantees at least one side observes the other.
-func (g *Graph) park(w *worker) {
+// work is worker w's share of one run, and the whole scheduler: one
+// critical section per tile. Inside it the worker counts the successors of
+// the tile it just finished down, pushes those that reach zero (lowest
+// index on top, so one worker walks the DAG in index order), parks while
+// the stack is empty and tiles are in flight, pops its next tile, and
+// signals one parked worker when it leaves ready tiles behind. The mutex
+// hand-over is also what makes a tile's body see its predecessors' writes.
+// The last tile's completion wakes everyone; a worker leaves when nothing
+// is ready and nothing is pending.
+func (g *Graph) work(w int) {
+	st := &g.stats[w]
 	g.mu.Lock()
-	if g.ready.Load() > 0 || g.done.Load() {
+	for {
+		for len(g.stack) == 0 && g.pending > 0 {
+			st.Parks++
+			g.parked++
+			g.cond.Wait()
+			g.parked--
+			st.Unparks++
+		}
+		if len(g.stack) == 0 {
+			g.mu.Unlock()
+			return
+		}
+		top := len(g.stack) - 1
+		if g.rng != 0 {
+			g.rng ^= g.rng << 13
+			g.rng ^= g.rng >> 7
+			g.rng ^= g.rng << 17
+			i := int(g.rng % uint64(top+1))
+			g.stack[i], g.stack[top] = g.stack[top], g.stack[i]
+		}
+		t := g.stack[top]
+		g.stack = g.stack[:top]
+		if by := g.by[t]; by >= 0 && by != int32(w) {
+			st.Steals++
+		}
+		if top > 0 && g.parked > 0 {
+			g.cond.Signal()
+		}
 		g.mu.Unlock()
-		return
+		g.execTile(w, t)
+		g.mu.Lock()
+		st.Tiles++
+		succs := g.succs[t]
+		for i := len(succs) - 1; i >= 0; i-- {
+			s := succs[i]
+			if g.counts[s]--; g.counts[s] == 0 {
+				g.by[s] = int32(w)
+				g.stack = append(g.stack, s)
+			}
+		}
+		if g.pending--; g.pending == 0 {
+			g.cond.Broadcast()
+		}
 	}
-	g.idle++
-	g.idleCount.Store(int32(g.idle))
-	w.stats.Parks++
-	for g.ready.Load() == 0 && !g.done.Load() {
-		g.cond.Wait()
-	}
-	w.stats.Unparks++
-	g.idle--
-	g.idleCount.Store(int32(g.idle))
-	g.mu.Unlock()
 }
 
-// execTile records the dependence edges and the tile span, runs the tile,
-// releases successors whose counters hit zero, and retires the run when
-// the last tile completes. The tile span's End timestamp is taken before
-// any successor is released, so a validated trace orders predecessor
-// completion before successor start.
-func (g *Graph) execTile(w *worker, t int32) {
+// execTile records the dependence edges and the tile span and runs the
+// tile. The span's End timestamp is taken before work releases any
+// successor, so a validated trace orders predecessor completion before
+// successor start.
+func (g *Graph) execTile(w int, t int32) {
 	var t0 int64
-	ring := 0
+	ring := g.trBase + w
 	if g.tr != nil {
-		ring = g.trBase + w.id
 		t0 = g.tr.Now()
 		for _, p := range g.preds[t] {
 			ev := trace.Ev(trace.KindTaskDep, ring, t0, t0)
@@ -833,44 +758,14 @@ func (g *Graph) execTile(w *worker, t int32) {
 		}
 	}
 	if g.runnerSub != nil {
-		g.runnerSub(w.id, int(g.subOf[t]), g.tiles[t])
+		g.runnerSub(w, g.SubOf(int(t)), g.tiles[t])
 	} else {
-		g.runner(w.id, g.tiles[t])
+		g.runner(w, g.tiles[t])
 	}
 	if g.tr != nil {
 		ev := trace.Ev(trace.KindTaskTile, ring, t0, g.tr.Now())
 		ev.Wave, ev.Tile, ev.Elems = g.wave, int(t), g.tiles[t].Size()
 		g.tr.Record(ev)
-	}
-	w.stats.Tiles++
-	succs := g.succs[t]
-	for i := len(succs) - 1; i >= 0; i-- {
-		s := succs[i]
-		if g.counts[s].Add(-1) == 0 {
-			g.pushReady(w, s)
-		}
-	}
-	if g.remaining.Add(-1) == 0 {
-		g.done.Store(true)
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
-}
-
-// pushReady queues a released tile on the completing worker's own deque
-// and wakes a parked worker if any.
-func (g *Graph) pushReady(w *worker, t int32) {
-	w.mu.Lock()
-	w.pushTailLocked(t)
-	w.mu.Unlock()
-	g.ready.Add(1)
-	if g.idleCount.Load() > 0 {
-		g.mu.Lock()
-		if g.idle > 0 {
-			g.cond.Signal()
-		}
-		g.mu.Unlock()
 	}
 }
 
@@ -880,8 +775,7 @@ func (g *Graph) flushMetrics() {
 	if g.reg == nil {
 		return
 	}
-	for i, w := range g.workers {
-		d := w.stats
+	for i, d := range g.stats {
 		f := &g.flushed[i]
 		g.mTiles.Add(g.metricsRank, d.Tiles-f.Tiles)
 		g.mSteals.Add(g.metricsRank, d.Steals-f.Steals)

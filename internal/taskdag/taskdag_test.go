@@ -3,6 +3,7 @@ package taskdag
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,10 +343,10 @@ func TestWorkerStatsAndMetricsFlush(t *testing.T) {
 	}
 }
 
-func TestStealSeedPerturbsButStaysSafe(t *testing.T) {
+func TestOrderSeedPerturbsButStaysSafe(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g, err := New(grid.Square(2, 0, 63), loop2(), forward2(),
-			Options{Workers: 4, TileW: []int{8, 8}, StealSeed: seed})
+			Options{Workers: 4, TileW: []int{8, 8}, OrderSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,7 +487,7 @@ func TestAutoGeometry(t *testing.T) {
 					t.Fatalf("shape = %v, want %v", got, c.want[wi])
 				}
 				// The shapes this rule produces — W long chains, nothing to
-				// steal once each worker holds one — must still hand off
+				// move once each worker holds one — must still hand off
 				// through park/unpark correctly.
 				runDAGAndCheckOrder(t, g)
 			})
@@ -648,5 +649,180 @@ func TestBuildAllocs(t *testing.T) {
 				t.Fatalf("%.0f allocs per build, bound %.0f", allocs, c.max)
 			}
 		})
+	}
+}
+
+// TestRunAfterStopPanics: Stop retires the pool, so a later Run has nobody
+// to hand tiles to. It must refuse like Run before SetRunner does — at W = 2
+// it used to drain the tiles on the caller and then wait forever for the
+// retired worker to check out. The watchdog turns a regression into a
+// failure instead of a hung suite.
+func TestRunAfterStopPanics(t *testing.T) {
+	g, err := New(grid.Square(2, 0, 31), loop2(), forward2(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetRunner(func(int, grid.Region) {})
+	g.Run()
+	g.Stop()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		g.Run()
+	}()
+	select {
+	case r := <-got:
+		if r != "taskdag: Run after Stop" {
+			t.Fatalf("Run after Stop: recovered %v, want the refusal panic", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run after Stop hangs instead of panicking")
+	}
+}
+
+// rendezvous is a meeting point tile bodies block at until `parties` of
+// them are inside it at once, which only a pool that really runs that many
+// tiles concurrently can satisfy. A body gives up after two seconds, and
+// once one has given up the rest pass straight through, so a pool that
+// serializes fails the test quickly rather than hanging it.
+type rendezvous struct {
+	parties int32
+	arrived atomic.Int32
+	met     chan struct{}
+	failed  atomic.Bool
+}
+
+func newRendezvous(parties int) *rendezvous {
+	return &rendezvous{parties: int32(parties), met: make(chan struct{})}
+}
+
+func (r *rendezvous) arrive(t *testing.T) {
+	if r.arrived.Add(1) == r.parties {
+		close(r.met)
+	}
+	if r.failed.Load() {
+		return
+	}
+	select {
+	case <-r.met:
+	case <-time.After(2 * time.Second):
+		if !r.failed.Swap(true) {
+			t.Errorf("only %d of %d tile bodies ran at once", r.arrived.Load(), r.parties)
+		}
+	}
+}
+
+// TestPoolRunsReadyTilesConcurrently pins the property every other test
+// lets a pool lose: a pool that never wakes anybody still computes the right
+// answer, validates and allocates nothing — it just runs on one worker.
+func TestPoolRunsReadyTilesConcurrently(t *testing.T) {
+	// Sixteen seed tiles, four workers: the seeds must reach every worker.
+	t.Run("seeds", func(t *testing.T) {
+		g, err := New(grid.Square(2, 0, 63), loop2(), nil, Options{Workers: 4, TileW: []int{4, 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		if g.Tiles() != 16 {
+			t.Fatalf("%d tiles, want 16", g.Tiles())
+		}
+		rv := newRendezvous(4)
+		g.SetRunner(func(int, grid.Region) { rv.arrive(t) })
+		g.Run()
+	})
+	// A 2 x 2 grid under the forward pair on three workers: tile 0 runs
+	// with two workers parked, and its completion releases tiles 1 and 2
+	// together. The worker that finished tile 0 takes one; the other must
+	// go to a worker that release wakes.
+	t.Run("release", func(t *testing.T) {
+		g, err := New(grid.Square(2, 0, 63), loop2(), forward2(), Options{Workers: 3, TileW: []int{32, 32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		if g.Tiles() != 4 || len(g.Preds(1)) != 1 || len(g.Preds(2)) != 1 {
+			t.Fatalf("%d tiles, preds %v / %v; want the 2 x 2 forward grid", g.Tiles(), g.Preds(1), g.Preds(2))
+		}
+		rv := newRendezvous(2)
+		g.SetRunner(func(_ int, tile grid.Region) {
+			switch {
+			case tile.Equal(g.TileRegion(0)):
+				for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+					g.mu.Lock()
+					parked := g.parked
+					g.mu.Unlock()
+					if parked == 2 {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Errorf("%d workers parked while the seed tile runs, want 2", parked)
+						return
+					}
+				}
+			case tile.Equal(g.TileRegion(1)), tile.Equal(g.TileRegion(2)):
+				rv.arrive(t)
+			}
+		})
+		g.Run()
+	})
+}
+
+// TestNewMultiMatchesSingleGraphs: a merged graph is each spec's own graph
+// with tile indices shifted by the tiles before it — no edge crosses specs,
+// none is lost, and every tile knows its spec.
+func TestNewMultiMatchesSingleGraphs(t *testing.T) {
+	back := dep.LoopSpec{Perm: []int{0, 1}, Dirs: []grid.LoopDir{grid.HighToLow, grid.HighToLow}}
+	specs := []Spec{
+		{Region: grid.Square(2, 0, 63), Loop: loop2(), UDVs: forward2()},
+		{Region: grid.MustRegion(grid.NewRange(5, 4), grid.NewRange(0, 9)), Loop: loop2(), UDVs: forward2()}, // empty
+		{Region: grid.Square(2, 1, 40), Loop: back, UDVs: []dep.UDV{
+			{Dist: grid.Direction{-1, 0}, Kind: dep.True}, {Dist: grid.Direction{-1, -1}, Kind: dep.True}}},
+	}
+	opt := Options{Workers: 2, TileW: []int{8, 8}}
+	m, err := NewMulti(specs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	if m.Subs() != len(specs) {
+		t.Fatalf("Subs() = %d, want %d", m.Subs(), len(specs))
+	}
+	base := 0
+	for si, sp := range specs {
+		g, err := New(sp.Region, sp.Loop, sp.UDVs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < g.Tiles(); i++ {
+			if !m.TileRegion(base + i).Equal(g.TileRegion(i)) {
+				t.Fatalf("spec %d tile %d: merged region %v, single %v", si, i, m.TileRegion(base+i), g.TileRegion(i))
+			}
+			if m.SubOf(base+i) != si {
+				t.Fatalf("spec %d tile %d: SubOf = %d", si, i, m.SubOf(base+i))
+			}
+			want := g.Preds(i)
+			for j := range want {
+				want[j] += int32(base)
+			}
+			if got := m.Preds(base + i); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("spec %d tile %d: merged preds %v, want %v", si, i, got, want)
+			}
+		}
+		base += g.Tiles()
+		g.Stop()
+	}
+	if m.Tiles() != base {
+		t.Fatalf("merged graph has %d tiles, the specs %d", m.Tiles(), base)
+	}
+	var ran atomic.Int64
+	m.SetRunnerSub(func(_, sub int, tile grid.Region) {
+		if !specs[sub].Region.ContainsRegion(tile) {
+			t.Errorf("tile %v handed to spec %d", tile, sub)
+		}
+		ran.Add(1)
+	})
+	m.Run()
+	if int(ran.Load()) != base {
+		t.Fatalf("pool ran %d of %d tiles", ran.Load(), base)
 	}
 }

@@ -25,7 +25,7 @@ import (
 //     (wave, tile)), and every dependence edge the scheduler recorded
 //     (KindTaskDep) points at a predecessor tile whose execution span
 //     ended no later than the depending tile started. Together these pin
-//     the nondeterministic work-stealing order inside the wavefront.
+//     the nondeterministic pool order inside the wavefront.
 //
 // Disrupted traces — those containing KindFault or KindCancel events —
 // relax the pairing checks (1) and (2): injected drops, duplicates, and

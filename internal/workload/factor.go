@@ -28,8 +28,8 @@ import (
 // This is the first workload family whose regions shrink as the sweep
 // progresses (the trailing submatrix loses a row and column every step),
 // so low-index ranks go idle mid-program — the empty-portion wavefront
-// path — and tile cost varies by position, stressing the work-stealing
-// pool's load balancing in ways the uniform-cost paper trio cannot.
+// path — and tile cost varies by position, stressing the task-DAG pool's
+// load balancing in ways the uniform-cost paper trio cannot.
 type Factor struct {
 	N   int
 	Env *expr.MapEnv

@@ -20,7 +20,7 @@ import (
 // The octant blocks are mutually independent (each writes only its own
 // flux array), so they compose into one scheduling group. The serial
 // executor (scan.ExecGroup under SchedTaskDAG) merges their tile graphs
-// onto one work-stealing pool, which interleaves tiles from octants whose
+// onto one worker pool, which interleaves tiles from octants whose
 // wavefronts travel in opposite directions and so fills the ramp-up /
 // ramp-down idle time a single diagonal wavefront always has; a pipelined
 // session (pipeline.Rank.ExecGroup) runs them back to back and gets its

@@ -110,7 +110,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryTaskDAG covers the work-stealing scheduler: its single
+// TestCrashRecoveryTaskDAG covers the task-DAG scheduler: its single
 // entry snapshot must recover a crash anywhere in the portion run.
 func TestCrashRecoveryTaskDAG(t *testing.T) {
 	const n, procs, block = 64, 4, 8
