@@ -7,7 +7,10 @@ package wavefront_test
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wavefront"
@@ -838,6 +841,83 @@ func BenchmarkZPLRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkZPLPrograms runs each testdata program the repository
+// benchmark's zpl_programs pass runs (output to a buffer, as there), and the
+// seven in a row as "all": the per-program split of that pass.
+func BenchmarkZPLPrograms(b *testing.B) {
+	names := []string{"fig3", "heat", "multioct", "sw", "sweep", "tomcatv", "lu"}
+	srcs := make([]string, len(names))
+	for i, name := range names {
+		src, err := os.ReadFile(filepath.Join("testdata", name+".zpl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs[i] = string(src)
+	}
+	run := func(b *testing.B, srcs []string) {
+		var out bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, src := range srcs {
+				out.Reset()
+				if _, err := wavefront.RunZPL(src, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for i, name := range names {
+		b.Run(name, func(b *testing.B) { run(b, srcs[i:i+1]) })
+	}
+	b.Run("all", func(b *testing.B) { run(b, srcs) })
+}
+
+// BenchmarkPrepared is what holding the handle saves on a small block (the
+// 7 x 8 forward wavefront of scan.exec_small): a fresh Exec per run against
+// one Prepare and a warm Run per run.
+func BenchmarkPrepared(b *testing.B) {
+	t, err := workload.NewTomcatv(10, field.RowMajor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := t.ForwardBlock()
+	// The sweep feeds on its own output; both legs restore what it writes
+	// so every run does the first run's arithmetic.
+	written := []string{"r", "d", "rx", "ry"}
+	saved := make([]*field.Field, len(written))
+	for i, name := range written {
+		saved[i] = t.Env.Arrays[name].Clone()
+	}
+	restore := func() {
+		for i, name := range written {
+			t.Env.Arrays[name].CopyRegion(t.All, saved[i])
+		}
+	}
+	b.Run("exec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restore()
+			if err := scan.Exec(blk, t.Env, scan.ExecOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepared-run", func(b *testing.B) {
+		p, err := scan.Prepare(blk, t.Env, scan.ExecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			restore()
+			if err := p.Run(blk.Region); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Ablations ---

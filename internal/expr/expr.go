@@ -273,23 +273,33 @@ type Call struct {
 
 // Eval implements Node.
 func (c Call) Eval(env Env, p grid.Point) float64 {
-	switch c.Fn {
-	case Sqrt:
-		return math.Sqrt(c.Args[0].Eval(env, p))
-	case Abs:
-		return math.Abs(c.Args[0].Eval(env, p))
-	case Exp:
-		return math.Exp(c.Args[0].Eval(env, p))
-	case Log:
-		return math.Log(c.Args[0].Eval(env, p))
-	case Min:
-		return math.Min(c.Args[0].Eval(env, p), c.Args[1].Eval(env, p))
-	case Max:
-		return math.Max(c.Args[0].Eval(env, p), c.Args[1].Eval(env, p))
-	case Pow:
-		return math.Pow(c.Args[0].Eval(env, p), c.Args[1].Eval(env, p))
+	x, y := c.Args[0].Eval(env, p), 0.0
+	if c.Fn.Arity() == 2 {
+		y = c.Args[1].Eval(env, p)
 	}
-	panic(fmt.Sprintf("expr: unknown intrinsic %q", c.Fn))
+	return c.Fn.Apply(x, y)
+}
+
+// Apply evaluates the intrinsic on plain values, the way Eval does; y is
+// ignored by the one-argument functions.
+func (in Intrinsic) Apply(x, y float64) float64 {
+	switch in {
+	case Sqrt:
+		return math.Sqrt(x)
+	case Abs:
+		return math.Abs(x)
+	case Exp:
+		return math.Exp(x)
+	case Log:
+		return math.Log(x)
+	case Min:
+		return math.Min(x, y)
+	case Max:
+		return math.Max(x, y)
+	case Pow:
+		return math.Pow(x, y)
+	}
+	panic(fmt.Sprintf("expr: unknown intrinsic %q", in))
 }
 
 func (c Call) String() string {
@@ -325,6 +335,10 @@ func fold(op Op, terms []Node) Node {
 	}
 	return n
 }
+
+// Walk calls fn on every node of the tree, parents before children, left
+// to right — the order Refs and Scalars collect in.
+func Walk(n Node, fn func(Node)) { n.walk(fn) }
 
 // Refs collects every array reference in the tree, in visit order.
 func Refs(n Node) []ArrayRef {

@@ -25,7 +25,7 @@ package field
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"wavefront/internal/grid"
 )
@@ -275,27 +275,32 @@ func (f *Field) String() string {
 
 // Format2 renders a rank-2 field's region as rows of numbers, for tests and
 // small demonstrations (e.g. the paper's Figure 3 matrices).
-func (f *Field) Format2(r grid.Region) string {
+func (f *Field) Format2(r grid.Region) string { return string(f.AppendFormat2(nil, r)) }
+
+// AppendFormat2 appends Format2's text to dst.
+func (f *Field) AppendFormat2(dst []byte, r grid.Region) []byte {
 	if r.Rank() != 2 {
-		return fmt.Sprintf("<rank-%d field>", r.Rank())
+		return fmt.Appendf(dst, "<rank-%d field>", r.Rank())
 	}
-	var out strings.Builder
 	d0, d1 := r.Dim(0), r.Dim(1)
 	for i := d0.Lo; i <= d0.Hi; i += d0.Stride {
 		for j := d1.Lo; j <= d1.Hi; j += d1.Stride {
 			if j > d1.Lo {
-				out.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
-			out.WriteString(trimFloat(f.At2(i, j)))
+			dst = AppendValue(dst, f.At2(i, j))
 		}
-		out.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
-	return out.String()
+	return dst
 }
 
-func trimFloat(v float64) string {
+// AppendValue appends v the way the printed tables show a number: integral
+// values under 1e12 as integers, anything else in the shortest form that
+// reads back exactly (fmt's %g).
+func AppendValue(dst []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e12 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

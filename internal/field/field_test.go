@@ -1,6 +1,8 @@
 package field
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,6 +146,46 @@ func TestFormat2(t *testing.T) {
 	got := f.Format2(f.Bounds())
 	if !strings.Contains(got, "1 2") || !strings.Contains(got, "3 4.5") {
 		t.Errorf("Format2 = %q", got)
+	}
+}
+
+// TestAppendValueMatchesSprintf pins the printed form of a number to what
+// fmt produced when writeln and Format2 went through Sprintf: %d for
+// integral values under 1e12, %g otherwise.
+func TestAppendValueMatchesSprintf(t *testing.T) {
+	old := func(v float64) string {
+		if v == math.Trunc(v) && math.Abs(v) < 1e12 {
+			return fmt.Sprintf("%d", int64(v))
+		}
+		return fmt.Sprintf("%g", v)
+	}
+	cases := []float64{
+		0, math.Copysign(0, -1), 1, -1, 42, -20, 100, 4.5, -0.1, 0.1 + 0.2,
+		1e12 - 1, -(1e12 - 1), 1e12, -1e12, 1e12 + 1, 999999999999.5,
+		1e15, 1e20, 1e21, 1e22, -1e21, 123456789012345678,
+		1e-4, 1e-5, 1e-7, -1e-7, 3.0000000000000004, 1.0 / 3,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-310,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, v := range cases {
+		if got, want := string(AppendValue(nil, v)), old(v); got != want {
+			t.Errorf("AppendValue(%x) = %q, Sprintf gave %q", math.Float64bits(v), got, want)
+		}
+	}
+	f := MustNew("f", grid.Square(2, 1, 2), RowMajor)
+	f.Set2(1, 1, math.Copysign(0, -1))
+	f.Set2(1, 2, 1e21)
+	f.Set2(2, 1, math.NaN())
+	f.Set2(2, 2, 0.25)
+	if got, want := f.Format2(f.Bounds()), "0 1e+21\nNaN 0.25\n"; got != want {
+		t.Errorf("Format2 = %q, want %q", got, want)
+	}
+	prefix := []byte("t:\n")
+	if got := string(f.AppendFormat2(prefix, f.Bounds())); got != "t:\n0 1e+21\nNaN 0.25\n" {
+		t.Errorf("AppendFormat2 onto a prefix = %q", got)
+	}
+	if got := MustNew("g", grid.Square(3, 0, 1), RowMajor).Format2(grid.Square(3, 0, 1)); got != "<rank-3 field>" {
+		t.Errorf("Format2 of a rank-3 region = %q", got)
 	}
 }
 

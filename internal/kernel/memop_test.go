@@ -9,6 +9,7 @@ import (
 
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
+	"wavefront/internal/exprgen"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 )
@@ -377,78 +378,6 @@ func closureOracle(env *expr.MapEnv, dsts []string, rhs []expr.Node, region grid
 	}
 }
 
-var memopNames = []string{"a", "b", "c", "d"}
-
-// memopEnv binds the generator arrays over bounds with the given layouts,
-// filled from seed.
-func memopEnv(bounds grid.Region, layouts []field.Layout, seed int64) *expr.MapEnv {
-	rng := rand.New(rand.NewSource(seed))
-	env := &expr.MapEnv{Arrays: map[string]*field.Field{}, Scalars: map[string]float64{"s": 1.25}}
-	for i, name := range memopNames {
-		f := field.MustNew(name, bounds, layouts[i])
-		f.FillFunc(bounds, func(grid.Point) float64 { return 0.5 + rng.Float64() })
-		env.Arrays[name] = f
-	}
-	return env
-}
-
-// genStmtRHS draws a damped right-hand side: two to four references to the
-// generator arrays — often the destination itself, often shifted by ±1
-// along any dimension, the span dimension included — combined with random
-// arithmetic, products feeding sums and differences among it: every
-// multiply-then-add form, with the destination at a north/south/west/east
-// or diagonal shift for a multiplicand, and often (a := a − a@shift·…) with
-// the whole statement written in place over it.
-func genStmtRHS(rng *rand.Rand, rank int, lhs string) expr.Node {
-	unit := func() int { return 1 - 2*rng.Intn(2) }
-	ref := func() expr.Node {
-		name := memopNames[rng.Intn(len(memopNames))]
-		if rng.Intn(3) == 0 {
-			name = lhs
-		}
-		r := expr.Ref(name)
-		if rng.Intn(2) == 0 {
-			shift := make(grid.Direction, rank)
-			shift[rng.Intn(rank)] = unit()
-			if rng.Intn(4) == 0 {
-				shift[rank-1] = unit()
-			}
-			r = r.At(shift)
-		}
-		return r
-	}
-	selfShift := func() expr.Node {
-		shift := make(grid.Direction, rank)
-		shift[rng.Intn(rank)] = unit()
-		if rng.Intn(3) == 0 {
-			shift[rng.Intn(rank)] = unit() // a diagonal, two times in three
-		}
-		return expr.Ref(lhs).At(shift)
-	}
-	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
-	n := ref()
-	for k := 1 + rng.Intn(3); k > 0; k-- {
-		switch rng.Intn(8) {
-		case 0:
-			n = expr.Binary{Op: expr.Sub, L: n, R: expr.MulN(expr.Const(0.25), ref())}
-		case 1:
-			n = expr.Call{Fn: expr.Max, Args: []expr.Node{n, ref()}}
-		case 2:
-			n = expr.Binary{Op: expr.Div, L: ref(), R: expr.Binary{Op: expr.Add, L: expr.Scalar("s"), R: expr.Call{Fn: expr.Abs, Args: []expr.Node{n}}}}
-		case 3:
-			n = expr.Binary{Op: expr.Sub, L: expr.Ref(lhs), R: mul(selfShift(), expr.MulN(expr.Const(0.5), n))}
-		case 4:
-			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n), R: mul(ref(), selfShift())}
-		case 5:
-			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n),
-				R: expr.Binary{Op: expr.Sub, L: mul(selfShift(), expr.Const(0.25)), R: ref()}}
-		default:
-			n = expr.Binary{Op: expr.Add, L: expr.MulN(expr.Const(0.5), n), R: expr.MulN(expr.Const(0.25), ref())}
-		}
-	}
-	return n
-}
-
 type memopCase struct {
 	name    string
 	bounds  grid.Region
@@ -488,7 +417,7 @@ func firstBitDiff(region grid.Region, got, want *field.Field) (at grid.Point, di
 // sameBits demands bit-identical generator arrays over the whole storage.
 func (c memopCase) sameBits(t *testing.T, leg string, got, want *expr.MapEnv) {
 	t.Helper()
-	for _, name := range memopNames {
+	for _, name := range exprgen.Names {
 		g, w := got.Arrays[name], want.Arrays[name]
 		if p, differ := firstBitDiff(c.bounds, g, w); differ {
 			t.Fatalf("%s: %s: %s at %v: tape %v != closure oracle %v\nstatements: %v := %v\nregion %v loop %v layouts %v",
@@ -509,7 +438,7 @@ func (c memopCase) sameBits(t *testing.T, leg string, got, want *expr.MapEnv) {
 // point leg must whenever it has something to read or write in place.
 func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
 	t.Helper()
-	got, want := memopEnv(c.bounds, c.layouts, seed), memopEnv(c.bounds, c.layouts, seed)
+	got, want := exprgen.Env(c.bounds, c.layouts, seed), exprgen.Env(c.bounds, c.layouts, seed)
 	pr := c.lower(t, got)
 	if path := pr.Run(c.region, c.loop); path != PathSpan {
 		t.Fatalf("%s: ran on %v, want the span path", c.name, path)
@@ -529,7 +458,7 @@ func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
 	closureOracle(want, c.dsts, c.rhs, c.region, c.loop, true)
 	c.sameBits(t, "spans", got, want)
 
-	got, want = memopEnv(c.bounds, c.layouts, seed), memopEnv(c.bounds, c.layouts, seed)
+	got, want = exprgen.Env(c.bounds, c.layouts, seed), exprgen.Env(c.bounds, c.layouts, seed)
 	pr = c.lower(t, got)
 	pr.RunScalar(c.region, c.loop)
 	if !c.region.Empty() && pr.unitRun != (len(pr.views) > 0) {
@@ -635,9 +564,9 @@ func TestInPlaceMatchesClosureProperty(t *testing.T) {
 			loop:    loop,
 		}
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			lhs := memopNames[rng.Intn(len(memopNames))]
+			lhs := exprgen.Names[rng.Intn(len(exprgen.Names))]
 			c.dsts = append(c.dsts, lhs)
-			c.rhs = append(c.rhs, genStmtRHS(rng, rank, lhs))
+			c.rhs = append(c.rhs, exprgen.StmtRHS(rng, rank, lhs))
 		}
 		if c.check(t, int64(iter)) {
 			units++
@@ -661,12 +590,12 @@ func TestUnitStepMatchesCopyingSequence(t *testing.T) {
 		var dsts []string
 		var rhs []expr.Node
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			lhs := memopNames[rng.Intn(len(memopNames))]
+			lhs := exprgen.Names[rng.Intn(len(exprgen.Names))]
 			dsts = append(dsts, lhs)
-			rhs = append(rhs, genStmtRHS(rng, 2, lhs))
+			rhs = append(rhs, exprgen.StmtRHS(rng, 2, lhs))
 		}
 		run := func(unit bool) *expr.MapEnv {
-			env := memopEnv(bounds, allLayouts(field.RowMajor), int64(iter))
+			env := exprgen.Env(bounds, allLayouts(field.RowMajor), int64(iter))
 			var fs []*field.Field
 			for _, d := range dsts {
 				fs = append(fs, env.Arrays[d])
@@ -682,7 +611,7 @@ func TestUnitStepMatchesCopyingSequence(t *testing.T) {
 			return env
 		}
 		unit, copying := run(true), run(false)
-		for _, name := range memopNames {
+		for _, name := range exprgen.Names {
 			u, c := unit.Arrays[name], copying.Arrays[name]
 			bounds.Each(nil, func(p grid.Point) {
 				if math.Float64bits(u.At(p)) != math.Float64bits(c.At(p)) {

@@ -6,6 +6,7 @@ import (
 
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
+	"wavefront/internal/exprgen"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 )
@@ -171,7 +172,7 @@ func TestFusedMulAddAliasing(t *testing.T) {
 			rhs: []expr.Node{mul(a, b), sub(b, expr.Ref("c")), add(expr.Ref("c"), at("b", -1, 0))}}, 0, 0},
 	} {
 		c.bounds, c.region, c.layouts, c.loop = bounds, rows, allLayouts(field.RowMajor), dep.Identity(2)
-		pr := c.lower(t, memopEnv(bounds, c.layouts, 1))
+		pr := c.lower(t, exprgen.Env(bounds, c.layouts, 1))
 		if f, u := mulAdds(pr.fused), mulAdds(pr.unit); f != c.copying || u != c.unit {
 			t.Errorf("%s: %d multiply-then-adds on the copying tape and %d on the unit-step tape, want %d and %d",
 				c.name, f, u, c.copying, c.unit)
@@ -209,7 +210,7 @@ func TestStoreForwardInPlace(t *testing.T) {
 			rhs: []expr.Node{mul(d, cc), add(a, at("a", 0, -1))}}, 2, 0},
 	} {
 		c.bounds, c.region, c.layouts, c.loop = bounds, rows, allLayouts(field.RowMajor), dep.Identity(2)
-		pr := c.lower(t, memopEnv(bounds, c.layouts, 1))
+		pr := c.lower(t, exprgen.Env(bounds, c.layouts, 1))
 		if _, place, stored := pr.FusedShape(); place != c.place || stored != c.stored {
 			t.Errorf("%s: %d results in place and %d stored by copy, want %d and %d", c.name, place, stored, c.place, c.stored)
 		}

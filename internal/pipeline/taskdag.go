@@ -43,7 +43,7 @@ func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, L grid.Region) (*scan.TaskG
 			Metrics:     s.cfg.Metrics,
 			MetricsRank: r.id,
 		},
-		func(int) (*scan.Kernel, error) { return r.newKernel(b, pl) })
+		func(int, int) (*scan.Kernel, error) { return r.newKernel(b, pl) })
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
-	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
 	"wavefront/internal/trace"
@@ -46,55 +45,33 @@ type ExecOptions struct {
 
 // Exec runs the block serially against env. Scan blocks execute as a single
 // fused loop nest in the derived order; plain blocks execute statement by
-// statement with ordinary array semantics.
+// statement with ordinary array semantics. It is Prepare and one Run; a
+// caller that executes the block again holds the Prepared instead.
 func Exec(b *Block, env expr.Env, opt ExecOptions) error {
-	if err := checkBounds(b, env); err != nil {
+	p, err := Prepare(b, env, opt)
+	if err != nil {
 		return err
 	}
-	switch b.Kind {
-	case ScanKind:
-		an, err := Analyze(b, opt.Prefer)
-		if err != nil {
-			return err
-		}
-		return execFused(b, env, an, opt)
-	case PlainKind:
-		for i := range b.Stmts {
-			sub := &Block{Kind: PlainKind, Region: b.Region, Stmts: b.Stmts[i : i+1]}
-			an, err := Analyze(sub, opt.Prefer)
-			if err != nil {
-				return err
-			}
-			if an.NeedsTemp() || opt.ForceTemp {
-				if err := execViaTemp(sub, env, opt); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := execFused(sub, env, an, opt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("scan: unknown block kind %v", b.Kind)
+	return p.Run(b.Region)
 }
 
 // CheckBounds verifies that the covering region and every shifted read stay
 // within each referenced field's storage. It is exported for the parallel
 // runtime, which performs the same validation against the global fields
 // before decomposing.
-func CheckBounds(b *Block, env expr.Env) error { return checkBounds(b, env) }
+func CheckBounds(b *Block, env expr.Env) error {
+	return checkBounds(b.Stmts, refsOf(b.Stmts), b.Region, env)
+}
 
-// checkBounds verifies that the covering region and every shifted read stay
-// within each referenced field's storage.
-func checkBounds(b *Block, env expr.Env) error {
+// checkBounds verifies that region and every shifted read of it stay within
+// each referenced field's storage.
+func checkBounds(stmts []Stmt, refs stmtRefs, region grid.Region, env expr.Env) error {
 	check := func(r expr.ArrayRef, si int) error {
 		f := env.Array(r.Name)
 		if f == nil {
 			return fmt.Errorf("scan: statement %d: array %q is unbound", si, r.Name)
 		}
-		reg := b.Region
+		reg := region
 		if r.Shift != nil {
 			var err error
 			reg, err = reg.Shift(r.Shift)
@@ -108,11 +85,11 @@ func checkBounds(b *Block, env expr.Env) error {
 		}
 		return nil
 	}
-	for si, s := range b.Stmts {
+	for si, s := range stmts {
 		if err := check(s.LHS, si); err != nil {
 			return err
 		}
-		for _, r := range expr.Refs(s.RHS) {
+		for _, r := range refs.of(si) {
 			if err := check(r, si); err != nil {
 				return err
 			}
@@ -121,70 +98,18 @@ func checkBounds(b *Block, env expr.Env) error {
 	return nil
 }
 
-// execFused runs the block's statements in a single fused loop nest with
-// the analysis's loop structure, reading and writing fields in place. The
-// analysis's UDVs feed the kernel build so the dependence walk runs once.
-func execFused(b *Block, env expr.Env, an *Analysis, opt ExecOptions) error {
-	if opt.Scheduler == SchedTaskDAG {
-		return execTaskGraph([]*Block{b}, []*Analysis{an}, env, opt)
-	}
-	k, err := NewKernelDeps(b, env, an.UDVs)
-	if err != nil {
-		return err
-	}
-	k.SetEngine(opt.Engine)
-	k.Instrument(opt.Trace, opt.TraceRank)
-	k.SetMetrics(opt.Metrics, opt.MetricsRank)
-	k.Run(b.Region, an.Loop)
-	return nil
-}
-
-// execViaTemp evaluates each statement's right-hand side into a fresh
-// temporary over the region and then assigns, implementing the pure array
-// semantics directly.
-func execViaTemp(b *Block, env expr.Env, opt ExecOptions) error {
-	var t0 int64
-	if opt.Trace != nil {
-		t0 = opt.Trace.Now()
-	}
-	for _, s := range b.Stmts {
-		dst := env.Array(s.LHS.Name)
-		tmp, err := field.New("tmp$"+s.LHS.Name, b.Region, dst.Layout())
-		if err != nil {
-			return err
-		}
-		rhs, err := expr.Compile(s.RHS, env)
-		if err != nil {
-			return err
-		}
-		b.Region.Each(nil, func(p grid.Point) {
-			tmp.Set(p, rhs(p))
-		})
-		b.Region.Each(nil, func(p grid.Point) {
-			dst.Set(p, tmp.At(p))
-		})
-	}
-	if opt.Trace != nil {
-		ev := trace.Ev(trace.KindKernel, opt.TraceRank, t0, opt.Trace.Now())
-		ev.Elems = b.Region.Size() * len(b.Stmts)
-		opt.Trace.Record(ev)
-	}
-	return nil
-}
-
-func allRank2(b *Block, env expr.Env) bool {
-	ok := true
+func allRank2(b *Block, refs stmtRefs, env expr.Env) bool {
 	for _, s := range b.Stmts {
 		if f := env.Array(s.LHS.Name); f == nil || f.Rank() != 2 {
 			return false
 		}
-		for _, r := range expr.Refs(s.RHS) {
-			if f := env.Array(r.Name); f == nil || f.Rank() != 2 {
-				ok = false
-			}
+	}
+	for _, r := range refs.every() {
+		if f := env.Array(r.Name); f == nil || f.Rank() != 2 {
+			return false
 		}
 	}
-	return ok
+	return true
 }
 
 // forEach iterates the region with the loop structure: spec.Perm[0] is the

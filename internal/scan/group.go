@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wavefront/internal/expr"
+	"wavefront/internal/grid"
 )
 
 // ExecGroup executes several mutually independent blocks as one scheduling
@@ -52,18 +53,16 @@ func ExecGroup(blocks []*Block, env expr.Env, opt ExecOptions) error {
 		return nil
 	}
 
-	analyses := make([]*Analysis, len(blocks))
+	parts := make([]*part, len(blocks))
+	regions := make([]grid.Region, len(blocks))
 	for i, b := range blocks {
-		if err := checkBounds(b, env); err != nil {
-			return err
-		}
-		an, err := Analyze(b, opt.Prefer)
+		p, err := Prepare(b, env, opt)
 		if err != nil {
 			return err
 		}
-		analyses[i] = an
+		parts[i], regions[i] = &p.parts[0], b.Region
 	}
-	return execTaskGraph(blocks, analyses, env, opt)
+	return runTaskGraph(parts, regions)
 }
 
 // fuseGroup merges an all-scan group over one shared region into a single

@@ -99,44 +99,56 @@ type Kernel struct {
 // caller holding a fresh Analysis should use NewKernelDeps to avoid the
 // duplicate walk.
 func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
-	if udvs, _, err := collectDeps(b); err == nil {
-		return NewKernelDeps(b, env, udvs)
-	}
+	refs := refsOf(b.Stmts)
+	k := &Kernel{}
 	// A block whose dependences don't collect would fail Analyze before
 	// ever running; compile the closure path anyway so construction stays
 	// total, with the tape unavailable.
-	return newKernel(b, env, nil, false)
+	udvs, _, err := collectDeps(b, refs)
+	if err := k.init(b, refs, env, udvs, err == nil); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
 // NewKernelDeps compiles the block like NewKernel but reuses the UDVs of a
 // prior Analyze (Analysis.UDVs) instead of recollecting them, so the span
 // legality the tape derives matches the loop derivation exactly.
 func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV) (*Kernel, error) {
-	return newKernel(b, env, udvs, true)
+	k := &Kernel{}
+	if err := k.init(b, refsOf(b.Stmts), env, udvs, true); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-func newKernel(b *Block, env expr.Env, udvs []dep.UDV, lower bool) (*Kernel, error) {
-	k := &Kernel{rank: b.Region.Rank()}
-	for _, s := range b.Stmts {
+// init compiles b's statements, whose right-hand sides reference refs,
+// into the zero Kernel k; only the rank of b's region is read.
+func (k *Kernel) init(b *Block, refs stmtRefs, env expr.Env, udvs []dep.UDV, lower bool) error {
+	k.rank = b.Region.Rank()
+	ns := len(b.Stmts)
+	k.dst = make([]*field.Field, ns)
+	k.rhs = make([]expr.Compiled, ns)
+	for i, s := range b.Stmts {
 		c, err := expr.Compile(s.RHS, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		k.dst = append(k.dst, env.Array(s.LHS.Name))
-		k.rhs = append(k.rhs, c)
+		k.dst[i], k.rhs[i] = env.Array(s.LHS.Name), c
 	}
-	if k.rank == 2 && allRank2(b, env) {
+	if k.rank == 2 && allRank2(b, refs, env) {
+		k.rhs2 = make([]expr.Compiled2, ns)
+		k.data = make([][]float64, ns)
+		k.base, k.str0, k.str1 = make([]int, ns), make([]int, ns), make([]int, ns)
 		for i, s := range b.Stmts {
 			c, err := expr.Compile2(s.RHS, env)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			f := k.dst[i]
-			k.rhs2 = append(k.rhs2, c)
-			k.data = append(k.data, f.Data())
-			k.str0 = append(k.str0, f.Stride(0))
-			k.str1 = append(k.str1, f.Stride(1))
-			k.base = append(k.base, -f.Bounds().Dim(0).Lo*f.Stride(0)-f.Bounds().Dim(1).Lo*f.Stride(1))
+			k.rhs2[i], k.data[i] = c, f.Data()
+			k.str0[i], k.str1[i] = f.Stride(0), f.Stride(1)
+			k.base[i] = -f.Bounds().Dim(0).Lo*f.Stride(0) - f.Bounds().Dim(1).Lo*f.Stride(1)
 		}
 	}
 	// Lower to the tape engine. Lowering failures are not errors — the
@@ -144,7 +156,7 @@ func newKernel(b *Block, env expr.Env, udvs []dep.UDV, lower bool) (*Kernel, err
 	// whose dependences or bindings the tape cannot express just runs on
 	// closures.
 	if lower {
-		rhs := make([]expr.Node, len(b.Stmts))
+		rhs := make([]expr.Node, ns)
 		for i, s := range b.Stmts {
 			rhs[i] = s.RHS
 		}
@@ -152,7 +164,7 @@ func newKernel(b *Block, env expr.Env, udvs []dep.UDV, lower bool) (*Kernel, err
 			k.prog = prog
 		}
 	}
-	return k, nil
+	return nil
 }
 
 // SetEngine selects the execution strategy for subsequent Runs. Selecting

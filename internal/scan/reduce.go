@@ -77,13 +77,15 @@ func Reduce(op ReduceOp, region grid.Region, node expr.Node, env expr.Env) (floa
 	return NewReducer(node, env).Reduce(op, region)
 }
 
-// minReduceTape is the region size, in points, from which a fold lowers its
-// operand to a span tape — the counterpart of minSpan for a program that may
-// run only once. A one-shot max<<(|a|,|b|) breaks even in time near 64
-// points (lowering ≈ 3 µs against ≈ 35 ns per point of closure walk), but
-// lowering also leaves ≈ 20 more allocations and 2 KB behind than compiling
-// the closure does; at 512 points the time saved is well over twice the
-// lowering, so the garbage is paid for.
+// minReduceTape is the region size, in points, from which a first fold
+// lowers its operand to a span tape — the counterpart of minSpan for a
+// program that may run only once. A one-shot max<<(|a|,|b|) breaks even in
+// time near 64 points (lowering ≈ 3 µs against ≈ 35 ns per point of closure
+// walk), but lowering also leaves ≈ 20 more allocations and 2 KB behind
+// than compiling the closure does; at 512 points the time saved is well
+// over twice the lowering, so the garbage is paid for. A Reducer that has
+// folded before is past that argument — the lowering amortizes over the
+// folds to come — and takes the tape from spans of minSpan on.
 const minReduceTape = 512
 
 // Reducer is a reduction operand bound to an environment, for folding more
@@ -96,15 +98,16 @@ type Reducer struct {
 	node expr.Node
 	env  expr.Env
 	refs []expr.ArrayRef
-	// scalars and bound are the operand's scalar names and the values the
-	// current tape and closure captured.
-	scalars []string
-	bound   []float64
+	// scalars are the operand's scalar names and the values the current
+	// tape and closure captured.
+	scalars captured
 	// region is the last region that passed check; checked says there is one.
 	region  grid.Region
 	checked bool
-	// tape is the operand on the span tape: nil until a region reaches
-	// minReduceTape, and for good once refused says it does not lower.
+	// warm says a fold has completed: this is not the operand's only one.
+	warm bool
+	// tape is the operand on the span tape: nil until a fold is worth
+	// lowering for, and for good once refused says it does not lower.
 	tape    *kernel.Expr
 	refused bool
 	// fn is the per-point closure: the fold of small regions and refused
@@ -117,7 +120,7 @@ type Reducer struct {
 
 // NewReducer binds node to env. Nothing is checked until the first Reduce.
 func NewReducer(node expr.Node, env expr.Env) *Reducer {
-	return &Reducer{node: node, env: env, refs: expr.Refs(node), scalars: expr.Scalars(node)}
+	return &Reducer{node: node, env: env, refs: expr.Refs(node), scalars: captured{names: expr.Scalars(node)}}
 }
 
 // SetEngine selects the fold: the span tape where it pays (EngineTape, the
@@ -170,25 +173,6 @@ func (rd *Reducer) check(region grid.Region) error {
 	return nil
 }
 
-// rebound reports whether a captured scalar has changed value (or was never
-// captured), recording the current values.
-func (rd *Reducer) rebound() bool {
-	changed := rd.bound == nil
-	if changed {
-		rd.bound = make([]float64, len(rd.scalars))
-	}
-	for i, name := range rd.scalars {
-		// An unbound scalar always counts as changed: the operand is
-		// lowered and compiled again, and the compile reports it.
-		v, ok := rd.env.Scalar(name)
-		if !ok || math.Float64bits(v) != math.Float64bits(rd.bound[i]) {
-			changed = true
-		}
-		rd.bound[i] = v
-	}
-	return changed
-}
-
 // Reduce folds the operand over region. The region is validated when it
 // differs from the last one that passed; a refusal leaves nothing cached.
 func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
@@ -199,11 +183,13 @@ func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
 		}
 		rd.region, rd.checked = region, true
 	}
-	if rd.rebound() {
+	if rd.scalars.changed(rd.env) {
 		rd.ReleaseScratch()
 		rd.tape, rd.refused, rd.fn = nil, false, nil
 	}
-	if rd.engine == EngineTape && !rd.refused && region.Size() >= minReduceTape {
+	pays := region.Size() >= minReduceTape ||
+		rd.warm && region.Dim(region.Rank()-1).Size() >= minSpan
+	if rd.engine == EngineTape && !rd.refused && pays {
 		if rd.tape == nil {
 			x, err := kernel.LowerExpr(region.Rank(), rd.node, rd.env)
 			if err != nil {
@@ -214,6 +200,7 @@ func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
 			}
 		}
 		if rd.tape != nil {
+			rd.warm = true
 			return rd.foldTape(op, region), nil
 		}
 	}
@@ -229,6 +216,7 @@ func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
 	region.Each(nil, func(p grid.Point) {
 		acc = op.Combine(acc, c(p))
 	})
+	rd.warm = true
 	return acc, nil
 }
 

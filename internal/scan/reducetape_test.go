@@ -316,3 +316,80 @@ func TestReducerWarmZeroAllocs(t *testing.T) {
 		t.Errorf("%d registers still leased after ReleaseScratch", out)
 	}
 }
+
+// TestReducerSecondFoldTakesTheTape: below minReduceTape a first fold is the
+// closure's and leaves no tape behind; the same Reducer's second fold lowers
+// and folds on the tape, and both equal the closure fold bit for bit — over
+// NaN, signed zeros and mixed signs, where a reordered or re-expressed fold
+// would show.
+func TestReducerSecondFoldTakesTheTape(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fills := map[string]func(p grid.Point) float64{
+		"mixed-sign": func(p grid.Point) float64 { return float64((p[0]*7+p[1]*3)%11) - 5.25 },
+		"nan": func(p grid.Point) float64 {
+			if (p[0]+p[1])%3 == 0 {
+				return math.NaN()
+			}
+			return float64(p[1] - p[0])
+		},
+		"signed-zeros": func(p grid.Point) float64 {
+			if (p[0]+p[1])%2 == 0 {
+				return negZero
+			}
+			return 0
+		},
+		"zeros-then-nan": func(p grid.Point) float64 {
+			switch {
+			case p[0] == 1 && p[1] == 1:
+				return negZero
+			case (p[0]+p[1])%4 == 0:
+				return math.NaN()
+			}
+			return 0
+		},
+	}
+	operands := []expr.Node{
+		expr.Ref("a"),
+		expr.Binary{Op: expr.Sub, L: expr.Ref("a"), R: expr.Ref("a").At(grid.West)},
+		expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("a")}},
+	}
+	for _, n := range []int{4, 8, 16} { // 16, 64 and 256 points
+		region := grid.Square(2, 1, n)
+		for name, fill := range fills {
+			env := reduceEnv(n)
+			env.Arrays["a"].FillFunc(env.Arrays["a"].Bounds(), fill)
+			for _, node := range operands {
+				for _, op := range []ReduceOp{SumReduce, MaxReduce, MinReduce} {
+					want := closureFold(t, op, region, node, env)
+					rd := NewReducer(node, env)
+					for fold := 1; fold <= 3; fold++ {
+						got, err := rd.Reduce(op, region)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if onTape := rd.tape != nil; onTape != (fold > 1) {
+							t.Fatalf("%d points, fold %d: on the tape = %v", region.Size(), fold, onTape)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s, %d points, %v %s, fold %d: %v (%#x) != closure %v (%#x)", name, region.Size(),
+								op, node, fold, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Spans shorter than minSpan stay on the closure however warm.
+	env := reduceEnv(8)
+	rd := NewReducer(expr.Ref("a"), env)
+	narrow := grid.MustRegion(grid.NewRange(1, 8), grid.NewRange(1, minSpan-1))
+	for fold := 0; fold < 3; fold++ {
+		if _, err := rd.Reduce(SumReduce, narrow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rd.tape != nil {
+		t.Errorf("spans of %d points lowered a tape; minSpan is %d", minSpan-1, minSpan)
+	}
+}

@@ -158,6 +158,55 @@ func (a *Analysis) WavefrontDims() []int { return a.Class.WavefrontDims() }
 // The preference biases the loop search (e.g. to put a contiguous dimension
 // innermost); pass the zero Preference for defaults.
 func Analyze(b *Block, pref dep.Preference) (*Analysis, error) {
+	return analyze(b, refsOf(b.Stmts), pref)
+}
+
+// stmtRefs is what the right-hand sides of a statement list name, from one
+// walk of each tree: the array references flattened in visit order —
+// statement i's are all[off[i]:off[i+1]] — and the distinct scalar names.
+// The bounds check, the dependence walk and the kernel build all read the
+// references, so a block is walked once for the three.
+type stmtRefs struct {
+	all     []expr.ArrayRef
+	off     []int
+	scalars []string
+}
+
+func refsOf(stmts []Stmt) stmtRefs {
+	r := stmtRefs{off: make([]int, len(stmts)+1)}
+	visit := func(n expr.Node) {
+		switch t := n.(type) {
+		case expr.ArrayRef:
+			r.all = append(r.all, t)
+		case expr.Scalar:
+			for _, have := range r.scalars {
+				if have == string(t) {
+					return
+				}
+			}
+			r.scalars = append(r.scalars, string(t))
+		}
+	}
+	for i, s := range stmts {
+		expr.Walk(s.RHS, visit)
+		r.off[i+1] = len(r.all)
+	}
+	return r
+}
+
+// of returns statement i's references.
+func (r stmtRefs) of(i int) []expr.ArrayRef { return r.all[r.off[i]:r.off[i+1]] }
+
+// every returns all the statements' references.
+func (r stmtRefs) every() []expr.ArrayRef { return r.all[r.off[0]:r.off[len(r.off)-1]] }
+
+// slice returns the references of statements lo..hi-1 as their own list.
+func (r stmtRefs) slice(lo, hi int) stmtRefs {
+	return stmtRefs{all: r.all, off: r.off[lo : hi+1], scalars: r.scalars}
+}
+
+// analyze is Analyze given the block's references.
+func analyze(b *Block, refs stmtRefs, pref dep.Preference) (*Analysis, error) {
 	if len(b.Stmts) == 0 {
 		return nil, &LegalityError{Msg: "empty block"}
 	}
@@ -165,7 +214,7 @@ func Analyze(b *Block, pref dep.Preference) (*Analysis, error) {
 	if rank == 0 {
 		return nil, &LegalityError{Msg: "rank-0 region"}
 	}
-	udvs, primed, err := collectDeps(b)
+	udvs, primed, err := collectDeps(b, refs)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +257,7 @@ func Analyze(b *Block, pref dep.Preference) (*Analysis, error) {
 // the dependence distance vectors plus the primed directions feeding the
 // WSV. It is the front half of Analyze, shared with the kernel lowering so
 // span legality comes from the same UDVs the loop derivation uses.
-func collectDeps(b *Block) (udvs []dep.UDV, primed []grid.Direction, err error) {
+func collectDeps(b *Block, refs stmtRefs) (udvs []dep.UDV, primed []grid.Direction, err error) {
 	rank := b.Region.Rank()
 	writers := b.Writers()
 	for si, s := range b.Stmts {
@@ -221,7 +270,7 @@ func collectDeps(b *Block) (udvs []dep.UDV, primed []grid.Direction, err error) 
 		if err := expr.Validate(s.RHS, rank, nil); err != nil {
 			return nil, nil, &LegalityError{Condition: 3, Msg: fmt.Sprintf("statement %d: %v", si, err)}
 		}
-		for _, r := range expr.Refs(s.RHS) {
+		for _, r := range refs.of(si) {
 			d := r.Shift
 			if d == nil {
 				d = make(grid.Direction, rank)

@@ -3,7 +3,6 @@ package scan
 import (
 	"fmt"
 
-	"wavefront/internal/expr"
 	"wavefront/internal/grid"
 	"wavefront/internal/taskdag"
 	"wavefront/internal/trace"
@@ -86,10 +85,11 @@ type TaskGraph struct {
 }
 
 // NewTaskGraph builds the merged graph of specs under opt (its OrderSeed
-// belongs to the test hook) and calls newKernel(sub) once per worker for
-// every spec. Kernels may share a mutex-guarded scratch pool shard: each
-// leases its own registers, so concurrent first runs are safe.
-func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub int) (*Kernel, error)) (*TaskGraph, error) {
+// belongs to the test hook) and calls newKernel(sub, worker) once for every
+// spec and worker: a fresh kernel, or one the caller kept from an earlier
+// graph of the same block. Kernels may share a mutex-guarded scratch pool
+// shard: each leases its own registers, so concurrent first runs are safe.
+func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub, worker int) (*Kernel, error)) (*TaskGraph, error) {
 	opt.OrderSeed = taskdagOrderSeed
 	g, err := taskdag.NewMulti(specs, opt)
 	if err != nil {
@@ -98,7 +98,7 @@ func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub 
 	W := g.Workers()
 	tg := &TaskGraph{g: g, kernels: make([]*Kernel, len(specs)*W)}
 	for i := range tg.kernels {
-		if tg.kernels[i], err = newKernel(i / W); err != nil {
+		if tg.kernels[i], err = newKernel(i/W, i%W); err != nil {
 			g.Stop()
 			return nil, err
 		}
@@ -130,29 +130,24 @@ func (tg *TaskGraph) Close() {
 	}
 }
 
-// execTaskGraph runs fused scan blocks — one, or a group of mutually
-// independent ones — under the task-DAG scheduler as one TaskGraph, and
-// records the whole run as one kernel span.
-func execTaskGraph(blocks []*Block, analyses []*Analysis, env expr.Env, opt ExecOptions) error {
-	specs := make([]taskdag.Spec, len(blocks))
+// runTaskGraph runs prepared in-place nests — one, or a group of mutually
+// independent scan blocks — over their regions under the task-DAG scheduler
+// as one TaskGraph, built for these regions and closed after the run, and
+// records the whole run as one kernel span. The nests share one set of
+// options; each supplies its own per-worker kernels.
+func runTaskGraph(parts []*part, regions []grid.Region) error {
+	opt := &parts[0].p.opt
+	specs := make([]taskdag.Spec, len(parts))
 	elems := 0
-	for i, b := range blocks {
-		specs[i] = taskdag.Spec{Region: b.Region, Loop: analyses[i].Loop, UDVs: analyses[i].UDVs}
-		elems += b.Region.Size() * len(b.Stmts)
+	for i, pt := range parts {
+		specs[i] = taskdag.Spec{Region: regions[i], Loop: pt.an.Loop, UDVs: pt.an.UDVs}
+		elems += regions[i].Size() * len(pt.blk.Stmts)
 	}
 	tg, err := NewTaskGraph(specs, taskdag.Options{
 		Workers:   opt.Workers,
 		Trace:     opt.Trace,
 		TraceBase: opt.TraceRank,
-	}, func(sub int) (*Kernel, error) {
-		k, err := NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
-		if err != nil {
-			return nil, err
-		}
-		k.SetEngine(opt.Engine)
-		k.SetMetrics(opt.Metrics, opt.MetricsRank)
-		return k, nil
-	})
+	}, func(sub, worker int) (*Kernel, error) { return parts[sub].worker(worker) })
 	if err != nil {
 		return err
 	}

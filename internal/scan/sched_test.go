@@ -189,7 +189,7 @@ func TestTaskGraphBindsOneKernelPerSpecAndWorker(t *testing.T) {
 		specs[i] = taskdag.Spec{Region: b.Region, Loop: an.Loop, UDVs: an.UDVs}
 	}
 	var asked []int
-	tg, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub int) (*Kernel, error) {
+	tg, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub, _ int) (*Kernel, error) {
 		asked = append(asked, sub)
 		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
 	})
@@ -224,7 +224,7 @@ func TestTaskGraphBindsOneKernelPerSpecAndWorker(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	boom := errors.New("no kernel")
-	if _, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub int) (*Kernel, error) {
+	if _, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub, _ int) (*Kernel, error) {
 		if sub == 1 {
 			return nil, boom
 		}

@@ -41,7 +41,10 @@ type Factor struct {
 	Chol bool
 
 	blocks []*scan.Block
-	init   *field.Field
+	// shape[i] says which of the program's statement shapes blocks[i] is
+	// (B1..B5 are 0..4, B6 is 5): blocks of one shape differ only in region.
+	shape []int8
+	init  *field.Field
 }
 
 // FactorArrays lists the arrays compared differentially. Only the matrix
@@ -103,8 +106,9 @@ func newFactor(n int, seed int64, layout field.Layout, chol bool) (*Factor, erro
 	return w, nil
 }
 
-// buildBlocks constructs every elimination step's blocks once, so kernel
-// caches (keyed by block pointer) survive across runs and sessions.
+// buildBlocks constructs every elimination step's blocks once: a session
+// keys its per-block plans by these pointers, so they must be the same
+// across runs.
 func (w *Factor) buildBlocks() {
 	n := w.N
 	aRef, rowRef, colRef := expr.Ref("a"), expr.Ref("rowk"), expr.Ref("colk")
@@ -131,6 +135,7 @@ func (w *Factor) buildBlocks() {
 				scan.Stmt{LHS: aRef, RHS: expr.Binary{Op: expr.Sub, L: aRef, R: expr.MulN(colRef, rowRef)}}),
 			scan.NewPlain(colK, store),
 		)
+		w.shape = append(w.shape, 0, 1, 2, 3, 4)
 	}
 	if w.Chol {
 		// Diagonal square roots commute with every later elimination step
@@ -140,6 +145,7 @@ func (w *Factor) buildBlocks() {
 			diag := grid.MustRegion(grid.NewRange(k, k), grid.NewRange(k, k))
 			w.blocks = append(w.blocks,
 				scan.NewPlain(diag, scan.Stmt{LHS: aRef, RHS: sqrt(aRef)}))
+			w.shape = append(w.shape, 5)
 		}
 	}
 }
@@ -154,10 +160,22 @@ func (w *Factor) Reset() {
 	w.Env.Arrays["colk"].Fill(0)
 }
 
-// Run executes the factorization serially under the given options.
+// Run executes the factorization serially under the given options. The
+// program is five statement shapes (six with Cholesky's diagonal square
+// root) over shrinking regions, so each shape is prepared once, from its
+// first block, and every step passes its own region.
 func (w *Factor) Run(opts scan.ExecOptions) error {
-	for _, b := range w.blocks {
-		if err := scan.Exec(b, w.Env, opts); err != nil {
+	var shapes [6]*scan.Prepared
+	for i, b := range w.blocks {
+		p := shapes[w.shape[i]]
+		if p == nil {
+			var err error
+			if p, err = scan.Prepare(b, w.Env, opts); err != nil {
+				return err
+			}
+			shapes[w.shape[i]] = p
+		}
+		if err := p.Run(b.Region); err != nil {
 			return err
 		}
 	}

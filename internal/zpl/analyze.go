@@ -22,6 +22,21 @@ type BlockReport struct {
 	Err error
 }
 
+// report lowers one array assignment or scan block and analyzes it; a
+// block that does not lower or fails a legality condition is reported, not
+// returned.
+func (it *Interp) report(s Stmt, pos Pos, kind scan.Kind, region grid.Region) BlockReport {
+	rep := BlockReport{Pos: pos, Kind: kind, Region: region}
+	rep.Block, rep.Err = it.lowerBlock(s, region, nil)
+	if rep.Err == errScanBody {
+		rep.Err = errf(pos, "scan blocks may contain only array assignments")
+	}
+	if rep.Err == nil {
+		rep.Analysis, rep.Err = scan.Analyze(rep.Block, dep.Preference{PreferLow: true})
+	}
+	return rep
+}
+
 // Analyze executes the program's declarations and then statically analyzes
 // every scan block and array statement without executing any of them. Loop
 // bodies are analyzed once, with the loop variable bound to its initial
@@ -76,26 +91,7 @@ func (it *Interp) Analyze(prog *Program) ([]BlockReport, error) {
 			if region == nil {
 				return errf(t.Pos, "scan block needs a covering region")
 			}
-			rep := BlockReport{Pos: t.Pos, Kind: scan.ScanKind, Region: *region}
-			var stmts []scan.Stmt
-			for _, sub := range t.Body {
-				as, ok := sub.(*AssignStmt)
-				if !ok {
-					rep.Err = errf(t.Pos, "scan blocks may contain only array assignments")
-					reports = append(reports, rep)
-					return nil
-				}
-				st, err := it.lowerAssign(as, region.Rank())
-				if err != nil {
-					rep.Err = err
-					reports = append(reports, rep)
-					return nil
-				}
-				stmts = append(stmts, st)
-			}
-			rep.Block = scan.NewScan(*region, stmts...)
-			rep.Analysis, rep.Err = scan.Analyze(rep.Block, dep.Preference{PreferLow: true})
-			reports = append(reports, rep)
+			reports = append(reports, it.report(t, t.Pos, scan.ScanKind, *region))
 			return nil
 		case *AssignStmt:
 			if t.Reduce != "" || it.env.Arrays[t.Name] == nil {
@@ -104,15 +100,7 @@ func (it *Interp) Analyze(prog *Program) ([]BlockReport, error) {
 			if region == nil {
 				return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
 			}
-			rep := BlockReport{Pos: t.Pos, Kind: scan.PlainKind, Region: *region}
-			st, err := it.lowerAssign(t, region.Rank())
-			if err != nil {
-				rep.Err = err
-			} else {
-				rep.Block = scan.NewPlain(*region, st)
-				rep.Analysis, rep.Err = scan.Analyze(rep.Block, dep.Preference{PreferLow: true})
-			}
-			reports = append(reports, rep)
+			reports = append(reports, it.report(t, t.Pos, scan.PlainKind, *region))
 			return nil
 		case *IfStmt:
 			for _, sub := range t.Then {

@@ -4,10 +4,14 @@ package zpl
 // arrays, scalars, regions, or directions) happens in the interpreter's
 // checker so that parse trees stay purely syntactic.
 
-// Program is a parsed compilation unit.
+// Program is a parsed compilation unit. The parser numbers every scan block
+// and assignment densely from 0 (their slot) and records the count, so an
+// interpreter keeps per-statement state in a slice of its own: a Program is
+// shared between interpreters and carries none.
 type Program struct {
 	Decls []Decl
 	Stmts []Stmt
+	slots int
 }
 
 // Decl is a top-level declaration.
@@ -78,6 +82,7 @@ type RegionStmt struct {
 type ScanStmt struct {
 	Body []Stmt
 	Pos  Pos
+	slot int
 }
 
 // BeginStmt is `begin stmts end;` — a plain statement group.
@@ -95,6 +100,7 @@ type AssignStmt struct {
 	Reduce string
 	RHS    Expr
 	Pos    Pos
+	slot   int
 }
 
 // ForStmt is `for v := from to|downto to do stmts end;`.

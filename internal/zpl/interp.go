@@ -1,6 +1,7 @@
 package zpl
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -41,7 +42,77 @@ type Interp struct {
 	scalarVars map[string]bool
 	env        *expr.MapEnv
 	regionOf   map[string]string // array name -> region name
+	// handles holds what executing a statement prepared the first time it
+	// ran, by the statement's slot in the program being run.
+	handles []handle
+	// line is writeln's scratch buffer.
+	line []byte
 }
+
+// handle is one executable statement's prepared form, kept for the length
+// of a run so a loop pays for lowering, analysis and compilation on its
+// first trip only: the prepared block of an array statement or scan block,
+// or the bound operand of a reduction.
+type handle struct {
+	prep *scan.Prepared
+	fold *scan.Reducer
+	// inlined are the scalar variables the lowering evaluated on the spot
+	// — the components of an inline @[…] shift end up as constants of the
+	// lowered tree — with the values it saw: the statement is lowered from
+	// the AST again when one differs. A scalar that stays a name in the
+	// tree is not listed; Prepared and Reducer capture those themselves
+	// and compile again when one changes.
+	inlined []string
+	saw     []float64
+	// builds counts how often the statement was lowered, for the tests.
+	builds int
+}
+
+// stale reports whether the statement has to be lowered: it never was, or a
+// scalar its lowering inlined has changed value.
+func (h *handle) stale(it *Interp) bool {
+	if h.prep == nil && h.fold == nil {
+		return true
+	}
+	for i, name := range h.inlined {
+		if v, ok := it.env.Scalars[name]; !ok || math.Float64bits(v) != math.Float64bits(h.saw[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// inline records the scalar variables e names, with their present values,
+// as evaluated into the statement's lowered form.
+func (h *handle) inline(it *Interp, e Expr) {
+	eachName(e, func(ref *NameRef) {
+		if it.scalarVars[ref.Name] {
+			h.inlined = append(h.inlined, ref.Name)
+			h.saw = append(h.saw, it.env.Scalars[ref.Name])
+		}
+	})
+}
+
+// eachName calls fn on every identifier of an expression.
+func eachName(e Expr, fn func(*NameRef)) {
+	switch t := e.(type) {
+	case *NameRef:
+		fn(t)
+	case *UnaryExpr:
+		eachName(t.X, fn)
+	case *BinExpr:
+		eachName(t.L, fn)
+		eachName(t.R, fn)
+	case *CallExpr:
+		for _, a := range t.Args {
+			eachName(a, fn)
+		}
+	}
+}
+
+// errScanBody marks a scan block whose body holds something other than
+// array assignments; each caller of lowerBlock words its own diagnostic.
+var errScanBody = errors.New("zpl: scan body is not all array assignments")
 
 // New creates an empty interpreter.
 func New(opts Options) *Interp {
@@ -93,6 +164,7 @@ func (it *Interp) RegionOf(array string) (grid.Region, bool) {
 
 // Run executes a parsed program: declarations first, then statements.
 func (it *Interp) Run(prog *Program) error {
+	it.handles = make([]handle, prog.slots)
 	for _, d := range prog.Decls {
 		if err := it.declare(d); err != nil {
 			return err
@@ -212,25 +284,7 @@ func (it *Interp) exec(s Stmt, region *grid.Region) error {
 		if region == nil {
 			return errf(t.Pos, "scan block needs a covering region")
 		}
-		var stmts []scan.Stmt
-		for _, sub := range t.Body {
-			as, ok := sub.(*AssignStmt)
-			if !ok {
-				// Legality (iii)/(iv): only array assignments covered by the
-				// same region may appear in a scan block.
-				return errf(t.Pos, "scan blocks may contain only array assignments covered by the block's region")
-			}
-			st, err := it.lowerAssign(as, region.Rank())
-			if err != nil {
-				return err
-			}
-			stmts = append(stmts, st)
-		}
-		blk := scan.NewScan(*region, stmts...)
-		if err := scan.Exec(blk, it.env, it.opts.Exec); err != nil {
-			return errf(t.Pos, "%v", err)
-		}
-		return nil
+		return it.execBlock(t, t.slot, t.Pos, *region)
 
 	case *AssignStmt:
 		if t.Reduce != "" {
@@ -240,15 +294,7 @@ func (it *Interp) exec(s Stmt, region *grid.Region) error {
 			if region == nil {
 				return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
 			}
-			st, err := it.lowerAssign(t, region.Rank())
-			if err != nil {
-				return err
-			}
-			blk := scan.NewPlain(*region, st)
-			if err := scan.Exec(blk, it.env, it.opts.Exec); err != nil {
-				return errf(t.Pos, "%v", err)
-			}
-			return nil
+			return it.execBlock(t, t.slot, t.Pos, *region)
 		}
 		if it.scalarVars[t.Name] {
 			v, err := it.evalScalar(t.RHS)
@@ -336,31 +382,14 @@ func (it *Interp) exec(s Stmt, region *grid.Region) error {
 		if it.opts.Out == nil {
 			return nil
 		}
-		var parts []string
-		for _, a := range t.Args {
-			switch arg := a.(type) {
-			case *StrLit:
-				parts = append(parts, arg.S)
-			case *NameRef:
-				if f := it.env.Arrays[arg.Name]; f != nil && !arg.Primed && arg.ShiftName == "" && arg.ShiftComps == nil {
-					reg, _ := it.RegionOf(arg.Name)
-					parts = append(parts, "\n"+f.Format2(reg))
-					continue
-				}
-				v, err := it.evalScalar(a)
-				if err != nil {
-					return err
-				}
-				parts = append(parts, trim(v))
-			default:
-				v, err := it.evalScalar(a)
-				if err != nil {
-					return err
-				}
-				parts = append(parts, trim(v))
-			}
+		line, err := it.appendLine(it.line[:0], t, it.env)
+		it.line = line
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(it.opts.Out, strings.Join(parts, " "))
+		// As with Fprintln before it, a failing writer does not stop the
+		// program.
+		_, _ = it.opts.Out.Write(line)
 		return nil
 	}
 	return fmt.Errorf("zpl: unknown statement %T", s)
@@ -378,22 +407,21 @@ func (it *Interp) execReduce(t *AssignStmt, region *grid.Region) error {
 	if !it.scalarVars[t.Name] {
 		return errf(t.Pos, "reduction target %q is not a declared scalar", t.Name)
 	}
-	var op scan.ReduceOp
-	switch t.Reduce {
-	case "+":
-		op = scan.SumReduce
-	case "max":
-		op = scan.MaxReduce
-	case "min":
-		op = scan.MinReduce
-	default:
+	op, ok := reduceOp(t.Reduce)
+	if !ok {
 		return errf(t.Pos, "unknown reduction %q", t.Reduce)
 	}
-	node, err := it.lowerExpr(t.RHS, region.Rank())
-	if err != nil {
-		return err
+	h := &it.handles[t.slot]
+	if h.stale(it) {
+		*h = handle{builds: h.builds}
+		node, err := it.lowerExpr(t.RHS, region.Rank(), h)
+		if err != nil {
+			return err
+		}
+		h.fold = scan.NewReducer(node, it.env)
+		h.builds++
 	}
-	v, err := scan.Reduce(op, *region, node, it.env)
+	v, err := h.fold.Reduce(op, *region)
 	if err != nil {
 		return errf(t.Pos, "%v", err)
 	}
@@ -401,11 +429,71 @@ func (it *Interp) execReduce(t *AssignStmt, region *grid.Region) error {
 	return nil
 }
 
-func trim(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e12 {
-		return fmt.Sprintf("%d", int64(v))
+// reduceOp maps a reduction prefix to its fold.
+func reduceOp(prefix string) (scan.ReduceOp, bool) {
+	switch prefix {
+	case "+":
+		return scan.SumReduce, true
+	case "max":
+		return scan.MaxReduce, true
+	case "min":
+		return scan.MinReduce, true
 	}
-	return fmt.Sprintf("%g", v)
+	return 0, false
+}
+
+// execBlock runs an array assignment or a scan block over region through
+// the statement's handle, lowering and preparing it when the handle is
+// stale — on the first trip, that is, with Exec's refusals in Exec's order.
+func (it *Interp) execBlock(s Stmt, slot int, pos Pos, region grid.Region) error {
+	h := &it.handles[slot]
+	if h.stale(it) {
+		*h = handle{builds: h.builds}
+		blk, err := it.lowerBlock(s, region, h)
+		if err == errScanBody {
+			// Legality (iii)/(iv): only array assignments covered by the
+			// same region may appear in a scan block.
+			return errf(pos, "scan blocks may contain only array assignments covered by the block's region")
+		}
+		if err != nil {
+			return err
+		}
+		if h.prep, err = scan.Prepare(blk, it.env, it.opts.Exec); err != nil {
+			return errf(pos, "%v", err)
+		}
+		h.builds++
+	}
+	if err := h.prep.Run(region); err != nil {
+		return errf(pos, "%v", err)
+	}
+	return nil
+}
+
+// appendLine appends a writeln's output line to dst: the arguments separated
+// by spaces, scalars evaluated in env, an array on rows of its own.
+func (it *Interp) appendLine(dst []byte, t *WritelnStmt, env expr.Env) ([]byte, error) {
+	for i, a := range t.Args {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		if sl, ok := a.(*StrLit); ok {
+			dst = append(dst, sl.S...)
+			continue
+		}
+		if ref, ok := a.(*NameRef); ok && !ref.Primed && ref.ShiftName == "" && ref.ShiftComps == nil {
+			if f := it.env.Arrays[ref.Name]; f != nil {
+				reg, _ := it.RegionOf(ref.Name)
+				dst = f.AppendFormat2(append(dst, '\n'), reg)
+				continue
+			}
+		}
+		v, err := it.evalScalarIn(a, env)
+		if err != nil {
+			return dst, err
+		}
+		dst = field.AppendValue(dst, v)
+	}
+	return append(dst, '\n'), nil
 }
 
 // borderRegion evaluates `dir of base` (ZPL's of-operator).
@@ -471,12 +559,44 @@ func (it *Interp) evalRegion(ranges []RangeExpr, pos Pos) (grid.Region, error) {
 	return reg, nil
 }
 
+// lowerBlock is the one lowering of executable array code to the IR: an
+// array assignment becomes a plain block of one statement, a scan block its
+// statements fused, over region. exec, Analyze and the parallel collector
+// all come through here. A scan body that is not all assignments is
+// errScanBody. h, when not nil, is the statement's handle and learns which
+// scalar variables the lowering inlined.
+func (it *Interp) lowerBlock(s Stmt, region grid.Region, h *handle) (*scan.Block, error) {
+	switch t := s.(type) {
+	case *AssignStmt:
+		st, err := it.lowerAssign(t, region.Rank(), h)
+		if err != nil {
+			return nil, err
+		}
+		return scan.NewPlain(region, st), nil
+	case *ScanStmt:
+		stmts := make([]scan.Stmt, 0, len(t.Body))
+		for _, sub := range t.Body {
+			as, ok := sub.(*AssignStmt)
+			if !ok {
+				return nil, errScanBody
+			}
+			st, err := it.lowerAssign(as, region.Rank(), h)
+			if err != nil {
+				return nil, err
+			}
+			stmts = append(stmts, st)
+		}
+		return scan.NewScan(region, stmts...), nil
+	}
+	return nil, fmt.Errorf("zpl: statement %T is not array code", s)
+}
+
 // lowerAssign converts an array assignment's AST into a scan.Stmt.
-func (it *Interp) lowerAssign(t *AssignStmt, rank int) (scan.Stmt, error) {
+func (it *Interp) lowerAssign(t *AssignStmt, rank int, h *handle) (scan.Stmt, error) {
 	if it.env.Arrays[t.Name] == nil {
 		return scan.Stmt{}, errf(t.Pos, "scan block statement assigns non-array %q", t.Name)
 	}
-	rhs, err := it.lowerExpr(t.RHS, rank)
+	rhs, err := it.lowerExpr(t.RHS, rank, h)
 	if err != nil {
 		return scan.Stmt{}, err
 	}
@@ -484,25 +604,25 @@ func (it *Interp) lowerAssign(t *AssignStmt, rank int) (scan.Stmt, error) {
 }
 
 // lowerExpr converts an AST expression into an expr.Node for a rank-r
-// covering region.
-func (it *Interp) lowerExpr(e Expr, rank int) (expr.Node, error) {
+// covering region, telling h (when not nil) what it inlined.
+func (it *Interp) lowerExpr(e Expr, rank int, h *handle) (expr.Node, error) {
 	switch t := e.(type) {
 	case *NumLit:
 		return expr.Const(t.V), nil
 	case *StrLit:
 		return nil, errf(t.Pos, "string in arithmetic expression")
 	case *UnaryExpr:
-		x, err := it.lowerExpr(t.X, rank)
+		x, err := it.lowerExpr(t.X, rank, h)
 		if err != nil {
 			return nil, err
 		}
 		return expr.Unary{Op: expr.Neg, X: x}, nil
 	case *BinExpr:
-		l, err := it.lowerExpr(t.L, rank)
+		l, err := it.lowerExpr(t.L, rank, h)
 		if err != nil {
 			return nil, err
 		}
-		r, err := it.lowerExpr(t.R, rank)
+		r, err := it.lowerExpr(t.R, rank, h)
 		if err != nil {
 			return nil, err
 		}
@@ -521,16 +641,13 @@ func (it *Interp) lowerExpr(e Expr, rank int) (expr.Node, error) {
 		}
 		return expr.Binary{Op: op, L: l, R: r}, nil
 	case *CallExpr:
-		fn := expr.Intrinsic(strings.ToLower(t.Fn))
-		if fn.Arity() < 0 {
-			return nil, errf(t.Pos, "unknown function %q (have: %s)", t.Fn, intrinsicList())
-		}
-		if len(t.Args) != fn.Arity() {
-			return nil, errf(t.Pos, "%s takes %d arguments, got %d", fn, fn.Arity(), len(t.Args))
+		fn, err := intrinsic(t)
+		if err != nil {
+			return nil, err
 		}
 		args := make([]expr.Node, len(t.Args))
 		for i, a := range t.Args {
-			n, err := it.lowerExpr(a, rank)
+			n, err := it.lowerExpr(a, rank, h)
 			if err != nil {
 				return nil, err
 			}
@@ -560,6 +677,9 @@ func (it *Interp) lowerExpr(e Expr, rank int) (expr.Node, error) {
 						return nil, err
 					}
 					d[i] = v
+					if h != nil {
+						h.inline(it, c)
+					}
 				}
 				if len(d) != rank {
 					return nil, errf(t.Pos, "direction %v has rank %d, region has rank %d", d, len(d), rank)
@@ -586,20 +706,18 @@ func intrinsicList() string {
 }
 
 // evalCond evaluates a scalar condition.
-func (it *Interp) evalCond(c Cond) (bool, error) {
-	return it.evalCondIn(c, func(e Expr) (float64, error) { return it.evalScalar(e) })
-}
+func (it *Interp) evalCond(c Cond) (bool, error) { return it.evalCondIn(c, it.env) }
 
-// evalCondIn evaluates a condition with a caller-supplied scalar
-// evaluator (the parallel runtime uses rank-local scalars).
-func (it *Interp) evalCondIn(c Cond, eval func(Expr) (float64, error)) (bool, error) {
+// evalCondIn evaluates a condition reading scalar values from env (the
+// parallel runtime passes rank-local ones).
+func (it *Interp) evalCondIn(c Cond, env expr.Env) (bool, error) {
 	switch t := c.(type) {
 	case *RelCond:
-		l, err := eval(t.L)
+		l, err := it.evalScalarIn(t.L, env)
 		if err != nil {
 			return false, err
 		}
-		r, err := eval(t.R)
+		r, err := it.evalScalarIn(t.R, env)
 		if err != nil {
 			return false, err
 		}
@@ -619,78 +737,102 @@ func (it *Interp) evalCondIn(c Cond, eval func(Expr) (float64, error)) (bool, er
 		}
 		return false, errf(t.Pos, "bad comparison %s", t.Op)
 	case *AndCond:
-		l, err := it.evalCondIn(t.L, eval)
+		l, err := it.evalCondIn(t.L, env)
 		if err != nil || !l {
 			return false, err
 		}
-		return it.evalCondIn(t.R, eval)
+		return it.evalCondIn(t.R, env)
 	case *OrCond:
-		l, err := it.evalCondIn(t.L, eval)
+		l, err := it.evalCondIn(t.L, env)
 		if err != nil || l {
 			return l, err
 		}
-		return it.evalCondIn(t.R, eval)
+		return it.evalCondIn(t.R, env)
 	case *NotCond:
-		v, err := it.evalCondIn(t.X, eval)
+		v, err := it.evalCondIn(t.X, env)
 		return !v, err
 	}
 	return false, fmt.Errorf("zpl: unknown condition %T", c)
 }
 
 // evalScalar evaluates an expression that must not reference arrays.
-func (it *Interp) evalScalar(e Expr) (float64, error) {
-	node, err := it.lowerScalarExpr(e)
-	if err != nil {
-		return 0, err
-	}
-	return node.Eval(it.env, nil), nil
-}
+func (it *Interp) evalScalar(e Expr) (float64, error) { return it.evalScalarIn(e, it.env) }
 
-// lowerScalarExpr is lowerExpr restricted to scalar-only expressions.
-func (it *Interp) lowerScalarExpr(e Expr) (expr.Node, error) {
-	if ref, ok := e.(*NameRef); ok && it.env.Arrays[ref.Name] != nil {
-		return nil, errf(ref.Pos, "array %q in scalar expression", ref.Name)
-	}
+// evalScalarIn evaluates a scalar expression straight off the AST, reading
+// scalar values from env (the parallel runtime passes rank-local ones).
+func (it *Interp) evalScalarIn(e Expr, env expr.Env) (float64, error) {
 	switch t := e.(type) {
+	case *NumLit:
+		return t.V, nil
+	case *StrLit:
+		return 0, errf(t.Pos, "string in arithmetic expression")
 	case *UnaryExpr:
-		x, err := it.lowerScalarExpr(t.X)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Unary{Op: expr.Neg, X: x}, nil
+		x, err := it.evalScalarIn(t.X, env)
+		return -x, err
 	case *BinExpr:
-		l, err := it.lowerScalarExpr(t.L)
+		l, err := it.evalScalarIn(t.L, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		r, err := it.lowerScalarExpr(t.R)
+		r, err := it.evalScalarIn(t.R, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		var op expr.Op
 		switch t.Op {
 		case Plus:
-			op = expr.Add
+			return l + r, nil
 		case Minus:
-			op = expr.Sub
+			return l - r, nil
 		case Star:
-			op = expr.Mul
+			return l * r, nil
 		case Slash:
-			op = expr.Div
-		default:
-			return nil, errf(t.Pos, "bad operator %s", t.Op)
+			return l / r, nil
 		}
-		return expr.Binary{Op: op, L: l, R: r}, nil
+		return 0, errf(t.Pos, "bad operator %s", t.Op)
 	case *CallExpr:
-		args := make([]Expr, len(t.Args))
-		copy(args, t.Args)
-		for _, a := range args {
-			if _, err := it.lowerScalarExpr(a); err != nil {
-				return nil, err
+		var args [2]float64
+		for i, a := range t.Args {
+			v, err := it.evalScalarIn(a, env)
+			if err != nil {
+				return 0, err
+			}
+			if i < len(args) {
+				args[i] = v
 			}
 		}
+		fn, err := intrinsic(t)
+		if err != nil {
+			return 0, err
+		}
+		return fn.Apply(args[0], args[1]), nil
+	case *NameRef:
+		if it.env.Arrays[t.Name] != nil {
+			return 0, errf(t.Pos, "array %q in scalar expression", t.Name)
+		}
+		if t.Primed || t.ShiftName != "" || t.ShiftComps != nil {
+			return 0, errf(t.Pos, "prime/@ applied to non-array %q", t.Name)
+		}
+		if it.constNames[t.Name] || it.scalarVars[t.Name] {
+			if v, ok := env.Scalar(t.Name); ok {
+				return v, nil
+			}
+			return 0, errf(t.Pos, "scalar %q has no value", t.Name)
+		}
+		return 0, errf(t.Pos, "undeclared name %q", t.Name)
 	}
-	return it.lowerExpr(e, 0)
+	return 0, fmt.Errorf("zpl: unknown expression %T", e)
+}
+
+// intrinsic resolves a call's function, checking its argument count.
+func intrinsic(t *CallExpr) (expr.Intrinsic, error) {
+	fn := expr.Intrinsic(strings.ToLower(t.Fn))
+	if fn.Arity() < 0 {
+		return fn, errf(t.Pos, "unknown function %q (have: %s)", t.Fn, intrinsicList())
+	}
+	if len(t.Args) != fn.Arity() {
+		return fn, errf(t.Pos, "%s takes %d arguments, got %d", fn, fn.Arity(), len(t.Args))
+	}
+	return fn, nil
 }
 
 // evalInt evaluates a compile-time integer.

@@ -2,7 +2,6 @@ package zpl
 
 import (
 	"fmt"
-	"strings"
 
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -29,6 +28,7 @@ import (
 // Scalar statements and loop bounds evaluate identically on every rank
 // (SPMD).
 func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
+	it.handles = make([]handle, prog.slots)
 	for _, d := range prog.Decls {
 		if err := it.declare(d); err != nil {
 			return err
@@ -186,25 +186,11 @@ type collector struct {
 func (c *collector) staticRegion(t *RegionStmt) (grid.Region, error) {
 	check := func(e Expr) error {
 		var bad error
-		var visit func(Expr)
-		visit = func(e Expr) {
-			switch v := e.(type) {
-			case *NameRef:
-				if c.it.scalarVars[v.Name] {
-					bad = errf(v.Pos, "parallel mode: region bound references scalar %q; regions must be static", v.Name)
-				}
-			case *UnaryExpr:
-				visit(v.X)
-			case *BinExpr:
-				visit(v.L)
-				visit(v.R)
-			case *CallExpr:
-				for _, a := range v.Args {
-					visit(a)
-				}
+		eachName(e, func(v *NameRef) {
+			if c.it.scalarVars[v.Name] {
+				bad = errf(v.Pos, "parallel mode: region bound references scalar %q; regions must be static", v.Name)
 			}
-		}
-		visit(e)
+		})
 		return bad
 	}
 	if t.Name != "" {
@@ -225,6 +211,20 @@ func (c *collector) staticRegion(t *RegionStmt) (grid.Region, error) {
 		}
 	}
 	return c.it.resolveRegion(t)
+}
+
+// collect lowers one array assignment or scan block and registers it.
+func (c *collector) collect(s Stmt, pos Pos, region grid.Region) error {
+	blk, err := c.it.lowerBlock(s, region, nil)
+	if err == errScanBody {
+		return errf(pos, "scan blocks may contain only array assignments covered by the block's region")
+	}
+	if err != nil {
+		return err
+	}
+	c.blocks[s] = blk
+	c.ordered = append(c.ordered, blk)
+	return nil
 }
 
 func (c *collector) walk(s Stmt, region *grid.Region) error {
@@ -261,22 +261,7 @@ func (c *collector) walk(s Stmt, region *grid.Region) error {
 		if region == nil {
 			return errf(t.Pos, "scan block needs a covering region")
 		}
-		var stmts []scan.Stmt
-		for _, sub := range t.Body {
-			as, ok := sub.(*AssignStmt)
-			if !ok {
-				return errf(t.Pos, "scan blocks may contain only array assignments covered by the block's region")
-			}
-			st, err := c.it.lowerAssign(as, region.Rank())
-			if err != nil {
-				return err
-			}
-			stmts = append(stmts, st)
-		}
-		blk := scan.NewScan(*region, stmts...)
-		c.blocks[s] = blk
-		c.ordered = append(c.ordered, blk)
-		return nil
+		return c.collect(s, t.Pos, *region)
 	case *AssignStmt:
 		if t.Reduce != "" {
 			if region == nil {
@@ -291,14 +276,7 @@ func (c *collector) walk(s Stmt, region *grid.Region) error {
 		if region == nil {
 			return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
 		}
-		st, err := c.it.lowerAssign(t, region.Rank())
-		if err != nil {
-			return err
-		}
-		blk := scan.NewPlain(*region, st)
-		c.blocks[s] = blk
-		c.ordered = append(c.ordered, blk)
-		return nil
+		return c.collect(s, t.Pos, *region)
 	case *IfStmt:
 		for _, sub := range t.Then {
 			if err := c.walk(sub, region); err != nil {
@@ -338,11 +316,7 @@ type rankExec struct {
 }
 
 func (ex *rankExec) scalar(e Expr) (float64, error) {
-	node, err := ex.it.lowerScalarExpr(e)
-	if err != nil {
-		return 0, err
-	}
-	return node.Eval(rankScalarEnv{ex.r}, nil), nil
+	return ex.it.evalScalarIn(e, rankScalarEnv{ex.r})
 }
 
 func (ex *rankExec) intval(e Expr, pos Pos) (int, error) {
@@ -401,16 +375,8 @@ func (ex *rankExec) exec(s Stmt, region *grid.Region) error {
 	case *AssignStmt:
 		if t.Reduce != "" {
 			reg := ex.col.regions[s]
-			var op scan.ReduceOp
-			switch t.Reduce {
-			case "+":
-				op = scan.SumReduce
-			case "max":
-				op = scan.MaxReduce
-			case "min":
-				op = scan.MinReduce
-			}
-			node, err := ex.it.lowerExpr(t.RHS, reg.Rank())
+			op, _ := reduceOp(t.Reduce)
+			node, err := ex.it.lowerExpr(t.RHS, reg.Rank(), nil)
 			if err != nil {
 				return err
 			}
@@ -430,7 +396,7 @@ func (ex *rankExec) exec(s Stmt, region *grid.Region) error {
 		}
 		return ex.r.SetScalar(t.Name, v)
 	case *IfStmt:
-		v, err := ex.it.evalCondIn(t.Cond, ex.scalar)
+		v, err := ex.it.evalCondIn(t.Cond, rankScalarEnv{ex.r})
 		if err != nil {
 			return err
 		}
@@ -451,7 +417,7 @@ func (ex *rankExec) exec(s Stmt, region *grid.Region) error {
 					return err
 				}
 			}
-			v, err := ex.it.evalCondIn(t.Cond, ex.scalar)
+			v, err := ex.it.evalCondIn(t.Cond, rankScalarEnv{ex.r})
 			if err != nil {
 				return err
 			}
@@ -463,19 +429,12 @@ func (ex *rankExec) exec(s Stmt, region *grid.Region) error {
 		if ex.r.ID() != 0 || ex.it.opts.Out == nil {
 			return nil
 		}
-		var parts []string
-		for _, a := range t.Args {
-			if sl, ok := a.(*StrLit); ok {
-				parts = append(parts, sl.S)
-				continue
-			}
-			v, err := ex.scalar(a)
-			if err != nil {
-				return err
-			}
-			parts = append(parts, trim(v))
+		// The collector refused array arguments, so every one is a scalar.
+		line, err := ex.it.appendLine(nil, t, rankScalarEnv{ex.r})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(ex.it.opts.Out, strings.Join(parts, " "))
+		_, _ = ex.it.opts.Out.Write(line)
 		return nil
 	}
 	return fmt.Errorf("zpl: unknown statement %T", s)

@@ -8,6 +8,7 @@ type Parser struct {
 	lex    *Lexer
 	tok    Token
 	pushed []Token
+	slots  int // scan blocks and assignments numbered so far
 }
 
 // Parse parses a whole program.
@@ -26,6 +27,7 @@ func Parse(src string) (*Program, error) {
 			}
 			prog.Decls = append(prog.Decls, d)
 		case EOF:
+			prog.slots = p.slots
 			return prog, nil
 		default:
 			s, err := p.parseStmt()
@@ -346,7 +348,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ScanStmt{Body: body, Pos: pos}, nil
+		p.slots++
+		return &ScanStmt{Body: body, Pos: pos, slot: p.slots - 1}, nil
 
 	case KwBegin:
 		pos := p.tok.Pos
@@ -526,7 +529,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Name: name, Reduce: reduce, RHS: rhs, Pos: pos}, nil
+		p.slots++
+		return &AssignStmt{Name: name, Reduce: reduce, RHS: rhs, Pos: pos, slot: p.slots - 1}, nil
 	}
 	return nil, errf(p.tok.Pos, "expected statement, found %s", p.tok)
 }

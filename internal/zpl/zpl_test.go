@@ -1,6 +1,7 @@
 package zpl
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -343,6 +344,45 @@ func TestSemanticErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: err = %q, want substring %q", c.name, err, c.wantSub)
 		}
+	}
+}
+
+// TestScalarExpressionDiagnostics pins what the scalar evaluator says, and
+// where: the messages and positions of the interpreter that lowered every
+// scalar expression to an expr tree before evaluating it, including which
+// of two faults in one expression is reported.
+func TestScalarExpressionDiagnostics(t *testing.T) {
+	const pre = "const n = 4;\nregion R = [1..n, 1..n];\ndirection north = [-1, 0];\n" +
+		"var a, b : [R] double;\nvar x, y : double;\n"
+	for _, c := range []struct{ stmt, want string }{
+		{`x := a + 1;`, `zpl:6:6: array "a" in scalar expression`},
+		{`x := -a;`, `zpl:6:7: array "a" in scalar expression`},
+		{`x := sqrt(a);`, `zpl:6:11: array "a" in scalar expression`},
+		{`x := foo(1);`, `zpl:6:6: unknown function "foo" (have: abs, exp, log, max, min, pow, sqrt)`},
+		{`x := foo(zz);`, `zpl:6:10: undeclared name "zz"`},
+		{`x := sqrt(1, 2);`, `zpl:6:6: sqrt takes 1 arguments, got 2`},
+		{`x := max(1);`, `zpl:6:6: max takes 2 arguments, got 1`},
+		{`x := 1 + zz * a;`, `zpl:6:10: undeclared name "zz"`},
+		{`x := y@[1,0];`, `zpl:6:6: prime/@ applied to non-array "y"`},
+		{`x := "s" + 1;`, `zpl:6:6: string in arithmetic expression`},
+		{`[1..x+0.5, 1..n] a := 1;`, `zpl:6:1: expected an integer, got 0.5`},
+		{`[1..a, 1..n] a := 1;`, `zpl:6:5: array "a" in scalar expression`},
+		{`if 1 < foo(2) then x := 1; end;`, `zpl:6:8: unknown function "foo" (have: abs, exp, log, max, min, pow, sqrt)`},
+		{`for k := 1 to 2.5 do x := 1; end;`, `zpl:6:1: expected an integer, got 2.5`},
+		{`writeln(x + a);`, `zpl:6:13: array "a" in scalar expression`},
+		{`[R] a := b@[x+0.5, 0];`, `zpl:6:10: expected an integer, got 0.5`},
+	} {
+		_, err := RunSource(pre+c.stmt, Options{Out: io.Discard})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s\n  got  %v\n  want %s", c.stmt, err, c.want)
+		}
+	}
+	it, err := RunSource(pre+"x := max(2, pow(3, 2)) / 4 - abs(-0.5) + sqrt(16) * n;", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := it.Env().Scalars["x"]; got != 9.0/4-0.5+16 {
+		t.Errorf("x = %v, want %v", got, 9.0/4-0.5+16)
 	}
 }
 

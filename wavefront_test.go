@@ -57,6 +57,58 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAPIPrepare is the README's shrinking-region example: one
+// Prepare, one Run per step, against an Exec of a fresh block per step; a
+// scalar the statement names is followed, and a region outside the array
+// is refused without spoiling the handle.
+func TestPublicAPIPrepare(t *testing.T) {
+	const n = 8
+	mk := func() *wavefront.Env {
+		env := wavefront.NewEnv()
+		a, err := wavefront.NewArrayIn(env, "a", wavefront.Box(0, n, 0, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= n; i++ {
+			for j := 0; j <= n; j++ {
+				a.Set2(i, j, float64(i*n+j)/7)
+			}
+		}
+		env.Scalars["w"] = 0.5
+		return env
+	}
+	update := func(region wavefront.Region) *wavefront.Block {
+		return wavefront.Scan(region,
+			wavefront.Assign("a", wavefront.Sub(wavefront.Ref("a"),
+				wavefront.Mul(wavefront.Var("w"), wavefront.At("a", wavefront.North).Prime()))))
+	}
+	held, fresh := mk(), mk()
+	p, err := wavefront.Prepare(update(wavefront.Box(1, n, 1, n)), held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < n; k++ {
+		if k == 4 {
+			held.Scalars["w"], fresh.Scalars["w"] = 0.25, 0.25
+			if err := p.Run(wavefront.Box(k, n+1, k, n)); err == nil || !strings.Contains(err.Error(), "outside bounds") {
+				t.Errorf("a region past the array: err = %v, want the bounds refusal", err)
+			}
+		}
+		region := wavefront.Box(k, n, k, n)
+		if err := p.Run(region); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		if err := wavefront.Exec(update(region), fresh); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range fresh.Arrays["a"].Data() {
+			if got := held.Arrays["a"].Data()[i]; got != want {
+				t.Fatalf("step %d: element %d = %v, a fresh Exec gives %v", k, i, got, want)
+			}
+		}
+	}
+}
+
 func TestPublicAPIExpressions(t *testing.T) {
 	const n = 4
 	env := wavefront.NewEnv()
