@@ -750,7 +750,8 @@ func requireKernelPath(b *testing.B, blk *scan.Block, env *wavefront.Env, engine
 // where every axis carries a dependence and the tape runs skewed
 // hyperplane diagonals. Each tape case first probes that the claimed path
 // actually executes — a fallback fails the benchmark rather than quietly
-// measuring the closure pair. ns/point is reported so the ratio reads
+// measuring the closures. The closure leg is the oracle's cost (per-point
+// grid.Point closures), not a served path. ns/point is reported so the ratio reads
 // directly against the kernel_ns_per_point gauge.
 func BenchmarkKernelTapeVsClosure(b *testing.B) {
 	cases := []struct {

@@ -242,23 +242,19 @@ func runValidate(n, block int) error {
 				report("sw", leg, "traceback", -1)
 			}
 		}
-		for _, eng := range []struct {
-			name string
-			e    scan.Engine
-		}{{"serial closure", scan.EngineClosure}, {"serial scalar", scan.EngineScalar}, {"serial tape", scan.EngineTape}} {
+		if err := serialEngines(paths.reg("sw"), func(leg string, opt scan.ExecOptions) error {
 			w, err := workload.NewSW(sn, 7, field.RowMajor)
 			if err != nil {
 				return err
 			}
-			opt := scan.ExecOptions{Engine: eng.e}
-			if eng.e == scan.EngineTape {
-				opt.Metrics = paths.reg("sw")
-			}
 			if err := scan.Exec(w.Block(), w.Env, opt); err != nil {
 				return err
 			}
-			compareArrays("sw", eng.name, w.All, oracle, w.Env.Arrays, report)
-			checkTraceback(eng.name, w)
+			compareArrays("sw", leg, w.All, oracle, w.Env.Arrays, report)
+			checkTraceback(leg, w)
+			return nil
+		}); err != nil {
+			return err
 		}
 		for _, p := range procs {
 			for _, leg := range valLegs() {
@@ -294,22 +290,18 @@ func runValidate(n, block int) error {
 			return err
 		}
 		oracle := map[string]*field.Field{"a": ref.Reference()}
-		for _, eng := range []struct {
-			name string
-			e    scan.Engine
-		}{{"serial closure", scan.EngineClosure}, {"serial scalar", scan.EngineScalar}, {"serial tape", scan.EngineTape}} {
+		if err := serialEngines(paths.reg(name), func(leg string, opt scan.ExecOptions) error {
 			w, err := mk(fn, 3, field.RowMajor)
 			if err != nil {
 				return err
 			}
-			opt := scan.ExecOptions{Engine: eng.e}
-			if eng.e == scan.EngineTape {
-				opt.Metrics = paths.reg(name)
-			}
 			if err := w.Run(opt); err != nil {
 				return err
 			}
-			compareFactor(name, eng.name, w, oracle, report)
+			compareFactor(name, leg, w, oracle, report)
+			return nil
+		}); err != nil {
+			return err
 		}
 		for _, p := range procs {
 			for _, leg := range valLegs() {
@@ -348,22 +340,18 @@ func runValidate(n, block int) error {
 			return err
 		}
 		oracle := ref.Reference()
-		for _, eng := range []struct {
-			name string
-			e    scan.Engine
-		}{{"serial closure", scan.EngineClosure}, {"serial scalar", scan.EngineScalar}, {"serial tape", scan.EngineTape}} {
+		if err := serialEngines(paths.reg("multioct"), func(leg string, opt scan.ExecOptions) error {
 			w, err := workload.NewMultiOctant(mn, k, field.RowMajor)
 			if err != nil {
 				return err
 			}
-			opt := scan.ExecOptions{Engine: eng.e}
-			if eng.e == scan.EngineTape {
-				opt.Metrics = paths.reg("multioct")
-			}
 			if err := w.RunSequential(opt); err != nil {
 				return err
 			}
-			compareArrays("multioct", eng.name, w.Inner, oracle, w.Env.Arrays, report)
+			compareArrays("multioct", leg, w.Inner, oracle, w.Env.Arrays, report)
+			return nil
+		}); err != nil {
+			return err
 		}
 		for _, p := range procs {
 			for _, leg := range valLegs() {
@@ -389,10 +377,33 @@ func runValidate(n, block int) error {
 	}
 
 	fmt.Println(paths.String())
+	if off := paths.offVector(); len(off) > 0 {
+		return fmt.Errorf("%w: serial tape left the span and skewed orders (closure or scalar > 0) on %s",
+			errCheckFailed, strings.Join(off, ", "))
+	}
 	if mismatches > 0 {
 		return fmt.Errorf("%w: %d disagreement(s) across the engine/scheduler matrix", errCheckFailed, mismatches)
 	}
 	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial and p=1/2/4; static and taskdag w=1/2/3/4/8)")
+	return nil
+}
+
+// serialEngines runs a family's serial program once per engine — closure,
+// scalar, tape, the tape leg publishing its path tally to reg — handing run
+// the leg's name and options; run builds, executes and compares.
+func serialEngines(reg *metrics.Registry, run func(leg string, opt scan.ExecOptions) error) error {
+	for _, eng := range []struct {
+		name string
+		e    scan.Engine
+	}{{"serial closure", scan.EngineClosure}, {"serial scalar", scan.EngineScalar}, {"serial tape", scan.EngineTape}} {
+		opt := scan.ExecOptions{Engine: eng.e}
+		if eng.e == scan.EngineTape {
+			opt.Metrics = reg
+		}
+		if err := run(eng.name, opt); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -498,9 +509,9 @@ func compareArrays(wl, leg string, region grid.Region, ref, got map[string]*fiel
 
 // serialPaths collects one single-rank metrics registry per workload for the
 // serial tape legs, so the validate output can say which executor path —
-// span, skewed, scalar, closure — each workload's tape actually took. A
-// workload silently falling back to the scalar engine shows up here instead
-// of hiding as an unexplained slowdown.
+// span, skewed, scalar, closure — each workload's tape actually took, and
+// fail when one fell back to the point walk or the closures instead of
+// hiding that as an unexplained slowdown.
 type serialPaths struct {
 	names []string
 	regs  []*metrics.Registry
@@ -522,6 +533,19 @@ func (sp *serialPaths) String() string {
 		fmt.Fprintf(&b, " %s[%s]", name, pathLine(sp.regs[i]))
 	}
 	return b.String()
+}
+
+// offVector names the workloads whose serial tape leg tallied a statement on
+// the scalar or closure path.
+func (sp *serialPaths) offVector() []string {
+	var off []string
+	for i, name := range sp.names {
+		c := sp.regs[i].Snapshot().Counters
+		if c[metrics.KernelPathScalar].Total > 0 || c[metrics.KernelPathClosure].Total > 0 {
+			off = append(off, name)
+		}
+	}
+	return off
 }
 
 // pathLine formats the kernel-path counters of one registry.

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 
-	"wavefront/internal/field"
 	"wavefront/internal/grid"
 )
 
@@ -11,10 +10,6 @@ import (
 // values: evaluation no longer performs name lookups or interface calls per
 // node visit beyond one closure call per node.
 type Compiled func(p grid.Point) float64
-
-// Compiled2 is the rank-2 fast path: evaluation from the raw (i, j) index
-// pair with all field index arithmetic folded into captured constants.
-type Compiled2 func(i, j int) float64
 
 // Compile specializes the tree against env. Every array reference must be
 // bound; scalar values are captured at compile time, so scalars that change
@@ -100,20 +95,12 @@ func Compile(n Node, env Env) (Compiled, error) {
 			}
 			args[i] = c
 		}
-		eval := t // capture for Eval-style dispatch on intrinsic
-		switch eval.Fn {
-		case Sqrt, Abs, Exp, Log:
-			if len(args) != 1 {
-				return nil, fmt.Errorf("expr: %s takes 1 argument", eval.Fn)
-			}
-		case Min, Max, Pow:
-			if len(args) != 2 {
-				return nil, fmt.Errorf("expr: %s takes 2 arguments", eval.Fn)
-			}
-		default:
-			return nil, fmt.Errorf("expr: unknown intrinsic %q", eval.Fn)
+		if want := t.Fn.Arity(); want < 0 {
+			return nil, fmt.Errorf("expr: unknown intrinsic %q", t.Fn)
+		} else if len(args) != want {
+			return nil, fmt.Errorf("expr: %s takes %d arguments, got %d", t.Fn, want, len(args))
 		}
-		return compileCall(eval.Fn, args), nil
+		return compileCall(t.Fn, args), nil
 	}
 	return nil, fmt.Errorf("expr: unknown node type %T", n)
 }
@@ -136,105 +123,4 @@ func compileCall(fn Intrinsic, args []Compiled) Compiled {
 		return func(p grid.Point) float64 { return pow(args[0](p), args[1](p)) }
 	}
 	panic("unreachable")
-}
-
-// Compile2 specializes a tree over a rank-2 space: field reads become flat
-// slice indexing with precomputed strides and offsets. All referenced fields
-// must have rank 2.
-func Compile2(n Node, env Env) (Compiled2, error) {
-	switch t := n.(type) {
-	case Const:
-		v := float64(t)
-		return func(int, int) float64 { return v }, nil
-	case Scalar:
-		v, ok := env.Scalar(string(t))
-		if !ok {
-			return nil, fmt.Errorf("expr: unbound scalar %q", string(t))
-		}
-		return func(int, int) float64 { return v }, nil
-	case ArrayRef:
-		f := env.Array(t.Name)
-		if f == nil {
-			return nil, fmt.Errorf("expr: unbound array %q", t.Name)
-		}
-		if f.Rank() != 2 {
-			return nil, fmt.Errorf("expr: Compile2 of rank-%d array %q", f.Rank(), t.Name)
-		}
-		return compileRef2(t, f), nil
-	case Unary:
-		x, err := Compile2(t.X, env)
-		if err != nil {
-			return nil, err
-		}
-		if t.Op != Neg {
-			return nil, fmt.Errorf("expr: bad unary op %v", t.Op)
-		}
-		return func(i, j int) float64 { return -x(i, j) }, nil
-	case Binary:
-		l, err := Compile2(t.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Compile2(t.R, env)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Op {
-		case Add:
-			return func(i, j int) float64 { return l(i, j) + r(i, j) }, nil
-		case Sub:
-			return func(i, j int) float64 { return l(i, j) - r(i, j) }, nil
-		case Mul:
-			return func(i, j int) float64 { return l(i, j) * r(i, j) }, nil
-		case Div:
-			return func(i, j int) float64 { return l(i, j) / r(i, j) }, nil
-		}
-		return nil, fmt.Errorf("expr: bad binary op %v", t.Op)
-	case Call:
-		args := make([]Compiled2, len(t.Args))
-		for i, a := range t.Args {
-			c, err := Compile2(a, env)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = c
-		}
-		if want := t.Fn.Arity(); want >= 0 && len(args) != want {
-			return nil, fmt.Errorf("expr: %s takes %d arguments, got %d", t.Fn, want, len(args))
-		}
-		return compileCall2(t.Fn, args)
-	}
-	return nil, fmt.Errorf("expr: unknown node type %T", n)
-}
-
-func compileRef2(t ArrayRef, f *field.Field) Compiled2 {
-	data := f.Data()
-	s0, s1 := f.Stride(0), f.Stride(1)
-	lo0, lo1 := f.Bounds().Dim(0).Lo, f.Bounds().Dim(1).Lo
-	di, dj := 0, 0
-	if t.Shift != nil {
-		di, dj = t.Shift[0], t.Shift[1]
-	}
-	base := -(lo0-di)*s0 - (lo1-dj)*s1
-	return func(i, j int) float64 { return data[base+i*s0+j*s1] }
-}
-
-func compileCall2(fn Intrinsic, args []Compiled2) (Compiled2, error) {
-	switch fn {
-	case Sqrt:
-		return func(i, j int) float64 { return sqrt(args[0](i, j)) }, nil
-	case Abs:
-		return func(i, j int) float64 { return abs(args[0](i, j)) }, nil
-	case Exp:
-		return func(i, j int) float64 { return exp(args[0](i, j)) }, nil
-	case Log:
-		return func(i, j int) float64 { return logf(args[0](i, j)) }, nil
-	case Min:
-		return func(i, j int) float64 { return minf(args[0](i, j), args[1](i, j)) }, nil
-	case Max:
-		return func(i, j int) float64 { return maxf(args[0](i, j), args[1](i, j)) }, nil
-	case Pow:
-		return func(i, j int) float64 { return pow(args[0](i, j), args[1](i, j)) }, nil
-	}
-	return nil, fmt.Errorf("expr: unknown intrinsic %q", fn)
 }

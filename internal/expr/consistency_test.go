@@ -9,10 +9,10 @@ import (
 	"wavefront/internal/grid"
 )
 
-// TestEvalCompileCompile2Agree runs every operator and intrinsic through
-// the three evaluation paths — tree walking, generic compilation, and the
-// rank-2 fast path — and requires bit-identical results at every point.
-func TestEvalCompileCompile2Agree(t *testing.T) {
+// TestEvalCompileAgree runs every operator and intrinsic through the two
+// evaluation paths of this package — tree walking and compilation — and
+// requires bit-identical results at every point.
+func TestEvalCompileAgree(t *testing.T) {
 	bounds := grid.Square(2, 0, 7)
 	env := &MapEnv{
 		Arrays: map[string]*field.Field{
@@ -56,17 +56,10 @@ func TestEvalCompileCompile2Agree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", n, err)
 		}
-		c2, err := Compile2(n, env)
-		if err != nil {
-			t.Fatalf("%s: Compile2: %v", n, err)
-		}
 		inner.Each(nil, func(p grid.Point) {
 			want := n.Eval(env, p)
 			if got := c(p); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("%s at %v: Compile %g != Eval %g", n, p, got, want)
-			}
-			if got := c2(p[0], p[1]); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("%s at %v: Compile2 %g != Eval %g", n, p, got, want)
 			}
 		})
 	}
@@ -83,16 +76,6 @@ func TestEvalPanicsOnUnbound(t *testing.T) {
 			}()
 			n.Eval(env, grid.Point{0, 0})
 		}()
-	}
-}
-
-func TestCompile2RejectsWrongRank(t *testing.T) {
-	bounds3 := grid.Square(3, 0, 3)
-	env := &MapEnv{Arrays: map[string]*field.Field{
-		"v": field.MustNew("v", bounds3, field.RowMajor),
-	}}
-	if _, err := Compile2(Ref("v"), env); err == nil {
-		t.Error("Compile2 of rank-3 array must fail")
 	}
 }
 
@@ -137,8 +120,8 @@ func TestUnaryStringAndBadOps(t *testing.T) {
 	env := &MapEnv{Arrays: map[string]*field.Field{
 		"a": field.MustNew("a", grid.Square(2, 0, 2), field.RowMajor),
 	}}
-	if _, err := Compile2(Unary{Op: Mul, X: Ref("a")}, env); err == nil {
-		t.Error("bad unary op must fail Compile2")
+	if _, err := Compile(Unary{Op: Mul, X: Ref("a")}, env); err == nil {
+		t.Error("bad unary op over a bound array must fail to compile")
 	}
 }
 

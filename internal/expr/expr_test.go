@@ -69,8 +69,8 @@ func TestShiftEval(t *testing.T) {
 	}
 }
 
-// TestCompileMatchesEval: compiled closures (both generic and rank-2) must
-// agree with tree-walking evaluation on random expressions.
+// TestCompileMatchesEval: compiled closures must agree with tree-walking
+// evaluation.
 func TestCompileMatchesEval(t *testing.T) {
 	bounds := grid.Square(2, 0, 6)
 	env := newEnv(bounds)
@@ -88,18 +88,11 @@ func TestCompileMatchesEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Compile2(node, env)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inner := grid.Square(2, 1, 6)
 	inner.Each(nil, func(p grid.Point) {
 		want := node.Eval(env, p)
 		if got := c(p); got != want {
 			t.Fatalf("Compile at %v: %g != %g", p, got, want)
-		}
-		if got := c2(p[0], p[1]); got != want {
-			t.Fatalf("Compile2 at %v: %g != %g", p, got, want)
 		}
 	})
 }
@@ -116,8 +109,18 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(Call{Fn: "gamma", Args: []Node{Const(1)}}, env); err == nil {
 		t.Error("unknown intrinsic must fail")
 	}
-	if _, err := Compile2(Call{Fn: Sqrt, Args: nil}, env); err == nil {
-		t.Error("wrong arity must fail")
+	for _, c := range []struct {
+		call Call
+		want string
+	}{
+		{Call{Fn: Sqrt, Args: nil}, "sqrt takes 1 arguments, got 0"},
+		{Call{Fn: Abs, Args: []Node{Const(1), Const(2)}}, "abs takes 1 arguments, got 2"},
+		{Call{Fn: Min, Args: []Node{Const(1)}}, "min takes 2 arguments, got 1"},
+		{Call{Fn: Pow, Args: []Node{Const(1), Const(2), Const(3)}}, "pow takes 2 arguments, got 3"},
+	} {
+		if _, err := Compile(c.call, env); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Compile(%s) = %v, want an error saying %q", c.call, err, c.want)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestTapeAgreesWithEvalCompile is the tape leg of the engine-consistency
-// suite: the same operator/intrinsic table as TestEvalCompileCompile2Agree,
+// suite: the same operator/intrinsic table as TestEvalCompileAgree,
 // lowered to the tape and run over spans and with spans ruled out, must reproduce
 // the closure engines bit for bit at every point. It lives in the external
 // test package because internal/kernel imports expr.

@@ -84,30 +84,6 @@ func skewRunnable(region grid.Region, sk dep.Skew) bool {
 	return region.Dim(sk.A).Stride == 1 && region.Dim(sk.B).Stride == 1
 }
 
-// SkewRunLen reports the longest diagonal run the skewed executor would
-// produce over region under loop, or 0 when no legal hyperplane exists (or
-// the inner loop pair is strided). The scan layer compares it against the
-// span profitability threshold before preferring the tape over the rank-2
-// closure pair.
-func (pr *Program) SkewRunLen(region grid.Region, loop dep.LoopSpec) int {
-	if pr.rank < 2 || region.Rank() != pr.rank {
-		return 0
-	}
-	sk, ok := pr.skewFor(loop)
-	if !ok || !skewRunnable(region, sk) {
-		return 0
-	}
-	na, nb := region.Dim(sk.A).Size(), region.Dim(sk.B).Size()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	m := (na + sk.Cb - 1) / sk.Cb
-	if k := (nb + sk.Ca - 1) / sk.Ca; k < m {
-		m = k
-	}
-	return m
-}
-
 // beginWaves readies the registers and the per-field steps for hyperplane
 // waves of an na × nb plane: stepA/stepB walk the plane's two iteration
 // axes, steps walks one diagonal run. The odometer steps levels 0..rank-3

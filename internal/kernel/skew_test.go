@@ -139,11 +139,8 @@ func TestSkewedRecurrenceMatchesClosure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
-			if pr.SpanOK(v) {
+			if pr.spanOK[v] {
 				t.Fatalf("case is spannable along %d; it does not exercise the skew path", v)
-			}
-			if got := pr.SkewRunLen(region, c.loop); got <= 0 {
-				t.Fatalf("SkewRunLen = %d, want > 0", got)
 			}
 			if sk, ok := pr.skewFor(c.loop); !ok || sk.Ca != c.wantCa || sk.Cb != c.wantCb {
 				t.Fatalf("derived hyperplane (%d,%d) ok=%v, want (%d,%d)", sk.Ca, sk.Cb, ok, c.wantCa, c.wantCb)
@@ -182,9 +179,8 @@ func TestSkewedDegenerateRegions(t *testing.T) {
 // skew to PathScalar — the tape walked one point at a time — and holds
 // them to the closure oracle: a strided plane (the skew addressing assumes
 // element-unit distances on both plane dimensions), a UDV set that admits
-// no positive hyperplane (SkewRunLen must report 0, which is what the
-// profitability gate consults), and a rank-1 recurrence, which has no
-// second level to skew against.
+// no positive hyperplane, and a rank-1 recurrence, which has no second
+// level to skew against.
 func TestPointWalkFallbacks(t *testing.T) {
 	dst := func(dist ...int) expr.Node { return expr.Ref("dst").At(grid.Direction(dist)) }
 	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
@@ -219,14 +215,6 @@ func TestPointWalkFallbacks(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			env := skewEnv(c.rank, 11)
-			pr, err := Lower(c.rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{c.node}, env, c.udvs)
-			if err != nil {
-				t.Fatalf("Lower: %v", err)
-			}
-			if got := pr.SkewRunLen(c.region, c.loop); got != 0 {
-				t.Fatalf("SkewRunLen = %d, want 0 with no runnable skew", got)
-			}
 			if path := runSkew(t, c.skewCase, c.region, 11); path != PathScalar {
 				t.Fatalf("Run took %v, want the point walk", path)
 			}

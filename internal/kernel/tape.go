@@ -672,9 +672,6 @@ func spanMask(rank int, udvs []dep.UDV) []bool {
 	return ok
 }
 
-// SpanOK reports whether dimension v may run as whole spans.
-func (pr *Program) SpanOK(v int) bool { return pr.spanOK[v] }
-
 // Registers returns the scratch register count the program leases: the
 // fused tape's file, at least one.
 func (pr *Program) Registers() int {

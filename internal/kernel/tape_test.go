@@ -172,8 +172,8 @@ func TestTapeMatchesClosure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
-			if scalar == pr.SpanOK(loop.Perm[rank-1]) {
-				t.Fatalf("scalar=%v but SpanOK(%d)=%v", scalar, loop.Perm[rank-1], pr.SpanOK(loop.Perm[rank-1]))
+			if scalar == pr.spanOK[loop.Perm[rank-1]] {
+				t.Fatalf("scalar=%v but spanOK[%d]=%v", scalar, loop.Perm[rank-1], pr.spanOK[loop.Perm[rank-1]])
 			}
 			env.Arrays["dst"].Fill(0)
 			pr.Run(region, loop)

@@ -98,20 +98,6 @@ func checkBounds(stmts []Stmt, refs stmtRefs, region grid.Region, env expr.Env) 
 	return nil
 }
 
-func allRank2(b *Block, refs stmtRefs, env expr.Env) bool {
-	for _, s := range b.Stmts {
-		if f := env.Array(s.LHS.Name); f == nil || f.Rank() != 2 {
-			return false
-		}
-	}
-	for _, r := range refs.every() {
-		if f := env.Array(r.Name); f == nil || f.Rank() != 2 {
-			return false
-		}
-	}
-	return true
-}
-
 // forEach iterates the region with the loop structure: spec.Perm[0] is the
 // outermost dimension and spec.Dirs is indexed by dimension. The point
 // passed to fn is reused across calls.

@@ -9,8 +9,7 @@ import (
 	"wavefront/internal/grid"
 )
 
-// TestRank3ScanBlock exercises the generic (non-rank-2) kernel path with a
-// 3-D wavefront: v := v'@(-1,0,0) + v'@(0,-1,0) + v'@(0,0,-1) + 1.
+// TestRank3ScanBlock runs a 3-D wavefront: v := v'@(-1,0,0) + v'@(0,-1,0) + v'@(0,0,-1) + 1.
 func TestRank3ScanBlock(t *testing.T) {
 	n := 6
 	bounds := grid.Square(3, 0, n)
@@ -55,7 +54,7 @@ func TestRank3ScanBlock(t *testing.T) {
 }
 
 // TestInterchangedNest: a wavefront along dimension 1 forces the loop over
-// dimension 1 outermost, exercising the run2 interchange branch.
+// dimension 1 outermost.
 func TestInterchangedNest(t *testing.T) {
 	n := 8
 	bounds := grid.MustRegion(grid.NewRange(0, n+1), grid.NewRange(1, n+1))
@@ -120,9 +119,51 @@ func TestStridedRegion(t *testing.T) {
 	}
 }
 
-// TestMixedRankFieldsFallBack: a rank-2 region over rank-2 destinations
-// referencing nothing still runs; allRank2 with an unbound name falls back
-// gracefully at compile (error).
+// TestUnloweredKernelRunsOnClosures: the one way a Kernel reaches Run with
+// no tape is NewKernel over a block whose dependences do not collect (here a
+// primed read of an array the block never writes). Under EngineTape it runs
+// the per-point closures, says so in the tally, and computes what the
+// closure engine computes for the legal spelling of the same statement.
+func TestUnloweredKernelRunsOnClosures(t *testing.T) {
+	const n = 6
+	bounds, region := grid.Square(2, 0, n+1), grid.Square(2, 1, n)
+	stmt := func(b expr.ArrayRef) Stmt {
+		return Stmt{LHS: expr.Ref("a"), RHS: expr.AddN(expr.MulN(expr.Const(0.5), b.At(grid.North)), expr.Ref("a"))}
+	}
+	mkEnv := func() *expr.MapEnv {
+		env := env2([]string{"a", "b"}, bounds)
+		env.Arrays["a"].FillFunc(bounds, func(p grid.Point) float64 { return 0.25*float64(p[0]) - 0.75*float64(p[1]) })
+		env.Arrays["b"].FillFunc(bounds, func(p grid.Point) float64 { return 1.5 + 0.1*float64(p[0]*p[1]) })
+		return env
+	}
+	bad := NewPlain(region, stmt(expr.Ref("b").Prime()))
+	if _, err := Analyze(bad, dep.Preference{}); err == nil {
+		t.Fatal("the block analyses; it does not exercise the fallback")
+	}
+	env := mkEnv()
+	k, err := NewKernel(bad, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.prog != nil {
+		t.Fatal("NewKernel lowered a block whose dependences do not collect")
+	}
+	k.SetEngine(EngineTape)
+	k.Run(region, dep.Identity(2))
+	if pc := k.PathCounts(); pc.Closure != 1 || pc.Total() != 1 {
+		t.Errorf("path counts %v, want the one statement on the closure path", pc)
+	}
+	want := mkEnv()
+	if err := Exec(NewPlain(region, stmt(expr.Ref("b"))), want, ExecOptions{Engine: EngineClosure}); err != nil {
+		t.Fatal(err)
+	}
+	if i := firstBitDiff(env.Arrays["a"], want.Arrays["a"]); i >= 0 {
+		t.Fatalf("a[%d] = %v, closure engine %v", i, env.Arrays["a"].Data()[i], want.Arrays["a"].Data()[i])
+	}
+}
+
+// TestUnboundArrayInExec: an unbound name is a construction error, not a
+// fallback.
 func TestUnboundArrayInExec(t *testing.T) {
 	region := grid.Square(2, 1, 4)
 	env := &expr.MapEnv{Arrays: map[string]*field.Field{}, Scalars: map[string]float64{}}

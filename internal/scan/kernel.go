@@ -20,9 +20,10 @@ const (
 	// EngineTape (the default) executes lowered instruction tapes over
 	// whole inner-loop spans where the dependences allow, over skewed
 	// hyperplane runs when every dimension carries a dependence but a
-	// legal skew exists, and point by point otherwise. Blocks that
-	// cannot be lowered (unbound names, mismatched field ranks) silently
-	// fall back to the closure path.
+	// legal skew exists, and point by point otherwise. Blocks the lowerer
+	// refuses (dependences that do not collect, fields of another rank
+	// than the region) run on the per-point closures and tally Closure;
+	// an unbound name is a construction error, not a fallback.
 	EngineTape Engine = iota
 	// EngineClosure forces the per-point compiled-closure reference path.
 	EngineClosure
@@ -34,8 +35,8 @@ const (
 
 // pathClosure extends kernel.Path — how a lowered Program walked its tape
 // — with the one executor the kernel package does not own: the compiled
-// closures, both the reference engine and the rank-2 closure pair the tape
-// engine falls back to below the span profitability threshold.
+// closures — the reference engine, and the fallback for blocks the lowerer
+// refuses.
 const (
 	pathClosure = kernel.PathSkewed + 1
 	numPaths    = int(pathClosure) + 1
@@ -69,7 +70,6 @@ func (c PathCounts) String() string {
 // is how the pipelined runtime executes one tile at a time without
 // recompiling.
 type Kernel struct {
-	rank   int
 	engine Engine
 	// Tracing (nil = disabled): every Run records one fused-loop span.
 	tr     *trace.Recorder
@@ -83,15 +83,9 @@ type Kernel struct {
 	mRank int
 	// Tape engine (nil when the block could not be lowered).
 	prog *kernel.Program
-	// Generic closure path.
+	// Per-point closure path.
 	dst []*field.Field
 	rhs []expr.Compiled
-	// Rank-2 closure fast path (nil when unavailable).
-	rhs2 []expr.Compiled2
-	data [][]float64
-	base []int
-	str0 []int
-	str1 []int
 }
 
 // NewKernel compiles the block's statements against env. Scalars are
@@ -105,7 +99,7 @@ func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
 	// ever running; compile the closure path anyway so construction stays
 	// total, with the tape unavailable.
 	udvs, _, err := collectDeps(b, refs)
-	if err := k.init(b, refs, env, udvs, err == nil); err != nil {
+	if err := k.init(b, env, udvs, err == nil); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -116,16 +110,15 @@ func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
 // legality the tape derives matches the loop derivation exactly.
 func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV) (*Kernel, error) {
 	k := &Kernel{}
-	if err := k.init(b, refsOf(b.Stmts), env, udvs, true); err != nil {
+	if err := k.init(b, env, udvs, true); err != nil {
 		return nil, err
 	}
 	return k, nil
 }
 
-// init compiles b's statements, whose right-hand sides reference refs,
-// into the zero Kernel k; only the rank of b's region is read.
-func (k *Kernel) init(b *Block, refs stmtRefs, env expr.Env, udvs []dep.UDV, lower bool) error {
-	k.rank = b.Region.Rank()
+// init compiles b's statements into the zero Kernel k; only the rank of b's
+// region is read.
+func (k *Kernel) init(b *Block, env expr.Env, udvs []dep.UDV, lower bool) error {
 	ns := len(b.Stmts)
 	k.dst = make([]*field.Field, ns)
 	k.rhs = make([]expr.Compiled, ns)
@@ -136,21 +129,6 @@ func (k *Kernel) init(b *Block, refs stmtRefs, env expr.Env, udvs []dep.UDV, low
 		}
 		k.dst[i], k.rhs[i] = env.Array(s.LHS.Name), c
 	}
-	if k.rank == 2 && allRank2(b, refs, env) {
-		k.rhs2 = make([]expr.Compiled2, ns)
-		k.data = make([][]float64, ns)
-		k.base, k.str0, k.str1 = make([]int, ns), make([]int, ns), make([]int, ns)
-		for i, s := range b.Stmts {
-			c, err := expr.Compile2(s.RHS, env)
-			if err != nil {
-				return err
-			}
-			f := k.dst[i]
-			k.rhs2[i], k.data[i] = c, f.Data()
-			k.str0[i], k.str1[i] = f.Stride(0), f.Stride(1)
-			k.base[i] = -f.Bounds().Dim(0).Lo*f.Stride(0) - f.Bounds().Dim(1).Lo*f.Stride(1)
-		}
-	}
 	// Lower to the tape engine. Lowering failures are not errors — the
 	// closure path above is the always-correct reference — so any block
 	// whose dependences or bindings the tape cannot express just runs on
@@ -160,7 +138,7 @@ func (k *Kernel) init(b *Block, refs stmtRefs, env expr.Env, udvs []dep.UDV, low
 		for i, s := range b.Stmts {
 			rhs[i] = s.RHS
 		}
-		if prog, err := kernel.Lower(k.rank, k.dst, rhs, env, udvs); err == nil {
+		if prog, err := kernel.Lower(b.Region.Rank(), k.dst, rhs, env, udvs); err == nil {
 			k.prog = prog
 		}
 	}
@@ -210,53 +188,20 @@ func (k *Kernel) Run(region grid.Region, loop dep.LoopSpec) {
 }
 
 func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
-	if k.prog != nil && k.engine == EngineScalar {
+	switch {
+	case k.prog != nil && k.engine == EngineScalar:
 		k.prog.RunScalar(region, loop)
 		k.tally(kernel.PathScalar)
-		return
-	}
-	if k.prog != nil && k.engine == EngineTape {
-		// The tape pays a per-run dispatch cost that amortizes over the
-		// run length. When neither spans nor skewed diagonals reach the
-		// dispatch break-even and the specialized rank-2 closure pair
-		// exists, that pair is faster — and bit-identical, so the choice
-		// is pure dispatch.
-		if k.rhs2 == nil || region.Rank() != 2 || k.tapeProfitable(region, loop) {
-			k.tally(k.prog.Run(region, loop))
-			return
-		}
-		k.run2(region, loop)
+	case k.prog != nil && k.engine == EngineTape:
+		k.tally(k.prog.Run(region, loop))
+	default:
+		forEach(region, loop, func(p grid.Point) {
+			for i := range k.rhs {
+				k.dst[i].Set(p, k.rhs[i](p))
+			}
+		})
 		k.tally(pathClosure)
-		return
 	}
-	if k.rhs2 != nil && region.Rank() == 2 {
-		k.run2(region, loop)
-		k.tally(pathClosure)
-		return
-	}
-	forEach(region, loop, func(p grid.Point) {
-		for i := range k.rhs {
-			k.dst[i].Set(p, k.rhs[i](p))
-		}
-	})
-	k.tally(pathClosure)
-}
-
-// minSpan is the inner-run length from which vector (span or skewed-run)
-// execution is taken over the rank-2 closure pair: on short enough runs the
-// per-run instruction dispatch dominates the per-point closure-tree walk it
-// replaces. It is the measured break-even — the tape wins from runs of 3–4
-// points on (BenchmarkKernelTapeVsClosureShortRuns; EXPERIMENTS.md "Tape
-// superinstructions" has the table). Only LU/Cholesky's last few steps run
-// spans that short.
-const minSpan = 4
-
-func (k *Kernel) tapeProfitable(region grid.Region, loop dep.LoopSpec) bool {
-	v := loop.Perm[len(loop.Perm)-1]
-	if k.prog.SpanOK(v) {
-		return region.Dim(v).Size() >= minSpan
-	}
-	return k.prog.SkewRunLen(region, loop) >= minSpan
 }
 
 // tally records which executor path a Run took, one count per statement.
@@ -285,40 +230,4 @@ func (k *Kernel) SetMetrics(reg *metrics.Registry, rank int) {
 	k.mPath[kernel.PathScalar] = reg.Counter(metrics.KernelPathScalar)
 	k.mPath[pathClosure] = reg.Counter(metrics.KernelPathClosure)
 	k.mRank = rank
-}
-
-func (k *Kernel) run2(region grid.Region, loop dep.LoopSpec) {
-	d0, d1 := region.Dim(0), region.Dim(1)
-	n0, n1 := d0.Size(), d1.Size()
-	if n0 == 0 || n1 == 0 {
-		return
-	}
-	// Trip counts and signed steps are computed once; the loops below
-	// iterate by count, with no per-iteration direction branches.
-	i0, st0 := d0.Lo, d0.Stride
-	if loop.Dirs[0] == grid.HighToLow {
-		i0, st0 = d0.Lo+(n0-1)*d0.Stride, -st0
-	}
-	j0, st1 := d1.Lo, d1.Stride
-	if loop.Dirs[1] == grid.HighToLow {
-		j0, st1 = d1.Lo+(n1-1)*d1.Stride, -st1
-	}
-	ns := len(k.rhs2)
-	if len(loop.Perm) == 2 && loop.Perm[0] == 1 {
-		for jj, j := 0, j0; jj < n1; jj, j = jj+1, j+st1 {
-			for ii, i := 0, i0; ii < n0; ii, i = ii+1, i+st0 {
-				for s := 0; s < ns; s++ {
-					k.data[s][k.base[s]+i*k.str0[s]+j*k.str1[s]] = k.rhs2[s](i, j)
-				}
-			}
-		}
-		return
-	}
-	for ii, i := 0, i0; ii < n0; ii, i = ii+1, i+st0 {
-		for jj, j := 0, j0; jj < n1; jj, j = jj+1, j+st1 {
-			for s := 0; s < ns; s++ {
-				k.data[s][k.base[s]+i*k.str0[s]+j*k.str1[s]] = k.rhs2[s](i, j)
-			}
-		}
-	}
 }

@@ -78,14 +78,14 @@ func Reduce(op ReduceOp, region grid.Region, node expr.Node, env expr.Env) (floa
 }
 
 // minReduceTape is the region size, in points, from which a first fold
-// lowers its operand to a span tape — the counterpart of minSpan for a
-// program that may run only once. A one-shot max<<(|a|,|b|) breaks even in
+// lowers its operand to a span tape: a rule for a program that may run
+// only once. A one-shot max<<(|a|,|b|) breaks even in
 // time near 64 points (lowering ≈ 3 µs against ≈ 35 ns per point of closure
 // walk), but lowering also leaves ≈ 20 more allocations and 2 KB behind
 // than compiling the closure does; at 512 points the time saved is well
 // over twice the lowering, so the garbage is paid for. A Reducer that has
 // folded before is past that argument — the lowering amortizes over the
-// folds to come — and takes the tape from spans of minSpan on.
+// folds to come — and takes the tape at any span.
 const minReduceTape = 512
 
 // Reducer is a reduction operand bound to an environment, for folding more
@@ -187,9 +187,7 @@ func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
 		rd.ReleaseScratch()
 		rd.tape, rd.refused, rd.fn = nil, false, nil
 	}
-	pays := region.Size() >= minReduceTape ||
-		rd.warm && region.Dim(region.Rank()-1).Size() >= minSpan
-	if rd.engine == EngineTape && !rd.refused && pays {
+	if rd.engine == EngineTape && !rd.refused && (rd.warm || region.Size() >= minReduceTape) {
 		if rd.tape == nil {
 			x, err := kernel.LowerExpr(region.Rank(), rd.node, rd.env)
 			if err != nil {

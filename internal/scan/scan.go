@@ -197,9 +197,6 @@ func refsOf(stmts []Stmt) stmtRefs {
 // of returns statement i's references.
 func (r stmtRefs) of(i int) []expr.ArrayRef { return r.all[r.off[i]:r.off[i+1]] }
 
-// every returns all the statements' references.
-func (r stmtRefs) every() []expr.ArrayRef { return r.all[r.off[0]:r.off[len(r.off)-1]] }
-
 // slice returns the references of statements lo..hi-1 as their own list.
 func (r stmtRefs) slice(lo, hi int) stmtRefs {
 	return stmtRefs{all: r.all, off: r.off[lo : hi+1], scalars: r.scalars}

@@ -79,19 +79,25 @@ func TestFigure3(t *testing.T) {
 //	  ry := ry - ry'@north*r;
 //	end;
 func tomcatvFragment(n int) (*Block, []string) {
-	north := grid.Direction{-1, 0}
 	region := grid.MustRegion(grid.NewRange(2, n-2), grid.NewRange(2, n-1))
-	blk := NewScan(region,
-		Stmt{LHS: expr.Ref("r"), RHS: expr.Binary{Op: expr.Mul, L: expr.Ref("aa"), R: expr.Ref("d").At(north).Prime()}},
-		Stmt{LHS: expr.Ref("d"), RHS: expr.Binary{Op: expr.Div, L: expr.Const(1),
+	return NewScan(region, tomcatvStmts(grid.Direction{-1, 0})...), tomcatvArrays
+}
+
+var tomcatvArrays = []string{"r", "aa", "d", "dd", "rx", "ry"}
+
+// tomcatvStmts are the fragment's four statements, eliminating away from
+// the neighbour at north.
+func tomcatvStmts(north grid.Direction) []Stmt {
+	return []Stmt{
+		{LHS: expr.Ref("r"), RHS: expr.Binary{Op: expr.Mul, L: expr.Ref("aa"), R: expr.Ref("d").At(north).Prime()}},
+		{LHS: expr.Ref("d"), RHS: expr.Binary{Op: expr.Div, L: expr.Const(1),
 			R: expr.Binary{Op: expr.Sub, L: expr.Ref("dd"),
 				R: expr.Binary{Op: expr.Mul, L: expr.Ref("aa").At(north), R: expr.Ref("r")}}}},
-		Stmt{LHS: expr.Ref("rx"), RHS: expr.Binary{Op: expr.Sub, L: expr.Ref("rx"),
+		{LHS: expr.Ref("rx"), RHS: expr.Binary{Op: expr.Sub, L: expr.Ref("rx"),
 			R: expr.Binary{Op: expr.Mul, L: expr.Ref("rx").At(north).Prime(), R: expr.Ref("r")}}},
-		Stmt{LHS: expr.Ref("ry"), RHS: expr.Binary{Op: expr.Sub, L: expr.Ref("ry"),
+		{LHS: expr.Ref("ry"), RHS: expr.Binary{Op: expr.Sub, L: expr.Ref("ry"),
 			R: expr.Binary{Op: expr.Mul, L: expr.Ref("ry").At(north).Prime(), R: expr.Ref("r")}}},
-	)
-	return blk, []string{"r", "aa", "d", "dd", "rx", "ry"}
+	}
 }
 
 func seedTomcatv(env *expr.MapEnv, n int) {

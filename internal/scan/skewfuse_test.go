@@ -92,29 +92,6 @@ func TestSkewedEngineSelection(t *testing.T) {
 	}
 }
 
-// TestSkewedProfitabilityFallsBackToClosure: a tiny skew-requiring region
-// below the dispatch break-even takes the rank-2 closure pair under
-// EngineTape, and the tally says so.
-func TestSkewedProfitabilityFallsBackToClosure(t *testing.T) {
-	const n = 4 // runs of length <= 3 < minSpan
-	region := grid.MustRegion(grid.NewRange(1, n-1), grid.NewRange(1, n-1))
-	env := skewExecEnv(n)
-	blk := swBlock(region)
-	an, err := Analyze(blk, dep.Preference{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := NewKernelDeps(blk, env, an.UDVs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.SetEngine(EngineTape)
-	k.Run(blk.Region, an.Loop)
-	if pc := k.PathCounts(); pc.Closure == 0 || pc.Total() != pc.Closure {
-		t.Errorf("path counts %v, want the closure pair below the break-even", pc)
-	}
-}
-
 // mkGroupBlocks builds nblocks independent scan blocks over one shared
 // region: block i computes dst_i from the shared read-only src with a
 // spannable forward recurrence.
