@@ -56,322 +56,82 @@ func valLegs() []valLeg {
 	}
 }
 
-// runValidate pins the bit-identity contract on the paper's three
-// workloads: the closure path run serially is the reference, and every
-// (engine, scheduler) cell — serial tape plus the pipelined matrix at
-// p = 1, 2, 4 — must reproduce every array bit for bit. Any disagreement
-// is a check failure (exit 1).
+// reportFn records one disagreement with a family's reference.
+type reportFn func(wl, leg, name string, diff float64)
+
+// valFamily is one workload family of the validation matrix: its name in
+// the report, the tile width its sessions pipeline with, and the
+// constructor of a fresh instance.
+type valFamily struct {
+	name  string
+	block int
+	make  func() (*valInst, error)
+}
+
+// valInst is a fresh instance of a family: what a session registers, the
+// family's program as a serial run under one engine and as a rank body, and
+// the comparison of the instance's state afterwards with the reference —
+// the family's handwritten oracle where it has one, otherwise ref, the
+// instance runValidate ran serially on the closure engine.
+type valInst struct {
+	env    *wavefront.Env
+	domain grid.Region
+	blocks []*wavefront.Block
+	serial func(opt scan.ExecOptions) error
+	body   func(r *wavefront.Rank) error
+	check  func(ref *valInst, leg string, p int)
+	// folds are the reductions the program made, in order (Tomcatv).
+	folds []float64
+}
+
+// runValidate pins the bit-identity contract on every workload family:
+// all three engines run serially and every (engine, scheduler) cell of the
+// pipelined matrix at p = 1, 2, 4 must reproduce the family's reference,
+// every array bit for bit. Any disagreement is a check failure (exit 1).
 func runValidate(n, block int) error {
-	procs := []int{1, 2, 4}
 	mismatches := 0
-	var paths serialPaths
 	report := func(wl, leg, name string, diff float64) {
 		mismatches++
 		fmt.Printf("MISMATCH %-8s %-16s %-8s max|diff|=%g\n", wl, leg, name, diff)
 	}
-
-	// Tomcatv: the full five-block step, iterated, with the reduce legs
-	// (residual max, its min and sum twins) folded after every iteration.
-	{
-		iters := 3
-		ref, err := workload.NewTomcatv(n, field.RowMajor)
+	var paths serialPaths
+	for _, fam := range valFamilies(n, block, report) {
+		ref, err := fam.make()
+		if err == nil {
+			err = ref.serial(scan.ExecOptions{Engine: scan.EngineClosure})
+		}
 		if err != nil {
 			return err
 		}
-		refFolds, err := tomcatvSerial(ref, iters, scan.ExecOptions{Engine: scan.EngineClosure})
+		err = serialEngines(paths.reg(fam.name), func(leg string, opt scan.ExecOptions) error {
+			w, err := fam.make()
+			if err == nil {
+				err = w.serial(opt)
+			}
+			if err == nil {
+				w.check(ref, leg, 1)
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		tape, err := workload.NewTomcatv(n, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		tapeFolds, err := tomcatvSerial(tape, iters, scan.ExecOptions{Engine: scan.EngineTape, Metrics: paths.reg("tomcatv")})
-		if err != nil {
-			return err
-		}
-		compareArrays("tomcatv", "serial tape", ref.All, ref.Env.Arrays, tape.Env.Arrays, report)
-		compareFolds("tomcatv", "serial tape", 1, refFolds, tapeFolds, report)
-		for _, p := range procs {
+		for _, p := range []int{1, 2, 4} {
 			for _, leg := range valLegs() {
-				w, _ := workload.NewTomcatv(n, field.RowMajor)
-				blocks := w.Blocks()
-				sess, err := wavefront.NewSession(w.Env, blocks, wavefront.SessionConfig{
-					Procs: p, Domain: w.All, Block: block, Kernel: leg.engine,
+				w, err := fam.make()
+				if err != nil {
+					return err
+				}
+				sess, err := wavefront.NewSession(w.env, w.blocks, wavefront.SessionConfig{
+					Procs: p, Domain: w.domain, Block: fam.block, Kernel: leg.engine,
 					Scheduler: leg.sched, Workers: leg.workers})
 				if err != nil {
 					return err
 				}
-				var folds []float64
-				err = sess.Run(func(r *wavefront.Rank) error {
-					for i := 0; i < iters; i++ {
-						for _, b := range blocks {
-							if err := r.Exec(b); err != nil {
-								return err
-							}
-						}
-						for _, f := range reduceLegs {
-							v, err := r.Reduce(f.op, w.Interior, f.node)
-							if err != nil {
-								return err
-							}
-							if r.ID() == 0 {
-								folds = append(folds, v)
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
+				if err := sess.Run(w.body); err != nil {
 					return err
 				}
-				legName := fmt.Sprintf("p=%d %s", p, leg.name)
-				compareArrays("tomcatv", legName, ref.All, ref.Env.Arrays, w.Env.Arrays, report)
-				compareFolds("tomcatv", legName, p, refFolds, folds, report)
-			}
-		}
-	}
-
-	// SIMPLE: hydro + conduction step, iterated.
-	{
-		sn, steps := 32, 3
-		ref, err := workload.NewSimple(sn, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		if err := simpleSerial(ref, steps, scan.ExecOptions{Engine: scan.EngineClosure}); err != nil {
-			return err
-		}
-		tape, err := workload.NewSimple(sn, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		if err := simpleSerial(tape, steps, scan.ExecOptions{Engine: scan.EngineTape, Metrics: paths.reg("simple")}); err != nil {
-			return err
-		}
-		compareArrays("simple", "serial tape", ref.All, ref.Env.Arrays, tape.Env.Arrays, report)
-		for _, p := range procs {
-			for _, leg := range valLegs() {
-				w, _ := workload.NewSimple(sn, field.RowMajor)
-				blocks := w.Blocks()
-				sess, err := wavefront.NewSession(w.Env, blocks, wavefront.SessionConfig{
-					Procs: p, Domain: w.All, Block: 5, Kernel: leg.engine,
-					Scheduler: leg.sched, Workers: leg.workers})
-				if err != nil {
-					return err
-				}
-				err = sess.Run(func(r *wavefront.Rank) error {
-					for i := 0; i < steps; i++ {
-						for _, b := range blocks {
-							if err := r.Exec(b); err != nil {
-								return err
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				compareArrays("simple", fmt.Sprintf("p=%d %s", p, leg.name), ref.All, ref.Env.Arrays, w.Env.Arrays, report)
-			}
-		}
-	}
-
-	// Sweep3D: all eight octants once, rank 3.
-	{
-		sn := 10
-		ref, err := workload.NewSweep(sn, 3, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		if err := sweepSerial(ref, scan.ExecOptions{Engine: scan.EngineClosure}); err != nil {
-			return err
-		}
-		tape, err := workload.NewSweep(sn, 3, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		if err := sweepSerial(tape, scan.ExecOptions{Engine: scan.EngineTape, Metrics: paths.reg("sweep3d")}); err != nil {
-			return err
-		}
-		compareArrays("sweep3d", "serial tape", ref.Inner, ref.Env.Arrays, tape.Env.Arrays, report)
-		for _, p := range procs {
-			for _, leg := range valLegs() {
-				w, _ := workload.NewSweep(sn, 3, field.RowMajor)
-				var blocks []*wavefront.Block
-				for _, dirs := range w.Octants() {
-					blocks = append(blocks, w.OctantBlock(dirs))
-				}
-				sess, err := wavefront.NewSession(w.Env, blocks, wavefront.SessionConfig{
-					Procs: p, Domain: w.Inner, Block: 3, Kernel: leg.engine,
-					Scheduler: leg.sched, Workers: leg.workers})
-				if err != nil {
-					return err
-				}
-				err = sess.Run(func(r *wavefront.Rank) error {
-					for _, b := range blocks {
-						if err := r.Exec(b); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				compareArrays("sweep3d", fmt.Sprintf("p=%d %s", p, leg.name), ref.Inner, ref.Env.Arrays, w.Env.Arrays, report)
-			}
-		}
-	}
-
-	// Smith-Waterman: the affine-gap DP fill against its straight-Go oracle,
-	// plus the data-dependent traceback — the walk must reproduce the
-	// oracle's alignment exactly over every engine/scheduler cell.
-	{
-		sn := 24
-		ref, err := workload.NewSW(sn, 7, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		oracle := ref.Reference()
-		refEnd, refOps := ref.TracebackOf(oracle)
-		checkTraceback := func(leg string, w *workload.SW) {
-			end, ops := w.Traceback()
-			if end[0] != refEnd[0] || end[1] != refEnd[1] || string(ops) != string(refOps) {
-				report("sw", leg, "traceback", -1)
-			}
-		}
-		if err := serialEngines(paths.reg("sw"), func(leg string, opt scan.ExecOptions) error {
-			w, err := workload.NewSW(sn, 7, field.RowMajor)
-			if err != nil {
-				return err
-			}
-			if err := scan.Exec(w.Block(), w.Env, opt); err != nil {
-				return err
-			}
-			compareArrays("sw", leg, w.All, oracle, w.Env.Arrays, report)
-			checkTraceback(leg, w)
-			return nil
-		}); err != nil {
-			return err
-		}
-		for _, p := range procs {
-			for _, leg := range valLegs() {
-				w, _ := workload.NewSW(sn, 7, field.RowMajor)
-				blk := w.Block()
-				sess, err := wavefront.NewSession(w.Env, []*wavefront.Block{blk}, wavefront.SessionConfig{
-					Procs: p, Domain: w.All, Block: 6, Kernel: leg.engine,
-					Scheduler: leg.sched, Workers: leg.workers})
-				if err != nil {
-					return err
-				}
-				if err := sess.Run(func(r *wavefront.Rank) error { return r.Exec(blk) }); err != nil {
-					return err
-				}
-				legName := fmt.Sprintf("p=%d %s", p, leg.name)
-				compareArrays("sw", legName, w.All, oracle, w.Env.Arrays, report)
-				checkTraceback(legName, w)
-			}
-		}
-	}
-
-	// Blocked factorization: LU and Cholesky, whose per-step regions shrink
-	// (the empty-portion path idles low ranks mid-program) and whose tile
-	// cost varies by position.
-	for _, chol := range []bool{false, true} {
-		name, mk := "lu", workload.NewLU
-		if chol {
-			name, mk = "cholesky", workload.NewCholesky
-		}
-		fn := 16
-		ref, err := mk(fn, 3, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		oracle := map[string]*field.Field{"a": ref.Reference()}
-		if err := serialEngines(paths.reg(name), func(leg string, opt scan.ExecOptions) error {
-			w, err := mk(fn, 3, field.RowMajor)
-			if err != nil {
-				return err
-			}
-			if err := w.Run(opt); err != nil {
-				return err
-			}
-			compareFactor(name, leg, w, oracle, report)
-			return nil
-		}); err != nil {
-			return err
-		}
-		for _, p := range procs {
-			for _, leg := range valLegs() {
-				w, _ := mk(fn, 3, field.RowMajor)
-				blocks := w.Blocks()
-				sess, err := wavefront.NewSession(w.Env, blocks, wavefront.SessionConfig{
-					Procs: p, Domain: w.All, Block: 4, Kernel: leg.engine,
-					Scheduler: leg.sched, Workers: leg.workers})
-				if err != nil {
-					return err
-				}
-				err = sess.Run(func(r *wavefront.Rank) error {
-					for _, b := range blocks {
-						if err := r.Exec(b); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				compareFactor(name, fmt.Sprintf("p=%d %s", p, leg.name), w, oracle, report)
-			}
-		}
-	}
-
-	// Multi-octant transport: two counter-propagating octants executed as
-	// one scheduling group in the session legs (an independence check,
-	// then the blocks back to back, their waves overlapping across ranks),
-	// then the combine pass.
-	{
-		mn, k := 20, 2
-		ref, err := workload.NewMultiOctant(mn, k, field.RowMajor)
-		if err != nil {
-			return err
-		}
-		oracle := ref.Reference()
-		if err := serialEngines(paths.reg("multioct"), func(leg string, opt scan.ExecOptions) error {
-			w, err := workload.NewMultiOctant(mn, k, field.RowMajor)
-			if err != nil {
-				return err
-			}
-			if err := w.RunSequential(opt); err != nil {
-				return err
-			}
-			compareArrays("multioct", leg, w.Inner, oracle, w.Env.Arrays, report)
-			return nil
-		}); err != nil {
-			return err
-		}
-		for _, p := range procs {
-			for _, leg := range valLegs() {
-				w, _ := workload.NewMultiOctant(mn, k, field.RowMajor)
-				sess, err := wavefront.NewSession(w.Env, w.Blocks(), wavefront.SessionConfig{
-					Procs: p, Domain: w.All, Block: 6, Kernel: leg.engine,
-					Scheduler: leg.sched, Workers: leg.workers})
-				if err != nil {
-					return err
-				}
-				err = sess.Run(func(r *wavefront.Rank) error {
-					if err := r.ExecGroup(w.OctantBlocks()); err != nil {
-						return err
-					}
-					return r.Exec(w.CombineBlock())
-				})
-				if err != nil {
-					return err
-				}
-				compareArrays("multioct", fmt.Sprintf("p=%d %s", p, leg.name), w.Inner, oracle, w.Env.Arrays, report)
+				w.check(ref, fmt.Sprintf("p=%d %s", p, leg.name), p)
 			}
 		}
 	}
@@ -386,6 +146,167 @@ func runValidate(n, block int) error {
 	}
 	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial and p=1/2/4; static and taskdag w=1/2/3/4/8)")
 	return nil
+}
+
+// blockProgram is the program of a family that is its block list run steps
+// times over: serially under an engine, and as a rank body.
+func (v *valInst) blockProgram(steps int) {
+	run := func(exec func(*wavefront.Block) error) error {
+		for i := 0; i < steps; i++ {
+			for _, b := range v.blocks {
+				if err := exec(b); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	v.serial = func(opt scan.ExecOptions) error {
+		return run(func(b *wavefront.Block) error { return scan.Exec(b, v.env, opt) })
+	}
+	v.body = func(r *wavefront.Rank) error { return run(r.Exec) }
+}
+
+// valFamilies is the validation matrix's table of workload families; n and
+// block size Tomcatv, the rest are fixed.
+func valFamilies(n, block int, report reportFn) []valFamily {
+	factor := func(name string, mk func(int, int64, field.Layout) (*workload.Factor, error)) valFamily {
+		// Blocked factorization, whose per-step regions shrink (the
+		// empty-portion path idles low ranks mid-program) and whose tile
+		// cost varies by position: the factored matrix against the oracle
+		// and its reconstruction residual against the numerical floor.
+		return valFamily{name, 4, func() (*valInst, error) {
+			w, err := mk(16, 3, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			oracle := map[string]*field.Field{"a": w.Reference()}
+			v := &valInst{env: w.Env, domain: w.All, blocks: w.Blocks()}
+			v.blockProgram(1)
+			v.serial = w.Run // the workload's own serial program: it prepares each statement shape once
+			v.check = func(_ *valInst, leg string, _ int) {
+				compareArrays(name, leg, w.All, oracle, w.Env.Arrays, report)
+				if r := w.ResidualMax(); r > 1e-9 {
+					report(name, leg, "residual", r)
+				}
+			}
+			return v, nil
+		}}
+	}
+	return []valFamily{
+		// The full five-block step, iterated, with the reduce legs
+		// (residual max, its min and sum twins) folded after every
+		// iteration.
+		{"tomcatv", block, func() (*valInst, error) {
+			const iters = 3
+			w, err := workload.NewTomcatv(n, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			v := &valInst{env: w.Env, domain: w.All, blocks: w.Blocks()}
+			v.serial = func(opt scan.ExecOptions) (err error) {
+				v.folds, err = tomcatvSerial(w, iters, opt)
+				return err
+			}
+			v.body = func(r *wavefront.Rank) error {
+				for i := 0; i < iters; i++ {
+					for _, b := range v.blocks {
+						if err := r.Exec(b); err != nil {
+							return err
+						}
+					}
+					for _, f := range reduceLegs {
+						x, err := r.Reduce(f.op, w.Interior, f.node)
+						if err != nil {
+							return err
+						}
+						if r.ID() == 0 {
+							v.folds = append(v.folds, x)
+						}
+					}
+				}
+				return nil
+			}
+			v.check = func(ref *valInst, leg string, p int) {
+				compareArrays("tomcatv", leg, w.All, ref.env.Arrays, w.Env.Arrays, report)
+				compareFolds("tomcatv", leg, p, ref.folds, v.folds, report)
+			}
+			return v, nil
+		}},
+		// Hydro + conduction step, iterated.
+		{"simple", 5, func() (*valInst, error) {
+			w, err := workload.NewSimple(32, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			v := &valInst{env: w.Env, domain: w.All, blocks: w.Blocks()}
+			v.blockProgram(3)
+			v.check = func(ref *valInst, leg string, _ int) {
+				compareArrays("simple", leg, w.All, ref.env.Arrays, w.Env.Arrays, report)
+			}
+			return v, nil
+		}},
+		// All eight octants once, rank 3.
+		{"sweep3d", 3, func() (*valInst, error) {
+			w, err := workload.NewSweep(10, 3, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			v := &valInst{env: w.Env, domain: w.Inner}
+			for _, dirs := range w.Octants() {
+				v.blocks = append(v.blocks, w.OctantBlock(dirs))
+			}
+			v.blockProgram(1)
+			v.check = func(ref *valInst, leg string, _ int) {
+				compareArrays("sweep3d", leg, w.Inner, ref.env.Arrays, w.Env.Arrays, report)
+			}
+			return v, nil
+		}},
+		// The affine-gap DP fill against its straight-Go oracle, plus the
+		// data-dependent traceback — the walk must reproduce the oracle's
+		// alignment exactly.
+		{"sw", 6, func() (*valInst, error) {
+			w, err := workload.NewSW(24, 7, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			oracle := w.Reference()
+			v := &valInst{env: w.Env, domain: w.All, blocks: w.Blocks()}
+			v.blockProgram(1)
+			v.check = func(_ *valInst, leg string, _ int) {
+				compareArrays("sw", leg, w.All, oracle, w.Env.Arrays, report)
+				wantEnd, wantOps := w.TracebackOf(oracle)
+				if end, ops := w.Traceback(); end[0] != wantEnd[0] || end[1] != wantEnd[1] || string(ops) != string(wantOps) {
+					report("sw", leg, "traceback", -1)
+				}
+			}
+			return v, nil
+		}},
+		factor("lu", workload.NewLU),
+		factor("cholesky", workload.NewCholesky),
+		// Two counter-propagating octants executed as one scheduling group
+		// in the session legs (an independence check, then the blocks back
+		// to back, their waves overlapping across ranks), then the combine
+		// pass.
+		{"multioct", 6, func() (*valInst, error) {
+			w, err := workload.NewMultiOctant(20, 2, field.RowMajor)
+			if err != nil {
+				return nil, err
+			}
+			oracle := w.Reference()
+			v := &valInst{env: w.Env, domain: w.All, blocks: w.Blocks(), serial: w.RunSequential}
+			v.body = func(r *wavefront.Rank) error {
+				if err := r.ExecGroup(w.OctantBlocks()); err != nil {
+					return err
+				}
+				return r.Exec(w.CombineBlock())
+			}
+			v.check = func(_ *valInst, leg string, _ int) {
+				compareArrays("multioct", leg, w.Inner, oracle, w.Env.Arrays, report)
+			}
+			return v, nil
+		}},
+	}
 }
 
 // serialEngines runs a family's serial program once per engine — closure,
@@ -405,16 +326,6 @@ func serialEngines(reg *metrics.Registry, run func(leg string, opt scan.ExecOpti
 		}
 	}
 	return nil
-}
-
-// compareFactor checks the factored matrix against the oracle and its
-// reconstruction residual against the numerical floor — the bit-identity
-// differential plus an independent accuracy check.
-func compareFactor(wl, leg string, w *workload.Factor, oracle map[string]*field.Field, report func(wl, leg, name string, diff float64)) {
-	compareArrays(wl, leg, w.All, oracle, w.Env.Arrays, report)
-	if r := w.ResidualMax(); r > 1e-9 {
-		report(wl, leg, "residual", r)
-	}
 }
 
 // reduceLegs are the reductions the Tomcatv legs fold after every
@@ -457,7 +368,7 @@ func tomcatvSerial(t *workload.Tomcatv, iters int, opt scan.ExecOptions) (folds 
 // compareFolds holds a leg's reduce results to the serial closure fold's:
 // bit for bit, except that a sum across p > 1 ranks adds per-rank partial
 // sums — a different association — and is held to a relative 1e-12.
-func compareFolds(wl, leg string, p int, ref, got []float64, report func(wl, leg, name string, diff float64)) {
+func compareFolds(wl, leg string, p int, ref, got []float64, report reportFn) {
 	if len(got) != len(ref) {
 		report(wl, leg, "reduce-count", float64(len(got)-len(ref)))
 		return
@@ -474,27 +385,7 @@ func compareFolds(wl, leg string, p int, ref, got []float64, report func(wl, leg
 	}
 }
 
-func simpleSerial(s *workload.Simple, steps int, opt scan.ExecOptions) error {
-	for i := 0; i < steps; i++ {
-		for _, b := range s.Blocks() {
-			if err := scan.Exec(b, s.Env, opt); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func sweepSerial(s *workload.Sweep, opt scan.ExecOptions) error {
-	for _, dirs := range s.Octants() {
-		if err := scan.Exec(s.OctantBlock(dirs), s.Env, opt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func compareArrays(wl, leg string, region grid.Region, ref, got map[string]*field.Field, report func(wl, leg, name string, diff float64)) {
+func compareArrays(wl, leg string, region grid.Region, ref, got map[string]*field.Field, report reportFn) {
 	for name, rf := range ref {
 		gf, ok := got[name]
 		if !ok {

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"wavefront/internal/field"
 	"wavefront/internal/scan"
@@ -67,7 +68,7 @@ func main() {
 			bad = true
 			continue
 		}
-		fmt.Printf("  %s\n", indent(rep.Analysis.String()))
+		fmt.Printf("  %s\n", strings.ReplaceAll(rep.Analysis.String(), "\n", "\n  "))
 	}
 	if bad {
 		os.Exit(1)
@@ -86,29 +87,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-func indent(s string) string {
-	out := ""
-	for i, line := range splitLines(s) {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += line
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	return append(out, cur)
 }

@@ -23,16 +23,3 @@ func TestMainAnalyzeAndRun(t *testing.T) {
 		main()
 	}
 }
-
-func TestIndent(t *testing.T) {
-	if got := indent("a\nb\nc"); got != "a\n  b\n  c" {
-		t.Errorf("indent: %q", got)
-	}
-	if got := indent("single"); got != "single" {
-		t.Errorf("indent single line: %q", got)
-	}
-	lines := splitLines("x\n\ny")
-	if len(lines) != 3 || lines[0] != "x" || lines[1] != "" || lines[2] != "y" {
-		t.Errorf("splitLines: %q", lines)
-	}
-}

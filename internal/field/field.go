@@ -149,21 +149,6 @@ func MustNew(name string, bounds grid.Region, layout Layout) *Field {
 	return f
 }
 
-// NewWithFluff allocates a Field whose storage covers interior expanded by
-// every direction in dirs, so that A@d stays in bounds over interior for
-// each d.
-func NewWithFluff(name string, interior grid.Region, dirs []grid.Direction, layout Layout) (*Field, error) {
-	box := interior
-	var err error
-	for _, d := range dirs {
-		box, err = box.Expand(d)
-		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", name, err)
-		}
-	}
-	return New(name, box, layout)
-}
-
 // Name returns the field's name.
 func (f *Field) Name() string { return f.name }
 
@@ -261,11 +246,6 @@ func (f *Field) MaxAbsDiff(r grid.Region, g *Field) float64 {
 		}
 	})
 	return worst
-}
-
-// EqualWithin reports whether f and g agree within tol over region r.
-func (f *Field) EqualWithin(r grid.Region, g *Field, tol float64) bool {
-	return f.MaxAbsDiff(r, g) <= tol
 }
 
 // String summarizes the field without printing its data.

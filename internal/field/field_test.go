@@ -68,18 +68,6 @@ func TestRankMismatchPanics(t *testing.T) {
 	f.At(grid.Point{1})
 }
 
-func TestNewWithFluff(t *testing.T) {
-	interior := grid.Square(2, 1, 8)
-	f, err := NewWithFluff("a", interior, []grid.Direction{grid.North, grid.East}, RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := grid.MustRegion(grid.NewRange(0, 8), grid.NewRange(1, 9))
-	if !f.Bounds().Equal(want) {
-		t.Errorf("bounds = %v, want %v", f.Bounds(), want)
-	}
-}
-
 func TestEmptyBoundsRejected(t *testing.T) {
 	if _, err := New("e", grid.MustRegion(grid.NewRange(2, 1)), RowMajor); err == nil {
 		t.Error("empty bounds must fail")
@@ -105,9 +93,6 @@ func TestMaxAbsDiff(t *testing.T) {
 	g.Set2(2, 3, 1.5)
 	if d := f.MaxAbsDiff(r, g); d != 0.5 {
 		t.Errorf("diff = %g, want 0.5", d)
-	}
-	if !f.EqualWithin(r, g, 0.5) || f.EqualWithin(r, g, 0.4) {
-		t.Error("EqualWithin thresholds wrong")
 	}
 }
 

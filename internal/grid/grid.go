@@ -23,7 +23,6 @@ import (
 type Point []int
 
 // Direction is an offset vector, as declared by ZPL's "direction" keyword.
-// Cardinal directions have exactly one nonzero component.
 type Direction []int
 
 // Range is one dimension of a region: the integer sequence
@@ -119,18 +118,6 @@ func MustRegion(dims ...Range) Region {
 		panic(err)
 	}
 	return r
-}
-
-// Rect is shorthand for a stride-1 region [los[0]..his[0], los[1]..his[1], ...].
-func Rect(los, his []int) (Region, error) {
-	if len(los) != len(his) {
-		return Region{}, ErrRankMix
-	}
-	dims := make([]Range, len(los))
-	for i := range los {
-		dims[i] = NewRange(los[i], his[i])
-	}
-	return NewRegion(dims...)
 }
 
 // Square returns the stride-1 region [lo..hi, lo..hi] of the given rank.
@@ -373,17 +360,6 @@ func (g Region) each(d int, dirs []LoopDir, p Point, fn func(Point)) {
 	}
 }
 
-// Points materializes the region's points in the iteration order of Each.
-func (g Region) Points(dirs []LoopDir) []Point {
-	pts := make([]Point, 0, g.Size())
-	g.Each(dirs, func(p Point) {
-		cp := make(Point, len(p))
-		copy(cp, p)
-		pts = append(pts, cp)
-	})
-	return pts
-}
-
 // Zero reports whether every component of the direction is zero.
 func (d Direction) Zero() bool {
 	for _, v := range d {
@@ -392,17 +368,6 @@ func (d Direction) Zero() bool {
 		}
 	}
 	return true
-}
-
-// Cardinal reports whether exactly one component is nonzero.
-func (d Direction) Cardinal() bool {
-	nz := 0
-	for _, v := range d {
-		if v != 0 {
-			nz++
-		}
-	}
-	return nz == 1
 }
 
 // Negate returns the component-wise negation.

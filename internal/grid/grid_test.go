@@ -247,9 +247,6 @@ func TestTilesCoverExactly(t *testing.T) {
 }
 
 func TestDirectionOps(t *testing.T) {
-	if !North.Cardinal() || NE.Cardinal() {
-		t.Error("cardinality misclassified")
-	}
 	if !(Direction{0, 0}).Zero() || North.Zero() {
 		t.Error("zero misclassified")
 	}
@@ -327,17 +324,6 @@ func TestBorderAdjacency(t *testing.T) {
 	}
 }
 
-func TestPointsMaterialize(t *testing.T) {
-	g := MustRegion(NewRange(1, 2), NewRange(5, 6))
-	pts := g.Points(nil)
-	if len(pts) != 4 {
-		t.Fatalf("points = %v", pts)
-	}
-	if !reflect.DeepEqual(pts[0], Point{1, 5}) || !reflect.DeepEqual(pts[3], Point{2, 6}) {
-		t.Errorf("points = %v", pts)
-	}
-}
-
 func TestBoundingBox(t *testing.T) {
 	a := MustRegion(NewRange(1, 4), NewRange(2, 3))
 	b := MustRegion(NewRange(3, 9), NewRange(0, 1))
@@ -350,19 +336,6 @@ func TestBoundingBox(t *testing.T) {
 	}
 	if _, err := a.BoundingBox(MustRegion(NewRange(1, 2))); err == nil {
 		t.Error("rank mismatch must fail")
-	}
-}
-
-func TestRect(t *testing.T) {
-	r, err := Rect([]int{1, 2}, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Equal(MustRegion(NewRange(1, 3), NewRange(2, 4))) {
-		t.Errorf("rect = %v", r)
-	}
-	if _, err := Rect([]int{1}, []int{2, 3}); err == nil {
-		t.Error("length mismatch must fail")
 	}
 }
 

@@ -106,26 +106,6 @@ func (m Model) OptimalBlockNumeric(n, p float64, maxB int) int {
 	return best
 }
 
-// Point is one sample of a modeled or measured curve.
-type Point struct {
-	B       int
-	Time    float64
-	Speedup float64
-}
-
-// SpeedupCurve samples the modeled speedup at each block size.
-func (m Model) SpeedupCurve(n, p float64, bs []int) []Point {
-	out := make([]Point, len(bs))
-	for i, b := range bs {
-		out[i] = Point{
-			B:       b,
-			Time:    m.TPipe(n, p, float64(b)),
-			Speedup: m.Speedup(n, p, float64(b)),
-		}
-	}
-	return out
-}
-
 // FitAlphaBeta recovers α and β from two message-cost measurements by
 // solving the 2×2 linear system cost = α + β·size. It is the calibration
 // step of dynamic block-size selection. The two sizes must differ.

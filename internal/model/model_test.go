@@ -148,20 +148,6 @@ func TestOptimalBlockEdge(t *testing.T) {
 	}
 }
 
-func TestSpeedupCurveShape(t *testing.T) {
-	// Speedup must rise then fall around the optimum.
-	m := Model2(1500, 72)
-	n, p := 256.0, 8.0
-	bs := []int{1, 23, 256}
-	pts := m.SpeedupCurve(n, p, bs)
-	if !(pts[1].Speedup > pts[0].Speedup && pts[1].Speedup > pts[2].Speedup) {
-		t.Errorf("speedup curve not unimodal around optimum: %+v", pts)
-	}
-	if pts[1].B != 23 {
-		t.Errorf("point carries wrong b: %+v", pts[1])
-	}
-}
-
 func TestFitAlphaBeta(t *testing.T) {
 	alpha, beta := 120.0, 3.5
 	cost := func(n int) float64 { return alpha + beta*float64(n) }

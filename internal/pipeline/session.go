@@ -317,9 +317,6 @@ func (s *Session) Cancel(cause error) {
 	}
 }
 
-// Slab returns rank r's portion of the domain.
-func (s *Session) Slab(r int) grid.Region { return s.slabs[r] }
-
 // Retune re-plans every registered block at tile width b. It must not be
 // called while a Run is in flight; Runs themselves call it when AutoTune
 // decides a new width is justified. The shared plans change nowhere else,

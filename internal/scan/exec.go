@@ -12,9 +12,6 @@ import (
 
 // ExecOptions controls serial block execution.
 type ExecOptions struct {
-	// Prefer biases the derived loop structure (e.g. contiguous dimension
-	// innermost for cache studies).
-	Prefer dep.Preference
 	// ForceTemp makes plain statements always materialize their right-hand
 	// side into a temporary before assigning, even when a legal in-place
 	// loop order exists. Used by the temp-vs-in-place ablation.

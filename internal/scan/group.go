@@ -89,7 +89,7 @@ func fuseGroup(blocks []*Block, opt ExecOptions) *Block {
 		stmts = append(stmts, b.Stmts...)
 	}
 	fb := &Block{Kind: ScanKind, Region: first.Region, Stmts: stmts}
-	if _, err := Analyze(fb, opt.Prefer); err != nil {
+	if _, err := Analyze(fb, preferLow); err != nil {
 		return nil
 	}
 	return fb

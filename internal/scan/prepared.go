@@ -120,7 +120,7 @@ func Prepare(b *Block, env expr.Env, opt ExecOptions) (*Prepared, error) {
 	}
 	for i := range p.parts {
 		pt := &p.parts[i]
-		an, err := analyze(&pt.blk, pt.refs, opt.Prefer)
+		an, err := analyze(&pt.blk, pt.refs, preferLow)
 		if err != nil {
 			return nil, err
 		}

@@ -156,10 +156,15 @@ func (a *Analysis) WavefrontDims() []int { return a.Class.WavefrontDims() }
 
 // Analyze checks the block's static legality and derives its loop structure.
 // The preference biases the loop search (e.g. to put a contiguous dimension
-// innermost); pass the zero Preference for defaults.
+// innermost). Its zero value is not dep.Derive's default: it tries every
+// dimension high-to-low first. Execution derives with preferLow.
 func Analyze(b *Block, pref dep.Preference) (*Analysis, error) {
 	return analyze(b, refsOf(b.Stmts), pref)
 }
+
+// preferLow is dep.Derive's preference — identity order, low-to-high first —
+// and the one every executor, the pipeline and the reports derive with.
+var preferLow = dep.Preference{PreferLow: true}
 
 // stmtRefs is what the right-hand sides of a statement list name, from one
 // walk of each tree: the array references flattened in visit order —

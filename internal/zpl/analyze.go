@@ -1,8 +1,6 @@
 package zpl
 
 import (
-	"fmt"
-
 	"wavefront/internal/dep"
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
@@ -37,6 +35,34 @@ func (it *Interp) report(s Stmt, pos Pos, kind scan.Kind, region grid.Region) Bl
 	return rep
 }
 
+// eachChild calls fn on every statement nested directly in s, in source
+// order, stopping at the first error. The walks that do not execute — the
+// analysis below, the parallel collector, containsArrayWork — handle the
+// statements they act on and come here for the rest.
+func eachChild(s Stmt, fn func(Stmt) error) error {
+	var lists [2][]Stmt
+	switch t := s.(type) {
+	case *RegionStmt:
+		return fn(t.Body)
+	case *BeginStmt:
+		lists[0] = t.Body
+	case *ForStmt:
+		lists[0] = t.Body
+	case *IfStmt:
+		lists[0], lists[1] = t.Then, t.Else
+	case *RepeatStmt:
+		lists[0] = t.Body
+	}
+	for _, l := range lists {
+		for _, sub := range l {
+			if err := fn(sub); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Analyze executes the program's declarations and then statically analyzes
 // every scan block and array statement without executing any of them. Loop
 // bodies are analyzed once, with the loop variable bound to its initial
@@ -56,43 +82,19 @@ func (it *Interp) Analyze(prog *Program) ([]BlockReport, error) {
 			if err != nil {
 				return err
 			}
-			return walk(t.Body, &reg)
-		case *BeginStmt:
-			for _, sub := range t.Body {
-				if err := walk(sub, region); err != nil {
-					return err
-				}
-			}
-			return nil
+			region = &reg
 		case *ForStmt:
-			from, err := it.evalInt(t.From, t.Pos)
+			from, err := it.evalInt(t.From, t.Pos, it)
 			if err != nil {
 				return err
 			}
-			saved, had := it.env.Scalars[t.Var]
-			wasVar := it.scalarVars[t.Var]
-			it.scalarVars[t.Var] = true
+			defer it.leaveLoop(t.Var, it.enterLoop(t.Var))
 			it.env.Scalars[t.Var] = float64(from)
-			defer func() {
-				if had {
-					it.env.Scalars[t.Var] = saved
-				} else {
-					delete(it.env.Scalars, t.Var)
-				}
-				it.scalarVars[t.Var] = wasVar
-			}()
-			for _, sub := range t.Body {
-				if err := walk(sub, region); err != nil {
-					return err
-				}
-			}
-			return nil
 		case *ScanStmt:
 			if region == nil {
 				return errf(t.Pos, "scan block needs a covering region")
 			}
 			reports = append(reports, it.report(t, t.Pos, scan.ScanKind, *region))
-			return nil
 		case *AssignStmt:
 			if t.Reduce != "" || it.env.Arrays[t.Name] == nil {
 				return nil // scalar assignment or reduction: nothing to analyze
@@ -101,30 +103,8 @@ func (it *Interp) Analyze(prog *Program) ([]BlockReport, error) {
 				return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
 			}
 			reports = append(reports, it.report(t, t.Pos, scan.PlainKind, *region))
-			return nil
-		case *IfStmt:
-			for _, sub := range t.Then {
-				if err := walk(sub, region); err != nil {
-					return err
-				}
-			}
-			for _, sub := range t.Else {
-				if err := walk(sub, region); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *RepeatStmt:
-			for _, sub := range t.Body {
-				if err := walk(sub, region); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *WritelnStmt:
-			return nil
 		}
-		return fmt.Errorf("zpl: unknown statement %T", s)
+		return eachChild(s, func(sub Stmt) error { return walk(sub, region) })
 	}
 	for _, s := range prog.Stmts {
 		if err := walk(s, nil); err != nil {

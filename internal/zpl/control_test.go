@@ -143,14 +143,15 @@ until resid < 1.0 or iters >= 200;
 	}
 }
 
+var controlFlowErrorSrcs = []string{
+	"if 1 then end;",                   // missing comparison
+	"if 1 < 2 end;",                    // missing then
+	"repeat x := 1;",                   // missing until
+	"var x : double; if x < then end;", // missing operand
+}
+
 func TestControlFlowErrors(t *testing.T) {
-	bad := []string{
-		"if 1 then end;",                   // missing comparison
-		"if 1 < 2 end;",                    // missing then
-		"repeat x := 1;",                   // missing until
-		"var x : double; if x < then end;", // missing operand
-	}
-	for _, src := range bad {
+	for _, src := range controlFlowErrorSrcs {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%q should not parse", src)
 		}

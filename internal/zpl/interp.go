@@ -12,7 +12,6 @@ import (
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
-	"wavefront/internal/trace"
 )
 
 // Options configures an interpreter.
@@ -22,12 +21,10 @@ type Options struct {
 	// Layout selects array storage order; the paper's Fortran setting is
 	// column-major.
 	Layout field.Layout
-	// Exec configures the underlying serial executors (including serial
-	// tracing via Exec.Trace).
+	// Exec configures the underlying serial executors. Exec.Trace, when
+	// non-nil, records the run — a parallel one (RunParallel) through the
+	// session runtime.
 	Exec scan.ExecOptions
-	// Trace, when non-nil, records parallel runs (RunParallel) through the
-	// session runtime. Serial runs trace via Exec.Trace instead.
-	Trace *trace.Recorder
 }
 
 // Interp holds a program's runtime state: declared constants, regions,
@@ -138,10 +135,7 @@ func RunSource(src string, opts Options) (*Interp, error) {
 		return nil, err
 	}
 	it := New(opts)
-	if err := it.Run(prog); err != nil {
-		return it, err
-	}
-	return it, nil
+	return it, it.Run(prog)
 }
 
 // Env exposes the arrays and scalars, e.g. for tests and tools.
@@ -170,12 +164,7 @@ func (it *Interp) Run(prog *Program) error {
 			return err
 		}
 	}
-	for _, s := range prog.Stmts {
-		if err := it.exec(s, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return it.execAll(it, prog.Stmts, nil)
 }
 
 func (it *Interp) defined(name string) bool {
@@ -189,7 +178,7 @@ func (it *Interp) declare(d Decl) error {
 		if it.defined(t.Name) {
 			return errf(t.Pos, "%q redeclared", t.Name)
 		}
-		v, err := it.evalScalar(t.Value)
+		v, err := it.evalScalarIn(t.Value, it)
 		if err != nil {
 			return err
 		}
@@ -222,7 +211,7 @@ func (it *Interp) declare(d Decl) error {
 		}
 		dir := make(grid.Direction, len(t.Comps))
 		for i, c := range t.Comps {
-			v, err := it.evalInt(c, t.Pos)
+			v, err := it.evalInt(c, t.Pos, it)
 			if err != nil {
 				return err
 			}
@@ -262,47 +251,105 @@ func (it *Interp) declare(d Decl) error {
 	return fmt.Errorf("zpl: unknown declaration %T", d)
 }
 
-// exec runs one statement under the current covering region (nil if none).
-func (it *Interp) exec(s Stmt, region *grid.Region) error {
+// machine is what exec needs from whoever is running the program: the
+// interpreter itself when the run is serial, one rank of a session when it
+// is parallel. Everything else about a statement — region resolution, the
+// checks on names and loop bounds, control flow, writeln's formatting — is
+// exec's and so the same in both.
+type machine interface {
+	// scalar reads a scalar's present value, as expr.Env does.
+	scalar(name string) (float64, bool)
+	setScalar(name string, v float64) error
+	// enterLoop makes name a scalar variable for the length of a loop;
+	// leaveLoop puts back what enterLoop found.
+	enterLoop(name string) loopScope
+	leaveLoop(name string, sc loopScope) error
+	// block runs an array assignment or scan block over region.
+	block(s Stmt, slot int, pos Pos, region grid.Region) error
+	// fold reduces t's right-hand side over region.
+	fold(t *AssignStmt, op scan.ReduceOp, region grid.Region) (float64, error)
+	// out is where writeln prints; nil discards.
+	out() io.Writer
+}
+
+// loopScope is what a loop variable's name meant before its loop.
+type loopScope struct {
+	saved       float64
+	had, wasVar bool
+}
+
+func (it *Interp) scalar(name string) (float64, bool) { return it.env.Scalar(name) }
+
+func (it *Interp) setScalar(name string, v float64) error {
+	it.env.Scalars[name] = v
+	return nil
+}
+
+func (it *Interp) enterLoop(name string) loopScope {
+	sc := loopScope{wasVar: it.scalarVars[name]}
+	sc.saved, sc.had = it.env.Scalars[name]
+	it.scalarVars[name] = true
+	return sc
+}
+
+func (it *Interp) leaveLoop(name string, sc loopScope) error {
+	if sc.had {
+		it.env.Scalars[name] = sc.saved
+	} else {
+		delete(it.env.Scalars, name)
+	}
+	it.scalarVars[name] = sc.wasVar
+	return nil
+}
+
+func (it *Interp) out() io.Writer { return it.opts.Out }
+
+// execAll runs statements in order under one covering region.
+func (it *Interp) execAll(m machine, stmts []Stmt, region *grid.Region) error {
+	for _, s := range stmts {
+		if err := it.exec(m, s, region); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exec runs one statement on m under the current covering region (nil if
+// none). It is the only code that executes a statement.
+func (it *Interp) exec(m machine, s Stmt, region *grid.Region) error {
 	switch t := s.(type) {
 	case *RegionStmt:
 		reg, err := it.resolveRegion(t)
 		if err != nil {
 			return err
 		}
-		return it.exec(t.Body, &reg)
+		return it.exec(m, t.Body, &reg)
 
 	case *BeginStmt:
-		for _, sub := range t.Body {
-			if err := it.exec(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
+		return it.execAll(m, t.Body, region)
 
 	case *ScanStmt:
 		if region == nil {
 			return errf(t.Pos, "scan block needs a covering region")
 		}
-		return it.execBlock(t, t.slot, t.Pos, *region)
+		return m.block(t, t.slot, t.Pos, *region)
 
 	case *AssignStmt:
 		if t.Reduce != "" {
-			return it.execReduce(t, region)
+			return it.execReduce(m, t, region)
 		}
 		if it.env.Arrays[t.Name] != nil {
 			if region == nil {
 				return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
 			}
-			return it.execBlock(t, t.slot, t.Pos, *region)
+			return m.block(t, t.slot, t.Pos, *region)
 		}
 		if it.scalarVars[t.Name] {
-			v, err := it.evalScalar(t.RHS)
+			v, err := it.evalScalarIn(t.RHS, m)
 			if err != nil {
 				return err
 			}
-			it.env.Scalars[t.Name] = v
-			return nil
+			return m.setScalar(t.Name, v)
 		}
 		if it.constNames[t.Name] {
 			return errf(t.Pos, "cannot assign to constant %q", t.Name)
@@ -310,86 +357,65 @@ func (it *Interp) exec(s Stmt, region *grid.Region) error {
 		return errf(t.Pos, "assignment to undeclared name %q", t.Name)
 
 	case *ForStmt:
-		from, err := it.evalInt(t.From, t.Pos)
+		from, err := it.evalInt(t.From, t.Pos, m)
 		if err != nil {
 			return err
 		}
-		to, err := it.evalInt(t.To, t.Pos)
+		to, err := it.evalInt(t.To, t.Pos, m)
 		if err != nil {
 			return err
 		}
 		if it.env.Arrays[t.Var] != nil || it.constNames[t.Var] {
 			return errf(t.Pos, "loop variable %q shadows a constant or array", t.Var)
 		}
-		saved, had := it.env.Scalars[t.Var]
-		wasVar := it.scalarVars[t.Var]
-		it.scalarVars[t.Var] = true
-		defer func() {
-			if had {
-				it.env.Scalars[t.Var] = saved
-			} else {
-				delete(it.env.Scalars, t.Var)
-			}
-			it.scalarVars[t.Var] = wasVar
-		}()
 		step := 1
 		if t.Down {
 			step = -1
 		}
-		for v := from; (step > 0 && v <= to) || (step < 0 && v >= to); v += step {
-			it.env.Scalars[t.Var] = float64(v)
-			for _, sub := range t.Body {
-				if err := it.exec(sub, region); err != nil {
-					return err
-				}
+		sc := m.enterLoop(t.Var)
+		for v := from; err == nil && ((step > 0 && v <= to) || (step < 0 && v >= to)); v += step {
+			if err = m.setScalar(t.Var, float64(v)); err == nil {
+				err = it.execAll(m, t.Body, region)
 			}
 		}
-		return nil
+		if lerr := m.leaveLoop(t.Var, sc); err == nil {
+			err = lerr
+		}
+		return err
 
 	case *IfStmt:
-		v, err := it.evalCond(t.Cond)
+		v, err := it.evalCondIn(t.Cond, m)
 		if err != nil {
 			return err
 		}
-		body := t.Then
-		if !v {
-			body = t.Else
+		if v {
+			return it.execAll(m, t.Then, region)
 		}
-		for _, sub := range body {
-			if err := it.exec(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
+		return it.execAll(m, t.Else, region)
 
 	case *RepeatStmt:
 		for {
-			for _, sub := range t.Body {
-				if err := it.exec(sub, region); err != nil {
-					return err
-				}
-			}
-			v, err := it.evalCond(t.Cond)
-			if err != nil {
+			if err := it.execAll(m, t.Body, region); err != nil {
 				return err
 			}
-			if v {
-				return nil
+			if v, err := it.evalCondIn(t.Cond, m); err != nil || v {
+				return err
 			}
 		}
 
 	case *WritelnStmt:
-		if it.opts.Out == nil {
+		w := m.out()
+		if w == nil {
 			return nil
 		}
-		line, err := it.appendLine(it.line[:0], t, it.env)
+		line, err := it.appendLine(it.line[:0], t, m)
 		it.line = line
 		if err != nil {
 			return err
 		}
 		// As with Fprintln before it, a failing writer does not stop the
 		// program.
-		_, _ = it.opts.Out.Write(line)
+		_, _ = w.Write(line)
 		return nil
 	}
 	return fmt.Errorf("zpl: unknown statement %T", s)
@@ -397,7 +423,7 @@ func (it *Interp) exec(s Stmt, region *grid.Region) error {
 
 // execReduce evaluates `x := op<< expr;` — a full reduction of the array
 // expression over the covering region into a scalar.
-func (it *Interp) execReduce(t *AssignStmt, region *grid.Region) error {
+func (it *Interp) execReduce(m machine, t *AssignStmt, region *grid.Region) error {
 	if region == nil {
 		return errf(t.Pos, "reduction needs a covering region")
 	}
@@ -411,22 +437,31 @@ func (it *Interp) execReduce(t *AssignStmt, region *grid.Region) error {
 	if !ok {
 		return errf(t.Pos, "unknown reduction %q", t.Reduce)
 	}
+	v, err := m.fold(t, op, *region)
+	if err != nil {
+		return err
+	}
+	return m.setScalar(t.Name, v)
+}
+
+// fold reduces through the statement's handle, lowering the operand when
+// the handle is stale.
+func (it *Interp) fold(t *AssignStmt, op scan.ReduceOp, region grid.Region) (float64, error) {
 	h := &it.handles[t.slot]
 	if h.stale(it) {
 		*h = handle{builds: h.builds}
 		node, err := it.lowerExpr(t.RHS, region.Rank(), h)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		h.fold = scan.NewReducer(node, it.env)
 		h.builds++
 	}
-	v, err := h.fold.Reduce(op, *region)
+	v, err := h.fold.Reduce(op, region)
 	if err != nil {
-		return errf(t.Pos, "%v", err)
+		return 0, errf(t.Pos, "%v", err)
 	}
-	it.env.Scalars[t.Name] = v
-	return nil
+	return v, nil
 }
 
 // reduceOp maps a reduction prefix to its fold.
@@ -442,10 +477,10 @@ func reduceOp(prefix string) (scan.ReduceOp, bool) {
 	return 0, false
 }
 
-// execBlock runs an array assignment or a scan block over region through
+// block runs an array assignment or a scan block over region through
 // the statement's handle, lowering and preparing it when the handle is
 // stale — on the first trip, that is, with Exec's refusals in Exec's order.
-func (it *Interp) execBlock(s Stmt, slot int, pos Pos, region grid.Region) error {
+func (it *Interp) block(s Stmt, slot int, pos Pos, region grid.Region) error {
 	h := &it.handles[slot]
 	if h.stale(it) {
 		*h = handle{builds: h.builds}
@@ -470,8 +505,8 @@ func (it *Interp) execBlock(s Stmt, slot int, pos Pos, region grid.Region) error
 }
 
 // appendLine appends a writeln's output line to dst: the arguments separated
-// by spaces, scalars evaluated in env, an array on rows of its own.
-func (it *Interp) appendLine(dst []byte, t *WritelnStmt, env expr.Env) ([]byte, error) {
+// by spaces, scalars evaluated on m, an array on rows of its own.
+func (it *Interp) appendLine(dst []byte, t *WritelnStmt, m machine) ([]byte, error) {
 	for i, a := range t.Args {
 		if i > 0 {
 			dst = append(dst, ' ')
@@ -480,20 +515,27 @@ func (it *Interp) appendLine(dst []byte, t *WritelnStmt, env expr.Env) ([]byte, 
 			dst = append(dst, sl.S...)
 			continue
 		}
-		if ref, ok := a.(*NameRef); ok && !ref.Primed && ref.ShiftName == "" && ref.ShiftComps == nil {
-			if f := it.env.Arrays[ref.Name]; f != nil {
-				reg, _ := it.RegionOf(ref.Name)
-				dst = f.AppendFormat2(append(dst, '\n'), reg)
-				continue
-			}
+		if f := it.printedArray(a); f != nil {
+			reg, _ := it.RegionOf(f.Name())
+			dst = f.AppendFormat2(append(dst, '\n'), reg)
+			continue
 		}
-		v, err := it.evalScalarIn(a, env)
+		v, err := it.evalScalarIn(a, m)
 		if err != nil {
 			return dst, err
 		}
 		dst = field.AppendValue(dst, v)
 	}
 	return append(dst, '\n'), nil
+}
+
+// printedArray returns the array a writeln argument names bare — what
+// writeln prints whole — or nil.
+func (it *Interp) printedArray(a Expr) *field.Field {
+	if ref, ok := a.(*NameRef); ok && !ref.Primed && ref.ShiftName == "" && ref.ShiftComps == nil {
+		return it.env.Arrays[ref.Name]
+	}
+	return nil
 }
 
 // borderRegion evaluates `dir of base` (ZPL's of-operator).
@@ -527,7 +569,7 @@ func (it *Interp) resolveRegion(t *RegionStmt) (grid.Region, error) {
 		if !it.scalarVars[t.Name] && !it.constNames[t.Name] {
 			return grid.Region{}, errf(t.Pos, "undeclared region %q", t.Name)
 		}
-		v, err := it.evalInt(&NameRef{Name: t.Name, Pos: t.Pos}, t.Pos)
+		v, err := it.evalInt(&NameRef{Name: t.Name, Pos: t.Pos}, t.Pos, it)
 		if err != nil {
 			return grid.Region{}, err
 		}
@@ -539,13 +581,13 @@ func (it *Interp) resolveRegion(t *RegionStmt) (grid.Region, error) {
 func (it *Interp) evalRegion(ranges []RangeExpr, pos Pos) (grid.Region, error) {
 	dims := make([]grid.Range, len(ranges))
 	for i, r := range ranges {
-		lo, err := it.evalInt(r.Lo, pos)
+		lo, err := it.evalInt(r.Lo, pos, it)
 		if err != nil {
 			return grid.Region{}, err
 		}
 		hi := lo
 		if r.Hi != r.Lo {
-			hi, err = it.evalInt(r.Hi, pos)
+			hi, err = it.evalInt(r.Hi, pos, it)
 			if err != nil {
 				return grid.Region{}, err
 			}
@@ -672,7 +714,7 @@ func (it *Interp) lowerExpr(e Expr, rank int, h *handle) (expr.Node, error) {
 			} else if t.ShiftComps != nil {
 				d := make(grid.Direction, len(t.ShiftComps))
 				for i, c := range t.ShiftComps {
-					v, err := it.evalInt(c, t.Pos)
+					v, err := it.evalInt(c, t.Pos, it)
 					if err != nil {
 						return nil, err
 					}
@@ -705,19 +747,15 @@ func intrinsicList() string {
 	return strings.Join(names, ", ")
 }
 
-// evalCond evaluates a scalar condition.
-func (it *Interp) evalCond(c Cond) (bool, error) { return it.evalCondIn(c, it.env) }
-
-// evalCondIn evaluates a condition reading scalar values from env (the
-// parallel runtime passes rank-local ones).
-func (it *Interp) evalCondIn(c Cond, env expr.Env) (bool, error) {
+// evalCondIn evaluates a scalar condition on m.
+func (it *Interp) evalCondIn(c Cond, m machine) (bool, error) {
 	switch t := c.(type) {
 	case *RelCond:
-		l, err := it.evalScalarIn(t.L, env)
+		l, err := it.evalScalarIn(t.L, m)
 		if err != nil {
 			return false, err
 		}
-		r, err := it.evalScalarIn(t.R, env)
+		r, err := it.evalScalarIn(t.R, m)
 		if err != nil {
 			return false, err
 		}
@@ -737,44 +775,41 @@ func (it *Interp) evalCondIn(c Cond, env expr.Env) (bool, error) {
 		}
 		return false, errf(t.Pos, "bad comparison %s", t.Op)
 	case *AndCond:
-		l, err := it.evalCondIn(t.L, env)
+		l, err := it.evalCondIn(t.L, m)
 		if err != nil || !l {
 			return false, err
 		}
-		return it.evalCondIn(t.R, env)
+		return it.evalCondIn(t.R, m)
 	case *OrCond:
-		l, err := it.evalCondIn(t.L, env)
+		l, err := it.evalCondIn(t.L, m)
 		if err != nil || l {
 			return l, err
 		}
-		return it.evalCondIn(t.R, env)
+		return it.evalCondIn(t.R, m)
 	case *NotCond:
-		v, err := it.evalCondIn(t.X, env)
+		v, err := it.evalCondIn(t.X, m)
 		return !v, err
 	}
 	return false, fmt.Errorf("zpl: unknown condition %T", c)
 }
 
-// evalScalar evaluates an expression that must not reference arrays.
-func (it *Interp) evalScalar(e Expr) (float64, error) { return it.evalScalarIn(e, it.env) }
-
-// evalScalarIn evaluates a scalar expression straight off the AST, reading
-// scalar values from env (the parallel runtime passes rank-local ones).
-func (it *Interp) evalScalarIn(e Expr, env expr.Env) (float64, error) {
+// evalScalarIn evaluates an expression that must not reference arrays
+// straight off the AST, reading scalar values from m.
+func (it *Interp) evalScalarIn(e Expr, m machine) (float64, error) {
 	switch t := e.(type) {
 	case *NumLit:
 		return t.V, nil
 	case *StrLit:
 		return 0, errf(t.Pos, "string in arithmetic expression")
 	case *UnaryExpr:
-		x, err := it.evalScalarIn(t.X, env)
+		x, err := it.evalScalarIn(t.X, m)
 		return -x, err
 	case *BinExpr:
-		l, err := it.evalScalarIn(t.L, env)
+		l, err := it.evalScalarIn(t.L, m)
 		if err != nil {
 			return 0, err
 		}
-		r, err := it.evalScalarIn(t.R, env)
+		r, err := it.evalScalarIn(t.R, m)
 		if err != nil {
 			return 0, err
 		}
@@ -792,7 +827,7 @@ func (it *Interp) evalScalarIn(e Expr, env expr.Env) (float64, error) {
 	case *CallExpr:
 		var args [2]float64
 		for i, a := range t.Args {
-			v, err := it.evalScalarIn(a, env)
+			v, err := it.evalScalarIn(a, m)
 			if err != nil {
 				return 0, err
 			}
@@ -813,7 +848,7 @@ func (it *Interp) evalScalarIn(e Expr, env expr.Env) (float64, error) {
 			return 0, errf(t.Pos, "prime/@ applied to non-array %q", t.Name)
 		}
 		if it.constNames[t.Name] || it.scalarVars[t.Name] {
-			if v, ok := env.Scalar(t.Name); ok {
+			if v, ok := m.scalar(t.Name); ok {
 				return v, nil
 			}
 			return 0, errf(t.Pos, "scalar %q has no value", t.Name)
@@ -835,9 +870,9 @@ func intrinsic(t *CallExpr) (expr.Intrinsic, error) {
 	return fn, nil
 }
 
-// evalInt evaluates a compile-time integer.
-func (it *Interp) evalInt(e Expr, pos Pos) (int, error) {
-	v, err := it.evalScalar(e)
+// evalInt evaluates an expression that must come out an integer.
+func (it *Interp) evalInt(e Expr, pos Pos, m machine) (int, error) {
+	v, err := it.evalScalarIn(e, m)
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,9 @@
 package zpl
 
 import (
-	"fmt"
+	"io"
+	"maps"
 
-	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/pipeline"
 	"wavefront/internal/scan"
@@ -20,6 +20,7 @@ import (
 //   - region prefixes must be static: they may reference constants but not
 //     scalar variables (a region that changes per loop iteration has no
 //     fixed decomposition);
+//   - so must inline @[…] shifts be, for the same reason;
 //   - writeln may print strings and scalars, not arrays (arrays gather
 //     only at the end of the run);
 //   - a scalar read by an array statement must not change afterwards
@@ -43,7 +44,7 @@ func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 	}
 	mainStmts, tailStmts := prog.Stmts[:split], prog.Stmts[split:]
 
-	col := &collector{it: it, blocks: map[Stmt]*scan.Block{}, regions: map[Stmt]grid.Region{}, loopVars: map[string]bool{}}
+	col := &collector{it: it, blocks: map[Stmt]*scan.Block{}}
 	for _, s := range mainStmts {
 		if err := col.walk(s, nil); err != nil {
 			return err
@@ -51,12 +52,7 @@ func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 	}
 	if len(col.ordered) == 0 {
 		// Nothing parallel to do; run serially.
-		for _, s := range prog.Stmts {
-			if err := it.exec(s, nil); err != nil {
-				return err
-			}
-		}
-		return nil
+		return it.execAll(it, prog.Stmts, nil)
 	}
 	domain := col.ordered[0].Region
 	for _, b := range col.ordered[1:] {
@@ -70,23 +66,25 @@ func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 		Procs:  procs,
 		Domain: domain,
 		Block:  blockWidth,
-		Trace:  it.opts.Trace,
+		Trace:  it.opts.Exec.Trace,
 	})
 	if err != nil {
 		return err
 	}
 	finalScalars := map[string]float64{}
 	err = sess.Run(func(r *pipeline.Rank) error {
-		ex := &rankExec{it: it, col: col, r: r}
-		for _, s := range mainStmts {
-			if err := ex.exec(s, nil); err != nil {
-				return err
-			}
+		// Every rank runs the program on an interpreter of its own: the
+		// declarations are shared and read-only for the length of the run,
+		// the set of scalar variables — which loops extend — is a copy.
+		rit := *it
+		rit.scalarVars = maps.Clone(it.scalarVars)
+		if err := rit.execAll(&rankMachine{it: &rit, r: r, blocks: col.blocks}, mainStmts, nil); err != nil {
+			return err
 		}
 		if r.ID() == 0 {
-			for name := range it.scalarVars {
-				if v, ok := r.GetScalar(name); ok {
-					finalScalars[name] = v
+			for name, isVar := range it.scalarVars {
+				if isVar {
+					finalScalars[name], _ = r.GetScalar(name)
 				}
 			}
 		}
@@ -96,64 +94,27 @@ func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 		return err
 	}
 	for name, v := range finalScalars {
-		if !col.loopVars[name] {
-			it.env.Scalars[name] = v
-		}
-	}
-	for name := range col.loopVars {
-		delete(it.scalarVars, name)
-		delete(it.env.Scalars, name)
+		it.env.Scalars[name] = v
 	}
 	// Trailing output statements run serially against the gathered state.
-	for _, s := range tailStmts {
-		if err := it.exec(s, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return it.execAll(it, tailStmts, nil)
 }
 
 // containsArrayWork reports whether the statement (or any sub-statement)
 // writes an array or performs a reduction.
 func containsArrayWork(s Stmt, it *Interp) bool {
 	switch t := s.(type) {
-	case *RegionStmt:
-		return containsArrayWork(t.Body, it)
-	case *BeginStmt:
-		for _, sub := range t.Body {
-			if containsArrayWork(sub, it) {
-				return true
-			}
-		}
-	case *ForStmt:
-		for _, sub := range t.Body {
-			if containsArrayWork(sub, it) {
-				return true
-			}
-		}
-	case *IfStmt:
-		for _, sub := range t.Then {
-			if containsArrayWork(sub, it) {
-				return true
-			}
-		}
-		for _, sub := range t.Else {
-			if containsArrayWork(sub, it) {
-				return true
-			}
-		}
-	case *RepeatStmt:
-		for _, sub := range t.Body {
-			if containsArrayWork(sub, it) {
-				return true
-			}
-		}
 	case *ScanStmt:
 		return true
 	case *AssignStmt:
 		return t.Reduce != "" || it.env.Arrays[t.Name] != nil
 	}
-	return false
+	found := false
+	eachChild(s, func(sub Stmt) error {
+		found = found || containsArrayWork(sub, it)
+		return nil
+	})
+	return found
 }
 
 // RunParallelSource parses and executes src in parallel mode.
@@ -163,10 +124,7 @@ func RunParallelSource(src string, opts Options, procs, blockWidth int) (*Interp
 		return nil, err
 	}
 	it := New(opts)
-	if err := it.RunParallel(prog, procs, blockWidth); err != nil {
-		return it, err
-	}
-	return it, nil
+	return it, it.RunParallel(prog, procs, blockWidth)
 }
 
 // collector pre-walks the program, lowering every array statement and scan
@@ -174,52 +132,55 @@ func RunParallelSource(src string, opts Options, procs, blockWidth int) (*Interp
 type collector struct {
 	it      *Interp
 	blocks  map[Stmt]*scan.Block
-	regions map[Stmt]grid.Region // covering regions of reductions
 	ordered []*scan.Block
-	// loopVars are temporarily registered scalars, unregistered after the
-	// run (serial execution scopes them to their loops).
-	loopVars map[string]bool
 }
 
 // staticRegion resolves a region prefix, rejecting references to scalar
 // variables (loop variables included).
 func (c *collector) staticRegion(t *RegionStmt) (grid.Region, error) {
-	check := func(e Expr) error {
-		var bad error
-		eachName(e, func(v *NameRef) {
-			if c.it.scalarVars[v.Name] {
-				bad = errf(v.Pos, "parallel mode: region bound references scalar %q; regions must be static", v.Name)
-			}
-		})
-		return bad
-	}
-	if t.Name != "" {
-		if _, ok := c.it.regions[t.Name]; !ok {
-			if c.it.scalarVars[t.Name] {
-				return grid.Region{}, errf(t.Pos, "parallel mode: region %q is a scalar; regions must be static", t.Name)
-			}
-		}
+	if _, ok := c.it.regions[t.Name]; !ok && c.it.scalarVars[t.Name] {
+		return grid.Region{}, errf(t.Pos, "parallel mode: region %q is a scalar; regions must be static", t.Name)
 	}
 	for _, rg := range t.Ranges {
-		if err := check(rg.Lo); err != nil {
-			return grid.Region{}, err
-		}
-		if rg.Hi != rg.Lo {
-			if err := check(rg.Hi); err != nil {
-				return grid.Region{}, err
+		for _, e := range []Expr{rg.Lo, rg.Hi} {
+			var bad error
+			eachName(e, func(v *NameRef) {
+				if c.it.scalarVars[v.Name] {
+					bad = errf(v.Pos, "parallel mode: region bound references scalar %q; regions must be static", v.Name)
+				}
+			})
+			if bad != nil {
+				return grid.Region{}, bad
 			}
 		}
 	}
 	return c.it.resolveRegion(t)
 }
 
+// static refuses a lowering that evaluated a scalar variable on the spot:
+// the ranks' blocks are lowered once, before the run, and a rank's scalars
+// live in its overlay, where the lowering does not look.
+func (h *handle) static(pos Pos) error {
+	if len(h.inlined) > 0 {
+		return errf(pos, "parallel mode: @[…] shift references scalar %q; shifts must be static", h.inlined[0])
+	}
+	return nil
+}
+
 // collect lowers one array assignment or scan block and registers it.
-func (c *collector) collect(s Stmt, pos Pos, region grid.Region) error {
-	blk, err := c.it.lowerBlock(s, region, nil)
+func (c *collector) collect(s Stmt, pos Pos, region *grid.Region) error {
+	if region == nil {
+		return nil
+	}
+	var h handle
+	blk, err := c.it.lowerBlock(s, *region, &h)
 	if err == errScanBody {
 		return errf(pos, "scan blocks may contain only array assignments covered by the block's region")
 	}
 	if err != nil {
+		return err
+	}
+	if err := h.static(pos); err != nil {
 		return err
 	}
 	c.blocks[s] = blk
@@ -227,6 +188,9 @@ func (c *collector) collect(s Stmt, pos Pos, region grid.Region) error {
 	return nil
 }
 
+// walk registers the array code under s. What exec will refuse when the
+// ranks reach it — array code without a covering region, a bad assignment
+// target — is left for exec to word.
 func (c *collector) walk(s Stmt, region *grid.Region) error {
 	switch t := s.(type) {
 	case *RegionStmt:
@@ -234,216 +198,82 @@ func (c *collector) walk(s Stmt, region *grid.Region) error {
 		if err != nil {
 			return err
 		}
-		return c.walk(t.Body, &reg)
-	case *BeginStmt:
-		for _, sub := range t.Body {
-			if err := c.walk(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
+		region = &reg
 	case *ForStmt:
 		// Loop bodies execute repeatedly over the same static regions;
-		// collect once. The loop variable is registered as a scalar here,
-		// before the ranks start, so that the shared symbol tables are
-		// read-only during the SPMD run.
-		if !c.it.scalarVars[t.Var] {
-			c.it.scalarVars[t.Var] = true
-			c.loopVars[t.Var] = true
-		}
-		for _, sub := range t.Body {
-			if err := c.walk(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
+		// collect once, the loop variable a scalar without a value.
+		defer c.it.leaveLoop(t.Var, c.it.enterLoop(t.Var))
 	case *ScanStmt:
-		if region == nil {
-			return errf(t.Pos, "scan block needs a covering region")
-		}
-		return c.collect(s, t.Pos, *region)
+		return c.collect(s, t.Pos, region)
 	case *AssignStmt:
-		if t.Reduce != "" {
-			if region == nil {
-				return errf(t.Pos, "reduction needs a covering region")
-			}
-			c.regions[s] = *region
-			return nil
+		if t.Reduce == "" && c.it.env.Arrays[t.Name] != nil {
+			return c.collect(s, t.Pos, region)
 		}
-		if c.it.env.Arrays[t.Name] == nil {
-			return nil // scalar assignment
-		}
-		if region == nil {
-			return errf(t.Pos, "array assignment to %q needs a covering region", t.Name)
-		}
-		return c.collect(s, t.Pos, *region)
-	case *IfStmt:
-		for _, sub := range t.Then {
-			if err := c.walk(sub, region); err != nil {
-				return err
-			}
-		}
-		for _, sub := range t.Else {
-			if err := c.walk(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *RepeatStmt:
-		for _, sub := range t.Body {
-			if err := c.walk(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
 	case *WritelnStmt:
 		for _, a := range t.Args {
-			if ref, ok := a.(*NameRef); ok && c.it.env.Arrays[ref.Name] != nil &&
-				!ref.Primed && ref.ShiftName == "" && ref.ShiftComps == nil {
-				return errf(t.Pos, "parallel mode: writeln cannot print array %q mid-run (arrays gather at the end)", ref.Name)
+			if f := c.it.printedArray(a); f != nil {
+				return errf(t.Pos, "parallel mode: writeln cannot print array %q mid-run (arrays gather at the end)", f.Name())
 			}
 		}
-		return nil
 	}
-	return fmt.Errorf("zpl: unknown statement %T", s)
+	return eachChild(s, func(sub Stmt) error { return c.walk(sub, region) })
 }
 
-// rankExec is one rank's SPMD statement walker.
-type rankExec struct {
-	it  *Interp
-	col *collector
-	r   *pipeline.Rank
+// rankMachine runs the program's statements on one rank of the session: the
+// SPMD half of exec. it is the rank's own interpreter (see RunParallel).
+type rankMachine struct {
+	it     *Interp
+	r      *pipeline.Rank
+	blocks map[Stmt]*scan.Block
 }
 
-func (ex *rankExec) scalar(e Expr) (float64, error) {
-	return ex.it.evalScalarIn(e, rankScalarEnv{ex.r})
+func (m *rankMachine) scalar(name string) (float64, bool) { return m.r.GetScalar(name) }
+
+func (m *rankMachine) setScalar(name string, v float64) error { return m.r.SetScalar(name, v) }
+
+// enterLoop scopes the name as the interpreter does; the value lives in the
+// rank's overlay, which cannot forget one, so a loop variable's last value
+// stays behind under a name nothing can read.
+func (m *rankMachine) enterLoop(name string) loopScope {
+	sc := loopScope{wasVar: m.it.scalarVars[name]}
+	sc.saved, sc.had = m.r.GetScalar(name)
+	m.it.scalarVars[name] = true
+	return sc
 }
 
-func (ex *rankExec) intval(e Expr, pos Pos) (int, error) {
-	v, err := ex.scalar(e)
+func (m *rankMachine) leaveLoop(name string, sc loopScope) error {
+	m.it.scalarVars[name] = sc.wasVar
+	if sc.had && sc.wasVar {
+		return m.r.SetScalar(name, sc.saved)
+	}
+	return nil
+}
+
+// block runs the block the collector registered for s.
+func (m *rankMachine) block(s Stmt, _ int, _ Pos, _ grid.Region) error {
+	return m.r.Exec(m.blocks[s])
+}
+
+func (m *rankMachine) fold(t *AssignStmt, op scan.ReduceOp, region grid.Region) (float64, error) {
+	var h handle
+	node, err := m.it.lowerExpr(t.RHS, region.Rank(), &h)
+	if err == nil {
+		err = h.static(t.Pos)
+	}
 	if err != nil {
 		return 0, err
 	}
-	r := int(v + 0.5)
-	if v < 0 {
-		r = int(v - 0.5)
+	v, err := m.r.Reduce(op, region, node)
+	if err != nil {
+		return 0, errf(t.Pos, "%v", err)
 	}
-	return r, nil
+	return v, nil
 }
 
-func (ex *rankExec) exec(s Stmt, region *grid.Region) error {
-	switch t := s.(type) {
-	case *RegionStmt:
-		reg, err := ex.it.resolveRegion(t) // static: identical on every rank
-		if err != nil {
-			return err
-		}
-		return ex.exec(t.Body, &reg)
-	case *BeginStmt:
-		for _, sub := range t.Body {
-			if err := ex.exec(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *ForStmt:
-		from, err := ex.intval(t.From, t.Pos)
-		if err != nil {
-			return err
-		}
-		to, err := ex.intval(t.To, t.Pos)
-		if err != nil {
-			return err
-		}
-		step := 1
-		if t.Down {
-			step = -1
-		}
-		for v := from; (step > 0 && v <= to) || (step < 0 && v >= to); v += step {
-			if err := ex.r.SetScalar(t.Var, float64(v)); err != nil {
-				return err
-			}
-			for _, sub := range t.Body {
-				if err := ex.exec(sub, region); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case *ScanStmt:
-		return ex.r.Exec(ex.col.blocks[s])
-	case *AssignStmt:
-		if t.Reduce != "" {
-			reg := ex.col.regions[s]
-			op, _ := reduceOp(t.Reduce)
-			node, err := ex.it.lowerExpr(t.RHS, reg.Rank(), nil)
-			if err != nil {
-				return err
-			}
-			v, err := ex.r.Reduce(op, reg, node)
-			if err != nil {
-				return err
-			}
-			return ex.r.SetScalar(t.Name, v)
-		}
-		if blk, ok := ex.col.blocks[s]; ok {
-			return ex.r.Exec(blk)
-		}
-		// Scalar assignment, evaluated identically on every rank.
-		v, err := ex.scalar(t.RHS)
-		if err != nil {
-			return err
-		}
-		return ex.r.SetScalar(t.Name, v)
-	case *IfStmt:
-		v, err := ex.it.evalCondIn(t.Cond, rankScalarEnv{ex.r})
-		if err != nil {
-			return err
-		}
-		body := t.Then
-		if !v {
-			body = t.Else
-		}
-		for _, sub := range body {
-			if err := ex.exec(sub, region); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *RepeatStmt:
-		for {
-			for _, sub := range t.Body {
-				if err := ex.exec(sub, region); err != nil {
-					return err
-				}
-			}
-			v, err := ex.it.evalCondIn(t.Cond, rankScalarEnv{ex.r})
-			if err != nil {
-				return err
-			}
-			if v {
-				return nil
-			}
-		}
-	case *WritelnStmt:
-		if ex.r.ID() != 0 || ex.it.opts.Out == nil {
-			return nil
-		}
-		// The collector refused array arguments, so every one is a scalar.
-		line, err := ex.it.appendLine(nil, t, rankScalarEnv{ex.r})
-		if err != nil {
-			return err
-		}
-		_, _ = ex.it.opts.Out.Write(line)
+// out is rank 0's: a line prints once, not once per rank.
+func (m *rankMachine) out() io.Writer {
+	if m.r.ID() != 0 {
 		return nil
 	}
-	return fmt.Errorf("zpl: unknown statement %T", s)
+	return m.it.opts.Out
 }
-
-// rankScalarEnv adapts a Rank's scalar overlay to expr.Env for scalar-only
-// expressions.
-type rankScalarEnv struct{ r *pipeline.Rank }
-
-func (e rankScalarEnv) Array(string) *field.Field { return nil }
-
-func (e rankScalarEnv) Scalar(name string) (float64, bool) { return e.r.GetScalar(name) }

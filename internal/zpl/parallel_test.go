@@ -140,6 +140,31 @@ end;
 	}
 }
 
+// TestParallelRejectsDynamicShift: an inline shift is evaluated when the
+// statement is lowered, which the ranks do once and away from their own
+// scalars; one that names a scalar variable used to run with the value the
+// variable had before the run (0 for d below, so b read a unshifted).
+func TestParallelRejectsDynamicShift(t *testing.T) {
+	const decls = `
+const n = 4;
+region Big = [0..n+1, 0..n+1];
+region R = [1..n, 1..n];
+var a, b : [Big] double;
+var d, s : double;
+[Big] a := 1;
+d := 1;
+`
+	for _, stmt := range []string{"[R] b := a@[0-d, 0];", "[R] s := +<< a@[0-d, 0];"} {
+		if _, err := RunSource(decls+stmt, Options{}); err != nil {
+			t.Fatalf("%s: serial: %v", stmt, err)
+		}
+		_, err := RunParallelSource(decls+stmt, Options{}, 2, 0)
+		if err == nil || !strings.Contains(err.Error(), "shifts must be static") {
+			t.Errorf("%s: err = %v, want static-shift rejection", stmt, err)
+		}
+	}
+}
+
 // TestParallelArrayWriteln: printing an array after the last array work is
 // fine (it reads the gathered state); printing one mid-run is rejected.
 func TestParallelArrayWriteln(t *testing.T) {

@@ -47,28 +47,29 @@ writeln(y);
 	}
 }
 
-func TestReductionErrors(t *testing.T) {
-	cases := []struct{ name, src, wantSub string }{
-		{"no region", "var s : double; s := +<< 1;", "covering region"},
-		{"array target", `
+var reductionErrorCases = []errorCase{
+	{"no region", "var s : double; s := +<< 1;", "covering region"},
+	{"array target", `
 const n = 2;
 region R = [1..n, 1..n];
 var a, b : [R] double;
 [R] a := +<< b;`, "must be a scalar"},
-		{"primed operand", `
+	{"primed operand", `
 const n = 4;
 region Big = [0..n, 1..n];
 region R = [1..n, 1..n];
 var a : [Big] double;
 var s : double;
 [R] s := max<< a'@[-1,0];`, "(v)"},
-		{"undeclared target", `
+	{"undeclared target", `
 const n = 2;
 region R = [1..n, 1..n];
 var a : [R] double;
 [R] zz := +<< a;`, "not a declared scalar"},
-	}
-	for _, c := range cases {
+}
+
+func TestReductionErrors(t *testing.T) {
+	for _, c := range reductionErrorCases {
 		_, err := RunSource(c.src, Options{})
 		if err == nil {
 			t.Errorf("%s: no error", c.name)

@@ -320,22 +320,28 @@ end;
 	}
 }
 
+// errorCase is a program that must be refused with a diagnostic containing
+// wantSub. The tables are package-level so TestOneWalkerBothModes can hold
+// parallel mode to every case that has array work.
+type errorCase struct{ name, src, wantSub string }
+
+var semanticErrorCases = []errorCase{
+	{"redeclare", "const n = 1; const n = 2;", "redeclared"},
+	{"unknown region", "var a : [R] double;", "undeclared region"},
+	{"assign const", "const c = 1; c := 2;", "constant"},
+	{"undeclared assign", "x := 1;", "undeclared"},
+	{"array no region", "const n=2; region R=[1..n,1..n]; var a:[R] double; a := 1;", "covering region"},
+	{"scan needs region", "const n=2; region R=[1..n,1..n]; var a:[R] double; scan a := 1; end;", "covering region"},
+	{"prime scalar", "const n=2; region R=[1..n,1..n]; var a:[R] double; var x: double; [R] a := x'; ", "non-array"},
+	{"bad direction rank", "const n=2; region R=[1..n,1..n]; direction d=[1]; var a:[R] double; [R] a := a@d;", "rank"},
+	{"scalar from array", "const n=2; region R=[1..n,1..n]; var a:[R] double; var x:double; x := a;", "scalar expression"},
+	{"fractional region", "region R=[1..2.5]; var a:[R] double;", "integer"},
+	{"unknown fn", "const n=2; region R=[1..n,1..n]; var a:[R] double; [R] a := gamma(a);", "unknown function"},
+	{"nonassign in scan", "const n=2; region R=[1..n,1..n]; var a:[R] double; [R] scan writeln(); end;", "array assignments"},
+}
+
 func TestSemanticErrors(t *testing.T) {
-	cases := []struct{ name, src, wantSub string }{
-		{"redeclare", "const n = 1; const n = 2;", "redeclared"},
-		{"unknown region", "var a : [R] double;", "undeclared region"},
-		{"assign const", "const c = 1; c := 2;", "constant"},
-		{"undeclared assign", "x := 1;", "undeclared"},
-		{"array no region", "const n=2; region R=[1..n,1..n]; var a:[R] double; a := 1;", "covering region"},
-		{"scan needs region", "const n=2; region R=[1..n,1..n]; var a:[R] double; scan a := 1; end;", "covering region"},
-		{"prime scalar", "const n=2; region R=[1..n,1..n]; var a:[R] double; var x: double; [R] a := x'; ", "non-array"},
-		{"bad direction rank", "const n=2; region R=[1..n,1..n]; direction d=[1]; var a:[R] double; [R] a := a@d;", "rank"},
-		{"scalar from array", "const n=2; region R=[1..n,1..n]; var a:[R] double; var x:double; x := a;", "scalar expression"},
-		{"fractional region", "region R=[1..2.5]; var a:[R] double;", "integer"},
-		{"unknown fn", "const n=2; region R=[1..n,1..n]; var a:[R] double; [R] a := gamma(a);", "unknown function"},
-		{"nonassign in scan", "const n=2; region R=[1..n,1..n]; var a:[R] double; [R] scan writeln(); end;", "array assignments"},
-	}
-	for _, c := range cases {
+	for _, c := range semanticErrorCases {
 		_, err := RunSource(c.src, Options{})
 		if err == nil {
 			t.Errorf("%s: no error", c.name)

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"wavefront"
+	"wavefront/internal/scan"
 	"wavefront/internal/trace"
 	"wavefront/internal/zpl"
 )
@@ -77,7 +78,7 @@ func TestZPLGoldenParallel(t *testing.T) {
 				var out bytes.Buffer
 				rec := trace.New(procs, trace.DefaultCapacity)
 				if _, err := zpl.RunParallelSource(string(src),
-					zpl.Options{Out: &out, Trace: rec}, procs, 4); err != nil {
+					zpl.Options{Out: &out, Exec: scan.ExecOptions{Trace: rec}}, procs, 4); err != nil {
 					t.Fatalf("parallel run (p=%d) failed: %v", procs, err)
 				}
 				// Parallel execution must print exactly what serial printed.
