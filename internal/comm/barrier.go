@@ -1,6 +1,9 @@
 package comm
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // SyncBarrier is a reusable n-participant barrier for the runtime's own
 // phase synchronization (scatter→compute→gather). Unlike Endpoint.Barrier
@@ -23,7 +26,9 @@ func NewSyncBarrier(n int) *SyncBarrier {
 }
 
 // Wait blocks until all n participants have called Wait, then releases
-// them together. The barrier is reusable.
+// them together. The barrier is reusable. Like every wait in this package
+// it yield-spins for spinBudget before parking: the ranks of a run arrive
+// within microseconds of each other far more often than not.
 func (b *SyncBarrier) Wait() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -34,6 +39,9 @@ func (b *SyncBarrier) Wait() {
 		b.gen++
 		b.cond.Broadcast()
 		return
+	}
+	t0 := time.Now()
+	for gen == b.gen && spinWait(&b.mu, t0) {
 	}
 	for gen == b.gen {
 		b.cond.Wait()

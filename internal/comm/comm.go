@@ -308,16 +308,22 @@ func (t *Topology) enqueue(from, to int, m Message) (time.Duration, error) {
 	l.mu.Lock()
 	var blocked time.Duration
 	if t.capacity > 0 && len(l.queue) >= t.capacity {
-		t.beginWait(from, waitInfo{
-			op: waitSend, peer: to, tag: m.Tag,
-			link: t.linkIndex(from, to), queueLen: len(l.queue),
-		})
+		// Bounded links exist on the in-process transport only, so a full
+		// link always spins first (see spinWait).
 		t0 := time.Now()
-		for len(l.queue) >= t.capacity && !t.canceled.Load() {
-			l.cond.Wait()
+		for len(l.queue) >= t.capacity && !t.canceled.Load() && spinWait(&l.mu, t0) {
+		}
+		if len(l.queue) >= t.capacity && !t.canceled.Load() {
+			t.beginWait(from, waitInfo{
+				op: waitSend, peer: to, tag: m.Tag,
+				link: t.linkIndex(from, to), queueLen: len(l.queue),
+			})
+			for len(l.queue) >= t.capacity && !t.canceled.Load() {
+				l.cond.Wait()
+			}
+			t.endWait(from)
 		}
 		blocked = time.Since(t0)
-		t.endWait(from)
 		l.blockedSends++
 		l.blockedNs += int64(blocked)
 		if len(l.queue) >= t.capacity {
@@ -347,15 +353,19 @@ func (t *Topology) dequeue(from, to, tag int) (Message, time.Duration, error) {
 	if len(l.queue) == 0 {
 		// Only the empty-queue path pays for timestamps: the receiver is
 		// about to block anyway, so the cost vanishes into the wait.
-		t.beginWait(to, waitInfo{
-			op: waitRecv, peer: from, tag: tag, link: t.linkIndex(from, to),
-		})
 		t0 := time.Now()
-		for len(l.queue) == 0 && !t.canceled.Load() {
-			l.cond.Wait()
+		for t.spins() && len(l.queue) == 0 && !t.canceled.Load() && spinWait(&l.mu, t0) {
+		}
+		if len(l.queue) == 0 && !t.canceled.Load() {
+			t.beginWait(to, waitInfo{
+				op: waitRecv, peer: from, tag: tag, link: t.linkIndex(from, to),
+			})
+			for len(l.queue) == 0 && !t.canceled.Load() {
+				l.cond.Wait()
+			}
+			t.endWait(to)
 		}
 		blocked = time.Since(t0)
-		t.endWait(to)
 		if len(l.queue) == 0 {
 			return Message{}, blocked, t.cancelError()
 		}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wavefront/internal/bufpool"
 	"wavefront/internal/field"
@@ -145,6 +147,15 @@ const (
 // (a thread start beside a ring growth). steadyVerdict allows that much
 // and no more; a per-pass allocation, however small, never reaches the
 // streak.
+//
+// What the warm passes pre-pay on purpose. Since comm's waits yield-spin
+// before they park (PR 26), which rank runs when is no longer the fixed
+// park/wake chain it was: the deepest backlog and the P a rank parks on
+// vary from pass to pass, and 8 of 40 sessions spread five or six single
+// mallocs — ring and free-list growth, sudog refills — over their measured
+// passes. So the warm passes are staggered (each link sees a whole sweep's
+// backlog, its bound) and every rank stocks the Ps' sudog caches first;
+// with both, 200 sessions in a row measured inside the limits.
 func lockstepPasses(t *testing.T, sess *Session, body func(r *Rank) error) []uint64 {
 	t.Helper()
 	var (
@@ -154,6 +165,7 @@ func lockstepPasses(t *testing.T, sess *Session, body func(r *Rank) error) []uin
 	)
 	err := sess.Run(func(r *Rank) error {
 		var ms0, ms1 runtime.MemStats
+		stockSudogs()
 		if r.ID() == 0 {
 			// Finish any GC cycle still marking set-up garbage (a cycle
 			// start wakes the runtime's weak-map sweeper, two allocations)
@@ -174,6 +186,16 @@ func lockstepPasses(t *testing.T, sess *Session, body func(r *Rank) error) []uin
 			}
 			if err := r.Barrier(); err != nil {
 				return err
+			}
+			if pass < allocWarm {
+				// Stagger the warm passes, head rank first and then tail
+				// rank first, so each link holds a whole sweep's backlog —
+				// the deepest its ring and its sender's free list ever get.
+				lag := r.ID()
+				if pass%2 == 1 {
+					lag = r.sess.cfg.Procs - 1 - lag
+				}
+				time.Sleep(time.Duration(lag) * time.Millisecond)
 			}
 			if err := body(r); err != nil {
 				return err
@@ -200,6 +222,30 @@ func lockstepPasses(t *testing.T, sess *Session, body func(r *Rank) error) []uin
 		t.Fatal(err)
 	}
 	return passes
+}
+
+// stockSudogs leaves spare sudogs in the cache of the P it runs on (and of
+// any P that steals from it): a goroutine takes a sudog from the cache of the
+// P it parks on and returns it to the cache of the P it resumes on, and the
+// runtime refills a cache it finds empty with new(sudog).
+func stockSudogs() {
+	const n = 128
+	gate := make(chan struct{})
+	var parked atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			parked.Add(1)
+			<-gate
+		}()
+	}
+	for parked.Load() < n {
+		runtime.Gosched()
+	}
+	close(gate)
+	wg.Wait()
 }
 
 // steadyVerdict says why the measured passes are not a zero-allocation

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -242,6 +243,12 @@ func tomcatvDrift(t *testing.T, procs, n, block, iters int) (metrics.DriftReport
 func TestSessionDriftIsPerSweep(t *testing.T) {
 	const n, block, iters = 512, 128, 3
 	for procs, limit := range map[int]float64{1: 3, 2: 4} {
+		if runtime.GOMAXPROCS(0) < procs {
+			// Equation (1) prices ranks that run at once; time-sliced on one
+			// P the sweep takes procs times as long (CI's GOMAXPROCS=1 step).
+			t.Logf("p = %d: skipped on GOMAXPROCS %d", procs, runtime.GOMAXPROCS(0))
+			continue
+		}
 		var rep metrics.DriftReport
 		var whole time.Duration
 		for try := 0; try < 10; try++ {

@@ -209,6 +209,9 @@ type plan struct {
 	refresh [2][]string
 	// written arrays (gathered back at the end).
 	written map[string]bool
+	// scalars names every scalar the statements reference, once each: a
+	// compiled kernel bakes their values in (Rank.newKernel).
+	scalars []string
 }
 
 type haloSpec struct {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wavefront/internal/expr"
@@ -35,6 +36,13 @@ func newPlan(b *scan.Block, an *scan.Analysis, slabs []grid.Region, wDim, tDim, 
 		return nil, err
 	}
 	pl.tiles = pl.cutTiles()
+	for _, st := range b.Stmts {
+		for _, name := range expr.Scalars(st.RHS) {
+			if !slices.Contains(pl.scalars, name) {
+				pl.scalars = append(pl.scalars, name)
+			}
+		}
+	}
 	return pl, nil
 }
 

@@ -879,14 +879,12 @@ func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
 	kern.SetEngine(cfg.Kernel)
 	kern.SetScratch(cfg.Pool, r.id)
 	kern.SetMetrics(cfg.Metrics, r.id)
-	for _, st := range b.Stmts {
-		for _, name := range expr.Scalars(st.RHS) {
-			if v, ok := r.lenv.Scalar(name); ok {
-				if r.captured == nil {
-					r.captured = map[string]float64{}
-				}
-				r.captured[name] = v
+	for _, name := range pl.scalars {
+		if v, ok := r.lenv.Scalar(name); ok {
+			if r.captured == nil {
+				r.captured = map[string]float64{}
 			}
+			r.captured[name] = v
 		}
 	}
 	return kern, nil
