@@ -12,7 +12,7 @@
 //
 // The substrate is fault-aware: SetFaults attaches a deterministic
 // fault.Injector consulted on every send and receive behind a nil check
-// (mirroring SetTrace), Cancel poisons the whole topology and unblocks
+// (mirroring SetObserver), Cancel poisons the whole topology and unblocks
 // every waiter, and an event-driven watchdog turns an all-ranks-blocked
 // state into a structured DeadlockError instead of a hang (see cancel.go).
 package comm
@@ -65,15 +65,14 @@ func newLink() *link {
 type Topology struct {
 	p     int
 	links []*link // links[from*p+to]
-	// tr, when non-nil, records every send and receive (with blocked-wait
-	// durations) to the per-rank trace. Set before Run; read-only after.
-	tr *trace.Recorder
+	// obs, when non-nil, is handed one event per send, receive, fired fault
+	// and canceled operation (blocked-wait durations included), which it
+	// records to the per-rank trace and folds into the live metrics. Set
+	// before Run; read-only after.
+	obs *metrics.Observer
 	// inj, when non-nil, is consulted on every send and receive. Set before
 	// Run; read-only after.
 	inj *fault.Injector
-	// cm, when non-nil, is the resolved live-metrics instrument set (see
-	// SetMetrics). Set before Run; read-only after.
-	cm *commMetrics
 	// capacity bounds every link's queue; 0 means unbounded. Set before
 	// Run; read-only after.
 	capacity int
@@ -144,56 +143,10 @@ func NewTopology(p int) (*Topology, error) {
 // P returns the number of ranks.
 func (t *Topology) P() int { return t.p }
 
-// SetTrace attaches an execution recorder sized for at least P ranks.
-// Must be called before Run; a nil recorder disables tracing (the
-// default).
-func (t *Topology) SetTrace(tr *trace.Recorder) error {
-	if tr != nil && tr.Procs() < t.p {
-		return fmt.Errorf("comm: trace recorder sized for %d ranks, topology has %d", tr.Procs(), t.p)
-	}
-	t.tr = tr
-	return nil
-}
-
-// commMetrics is the comm substrate's instrument set, resolved once at
-// SetMetrics so the hot path pays one nil check and a few atomic adds —
-// never a name lookup.
-type commMetrics struct {
-	sends, recvs         *metrics.Counter
-	sendBytes, recvBytes *metrics.Counter
-	blockedNs, stalls    *metrics.Counter
-	faults, cancels      *metrics.Counter
-	// msgCost feeds the drift monitor's α/β estimate: x = payload
-	// elements, y = the operation's non-blocked cost in ns.
-	msgCost *metrics.Fit
-}
-
-// SetMetrics attaches a live-metrics registry sized for at least P ranks;
-// every send and receive then updates the comm_* instruments. Must be
-// called before Run; a nil registry disables metrics (the default) at the
-// cost of one pointer comparison per operation, the same contract as
-// SetTrace.
-func (t *Topology) SetMetrics(reg *metrics.Registry) error {
-	if reg == nil {
-		t.cm = nil
-		return nil
-	}
-	if reg.Procs() < t.p {
-		return fmt.Errorf("comm: metrics registry sized for %d ranks, topology has %d", reg.Procs(), t.p)
-	}
-	t.cm = &commMetrics{
-		sends:     reg.Counter(metrics.CommSends),
-		recvs:     reg.Counter(metrics.CommRecvs),
-		sendBytes: reg.Counter(metrics.CommSendBytes),
-		recvBytes: reg.Counter(metrics.CommRecvBytes),
-		blockedNs: reg.Counter(metrics.CommBlockedNs),
-		stalls:    reg.Counter(metrics.CommStalls),
-		faults:    reg.Counter(metrics.CommFaults),
-		cancels:   reg.Counter(metrics.CommCancels),
-		msgCost:   reg.Fit(metrics.ModelCommFit),
-	}
-	return nil
-}
+// SetObserver attaches the run's observer (metrics.Observe over at least P
+// ranks). Must be called before Run; a nil observer (the default) disables
+// tracing and metrics at the cost of one pointer comparison per operation.
+func (t *Topology) SetObserver(o *metrics.Observer) { t.obs = o }
 
 // SetFaults attaches a fault injector consulted on every send and receive.
 // Must be called before Run; a nil injector disables injection (the
@@ -211,7 +164,7 @@ func (t *Topology) SetFaults(in *fault.Injector) {
 // draws payload buffers from the caller's shard and Release/ReleaseTo
 // return them. Must be called before Run; a nil pool disables recycling
 // (the default) at the cost of one pointer comparison per operation, the
-// same contract as SetTrace. Pooling is incompatible with fault injection
+// same contract as SetObserver. Pooling is incompatible with fault injection
 // (ActDuplicate enqueues one payload twice; ActCorrupt swaps payloads),
 // so SetBufPool fails while an injector is attached.
 func (t *Topology) SetBufPool(p *bufpool.Pool) error {
@@ -414,29 +367,23 @@ func (e *Endpoint) ReleaseTo(rank int, buf []float64) {
 	e.topo.pool.Put(rank, buf)
 }
 
-// recordFault traces an injected fault firing at rank; the action code
+// recordFault reports an injected fault firing at rank; the action code
 // travels in Seq.
 func (t *Topology) recordFault(rank, peer, tag, elems int, out fault.Outcome) {
-	if tr := t.tr; tr != nil {
-		now := tr.Now()
+	if o := t.obs; o != nil {
+		now := o.Now()
 		ev := trace.Ev(trace.KindFault, rank, now, now)
 		ev.Peer, ev.Tag, ev.Elems, ev.Seq = peer, tag, elems, int(out.Action)
-		tr.Record(ev)
-	}
-	if cm := t.cm; cm != nil {
-		cm.faults.Add(rank, 1)
+		o.Emit(ev)
 	}
 }
 
-// recordCancel traces an operation aborted by cancellation.
+// recordCancel reports an operation aborted by cancellation.
 func (t *Topology) recordCancel(rank, peer, tag int, start int64) {
-	if tr := t.tr; tr != nil {
-		ev := trace.Ev(trace.KindCancel, rank, start, tr.Now())
+	if o := t.obs; o != nil {
+		ev := trace.Ev(trace.KindCancel, rank, start, o.Now())
 		ev.Peer, ev.Tag = peer, tag
-		tr.Record(ev)
-	}
-	if cm := t.cm; cm != nil {
-		cm.cancels.Add(rank, 1)
+		o.Emit(ev)
 	}
 }
 
@@ -486,15 +433,8 @@ func (e *Endpoint) Send(to, tag int, data []float64) error {
 			return t.inj.Crash(out, fault.OpSend, e.rank, to, tag)
 		}
 	}
-	tr, cm := t.tr, t.cm
-	var t0 int64
-	if tr != nil {
-		t0 = tr.Now()
-	}
-	var m0 time.Time
-	if cm != nil {
-		m0 = time.Now()
-	}
+	o := t.obs
+	t0 := o.Now()
 	if t.sent != nil {
 		// Counted before the transport write so an in-flight frame is
 		// already covered by any cursor or suppression arithmetic.
@@ -505,35 +445,24 @@ func (e *Endpoint) Send(to, tag int, data []float64) error {
 		t.recordCancel(e.rank, to, tag, t0)
 		return err
 	}
-	if tr != nil {
+	if o != nil {
 		if blocked > 0 {
 			bev := trace.Ev(trace.KindBlockedSend, e.rank, t0, t0+int64(blocked))
 			bev.Peer, bev.Tag, bev.Blocked = to, tag, int64(blocked)
-			tr.Record(bev)
+			o.Emit(bev)
 		}
-		ev := trace.Ev(trace.KindSend, e.rank, t0, tr.Now())
+		ev := trace.Ev(trace.KindSend, e.rank, t0, o.Now())
 		ev.Peer, ev.Tag, ev.Elems, ev.Blocked = to, tag, len(data), int64(blocked)
-		tr.Record(ev)
-	}
-	if cm != nil {
-		cm.sends.Add(e.rank, 1)
-		cm.sendBytes.Add(e.rank, int64(8*len(data)))
-		if blocked > 0 {
-			cm.stalls.Add(e.rank, 1)
-			cm.blockedNs.Add(e.rank, int64(blocked))
-		}
-		cm.msgCost.Observe(e.rank, float64(len(data)), float64(time.Since(m0)-blocked))
+		o.Emit(ev)
 	}
 	if dup {
+		// The injected copy is the fault's doing, not a send of the
+		// program's: the KindFault event above is its whole record.
 		if t.sent != nil {
 			t.sent[t.linkIndex(e.rank, to)].Add(1)
 		}
 		if _, err := t.tp.Send(e.rank, to, Message{Tag: tag, Data: data}); err != nil {
 			return err
-		}
-		if cm != nil {
-			cm.sends.Add(e.rank, 1)
-			cm.sendBytes.Add(e.rank, int64(8*len(data)))
 		}
 	}
 	return nil
@@ -565,35 +494,19 @@ func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 			return nil, t.inj.Crash(out, fault.OpRecv, e.rank, from, tag)
 		}
 	}
-	tr, cm := t.tr, t.cm
-	var t0 int64
-	if tr != nil {
-		t0 = tr.Now()
-	}
-	var m0 time.Time
-	if cm != nil {
-		m0 = time.Now()
-	}
+	o := t.obs
+	t0 := o.Now()
 	m, blocked, err := t.tp.Recv(from, e.rank, tag)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {
 			t.recordCancel(e.rank, from, tag, t0)
-			return nil, err
 		}
 		return nil, err
 	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindRecv, e.rank, t0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindRecv, e.rank, t0, o.Now())
 		ev.Peer, ev.Tag, ev.Elems, ev.Blocked = from, tag, len(m.Data), int64(blocked)
-		tr.Record(ev)
-	}
-	if cm != nil {
-		cm.recvs.Add(e.rank, 1)
-		cm.recvBytes.Add(e.rank, int64(8*len(m.Data)))
-		if blocked > 0 {
-			cm.blockedNs.Add(e.rank, int64(blocked))
-		}
-		cm.msgCost.Observe(e.rank, float64(len(m.Data)), float64(time.Since(m0)-blocked))
+		o.Emit(ev)
 	}
 	return m.Data, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wavefront/internal/fault"
+	"wavefront/internal/metrics"
 	"wavefront/internal/trace"
 )
 
@@ -377,9 +378,8 @@ func TestInjectDelay(t *testing.T) {
 func TestFaultAndCancelTraced(t *testing.T) {
 	topo, _ := NewTopology(2)
 	tr := trace.New(2, 0)
-	if err := topo.SetTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	obs, _ := metrics.Observe(tr, nil, 2)
+	topo.SetObserver(obs)
 	topo.SetFaults(fault.MustNew(fault.Plan{Rules: []fault.Rule{
 		{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: fault.Any, Times: -1, Action: fault.ActDrop},
 	}}))
@@ -416,9 +416,8 @@ func TestFaultAndCancelTraced(t *testing.T) {
 func TestBlockedSendTraced(t *testing.T) {
 	topo, _ := NewTopology(2)
 	tr := trace.New(2, 0)
-	if err := topo.SetTrace(tr); err != nil {
-		t.Fatal(err)
-	}
+	obs, _ := metrics.Observe(tr, nil, 2)
+	topo.SetObserver(obs)
 	if err := topo.SetLinkCapacity(1); err != nil {
 		t.Fatal(err)
 	}

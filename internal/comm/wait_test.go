@@ -30,12 +30,8 @@ func TestSpinReceivesWithoutParking(t *testing.T) {
 	const trips = 2000
 	topo, _ := NewTopology(2)
 	tr, reg := trace.New(2, 2*2*trips), metrics.New(2)
-	if err := topo.SetTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.SetMetrics(reg); err != nil {
-		t.Fatal(err)
-	}
+	obs, _ := metrics.Observe(tr, reg, 2)
+	topo.SetObserver(obs)
 	err := topo.Run(func(e *Endpoint) error {
 		peer := 1 - e.Rank()
 		for i := 0; i < trips; i++ {

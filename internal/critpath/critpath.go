@@ -3,19 +3,19 @@
 // *which* chain of tiles, messages, and waits actually determined the
 // wall-clock time, and where the slack went.
 //
-// The graph has three edge families, all recovered from the trace rings
-// alone (no extra runtime instrumentation):
+// The graph is trace.Index — the same structure the schedule validator
+// checks, built by the same constructor — with three edge families, all
+// recovered from the trace rings alone (no extra runtime instrumentation):
 //
 //   - ring edges: events on one ring are recorded at span end by a single
 //     goroutine, so record order is end-time order — each event's
 //     predecessor on its own ring happened-before it;
-//   - message edges: a KindWaveRecv pairs with the KindWaveSend carrying
-//     the same (src, dst, wave, seq) identity, and a KindRecv pairs with
-//     its KindSend FIFO per (src, dst, tag) — the receive cannot end
-//     before the matched send began;
+//   - message edges: a receive and the send it was matched with, first in
+//     first out per (src, dst, wave, seq) for boundary messages and per
+//     (src, dst, tag) otherwise — the receive cannot end before the
+//     matched send began;
 //   - dependence edges: a KindTaskTile's KindTaskDep markers name the
-//     predecessor tiles the task-DAG scheduler claims were complete,
-//     keyed (rank, wave, tile).
+//     predecessor tiles the task-DAG scheduler claims were complete.
 //
 // The critical path is the longest chain under those constraints, found
 // by walking backward from the last event to finish: at each node the
@@ -29,9 +29,9 @@
 // Analyze also reports the run-level envelope (fill / steady / drain and
 // per-ring busy / comm / wait) from the classification trace.Summarize
 // uses (trace.RingClass), so the report reconciles against the trace
-// summary by construction, and cross-checks every matched message edge
-// for causality: a receive that ends before its sender began is a
-// falsified edge and an error.
+// summary by construction, and its Violations are the validator's findings
+// (trace.Index.Check) over the same index: a trace ValidateTrace refuses is
+// one whose report carries violations, and the other way round.
 package critpath
 
 import (
@@ -109,11 +109,10 @@ type WaveSlack struct {
 	TotalNs int64   `json:"total_ns"`
 }
 
-// Violation is one broken causal constraint.
+// Violation is one broken invariant of the schedule: a trace.Finding, with
+// its kinds ("unmatched-send", "unmatched-recv", "causality", "wavefront",
+// "task").
 type Violation struct {
-	// Kind is "causality" (a matched receive ends before its send starts —
-	// a falsified edge) or "unmatched-recv" (a boundary receive with no
-	// matching send in an undisrupted trace).
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 }
@@ -187,187 +186,40 @@ type Report struct {
 	steadyEndNs int64
 }
 
-// node is one event in the causal graph.
-type node struct {
-	ev       trace.Event
-	ring     int
-	pos      int // index within the ring, record order
-	msgPred  *node
-	depPreds []*node
-}
-
 // ordLess is the strict total order the backward walk descends: end time,
 // then (ring, pos). Every predecessor edge points ordLess-downward, which
 // bounds the walk by the event count.
-func ordLess(a, b *node) bool {
-	if a.ev.End != b.ev.End {
-		return a.ev.End < b.ev.End
+func ordLess(a, b *trace.Node) bool {
+	if a.Ev.End != b.Ev.End {
+		return a.Ev.End < b.Ev.End
 	}
-	if a.ring != b.ring {
-		return a.ring < b.ring
+	if a.Ring != b.Ring {
+		return a.Ring < b.Ring
 	}
-	return a.pos < b.pos
+	return a.Pos < b.Pos
 }
 
-type waveEdgeKey struct{ src, dst, wave, seq int }
-type pairKey struct{ src, dst, tag int }
-type taskKey struct{ rank, wave, tile int }
-
-// matchedEdge is one paired boundary send→recv, kept for slack stats.
-type matchedEdge struct {
-	send, recv *node
-}
-
-// Analyze builds the causal graph from a completed run's events (as
+// Analyze builds the causal index from a completed run's events (as
 // returned by trace.Recorder.Events: ring by ring, record order within a
 // ring) and returns the critical-path report. It returns an error — with
-// the report still populated — when the trace violates causality, unless
-// opts.Tolerant is set.
+// the report still populated — when the schedule breaks an invariant,
+// unless opts.Tolerant is set.
 func Analyze(events []trace.Event, opts Options) (*Report, error) {
 	rep := &Report{Version: ReportVersion, Events: len(events), Dropped: opts.Dropped}
 	if len(events) == 0 {
 		return rep, nil
 	}
-
-	// Group into rings, preserving record order.
-	maxRing := 0
-	for i := range events {
-		if events[i].Rank > maxRing {
-			maxRing = events[i].Rank
-		}
-	}
-	rings := make([][]*node, maxRing+1)
-	disrupted := opts.Dropped > 0
-	for i := range events {
-		ev := events[i]
-		n := &node{ev: ev, ring: ev.Rank}
-		n.pos = len(rings[n.ring])
-		rings[n.ring] = append(rings[n.ring], n)
-		switch ev.Kind {
-		case trace.KindFault, trace.KindCancel, trace.KindRestore:
-			disrupted = true
-		}
-	}
-	rep.Rings = len(rings)
-	procs := opts.Procs
-	if procs <= 0 || procs > len(rings) {
-		procs = len(rings)
-	}
-	rep.Ranks = procs
-	workers := opts.Workers
-	if workers <= 0 && len(rings) > procs {
-		workers = (len(rings) - procs) / procs
-	}
-	rankOf := func(ring int) int {
-		if ring < procs || workers <= 0 {
-			if ring < procs {
-				return ring
-			}
-			return procs - 1
-		}
-		r := (ring - procs) / workers
-		if r >= procs {
-			r = procs - 1
-		}
-		return r
-	}
-
-	// Pass 1: index senders, task tiles, and dependence claims.
-	waveSends := map[waveEdgeKey][]*node{}
-	pairSends := map[pairKey][]*node{}
-	taskTiles := map[taskKey]*node{}
-	taskDeps := map[taskKey][]int{}
-	for _, ring := range rings {
-		for _, n := range ring {
-			switch n.ev.Kind {
-			case trace.KindWaveSend:
-				k := waveEdgeKey{n.ring, n.ev.Peer, n.ev.Wave, n.ev.Seq}
-				waveSends[k] = append(waveSends[k], n)
-			case trace.KindSend:
-				k := pairKey{n.ring, n.ev.Peer, n.ev.Tag}
-				pairSends[k] = append(pairSends[k], n)
-			case trace.KindTaskTile:
-				taskTiles[taskKey{rankOf(n.ring), n.ev.Wave, n.ev.Tile}] = n
-			case trace.KindTaskDep:
-				k := taskKey{rankOf(n.ring), n.ev.Wave, n.ev.Tile}
-				taskDeps[k] = append(taskDeps[k], n.ev.Seq)
-			}
-		}
-	}
-
-	// Pass 2: match receives to senders (FIFO per key — sends with one key
-	// all come from one ring, so index order is send order) and attach
-	// dependence predecessors. Matched boundary edges feed the slack stats
-	// and the causality check.
-	var edges []matchedEdge
-	popSend := func(recvKind trace.Kind, n *node) *node {
-		if recvKind == trace.KindWaveRecv {
-			k := waveEdgeKey{n.ev.Peer, n.ring, n.ev.Wave, n.ev.Seq}
-			q := waveSends[k]
-			if len(q) == 0 {
-				return nil
-			}
-			s := q[0]
-			waveSends[k] = q[1:]
-			return s
-		}
-		k := pairKey{n.ev.Peer, n.ring, n.ev.Tag}
-		q := pairSends[k]
-		if len(q) == 0 {
-			return nil
-		}
-		s := q[0]
-		pairSends[k] = q[1:]
-		return s
-	}
-	for _, ring := range rings {
-		for _, n := range ring {
-			switch n.ev.Kind {
-			case trace.KindWaveRecv, trace.KindRecv:
-				s := popSend(n.ev.Kind, n)
-				if s == nil {
-					if n.ev.Kind == trace.KindWaveRecv && !disrupted {
-						rep.Violations = append(rep.Violations, Violation{
-							Kind: "unmatched-recv",
-							Detail: fmt.Sprintf("ring %d wave-recv (src %d, wave %d, seq %d) has no matching send",
-								n.ring, n.ev.Peer, n.ev.Wave, n.ev.Seq),
-						})
-					}
-					continue
-				}
-				n.msgPred = s
-				if n.ev.End < s.ev.Start {
-					rep.Violations = append(rep.Violations, Violation{
-						Kind: "causality",
-						Detail: fmt.Sprintf("%s on ring %d ends at %dns before its send on ring %d starts at %dns (wave %d, seq %d, tag %d)",
-							n.ev.Kind, n.ring, n.ev.End, s.ring, s.ev.Start, n.ev.Wave, n.ev.Seq, n.ev.Tag),
-					})
-				}
-				if n.ev.Kind == trace.KindWaveRecv {
-					edges = append(edges, matchedEdge{send: s, recv: n})
-				}
-			case trace.KindTaskTile:
-				for _, pred := range taskDeps[taskKey{rankOf(n.ring), n.ev.Wave, n.ev.Tile}] {
-					if p := taskTiles[taskKey{rankOf(n.ring), n.ev.Wave, pred}]; p != nil {
-						n.depPreds = append(n.depPreds, p)
-					}
-				}
-			case trace.KindTaskDep:
-				// The zero-width marker sits between its tile and the tile's
-				// ring predecessor in record order; without its own edge to
-				// the claimed predecessor tile it would occlude the dep edge
-				// (the walk binds to the latest-ending candidate).
-				if p := taskTiles[taskKey{rankOf(n.ring), n.ev.Wave, n.ev.Seq}]; p != nil {
-					n.depPreds = append(n.depPreds, p)
-				}
-			}
-		}
+	ix := trace.NewIndex(events, trace.Layout{Procs: opts.Procs, Workers: opts.Workers}, opts.Dropped)
+	rings := ix.Rings
+	rep.Rings, rep.Ranks = len(rings), ix.Procs
+	for _, f := range ix.Check() {
+		rep.Violations = append(rep.Violations, Violation(f))
 	}
 
 	rep.fillEnvelope(rings)
 
 	// Backward walk from the last event to finish.
-	var end *node
+	var end *trace.Node
 	for _, ring := range rings {
 		for _, n := range ring {
 			if end == nil || ordLess(end, n) {
@@ -375,24 +227,24 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 			}
 		}
 	}
-	path := []*node{end}
+	path := []*trace.Node{end}
 	edgeKinds := []string{"end"}
 	for cur := end; ; {
-		var best *node
+		var best *trace.Node
 		bestEdge := ""
-		consider := func(c *node, kind string) {
+		consider := func(c *trace.Node, kind string) {
 			if c == nil || !ordLess(c, cur) {
 				return
 			}
-			if best == nil || c.ev.End > best.ev.End {
+			if best == nil || c.Ev.End > best.Ev.End {
 				best, bestEdge = c, kind
 			}
 		}
-		if cur.pos > 0 {
-			consider(rings[cur.ring][cur.pos-1], "ring")
+		if cur.Pos > 0 {
+			consider(rings[cur.Ring][cur.Pos-1], "ring")
 		}
-		consider(cur.msgPred, "msg")
-		for _, d := range cur.depPreds {
+		consider(cur.Msg, "msg")
+		for _, d := range cur.Deps {
 			consider(d, "dep")
 		}
 		if best == nil {
@@ -409,8 +261,8 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 		edgeKinds[i], edgeKinds[j] = edgeKinds[j], edgeKinds[i]
 	}
 
-	rep.attribute(path, edgeKinds, rankOf)
-	rep.slackStats(edges)
+	rep.attribute(path, edgeKinds, ix.Layout)
+	rep.slackStats(ix.WaveEdges)
 
 	if opts.Metrics != nil {
 		m := ModelComparison{
@@ -427,7 +279,7 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 	}
 
 	if len(rep.Violations) > 0 && !opts.Tolerant {
-		return rep, fmt.Errorf("critpath: %d causal violation(s), first: %s: %s",
+		return rep, fmt.Errorf("critpath: %d violation(s), first: %s: %s",
 			len(rep.Violations), rep.Violations[0].Kind, rep.Violations[0].Detail)
 	}
 	return rep, nil
@@ -436,12 +288,12 @@ func Analyze(events []trace.Event, opts Options) (*Report, error) {
 // fillEnvelope computes WallNs, the fill/steady/drain phase split, and the
 // run totals from the trace package's one ring classification — the same
 // one trace.Summarize reports, so the two reconcile by construction.
-func (rep *Report) fillEnvelope(rings [][]*node) {
+func (rep *Report) fillEnvelope(rings [][]*trace.Node) {
 	env := trace.NewEnvelope()
 	for _, ring := range rings {
 		c := trace.NewRingClass()
 		for _, n := range ring {
-			c.Add(&n.ev)
+			c.Add(&n.Ev)
 		}
 		c.Close()
 		env.Add(&c)
@@ -465,56 +317,48 @@ func (rep *Report) fillEnvelope(rings [][]*node) {
 
 // attribute sweeps the path forward with a moving cursor, charging every
 // instant of [path start, path end] to exactly one class.
-func (rep *Report) attribute(path []*node, edgeKinds []string, rankOf func(int) int) {
+func (rep *Report) attribute(path []*trace.Node, edgeKinds []string, layout trace.Layout) {
 	if len(path) == 0 {
 		return
 	}
 	rep.PathLen = len(path)
-	rep.PathStartNs = path[0].ev.Start
-	rep.PathEndNs = path[len(path)-1].ev.End
+	rep.PathStartNs = path[0].Ev.Start
+	rep.PathEndNs = path[len(path)-1].Ev.End
 	byRing := map[int]int64{}
 	cursor := rep.PathStartNs
 	for i, n := range path {
-		s, e := n.ev.Start, n.ev.End
+		s, e := n.Ev.Start, n.Ev.End
 		var gap int64
 		if s > cursor {
 			gap = s - cursor
 			rep.PathWaitNs += gap
-			byRing[n.ring] += gap
+			byRing[n.Ring] += gap
 			cursor = s
 		}
 		var on int64
 		if e > cursor {
 			on = e - cursor
-			lo := cursor
-			switch n.ev.Kind {
-			case trace.KindCompute, trace.KindKernel, trace.KindTaskTile:
+			switch class, _ := trace.ClassOf(n.Ev.Kind); class {
+			case trace.ClassBusy:
 				rep.PathComputeNs += on
-			case trace.KindSend, trace.KindRecv, trace.KindWaveSend, trace.KindWaveRecv,
-				trace.KindScatter, trace.KindGather, trace.KindExchange, trace.KindReduce:
-				// The blocked prefix of a send/recv is wait, the rest is
-				// data movement.
-				w := int64(0)
-				if bEnd := s + n.ev.Blocked; bEnd > lo {
-					w = bEnd - lo
-					if w > on {
-						w = on
-					}
-				}
+			case trace.ClassComm:
+				// The blocked prefix of the span is wait, the rest is data
+				// movement.
+				w := min(max(s+n.Ev.Blocked-cursor, 0), on)
 				rep.PathWaitNs += w
 				rep.PathCommNs += on - w
-			case trace.KindBarrier, trace.KindBlockedSend:
+			case trace.ClassWait:
 				rep.PathWaitNs += on
 			default:
 				rep.PathOtherNs += on
 			}
-			byRing[n.ring] += on
+			byRing[n.Ring] += on
 			cursor = e
 		}
 		if len(rep.Steps) < maxSteps {
 			rep.Steps = append(rep.Steps, Step{
-				Kind: n.ev.Kind.String(), Ring: n.ring, Rank: rankOf(n.ring),
-				Peer: n.ev.Peer, Wave: n.ev.Wave, Tile: n.ev.Tile, Seq: n.ev.Seq,
+				Kind: n.Ev.Kind.String(), Ring: n.Ring, Rank: layout.RankOf(n.Ring),
+				Peer: n.Ev.Peer, Wave: n.Ev.Wave, Tile: n.Ev.Tile, Seq: n.Ev.Seq,
 				StartNs: s, EndNs: e, OnPathNs: on, WaitBeforeNs: gap,
 				Edge: edgeKinds[i],
 			})
@@ -547,24 +391,21 @@ func (rep *Report) attribute(path []*node, edgeKinds []string, rankOf func(int) 
 	}
 	sort.Ints(rings)
 	for _, r := range rings {
-		rep.ByRing = append(rep.ByRing, RingShare{Ring: r, Rank: rankOf(r), Ns: byRing[r]})
+		rep.ByRing = append(rep.ByRing, RingShare{Ring: r, Rank: layout.RankOf(r), Ns: byRing[r]})
 	}
 }
 
-// slackStats aggregates matched boundary edges per wave step (Seq) and
-// into the log2 histogram.
-func (rep *Report) slackStats(edges []matchedEdge) {
+// slackStats aggregates matched boundary edges (receives with Msg set) per
+// wave step (Seq) and into the log2 histogram.
+func (rep *Report) slackStats(edges []*trace.Node) {
 	if len(edges) == 0 {
 		return
 	}
 	perWave := map[int]*WaveSlack{}
 	hist := make([]int64, 32)
 	for _, e := range edges {
-		slack := e.recv.ev.Start - e.send.ev.End
-		if slack < 0 {
-			slack = 0
-		}
-		w := e.send.ev.Seq
+		slack := max(e.Ev.Start-e.Msg.Ev.End, 0)
+		w := e.Msg.Ev.Seq
 		ws := perWave[w]
 		if ws == nil {
 			ws = &WaveSlack{Wave: w, MinNs: slack, MaxNs: slack}

@@ -12,8 +12,8 @@
 //     per rank, each shard padded to its own cache line, so concurrent
 //     ranks never contend and a scrape (atomic loads) never blocks a rank;
 //   - instrument lookup by name happens at attach time, not per operation:
-//     the runtime layers resolve their instruments once (SetMetrics) and
-//     hold the pointers.
+//     the Observer of a Run (observer.go) and the few sites with counts of
+//     their own resolve their instruments once and hold the pointers.
 //
 // On top of the registry sit the model-drift monitor (drift.go), which
 // folds the measured compute and communication costs into running α/β
@@ -31,17 +31,17 @@ import (
 	"wavefront/internal/model"
 )
 
-// Standard instrument names. The comm, pipeline, and session layers
-// register these on attach; the trace summary importer (summary.go) and
-// the Prometheus exporter use the same names, so post-mortem traces and
-// live scrapes speak one vocabulary.
+// Standard instrument names. The comm_*, pipeline_*, session_* and
+// ckpt_snapshots/restores instruments that measure a span are fed by the
+// Observer alone (observer.go), from the event the trace ring also holds;
+// the rest are counts their sites add to directly.
 const (
 	// comm substrate (per-rank counters).
 	CommSends     = "comm_sends_total"
 	CommRecvs     = "comm_recvs_total"
 	CommSendBytes = "comm_send_bytes_total"
 	CommRecvBytes = "comm_recv_bytes_total"
-	CommBlockedNs = "comm_blocked_wait_ns_total"
+	CommBlockedNs = "comm_blocked_wait_ns_total" // blocked part of sends and receives
 	CommStalls    = "comm_backpressure_stalls_total"
 	CommFaults    = "comm_faults_total"
 	CommCancels   = "comm_cancels_total"
@@ -50,8 +50,8 @@ const (
 	PipeTiles     = "pipeline_tiles_total"
 	PipePoints    = "pipeline_points_total" // grid points computed by kernels
 	PipeWaves     = "pipeline_wave_epochs_total"
-	PipeBusyNs    = "pipeline_busy_ns_total"
-	PipeWaitNs    = "pipeline_wait_ns_total"
+	PipeBusyNs    = "pipeline_busy_ns_total" // a rank's compute spans, as trace.RingClass.Busy
+	PipeWaitNs    = "pipeline_wait_ns_total" // all of a rank's wait, as trace.RingClass.Wait: blocked comm plus barriers
 	PipeWaveMsgs  = "pipeline_wave_msgs_total"
 	PipeWaveElems = "pipeline_wave_elems_total"
 	PipeTileNs    = "pipeline_tile_ns" // histogram of per-tile compute ns

@@ -29,9 +29,9 @@ func kernelPathLabel(name string) (string, bool) {
 // format (version 0.0.4): counters with a rank label, gauges bare,
 // histograms with cumulative le buckets, fits as sample-count counters
 // plus alpha/beta gauges. Two derived per-rank gauges — rank_busy_ratio
-// and rank_wait_ratio, busy/wait ns over wall time since the epoch — are
-// computed at scrape time from the pipeline counters so a scrape of a
-// running session always carries live utilization. Safe to call while
+// and rank_wait_ratio, pipeline_busy_ns_total and pipeline_wait_ns_total
+// over wall time since the epoch — are computed at scrape time so a scrape
+// of a running session always carries live utilization. Safe to call while
 // ranks are recording.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
@@ -119,28 +119,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 
 	// Derived live utilization: busy/wait ns over wall ns since the epoch.
-	// Wait folds the pipeline's barrier waits with the comm layer's
-	// blocked time, matching trace.RankSummary's split.
+	// Both counters are the Observer's fold of trace.RingClass — wait is
+	// blocked sends and receives plus barrier waits, as in a trace summary.
 	busy, okBusy := s.Counters[PipeBusyNs]
 	if okBusy && s.WallNs > 0 {
-		wait := s.Counters[PipeWaitNs]
-		blocked := s.Counters[CommBlockedNs]
-		wall := float64(s.WallNs)
-		fmt.Fprintf(w, "# TYPE %srank_busy_ratio gauge\n", namePrefix)
-		for rank, v := range busy.PerRank {
-			fmt.Fprintf(w, "%srank_busy_ratio{rank=\"%d\"} %g\n", namePrefix, rank, float64(v)/wall)
-		}
-		fmt.Fprintf(w, "# TYPE %srank_wait_ratio gauge\n", namePrefix)
-		for rank := range busy.PerRank {
-			var wNs int64
-			if rank < len(wait.PerRank) {
-				wNs += wait.PerRank[rank]
+		ratio := func(name string, perRank []int64) {
+			fmt.Fprintf(w, "# TYPE %s%s gauge\n", namePrefix, name)
+			for rank := range busy.PerRank {
+				var ns int64
+				if rank < len(perRank) {
+					ns = perRank[rank]
+				}
+				fmt.Fprintf(w, "%s%s{rank=\"%d\"} %g\n", namePrefix, name, rank, float64(ns)/float64(s.WallNs))
 			}
-			if rank < len(blocked.PerRank) {
-				wNs += blocked.PerRank[rank]
-			}
-			fmt.Fprintf(w, "%srank_wait_ratio{rank=\"%d\"} %g\n", namePrefix, rank, float64(wNs)/wall)
 		}
+		ratio("rank_busy_ratio", busy.PerRank)
+		ratio("rank_wait_ratio", s.Counters[PipeWaitNs].PerRank)
 	}
 	return nil
 }

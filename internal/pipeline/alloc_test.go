@@ -6,7 +6,9 @@ import (
 	"wavefront/internal/bufpool"
 	"wavefront/internal/critpath"
 	"wavefront/internal/field"
+	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
+	"wavefront/internal/trace"
 	"wavefront/internal/workload"
 )
 
@@ -38,18 +40,26 @@ const (
 // boundary messages.
 func sessionAllocsPerExec(t *testing.T, procs int, pooled, postmortem bool) float64 {
 	t.Helper()
+	return sessionAllocsWith(t, procs, func(cfg *SessionConfig) {
+		if pooled {
+			cfg.Pool = bufpool.New(procs)
+		}
+		if postmortem {
+			cfg.Postmortem = critpath.NewPostmortem("")
+		}
+	})
+}
+
+// sessionAllocsWith is sessionAllocsPerExec under any configuration.
+func sessionAllocsWith(t *testing.T, procs int, set func(*SessionConfig)) float64 {
+	t.Helper()
 	tom, err := workload.NewTomcatv(48, field.RowMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blk := tom.ForwardBlock()
 	cfg := SessionConfig{Procs: procs, Domain: tom.All, Block: 8}
-	if pooled {
-		cfg.Pool = bufpool.New(procs)
-	}
-	if postmortem {
-		cfg.Postmortem = critpath.NewPostmortem("")
-	}
+	set(&cfg)
 	sess, err := NewSession(tom.Env, []*scan.Block{blk}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +116,25 @@ func TestSteadyWaveZeroAllocsPostmortem(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		if got := sessionAllocsPerExec(t, procs, true, true); got != 0 {
 			t.Errorf("procs=%d: steady-state Exec allocated %.0f times per wave with the flight recorder armed, want 0", procs, got)
+		}
+	}
+}
+
+// TestSteadyWaveZeroAllocsObserved: a site hands its event to the run's
+// Observer by value and the Observer is one concrete type, so with a
+// recorder and a registry both attached a pooled steady-state wave still
+// allocates nothing.
+func TestSteadyWaveZeroAllocsObserved(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	for _, procs := range []int{1, 4} {
+		got := sessionAllocsWith(t, procs, func(cfg *SessionConfig) {
+			cfg.Pool, cfg.Metrics = bufpool.New(procs), metrics.New(procs)
+			cfg.Trace = trace.New(procs, 1<<12)
+		})
+		if got != 0 {
+			t.Errorf("procs=%d: steady-state Exec allocated %.0f times per wave with a recorder and a registry attached, want 0", procs, got)
 		}
 	}
 }

@@ -255,8 +255,8 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 	if !r.e.RecoveryQuiescent() {
 		return nil
 	}
-	tr := r.tr()
-	t0 := tr.Now()
+	o := r.obs()
+	t0 := o.Now()
 	p := r.sess.cfg.Procs
 	op := r.ops - 1
 	s := &ck.scratch[r.id]
@@ -320,13 +320,10 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 	}
 	r.e.TrimRetained(s.RecvCursor)
 	r.lastSnap = c
-	if ck.pm != nil {
-		ck.pm.ckptSnaps.Add(r.id, 1)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindCkpt, r.id, t0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindCkpt, r.id, t0, o.Now())
 		ev.Wave, ev.Tile, ev.Elems = s.Wave-1, tile, elems
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	return nil
 }
@@ -337,8 +334,8 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 // overwrite the rank's zero state, and the fast-forward horizon is set to
 // the snapshot's operation and tile.
 func (r *Rank) restore(ck *ckptRuntime) error {
-	tr := r.tr()
-	t0 := tr.Now()
+	o := r.obs()
+	t0 := o.Now()
 	snap, err := ck.store.Latest(r.id)
 	if err != nil {
 		return err
@@ -410,13 +407,10 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 			return fmt.Errorf("pipeline: snapshot carries unknown tag %q", name[:2])
 		}
 	}
-	if ck.pm != nil {
-		ck.pm.ckptRestores.Add(r.id, 1)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindRestore, r.id, t0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindRestore, r.id, t0, o.Now())
 		ev.Wave, ev.Tile, ev.Seq = snap.Wave-1, r.ffTile, int(snap.Seq)
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	return nil
 }

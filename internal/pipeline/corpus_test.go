@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wavefront/internal/bufpool"
+	"wavefront/internal/critpath"
 	"wavefront/internal/dep"
 	"wavefront/internal/expr"
 	"wavefront/internal/grid"
@@ -159,6 +160,14 @@ func TestValidatorCatchesIntentionalBreak(t *testing.T) {
 	if err := trace.Validate(events); err != nil {
 		t.Fatalf("untampered trace must validate: %v", err)
 	}
+	// The analyzer reads the index the validator checks.
+	violations := func() int {
+		rep, _ := critpath.Analyze(events, critpath.Options{Procs: 3, Tolerant: true})
+		return len(rep.Violations)
+	}
+	if n := violations(); n != 0 {
+		t.Fatalf("the critical-path report of the untampered trace carries %d violations", n)
+	}
 	// Find a compute that depends on an upstream boundary message and move
 	// it to the beginning of time, before any message could have arrived.
 	broke := false
@@ -178,6 +187,9 @@ func TestValidatorCatchesIntentionalBreak(t *testing.T) {
 		t.Fatal("validator accepted a schedule with a compute moved before its boundary message")
 	}
 	t.Logf("validator correctly rejected tampered schedule: %v", err)
+	if violations() == 0 {
+		t.Error("the critical-path report of the tampered schedule carries no violation")
+	}
 }
 
 // TestTracingDefaultOff pins the contract that tracing is opt-in: the

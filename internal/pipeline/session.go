@@ -54,8 +54,11 @@ type Session struct {
 	mu    sync.Mutex
 	topo  *comm.Topology
 	stats SessionStats
-	// pm is the resolved instrument set of the Run in flight (nil when
+	// obs is the observer of the Run in flight — the one thing every
+	// instrumented site emits to (nil when Config.Trace and Config.Metrics
+	// are both nil) — and pm the run's counts that are not spans (nil when
 	// metrics are disabled); msrv is the HTTP endpoint from MetricsAddr.
+	obs  *metrics.Observer
 	pm   *pipeMetrics
 	msrv *metrics.Server
 	// ck is the checkpoint runtime of the Run in flight (nil when
@@ -369,9 +372,17 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	if err != nil {
 		return err
 	}
-	if err := topo.SetTrace(s.cfg.Trace); err != nil {
+	tr := s.cfg.Trace
+	if s.flightTrace {
+		// The session owns the flight ring: reset it so each Run's bundle
+		// and /debug/critpath report cover only the run in flight.
+		tr.Reset()
+	}
+	obs, err := metrics.Observe(tr, s.cfg.Metrics, s.cfg.Procs)
+	if err != nil {
 		return err
 	}
+	topo.SetObserver(obs)
 	topo.SetFaults(s.cfg.Faults)
 	if s.cfg.Faults == nil {
 		if err := topo.SetBufPool(s.cfg.Pool); err != nil {
@@ -381,14 +392,11 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	if err := topo.SetLinkCapacity(s.linkCapacity()); err != nil {
 		return err
 	}
-	if err := topo.SetMetrics(s.cfg.Metrics); err != nil {
-		return err
-	}
 	if err := topo.SetTransport(s.cfg.Transport); err != nil {
 		return err
 	}
 	defer topo.Close()
-	pm := newPipeMetrics(s.cfg.Metrics, s.cfg.Procs)
+	pm := newPipeMetrics(s.cfg.Metrics, obs)
 	var ck *ckptRuntime
 	if s.cfg.Checkpoint != nil {
 		ck = newCkptRuntime(s.cfg.Checkpoint, s.cfg.Procs, pm)
@@ -398,15 +406,9 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	}
 	s.mu.Lock()
 	s.topo = topo
-	s.pm = pm
+	s.obs, s.pm = obs, pm
 	s.ck = ck
 	s.mu.Unlock()
-	tr := s.cfg.Trace
-	if s.flightTrace {
-		// The session owns the flight ring: reset it so each Run's bundle
-		// and /debug/critpath report cover only the run in flight.
-		tr.Reset()
-	}
 	dropBase := pm.traceDropBase(tr)
 	// All ranks must finish scattering (reading the global arrays) before
 	// any rank may gather (writing them); with no other messages in flight
@@ -441,17 +443,10 @@ func (s *Session) Run(body func(r *Rank) error) error {
 				return err
 			}
 		} else {
-			barrierT0 := tr.Now()
-			var mBar0 int64
-			if pm != nil {
-				mBar0 = pm.now()
-			}
+			barrierT0 := obs.Now()
 			phase.Wait()
-			if tr != nil {
-				tr.Record(trace.Ev(trace.KindBarrier, e.Rank(), barrierT0, tr.Now()))
-			}
-			if pm != nil {
-				pm.waitNs.Add(e.Rank(), pm.now()-mBar0)
+			if obs != nil {
+				obs.Emit(trace.Ev(trace.KindBarrier, e.Rank(), barrierT0, obs.Now()))
 			}
 			if err != nil {
 				return err
@@ -490,7 +485,7 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			err = fmt.Errorf("pipeline: session left %d messages undelivered", n)
 		}
 	}
-	pm.publishTraceDrops(tr, dropBase, s.cfg.Procs, s.workers)
+	pm.publishTraceDrops(tr, dropBase, trace.Layout{Procs: s.cfg.Procs, Workers: s.workers})
 	summary := tr.Summarize()
 	if s.flightTrace {
 		summary = nil // the flight ring is internal; the caller asked for no trace
@@ -649,7 +644,7 @@ type xchgRegs struct {
 // overwrites every element from the snapshot, and reading the globals here
 // would race the gathers of ranks that already finished.
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
-	scatterT0 := s.cfg.Trace.Now()
+	scatterT0 := s.obs.Now()
 	r := &Rank{
 		sess:     s,
 		e:        e,
@@ -701,8 +696,8 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		r.locals[name] = lf
 	}
 	r.lenv = &forwardEnv{arrays: r.locals, parent: s.genv}
-	if tr := s.cfg.Trace; tr != nil && !restoring {
-		tr.Record(trace.Ev(trace.KindScatter, r.id, scatterT0, tr.Now()))
+	if o := s.obs; o != nil && !restoring {
+		o.Emit(trace.Ev(trace.KindScatter, r.id, scatterT0, o.Now()))
 	}
 	return r, nil
 }
@@ -733,12 +728,9 @@ func (s *Session) localTile(g *field.Field) int {
 // ID returns the rank index.
 func (r *Rank) ID() int { return r.id }
 
-// tr returns the session's trace recorder (nil = tracing disabled).
-func (r *Rank) tr() *trace.Recorder { return r.sess.cfg.Trace }
-
-// pm returns the instrument set of the Run in flight (nil = metrics
-// disabled).
-func (r *Rank) pm() *pipeMetrics { return r.sess.pm }
+// obs returns the observer of the Run in flight (nil = neither traced nor
+// metered).
+func (r *Rank) obs() *metrics.Observer { return r.sess.obs }
 
 // SetScalar binds a rank-local scalar, shadowing the global environment.
 // Because compiled kernels capture scalar values, a scalar already used by
@@ -767,15 +759,8 @@ func (r *Rank) Barrier() error {
 	if skip, err := r.ckOp(); err != nil || skip {
 		return err
 	}
-	pm := r.pm()
-	if pm == nil {
-		return r.e.Barrier()
-	}
-	t0 := pm.now()
-	err := r.e.Barrier()
-	pm.barriers.Add(r.id, 1)
-	pm.waitNs.Add(r.id, pm.now()-t0)
-	return err
+	r.obs().Barrier(r.id)
+	return r.e.Barrier()
 }
 
 func (r *Rank) sendNext(to int, data []float64) error {
@@ -790,30 +775,17 @@ func (r *Rank) recvNext(from int) ([]float64, error) {
 	return r.e.Recv(from, tag)
 }
 
-// span is an open compute span: the trace and metrics clocks at its start,
-// each read only when its observer is attached.
-type span struct{ t0, m0 int64 }
-
-func (r *Rank) begin() span {
-	sp := span{t0: r.tr().Now()}
-	if pm := r.pm(); pm != nil {
-		sp.m0 = pm.now()
-	}
-	return sp
-}
-
-// computed closes a compute span over elems points as one tile of the
-// drift monitor's cost fit and one traced compute event. tile and wave
-// identify a wavefront tile, peer and need the upstream message it waited
-// for; -1 marks what does not apply.
-func (r *Rank) computed(sp span, elems, tile, wave, peer, need int) {
-	if pm := r.pm(); pm != nil {
-		pm.tile(r.id, elems, sp.m0, pm.now())
-	}
-	if tr := r.tr(); tr != nil {
-		ev := trace.Ev(trace.KindCompute, r.id, sp.t0, tr.Now())
+// computed closes the compute span opened at t0 (the observer's clock) over
+// elems points as one compute event: a tile of a block, which is also one
+// sample of the drift monitor's per-point cost. tile is its index in the
+// block (0 for a block that runs in one piece), wave the sweep it belongs
+// to, peer and need the upstream message it waited for; -1 marks what does
+// not apply.
+func (r *Rank) computed(t0 int64, elems, tile, wave, peer, need int) {
+	if o := r.obs(); o != nil {
+		ev := trace.Ev(trace.KindCompute, r.id, t0, o.Now())
 		ev.Elems, ev.Tile, ev.Wave, ev.Peer, ev.Need = elems, tile, wave, peer, need
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 }
 
@@ -921,7 +893,7 @@ func (r *Rank) Exec(b *scan.Block) error {
 		// into a temporary over this rank's portion (the halo carries the
 		// required pre-block values).
 		sub := scan.NewPlain(L, b.Stmts...)
-		err = scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.tr(), TraceRank: r.id})
+		err = scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.sess.cfg.Trace, TraceRank: r.id})
 	case len(pl.pipeNames) > 0:
 		err = r.execWavefront(b, pl, L)
 	default:
@@ -959,18 +931,18 @@ func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
 		if err != nil {
 			return err
 		}
-		sp := r.begin()
+		t0 := r.obs().Now()
 		tg.Run()
-		r.computed(sp, L.Size(), -1, -1, -1, -1)
+		r.computed(t0, L.Size(), 0, -1, -1, -1)
 		return nil
 	}
 	kern, err := r.kernelFor(b, pl)
 	if err != nil {
 		return err
 	}
-	sp := r.begin()
+	t0 := r.obs().Now()
 	kern.Run(L, pl.an.Loop)
-	r.computed(sp, L.Size(), -1, -1, -1, -1)
+	r.computed(t0, L.Size(), 0, -1, -1, -1)
 	return nil
 }
 
@@ -994,7 +966,7 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 		r.waveRuns++
 		return nil
 	}
-	pm := r.pm()
+	pm := r.sess.pm
 	// A restarted rank whose snapshot was cut inside this sweep resumes at
 	// that tile; what precedes the tile loop its previous incarnation
 	// already did, and the restored counters account for it.
@@ -1030,7 +1002,7 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 		r.eplans[b] = ep
 	}
 	if pm != nil {
-		defer pm.swept(r.id, !ep.hasUp, !ep.hasDown, pm.now())
+		defer pm.obs.Swept(r.id, !ep.hasUp, !ep.hasDown, pm.obs.Now())
 	}
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
 		return r.execWavefrontDAG(b, pl, ep, L, wave)
@@ -1057,9 +1029,9 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 			}
 		}
 		tile := ep.tiles[t]
-		sp := r.begin()
+		begin := r.obs().Now()
 		kern.Run(tile, pl.an.Loop)
-		r.computed(sp, tile.Size(), t, wave, peer, need)
+		r.computed(begin, tile.Size(), t, wave, peer, need)
 		if ep.hasDown {
 			if err := r.sendWave(ep, t, wave); err != nil {
 				return err
@@ -1072,8 +1044,8 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 // recvWave receives boundary message recvd of one wavefront sweep and
 // unpacks it into the schedule's halo regions.
 func (r *Rank) recvWave(ep *execPlan, recvd, wave int) error {
-	tr := r.tr()
-	waveT0 := tr.Now()
+	o := r.obs()
+	waveT0 := o.Now()
 	buf, err := r.recvNext(ep.upstream)
 	if err != nil {
 		return err
@@ -1091,18 +1063,18 @@ func (r *Rank) recvWave(ep *execPlan, recvd, wave int) error {
 		off += sz
 	}
 	r.e.ReleaseTo(ep.upstream, buf)
-	if tr != nil {
-		ev := trace.Ev(trace.KindWaveRecv, r.id, waveT0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindWaveRecv, r.id, waveT0, o.Now())
 		ev.Peer, ev.Seq, ev.Wave, ev.Elems = ep.upstream, recvd, wave, len(buf)
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	return nil
 }
 
 // sendWave packs and forwards tile t's boundary rows downstream.
 func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
-	tr := r.tr()
-	waveT0 := tr.Now()
+	o := r.obs()
+	waveT0 := o.Now()
 	buf := r.e.Lease(ep.sendTotal[t])
 	off := 0
 	for i, f := range ep.fields {
@@ -1115,13 +1087,10 @@ func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
 	if err := r.sendNext(ep.downstream, buf); err != nil {
 		return err
 	}
-	if pm := r.pm(); pm != nil {
-		pm.waveSend(r.id, len(buf))
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindWaveSend, r.id, waveT0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindWaveSend, r.id, waveT0, o.Now())
 		ev.Peer, ev.Seq, ev.Wave, ev.Elems = ep.downstream, t, wave, len(buf)
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	return nil
 }
@@ -1150,9 +1119,9 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 	if err != nil {
 		return err
 	}
-	sp := r.begin()
+	t0 := r.obs().Now()
 	tg.Run()
-	r.computed(sp, L.Size(), 0, wave, peer, need)
+	r.computed(t0, L.Size(), 0, wave, peer, need)
 	if ep.hasDown {
 		for t := 0; t < T; t++ {
 			if err := r.sendWave(ep, t, wave); err != nil {
@@ -1253,8 +1222,8 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 	if r.xregs == nil {
 		r.buildXregs()
 	}
-	tr := r.tr()
-	exchangeT0 := tr.Now()
+	o := r.obs()
+	exchangeT0 := o.Now()
 	var took [2]bool // the neighbours that took part, by the side they are on
 	elems := 0
 	// Send first (a refresh puts one message on a link, so the send blocks
@@ -1318,11 +1287,8 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 		took[side] = true
 		elems += off
 	}
-	if pm := r.pm(); pm != nil {
-		pm.exchanges.Add(r.id, 1)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindExchange, r.id, exchangeT0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindExchange, r.id, exchangeT0, o.Now())
 		ev.Peer, ev.Seq, ev.Elems = r.id-1, r.id+1, elems
 		if !took[sideNeg] {
 			ev.Peer = ev.Seq
@@ -1330,7 +1296,7 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 		if !took[sidePos] {
 			ev.Seq = ev.Peer
 		}
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	return nil
 }
@@ -1359,28 +1325,20 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 	if !rr.sized || !rr.region.Equal(region) {
 		rr.region, rr.portion, rr.sized = region, r.portionOf(region, r.id), true
 	}
-	// The local fold is compute like any block's: a traced span with its
-	// point count and a share of the rank's busy time. It does not go
-	// through pm.tile, whose samples calibrate the drift monitor's per-point
-	// tile cost — a fold's per-point cost is not a wavefront tile's.
-	tr := r.tr()
-	pm := r.pm()
-	foldT0 := tr.Now()
-	var mT0 int64
-	if pm != nil {
-		mT0 = pm.now()
-	}
+	// The local fold is compute like any block's: a span with its point
+	// count and a share of the rank's busy time. It carries no tile index:
+	// tiles calibrate the drift monitor's per-point cost, and a fold's
+	// per-point cost is not a wavefront tile's.
+	o := r.obs()
+	foldT0 := o.Now()
 	local, err := rr.fold.Reduce(op, rr.portion)
 	if err != nil {
 		return 0, err
 	}
-	if pm != nil {
-		pm.busyNs.Add(r.id, pm.now()-mT0)
-	}
-	if tr != nil {
-		ev := trace.Ev(trace.KindCompute, r.id, foldT0, tr.Now())
+	if o != nil {
+		ev := trace.Ev(trace.KindCompute, r.id, foldT0, o.Now())
 		ev.Elems = rr.portion.Size()
-		tr.Record(ev)
+		o.Emit(ev)
 	}
 	commOp := comm.SumOp
 	switch op {
@@ -1394,16 +1352,13 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 			return b
 		}
 	}
-	reduceT0 := tr.Now()
+	reduceT0 := o.Now()
 	out, err := r.e.AllReduce(local, commOp)
 	if err == nil && r.sess.ck != nil {
 		r.reduceLog = append(r.reduceLog, out)
 	}
-	if pm != nil {
-		pm.reductions.Add(r.id, 1)
-	}
-	if tr != nil {
-		tr.Record(trace.Ev(trace.KindReduce, r.id, reduceT0, tr.Now()))
+	if o != nil {
+		o.Emit(trace.Ev(trace.KindReduce, r.id, reduceT0, o.Now()))
 	}
 	return out, err
 }
@@ -1492,11 +1447,11 @@ func (r *Rank) releaseScratch() {
 // gather writes every written array's slab back to the global fields.
 // Slabs are disjoint, so concurrent ranks touch disjoint elements.
 func (r *Rank) gather() error {
-	tr := r.tr()
-	gatherT0 := tr.Now()
+	o := r.obs()
+	gatherT0 := o.Now()
 	defer func() {
-		if tr != nil {
-			tr.Record(trace.Ev(trace.KindGather, r.id, gatherT0, tr.Now()))
+		if o != nil {
+			o.Emit(trace.Ev(trace.KindGather, r.id, gatherT0, o.Now()))
 		}
 	}()
 	w := r.sess.cfg.WavefrontDim

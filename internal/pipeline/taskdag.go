@@ -6,6 +6,7 @@ import (
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 	"wavefront/internal/taskdag"
+	"wavefront/internal/trace"
 )
 
 // resolveWorkers turns a config's Workers field into the actual pool size.
@@ -14,15 +15,6 @@ func resolveWorkers(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// taskTraceBase returns the first trace ring a rank's DAG workers may
-// write. Rings 0..procs-1 belong to the ranks themselves; each rank then
-// owns a block of `workers` rings. Worker 0 is the rank's own goroutine,
-// so its ring (taskTraceBase+0) never races the rank ring (the rank writes
-// both, from one goroutine).
-func taskTraceBase(procs, rank, workers int) int {
-	return procs + rank*workers
 }
 
 // taskGraphFor returns the rank's cached task-DAG executor for b over its
@@ -39,7 +31,7 @@ func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, L grid.Region) (*scan.TaskG
 		taskdag.Options{
 			Workers:     s.workers,
 			Trace:       s.cfg.Trace,
-			TraceBase:   taskTraceBase(s.cfg.Procs, r.id, s.workers),
+			TraceBase:   trace.Layout{Procs: s.cfg.Procs, Workers: s.workers}.WorkerBase(r.id),
 			Metrics:     s.cfg.Metrics,
 			MetricsRank: r.id,
 		},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wavefront/internal/bufpool"
+	"wavefront/internal/critpath"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -170,7 +171,14 @@ func TestCorruptedCounterCaughtByDifferential(t *testing.T) {
 		if _, err := Run(blk, env, cfg); err != nil {
 			t.Fatalf("taskdag run failed: %v", err)
 		}
-		return env.Arrays["a"].MaxAbsDiff(bounds, oracle.Arrays["a"]), trace.ValidateRecorder(rec)
+		// The analyzer reads the index the validator checks: what one
+		// refuses, the other reports.
+		verr := trace.ValidateRecorder(rec)
+		rep, _ := critpath.Analyze(rec.Events(), critpath.Options{Procs: 1, Workers: 4, Tolerant: true})
+		if (verr != nil) != (len(rep.Violations) > 0) {
+			t.Errorf("validator says %v, the critical-path report carries %d violations", verr, len(rep.Violations))
+		}
+		return env.Arrays["a"].MaxAbsDiff(bounds, oracle.Arrays["a"]), verr
 	}
 
 	// Control: no corruption, so both detectors must stay silent.

@@ -2,6 +2,47 @@ package trace
 
 import "time"
 
+// Class is what the time inside a span is: the three classes every account
+// of a run — the trace summary, the critical path, the live registry — is
+// made of, or ClassOther for a marker that is none of them.
+type Class uint8
+
+const (
+	ClassOther Class = iota
+	// ClassBusy is time spent computing.
+	ClassBusy
+	// ClassComm is time moving data; the part of such a span its Blocked
+	// field covers is wait.
+	ClassComm
+	// ClassWait is time blocked.
+	ClassWait
+)
+
+// ClassOf is the one place a Kind is given a class. Summarize and the
+// registry reach it through RingClass.Add, and so do the critical path's
+// totals; the path's own attribution calls it for each span it crosses.
+//
+// leaf is false for a span whose time other events on the same ring
+// already carry — a boundary message, halo exchange or reduction wraps its
+// sends and receives, and a blocked-send span repeats its send's Blocked
+// field — so a ring's totals skip it, while a path crossing it still
+// needs its class.
+func ClassOf(k Kind) (c Class, leaf bool) {
+	switch k {
+	case KindCompute, KindTaskTile, KindKernel:
+		return ClassBusy, true
+	case KindSend, KindRecv, KindScatter, KindGather:
+		return ClassComm, true
+	case KindWaveSend, KindWaveRecv, KindExchange, KindReduce:
+		return ClassComm, false
+	case KindBarrier:
+		return ClassWait, true
+	case KindBlockedSend:
+		return ClassWait, false
+	}
+	return ClassOther, false
+}
+
 // RingClass is the one classification of a ring's recorded time: how much
 // of it was busy, comm and wait, and the envelope of its compute spans.
 // Summarize and the critical-path analyzer both build their per-ring and
@@ -53,29 +94,24 @@ func widen(lo, hi *int64, start, end int64) {
 func (c *RingClass) Add(ev *Event) {
 	widen(&c.Start, &c.End, ev.Start, ev.End)
 	d := time.Duration(ev.End - ev.Start)
-	switch ev.Kind {
-	case KindCompute, KindTaskTile:
+	switch class, leaf := ClassOf(ev.Kind); {
+	case ev.Kind == KindFault:
+		c.Faults++
+	case ev.Kind == KindCancel:
+		c.Cancels++
+	case !leaf:
+	case ev.Kind == KindKernel:
+		c.kernel += d
+		widen(&c.kFirst, &c.kLast, ev.Start, ev.End)
+	case class == ClassBusy:
 		c.hasCompute = true
 		c.Busy += d
 		widen(&c.FirstCompute, &c.LastCompute, ev.Start, ev.End)
-	case KindKernel:
-		c.kernel += d
-		widen(&c.kFirst, &c.kLast, ev.Start, ev.End)
-	case KindScatter, KindGather:
-		c.Comm += d
-	case KindSend, KindRecv:
-		// Backpressured sends and blocking receives split into the blocked
-		// wait and the data movement proper. (The separate KindBlockedSend
-		// span covers the same interval as the send's Blocked field and is
-		// not double-counted.)
+	case class == ClassComm:
 		c.Wait += time.Duration(ev.Blocked)
 		c.Comm += d - time.Duration(ev.Blocked)
-	case KindBarrier:
+	case class == ClassWait:
 		c.Wait += d
-	case KindFault:
-		c.Faults++
-	case KindCancel:
-		c.Cancels++
 	}
 }
 
@@ -90,8 +126,11 @@ func (c *RingClass) Close() {
 // IsCompute reports whether the closed classification counted events of
 // kind k as the ring's compute spans.
 func (c *RingClass) IsCompute(k Kind) bool {
+	if class, _ := ClassOf(k); class != ClassBusy {
+		return false
+	}
 	if c.hasCompute {
-		return k == KindCompute || k == KindTaskTile
+		return k != KindKernel
 	}
 	return k == KindKernel && c.kernel > 0
 }

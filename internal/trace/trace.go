@@ -11,8 +11,13 @@
 //     in chrome://tracing or Perfetto, one timeline row per rank;
 //   - correctness: Validate replays a trace and mechanically checks the
 //     wavefront safety invariant — no tile computes before the upstream
-//     boundary messages it depends on have been received, and every
-//     boundary send matches exactly one receive.
+//     boundary messages it depends on have been received, and every send
+//     is matched, in order, by one receive. It is Index.Check over the
+//     causal index (index.go) the critical-path analyzer also walks.
+//
+// The runtime's sites do not call Record themselves: they hand each event
+// to the run's metrics.Observer, which records it here and folds it into
+// the live registry, so both hold one account.
 //
 // Concurrency contract: Record for rank r may only be called from rank r's
 // goroutine (the SPMD body), and Events/Summary/Validate may only be called
@@ -125,7 +130,9 @@ type Event struct {
 	// rank executes the same block sequence, so equal Wave values name the
 	// same run on every rank.
 	Wave int `json:"wave"`
-	// Tile is the tile index of a compute span.
+	// Tile is the tile index of a compute span within its block: 0 for a
+	// block that runs in one piece, -1 for compute that is no tile of a
+	// block (a reduction's local fold).
 	Tile int `json:"tile"`
 	// Need is the last upstream Seq that must have been received before
 	// this compute span may begin; -1 when the compute has no upstream
