@@ -222,17 +222,26 @@ func BenchmarkExperimentHarnessQuick(b *testing.B) {
 
 // --- Runtime throughput ---
 
+// BenchmarkPipelineTomcatvForward is a one-shot Run of the forward sweep at
+// n = 128, b = 16: four ranks on this host's two CPUs, and the two ranks the
+// repository benchmark's cold_oneshot runs. Most of the op is what surrounds
+// the waves — the ranks' copies of the written arrays and the collection
+// that garbage buys — so gc/op is reported beside ns/op.
 func BenchmarkPipelineTomcatvForward(b *testing.B) {
-	t, err := workload.NewTomcatv(128, field.RowMajor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blk := t.ForwardBlock()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(blk, t.Env, pipeline.DefaultConfig(4, 16)); err != nil {
-			b.Fatal(err)
-		}
+	for _, procs := range []int{4, 2} {
+		b.Run("p"+itoa(procs)+"-b16", func(b *testing.B) {
+			t, err := workload.NewTomcatv(128, field.RowMajor)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := t.ForwardBlock()
+			b.ReportAllocs()
+			timeWithGC(b, func() {
+				if _, err := pipeline.Run(blk, t.Env, pipeline.DefaultConfig(procs, 16)); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
 	}
 }
 
@@ -1198,7 +1207,7 @@ func BenchmarkKernelTileWidth(b *testing.B) {
 			for _, s := range sets {
 				k := kernels[s.env]
 				if k == nil {
-					if k, err = scan.NewKernelDeps(blk, s.env, an.UDVs); err != nil {
+					if k, err = scan.NewKernelDeps(blk, s.env, an.UDVs, scan.EngineTape); err != nil {
 						b.Fatal(err)
 					}
 					kernels[s.env] = k
@@ -1256,7 +1265,7 @@ func BenchmarkTaskDAGTileShape(b *testing.B) {
 					defer g.Stop()
 					kernels := make([]*scan.Kernel, workers)
 					for i := range kernels {
-						if kernels[i], err = scan.NewKernelDeps(blk, t.Env, an.UDVs); err != nil {
+						if kernels[i], err = scan.NewKernelDeps(blk, t.Env, an.UDVs, scan.EngineTape); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -241,27 +241,6 @@ func (g Region) BoundingBox(h Region) (Region, error) {
 	return Region{dims: dims}, nil
 }
 
-// Expand grows the region by the magnitude of the direction on the side the
-// direction points to: the storage needed so that A@d is in bounds whenever
-// the covering region is g. Negative components grow the low side, positive
-// components the high side.
-func (g Region) Expand(d Direction) (Region, error) {
-	if len(d) != len(g.dims) {
-		return Region{}, ErrRankMix
-	}
-	dims := make([]Range, len(g.dims))
-	for i := range g.dims {
-		r := g.dims[i]
-		if d[i] < 0 {
-			r.Lo += d[i]
-		} else {
-			r.Hi += d[i]
-		}
-		dims[i] = r
-	}
-	return Region{dims: dims}, nil
-}
-
 // Border returns ZPL's "d of g": the region adjacent to g on the side d
 // points to, with thickness |d[i]| in each nonzero dimension and g's own
 // extent in zero dimensions. It is the region of boundary values a

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"wavefront/internal/bufpool"
@@ -228,5 +229,49 @@ func TestRunPoolReuseAcrossRuns(t *testing.T) {
 	}
 	if out := pool.Outstanding(); out != 0 {
 		t.Errorf("%d buffers still leased after runs completed", out)
+	}
+}
+
+// TestOneShotGarbageCeiling pins what a one-shot Run of the Tomcatv forward
+// block leaves for the collector at n = 128, p = 2, b = 16 — the shape the
+// repository benchmark's cold_oneshot runs, where that garbage buys a
+// collection every few calls and the collection is a fifth of the op. The
+// ranks copy the four arrays the block writes and read aa and dd where the
+// caller keeps them, and a kernel is lowered once, not lowered and compiled:
+// 577 KB and 686 allocations a Run (842 KB and 763 with a copy of every
+// array and both compilations). The ceilings sit just above, so a fifth
+// array copied or a second compilation fails here before a benchmark
+// has to find it.
+func TestOneShotGarbageCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	const maxBytes, maxAllocs = 600 << 10, 700
+	tom, err := workload.NewTomcatv(128, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := tom.ForwardBlock()
+	run := func() {
+		if _, err := Run(blk, tom.Env, DefaultConfig(2, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: runtime threads, sudogs, the first topology's one-offs
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	allocs := (m1.Mallocs - m0.Mallocs) / runs
+	t.Logf("one-shot Run: %d bytes, %d allocations", bytes, allocs)
+	if bytes > maxBytes {
+		t.Errorf("a one-shot Run allocates %d bytes, want at most %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a one-shot Run allocates %d times, want at most %d", allocs, maxAllocs)
 	}
 }

@@ -32,6 +32,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -204,6 +205,20 @@ func dirtyMarkSides(v float64) (uint8, bool) {
 	return 0, false
 }
 
+// ReadOnlySnapshotError refuses a snapshot that carries data for an array no
+// registered block writes: a rank holds no copy of such an array — it reads
+// the caller's field — and restoring into that would change a global the
+// session promises to leave alone.
+type ReadOnlySnapshotError struct {
+	Rank  int
+	Array string
+}
+
+func (e *ReadOnlySnapshotError) Error() string {
+	return fmt.Sprintf("pipeline: rank %d: snapshot carries array %q, which no registered block writes",
+		e.Rank, e.Array)
+}
+
 // ckInts is the count of fixed counters at the head of a snapshot's Ints:
 // operation, tile, boundary messages received, cut index, sweeps begun and
 // the session's tile width (the tile and message counts mean nothing at
@@ -294,15 +309,15 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 	}
 	tagged(ckTagScalar, r.lenv.scalars)
 	tagged(ckTagCaptured, r.captured)
-	// Dirty and written marks are only ever set on session arrays, whose
-	// names the session sorted once.
-	for _, name := range r.sess.names {
+	// Dirty and written marks are only ever set on arrays some block
+	// writes, whose names the session sorted once.
+	for _, name := range r.sess.written {
 		if d := r.dirty[name]; d != 0 {
 			s.Names = append(s.Names, ckTagDirty+name)
 			s.Vals = append(s.Vals, dirtyMarkVal(d))
 		}
 	}
-	for _, name := range r.sess.names {
+	for _, name := range r.sess.written {
 		if r.wrote[name] {
 			s.Names = append(s.Names, ckTagWrote+name)
 			s.Vals = append(s.Vals, 1)
@@ -314,7 +329,9 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 	}
 
 	var elems int
-	s.Fields, elems = snapFields(s.Fields, r.sess.names, r.locals)
+	// Only what some block writes can differ from the globals: a restarted
+	// rank binds the read-only arrays from them again (see newRank).
+	s.Fields, elems = snapFields(s.Fields, r.sess.written, r.locals)
 	if err := ck.store.Save(s); err != nil {
 		return fmt.Errorf("pipeline: rank %d: checkpoint at op %d tile %d: %w", r.id, op, tile, err)
 	}
@@ -329,10 +346,11 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 }
 
 // restore rebuilds a restarted rank from its latest snapshot: array data is
-// copied into the freshly allocated locals (geometry is a pure function of
-// the session config, so bounds always agree), counters and tagged state
-// overwrite the rank's zero state, and the fast-forward horizon is set to
-// the snapshot's operation and tile.
+// copied into the freshly allocated locals of the written arrays (geometry
+// is a pure function of the session config, so bounds always agree; the
+// read-only arrays newRank bound are never written, by a snapshot either),
+// counters and tagged state overwrite the rank's zero state, and the
+// fast-forward horizon is set to the snapshot's operation and tile.
 func (r *Rank) restore(ck *ckptRuntime) error {
 	o := r.obs()
 	t0 := o.Now()
@@ -352,15 +370,19 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 		return fmt.Errorf("pipeline: rank %d: snapshot was cut at tile width %d, session runs at %d",
 			r.id, w, r.sess.cfg.Block)
 	}
-	if len(snap.Fields) != len(r.locals) {
-		return fmt.Errorf("pipeline: rank %d: snapshot holds %d arrays, session has %d",
-			r.id, len(snap.Fields), len(r.locals))
+	written := r.sess.written
+	if len(snap.Fields) != len(written) {
+		return fmt.Errorf("pipeline: rank %d: snapshot holds %d arrays, session writes %d",
+			r.id, len(snap.Fields), len(written))
 	}
 	for i := range snap.Fields {
 		fs := &snap.Fields[i]
 		f := r.locals[fs.Name]
 		if f == nil {
 			return fmt.Errorf("pipeline: snapshot names unknown array %q", fs.Name)
+		}
+		if _, ok := slices.BinarySearch(written, fs.Name); !ok {
+			return &ReadOnlySnapshotError{Rank: r.id, Array: fs.Name}
 		}
 		if len(fs.Data) != len(f.Data()) {
 			return fmt.Errorf("pipeline: snapshot array %q holds %d elements, locals need %d",

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
+	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/scan"
 	"wavefront/internal/workload"
@@ -183,6 +185,61 @@ func TestEngineBitIdenticalSweep3D(t *testing.T) {
 			}
 			if d := w.Env.Arrays["flux"].MaxAbsDiff(ref.Inner, ref.Env.Arrays["flux"]); d != 0 {
 				t.Errorf("sweep3d flux: engine %v p=%d differs from closure serial by %g", eng, procs, d)
+			}
+		}
+	}
+}
+
+// TestRankRefusesCapturedScalarChange: a rank's kernels bake a scalar's value
+// in when they are built — the tape as an immediate, the closure engine's
+// closures as a captured value — and nothing on a rank watches the scalar afterwards, so changing it once a block
+// has run is an error under every engine, a scalar no block read stays free,
+// and up to the refusal the engines agree bit for bit.
+func TestRankRefusesCapturedScalarChange(t *testing.T) {
+	const n, procs = 26, 2
+	results := map[scan.Engine]*workload.Tomcatv{}
+	for _, eng := range engines() {
+		w, err := workload.NewTomcatv(n, field.RowMajor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := w.ForwardBlock()
+		blk.Stmts[0].RHS = expr.MulN(expr.Scalar("w"), blk.Stmts[0].RHS)
+		sess, err := NewSession(w.Env, []*scan.Block{blk}, SessionConfig{Procs: procs, Domain: w.All, Block: 4, Kernel: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sess.Run(func(r *Rank) error {
+			if err := r.SetScalar("w", 0.75); err != nil {
+				return err
+			}
+			if err := r.SetScalar("w", 1.25); err != nil { // no kernel yet: free to change
+				return err
+			}
+			if err := r.Exec(blk); err != nil {
+				return err
+			}
+			if err := r.SetScalar("w", 1.25); err != nil { // the captured value again
+				return err
+			}
+			if err := r.SetScalar("unread", 3); err != nil {
+				return err
+			}
+			if err := r.SetScalar("w", 0.75); err == nil || !strings.Contains(err.Error(), "captured") {
+				t.Errorf("engine %v, rank %d: changing a captured scalar returned %v", eng, r.ID(), err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[eng] = w
+	}
+	ref := results[scan.EngineTape]
+	for eng, w := range results {
+		for name, f := range ref.Env.Arrays {
+			if d := w.Env.Arrays[name].MaxAbsDiff(ref.All, f); d != 0 {
+				t.Errorf("%s: engine %v differs from the tape by %g", name, eng, d)
 			}
 		}
 	}

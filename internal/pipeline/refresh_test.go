@@ -378,15 +378,17 @@ func firstBitDifference(got, want *expr.MapEnv) string {
 }
 
 // poisonHalos makes every halo row worthless before a block: each row of
-// each local array that another rank owns becomes NaN, and every array is
-// marked stale on both sides. Whatever the block then reads across a slab
+// each local copy that another rank owns becomes NaN, and every such array
+// is marked stale on both sides. Copies are of the written arrays only: an
+// array no block writes is the caller's field itself (there is no halo row
+// to go stale, and a NaN there would be a NaN in a global). Whatever the block then reads across a slab
 // boundary must have been put there by its own refresh or by its wave
 // messages, or a NaN reaches the result. Every rank does the same, so the
 // marks stay symmetric.
 func poisonHalos(r *Rank) {
 	w := r.sess.cfg.WavefrontDim
 	slab, dom := r.sess.slabs[r.id].Dim(w), r.sess.cfg.Domain.Dim(w)
-	for _, name := range r.sess.names {
+	for _, name := range r.sess.written {
 		f := r.locals[name]
 		rows := f.Bounds().Dim(w)
 		for _, theirs := range []grid.Range{

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +47,11 @@ type Session struct {
 	subBlocks map[*scan.Block][]*scan.Block
 	halos     map[string]haloSpec // per-array union over all registered blocks
 	names     []string            // sorted array names
+	// written is the sorted subset of names some registered block assigns:
+	// the arrays a rank keeps a haloed copy of, exchanges halos of, snapshots
+	// and gathers. The rest are read-only for the whole session and a rank
+	// binds the caller's field itself (see newRank).
+	written []string
 	// workers is each rank's resolved task-DAG pool size — also the number
 	// of worker trace rings per rank — and 0 under SchedStatic.
 	workers int
@@ -153,6 +159,14 @@ func (s *Session) arm() error {
 		s.names = append(s.names, name)
 	}
 	sort.Strings(s.names)
+	s.written = make([]string, 0, len(s.names))
+	for _, pl := range s.plans {
+		for name := range pl.written {
+			s.written = append(s.written, name)
+		}
+	}
+	slices.Sort(s.written)
+	s.written = slices.Compact(s.written)
 	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && cfg.Trace == nil {
 		// Arm an internal flight ring: the flight recorder needs a trace
 		// tail and /debug/critpath needs events, but the caller asked for
@@ -637,12 +651,15 @@ type xchgRegs struct {
 	send, recv [2]grid.Region
 }
 
-// newRank builds one rank's local state: each session array over the
-// rank's slab plus its halo along the wavefront dimension (clipped to the
-// global storage box) and the array's full extent elsewhere. When
-// restoring, the local fields are allocated but left unfilled — restore
-// overwrites every element from the snapshot, and reading the globals here
-// would race the gathers of ranks that already finished.
+// newRank builds one rank's local state. An array some block writes gets a
+// local copy over the rank's slab plus its halo along the wavefront
+// dimension (clipped to the global storage box) and the array's full extent
+// elsewhere. An array no block writes has no owner that could change it, so
+// the rank binds the caller's field itself — no allocation, no scatter copy,
+// nothing to exchange, snapshot or gather. When restoring, the copies are
+// allocated but left unfilled — restore overwrites every element from the
+// snapshot, and reading the globals here would race the gathers of ranks
+// that already finished (nobody gathers into a read-only array).
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.obs.Now()
 	r := &Rank{
@@ -659,13 +676,17 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		portions: map[*scan.Block]grid.Region{},
 	}
 	for side := range r.needs {
-		r.needs[side] = make([]string, 0, len(s.names))
+		r.needs[side] = make([]string, 0, len(s.written))
 	}
 	slab := s.slabs[r.id]
 	for _, name := range s.names {
 		g := s.genv.Array(name)
 		if g == nil {
 			return nil, fmt.Errorf("pipeline: session array %q unbound", name)
+		}
+		if _, written := slices.BinarySearch(s.written, name); !written {
+			r.locals[name] = g
+			continue
 		}
 		h := s.halos[name]
 		dims := g.Bounds().Dims()
@@ -843,12 +864,11 @@ func (r *Rank) portionOf(region grid.Region, rank int) grid.Region {
 // path tallies. The scalars the compiled kernel bakes in are recorded so
 // SetScalar can refuse to change them afterwards.
 func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
-	kern, err := scan.NewKernelDeps(b, r.lenv, pl.an.UDVs)
+	cfg := &r.sess.cfg
+	kern, err := scan.NewKernelDeps(b, r.lenv, pl.an.UDVs, cfg.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	cfg := &r.sess.cfg
-	kern.SetEngine(cfg.Kernel)
 	kern.SetScratch(cfg.Pool, r.id)
 	kern.SetMetrics(cfg.Metrics, r.id)
 	for _, name := range pl.scalars {
@@ -893,7 +913,9 @@ func (r *Rank) Exec(b *scan.Block) error {
 		// into a temporary over this rank's portion (the halo carries the
 		// required pre-block values).
 		sub := scan.NewPlain(L, b.Stmts...)
+		t0 := r.obs().Now()
 		err = scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.sess.cfg.Trace, TraceRank: r.id})
+		r.computed(t0, L.Size(), 0, -1, -1, -1)
 	case len(pl.pipeNames) > 0:
 		err = r.execWavefront(b, pl, L)
 	default:
@@ -1132,15 +1154,16 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 	return nil
 }
 
-// buildXregs works out the halo-exchange geometry: for each array and each
-// neighbour side, the rows of my slab the neighbour's halo needs (send) and
-// the rows of its slab my halo needs (recv).
+// buildXregs works out the halo-exchange geometry: for each written array
+// (no other is ever dirty) and each neighbour side, the rows of my slab the
+// neighbour's halo needs (send) and the rows of its slab my halo needs
+// (recv).
 func (r *Rank) buildXregs() {
 	s := r.sess
 	slab := s.slabs[r.id]
-	r.xregs = make(map[string]xchgRegs, len(s.names))
+	r.xregs = make(map[string]xchgRegs, len(s.written))
 	w := s.cfg.WavefrontDim
-	for _, name := range s.names {
+	for _, name := range s.written {
 		h := s.halos[name]
 		rowRegion := func(rows grid.Range) grid.Region {
 			dims := r.locals[name].Bounds().Dims()

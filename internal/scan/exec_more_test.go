@@ -148,7 +148,6 @@ func TestUnloweredKernelRunsOnClosures(t *testing.T) {
 	if k.prog != nil {
 		t.Fatal("NewKernel lowered a block whose dependences do not collect")
 	}
-	k.SetEngine(EngineTape)
 	k.Run(region, dep.Identity(2))
 	if pc := k.PathCounts(); pc.Closure != 1 || pc.Total() != 1 {
 		t.Errorf("path counts %v, want the one statement on the closure path", pc)

@@ -83,15 +83,15 @@ type Kernel struct {
 	mRank int
 	// Tape engine (nil when the block could not be lowered).
 	prog *kernel.Program
-	// Per-point closure path.
+	// Per-point closure path (rhs is nil on a kernel that runs its tape).
 	dst []*field.Field
 	rhs []expr.Compiled
 }
 
-// NewKernel compiles the block's statements against env. Scalars are
-// captured at compile time. The dependence summary is recollected here; a
-// caller holding a fresh Analysis should use NewKernelDeps to avoid the
-// duplicate walk.
+// NewKernel compiles the block's statements against env for the tape engine.
+// Scalars are captured at compile time. The dependence summary is
+// recollected here; a caller holding a fresh Analysis should use
+// NewKernelDeps to avoid the duplicate walk.
 func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
 	refs := refsOf(b.Stmts)
 	k := &Kernel{}
@@ -99,56 +99,59 @@ func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
 	// ever running; compile the closure path anyway so construction stays
 	// total, with the tape unavailable.
 	udvs, _, err := collectDeps(b, refs)
-	if err := k.init(b, env, udvs, err == nil); err != nil {
+	if err := k.init(b, env, udvs, err == nil, EngineTape); err != nil {
 		return nil, err
 	}
 	return k, nil
 }
 
-// NewKernelDeps compiles the block like NewKernel but reuses the UDVs of a
-// prior Analyze (Analysis.UDVs) instead of recollecting them, so the span
-// legality the tape derives matches the loop derivation exactly.
-func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV) (*Kernel, error) {
+// NewKernelDeps compiles the block like NewKernel, for engine e, but reuses
+// the UDVs of a prior Analyze (Analysis.UDVs) instead of recollecting them,
+// so the span legality the tape derives matches the loop derivation exactly.
+func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV, e Engine) (*Kernel, error) {
 	k := &Kernel{}
-	if err := k.init(b, env, udvs, true); err != nil {
+	if err := k.init(b, env, udvs, true, e); err != nil {
 		return nil, err
 	}
 	return k, nil
 }
 
-// init compiles b's statements into the zero Kernel k; only the rank of b's
-// region is read.
-func (k *Kernel) init(b *Block, env expr.Env, udvs []dep.UDV, lower bool) error {
+// init compiles b's statements into the zero Kernel k for engine e; only
+// the rank of b's region is read. It builds what e runs and nothing else:
+// the tape, or the per-point closures for EngineClosure and for a block the
+// tape refuses (lower false, or a lowering failure: not an error — the
+// closures are the always-correct reference; selecting a tape engine for
+// such a block is a no-op). Whatever the closure compiler refuses (an
+// unbound name, a shift of the wrong rank, a bad call) the lowerer refuses
+// too, so a block that cannot run at all still fails here, with the closure
+// compiler's error.
+func (k *Kernel) init(b *Block, env expr.Env, udvs []dep.UDV, lower bool, e Engine) error {
 	ns := len(b.Stmts)
+	k.engine = e
 	k.dst = make([]*field.Field, ns)
-	k.rhs = make([]expr.Compiled, ns)
 	for i, s := range b.Stmts {
-		c, err := expr.Compile(s.RHS, env)
-		if err != nil {
-			return err
-		}
-		k.dst[i], k.rhs[i] = env.Array(s.LHS.Name), c
+		k.dst[i] = env.Array(s.LHS.Name)
 	}
-	// Lower to the tape engine. Lowering failures are not errors — the
-	// closure path above is the always-correct reference — so any block
-	// whose dependences or bindings the tape cannot express just runs on
-	// closures.
-	if lower {
+	if lower && e != EngineClosure {
 		rhs := make([]expr.Node, ns)
 		for i, s := range b.Stmts {
 			rhs[i] = s.RHS
 		}
 		if prog, err := kernel.Lower(b.Region.Rank(), k.dst, rhs, env, udvs); err == nil {
 			k.prog = prog
+			return nil
 		}
+	}
+	k.rhs = make([]expr.Compiled, ns)
+	for i, s := range b.Stmts {
+		c, err := expr.Compile(s.RHS, env)
+		if err != nil {
+			return err
+		}
+		k.rhs[i] = c
 	}
 	return nil
 }
-
-// SetEngine selects the execution strategy for subsequent Runs. Selecting
-// EngineTape on a kernel whose block could not be lowered is a no-op: the
-// closure path keeps running.
-func (k *Kernel) SetEngine(e Engine) { k.engine = e }
 
 // SetScratch routes the tape engine's register leases through pool under
 // the given pool rank. A nil pool (the default) allocates plainly.
@@ -206,7 +209,7 @@ func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 
 // tally records which executor path a Run took, one count per statement.
 func (k *Kernel) tally(p kernel.Path) {
-	ns := int64(len(k.rhs))
+	ns := int64(len(k.dst))
 	k.paths[p] += ns
 	k.mPath[p].Add(k.mRank, ns)
 }

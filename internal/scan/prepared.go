@@ -165,11 +165,10 @@ func (p *Prepared) bind() error {
 // build compiles the nest into the zero Kernel k under the block's options.
 func (pt *part) build(k *Kernel) error {
 	p := pt.p
-	if err := k.init(&pt.blk, p.env, pt.an.UDVs, true); err != nil {
+	if err := k.init(&pt.blk, p.env, pt.an.UDVs, true, p.opt.Engine); err != nil {
 		return err
 	}
 	p.builds++
-	k.SetEngine(p.opt.Engine)
 	k.SetMetrics(p.opt.Metrics, p.opt.MetricsRank)
 	return nil
 }

@@ -122,11 +122,10 @@ func TestShortRunsMatchClosure(t *testing.T) {
 								return v
 							})
 						}
-						k, err := NewKernelDeps(blk, env, an.UDVs)
+						k, err := NewKernelDeps(blk, env, an.UDVs, e)
 						if err != nil {
 							t.Fatal(err)
 						}
-						k.SetEngine(e)
 						k.Run(blk.Region, an.Loop)
 						return env, k.PathCounts()
 					}
@@ -183,7 +182,7 @@ func BenchmarkKernelShortRuns(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			k, err := NewKernelDeps(blk, env, an.UDVs)
+			k, err := NewKernelDeps(blk, env, an.UDVs, EngineTape)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -56,11 +56,10 @@ func TestSkewedEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := NewKernelDeps(blk, env, an.UDVs)
+		k, err := NewKernelDeps(blk, env, an.UDVs, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.SetEngine(e)
 		k.SetMetrics(reg, 0)
 		k.Run(blk.Region, an.Loop)
 		return env, k.PathCounts(), reg
