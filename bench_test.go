@@ -87,17 +87,40 @@ func BenchmarkEq1OptimalBlock(b *testing.B) {
 
 // --- E4, Figure 5(a): block-size sweep on the simulated machine ---
 
-func BenchmarkFig5aSimulation(b *testing.B) {
-	par := machine.Params{Alpha: 1500, Beta: 72, ElemCost: 1}
+// simulateSchedules builds the runtime's static schedule of blocks over
+// domain on each p at each tile width and costs it on par: what the
+// simulated figures do per point, block construction and analysis
+// (pipeline.NewProgram) aside.
+func simulateSchedules(b *testing.B, par machine.Params, domain grid.Region, ps, widths []int, blocks ...*scan.Block) {
+	prog, err := pipeline.NewProgram(blocks...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, blk := range []int{1, 8, 23, 39, 128} {
-			if _, err := par.SimulateWavefront(machine.WavefrontSpec{
-				Rows: 250, Cols: 250, ProcsW: 8, Block: blk,
-			}); err != nil {
-				b.Fatal(err)
+		for _, p := range ps {
+			for _, w := range widths {
+				d, err := prog.Schedule(pipeline.Config{Procs: p, Domain: domain, Block: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				simSink = par.Simulate(d)
 			}
 		}
 	}
+}
+
+// simSink keeps the simulations above observable.
+var simSink machine.Result
+
+func BenchmarkFig5aSimulation(b *testing.B) {
+	// The paper's 250 × 250 sweep, a := 0.5·a'@north, as fig5a simulates it.
+	blk := scan.NewPlain(grid.Square(2, 1, 250), scan.Stmt{
+		LHS: expr.Ref("a"),
+		RHS: expr.MulN(expr.Const(0.5), expr.Ref("a").At(grid.North).Prime()),
+	})
+	simulateSchedules(b, machine.Params{Alpha: 1500, Beta: 72, ElemCost: 1}, blk.Region,
+		[]int{8}, []int{1, 8, 23, 39, 128}, blk)
 }
 
 // --- E5, Figure 5(b): model curves only ---
@@ -189,22 +212,13 @@ func BenchmarkFig6CacheTrace(b *testing.B) {
 // --- E7, Figure 7: pipelined vs naive simulation across p ---
 
 func BenchmarkFig7Simulation(b *testing.B) {
-	par := machine.T3ELike
-	for i := 0; i < b.N; i++ {
-		for _, p := range []int{2, 4, 8, 16} {
-			spec := machine.WavefrontSpec{
-				Rows: 512, Cols: 512, ProcsW: p, Block: 28,
-				MsgElemsPerCol: 3, Sweeps: 2, Alternate: true,
-			}
-			if _, err := par.SimulateWavefront(spec); err != nil {
-				b.Fatal(err)
-			}
-			spec.Block = 0
-			if _, err := par.SimulateWavefront(spec); err != nil {
-				b.Fatal(err)
-			}
-		}
+	// Tomcatv's forward and backward sweeps at n = 512, pipelined and naive.
+	t, err := workload.NewTomcatv(512, field.RowMajor)
+	if err != nil {
+		b.Fatal(err)
 	}
+	simulateSchedules(b, machine.T3ELike, t.All, []int{2, 4, 8, 16}, []int{28, 0},
+		t.ForwardBlock(), t.BackwardBlock())
 }
 
 // --- E8 and the full harness ---

@@ -73,14 +73,15 @@ func ablateTile(quick bool) *Result {
 		n = 96
 	}
 	par := machine.T3ELike
-	naive, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: 0})
+	sw := paperSweep(n)
+	naive, err := sw.simulate(par, p, 0)
 	if err != nil {
 		return &Result{Err: err}
 	}
 	var rows [][]string
 	best, bestB := math.Inf(1), 0
 	for b := 1; b <= n; b *= 2 {
-		res, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b})
+		res, err := sw.simulate(par, p, b)
 		if err != nil {
 			return &Result{Err: err}
 		}
@@ -89,7 +90,7 @@ func ablateTile(quick bool) *Result {
 		}
 		rows = append(rows, []string{fmt.Sprint(b), f1(res.Makespan), fmt.Sprint(res.Messages)})
 	}
-	full, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: n})
+	full, err := sw.simulate(par, p, n)
 	if err != nil {
 		return &Result{Err: err}
 	}
@@ -128,13 +129,14 @@ func dynamicB(quick bool) *Result {
 		if err != nil {
 			return &Result{Err: err}
 		}
-		chosen, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: cfg.n, Cols: cfg.n, ProcsW: cfg.p, Block: b})
+		sw := paperSweep(cfg.n)
+		chosen, err := sw.simulate(par, cfg.p, b)
 		if err != nil {
 			return &Result{Err: err}
 		}
 		bestT, bestB := math.Inf(1), 0
 		for bb := 1; bb <= cfg.n; bb++ {
-			res, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: cfg.n, Cols: cfg.n, ProcsW: cfg.p, Block: bb})
+			res, err := sw.simulate(par, cfg.p, bb)
 			if err != nil {
 				return &Result{Err: err}
 			}

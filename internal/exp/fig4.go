@@ -19,10 +19,9 @@ func fig4(quick bool) *Result {
 	n, p, b := 64, 4, 8
 	par := machine.Params{Alpha: 8, Beta: 0.25, ElemCost: 1}
 
+	sw := paperSweep(n)
 	build := func(block int) (machine.Timeline, error) {
-		dag, err := machine.BuildWavefront(machine.WavefrontSpec{
-			Rows: n, Cols: n, ProcsW: p, Block: block,
-		})
+		dag, err := sw.schedule(p, block)
 		if err != nil {
 			return machine.Timeline{}, err
 		}

@@ -77,25 +77,25 @@ func fig5a(quick bool) *Result {
 	nF, pF := float64(pr.n), float64(pr.p)
 
 	bs := []int{1, 2, 4, 8, 12, 16, 20, 23, 28, 32, 39, 48, 64, 96, 128, 250}
+	sw := paperSweep(pr.n)
+	naive, err := sw.simulate(par, pr.p, 0)
+	if err != nil {
+		return &Result{Err: err}
+	}
+	simSpeedAt := func(b int) (float64, int64) {
+		res, err := sw.simulate(par, pr.p, b)
+		if err != nil {
+			return math.NaN(), 0
+		}
+		return naive.Makespan / res.Makespan, res.Messages
+	}
 	var rows [][]string
 	bestSim, bestSimB := 0.0, 0
 	for _, b := range bs {
 		if b > pr.n {
 			continue
 		}
-		res, err := par.SimulateWavefront(machine.WavefrontSpec{
-			Rows: pr.n, Cols: pr.n, ProcsW: pr.p, Block: b,
-		})
-		if err != nil {
-			return &Result{Err: err}
-		}
-		naive, err := par.SimulateWavefront(machine.WavefrontSpec{
-			Rows: pr.n, Cols: pr.n, ProcsW: pr.p, Block: 0,
-		})
-		if err != nil {
-			return &Result{Err: err}
-		}
-		simSpeed := naive.Makespan / res.Makespan
+		simSpeed, msgs := simSpeedAt(b)
 		if simSpeed > bestSim {
 			bestSim, bestSimB = simSpeed, b
 		}
@@ -104,7 +104,7 @@ func fig5a(quick bool) *Result {
 			f2(m1.Speedup(nF, pF, float64(b))),
 			f2(m2.Speedup(nF, pF, float64(b))),
 			f2(simSpeed),
-			fmt.Sprint(res.Messages),
+			fmt.Sprint(msgs),
 		})
 	}
 	var sb strings.Builder
@@ -117,22 +117,10 @@ func fig5a(quick bool) *Result {
 	fmt.Fprintf(&sb, "\nModel1 optimal b = %.0f; Model2 optimal b = %.0f; simulated best b = %d\n",
 		b1, b2, bestSimB)
 	fmt.Fprintf(&sb, "paper: Model1 predicts b=39, Model2 predicts b=23, \"which is in fact better\"\n")
-	sim1 := simSpeedAt(par, pr.n, pr.p, int(math.Round(b1)))
-	sim2 := simSpeedAt(par, pr.n, pr.p, int(math.Round(b2)))
+	sim1, _ := simSpeedAt(int(math.Round(b1)))
+	sim2, _ := simSpeedAt(int(math.Round(b2)))
 	fmt.Fprintf(&sb, "simulated speedup at Model1's b: %.2f; at Model2's b: %.2f\n", sim1, sim2)
 	return &Result{Text: sb.String()}
-}
-
-func simSpeedAt(par machine.Params, n, p, b int) float64 {
-	res, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b})
-	if err != nil {
-		return math.NaN()
-	}
-	naive, err := par.SimulateWavefront(machine.WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: 0})
-	if err != nil {
-		return math.NaN()
-	}
-	return naive.Makespan / res.Makespan
 }
 
 // fig5bParams reproduce the hypothetical worst case: Model1 suggests b=20,

@@ -5,25 +5,27 @@ import (
 	"math"
 	"strings"
 
+	"wavefront/internal/field"
 	"wavefront/internal/machine"
 	"wavefront/internal/model"
+	"wavefront/internal/workload"
 )
 
 func init() {
 	register("fig7", "Figure 7: speedup of pipelined vs non-pipelined parallel codes", fig7)
 }
 
-// fig7Program describes one benchmark's geometry for the parallel
-// experiment. WaveFraction is the serial-time share of the wavefront
-// computations, chosen to match the whole-program ratios the paper
-// reports (see EXPERIMENTS.md); the remainder of each program is fully
-// parallel in both variants.
+// fig7Program is one benchmark's two wavefronts for the parallel
+// experiment: its forward and backward blocks over its domain, whose
+// messages carry what the runtime pipelines (Tomcatv forwards d, rx, ry and
+// back-substitutes rx, ry; SIMPLE forwards gg, tt and back-substitutes tt).
+// waveFraction is the serial-time share of the wavefront computations,
+// chosen to match the whole-program ratios the paper reports (see
+// EXPERIMENTS.md); the remainder of each program is fully parallel in both
+// variants.
 type fig7Program struct {
-	name string
-	n    int
-	// pipeArrays is the number of arrays whose boundaries each message
-	// carries (Tomcatv forwards d, rx, ry; SIMPLE forwards gg, tt).
-	pipeArrays   int
+	name         string
+	sweeps       sweep
 	waveFraction float64
 }
 
@@ -32,10 +34,23 @@ func fig7(quick bool) *Result {
 	if quick {
 		n = 128
 	}
-	programs := []fig7Program{
-		{name: "Tomcatv", n: n, pipeArrays: 3, waveFraction: 0.75},
-		{name: "SIMPLE", n: n, pipeArrays: 2, waveFraction: 0.075},
+	tc, err := workload.NewTomcatv(n, field.RowMajor)
+	if err != nil {
+		return &Result{Err: err}
 	}
+	sm, err := workload.NewSimple(n, field.RowMajor)
+	if err != nil {
+		return &Result{Err: err}
+	}
+	tom, err := newSweep(tc.All, tc.ForwardBlock(), tc.BackwardBlock())
+	if err != nil {
+		return &Result{Err: err}
+	}
+	simple, err := newSweep(sm.All, sm.ForwardSweepBlock(), sm.BackwardSweepBlock())
+	if err != nil {
+		return &Result{Err: err}
+	}
+	programs := []fig7Program{{"Tomcatv", tom, 0.75}, {"SIMPLE", simple, 0.075}}
 	machines := []struct {
 		par machine.Params
 		ps  []int
@@ -46,9 +61,10 @@ func fig7(quick bool) *Result {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "n=%d; two wavefront sweeps per iteration (forward elimination + back\n", n)
-	sb.WriteString("substitution); block size from Equation (1); baseline is the fully\n")
-	sb.WriteString("parallel non-pipelined code (wavefront serialized, one boundary message\n")
-	sb.WriteString("per processor pair), as in the paper.\n")
+	sb.WriteString("substitution), each program's own blocks as the runtime schedules them;\n")
+	sb.WriteString("block size from Equation (1); baseline is the fully parallel\n")
+	sb.WriteString("non-pipelined code (wavefront serialized, one boundary message per\n")
+	sb.WriteString("processor pair), as in the paper.\n")
 
 	for _, mc := range machines {
 		fmt.Fprintf(&sb, "\n%s (alpha=%g, beta=%g):\n", mc.par.Name, mc.par.Alpha, mc.par.Beta)
@@ -56,19 +72,12 @@ func fig7(quick bool) *Result {
 		for _, prog := range programs {
 			m := model.Model2(mc.par.Alpha, mc.par.Beta)
 			for _, p := range mc.ps {
-				b := int(math.Max(1, math.Round(m.OptimalBlock(float64(prog.n), float64(p)))))
-				spec := machine.WavefrontSpec{
-					Rows: prog.n, Cols: prog.n, ProcsW: p,
-					MsgElemsPerCol: prog.pipeArrays,
-					Sweeps:         2, Alternate: true,
-				}
-				spec.Block = b
-				pipe, err := mc.par.SimulateWavefront(spec)
+				b := int(math.Max(1, math.Round(m.OptimalBlock(float64(n), float64(p)))))
+				pipe, err := prog.sweeps.simulate(mc.par, p, b)
 				if err != nil {
 					return &Result{Err: err}
 				}
-				spec.Block = 0
-				naive, err := mc.par.SimulateWavefront(spec)
+				naive, err := prog.sweeps.simulate(mc.par, p, 0)
 				if err != nil {
 					return &Result{Err: err}
 				}
@@ -76,8 +85,7 @@ func fig7(quick bool) *Result {
 
 				// Whole program: the non-wavefront work is fully parallel
 				// in both variants.
-				waveSerial := mc.par.WavefrontSerial(spec)
-				rest := waveSerial * (1 - prog.waveFraction) / prog.waveFraction
+				rest := pipe.Work() * (1 - prog.waveFraction) / prog.waveFraction
 				wholePipe := rest/float64(p) + pipe.Makespan
 				wholeNaive := rest/float64(p) + naive.Makespan
 				rows = append(rows, []string{

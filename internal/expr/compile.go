@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 
 	"wavefront/internal/grid"
 )
@@ -108,19 +109,19 @@ func Compile(n Node, env Env) (Compiled, error) {
 func compileCall(fn Intrinsic, args []Compiled) Compiled {
 	switch fn {
 	case Sqrt:
-		return func(p grid.Point) float64 { return sqrt(args[0](p)) }
+		return func(p grid.Point) float64 { return math.Sqrt(args[0](p)) }
 	case Abs:
-		return func(p grid.Point) float64 { return abs(args[0](p)) }
+		return func(p grid.Point) float64 { return math.Abs(args[0](p)) }
 	case Exp:
-		return func(p grid.Point) float64 { return exp(args[0](p)) }
+		return func(p grid.Point) float64 { return math.Exp(args[0](p)) }
 	case Log:
-		return func(p grid.Point) float64 { return logf(args[0](p)) }
+		return func(p grid.Point) float64 { return math.Log(args[0](p)) }
 	case Min:
-		return func(p grid.Point) float64 { return minf(args[0](p), args[1](p)) }
+		return func(p grid.Point) float64 { return Minf(args[0](p), args[1](p)) }
 	case Max:
-		return func(p grid.Point) float64 { return maxf(args[0](p), args[1](p)) }
+		return func(p grid.Point) float64 { return Maxf(args[0](p), args[1](p)) }
 	case Pow:
-		return func(p grid.Point) float64 { return pow(args[0](p), args[1](p)) }
+		return func(p grid.Point) float64 { return math.Pow(args[0](p), args[1](p)) }
 	}
 	panic("unreachable")
 }

@@ -50,8 +50,6 @@ type Node interface {
 	Eval(env Env, p grid.Point) float64
 	// String renders ZPL-like source text.
 	String() string
-	// walk visits the node and its children.
-	walk(fn func(Node))
 }
 
 // Env resolves the names an expression references.
@@ -87,8 +85,6 @@ func (c Const) String() string {
 	return strings.TrimSuffix(fmt.Sprintf("%g", float64(c)), ".0")
 }
 
-func (c Const) walk(fn func(Node)) { fn(c) }
-
 // Scalar references a scalar variable by name.
 type Scalar string
 
@@ -101,8 +97,7 @@ func (s Scalar) Eval(env Env, _ grid.Point) float64 {
 	return v
 }
 
-func (s Scalar) String() string     { return string(s) }
-func (s Scalar) walk(fn func(Node)) { fn(s) }
+func (s Scalar) String() string { return string(s) }
 
 // ArrayRef is a reference to array Name, optionally shifted by Shift (the
 // @-operator) and optionally primed. A nil Shift means no shift.
@@ -184,8 +179,6 @@ func (a ArrayRef) String() string {
 	return s
 }
 
-func (a ArrayRef) walk(fn func(Node)) { fn(a) }
-
 // Unary applies a unary operator.
 type Unary struct {
 	Op Op
@@ -202,11 +195,6 @@ func (u Unary) Eval(env Env, p grid.Point) float64 {
 }
 
 func (u Unary) String() string { return fmt.Sprintf("(-%s)", u.X) }
-
-func (u Unary) walk(fn func(Node)) {
-	fn(u)
-	u.X.walk(fn)
-}
 
 // Binary applies a binary operator.
 type Binary struct {
@@ -232,12 +220,6 @@ func (b Binary) Eval(env Env, p grid.Point) float64 {
 
 func (b Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
-}
-
-func (b Binary) walk(fn func(Node)) {
-	fn(b)
-	b.L.walk(fn)
-	b.R.walk(fn)
 }
 
 // Intrinsic names a built-in math function.
@@ -310,13 +292,6 @@ func (c Call) String() string {
 	return fmt.Sprintf("%s(%s)", c.Fn, strings.Join(args, ", "))
 }
 
-func (c Call) walk(fn func(Node)) {
-	fn(c)
-	for _, a := range c.Args {
-		a.walk(fn)
-	}
-}
-
 // Convenience constructors.
 
 // AddN folds terms with +. It panics on an empty argument list.
@@ -337,13 +312,27 @@ func fold(op Op, terms []Node) Node {
 }
 
 // Walk calls fn on every node of the tree, parents before children, left
-// to right — the order Refs and Scalars collect in.
-func Walk(n Node, fn func(Node)) { n.walk(fn) }
+// to right — the order Refs and Scalars collect in. It hands fn the nodes as
+// the tree holds them, so a walk boxes nothing.
+func Walk(n Node, fn func(Node)) {
+	fn(n)
+	switch t := n.(type) {
+	case Unary:
+		Walk(t.X, fn)
+	case Binary:
+		Walk(t.L, fn)
+		Walk(t.R, fn)
+	case Call:
+		for _, a := range t.Args {
+			Walk(a, fn)
+		}
+	}
+}
 
 // Refs collects every array reference in the tree, in visit order.
 func Refs(n Node) []ArrayRef {
 	var out []ArrayRef
-	n.walk(func(m Node) {
+	Walk(n, func(m Node) {
 		if r, ok := m.(ArrayRef); ok {
 			out = append(out, r)
 		}
@@ -355,7 +344,7 @@ func Refs(n Node) []ArrayRef {
 func Scalars(n Node) []string {
 	var out []string
 	seen := map[string]bool{}
-	n.walk(func(m Node) {
+	Walk(n, func(m Node) {
 		if s, ok := m.(Scalar); ok && !seen[string(s)] {
 			seen[string(s)] = true
 			out = append(out, string(s))
@@ -369,7 +358,7 @@ func Scalars(n Node) []string {
 // checked). rank is the rank of the covering region.
 func Validate(n Node, rank int, env Env) error {
 	var err error
-	n.walk(func(m Node) {
+	Walk(n, func(m Node) {
 		if err != nil {
 			return
 		}

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// TestMinMaxMatchTheBranchForm holds the branchless minf/maxf to the
+// TestMinMaxMatchTheBranchForm holds the branchless Minf/Maxf — the one
+// select the closures and internal/kernel's tape both run — to the
 // comparison-and-branch form they replaced, bit for bit, over every pair of
 // the values where the two could differ: signed zeros (equal, so b wins),
 // NaN (unordered, so b wins — from either side), infinities and ordinary
@@ -27,12 +28,12 @@ func TestMinMaxMatchTheBranchForm(t *testing.T) {
 	vals := []float64{0, negZero, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 2.5}
 	for _, a := range vals {
 		for _, b := range vals {
-			if got, want := minf(a, b), ifMin(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("minf(%v, %v) = %v (%#x), branch form gives %v (%#x)",
+			if got, want := Minf(a, b), ifMin(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Minf(%v, %v) = %v (%#x), branch form gives %v (%#x)",
 					a, b, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
-			if got, want := maxf(a, b), ifMax(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("maxf(%v, %v) = %v (%#x), branch form gives %v (%#x)",
+			if got, want := Maxf(a, b), ifMax(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Maxf(%v, %v) = %v (%#x), branch form gives %v (%#x)",
 					a, b, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}

@@ -33,6 +33,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 
 	"wavefront/internal/bufpool"
 	"wavefront/internal/dep"
@@ -988,13 +989,13 @@ func (lw *lowerer) lowerCall(t expr.Call) (val, error) {
 		var f func(float64) float64
 		switch t.Fn {
 		case expr.Sqrt:
-			o, f = opSqrt, sqrt
+			o, f = opSqrt, math.Sqrt
 		case expr.Abs:
-			o, f = opAbs, abs
+			o, f = opAbs, math.Abs
 		case expr.Exp:
-			o, f = opExp, exp
+			o, f = opExp, math.Exp
 		default:
-			o, f = opLog, logf
+			o, f = opLog, math.Log
 		}
 		if x.konst {
 			return val{konst: true, imm: f(x.imm)}, nil
@@ -1016,11 +1017,11 @@ func (lw *lowerer) lowerCall(t expr.Call) (val, error) {
 	if l.konst && r.konst {
 		switch t.Fn {
 		case expr.Min:
-			return val{konst: true, imm: minf(l.imm, r.imm)}, nil
+			return val{konst: true, imm: expr.Minf(l.imm, r.imm)}, nil
 		case expr.Max:
-			return val{konst: true, imm: maxf(l.imm, r.imm)}, nil
+			return val{konst: true, imm: expr.Maxf(l.imm, r.imm)}, nil
 		}
-		return val{konst: true, imm: pow(l.imm, r.imm)}, nil
+		return val{konst: true, imm: math.Pow(l.imm, r.imm)}, nil
 	}
 	lw.free(r)
 	lw.free(l)
@@ -1345,22 +1346,22 @@ func (pr *Program) execRun(base []int, n int) {
 		case opSqrt:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = sqrt(a[e])
+				dst[e] = math.Sqrt(a[e])
 			}
 		case opAbs:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = abs(a[e])
+				dst[e] = math.Abs(a[e])
 			}
 		case opExp:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = exp(a[e])
+				dst[e] = math.Exp(a[e])
 			}
 		case opLog:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = logf(a[e])
+				dst[e] = math.Log(a[e])
 			}
 		case opMin:
 			vmin(ops[in.dst][:n], ops[in.a], ops[in.b])
@@ -1369,7 +1370,7 @@ func (pr *Program) execRun(base []int, n int) {
 		case opPow:
 			dst, a, b := ops[in.dst][:n], ops[in.a][:n], ops[in.b][:n]
 			for e := range dst {
-				dst[e] = pow(a[e], b[e])
+				dst[e] = math.Pow(a[e], b[e])
 			}
 		case opMinImm:
 			vminImm(ops[in.dst][:n], ops[in.a], in.imm)
@@ -1378,12 +1379,12 @@ func (pr *Program) execRun(base []int, n int) {
 		case opPowImmR:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = pow(a[e], in.imm)
+				dst[e] = math.Pow(a[e], in.imm)
 			}
 		case opPowImmL:
 			dst, a := ops[in.dst][:n], ops[in.a][:n]
 			for e := range dst {
-				dst[e] = pow(in.imm, a[e])
+				dst[e] = math.Pow(in.imm, a[e])
 			}
 		case opSubMul:
 			vsubMul(ops[in.dst][:n], ops[in.a], ops[in.b], ops[in.c])

@@ -1,5 +1,7 @@
 package kernel
 
+import "wavefront/internal/expr"
+
 // Register-blocked run bodies: every helper unrolls by four with the four
 // partial results held in locals, so the compiler keeps them in machine
 // registers and schedules the independent element operations together; the
@@ -198,12 +200,12 @@ func vmin(dst, a, b []float64) {
 	a, b = a[:n], b[:n]
 	e := 0
 	for ; e+4 <= n; e += 4 {
-		d0, d1 := minf(a[e], b[e]), minf(a[e+1], b[e+1])
-		d2, d3 := minf(a[e+2], b[e+2]), minf(a[e+3], b[e+3])
+		d0, d1 := expr.Minf(a[e], b[e]), expr.Minf(a[e+1], b[e+1])
+		d2, d3 := expr.Minf(a[e+2], b[e+2]), expr.Minf(a[e+3], b[e+3])
 		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
 	}
 	for ; e < n; e++ {
-		dst[e] = minf(a[e], b[e])
+		dst[e] = expr.Minf(a[e], b[e])
 	}
 }
 
@@ -212,12 +214,12 @@ func vmax(dst, a, b []float64) {
 	a, b = a[:n], b[:n]
 	e := 0
 	for ; e+4 <= n; e += 4 {
-		d0, d1 := maxf(a[e], b[e]), maxf(a[e+1], b[e+1])
-		d2, d3 := maxf(a[e+2], b[e+2]), maxf(a[e+3], b[e+3])
+		d0, d1 := expr.Maxf(a[e], b[e]), expr.Maxf(a[e+1], b[e+1])
+		d2, d3 := expr.Maxf(a[e+2], b[e+2]), expr.Maxf(a[e+3], b[e+3])
 		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
 	}
 	for ; e < n; e++ {
-		dst[e] = maxf(a[e], b[e])
+		dst[e] = expr.Maxf(a[e], b[e])
 	}
 }
 
@@ -226,12 +228,12 @@ func vminImm(dst, a []float64, imm float64) {
 	a = a[:n]
 	e := 0
 	for ; e+4 <= n; e += 4 {
-		d0, d1 := minf(a[e], imm), minf(a[e+1], imm)
-		d2, d3 := minf(a[e+2], imm), minf(a[e+3], imm)
+		d0, d1 := expr.Minf(a[e], imm), expr.Minf(a[e+1], imm)
+		d2, d3 := expr.Minf(a[e+2], imm), expr.Minf(a[e+3], imm)
 		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
 	}
 	for ; e < n; e++ {
-		dst[e] = minf(a[e], imm)
+		dst[e] = expr.Minf(a[e], imm)
 	}
 }
 
@@ -240,12 +242,12 @@ func vmaxImm(dst, a []float64, imm float64) {
 	a = a[:n]
 	e := 0
 	for ; e+4 <= n; e += 4 {
-		d0, d1 := maxf(a[e], imm), maxf(a[e+1], imm)
-		d2, d3 := maxf(a[e+2], imm), maxf(a[e+3], imm)
+		d0, d1 := expr.Maxf(a[e], imm), expr.Maxf(a[e+1], imm)
+		d2, d3 := expr.Maxf(a[e+2], imm), expr.Maxf(a[e+3], imm)
 		dst[e], dst[e+1], dst[e+2], dst[e+3] = d0, d1, d2, d3
 	}
 	for ; e < n; e++ {
-		dst[e] = maxf(a[e], imm)
+		dst[e] = expr.Maxf(a[e], imm)
 	}
 }
 

@@ -25,38 +25,9 @@ type Span struct {
 
 // SimulateTimeline is Simulate plus span recording.
 func (p Params) SimulateTimeline(d *DAG) Timeline {
-	finish := make([]float64, len(d.Tasks))
-	tl := Timeline{Result: Result{
-		ProcFinish: make([]float64, d.Procs),
-		ProcBusy:   make([]float64, d.Procs),
-	}}
-	res := &tl.Result
-	for id, t := range d.Tasks {
-		ready := res.ProcFinish[t.Proc]
-		recvCost := 0.0
-		for _, dep := range t.Deps {
-			arrive := finish[dep.Task]
-			if dep.Elems > 0 && d.Tasks[dep.Task].Proc != t.Proc {
-				cost := p.MsgCost(dep.Elems)
-				recvCost += cost
-				res.Messages++
-				res.Elements += int64(dep.Elems)
-				res.CommCost += cost
-			}
-			if arrive > ready {
-				ready = arrive
-			}
-		}
-		run := t.Elems * p.ElemCost
-		finish[id] = ready + recvCost + run
-		res.ProcFinish[t.Proc] = finish[id]
-		res.ProcBusy[t.Proc] += run
-		if finish[id] > res.Makespan {
-			res.Makespan = finish[id]
-		}
-		tl.Spans = append(tl.Spans, Span{Proc: t.Proc, Start: ready, Finish: finish[id], Recv: recvCost})
-	}
-	return tl
+	spans := make([]Span, 0, len(d.Tasks))
+	res := p.simulate(d, &spans)
+	return Timeline{Result: res, Spans: spans}
 }
 
 // Gantt renders the timeline as one text row per processor, width columns

@@ -7,9 +7,10 @@
 // on a processor run in submission order, and a cross-processor dependence
 // edge carrying elements is a message charged at the model cost. Completion
 // time of the DAG is the longest path through this system, exactly the
-// quantity the paper's T_comp/T_comm analysis bounds. The paper's physical
-// machines (Cray T3E, SGI PowerChallenge) are represented by parameter
-// presets; this substitution is documented in DESIGN.md.
+// quantity the paper's T_comp/T_comm analysis bounds. The DAGs it costs are
+// the runtime's own static schedules (pipeline.Program.Schedule). The paper's
+// physical machines (Cray T3E, SGI PowerChallenge) are represented by
+// parameter presets; this substitution is documented in DESIGN.md.
 package machine
 
 import (
@@ -113,16 +114,22 @@ type Result struct {
 	CommCost float64
 }
 
+// Work is the compute time summed over all processors: the DAG's time on
+// one processor.
+func (r Result) Work() float64 {
+	sum := 0.0
+	for _, b := range r.ProcBusy {
+		sum += b
+	}
+	return sum
+}
+
 // Utilization is mean busy time divided by makespan.
 func (r Result) Utilization() float64 {
 	if r.Makespan <= 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, b := range r.ProcBusy {
-		sum += b
-	}
-	return sum / (float64(len(r.ProcBusy)) * r.Makespan)
+	return r.Work() / (float64(len(r.ProcBusy)) * r.Makespan)
 }
 
 // Simulate runs the DAG on the machine and returns timing and volume.
@@ -135,7 +142,11 @@ func (r Result) Utilization() float64 {
 // every message the last processor receives on the critical path, which is
 // how message passing behaved on the machines of the study (the CPU is
 // occupied for the duration of a receive).
-func (p Params) Simulate(d *DAG) Result {
+func (p Params) Simulate(d *DAG) Result { return p.simulate(d, nil) }
+
+// simulate is Simulate, appending each task's span to *spans when spans is
+// not nil (SimulateTimeline).
+func (p Params) simulate(d *DAG, spans *[]Span) Result {
 	finish := make([]float64, len(d.Tasks))
 	res := Result{
 		ProcFinish: make([]float64, d.Procs),
@@ -163,6 +174,9 @@ func (p Params) Simulate(d *DAG) Result {
 		res.ProcBusy[t.Proc] += run
 		if finish[id] > res.Makespan {
 			res.Makespan = finish[id]
+		}
+		if spans != nil {
+			*spans = append(*spans, Span{Proc: t.Proc, Start: ready, Finish: finish[id], Recv: recvCost})
 		}
 	}
 	return res

@@ -2,10 +2,7 @@ package machine
 
 import (
 	"math"
-	"strings"
 	"testing"
-
-	"wavefront/internal/model"
 )
 
 func TestSimulateChain(t *testing.T) {
@@ -67,120 +64,10 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestBuildWavefrontNaiveMatchesClosedForm(t *testing.T) {
-	// Naive schedule (single tile): the last processor finishes at
-	// n²  +  (p-1)(α + βn·h): fully serialized compute plus one boundary
-	// message per processor pair.
-	n, p := 64, 4
-	par := Params{Alpha: 100, Beta: 3, ElemCost: 1}
-	res, err := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(n*n) + float64(p-1)*(par.Alpha+par.Beta*float64(n))
-	if math.Abs(res.Makespan-want) > 1e-9 {
-		t.Errorf("naive makespan = %g, want %g", res.Makespan, want)
-	}
-}
-
-// TestBuildWavefrontPipelinedMatchesModel: with rows divisible by p and
-// cols divisible by b, the simulated pipelined makespan must equal the
-// paper's T_comp + T_comm closed form exactly (the model counts the same
-// critical path the DAG realizes).
-func TestBuildWavefrontPipelinedMatchesModel(t *testing.T) {
-	n, p, b := 64, 4, 8
-	par := Params{Alpha: 50, Beta: 2, ElemCost: 1}
-	res, err := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := model.Model2(par.Alpha, par.Beta)
-	want := m.TPipe(float64(n), float64(p), float64(b))
-	if math.Abs(res.Makespan-want) > 1e-9 {
-		t.Errorf("pipelined makespan = %g, model = %g", res.Makespan, want)
-	}
-}
-
-func TestWavefrontMessageVolume(t *testing.T) {
-	n, p, b := 32, 4, 8
-	par := Params{Alpha: 1, Beta: 1, ElemCost: 1}
-	res, err := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiles := int64(n / b)
-	if res.Messages != int64(p-1)*tiles {
-		t.Errorf("messages = %d, want %d", res.Messages, int64(p-1)*tiles)
-	}
-	if res.Elements != int64(p-1)*int64(n) {
-		t.Errorf("elements = %d, want %d", res.Elements, (p-1)*n)
-	}
-}
-
-func TestWavefront2DMesh(t *testing.T) {
-	// Figure 4's 2×2 mesh: the column processors are independent, so the
-	// makespan must equal the 1-D pipeline over half the columns.
-	n := 32
-	par := Params{Alpha: 10, Beta: 1, ElemCost: 1}
-	mesh, err := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: 2, ProcsO: 2, Block: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n / 2, ProcsW: 2, ProcsO: 1, Block: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mesh.Makespan-half.Makespan) > 1e-9 {
-		t.Errorf("2x2 mesh %g != half-width pipeline %g", mesh.Makespan, half.Makespan)
-	}
-}
-
-func TestSweepsAccumulate(t *testing.T) {
-	n, p := 16, 2
-	par := Params{Alpha: 5, Beta: 1, ElemCost: 1}
-	one, _ := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: 4})
-	two, _ := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: 4, Sweeps: 2})
-	if two.Makespan <= one.Makespan {
-		t.Errorf("two sweeps (%g) must take longer than one (%g)", two.Makespan, one.Makespan)
-	}
-	if two.Elements != 2*one.Elements {
-		t.Errorf("two sweeps volume = %d, want %d", two.Elements, 2*one.Elements)
-	}
-}
-
-func TestAlternateSweepsVShape(t *testing.T) {
-	// Two same-direction sweeps chase each other through the pipeline (the
-	// second fills while the first drains), whereas a reversed sweep cannot
-	// start until the forward wave reaches the far end and then pays a full
-	// pipeline re-fill on the way back. Alternation must therefore be
-	// slower, by no more than one additional fill.
-	n, p, b := 32, 4, 8
-	par := Params{Alpha: 20, Beta: 1, ElemCost: 1}
-	same, _ := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b, Sweeps: 2})
-	alt, _ := par.SimulateWavefront(WavefrontSpec{Rows: n, Cols: n, ProcsW: p, Block: b, Sweeps: 2, Alternate: true})
-	if alt.Makespan <= same.Makespan {
-		t.Errorf("alternating sweeps (%g) should pay a pipeline re-fill over same-direction (%g)", alt.Makespan, same.Makespan)
-	}
-	fill := float64(p-1) * (float64(n/p*b) + par.MsgCost(b))
-	if alt.Makespan > same.Makespan+fill+1e-9 {
-		t.Errorf("alternation penalty %g exceeds one pipeline fill %g", alt.Makespan-same.Makespan, fill)
-	}
-}
-
 func TestSpeedupHelper(t *testing.T) {
 	r := Result{Makespan: 50}
 	if got := Speedup(100, r); got != 2 {
 		t.Errorf("speedup = %g", got)
-	}
-}
-
-func TestBadSpecRejected(t *testing.T) {
-	par := Params{ElemCost: 1}
-	if _, err := par.SimulateWavefront(WavefrontSpec{Rows: 0, Cols: 4, ProcsW: 1}); err == nil {
-		t.Error("empty rows must fail")
-	}
-	if _, err := par.SimulateWavefront(WavefrontSpec{Rows: 4, Cols: 4, ProcsW: 0}); err == nil {
-		t.Error("zero procs must fail")
 	}
 }
 
@@ -192,32 +79,4 @@ func TestAddPanicsOnForwardDep(t *testing.T) {
 		}
 	}()
 	d.Add(Task{Proc: 0, Deps: []Dep{{Task: 0}}})
-}
-
-// TestTimelineMatchesSimulate: the recording simulator must agree with the
-// plain one on every aggregate.
-func TestTimelineMatchesSimulate(t *testing.T) {
-	par := Params{Alpha: 50, Beta: 2, ElemCost: 1}
-	d, err := BuildWavefront(WavefrontSpec{Rows: 48, Cols: 48, ProcsW: 4, Block: 6, Sweeps: 2, Alternate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := par.Simulate(d)
-	tl := par.SimulateTimeline(d)
-	if tl.Result.Makespan != plain.Makespan || tl.Result.Messages != plain.Messages ||
-		tl.Result.Elements != plain.Elements || tl.Result.CommCost != plain.CommCost {
-		t.Errorf("timeline result %+v != simulate result %+v", tl.Result, plain)
-	}
-	if len(tl.Spans) != len(d.Tasks) {
-		t.Errorf("spans = %d, tasks = %d", len(tl.Spans), len(d.Tasks))
-	}
-	for i, s := range tl.Spans {
-		if s.Finish < s.Start || s.Recv < 0 {
-			t.Fatalf("span %d malformed: %+v", i, s)
-		}
-	}
-	g := tl.Gantt(40)
-	if !strings.Contains(g, "P1") || !strings.Contains(g, "#") {
-		t.Errorf("gantt = %q", g)
-	}
 }

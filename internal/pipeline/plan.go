@@ -2,10 +2,8 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
-	"wavefront/internal/expr"
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 )
@@ -31,18 +29,11 @@ func newPlan(b *scan.Block, an *scan.Analysis, slabs []grid.Region, wDim, tDim, 
 		}
 	}
 	pl := &plan{an: an, region: b.Region, block: block, wDim: wDim, tDim: tDim,
-		pipeArrays: map[string]int{}, written: map[string]bool{}}
+		pipeArrays: map[string]int{}, written: map[string]bool{}, scalars: an.Scalars()}
 	if err := pl.analyzeRefs(b, slabs); err != nil {
 		return nil, err
 	}
 	pl.tiles = pl.cutTiles()
-	for _, st := range b.Stmts {
-		for _, name := range expr.Scalars(st.RHS) {
-			if !slices.Contains(pl.scalars, name) {
-				pl.scalars = append(pl.scalars, name)
-			}
-		}
-	}
 	return pl, nil
 }
 
@@ -71,6 +62,7 @@ func (pl *plan) analyzeRefs(b *scan.Block, slabs []grid.Region) error {
 	pl.chooseTileTravel()
 	tileLow := pl.tileTravel == grid.LowToHigh
 	antiUpstream := map[string]bool{}
+	unshifted := make(grid.Direction, rank)
 	exchanged := func(name string, sw int) {
 		pl.refresh[sideOf(sw)] = append(pl.refresh[sideOf(sw)], name)
 	}
@@ -96,10 +88,10 @@ func (pl *plan) analyzeRefs(b *scan.Block, slabs []grid.Region) error {
 		if _, ok := pl.halo[s.LHS.Name]; !ok {
 			pl.halo[s.LHS.Name] = haloSpec{neg: make([]int, rank), pos: make([]int, rank)}
 		}
-		for _, r := range expr.Refs(s.RHS) {
+		for _, r := range pl.an.Refs(si) {
 			shift := r.Shift
 			if shift == nil {
-				shift = make(grid.Direction, rank)
+				shift = unshifted
 			}
 			grow(r.Name, shift)
 			sw := shift[pl.wDim]

@@ -106,7 +106,7 @@ func NewSession(env expr.Env, blocks []*scan.Block, cfg Config) (*Session, error
 		return nil, err
 	}
 	for _, b := range blocks {
-		if err := sess.register(b); err != nil {
+		if err := sess.register(b, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -150,10 +150,24 @@ func newSession(env expr.Env, cfg Config) (*Session, error) {
 	return sess, nil
 }
 
-// arm fixes the array set and starts what outlives a single Run: the
+// arm fixes the array set — every plan's halo needs folded into the
+// session-wide per-array halos — and starts what outlives a single Run: the
 // internal flight ring and the metrics endpoint.
 func (s *Session) arm() error {
 	cfg := s.cfg
+	for _, pl := range s.plans {
+		for name, h := range pl.halo {
+			cur, ok := s.halos[name]
+			if !ok {
+				cur = haloSpec{neg: make([]int, len(h.neg)), pos: make([]int, len(h.pos))}
+			}
+			for d := range h.neg {
+				cur.neg[d] = max(cur.neg[d], h.neg[d])
+				cur.pos[d] = max(cur.pos[d], h.pos[d])
+			}
+			s.halos[name] = cur
+		}
+	}
 	s.names = make([]string, 0, len(s.halos))
 	for name := range s.halos {
 		s.names = append(s.names, name)
@@ -213,7 +227,10 @@ func (s *Session) Close() error {
 	return err
 }
 
-func (s *Session) register(b *scan.Block) error {
+// register plans b along the session's decomposition, a plain
+// multi-statement block statement by statement. an is b's analysis when the
+// caller has it (a Program's), nil to analyze here.
+func (s *Session) register(b *scan.Block, an *scan.Analysis) error {
 	if _, ok := s.plans[b]; ok {
 		return nil
 	}
@@ -226,8 +243,10 @@ func (s *Session) register(b *scan.Block) error {
 		return fmt.Errorf("pipeline: block region %v exceeds the domain %v along dimension %d",
 			b.Region, s.cfg.Domain, s.cfg.WavefrontDim)
 	}
-	if err := scan.CheckBounds(b, s.genv); err != nil {
-		return err
+	if s.genv != nil { // nil in a Program's session: no storage to check against
+		if err := scan.CheckBounds(b, s.genv); err != nil {
+			return err
+		}
 	}
 	if b.Kind == scan.PlainKind && len(b.Stmts) > 1 {
 		// Plain multi-statement groups execute statement at a time; register
@@ -235,7 +254,7 @@ func (s *Session) register(b *scan.Block) error {
 		var subs []*scan.Block
 		for i := range b.Stmts {
 			sub := scan.NewPlain(b.Region, b.Stmts[i])
-			if err := s.register(sub); err != nil {
+			if err := s.register(sub, nil); err != nil {
 				return err
 			}
 			subs = append(subs, sub)
@@ -256,15 +275,17 @@ func (s *Session) register(b *scan.Block) error {
 		sortSides(&first.refresh)
 		return nil
 	}
-	an, err := scan.Analyze(b, dep.Preference{PreferLow: true})
-	if err != nil {
-		return err
+	if an == nil {
+		var err error
+		if an, err = scan.Analyze(b, dep.Preference{PreferLow: true}); err != nil {
+			return err
+		}
 	}
 	return s.adopt(b, an, -1)
 }
 
 // adopt plans an analyzed single-kernel block along the session's
-// decomposition (tDim < 0 lets the plan pick the tile dimension) and folds
+// decomposition (tDim < 0 lets the plan pick the tile dimension); arm folds
 // its halo needs into the session's.
 func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
 	pl, err := newPlan(b, an, s.slabs, s.cfg.WavefrontDim, tDim, s.cfg.Block)
@@ -298,22 +319,6 @@ func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
 		}
 	}
 	s.plans[b] = pl
-	// Fold the block's halo needs into the session-wide per-array halos.
-	for name, h := range pl.halo {
-		cur, ok := s.halos[name]
-		if !ok {
-			cur = haloSpec{neg: make([]int, b.Region.Rank()), pos: make([]int, b.Region.Rank())}
-		}
-		for d := range h.neg {
-			if h.neg[d] > cur.neg[d] {
-				cur.neg[d] = h.neg[d]
-			}
-			if h.pos[d] > cur.pos[d] {
-				cur.pos[d] = h.pos[d]
-			}
-		}
-		s.halos[name] = cur
-	}
 	return nil
 }
 
@@ -816,10 +821,10 @@ func (r *Rank) computed(t0 int64, elems, tile, wave, peer, need int) {
 // the active ranks form a single index interval — identical on every rank,
 // which keeps the rewired pipeline neighbours and their tag counters in
 // agreement without any communication.
-func (r *Rank) activeSpan(pl *plan) (lo, hi int) {
+func (s *Session) activeSpan(pl *plan) (lo, hi int) {
 	lo, hi = -1, -1
 	ext := pl.region.Dim(pl.wDim)
-	for i, slab := range r.sess.slabs {
+	for i, slab := range s.slabs {
 		rows, err := slab.Dim(pl.wDim).Intersect(ext)
 		if err != nil || rows.Empty() {
 			continue
@@ -839,21 +844,28 @@ func (r *Rank) portion(b *scan.Block) grid.Region {
 	if L, ok := r.portions[b]; ok {
 		return L
 	}
-	L := r.portionOf(b.Region, r.id)
+	L := r.sess.portionOf(b.Region, r.id)
 	r.portions[b] = L
 	return L
 }
 
-// portionOf returns rank's share of region.
-func (r *Rank) portionOf(region grid.Region, rank int) grid.Region {
-	w := r.sess.cfg.WavefrontDim
+// portionOf returns rank's share of region: its rows (rowsOf), region's
+// extent elsewhere.
+func (s *Session) portionOf(region grid.Region, rank int) grid.Region {
 	dims := region.Dims()
-	rows, err := dims[w].Intersect(r.sess.slabs[rank].Dim(w))
+	dims[s.cfg.WavefrontDim] = s.rowsOf(region, rank)
+	return grid.MustRegion(dims...)
+}
+
+// rowsOf returns the rows of region along the wavefront dimension that
+// rank's slab holds.
+func (s *Session) rowsOf(region grid.Region, rank int) grid.Range {
+	w := s.cfg.WavefrontDim
+	rows, err := region.Dim(w).Intersect(s.slabs[rank].Dim(w))
 	if err != nil {
 		panic(err) // strides validated at registration
 	}
-	dims[w] = rows
-	return grid.MustRegion(dims...)
+	return rows
 }
 
 // newKernel compiles b against the rank's local fields. It is the
@@ -1013,12 +1025,12 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 		// the sweep; the active span is contiguous, so a peer is a pipeline
 		// neighbour exactly when it lies inside it. Idle ranks return above,
 		// so sender and receiver always agree on the message schedule.
-		aLo, aHi := r.activeSpan(pl)
+		aLo, aHi := r.sess.activeSpan(pl)
 		hasUp := upstream >= aLo && upstream <= aHi
 		hasDown := downstream >= aLo && downstream <= aHi
 		var upPortion grid.Region
 		if hasUp {
-			upPortion = r.portionOf(b.Region, upstream)
+			upPortion = r.sess.portionOf(b.Region, upstream)
 		}
 		ep = buildExecPlan(pl, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
 		r.eplans[b] = ep
@@ -1346,7 +1358,7 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 		return 0, err
 	}
 	if !rr.sized || !rr.region.Equal(region) {
-		rr.region, rr.portion, rr.sized = region, r.portionOf(region, r.id), true
+		rr.region, rr.portion, rr.sized = region, r.sess.portionOf(region, r.id), true
 	}
 	// The local fold is compute like any block's: a span with its point
 	// count and a share of the rank's busy time. It carries no tile index:

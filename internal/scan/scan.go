@@ -149,7 +149,16 @@ type Analysis struct {
 	// needsTemp records that in-place execution is impossible for a plain
 	// block and the executor must materialize the RHS into a temporary.
 	needsTemp bool
+	// refs is what the statements name, from the walk the analysis made.
+	refs stmtRefs
 }
+
+// Refs returns statement i's array references in visit order, as
+// expr.Refs(b.Stmts[i].RHS) would: the walk Analyze made, for its callers.
+func (a *Analysis) Refs(i int) []expr.ArrayRef { return a.refs.of(i) }
+
+// Scalars returns every scalar name the statements reference, once each.
+func (a *Analysis) Scalars() []string { return a.refs.scalars }
 
 // WavefrontDims returns the pipelined (wavefront) dimensions.
 func (a *Analysis) WavefrontDims() []int { return a.Class.WavefrontDims() }
@@ -230,6 +239,7 @@ func analyze(b *Block, refs stmtRefs, pref dep.Preference) (*Analysis, error) {
 		WSV:        w,
 		Class:      wsv.Classify(w),
 		UDVs:       udvs,
+		refs:       refs,
 	}
 	loop, err := dep.DerivePreferred(rank, udvs, pref)
 	if err != nil {
