@@ -82,24 +82,41 @@ const (
 // NewLocal is New for storage nobody outside the runtime addresses flat —
 // a rank's local portion of an array — whose owner will walk it in tiles
 // tile elements wide along the contiguous dimension (0: whole runs). The
-// row pitch is padded by one cache line exactly when the contiguous extent
-// is a whole number of 4096 bytes and the tiles are at most a quarter of it
-// wide (512 float64s walked 32 at a time pad; 128 do not, nor do 512
-// walked whole), so such a field may have Len() larger than its bounds'
-// size. Everything else is as New says.
+// row pitch is padded by one cache line exactly when PadsLocal says so, so
+// such a field may have Len() larger than its bounds' size. Everything else
+// is as New says.
 func NewLocal(name string, bounds grid.Region, layout Layout, tile int) (*Field, error) {
 	pad := 0
-	if rank := bounds.Rank(); rank >= 2 && tile > 0 {
-		unit := rank - 1
-		if layout == ColMajor {
-			unit = 0
-		}
-		if n := bounds.Dim(unit).Size(); n*8%aliasPeriod == 0 && narrowDiv*tile <= n {
-			pad = padElems
-		}
+	if PadsLocal(bounds, layout, tile) {
+		pad = padElems
 	}
 	return newField(name, bounds, layout, pad)
 }
+
+// PadsLocal reports whether NewLocal pads the row pitch of a field over
+// bounds walked in tiles tile elements wide: exactly when the contiguous
+// extent is a whole number of 4096 bytes and the tiles are at most a
+// quarter of it wide (512 float64s walked 32 at a time pad; 128 do not, nor
+// do 512 walked whole).
+func PadsLocal(bounds grid.Region, layout Layout, tile int) bool {
+	rank := bounds.Rank()
+	if rank < 2 || tile <= 0 {
+		return false
+	}
+	n := bounds.Dim(unitDim(rank, layout)).Size()
+	return n*8%aliasPeriod == 0 && narrowDiv*tile <= n
+}
+
+// unitDim is the contiguous dimension of a rank-dimensional layout, and
+// outerDim the one with the largest stride.
+func unitDim(rank int, layout Layout) int {
+	if layout == ColMajor {
+		return 0
+	}
+	return rank - 1
+}
+
+func outerDim(rank int, layout Layout) int { return rank - 1 - unitDim(rank, layout) }
 
 // newField allocates the storage box of bounds with pad unused elements
 // after every contiguous run.
@@ -138,6 +155,31 @@ func newField(name string, bounds grid.Region, layout Layout, pad int) (*Field, 
 	}
 	f.data = make([]float64, s)
 	return f, nil
+}
+
+// View returns a Field over the sub-box bounds of f that shares f's
+// storage: a write through either is seen through the other. It is allowed
+// only where the view is one contiguous piece of f's storage — bounds are
+// stride 1, lie within f's box, and equal it in every dimension but the
+// outermost storage one (dimension 0 row-major, the last col-major) — so
+// Data() is exactly the view's storage, pad elements included, and a flat
+// walk of it touches nothing outside the sub-box. ok is false otherwise.
+func (f *Field) View(bounds grid.Region) (v *Field, ok bool) {
+	rank := f.bounds.Rank()
+	if bounds.Rank() != rank {
+		return nil, false
+	}
+	outer := outerDim(rank, f.layout)
+	for d := 0; d < rank; d++ {
+		b, p := bounds.Dim(d), f.bounds.Dim(d)
+		if b.Stride != 1 || b.Lo > b.Hi || b.Lo < p.Lo || b.Hi > p.Hi || d != outer && b != p {
+			return nil, false
+		}
+	}
+	o := bounds.Dim(outer)
+	lo := (o.Lo - f.bounds.Dim(outer).Lo) * f.strides[outer]
+	hi := lo + o.Size()*f.strides[outer]
+	return &Field{name: f.name, bounds: bounds, strides: f.strides, data: f.data[lo:hi:hi], layout: f.layout}, true
 }
 
 // MustNew is New for known-good arguments; it panics on error.

@@ -346,9 +346,11 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 }
 
 // restore rebuilds a restarted rank from its latest snapshot: array data is
-// copied into the freshly allocated locals of the written arrays (geometry
-// is a pure function of the session config, so bounds always agree; the
-// read-only arrays newRank bound are never written, by a snapshot either),
+// copied into the locals of the written arrays — fresh copies, or views of
+// the caller's rows that no other rank reads or writes (geometry and the
+// choice between the two are pure functions of the session config, so
+// bounds and lengths always agree; the read-only arrays newRank bound are
+// never written, by a snapshot either),
 // counters and tagged state overwrite the rank's zero state, and the
 // fast-forward horizon is set to the snapshot's operation and tile.
 func (r *Rank) restore(ck *ckptRuntime) error {

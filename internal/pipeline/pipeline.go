@@ -1,7 +1,9 @@
 // Package pipeline is the parallel wavefront runtime of §3.2 and §4: it
 // block-distributes a scan block's region along the wavefront dimension
-// over p ranks, gives each rank a local copy of every referenced array with
-// fluff (ghost) margins, and executes the wavefront either naively (each
+// over p ranks, gives each rank a local field of every referenced array with
+// fluff (ghost) margins — a copy only of a written array some other rank
+// holds rows of, the caller's storage otherwise (see Session.newRank) — and
+// executes the wavefront either naively (each
 // rank computes its whole portion, then forwards its boundary) or pipelined
 // (each rank computes width-b tiles along an orthogonal dimension and
 // forwards each tile's boundary eagerly, overlapping the ranks).

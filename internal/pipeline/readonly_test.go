@@ -7,28 +7,31 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"wavefront/internal/ckpt"
 	"wavefront/internal/comm"
+	"wavefront/internal/expr"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
+	"wavefront/internal/grid"
 	"wavefront/internal/scan"
 	"wavefront/internal/workload"
 )
 
 // The Tomcatv forward block assigns r, d, rx and ry and only reads aa and
-// dd: the first four are what a rank copies, exchanges, snapshots and
-// gathers; the last two have no owner that could change them.
+// dd: the first four are what a rank binds in the caller's rows or copies,
+// and snapshots; the last two have no owner that could change them.
 var (
 	forwardWritten  = []string{"d", "r", "rx", "ry"}
 	forwardReadOnly = []string{"aa", "dd"}
 )
 
 // primedTomcatv is an n x n instance with the stencils run, so aa and dd
-// hold the coefficients the forward sweep reads.
-func primedTomcatv(t *testing.T, n int) *workload.Tomcatv {
+// hold the coefficients the sweeps read.
+func primedTomcatv(t *testing.T, n int, layout field.Layout) *workload.Tomcatv {
 	t.Helper()
-	tc, err := workload.NewTomcatv(n, field.RowMajor)
+	tc, err := workload.NewTomcatv(n, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +47,22 @@ func primedTomcatv(t *testing.T, n int) *workload.Tomcatv {
 // rank before it executes.
 func forwardOneShot(t *testing.T, tc *workload.Tomcatv, cfg Config, look func(r *Rank)) error {
 	t.Helper()
-	b := tc.ForwardBlock()
-	sess, err := oneBlockSession(b, tc.Env, cfg, -1, -1)
+	return oneShot(t, tc.ForwardBlock(), tc.Env, cfg, forwardWritten, look)
+}
+
+// oneShot is pipeline.Run of b with a look at each rank before it executes;
+// the session must write exactly written.
+func oneShot(t *testing.T, b *scan.Block, env expr.Env, cfg Config, written []string, look func(r *Rank)) error {
+	t.Helper()
+	sess, err := oneBlockSession(b, env, cfg, -1, -1)
 	if err == nil {
 		err = sess.arm()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(sess.written, forwardWritten) {
-		t.Fatalf("the session writes %v, want %v", sess.written, forwardWritten)
+	if !slices.Equal(sess.written, written) {
+		t.Fatalf("the session writes %v, want %v", sess.written, written)
 	}
 	return sess.Run(func(r *Rank) error {
 		if look != nil {
@@ -63,49 +72,128 @@ func forwardOneShot(t *testing.T, tc *workload.Tomcatv, cfg Config, look func(r 
 	})
 }
 
-// sameStorage reports whether two fields are one: the same backing array.
-func sameStorage(a, b *field.Field) bool { return &a.Data()[0] == &b.Data()[0] }
+// storage is the address range f's elements occupy.
+func storage(f *field.Field) (lo, hi uintptr) {
+	d := f.Data()
+	lo = uintptr(unsafe.Pointer(unsafe.SliceData(d)))
+	return lo, lo + uintptr(len(d))*unsafe.Sizeof(d[0])
+}
+
+// overlaps reports whether two fields share any storage.
+func overlaps(a, b *field.Field) bool {
+	aLo, aHi := storage(a)
+	bLo, bHi := storage(b)
+	return aLo < bHi && bLo < aHi
+}
+
+// inCallerRows reports whether l is a window on g's storage: its first
+// element is g's element at l's first point. A view starts at the rank's
+// first row, not at the caller's.
+func inCallerRows(l, g *field.Field) bool {
+	first := make(grid.Point, l.Rank())
+	for d := range first {
+		first[d] = l.Bounds().Dim(d).Lo
+	}
+	return l != g && overlaps(l, g) && &l.Data()[0] == &g.Data()[g.Index(first)]
+}
+
+// pitch is a rank-2 field's stride along its outermost storage dimension
+// and extent the length of its contiguous runs: a row's row-major, a
+// column's col-major.
+func pitch(f *field.Field) (pitch, extent int) {
+	if f.Layout() == field.ColMajor {
+		return f.Stride(1), f.Bounds().Dim(0).Size()
+	}
+	return f.Stride(0), f.Bounds().Dim(1).Size()
+}
 
 func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// TestReadOnlyArraysAreShared pins what a rank owns. An array some block
-// writes is a haloed local copy at the runtime's pitch (padded at n = 512
-// walked in 32-column tiles by the static schedule, dense under the task
-// DAG); an array no block writes is the caller's field itself, whatever
-// pitch the copies beside it have. Either way the result is the serial one,
-// bit for bit.
+// What a rank holds of one array: the caller's field itself, a view of the
+// caller's rows, or a copy.
+const (
+	ownField = 'F'
+	ownRows  = 'R'
+	ownCopy  = 'C'
+)
+
+// TestReadOnlyArraysAreShared pins what a rank owns, rank by rank and array
+// by array. An array no block writes is the caller's field itself, whatever
+// pitch the fields beside it have. An array some block writes is a view of
+// the caller's rows where the rank's box reaches no other rank's slab — the
+// head rank's d, rx and ry, whose north halo is the caller's boundary row,
+// the tail's rx and ry on the backward block, r (never read shifted) on
+// every rank, everything at p = 1 — and the copy there would be dense;
+// elsewhere it is a copy at the runtime's pitch (padded at n = 512 walked in
+// 32-column tiles by the static schedule, so every written array is a copy
+// there; dense under the task DAG). A col-major field cut along its
+// contiguous dimension is no one piece, so it is copied. Every way the
+// result is the serial one, bit for bit.
 func TestReadOnlyArraysAreShared(t *testing.T) {
+	forward := func(tc *workload.Tomcatv) *scan.Block { return tc.ForwardBlock() }
+	backward := func(tc *workload.Tomcatv) *scan.Block { return tc.BackwardBlock() }
 	for _, c := range []struct {
-		name         string
-		n, procs, b  int
-		sched        scan.Scheduler
-		writtenPitch int
+		name        string
+		n, procs, b int
+		sched       scan.Scheduler
+		layout      field.Layout
+		block       func(*workload.Tomcatv) *scan.Block
+		written     []string
+		// own[rank] has one letter per session array in sorted order — aa d
+		// dd r rx ry forward, aa d rx ry backward — and copyPad is the pad
+		// a copy's pitch carries beyond its contiguous extent.
+		own     []string
+		copyPad int
 	}{
-		{"n128-p2", 128, 2, 16, scan.SchedStatic, 128},
-		{"n128-p4", 128, 4, 16, scan.SchedStatic, 128},
-		{"n512-b32-static", 512, 2, 32, scan.SchedStatic, 520},
-		{"n512-b32-taskdag", 512, 2, 32, scan.SchedTaskDAG, 512},
+		{"n128-p2", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0},
+		{"n128-p4", 128, 4, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC", "FCFRCC", "FCFRCC"}, 0},
+		{"n128-p1", 128, 1, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR"}, 0},
+		{"n512-b32-static", 512, 2, 32, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FCFCCC", "FCFCCC"}, 8},
+		{"n512-b32-taskdag", 512, 2, 32, scan.SchedTaskDAG, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0},
+		{"n128-p2-backward", 128, 2, 16, scan.SchedStatic, field.RowMajor, backward, []string{"rx", "ry"},
+			[]string{"FFCC", "FFRR"}, 0},
+		{"n128-p2-colmajor", 128, 2, 16, scan.SchedStatic, field.ColMajor, forward, forwardWritten,
+			[]string{"FCFCCC", "FCFCCC"}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want := primedTomcatv(t, c.n)
-			if err := scan.Exec(want.ForwardBlock(), want.Env, scan.ExecOptions{}); err != nil {
+			want := primedTomcatv(t, c.n, c.layout)
+			if err := scan.Exec(c.block(want), want.Env, scan.ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			tc := primedTomcatv(t, c.n)
+			tc := primedTomcatv(t, c.n, c.layout)
 			cfg := Config{Procs: c.procs, Block: c.b, Scheduler: c.sched, Workers: 2}
-			err := forwardOneShot(t, tc, cfg, func(r *Rank) {
-				for _, name := range forwardReadOnly {
-					if l := r.locals[name]; l != tc.Env.Arrays[name] {
-						t.Errorf("rank %d: %s is a copy over %v, want the caller's field", r.ID(), name, l.Bounds())
-					}
+			err := oneShot(t, c.block(tc), tc.Env, cfg, c.written, func(r *Rank) {
+				own := c.own[r.ID()]
+				if len(own) != len(r.sess.names) {
+					t.Errorf("rank %d holds %v, the table names %d arrays", r.ID(), r.sess.names, len(own))
+					return
 				}
-				for _, name := range forwardWritten {
+				for i, name := range r.sess.names {
 					g, l := tc.Env.Arrays[name], r.locals[name]
-					if sameStorage(l, g) || l.Stride(0) != c.writtenPitch {
-						t.Errorf("rank %d: written %s has pitch %d (the caller's storage: %v), want a copy at %d",
-							r.ID(), name, l.Stride(0), sameStorage(l, g), c.writtenPitch)
+					var got byte
+					switch {
+					case l == g:
+						got = ownField
+					case inCallerRows(l, g):
+						got = ownRows
+					case !overlaps(l, g):
+						got = ownCopy
+					default:
+						t.Errorf("rank %d: %s overlaps the caller's storage but is not a window on its rows", r.ID(), name)
+						continue
+					}
+					if got != own[i] {
+						t.Errorf("rank %d: %s is %c over %v, want %c", r.ID(), name, got, l.Bounds(), own[i])
+					}
+					if p, extent := pitch(l); got == ownCopy && p != extent+c.copyPad {
+						t.Errorf("rank %d: copy of %s has pitch %d, want %d", r.ID(), name, p, extent+c.copyPad)
 					}
 				}
 			})
@@ -121,7 +209,8 @@ func TestReadOnlyArraysAreShared(t *testing.T) {
 	}
 }
 
-// fieldNameStore records the arrays every saved snapshot carries.
+// fieldNameStore records the arrays every saved snapshot carries, and any
+// array whose data is not exactly its box, element for element.
 type fieldNameStore struct {
 	ckpt.Store
 	mu    sync.Mutex
@@ -131,12 +220,19 @@ type fieldNameStore struct {
 
 func (s *fieldNameStore) Save(snap *ckpt.Snapshot) error {
 	names := make([]string, len(snap.Fields))
+	dense := true
 	for i := range snap.Fields {
-		names[i] = snap.Fields[i].Name
+		fs := &snap.Fields[i]
+		names[i] = fs.Name
+		size := 1
+		for d := 0; d < len(fs.Dims); d += 2 {
+			size *= fs.Dims[d+1] - fs.Dims[d] + 1
+		}
+		dense = dense && len(fs.Data) == size
 	}
 	s.mu.Lock()
 	s.saves++
-	if !slices.Equal(names, forwardWritten) {
+	if !dense || !slices.Equal(names, forwardWritten) {
 		s.bad = append(s.bad, names)
 	}
 	s.mu.Unlock()
@@ -145,59 +241,82 @@ func (s *fieldNameStore) Save(snap *ckpt.Snapshot) error {
 
 // TestReadOnlyArraysSurviveRestart is the crash drill on the same block: a
 // rank crashes inside the sweep and restarts from its snapshot, over the
-// in-process and the unix-socket transports. Snapshots carry exactly the
-// written arrays, the restarted rank reads aa and dd from the globals again
-// and nobody — scatter, restore, gather — writes them: they come out of the
+// in-process and the unix-socket transports. Rank 1 keeps copies of d, rx
+// and ry; rank 0, the head of the sweep, computes all four written arrays
+// in the caller's rows, and both its incarnations bind those views — the
+// restarted one restores into them without a scatter. Snapshots carry
+// exactly the written arrays, each at the byte count a dense copy would
+// have. The restarted rank reads aa and dd from the globals again and
+// nobody — scatter, restore, gather — writes them: they come out of the
 // run bit-identical to what went in, and the written arrays match serial.
 func TestReadOnlyArraysSurviveRestart(t *testing.T) {
 	const n, procs, block = 64, 4, 8
 	for _, kind := range []comm.TransportKind{comm.TransportChan, comm.TransportUnix} {
 		t.Run(kind.String(), func(t *testing.T) {
-			want := primedTomcatv(t, n)
-			if err := scan.Exec(want.ForwardBlock(), want.Env, scan.ExecOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			tc := primedTomcatv(t, n)
-			before := map[string][]float64{}
-			for _, name := range forwardReadOnly {
-				before[name] = slices.Clone(tc.Env.Arrays[name].Data())
-			}
-			// Rank 1's receive of the third boundary message from rank 0.
-			inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{{
-				Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: 2, Action: fault.ActCrash}}})
-			store := &fieldNameStore{Store: ckpt.NewMemStore()}
-			var incarnations [procs]atomic.Int32
-			err := forwardOneShot(t, tc, Config{
-				Procs: procs, Block: block, Faults: inj,
-				Transport:  comm.TransportConfig{Kind: kind},
-				Checkpoint: &CheckpointConfig{Every: 2, Store: store},
-			}, func(r *Rank) {
-				life := incarnations[r.ID()].Add(1)
-				for _, name := range forwardReadOnly {
-					if r.locals[name] != tc.Env.Arrays[name] {
-						t.Errorf("rank %d (incarnation %d): %s is not the caller's field", r.ID(), life, name)
+			for _, crash := range []struct {
+				name string
+				rank int
+				rule fault.Rule
+			}{
+				// Rank 1's receive of the third boundary message from rank 0.
+				{"copies", 1, fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: 2, Action: fault.ActCrash}},
+				// Rank 0's send of that message.
+				{"in-place", 0, fault.Rule{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: 2, Action: fault.ActCrash}},
+			} {
+				t.Run(crash.name, func(t *testing.T) {
+					want := primedTomcatv(t, n, field.RowMajor)
+					if err := scan.Exec(want.ForwardBlock(), want.Env, scan.ExecOptions{}); err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("crash did not recover: %v", err)
-			}
-			if inj.Fired() == 0 || incarnations[1].Load() < 2 {
-				t.Fatal("rank 1 never restarted; the drill proves nothing")
-			}
-			if store.saves == 0 || len(store.bad) != 0 {
-				t.Errorf("%d snapshots saved, of which these carry other arrays than %v: %v",
-					store.saves, forwardWritten, store.bad)
-			}
-			for _, name := range forwardReadOnly {
-				if !bitsEqual(tc.Env.Arrays[name].Data(), before[name]) {
-					t.Errorf("read-only %s changed across a run with a restart", name)
-				}
-			}
-			for _, name := range workload.TomcatvArrays {
-				if !bitsEqual(tc.Env.Arrays[name].Data(), want.Env.Arrays[name].Data()) {
-					t.Errorf("%s differs from the serial result after recovery", name)
-				}
+					tc := primedTomcatv(t, n, field.RowMajor)
+					before := map[string][]float64{}
+					for _, name := range forwardReadOnly {
+						before[name] = slices.Clone(tc.Env.Arrays[name].Data())
+					}
+					inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{crash.rule}})
+					store := &fieldNameStore{Store: ckpt.NewMemStore()}
+					var incarnations [procs]atomic.Int32
+					err := forwardOneShot(t, tc, Config{
+						Procs: procs, Block: block, Faults: inj,
+						Transport:  comm.TransportConfig{Kind: kind},
+						Checkpoint: &CheckpointConfig{Every: 2, Store: store},
+					}, func(r *Rank) {
+						life := incarnations[r.ID()].Add(1)
+						for _, name := range forwardReadOnly {
+							if r.locals[name] != tc.Env.Arrays[name] {
+								t.Errorf("rank %d (incarnation %d): %s is not the caller's field", r.ID(), life, name)
+							}
+						}
+						if r.ID() != 0 {
+							return
+						}
+						for _, name := range forwardWritten {
+							if !inCallerRows(r.locals[name], tc.Env.Arrays[name]) {
+								t.Errorf("rank 0 (incarnation %d): written %s is not a view of the caller's rows", life, name)
+							}
+						}
+					})
+					if err != nil {
+						t.Fatalf("crash did not recover: %v", err)
+					}
+					if inj.Fired() == 0 || incarnations[crash.rank].Load() < 2 {
+						t.Fatalf("rank %d never restarted; the drill proves nothing", crash.rank)
+					}
+					if store.saves == 0 || len(store.bad) != 0 {
+						t.Errorf("%d snapshots saved, of which these carry other arrays than %v or not one element per point: %v",
+							store.saves, forwardWritten, store.bad)
+					}
+					for _, name := range forwardReadOnly {
+						if !bitsEqual(tc.Env.Arrays[name].Data(), before[name]) {
+							t.Errorf("read-only %s changed across a run with a restart", name)
+						}
+					}
+					for _, name := range workload.TomcatvArrays {
+						if !bitsEqual(tc.Env.Arrays[name].Data(), want.Env.Arrays[name].Data()) {
+							t.Errorf("%s differs from the serial result after recovery", name)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -225,10 +344,12 @@ func (s *renamingStore) Latest(rank int) (*ckpt.Snapshot, error) {
 // block writes would be restored into the caller's own field. The restart is
 // refused with a structured error, the run fails, and the read-only globals
 // are what they were. (The written ones need not be: a rank that finished
-// before the failure has gathered its slab.)
+// before the failure has gathered its slab, and a rank that computes in the
+// caller's rows — rank 0's four arrays, every rank's r — wrote them as it
+// went.)
 func TestRestoreRefusesReadOnlyArray(t *testing.T) {
 	const n, procs, block = 48, 3, 8
-	tc := primedTomcatv(t, n)
+	tc := primedTomcatv(t, n, field.RowMajor)
 	before := map[string][]float64{}
 	for _, name := range forwardReadOnly {
 		before[name] = slices.Clone(tc.Env.Arrays[name].Data())
@@ -253,7 +374,7 @@ func TestRestoreRefusesReadOnlyArray(t *testing.T) {
 	}
 
 	// A name the session does not know at all keeps its own refusal.
-	tc = primedTomcatv(t, n)
+	tc = primedTomcatv(t, n, field.RowMajor)
 	inj = fault.MustNew(fault.Plan{Rules: []fault.Rule{{
 		Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: 2, Action: fault.ActCrash}}})
 	err = forwardOneShot(t, tc, Config{

@@ -22,11 +22,13 @@ import (
 
 // A Session runs a whole program — a sequence of scan blocks, parallel
 // statements, and reductions — across a fixed decomposition, the way the
-// paper's benchmarks run: arrays are scattered once, each rank keeps its
-// local portions with fluff margins across blocks, halos are re-exchanged
-// only when stale, wavefront blocks pipeline through the ranks in either
-// travel direction, and results gather at the end. Run executes an SPMD
-// body on every rank.
+// paper's benchmarks run: each rank binds its local portions with fluff
+// margins once per Run and keeps them across blocks — a copy of a written
+// array where a neighbour holds some of its rows, scattered at the start
+// and gathered at the end; the caller's own rows where none does; the
+// caller's field for an array no block writes — halos are re-exchanged
+// only when stale, and wavefront blocks pipeline through the ranks in
+// either travel direction. Run executes an SPMD body on every rank.
 //
 //	sess, _ := pipeline.NewSession(env, blocks, pipeline.Config{Procs: 4, Domain: all, Block: 8})
 //	err := sess.Run(func(r *pipeline.Rank) error {
@@ -378,9 +380,12 @@ func (s *Session) linkCapacity() int {
 	return n
 }
 
-// Run scatters the arrays, executes body on every rank concurrently,
-// gathers the written portions back into the global arrays, and records
-// statistics. A Session may Run multiple times; each Run re-scatters.
+// Run binds every rank's local fields — copies of the written arrays where
+// another rank holds some of the rows, filled from the globals (scatter);
+// the caller's fields or rows elsewhere — executes body on every rank
+// concurrently, gathers the copies' slabs back into the global arrays, and
+// records statistics. A Session may Run multiple times; each Run binds and
+// scatters anew.
 func (s *Session) Run(body func(r *Rank) error) error {
 	if s.cfg.AutoTune {
 		if b, ok := s.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
@@ -430,8 +435,9 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	s.mu.Unlock()
 	dropBase := pm.traceDropBase(tr)
 	// All ranks must finish scattering (reading the global arrays) before
-	// any rank may gather (writing them); with no other messages in flight
-	// nothing else orders the ranks.
+	// any rank may write them — computing in the caller's rows or
+	// gathering; with no other messages in flight nothing else orders the
+	// ranks.
 	phase := comm.NewSyncBarrier(s.cfg.Procs)
 	var mem0 runtime.MemStats
 	var waves0 int64
@@ -583,6 +589,9 @@ type Rank struct {
 	captured map[string]float64
 	// wrote marks arrays written at all (gathered at the end).
 	wrote map[string]bool
+	// inPlace marks the written arrays the rank computes in the caller's
+	// rows (a view, see newRank): nothing to gather. Nil when there are none.
+	inPlace map[string]bool
 	// sendSeq/recvSeq are per-peer tag counters; because every rank
 	// executes the same operation sequence, matching counters produce
 	// matching tags.
@@ -657,14 +666,17 @@ type xchgRegs struct {
 }
 
 // newRank builds one rank's local state. An array some block writes gets a
-// local copy over the rank's slab plus its halo along the wavefront
+// local field over the rank's slab plus its halo along the wavefront
 // dimension (clipped to the global storage box) and the array's full extent
-// elsewhere. An array no block writes has no owner that could change it, so
-// the rank binds the caller's field itself — no allocation, no scatter copy,
-// nothing to exchange, snapshot or gather. When restoring, the copies are
+// elsewhere: a view of the caller's rows where bindsInPlace allows, else a
+// copy. An array no block writes has no owner that could change it, so the
+// rank binds the caller's field itself. Neither binding allocates or
+// scatters; a view is not gathered, and a read-only field is not
+// exchanged, snapshotted or gathered either. When restoring, the copies are
 // allocated but left unfilled — restore overwrites every element from the
 // snapshot, and reading the globals here would race the gathers of ranks
-// that already finished (nobody gathers into a read-only array).
+// that already finished (nobody gathers into a read-only array or into a
+// view's rows).
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.obs.Now()
 	r := &Rank{
@@ -696,23 +708,28 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		h := s.halos[name]
 		dims := g.Bounds().Dims()
 		w := s.cfg.WavefrontDim
-		lo := slab.Dim(w).Lo - h.neg[w]
-		hi := slab.Dim(w).Hi + h.pos[w]
-		if lo < dims[w].Lo {
-			lo = dims[w].Lo
-		}
-		if hi > dims[w].Hi {
-			hi = dims[w].Hi
-		}
+		lo := max(slab.Dim(w).Lo-h.neg[w], dims[w].Lo)
+		hi := min(slab.Dim(w).Hi+h.pos[w], dims[w].Hi)
 		dims[w] = grid.NewRange(lo, hi)
 		bounds, err := grid.NewRegion(dims...)
 		if err != nil {
 			return nil, err
 		}
+		tile := s.localTile(g)
+		if s.bindsInPlace(r.id, bounds, g.Layout(), tile) {
+			if v, ok := g.View(bounds); ok {
+				if r.inPlace == nil {
+					r.inPlace = map[string]bool{}
+				}
+				r.inPlace[name] = true
+				r.locals[name] = v
+				continue
+			}
+		}
 		// The one place rank-local storage is allocated: its pitch is the
 		// runtime's to choose (see field.NewLocal), the caller's arrays
 		// stay dense.
-		lf, err := field.NewLocal(name, bounds, g.Layout(), s.localTile(g))
+		lf, err := field.NewLocal(name, bounds, g.Layout(), tile)
 		if err != nil {
 			return nil, err
 		}
@@ -726,6 +743,26 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 		o.Emit(trace.Ev(trace.KindScatter, r.id, scatterT0, o.Now()))
 	}
 	return r, nil
+}
+
+// bindsInPlace reports whether a rank computes a written array over local
+// box bounds in the caller's rows rather than in a copy: when the box,
+// along the wavefront dimension, reaches no row of another rank's slab (an
+// edge rank's boundary rows lie outside every slab, and an array no block
+// reads shifted along that dimension has no halo rows at all) and the copy
+// would be dense (a padded one is a speed the caller's rows lack). Ranks
+// still write disjoint rows, a neighbour's scatter reads of the slab's
+// rows end at the phase barrier, and every message moves slab rows into
+// halos, so past the barrier no other rank touches the box.
+func (s *Session) bindsInPlace(rank int, bounds grid.Region, layout field.Layout, tile int) bool {
+	w := s.cfg.WavefrontDim
+	rows := bounds.Dim(w)
+	for i, slab := range s.slabs {
+		if i != rank && rows.Lo <= slab.Dim(w).Hi && slab.Dim(w).Lo <= rows.Hi {
+			return false
+		}
+	}
+	return !field.PadsLocal(bounds, layout, tile)
 }
 
 // localTile is the width of the tiles this session's sweeps walk along g's
@@ -1479,8 +1516,8 @@ func (r *Rank) releaseScratch() {
 	}
 }
 
-// gather writes every written array's slab back to the global fields.
-// Slabs are disjoint, so concurrent ranks touch disjoint elements.
+// gather writes every copied written array's slab back to the global
+// fields. Slabs are disjoint, so concurrent ranks touch disjoint elements.
 func (r *Rank) gather() error {
 	o := r.obs()
 	gatherT0 := o.Now()
@@ -1491,6 +1528,9 @@ func (r *Rank) gather() error {
 	}()
 	w := r.sess.cfg.WavefrontDim
 	for name := range r.wrote {
+		if r.inPlace[name] {
+			continue
+		}
 		g := r.sess.genv.Array(name)
 		lf := r.locals[name]
 		dims := g.Bounds().Dims()
