@@ -233,47 +233,109 @@ func TestRunPoolReuseAcrossRuns(t *testing.T) {
 }
 
 // TestOneShotGarbageCeiling pins what a one-shot Run of the Tomcatv forward
-// block leaves for the collector at n = 128, p = 2, b = 16 — the shape the
+// block leaves for the collector at n = 128, b = 16 — at p = 2 the shape the
 // repository benchmark's cold_oneshot runs, where that garbage buys a
 // collection every few calls and the collection is a fifth of the op. The
-// ranks read aa and dd where the caller keeps them, rank 0 computes d, r,
-// rx and ry in the caller's rows and rank 1 computes r there, so only rank
-// 1's d, rx and ry are copies, and a kernel is lowered once, not lowered
-// and compiled: 241 KB and 509 allocations a Run (569 KB and 536 with a
+// ranks read aa and dd where the caller keeps them and compute d, r, rx and
+// ry in the caller's rows, every rank but the head reading its pipelined
+// halo rows where the upstream rank wrote them, so nothing is copied,
+// scattered or gathered, no message carries rows and no phase barrier is
+// built, and a kernel is lowered once, not lowered and compiled: about 35 KB
+// and 348 allocations a Run at p = 2, 60 KB and 593 at p = 4 (241 KB and
+// 509 at p = 2 with rank 1's copies of d, rx and ry; 569 KB and 536 with a
 // copy of every written array, 842 KB and 763 with a copy of every array
-// and both compilations). The ceilings sit just above, so one more array
-// copied or a second compilation fails here before a benchmark has to find
+// and both compilations). The ceilings sit just above, so one array copied
+// again or a second compilation fails here before a benchmark has to find
 // it.
 func TestOneShotGarbageCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	const maxBytes, maxAllocs = 260 << 10, 530
 	tom, err := workload.NewTomcatv(128, field.RowMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blk := tom.ForwardBlock()
-	run := func() {
-		if _, err := Run(blk, tom.Env, DefaultConfig(2, 16)); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		procs               int
+		maxBytes, maxAllocs uint64
+	}{
+		{2, 48 << 10, 420},
+		{4, 80 << 10, 720},
+	} {
+		run := func() {
+			if _, err := Run(blk, tom.Env, DefaultConfig(c.procs, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: runtime threads, sudogs, the first topology's one-offs
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		allocs := (m1.Mallocs - m0.Mallocs) / runs
+		t.Logf("one-shot Run at p = %d: %d bytes, %d allocations", c.procs, bytes, allocs)
+		if bytes > c.maxBytes {
+			t.Errorf("p = %d: a one-shot Run allocates %d bytes, want at most %d", c.procs, bytes, c.maxBytes)
+		}
+		if allocs > c.maxAllocs {
+			t.Errorf("p = %d: a one-shot Run allocates %d times, want at most %d", c.procs, allocs, c.maxAllocs)
 		}
 	}
-	run() // warm: runtime threads, sudogs, the first topology's one-offs
-	const runs = 20
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
+}
+
+// TestSessionRunAllocsPinned holds what re-entering a warm session costs,
+// so that nothing the ownership table decides once is paid per Run again:
+// an empty body on the Tomcatv program at n = 512, p = 2, b = 32 with a
+// pool — the repository benchmark's session_rerun_allocs probe, rank
+// rebuild, scatter and gather — read 167 allocations a Run before the table
+// (135 with it); one forward and one backward sweep of a one-rank task-DAG
+// session at two workers, taskdag_tiles' shape, read 447–451 (432–434).
+func TestSessionRunAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	tom, err := workload.NewTomcatv(512, field.RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, bwd := tom.ForwardBlock(), tom.BackwardBlock()
+	for _, c := range []struct {
+		name      string
+		blocks    []*scan.Block
+		cfg       Config
+		body      func(r *Rank) error
+		maxAllocs float64
+	}{
+		{"rerun-empty", tom.Blocks(), Config{Procs: 2, Domain: tom.All, Block: 32, Pool: bufpool.New(2)},
+			func(*Rank) error { return nil }, 140},
+		{"taskdag-tiles", []*scan.Block{fwd, bwd},
+			Config{Procs: 1, Domain: tom.All, Block: 32, Scheduler: scan.SchedTaskDAG, Workers: 2},
+			func(r *Rank) error {
+				if err := r.Exec(fwd); err != nil {
+					return err
+				}
+				return r.Exec(bwd)
+			}, 445},
+	} {
+		sess, err := NewSession(tom.Env, c.blocks, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := sess.Run(c.body); err != nil {
+				t.Fatal(err)
+			}
+		}
 		run()
-	}
-	runtime.ReadMemStats(&m1)
-	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
-	allocs := (m1.Mallocs - m0.Mallocs) / runs
-	t.Logf("one-shot Run: %d bytes, %d allocations", bytes, allocs)
-	if bytes > maxBytes {
-		t.Errorf("a one-shot Run allocates %d bytes, want at most %d", bytes, maxBytes)
-	}
-	if allocs > maxAllocs {
-		t.Errorf("a one-shot Run allocates %d times, want at most %d", allocs, maxAllocs)
+		got := testing.AllocsPerRun(5, run)
+		t.Logf("%s: %.0f allocations a Run", c.name, got)
+		if got > c.maxAllocs {
+			t.Errorf("%s: a warm session Run allocates %.0f times, want at most %.0f", c.name, got, c.maxAllocs)
+		}
 	}
 }

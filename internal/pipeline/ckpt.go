@@ -32,7 +32,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -383,7 +382,7 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 		if f == nil {
 			return fmt.Errorf("pipeline: snapshot names unknown array %q", fs.Name)
 		}
-		if _, ok := slices.BinarySearch(written, fs.Name); !ok {
+		if !r.sess.writes(fs.Name) {
 			return &ReadOnlySnapshotError{Rank: r.id, Array: fs.Name}
 		}
 		if len(fs.Data) != len(f.Data()) {

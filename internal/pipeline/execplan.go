@@ -19,14 +19,15 @@ type execPlan struct {
 	// needUp[t] is the index of the last upstream message required before
 	// step t; only meaningful when hasUp.
 	needUp []int
-	// fields resolves pl.pipeNames against the rank's local arrays, in
-	// the same order, so the loop never consults the name map.
+	// fields resolves pl.payload against the rank's local arrays, in the
+	// same order, so the loop never consults the name map.
 	fields []*field.Field
 	// Coalesced message layout, one message per (peer, step): sendRegs[t]
-	// holds each pipelined array's boundary region in pipeNames order and
+	// holds each payload array's boundary region in payload order and
 	// sendSizes[t] the matching element counts; sendTotal[t] is their sum
-	// (the payload length). recv* mirror the layout for the upstream
-	// portion's boundaries.
+	// (the payload length, 0 when every pipelined array is read by
+	// reference and the message is only the token). recv* mirror the
+	// layout for the upstream portion's boundaries.
 	sendRegs  [][]grid.Region
 	sendSizes [][]int
 	sendTotal []int
@@ -46,9 +47,9 @@ func buildExecPlan(pl *plan, locals map[string]*field.Field,
 		hasUp: hasUp, hasDown: hasDown,
 		tiles:  make([]grid.Region, T),
 		needUp: make([]int, T),
-		fields: make([]*field.Field, len(pl.pipeNames)),
+		fields: make([]*field.Field, len(pl.payload)),
 	}
-	for i, name := range pl.pipeNames {
+	for i, name := range pl.payload {
 		ep.fields[i] = locals[name]
 	}
 	for t := 0; t < T; t++ {
@@ -64,10 +65,10 @@ func buildExecPlan(pl *plan, locals map[string]*field.Field,
 		ep.sendSizes = make([][]int, T)
 		ep.sendTotal = make([]int, T)
 		for t := 0; t < T; t++ {
-			regs := make([]grid.Region, len(pl.pipeNames))
-			sizes := make([]int, len(pl.pipeNames))
+			regs := make([]grid.Region, len(pl.payload))
+			sizes := make([]int, len(pl.payload))
 			total := 0
-			for i, name := range pl.pipeNames {
+			for i, name := range pl.payload {
 				regs[i] = pl.boundaryRegion(L, name, t)
 				sizes[i] = regs[i].Size()
 				total += sizes[i]
@@ -80,10 +81,10 @@ func buildExecPlan(pl *plan, locals map[string]*field.Field,
 		ep.recvSizes = make([][]int, T)
 		ep.recvTotal = make([]int, T)
 		for t := 0; t < T; t++ {
-			regs := make([]grid.Region, len(pl.pipeNames))
-			sizes := make([]int, len(pl.pipeNames))
+			regs := make([]grid.Region, len(pl.payload))
+			sizes := make([]int, len(pl.payload))
 			total := 0
-			for i, name := range pl.pipeNames {
+			for i, name := range pl.payload {
 				regs[i] = pl.boundaryRegion(upPortion, name, t)
 				sizes[i] = regs[i].Size()
 				total += sizes[i]

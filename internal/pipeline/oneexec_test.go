@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"maps"
 	"testing"
 
+	"wavefront/internal/comm"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -59,7 +61,12 @@ func TestKernelPathCountersSessionMatchesRun(t *testing.T) {
 }
 
 // TestRunStatsPinned holds Run's decomposition and traffic for three corpus
-// shapes at the values the separate one-block executor produced.
+// shapes at the values the separate one-block executor produced: the
+// messages on every transport, and their elements — the paper's payload —
+// over a unix socket. On the in-process transport the Tomcatv sweeps read
+// their pipelined halo rows by reference, so each message is only the
+// token; the octant, cut along dimension 1, which a view cannot cut, still
+// carries its rows.
 func TestRunStatsPinned(t *testing.T) {
 	tom, err := workload.NewTomcatv(34, field.RowMajor)
 	if err != nil {
@@ -70,41 +77,44 @@ func TestRunStatsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name         string
-		run          func() (*Stats, error)
-		tiles        int
-		msgs, elems  int64
-		wDim, tDim   int
-		pipelined    map[string]int
-		wavefrontDir grid.LoopDir
+		name                   string
+		run                    func(Config) (*Stats, error)
+		tiles                  int
+		msgs, elems, chanElems int64
+		wDim, tDim             int
+		pipelined              map[string]int
+		wavefrontDir           grid.LoopDir
 	}{
-		{"forward", func() (*Stats, error) { return Run(tom.ForwardBlock(), tom.Env, DefaultConfig(3, 4)) },
-			8, 16, 192, 0, 1, map[string]int{"d": 1, "rx": 1, "ry": 1}, grid.LowToHigh},
-		{"backward", func() (*Stats, error) { return Run(tom.BackwardBlock(), tom.Env, DefaultConfig(3, 4)) },
-			8, 16, 128, 0, 1, map[string]int{"rx": 1, "ry": 1}, grid.HighToLow},
-		{"rank-3 octant, explicit dims", func() (*Stats, error) {
-			return runDims(sw.OctantBlock(sw.Octants()[5]), sw.Env, Config{Procs: 3, Block: 4}, 1, 2)
-		}, 3, 6, 288, 1, 2, map[string]int{"flux": 1}, grid.LowToHigh},
+		{"forward", func(cfg Config) (*Stats, error) { return Run(tom.ForwardBlock(), tom.Env, cfg) },
+			8, 16, 192, 0, 0, 1, map[string]int{"d": 1, "rx": 1, "ry": 1}, grid.LowToHigh},
+		{"backward", func(cfg Config) (*Stats, error) { return Run(tom.BackwardBlock(), tom.Env, cfg) },
+			8, 16, 128, 0, 0, 1, map[string]int{"rx": 1, "ry": 1}, grid.HighToLow},
+		{"rank-3 octant, explicit dims", func(cfg Config) (*Stats, error) {
+			return runDims(sw.OctantBlock(sw.Octants()[5]), sw.Env, cfg, 1, 2)
+		}, 3, 6, 288, 288, 1, 2, map[string]int{"flux": 1}, grid.LowToHigh},
 	} {
-		st, err := c.run()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if st.Tiles != c.tiles || st.Comm.Messages != c.msgs || st.Comm.Elements != c.elems {
-			t.Errorf("%s: tiles=%d msgs=%d elems=%d, want %d/%d/%d", c.name,
-				st.Tiles, st.Comm.Messages, st.Comm.Elements, c.tiles, c.msgs, c.elems)
-		}
-		if st.WavefrontDim != c.wDim || st.TileDim != c.tDim {
-			t.Errorf("%s: dims (%d,%d), want (%d,%d)", c.name, st.WavefrontDim, st.TileDim, c.wDim, c.tDim)
-		}
-		if got := st.Loop.Dirs[st.WavefrontDim]; got != c.wavefrontDir {
-			t.Errorf("%s: wavefront travels %v, want %v", c.name, got, c.wavefrontDir)
-		}
-		if len(st.Pipelined) != len(c.pipelined) {
-			t.Errorf("%s: pipelined %v, want %v", c.name, st.Pipelined, c.pipelined)
-		}
-		for name, depth := range c.pipelined {
-			if st.Pipelined[name] != depth {
+		for _, kind := range []comm.TransportKind{comm.TransportChan, comm.TransportUnix} {
+			cfg := DefaultConfig(3, 4)
+			cfg.Transport.Kind = kind
+			st, err := c.run(cfg)
+			if err != nil {
+				t.Fatalf("%s over %v: %v", c.name, kind, err)
+			}
+			elems := c.elems
+			if kind == comm.TransportChan {
+				elems = c.chanElems
+			}
+			if st.Tiles != c.tiles || st.Comm.Messages != c.msgs || st.Comm.Elements != elems {
+				t.Errorf("%s over %v: tiles=%d msgs=%d elems=%d, want %d/%d/%d", c.name, kind,
+					st.Tiles, st.Comm.Messages, st.Comm.Elements, c.tiles, c.msgs, elems)
+			}
+			if st.WavefrontDim != c.wDim || st.TileDim != c.tDim {
+				t.Errorf("%s: dims (%d,%d), want (%d,%d)", c.name, st.WavefrontDim, st.TileDim, c.wDim, c.tDim)
+			}
+			if got := st.Loop.Dirs[st.WavefrontDim]; got != c.wavefrontDir {
+				t.Errorf("%s: wavefront travels %v, want %v", c.name, got, c.wavefrontDir)
+			}
+			if !maps.Equal(st.Pipelined, c.pipelined) {
 				t.Errorf("%s: pipelined %v, want %v", c.name, st.Pipelined, c.pipelined)
 			}
 		}

@@ -1,16 +1,20 @@
 // Package pipeline is the parallel wavefront runtime of §3.2 and §4: it
 // block-distributes a scan block's region along the wavefront dimension
 // over p ranks, gives each rank a local field of every referenced array with
-// fluff (ghost) margins — a copy only of a written array some other rank
-// holds rows of, the caller's storage otherwise (see Session.newRank) — and
-// executes the wavefront either naively (each
-// rank computes its whole portion, then forwards its boundary) or pipelined
-// (each rank computes width-b tiles along an orthogonal dimension and
-// forwards each tile's boundary eagerly, overlapping the ranks).
+// fluff (ghost) margins — the caller's storage wherever that is sound, a
+// copy of a written array elsewhere (see Session.bind) — and executes the
+// wavefront either naively (each rank computes its whole portion, then
+// forwards its boundary) or pipelined (each rank computes width-b tiles
+// along an orthogonal dimension and forwards each tile's boundary eagerly,
+// overlapping the ranks).
 //
-// The runtime communicates only through package comm — no rank reads
-// another rank's local fields — so its message counts are exactly the
-// messages a distributed-memory implementation would send.
+// Ranks are ordered only by messages through package comm, so the message
+// counts are exactly those a distributed-memory implementation would send.
+// The elements they carry are what actually moved: the paper's boundary
+// rows, except in a one-shot Run on the in-process transport, whose ranks
+// read pipelined halo rows where the upstream rank wrote them; there a
+// message is only the token that says the rows are final
+// (Session.haloByReference).
 package pipeline
 
 import (
@@ -203,6 +207,10 @@ type plan struct {
 	// pipeArrays maps array name -> halo depth along wDim to forward.
 	pipeArrays map[string]int
 	pipeNames  []string // sorted for deterministic message layout
+	// payload is the subset of pipeNames whose rows the boundary messages
+	// carry: all but the arrays every rank reads by reference (set by
+	// Session.bind; Program.Schedule costs pipeNames, the paper's payload).
+	payload []string
 	// halo per array: negative and positive expansion per dimension.
 	halo map[string]haloSpec
 	// refresh[side] names, sorted, the arrays whose halo on that side of the
@@ -246,9 +254,13 @@ func sideOf(sw int) int {
 // Session over the block's region with the block as its whole program:
 // rank i holds the i-th slab in index order along the wavefront dimension
 // whatever the travel direction, so on a high-to-low wavefront rank i's
-// upstream neighbour is rank i+1. Domain and WavefrontDim come from the
-// block, and a metrics endpoint needs a session to close it: a config that
-// sets Domain or MetricsAddr is refused (use NewSession).
+// upstream neighbour is rank i+1. Because the block runs once, on the
+// in-process transport with no checkpoint and no faults the ranks read
+// pipelined halo rows in the caller's storage and the boundary messages
+// carry none of them (Stats.Comm.Elements counts what moved). Domain and
+// WavefrontDim come from the block, and a metrics endpoint needs a session
+// to close it: a config that sets Domain or MetricsAddr is refused (use
+// NewSession).
 func Run(b *scan.Block, env expr.Env, cfg Config) (*Stats, error) {
 	return runDims(b, env, cfg, -1, -1)
 }
@@ -291,8 +303,9 @@ func Plan(b *scan.Block, env expr.Env, cfg Config) (wDim, tDim, tiles int, pipel
 }
 
 // oneBlockSession builds the session Run executes, not yet armed: the
-// block's region is the domain, and the wavefront dimension is the first
-// candidate along which the block decomposes (wDim alone when >= 0).
+// block's region is the domain, the wavefront dimension is the first
+// candidate along which the block decomposes (wDim alone when >= 0), and
+// the session is marked one-shot — it executes its block once.
 func oneBlockSession(b *scan.Block, env expr.Env, cfg Config, wDim, tDim int) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("pipeline: need at least 1 rank, got %d", cfg.Procs)
@@ -357,6 +370,7 @@ func oneBlockSession(b *scan.Block, env expr.Env, cfg Config, wDim, tDim int) (*
 			err = sess.adopt(b, an, tDim)
 		}
 		if err == nil {
+			sess.oneShot = true
 			return sess, nil
 		}
 		if firstErr == nil {

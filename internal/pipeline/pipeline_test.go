@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wavefront/internal/comm"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -101,25 +102,34 @@ func TestTomcatvMessageCount(t *testing.T) {
 	blk, names := tomcatv(n)
 	bounds := grid.MustRegion(grid.NewRange(1, n), grid.NewRange(1, n))
 	p, b := 4, 5
-	stats := checkAgainstSerial(t, blk, names, bounds, DefaultConfig(p, b))
-	// Width of the region is n-2 = 31 columns → ceil(31/5) = 7 tiles; each
-	// of the p-1 = 3 boundaries carries one message per tile.
-	wantTiles := 7
-	if stats.Tiles != wantTiles {
-		t.Errorf("tiles = %d, want %d", stats.Tiles, wantTiles)
-	}
-	wantMsgs := int64((p - 1) * wantTiles)
-	if stats.Comm.Messages != wantMsgs {
-		t.Errorf("messages = %d, want %d", stats.Comm.Messages, wantMsgs)
-	}
-	// Three arrays pipeline with halo depth 1 (d, rx, ry): elements =
-	// 3 * width per boundary crossing.
-	wantElems := int64((p - 1) * 3 * 31)
-	if stats.Comm.Elements != wantElems {
-		t.Errorf("elements = %d, want %d", stats.Comm.Elements, wantElems)
-	}
-	if len(stats.Pipelined) != 3 {
-		t.Errorf("pipelined arrays = %v, want d, rx, ry", stats.Pipelined)
+	for _, kind := range []comm.TransportKind{comm.TransportChan, comm.TransportUnix} {
+		cfg := DefaultConfig(p, b)
+		cfg.Transport.Kind = kind
+		stats := checkAgainstSerial(t, blk, names, bounds, cfg)
+		// Width of the region is n-2 = 31 columns → ceil(31/5) = 7 tiles;
+		// each of the p-1 = 3 boundaries carries one message per tile.
+		wantTiles := 7
+		if stats.Tiles != wantTiles {
+			t.Errorf("%v: tiles = %d, want %d", kind, stats.Tiles, wantTiles)
+		}
+		wantMsgs := int64((p - 1) * wantTiles)
+		if stats.Comm.Messages != wantMsgs {
+			t.Errorf("%v: messages = %d, want %d", kind, stats.Comm.Messages, wantMsgs)
+		}
+		// Three arrays pipeline with halo depth 1 (d, rx, ry): over a socket
+		// a boundary crossing carries 3 * width elements; in process every
+		// rank reads them where the upstream rank wrote them, and a message
+		// is only the token.
+		wantElems := int64((p - 1) * 3 * 31)
+		if kind == comm.TransportChan {
+			wantElems = 0
+		}
+		if stats.Comm.Elements != wantElems {
+			t.Errorf("%v: elements = %d, want %d", kind, stats.Comm.Elements, wantElems)
+		}
+		if len(stats.Pipelined) != 3 {
+			t.Errorf("%v: pipelined arrays = %v, want d, rx, ry", kind, stats.Pipelined)
+		}
 	}
 }
 

@@ -111,26 +111,52 @@ func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// What a rank holds of one array: the caller's field itself, a view of the
-// caller's rows, or a copy.
-const (
-	ownField = 'F'
-	ownRows  = 'R'
-	ownCopy  = 'C'
-)
+// holdings reads what r holds of each session array, in sorted name order,
+// from storage alone: F the caller's field itself, R a window on the
+// caller's rows that no other rank's slab holds, H one whose halo rows
+// another rank's slab holds, C a copy ('?' overlaps the caller's storage
+// without being a window on its rows).
+func holdings(r *Rank, env expr.Env) string {
+	w := r.sess.cfg.WavefrontDim
+	out := make([]byte, len(r.sess.names))
+	for i, name := range r.sess.names {
+		g, l := env.Array(name), r.locals[name]
+		switch {
+		case l == g:
+			out[i] = 'F'
+		case inCallerRows(l, g):
+			out[i] = 'R'
+			rows := l.Bounds().Dim(w)
+			for j, slab := range r.sess.slabs {
+				if j != r.id && rows.Lo <= slab.Dim(w).Hi && slab.Dim(w).Lo <= rows.Hi {
+					out[i] = 'H'
+				}
+			}
+		case !overlaps(l, g):
+			out[i] = 'C'
+		default:
+			out[i] = '?'
+		}
+	}
+	return string(out)
+}
 
 // TestReadOnlyArraysAreShared pins what a rank owns, rank by rank and array
 // by array. An array no block writes is the caller's field itself, whatever
 // pitch the fields beside it have. An array some block writes is a view of
-// the caller's rows where the rank's box reaches no other rank's slab — the
-// head rank's d, rx and ry, whose north halo is the caller's boundary row,
-// the tail's rx and ry on the backward block, r (never read shifted) on
-// every rank, everything at p = 1 — and the copy there would be dense;
-// elsewhere it is a copy at the runtime's pitch (padded at n = 512 walked in
-// 32-column tiles by the static schedule, so every written array is a copy
-// there; dense under the task DAG). A col-major field cut along its
-// contiguous dimension is no one piece, so it is copied. Every way the
-// result is the serial one, bit for bit.
+// the caller's rows where the copy would be dense and either the rank's box
+// reaches no other rank's slab — the head rank's d, rx and ry, whose north
+// halo is the caller's boundary row, the tail's rx and ry on the backward
+// block, r (never read shifted) on every rank, everything at p = 1 — or,
+// in a one-shot Run on the in-process transport without checkpoint or
+// faults, the array's pipelined halo rows are read where the upstream rank
+// wrote them: then every other rank's d, rx and ry too. Elsewhere it is a
+// copy at the runtime's pitch: padded at n = 512 walked in 32-column tiles
+// by the static schedule, so every written array is a copy there, and dense
+// under the task DAG. A col-major field cut along its contiguous dimension
+// is no one piece, so it is copied. A session, which may sweep again, the
+// unix transport, a checkpoint and a fault injector keep the copies. Every
+// way the result is the serial one, bit for bit.
 func TestReadOnlyArraysAreShared(t *testing.T) {
 	forward := func(tc *workload.Tomcatv) *scan.Block { return tc.ForwardBlock() }
 	backward := func(tc *workload.Tomcatv) *scan.Block { return tc.BackwardBlock() }
@@ -141,26 +167,38 @@ func TestReadOnlyArraysAreShared(t *testing.T) {
 		layout      field.Layout
 		block       func(*workload.Tomcatv) *scan.Block
 		written     []string
-		// own[rank] has one letter per session array in sorted order — aa d
-		// dd r rx ry forward, aa d rx ry backward — and copyPad is the pad
-		// a copy's pitch carries beyond its contiguous extent.
+		// own[rank] has one letter of holdings per session array in sorted
+		// order — aa d dd r rx ry forward, aa d rx ry backward — and copyPad
+		// is the pad a copy's pitch carries beyond its contiguous extent.
 		own     []string
 		copyPad int
+		// session runs the block in a NewSession over its region instead of
+		// pipeline.Run; set changes the configuration.
+		session bool
+		set     func(*Config)
 	}{
 		{"n128-p2", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
-			[]string{"FRFRRR", "FCFRCC"}, 0},
+			[]string{"FRFRRR", "FHFRHH"}, 0, false, nil},
 		{"n128-p4", 128, 4, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
-			[]string{"FRFRRR", "FCFRCC", "FCFRCC", "FCFRCC"}, 0},
+			[]string{"FRFRRR", "FHFRHH", "FHFRHH", "FHFRHH"}, 0, false, nil},
 		{"n128-p1", 128, 1, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
-			[]string{"FRFRRR"}, 0},
+			[]string{"FRFRRR"}, 0, false, nil},
 		{"n512-b32-static", 512, 2, 32, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
-			[]string{"FCFCCC", "FCFCCC"}, 8},
+			[]string{"FCFCCC", "FCFCCC"}, 8, false, nil},
 		{"n512-b32-taskdag", 512, 2, 32, scan.SchedTaskDAG, field.RowMajor, forward, forwardWritten,
-			[]string{"FRFRRR", "FCFRCC"}, 0},
+			[]string{"FRFRRR", "FHFRHH"}, 0, false, nil},
 		{"n128-p2-backward", 128, 2, 16, scan.SchedStatic, field.RowMajor, backward, []string{"rx", "ry"},
-			[]string{"FFCC", "FFRR"}, 0},
+			[]string{"FFHH", "FFRR"}, 0, false, nil},
 		{"n128-p2-colmajor", 128, 2, 16, scan.SchedStatic, field.ColMajor, forward, forwardWritten,
-			[]string{"FCFCCC", "FCFCCC"}, 0},
+			[]string{"FCFCCC", "FCFCCC"}, 0, false, nil},
+		{"n128-p2-session", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0, true, nil},
+		{"n128-p2-unix", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0, false, func(c *Config) { c.Transport.Kind = comm.TransportUnix }},
+		{"n128-p2-checkpoint", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0, false, func(c *Config) { c.Checkpoint = &CheckpointConfig{Every: 2} }},
+		{"n128-p2-faults", 128, 2, 16, scan.SchedStatic, field.RowMajor, forward, forwardWritten,
+			[]string{"FRFRRR", "FCFRCC"}, 0, false, func(c *Config) { c.Faults = fault.MustNew(fault.Plan{}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := primedTomcatv(t, c.n, c.layout)
@@ -168,35 +206,35 @@ func TestReadOnlyArraysAreShared(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc := primedTomcatv(t, c.n, c.layout)
+			blk := c.block(tc)
 			cfg := Config{Procs: c.procs, Block: c.b, Scheduler: c.sched, Workers: 2}
-			err := oneShot(t, c.block(tc), tc.Env, cfg, c.written, func(r *Rank) {
-				own := c.own[r.ID()]
-				if len(own) != len(r.sess.names) {
-					t.Errorf("rank %d holds %v, the table names %d arrays", r.ID(), r.sess.names, len(own))
-					return
+			if c.set != nil {
+				c.set(&cfg)
+			}
+			look := func(r *Rank) {
+				got := holdings(r, tc.Env)
+				if got != c.own[r.ID()] {
+					t.Errorf("rank %d holds %v as %s, want %s", r.ID(), r.sess.names, got, c.own[r.ID()])
 				}
 				for i, name := range r.sess.names {
-					g, l := tc.Env.Arrays[name], r.locals[name]
-					var got byte
-					switch {
-					case l == g:
-						got = ownField
-					case inCallerRows(l, g):
-						got = ownRows
-					case !overlaps(l, g):
-						got = ownCopy
-					default:
-						t.Errorf("rank %d: %s overlaps the caller's storage but is not a window on its rows", r.ID(), name)
-						continue
-					}
-					if got != own[i] {
-						t.Errorf("rank %d: %s is %c over %v, want %c", r.ID(), name, got, l.Bounds(), own[i])
-					}
-					if p, extent := pitch(l); got == ownCopy && p != extent+c.copyPad {
+					if p, extent := pitch(r.locals[name]); got[i] == 'C' && p != extent+c.copyPad {
 						t.Errorf("rank %d: copy of %s has pitch %d, want %d", r.ID(), name, p, extent+c.copyPad)
 					}
 				}
-			})
+			}
+			var err error
+			if c.session {
+				cfg.Domain = blk.Region
+				var sess *Session
+				if sess, err = NewSession(tc.Env, []*scan.Block{blk}, cfg); err == nil {
+					err = sess.Run(func(r *Rank) error {
+						look(r)
+						return r.Exec(blk)
+					})
+				}
+			} else {
+				err = oneShot(t, blk, tc.Env, cfg, c.written, look)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,6 +245,34 @@ func TestReadOnlyArraysAreShared(t *testing.T) {
 			}
 		})
 	}
+
+	// A written array that is also read unprimed across the slab boundary,
+	// downstream of the sweep: its halo there must hold the rows as they
+	// were before the block, so both ranks copy it.
+	t.Run("n64-p2-unprimed-downstream", func(t *testing.T) {
+		const n = 64
+		bounds := grid.MustRegion(grid.NewRange(0, n+1), grid.NewRange(0, n+1))
+		blk := scan.NewScan(grid.Square(2, 1, n), scan.Stmt{LHS: expr.Ref("a"), RHS: expr.Binary{Op: expr.Add,
+			L: expr.MulN(expr.Const(0.5), expr.Ref("a").At(grid.North).Prime()),
+			R: expr.MulN(expr.Const(0.25), expr.Ref("a").At(grid.South))}})
+		want, got := env2([]string{"a"}, bounds), env2([]string{"a"}, bounds)
+		seed(want, bounds, 1)
+		seed(got, bounds, 1)
+		if err := scan.Exec(blk, want, scan.ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		err := oneShot(t, blk, got, Config{Procs: 2, Block: 8}, []string{"a"}, func(r *Rank) {
+			if h := holdings(r, got); h != "C" {
+				t.Errorf("rank %d holds a as %s, want C", r.ID(), h)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(got.Arrays["a"].Data(), want.Arrays["a"].Data()) {
+			t.Error("a differs from the serial result")
+		}
+	})
 }
 
 // fieldNameStore records the arrays every saved snapshot carries, and any

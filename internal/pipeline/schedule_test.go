@@ -6,6 +6,7 @@ import (
 	"maps"
 	"testing"
 
+	"wavefront/internal/comm"
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
@@ -106,9 +107,12 @@ func sum(m map[link]int) (n int64) {
 }
 
 // checkSchedule holds the schedule cfg and blocks give to what the traced
-// run under cfg measured. A schedule refused for a halo refresh must belong
-// to a run that exchanged halos.
-func checkSchedule(t *testing.T, cfg Config, blocks []*scan.Block, comm SessionStats) {
+// run under cfg measured. The schedule costs the paper's payloads: every
+// pipelined array's boundary rows. A run that carried only moved of the all
+// pipelined halo rows a message would hold — the rest read by reference —
+// is held to that share of the schedule's elements. A schedule refused for
+// a halo refresh must belong to a run that exchanged halos.
+func checkSchedule(t *testing.T, cfg Config, blocks []*scan.Block, comm SessionStats, moved, all int) {
 	t.Helper()
 	if n := cfg.Trace.Dropped(); n != 0 {
 		t.Fatalf("trace dropped %d events", n)
@@ -127,6 +131,9 @@ func checkSchedule(t *testing.T, cfg Config, blocks []*scan.Block, comm SessionS
 		t.Fatalf("%v (the run exchanged halos %d times)", err, exchanges)
 	}
 	tasks, msgs, elems := scheduleCounts(d)
+	for l, e := range elems {
+		elems[l] = e / all * moved
+	}
 	if tasks != tiles {
 		t.Errorf("schedule has %d tasks, the run %d compute events of a tile", tasks, tiles)
 	}
@@ -139,13 +146,38 @@ func checkSchedule(t *testing.T, cfg Config, blocks []*scan.Block, comm SessionS
 	}
 }
 
+// carried returns the pipelined halo depths, summed over b's pipelined
+// arrays, that the messages of a one-shot Run of b under cfg carry (moved)
+// and that the paper's would (all): on the in-process transport the arrays
+// every rank reads by reference travel as the token alone.
+func carried(t *testing.T, b *scan.Block, env expr.Env, cfg Config) (moved, all int) {
+	t.Helper()
+	sess, err := oneBlockSession(b, env, cfg, -1, -1)
+	if err == nil {
+		err = sess.arm()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := sess.plans[b]
+	for _, name := range pl.pipeNames {
+		all += pl.pipeArrays[name]
+	}
+	for _, name := range pl.payload {
+		moved += pl.pipeArrays[name]
+	}
+	return moved, all
+}
+
 // TestScheduleMatchesRun holds the schedule the simulator costs to what the
 // runtime does, for every block of the seven -validate families at p = 2, 3,
-// naive and narrowly tiled: its task count to the traced run's compute
-// events of a tile, its messages and elements to the run's comm stats, and
-// its per-link counts to the run's boundary sends by (rank, peer). A block
-// runs as a one-shot Run when Run takes it — the schedule is then over the
-// block's region along the dimension Run chose — and otherwise (a plain
+// naive and narrowly tiled, over the in-process and the unix transport: its
+// task count to the traced run's compute events of a tile, its messages to
+// the run's comm stats and per-link boundary sends by (rank, peer), and its
+// elements likewise — all of them over the socket, and on the in-process
+// transport all but the rows of arrays read by reference. A block runs as a
+// one-shot Run when Run takes it — the schedule is then over the block's
+// region along the dimension Run chose — and otherwise (a plain
 // multi-statement or temporary-needing block, or a region too thin for p
 // ranks of its own) alone in a session over its family's domain. The
 // Tomcatv and SIMPLE forward+backward pairs, the sweeps fig7 simulates, run
@@ -155,24 +187,27 @@ func TestScheduleMatchesRun(t *testing.T) {
 		for _, p := range []int{2, 3} {
 			for _, width := range []int{0, 3} {
 				t.Run(fmt.Sprintf("%s/p%d/b%d", fam.name, p, width), func(t *testing.T) {
-					for i, b := range fam.blocks {
-						cfg := Config{Procs: p, Block: width, Trace: trace.New(p, 1<<12)}
-						st, err := Run(b, fam.env, cfg)
-						if err == nil {
-							cfg.Domain, cfg.WavefrontDim = b.Region, st.WavefrontDim
-							checkSchedule(t, cfg, []*scan.Block{b}, st.SessionStats)
-							continue
+					for _, kind := range []comm.TransportKind{comm.TransportChan, comm.TransportUnix} {
+						for i, b := range fam.blocks {
+							cfg := Config{Procs: p, Block: width, Trace: trace.New(p, 1<<12), Transport: comm.TransportConfig{Kind: kind}}
+							st, err := Run(b, fam.env, cfg)
+							if err == nil {
+								moved, all := carried(t, b, fam.env, cfg)
+								cfg.Domain, cfg.WavefrontDim = b.Region, st.WavefrontDim
+								checkSchedule(t, cfg, []*scan.Block{b}, st.SessionStats, moved, all)
+								continue
+							}
+							cfg.Trace.Reset()
+							cfg.Domain = fam.domain
+							sess, err := NewSession(fam.env, []*scan.Block{b}, cfg)
+							if err == nil {
+								err = sess.Run(func(r *Rank) error { return r.Exec(b) })
+							}
+							if err != nil {
+								t.Fatalf("block %d over %v: %v", i, kind, err)
+							}
+							checkSchedule(t, cfg, []*scan.Block{b}, sess.Stats(), 1, 1)
 						}
-						cfg.Trace.Reset()
-						cfg.Domain = fam.domain
-						sess, err := NewSession(fam.env, []*scan.Block{b}, cfg)
-						if err == nil {
-							err = sess.Run(func(r *Rank) error { return r.Exec(b) })
-						}
-						if err != nil {
-							t.Fatalf("block %d: %v", i, err)
-						}
-						checkSchedule(t, cfg, []*scan.Block{b}, sess.Stats())
 					}
 				})
 			}
@@ -208,7 +243,7 @@ func TestScheduleMatchesRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkSchedule(t, cfg, fam.blocks, sess.Stats())
+					checkSchedule(t, cfg, fam.blocks, sess.Stats(), 1, 1)
 				})
 			}
 		}

@@ -23,12 +23,14 @@ import (
 // A Session runs a whole program — a sequence of scan blocks, parallel
 // statements, and reductions — across a fixed decomposition, the way the
 // paper's benchmarks run: each rank binds its local portions with fluff
-// margins once per Run and keeps them across blocks — a copy of a written
-// array where a neighbour holds some of its rows, scattered at the start
-// and gathered at the end; the caller's own rows where none does; the
-// caller's field for an array no block writes — halos are re-exchanged
-// only when stale, and wavefront blocks pipeline through the ranks in
-// either travel direction. Run executes an SPMD body on every rank.
+// margins once per Run, as the session's ownership table says, and keeps
+// them across blocks — a copy of a written array where a neighbour holds
+// some of its rows, scattered at the start and gathered at the end; the
+// caller's own rows where none does; the caller's field for an array no
+// block writes — halos are re-exchanged only when stale, and wavefront
+// blocks pipeline through the ranks in either travel direction. The table
+// binds the caller's arrays as env holds them when the session is built.
+// Run executes an SPMD body on every rank.
 //
 //	sess, _ := pipeline.NewSession(env, blocks, pipeline.Config{Procs: 4, Domain: all, Block: 8})
 //	err := sess.Run(func(r *pipeline.Rank) error {
@@ -50,10 +52,21 @@ type Session struct {
 	halos     map[string]haloSpec // per-array union over all registered blocks
 	names     []string            // sorted array names
 	// written is the sorted subset of names some registered block assigns:
-	// the arrays a rank keeps a haloed copy of, exchanges halos of, snapshots
-	// and gathers. The rest are read-only for the whole session and a rank
+	// the arrays a rank binds over its slab plus halo, exchanges halos of and
+	// snapshots. The rest are read-only for the whole session and a rank
 	// binds the caller's field itself (see newRank).
 	written []string
+	// binds is the ownership table: what each rank holds of each array,
+	// names-major per rank (see binding and bind). It is filled at arm and
+	// changes only with the tile width.
+	binds []binding
+	// barrier records that some rank copies rows another rank's slab holds,
+	// so Run must order every scatter before any write.
+	barrier bool
+	// oneShot marks Run's one-block session, which executes its block
+	// exactly once: the only session whose pipelined halo rows may be read
+	// by reference (see haloByReference).
+	oneShot bool
 	// workers is each rank's resolved task-DAG pool size — also the number
 	// of worker trace rings per rank — and 0 under SchedStatic.
 	workers int
@@ -153,8 +166,9 @@ func newSession(env expr.Env, cfg Config) (*Session, error) {
 }
 
 // arm fixes the array set — every plan's halo needs folded into the
-// session-wide per-array halos — and starts what outlives a single Run: the
-// internal flight ring and the metrics endpoint.
+// session-wide per-array halos — and what each rank owns of each array, and
+// starts what outlives a single Run: the internal flight ring and the
+// metrics endpoint.
 func (s *Session) arm() error {
 	cfg := s.cfg
 	for _, pl := range s.plans {
@@ -183,6 +197,10 @@ func (s *Session) arm() error {
 	}
 	slices.Sort(s.written)
 	s.written = slices.Compact(s.written)
+	if err := s.boxes(); err != nil {
+		return err
+	}
+	s.bind()
 	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && cfg.Trace == nil {
 		// Arm an internal flight ring: the flight recorder needs a trace
 		// tail and /debug/critpath needs events, but the caller asked for
@@ -344,7 +362,8 @@ func (s *Session) Cancel(cause error) {
 // Retune re-plans every registered block at tile width b. It must not be
 // called while a Run is in flight; Runs themselves call it when AutoTune
 // decides a new width is justified. The shared plans change nowhere else,
-// so every rank of a Run walks one tiling.
+// so every rank of a Run walks one tiling; the ownership table is decided
+// again with them, since the width says whether a copy would be padded.
 func (s *Session) Retune(b int) {
 	if b < 1 || b == s.cfg.Block {
 		return
@@ -353,6 +372,9 @@ func (s *Session) Retune(b int) {
 	for _, pl := range s.plans {
 		pl.block = b
 		pl.tiles = pl.cutTiles()
+	}
+	if s.binds != nil {
+		s.bind()
 	}
 }
 
@@ -434,11 +456,15 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	s.ck = ck
 	s.mu.Unlock()
 	dropBase := pm.traceDropBase(tr)
-	// All ranks must finish scattering (reading the global arrays) before
-	// any rank may write them — computing in the caller's rows or
-	// gathering; with no other messages in flight nothing else orders the
-	// ranks.
-	phase := comm.NewSyncBarrier(s.cfg.Procs)
+	// Where a rank copies rows another rank's slab holds, all ranks must
+	// finish scattering (reading the global arrays) before any rank may
+	// write them — computing in the caller's rows or gathering; with no
+	// other messages in flight nothing else orders the ranks. Where none
+	// does, no rank reads rows another writes before a token says so.
+	var phase *comm.SyncBarrier
+	if s.barrier {
+		phase = comm.NewSyncBarrier(s.cfg.Procs)
+	}
 	var mem0 runtime.MemStats
 	var waves0 int64
 	if pm != nil {
@@ -460,20 +486,18 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			// Run builds both anew.
 			defer rk.releaseScratch()
 		}
-		if restoring {
-			if err != nil {
-				return err
-			}
-			if err := rk.restore(ck); err != nil {
-				return err
-			}
-		} else {
+		if !restoring && phase != nil {
 			barrierT0 := obs.Now()
 			phase.Wait()
 			if obs != nil {
 				obs.Emit(trace.Ev(trace.KindBarrier, e.Rank(), barrierT0, obs.Now()))
 			}
-			if err != nil {
+		}
+		if err != nil {
+			return err
+		}
+		if restoring {
+			if err := rk.restore(ck); err != nil {
 				return err
 			}
 		}
@@ -587,11 +611,9 @@ type Rank struct {
 	// detect illegal later changes. Like dags and reducers it is
 	// allocated on first write: most runs never fill it.
 	captured map[string]float64
-	// wrote marks arrays written at all (gathered at the end).
+	// wrote marks arrays written at all (a copy's slab is gathered at the
+	// end).
 	wrote map[string]bool
-	// inPlace marks the written arrays the rank computes in the caller's
-	// rows (a view, see newRank): nothing to gather. Nil when there are none.
-	inPlace map[string]bool
 	// sendSeq/recvSeq are per-peer tag counters; because every rank
 	// executes the same operation sequence, matching counters produce
 	// matching tags.
@@ -665,18 +687,17 @@ type xchgRegs struct {
 	send, recv [2]grid.Region
 }
 
-// newRank builds one rank's local state. An array some block writes gets a
-// local field over the rank's slab plus its halo along the wavefront
-// dimension (clipped to the global storage box) and the array's full extent
-// elsewhere: a view of the caller's rows where bindsInPlace allows, else a
-// copy. An array no block writes has no owner that could change it, so the
-// rank binds the caller's field itself. Neither binding allocates or
-// scatters; a view is not gathered, and a read-only field is not
-// exchanged, snapshotted or gathered either. When restoring, the copies are
-// allocated but left unfilled — restore overwrites every element from the
-// snapshot, and reading the globals here would race the gathers of ranks
-// that already finished (nobody gathers into a read-only array or into a
-// view's rows).
+// newRank builds one rank's local state as the ownership table says. An
+// array some block writes gets a local field over its box — the rank's
+// slab plus its halo along the wavefront dimension: a view of the caller's
+// rows, or a copy filled from them (scatter). An array no block writes has
+// no owner that could change it, so the rank binds the caller's field
+// itself. Neither a view nor the caller's field allocates or scatters, and
+// neither is gathered; a read-only field is not exchanged or snapshotted
+// either. When restoring, the copies are allocated but left unfilled —
+// restore overwrites every element from the snapshot, and reading the
+// globals here would race the gathers of ranks that already finished
+// (nobody gathers into a read-only array or into a view's rows).
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.obs.Now()
 	r := &Rank{
@@ -695,74 +716,33 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	for side := range r.needs {
 		r.needs[side] = make([]string, 0, len(s.written))
 	}
-	slab := s.slabs[r.id]
-	for _, name := range s.names {
-		g := s.genv.Array(name)
-		if g == nil {
-			return nil, fmt.Errorf("pipeline: session array %q unbound", name)
-		}
-		if _, written := slices.BinarySearch(s.written, name); !written {
-			r.locals[name] = g
-			continue
-		}
-		h := s.halos[name]
-		dims := g.Bounds().Dims()
-		w := s.cfg.WavefrontDim
-		lo := max(slab.Dim(w).Lo-h.neg[w], dims[w].Lo)
-		hi := min(slab.Dim(w).Hi+h.pos[w], dims[w].Hi)
-		dims[w] = grid.NewRange(lo, hi)
-		bounds, err := grid.NewRegion(dims...)
-		if err != nil {
-			return nil, err
-		}
-		tile := s.localTile(g)
-		if s.bindsInPlace(r.id, bounds, g.Layout(), tile) {
-			if v, ok := g.View(bounds); ok {
-				if r.inPlace == nil {
-					r.inPlace = map[string]bool{}
-				}
-				r.inPlace[name] = true
-				r.locals[name] = v
-				continue
+	for i, name := range s.names {
+		b := s.binding(r.id, i)
+		switch b.own {
+		case ownField:
+			r.locals[name] = b.global
+		case ownRows, ownRowsHalo:
+			r.locals[name] = b.view
+		default:
+			// The one place rank-local storage is allocated: its pitch is the
+			// runtime's to choose (see field.NewLocal), the caller's arrays
+			// stay dense.
+			g := b.global
+			lf, err := field.NewLocal(name, b.box, g.Layout(), s.localTile(g))
+			if err != nil {
+				return nil, err
 			}
+			if !restoring {
+				lf.CopyRegion(b.box, g)
+			}
+			r.locals[name] = lf
 		}
-		// The one place rank-local storage is allocated: its pitch is the
-		// runtime's to choose (see field.NewLocal), the caller's arrays
-		// stay dense.
-		lf, err := field.NewLocal(name, bounds, g.Layout(), tile)
-		if err != nil {
-			return nil, err
-		}
-		if !restoring {
-			lf.CopyRegion(bounds, g)
-		}
-		r.locals[name] = lf
 	}
 	r.lenv = &forwardEnv{arrays: r.locals, parent: s.genv}
 	if o := s.obs; o != nil && !restoring {
 		o.Emit(trace.Ev(trace.KindScatter, r.id, scatterT0, o.Now()))
 	}
 	return r, nil
-}
-
-// bindsInPlace reports whether a rank computes a written array over local
-// box bounds in the caller's rows rather than in a copy: when the box,
-// along the wavefront dimension, reaches no row of another rank's slab (an
-// edge rank's boundary rows lie outside every slab, and an array no block
-// reads shifted along that dimension has no halo rows at all) and the copy
-// would be dense (a padded one is a speed the caller's rows lack). Ranks
-// still write disjoint rows, a neighbour's scatter reads of the slab's
-// rows end at the phase barrier, and every message moves slab rows into
-// halos, so past the barrier no other rank touches the box.
-func (s *Session) bindsInPlace(rank int, bounds grid.Region, layout field.Layout, tile int) bool {
-	w := s.cfg.WavefrontDim
-	rows := bounds.Dim(w)
-	for i, slab := range s.slabs {
-		if i != rank && rows.Lo <= slab.Dim(w).Hi && slab.Dim(w).Lo <= rows.Hi {
-			return false
-		}
-	}
-	return !field.PadsLocal(bounds, layout, tile)
 }
 
 // localTile is the width of the tiles this session's sweeps walk along g's
@@ -1516,7 +1496,7 @@ func (r *Rank) releaseScratch() {
 	}
 }
 
-// gather writes every copied written array's slab back to the global
+// gather writes the slab of every copy the rank wrote back to the global
 // fields. Slabs are disjoint, so concurrent ranks touch disjoint elements.
 func (r *Rank) gather() error {
 	o := r.obs()
@@ -1527,12 +1507,12 @@ func (r *Rank) gather() error {
 		}
 	}()
 	w := r.sess.cfg.WavefrontDim
-	for name := range r.wrote {
-		if r.inPlace[name] {
+	for i, name := range r.sess.names {
+		b := r.sess.binding(r.id, i)
+		if b.own != ownCopy || !r.wrote[name] {
 			continue
 		}
-		g := r.sess.genv.Array(name)
-		lf := r.locals[name]
+		g, lf := b.global, r.locals[name]
 		dims := g.Bounds().Dims()
 		rows, err := dims[w].Intersect(r.sess.slabs[r.id].Dim(w))
 		if err != nil {
