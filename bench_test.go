@@ -424,10 +424,11 @@ func BenchmarkPipelineHeapBallast(b *testing.B) {
 
 // BenchmarkPipelineSteadyAllocs measures the steady-state wave with buffer
 // pooling off vs on: one op is a full 4-rank sweep of the Tomcatv forward
-// wavefront through a persistent session (kernels, plans, and — pooled —
-// free lists all warm from a prior Run). With pooling on, allocs/op must
-// sit at zero for large b.N and ns/op must be no worse than the off case;
-// BENCH_pr4.json snapshots both.
+// wavefront inside one Run of a persistent session, after a warm-up Run —
+// the schedules were cut when the session was built, the kernels lowered by
+// the warm-up Run and re-bound by the measured one, and, pooled, the free
+// lists filled. With pooling on, allocs/op must sit at zero for large b.N
+// and ns/op must be no worse than the off case.
 func BenchmarkPipelineSteadyAllocs(b *testing.B) {
 	for _, pooled := range []bool{false, true} {
 		name := "off"
@@ -976,6 +977,9 @@ func itoa(v int) string {
 
 // --- Whole-program session runtime ---
 
+// BenchmarkSessionTomcatvIteration runs one Tomcatv iteration per Run of a
+// warm 4-rank session: allocs/op is what a Run pays beside its waves, its
+// schedules and kernels kept by the session.
 func BenchmarkSessionTomcatvIteration(b *testing.B) {
 	t, err := workload.NewTomcatv(96, field.RowMajor)
 	if err != nil {
@@ -988,6 +992,7 @@ func BenchmarkSessionTomcatvIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := sess.Run(func(r *pipeline.Rank) error {

@@ -52,6 +52,11 @@ func (x *Expr) SetScratch(pool *bufpool.Pool, rank int) { x.pr.SetScratch(pool, 
 // ReleaseScratch returns the leased registers; the next Begin re-leases.
 func (x *Expr) ReleaseScratch() { x.pr.ReleaseScratch() }
 
+// Rebind resolves the expression's array names in env again, as
+// Program.Rebind does: false means lower again; a nil env drops every field
+// reference.
+func (x *Expr) Rebind(env expr.Env) bool { return x.pr.Rebind(env) }
+
 // Begin prepares evaluation over region and returns the number of spans
 // that cover it (0 for an empty region). Every referenced field must
 // contain every shifted read of the region; the caller checks.

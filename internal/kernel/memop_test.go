@@ -163,15 +163,12 @@ func tomcatvEnv(n int) *expr.MapEnv {
 }
 
 // tomcatvForward is the paper's Figure 2(b) forward block over env's arrays.
-func tomcatvForward(env *expr.MapEnv) (dsts []*field.Field, rhs []expr.Node, udvs []dep.UDV) {
+func tomcatvForward(env *expr.MapEnv) (dsts []string, rhs []expr.Node, udvs []dep.UDV) {
 	ref := func(n string) expr.ArrayRef { return expr.Ref(n) }
 	north := grid.North
 	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
 	sub := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Sub, L: l, R: r} }
-	for _, d := range []string{"r", "d", "rx", "ry"} {
-		dsts = append(dsts, env.Arrays[d])
-	}
-	return dsts, []expr.Node{
+	return []string{"r", "d", "rx", "ry"}, []expr.Node{
 		mul(ref("aa"), ref("d").At(north).Prime()),
 		expr.Binary{Op: expr.Div, L: expr.Const(1), R: sub(ref("dd"), mul(ref("aa").At(north), ref("r")))},
 		sub(ref("rx"), mul(ref("rx").At(north).Prime(), ref("r"))),
@@ -238,11 +235,7 @@ func TestTomcatvTapeShapes(t *testing.T) {
 		if env == nil {
 			env = tomcatvEnv(16)
 		}
-		var dsts []*field.Field
-		for _, d := range c.dsts {
-			dsts = append(dsts, env.Arrays[d])
-		}
-		pr, err := Lower(dsts[0].Rank(), dsts, c.rhs, env, c.udvs)
+		pr, err := Lower(env.Arrays[c.dsts[0]].Rank(), c.dsts, c.rhs, env, c.udvs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -292,7 +285,7 @@ func TestProgramStateOwnsItsCacheLines(t *testing.T) {
 	var spans []span
 	var keep []*Program
 	for i := 0; i < 64; i++ {
-		pr, err := Lower(2, []*field.Field{env.Arrays["r"]}, rhs, env, []dep.UDV{udv(1, 0)})
+		pr, err := Lower(2, []string{"r"}, rhs, env, []dep.UDV{udv(1, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,11 +385,7 @@ type memopCase struct {
 // leaves every dimension span-legal: Run takes the span path.
 func (c memopCase) lower(t *testing.T, env *expr.MapEnv) *Program {
 	t.Helper()
-	var dsts []*field.Field
-	for _, d := range c.dsts {
-		dsts = append(dsts, env.Arrays[d])
-	}
-	pr, err := Lower(c.region.Rank(), dsts, c.rhs, env, nil)
+	pr, err := Lower(c.region.Rank(), c.dsts, c.rhs, env, nil)
 	if err != nil {
 		t.Fatalf("%s: Lower: %v", c.name, err)
 	}
@@ -596,11 +585,7 @@ func TestUnitStepMatchesCopyingSequence(t *testing.T) {
 		}
 		run := func(unit bool) *expr.MapEnv {
 			env := exprgen.Env(bounds, allLayouts(field.RowMajor), int64(iter))
-			var fs []*field.Field
-			for _, d := range dsts {
-				fs = append(fs, env.Arrays[d])
-			}
-			pr, err := Lower(2, fs, rhs, env, nil)
+			pr, err := Lower(2, dsts, rhs, env, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -145,6 +145,11 @@ type Program struct {
 	spanOK  []bool    // per dimension, from the block's UDVs
 	udvs    []dep.UDV // retained for skew derivation
 
+	// names binds every array name the statements reference, destinations
+	// included, to its entry in the field table, once each; Rebind resolves
+	// them again.
+	names []fieldName
+
 	// fused is every statement in one pass — loads deduped across
 	// statements, stores inline via opStore, in statement order — executed
 	// one run at a time: a span, a skewed diagonal, or a single point.
@@ -190,6 +195,12 @@ type Program struct {
 	unitRun bool
 }
 
+// fieldName is one array name of a program and its field-table entry.
+type fieldName struct {
+	name string
+	fld  uint16
+}
+
 // Path identifies the order in which a Run walked the tape: what the
 // odometer hands the interpreter once its outer levels are placed.
 type Path int8
@@ -217,14 +228,14 @@ func (p Path) String() string {
 	return fmt.Sprintf("Path(%d)", int8(p))
 }
 
-// Lower builds the program for a block's statements: dsts[i] is the
-// (unshifted) destination field of statement i and rhs[i] its expression.
-// udvs are the block's dependence distance vectors, which determine span
-// legality per dimension. Scalars are captured from env at lower time,
-// exactly as expr.Compile captures them. An error means the block is not
-// tape-executable (e.g. a referenced field's rank differs from the region's)
-// and the caller should fall back to the closure engine.
-func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []dep.UDV) (*Program, error) {
+// Lower builds the program for a block's statements: dsts[i] names the
+// (unshifted) destination array of statement i and rhs[i] is its expression;
+// env resolves every name. udvs are the block's dependence distance vectors,
+// which determine span legality per dimension. Scalars are captured from env
+// at lower time, exactly as expr.Compile captures them. An error means the
+// block is not tape-executable (e.g. a referenced field's rank differs from
+// the region's) and the caller should fall back to the closure engine.
+func Lower(rank int, dsts []string, rhs []expr.Node, env expr.Env, udvs []dep.UDV) (*Program, error) {
 	if rank < 1 {
 		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
 	}
@@ -234,7 +245,7 @@ func Lower(rank int, dsts []*field.Field, rhs []expr.Node, env expr.Env, udvs []
 	pr := &Program{rank: rank}
 	lw := newLowerer(pr, env, rhs...)
 	for i := range rhs {
-		di, err := pr.fieldIndex(dsts[i])
+		di, err := pr.bind(env, dsts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -711,11 +722,28 @@ func (pr *Program) FusedShape() (memOperands, inPlace, stored int) {
 	return
 }
 
+// bind resolves name in env and interns its field into the program's field
+// table, recording the name for Rebind.
+func (pr *Program) bind(env expr.Env, name string) (uint16, error) {
+	for _, fn := range pr.names {
+		if fn.name == name {
+			return fn.fld, nil
+		}
+	}
+	f := env.Array(name)
+	if f == nil {
+		return 0, fmt.Errorf("kernel: unbound array %q", name)
+	}
+	fi, err := pr.fieldIndex(f)
+	if err != nil {
+		return 0, err
+	}
+	pr.names = append(pr.names, fieldName{name: name, fld: fi})
+	return fi, nil
+}
+
 // fieldIndex interns f into the program's field table.
 func (pr *Program) fieldIndex(f *field.Field) (uint16, error) {
-	if f == nil {
-		return 0, fmt.Errorf("kernel: nil field")
-	}
 	if f.Rank() != pr.rank {
 		return 0, fmt.Errorf("kernel: field %q has rank %d, region has rank %d", f.Name(), f.Rank(), pr.rank)
 	}
@@ -727,8 +755,8 @@ func (pr *Program) fieldIndex(f *field.Field) (uint16, error) {
 	if len(pr.fields) > 0xffff {
 		return 0, fmt.Errorf("kernel: too many fields")
 	}
-	strides := make([]int, pr.rank)
-	lows := make([]int, pr.rank)
+	geom := make([]int, 2*pr.rank)
+	strides, lows := geom[:pr.rank:pr.rank], geom[pr.rank:]
 	for d := 0; d < pr.rank; d++ {
 		strides[d] = f.Stride(d)
 		lows[d] = f.Bounds().Dim(d).Lo
@@ -847,11 +875,7 @@ func (lw *lowerer) lower(n expr.Node) (val, error) {
 		}
 		return val{konst: true, imm: v}, nil
 	case expr.ArrayRef:
-		f := lw.env.Array(t.Name)
-		if f == nil {
-			return val{}, fmt.Errorf("kernel: unbound array %q", t.Name)
-		}
-		fi, err := lw.pr.fieldIndex(f)
+		fi, err := lw.pr.bind(lw.env, t.Name)
 		if err != nil {
 			return val{}, err
 		}
@@ -1062,6 +1086,52 @@ func (lw *lowerer) lowerCall(t expr.Call) (val, error) {
 		lw.emit(instr{op: o, dst: dst, a: uint16(r.reg), imm: l.imm})
 	}
 	return val{reg: int(dst)}, nil
+}
+
+// Rebind resolves the program's array names in env again, in place and
+// without allocating, so a program lowered once runs over other fields of
+// the same shape. Every name must resolve to a field of the program's rank
+// with the strides it was lowered against — a shifted load's offset bakes
+// them in — and two names to one field exactly when they did: the in-place
+// rewrites of the unit-step tape were decided on that aliasing. Rebind
+// reports false, changing nothing, when that does not hold; the caller
+// lowers again. The scalars the tape captured are the caller's to check.
+//
+// A nil env drops every field and data reference, so a program kept between
+// runs pins no storage; it runs again after a Rebind to a non-nil env.
+func (pr *Program) Rebind(env expr.Env) bool {
+	if env == nil {
+		clear(pr.fields)
+		clear(pr.data)
+		if pr.ops != nil {
+			clear(pr.ops[len(pr.regs):]) // the unit tape's views of the last span
+		}
+		return true
+	}
+	for i, fn := range pr.names {
+		f := env.Array(fn.name)
+		if f == nil || f.Rank() != pr.rank {
+			return false
+		}
+		for d, s := range pr.strides[fn.fld] {
+			if f.Stride(d) != s {
+				return false
+			}
+		}
+		for _, prev := range pr.names[:i] {
+			if (env.Array(prev.name) == f) != (prev.fld == fn.fld) {
+				return false
+			}
+		}
+	}
+	for _, fn := range pr.names {
+		f := env.Array(fn.name)
+		pr.fields[fn.fld], pr.data[fn.fld] = f, f.Data()
+		for d := range pr.lows[fn.fld] {
+			pr.lows[fn.fld][d] = f.Bounds().Dim(d).Lo
+		}
+	}
+	return true
 }
 
 // SetScratch routes register leases through pool under rank's shard. Any

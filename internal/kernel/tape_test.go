@@ -168,7 +168,7 @@ func TestTapeMatchesClosure(t *testing.T) {
 			if scalar {
 				udvs = forceScalar(rank)
 			}
-			pr, err := Lower(rank, []*field.Field{env.Arrays["dst"]}, []expr.Node{node}, env, udvs)
+			pr, err := Lower(rank, []string{"dst"}, []expr.Node{node}, env, udvs)
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
@@ -229,7 +229,7 @@ func TestTapeMultiStatement(t *testing.T) {
 	})
 
 	env := mk()
-	pr, err := Lower(2, []*field.Field{env.Arrays["u"], env.Arrays["v"]},
+	pr, err := Lower(2, []string{"u", "v"},
 		[]expr.Node{rhsU, rhsV}, env, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestScratchPool(t *testing.T) {
 	node := expr.Binary{Op: expr.Add,
 		L: expr.Binary{Op: expr.Mul, L: expr.Ref("a"), R: expr.Ref("a").At(grid.Direction{0, 1})},
 		R: expr.Ref("a").At(grid.Direction{0, -1})}
-	pr, err := Lower(2, []*field.Field{env.Arrays["dst"]}, []expr.Node{node}, env, nil)
+	pr, err := Lower(2, []string{"dst"}, []expr.Node{node}, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,17 +300,17 @@ func TestLowerErrors(t *testing.T) {
 		},
 		Scalars: map[string]float64{},
 	}
-	dst := env.Arrays["a"]
-	if _, err := Lower(2, []*field.Field{dst}, []expr.Node{expr.Ref("zz")}, env, nil); err == nil {
+	dst := []string{"a"}
+	if _, err := Lower(2, dst, []expr.Node{expr.Ref("zz")}, env, nil); err == nil {
 		t.Error("unbound array must fail to lower")
 	}
-	if _, err := Lower(2, []*field.Field{dst}, []expr.Node{expr.Scalar("zz")}, env, nil); err == nil {
+	if _, err := Lower(2, dst, []expr.Node{expr.Scalar("zz")}, env, nil); err == nil {
 		t.Error("unbound scalar must fail to lower")
 	}
-	if _, err := Lower(2, []*field.Field{dst}, []expr.Node{expr.Ref("v")}, env, nil); err == nil {
+	if _, err := Lower(2, dst, []expr.Node{expr.Ref("v")}, env, nil); err == nil {
 		t.Error("rank-mismatched reference must fail to lower")
 	}
-	if _, err := Lower(2, []*field.Field{nil}, []expr.Node{expr.Const(1)}, env, nil); err == nil {
-		t.Error("nil destination must fail to lower")
+	if _, err := Lower(2, []string{"zz"}, []expr.Node{expr.Const(1)}, env, nil); err == nil {
+		t.Error("unbound destination must fail to lower")
 	}
 }

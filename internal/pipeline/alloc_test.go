@@ -289,12 +289,17 @@ func TestOneShotGarbageCeiling(t *testing.T) {
 }
 
 // TestSessionRunAllocsPinned holds what re-entering a warm session costs,
-// so that nothing the ownership table decides once is paid per Run again:
-// an empty body on the Tomcatv program at n = 512, p = 2, b = 32 with a
-// pool — the repository benchmark's session_rerun_allocs probe, rank
-// rebuild, scatter and gather — read 167 allocations a Run before the table
-// (135 with it); one forward and one backward sweep of a one-rank task-DAG
-// session at two workers, taskdag_tiles' shape, read 447–451 (432–434).
+// so that nothing the ownership table decides once, and nothing the
+// session keeps of its ranks, is paid per Run again: an empty body on the
+// Tomcatv program at n = 512, p = 2, b = 32 with a pool — the repository
+// benchmark's session_rerun_allocs probe, rank rebuild, scatter and gather
+// — read 167 allocations a Run before the table (135 with it, 129 once the
+// ranks' per-Run maps went); one iteration of that program — its five
+// blocks and the residual Reduce, steady_session's op — read 1459 while
+// every Run cut its schedules and lowered its kernels and reduction
+// operands again, 217 with them kept; one forward and one backward sweep of
+// a one-rank task-DAG session at two workers, taskdag_tiles' shape, read
+// 447–451 (432–434 with the table, 344 with the schedules kept).
 func TestSessionRunAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -303,7 +308,7 @@ func TestSessionRunAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, bwd := tom.ForwardBlock(), tom.BackwardBlock()
+	fwd, bwd, blocks := tom.ForwardBlock(), tom.BackwardBlock(), tom.Blocks()
 	for _, c := range []struct {
 		name      string
 		blocks    []*scan.Block
@@ -313,6 +318,16 @@ func TestSessionRunAllocsPinned(t *testing.T) {
 	}{
 		{"rerun-empty", tom.Blocks(), Config{Procs: 2, Domain: tom.All, Block: 32, Pool: bufpool.New(2)},
 			func(*Rank) error { return nil }, 140},
+		{"steady-session", blocks, Config{Procs: 2, Domain: tom.All, Block: 32, Pool: bufpool.New(2)},
+			func(r *Rank) error {
+				for _, b := range blocks {
+					if err := r.Exec(b); err != nil {
+						return err
+					}
+				}
+				_, err := r.Reduce(scan.MaxReduce, tom.Interior, residOperand())
+				return err
+			}, 225},
 		{"taskdag-tiles", []*scan.Block{fwd, bwd},
 			Config{Procs: 1, Domain: tom.All, Block: 32, Scheduler: scan.SchedTaskDAG, Workers: 2},
 			func(r *Rank) error {
@@ -320,7 +335,7 @@ func TestSessionRunAllocsPinned(t *testing.T) {
 					return err
 				}
 				return r.Exec(bwd)
-			}, 445},
+			}, 350},
 	} {
 		sess, err := NewSession(tom.Env, c.blocks, c.cfg)
 		if err != nil {

@@ -182,7 +182,7 @@ func TestSessionAutoTune(t *testing.T) {
 				return err
 			}
 		}
-		if w := r.eplans[pfwd].tiles[0].Dim(sess.plans[pfwd].tDim).Size(); w != 5 {
+		if w := sess.plans[pfwd].ranks[r.ID()].sched.tiles[0].Dim(sess.plans[pfwd].tDim).Size(); w != 5 {
 			t.Errorf("rank %d walked tiles of width %d, want the suggested 5", r.ID(), w)
 		}
 		return nil

@@ -3,13 +3,52 @@ package pipeline
 import (
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
+	"wavefront/internal/scan"
 )
+
+// What a session keeps of each rank between Runs, and how a Run binds it.
+// Everything a rank's Exec needs that does not depend on storage is derived
+// once per session, per (rank, block): the portion when the block is
+// registered, the wavefront schedule at arm and on Retune, the kernel at the
+// rank's first Exec of the block. A Run — a restarted rank's too — only
+// binds them to its local fields, at its first Exec of the block, and lets
+// go of them when the rank's body ends (releaseScratch), so nothing kept
+// pins a Run's copies.
+
+// rankBlock is what the session keeps of one rank's share of one block
+// (plan.ranks).
+type rankBlock struct {
+	// portion is the rank's share of the block region (Session.portionOf).
+	portion grid.Region
+	// sched is the rank's schedule of a wavefront block; nil for any other
+	// block and for a rank whose slab misses the sweep.
+	sched *execPlan
+	// kern is the static schedule's kernel: lowered at the rank's first Exec
+	// of the block and re-bound by every later Run's; scalars holds the values
+	// it captured. cuts and builds count schedules cut and kernels lowered,
+	// for the tests.
+	kern         *scan.Kernel
+	scalars      scan.Captured
+	cuts, builds int
+	// bound is the rank of the Run in flight whose fields sched and kern
+	// hold; nil between Runs.
+	bound *Rank
+}
+
+// kept is what the session keeps of one rank beside its blocks' shares: the
+// halo-exchange geometry, built by the rank's first exchange, and the
+// reduction operands it folds, re-bound by each Run's first fold of them.
+type kept struct {
+	xregs    map[string]xchgRegs
+	reducers []*rankReducer
+}
 
 // execPlan is a rank's fully materialized schedule for one wavefront
 // block: every tile region, every boundary region, and every message size
-// the hot loop needs, resolved once per Run so the steady-state wave
-// touches no maps, builds no regions, and — with a buffer pool attached —
-// allocates nothing.
+// the hot loop needs, cut from regions and sizes alone once per session
+// (Session.cutSchedules), so the steady-state wave touches no maps, builds no
+// regions, and — with a buffer pool attached — allocates nothing. fields is
+// its one storage-dependent member, bound per Run (Rank.block).
 type execPlan struct {
 	upstream, downstream int
 	hasUp, hasDown       bool
@@ -17,10 +56,11 @@ type execPlan struct {
 	// restricted to tile t).
 	tiles []grid.Region
 	// needUp[t] is the index of the last upstream message required before
-	// step t; only meaningful when hasUp.
+	// step t; -1 without an upstream neighbour.
 	needUp []int
-	// fields resolves pl.payload against the rank's local arrays, in the
-	// same order, so the loop never consults the name map.
+	// fields resolves pl.payload against the bound rank's local arrays, in
+	// the same order, so the loop never consults the name map; all nil
+	// between Runs.
 	fields []*field.Field
 	// Coalesced message layout, one message per (peer, step): sendRegs[t]
 	// holds each payload array's boundary region in payload order and
@@ -36,61 +76,152 @@ type execPlan struct {
 	recvTotal []int
 }
 
-// buildExecPlan materializes the schedule for one rank. L is the rank's
-// portion of the block region, upPortion the upstream neighbour's (only
-// read when hasUp). locals resolves array names to the rank's fields.
-func buildExecPlan(pl *plan, locals map[string]*field.Field,
-	L, upPortion grid.Region, hasUp, hasDown bool, upstream, downstream int) *execPlan {
+// wavefront reports whether pl's block pipelines through the ranks.
+func (pl *plan) wavefront() bool { return len(pl.pipeNames) > 0 && !pl.an.NeedsTemp() }
+
+// cutSchedules materializes every rank's schedule of pl's sweep from regions and
+// sizes alone: the one place tiles and upstream needs are cut. arm and
+// Retune cut every plan; Program.Schedule cuts each block it emits.
+func (s *Session) cutSchedules(pl *plan) {
+	if !pl.wavefront() {
+		return
+	}
+	lo, hi := s.activeSpan(pl)
 	T := pl.steps()
-	ep := &execPlan{
-		upstream: upstream, downstream: downstream,
-		hasUp: hasUp, hasDown: hasDown,
-		tiles:  make([]grid.Region, T),
-		needUp: make([]int, T),
-		fields: make([]*field.Field, len(pl.payload)),
-	}
-	for i, name := range pl.payload {
-		ep.fields[i] = locals[name]
-	}
-	for t := 0; t < T; t++ {
-		ep.tiles[t] = pl.tileRegion(L, t)
-		if hasUp {
-			ep.needUp[t] = pl.neededUpstream(t)
-		} else {
+	for rank := range pl.ranks {
+		rb := &pl.ranks[rank]
+		rb.sched = nil
+		if rank < lo || rank > hi {
+			continue
+		}
+		// Only ranks whose slabs intersect the block region take part in the
+		// sweep; the active span is contiguous, so a peer is a pipeline
+		// neighbour exactly when it lies inside it. Sender and receiver thus
+		// always agree on the message schedule.
+		upstream, downstream := rank-1, rank+1
+		if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
+			upstream, downstream = rank+1, rank-1
+		}
+		ep := &execPlan{
+			upstream: upstream, downstream: downstream,
+			hasUp:   upstream >= lo && upstream <= hi,
+			hasDown: downstream >= lo && downstream <= hi,
+			tiles:   make([]grid.Region, T),
+			needUp:  make([]int, T),
+			fields:  make([]*field.Field, len(pl.payload)),
+		}
+		for t := range T {
+			ep.tiles[t] = pl.tileRegion(rb.portion, t)
 			ep.needUp[t] = -1
-		}
-	}
-	if hasDown {
-		ep.sendRegs = make([][]grid.Region, T)
-		ep.sendSizes = make([][]int, T)
-		ep.sendTotal = make([]int, T)
-		for t := 0; t < T; t++ {
-			regs := make([]grid.Region, len(pl.payload))
-			sizes := make([]int, len(pl.payload))
-			total := 0
-			for i, name := range pl.payload {
-				regs[i] = pl.boundaryRegion(L, name, t)
-				sizes[i] = regs[i].Size()
-				total += sizes[i]
+			if ep.hasUp {
+				ep.needUp[t] = pl.neededUpstream(t)
 			}
-			ep.sendRegs[t], ep.sendSizes[t], ep.sendTotal[t] = regs, sizes, total
+		}
+		if ep.hasDown {
+			ep.sendRegs, ep.sendSizes, ep.sendTotal = pl.boundaries(rb.portion)
+		}
+		if ep.hasUp {
+			ep.recvRegs, ep.recvSizes, ep.recvTotal = pl.boundaries(pl.ranks[upstream].portion)
+		}
+		rb.sched = ep
+		rb.cuts++
+	}
+}
+
+// boundaries lays out the boundary messages that leave portion L, one per
+// step: each payload array's boundary region, its element count, and their
+// sum.
+func (pl *plan) boundaries(L grid.Region) (regs [][]grid.Region, sizes [][]int, total []int) {
+	T := pl.steps()
+	regs, sizes, total = make([][]grid.Region, T), make([][]int, T), make([]int, T)
+	for t := range T {
+		regs[t], sizes[t] = make([]grid.Region, len(pl.payload)), make([]int, len(pl.payload))
+		for i, name := range pl.payload {
+			regs[t][i] = pl.boundaryRegion(L, name, t)
+			sizes[t][i] = regs[t][i].Size()
+			total[t] += sizes[t][i]
 		}
 	}
-	if hasUp {
-		ep.recvRegs = make([][]grid.Region, T)
-		ep.recvSizes = make([][]int, T)
-		ep.recvTotal = make([]int, T)
-		for t := 0; t < T; t++ {
-			regs := make([]grid.Region, len(pl.payload))
-			sizes := make([]int, len(pl.payload))
-			total := 0
-			for i, name := range pl.payload {
-				regs[i] = pl.boundaryRegion(upPortion, name, t)
-				sizes[i] = regs[i].Size()
-				total += sizes[i]
+	return regs, sizes, total
+}
+
+// block returns the rank's share of pl, bound to the Run's fields. The
+// rank's first Exec of the block in a Run points the schedule's payload
+// fields at its locals and re-binds the kept kernel in place; the kernel is
+// lowered again (kernelFor) only when a scalar it captured changed value or
+// the locals do not fit its tape (scan.Kernel.Rebind). releaseScratch lets
+// go of both.
+func (r *Rank) block(pl *plan) *rankBlock {
+	rb := &pl.ranks[r.id]
+	if rb.bound == r {
+		return rb
+	}
+	rb.bound = r
+	if ep := rb.sched; ep != nil {
+		for i, name := range pl.payload {
+			ep.fields[i] = r.locals[name]
+		}
+	}
+	if rb.kern != nil {
+		if rb.scalars.Changed(r.lenv) || !rb.kern.Rebind(r.lenv) {
+			rb.kern = nil
+		} else {
+			r.capture(pl)
+		}
+	}
+	return rb
+}
+
+// kernelFor returns the rank's static-schedule kernel for b: the kept one,
+// which block re-bound, or — on the rank's first Exec of b, or after a
+// change the kept one cannot follow — a new one, lowered against the Run's
+// fields and kept.
+func (r *Rank) kernelFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.Kernel, error) {
+	if rb.kern != nil {
+		return rb.kern, nil
+	}
+	kern, err := r.newKernel(b, pl)
+	if err != nil {
+		return nil, err
+	}
+	rb.kern, rb.scalars = kern, scan.Capture(pl.scalars)
+	rb.scalars.Changed(r.lenv)
+	rb.builds++
+	return kern, nil
+}
+
+// releaseScratch retires the rank's execution resources when its body
+// ends, error paths included: the kept kernels and reduction operands
+// return their pool-leased registers and drop every field and data
+// reference (a kernel that cannot — closures bake their fields in — is
+// dropped itself), the schedules their fields, and the Run's task-DAG
+// executors stop their worker pools (which also returns their kernels'
+// registers).
+func (r *Rank) releaseScratch() {
+	for _, pl := range r.sess.plans {
+		rb := &pl.ranks[r.id]
+		if rb.bound != r {
+			continue
+		}
+		rb.bound = nil
+		if rb.sched != nil {
+			clear(rb.sched.fields)
+		}
+		if rb.kern != nil {
+			rb.kern.ReleaseScratch()
+			if !rb.kern.Rebind(nil) {
+				rb.kern = nil
 			}
-			ep.recvRegs[t], ep.recvSizes[t], ep.recvTotal[t] = regs, sizes, total
 		}
 	}
-	return ep
+	for _, rr := range r.kept.reducers {
+		if rr.bound == r {
+			rr.fold.ReleaseScratch()
+			rr.fold.Rebind(nil)
+			rr.bound = nil
+		}
+	}
+	for _, tg := range r.dags {
+		tg.Close()
+	}
 }

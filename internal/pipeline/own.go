@@ -11,8 +11,8 @@ import (
 
 // own is what a rank holds of one array, for the whole session: one entry
 // of the ownership table Session.bind fills at arm. newRank binds by it,
-// gather copies back by it, buildExecPlan packs by it (through
-// plan.payload) and Run decides its phase barrier by it.
+// gather copies back by it, Session.cutSchedules lays messages out by it
+// (through plan.payload) and Run decides its phase barrier by it.
 type own uint8
 
 const (

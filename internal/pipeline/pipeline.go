@@ -188,8 +188,9 @@ var ErrUnsupported = errors.New("pipeline: unsupported dependence pattern")
 
 // plan is one block's decomposition along the session's wavefront
 // dimension: what flows through the pipeline, how far each array's halo
-// reaches, and how the tile dimension is cut. It holds no run state — a
-// plan is shared by every rank and changes only between Runs (Retune).
+// reaches, and how the tile dimension is cut. It is shared by every rank and
+// changes only between Runs (Retune); each rank's share of it, which the
+// session keeps across Runs, is in ranks.
 type plan struct {
 	an     *scan.Analysis
 	region grid.Region // the block's region (tilings derive from it)
@@ -208,8 +209,9 @@ type plan struct {
 	pipeArrays map[string]int
 	pipeNames  []string // sorted for deterministic message layout
 	// payload is the subset of pipeNames whose rows the boundary messages
-	// carry: all but the arrays every rank reads by reference (set by
-	// Session.bind; Program.Schedule costs pipeNames, the paper's payload).
+	// carry: all but the arrays every rank reads by reference (decided by
+	// Session.bind; pipeNames, the paper's payload, until then, which is
+	// what Program.Schedule costs).
 	payload []string
 	// halo per array: negative and positive expansion per dimension.
 	halo map[string]haloSpec
@@ -222,6 +224,8 @@ type plan struct {
 	// scalars names every scalar the statements reference, once each: a
 	// compiled kernel bakes their values in (Rank.newKernel).
 	scalars []string
+	// ranks is each rank's share of the block, by rank id (see rankBlock).
+	ranks []rankBlock
 }
 
 type haloSpec struct {

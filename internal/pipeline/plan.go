@@ -34,6 +34,7 @@ func newPlan(b *scan.Block, an *scan.Analysis, slabs []grid.Region, wDim, tDim, 
 		return nil, err
 	}
 	pl.tiles = pl.cutTiles()
+	pl.payload = pl.pipeNames
 	return pl, nil
 }
 

@@ -50,11 +50,11 @@ func (e *ScheduleError) Error() string {
 // Schedule returns the static schedule a Session over cfg runs for the
 // program, as the task DAG machine.Params costs. It reads cfg's Procs,
 // Domain, WavefrontDim and Block and derives the rest as the ranks do —
-// slabs, plans, active spans, rows, tiles and upstream needs — from sizes
-// alone, with no environment. A wavefront block is one task per (active
-// rank, tile), depending on each upstream boundary message the rank
-// receives before the tile, weighted by its elements; any other block is one
-// task per rank. Tasks on a rank run in submission order.
+// slabs, plans, portions and each rank's schedule, cut by the session's own
+// cutSchedules — from sizes alone, with no environment. A wavefront block
+// is one task per (active rank, tile), depending on each upstream boundary
+// message the rank receives before the tile, weighted by its elements; any
+// other block is one task per rank. Tasks on a rank run in submission order.
 //
 // It refuses with a *ScheduleError the task-DAG scheduler, which cuts
 // portions at run time, and a block that refreshes halo rows an earlier
@@ -87,7 +87,7 @@ func (p *Program) Schedule(cfg Config) (*machine.DAG, error) {
 					}
 				}
 			}
-			s.emit(d, leaf.Region, pl)
+			s.emit(d, pl)
 			for name := range pl.written {
 				dirty[name] = dirtyBoth
 			}
@@ -96,30 +96,17 @@ func (p *Program) Schedule(cfg Config) (*machine.DAG, error) {
 	return d, nil
 }
 
-// emit appends the tasks of one block over region, planned as pl, to d.
-func (s *Session) emit(d *machine.DAG, region grid.Region, pl *plan) {
-	if len(pl.pipeNames) == 0 || pl.an.NeedsTemp() {
-		for r := range s.cfg.Procs {
-			d.Add(machine.Task{Proc: r, Elems: float64(s.portionOf(region, r).Size())})
+// emit appends the tasks of one block, planned as pl, to d: each active
+// rank's schedule, as cutSchedules cut it for the ranks.
+func (s *Session) emit(d *machine.DAG, pl *plan) {
+	if !pl.wavefront() {
+		for r := range pl.ranks {
+			d.Add(machine.Task{Proc: r, Elems: float64(pl.ranks[r].portion.Size())})
 		}
 		return
 	}
-	depth := 0
-	for _, n := range pl.pipeArrays {
-		depth += n
-	}
+	s.cutSchedules(pl)
 	T := pl.steps()
-	cross := make([]int, T) // points of one row of each tile
-	for t := range cross {
-		cross[t] = 1
-		for dim := range region.Rank() {
-			if dim == pl.tDim && len(pl.tiles) > 0 {
-				cross[t] *= pl.tiles[t].Size()
-			} else if dim != pl.wDim {
-				cross[t] *= region.Dim(dim).Size()
-			}
-		}
-	}
 	lo, hi := s.activeSpan(pl)
 	d.Tasks = slices.Grow(d.Tasks, (hi-lo+1)*T)
 	deps := make([]machine.Dep, 0, (hi-lo)*T) // every downstream rank receives T messages
@@ -129,14 +116,14 @@ func (s *Session) emit(d *machine.DAG, region grid.Region, pl *plan) {
 		if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
 			r = hi - k
 		}
-		rows := s.rowsOf(region, r).Size()
+		ep := pl.ranks[r].sched
 		recvd := 0
-		for t := range T {
+		for t, tile := range ep.tiles {
 			first := len(deps)
-			for need := pl.neededUpstream(t); k > 0 && recvd <= need; recvd++ {
-				deps = append(deps, machine.Dep{Task: up[recvd], Elems: depth * cross[recvd]})
+			for ; recvd <= ep.needUp[t]; recvd++ {
+				deps = append(deps, machine.Dep{Task: up[recvd], Elems: ep.recvTotal[recvd]})
 			}
-			ids[t] = d.Add(machine.Task{Proc: r, Elems: float64(rows * cross[t]), Deps: deps[first:len(deps):len(deps)]})
+			ids[t] = d.Add(machine.Task{Proc: r, Elems: float64(tile.Size()), Deps: deps[first:len(deps):len(deps)]})
 		}
 		up, ids = ids, up
 	}

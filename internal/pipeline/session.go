@@ -92,6 +92,9 @@ type Session struct {
 	// cpHolder publishes the last completed Run's critical-path report at
 	// /debug/critpath when the session serves metrics.
 	cpHolder *critpath.Holder
+	// kept is what the session keeps of each rank beside its blocks' shares
+	// (plan.ranks), indexed by rank id; see execplan.go.
+	kept []kept
 }
 
 // SessionStats summarizes a finished Run.
@@ -201,6 +204,10 @@ func (s *Session) arm() error {
 		return err
 	}
 	s.bind()
+	for _, pl := range s.plans {
+		s.cutSchedules(pl)
+	}
+	s.kept = make([]kept, cfg.Procs)
 	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && cfg.Trace == nil {
 		// Arm an internal flight ring: the flight recorder needs a trace
 		// tail and /debug/critpath needs events, but the caller asked for
@@ -338,6 +345,10 @@ func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
 			return fmt.Errorf("pipeline: no slab intersects wavefront region %v", b.Region)
 		}
 	}
+	pl.ranks = make([]rankBlock, s.cfg.Procs)
+	for rank := range pl.ranks {
+		pl.ranks[rank].portion = s.portionOf(b.Region, rank)
+	}
 	s.plans[b] = pl
 	return nil
 }
@@ -363,7 +374,8 @@ func (s *Session) Cancel(cause error) {
 // called while a Run is in flight; Runs themselves call it when AutoTune
 // decides a new width is justified. The shared plans change nowhere else,
 // so every rank of a Run walks one tiling; the ownership table is decided
-// again with them, since the width says whether a copy would be padded.
+// again with them, since the width says whether a copy would be padded, and
+// every rank's schedules are cut again.
 func (s *Session) Retune(b int) {
 	if b < 1 || b == s.cfg.Block {
 		return
@@ -375,6 +387,9 @@ func (s *Session) Retune(b int) {
 	}
 	if s.binds != nil {
 		s.bind()
+		for _, pl := range s.plans {
+			s.cutSchedules(pl)
+		}
 	}
 }
 
@@ -482,8 +497,8 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		if rk != nil {
 			// Pool-leased tape registers go back when the rank's body ends
 			// — error paths included — so post-run Outstanding() audits see
-			// a drained pool. The rank and its kernels go with it: the next
-			// Run builds both anew.
+			// a drained pool, and the kept kernels and schedules let go of
+			// the rank's fields: the next Run binds its own.
 			defer rk.releaseScratch()
 		}
 		if !restoring && phase != nil {
@@ -597,19 +612,21 @@ func (s *Session) runConfigPM() critpath.RunConfig {
 // Rank is one SPMD participant's handle: its local arrays, its endpoint,
 // and its view of the session's plans.
 type Rank struct {
-	sess    *Session
-	e       *comm.Endpoint
-	id      int
-	locals  map[string]*field.Field
-	lenv    *forwardEnv
-	kernels map[*scan.Block]*scan.Kernel
+	sess   *Session
+	e      *comm.Endpoint
+	id     int
+	locals map[string]*field.Field
+	lenv   *forwardEnv
+	// kept is the session's state of this rank that outlives the Run
+	// (Session.kept); the rank's share of each block is plan.ranks[id].
+	kept *kept
 	// dirty marks, per side (dirtyNeg, dirtyPos), the arrays written since
 	// that side's halo was last exchanged. Every rank executes the same
 	// operations, so every rank holds the same marks.
 	dirty map[string]uint8
-	// captured records scalar values baked into compiled kernels, to
-	// detect illegal later changes. Like dags and reducers it is
-	// allocated on first write: most runs never fill it.
+	// captured records scalar values baked into the kernels this Run binds,
+	// to detect illegal later changes. Like dags it is allocated on first
+	// write: most runs never fill it.
 	captured map[string]float64
 	// wrote marks arrays written at all (a copy's slab is gathered at the
 	// end).
@@ -622,27 +639,14 @@ type Rank struct {
 	// executes the same block sequence, equal counts identify the same run
 	// in the trace on every rank.
 	waveRuns int
-	// eplans caches the materialized schedule per wavefront block.
-	eplans map[*scan.Block]*execPlan
 	// dags caches each block's task-DAG executor (tile graph + per-worker
 	// kernels) when the session scheduler is SchedTaskDAG; built on first
 	// Exec and reused so steady-state DAG waves allocate nothing. Closed by
 	// releaseScratch when the Run retires.
 	dags map[*scan.Block]*scan.TaskGraph
-	// portions caches each block's share of this rank (portion builds two
-	// slices per call; slab and block regions never change).
-	portions map[*scan.Block]grid.Region
-	// xregs holds each array's halo-exchange regions per neighbour, built by
-	// the first exchange (a run that never exchanges a halo never pays for
-	// them) and read by every later one.
-	xregs map[string]xchgRegs
 	// needs is the reusable scratch list, per halo side, of the stale arrays
 	// an operation is about to read (refresh).
 	needs [2][]string
-	// reducers caches each distinct reduction operand's prepared fold, like
-	// kernels: built on first Reduce, matched structurally (see reducerFor),
-	// scratch returned by releaseScratch, gone with the Run.
-	reducers []*rankReducer
 	// Checkpoint state (all zero when checkpointing is off). ops counts leaf
 	// operations (Exec of a registered block, Reduce, Barrier) executed by
 	// the SPMD body; because every rank runs the same body, equal counts
@@ -701,17 +705,15 @@ type xchgRegs struct {
 func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.obs.Now()
 	r := &Rank{
-		sess:     s,
-		e:        e,
-		id:       e.Rank(),
-		locals:   map[string]*field.Field{},
-		kernels:  map[*scan.Block]*scan.Kernel{},
-		dirty:    map[string]uint8{},
-		wrote:    map[string]bool{},
-		sendSeq:  make([]int, s.cfg.Procs),
-		recvSeq:  make([]int, s.cfg.Procs),
-		eplans:   map[*scan.Block]*execPlan{},
-		portions: map[*scan.Block]grid.Region{},
+		sess:    s,
+		e:       e,
+		id:      e.Rank(),
+		locals:  map[string]*field.Field{},
+		kept:    &s.kept[e.Rank()],
+		dirty:   map[string]uint8{},
+		wrote:   map[string]bool{},
+		sendSeq: make([]int, s.cfg.Procs),
+		recvSeq: make([]int, s.cfg.Procs),
 	}
 	for side := range r.needs {
 		r.needs[side] = make([]string, 0, len(s.written))
@@ -854,18 +856,6 @@ func (s *Session) activeSpan(pl *plan) (lo, hi int) {
 	return lo, hi
 }
 
-// portion returns this rank's share of a block region — the slab's rows,
-// the block's extent elsewhere — cached per block (it builds two slices
-// per call; slab and block regions never change).
-func (r *Rank) portion(b *scan.Block) grid.Region {
-	if L, ok := r.portions[b]; ok {
-		return L
-	}
-	L := r.sess.portionOf(b.Region, r.id)
-	r.portions[b] = L
-	return L
-}
-
 // portionOf returns rank's share of region: its rows (rowsOf), region's
 // extent elsewhere.
 func (s *Session) portionOf(region grid.Region, rank int) grid.Region {
@@ -900,6 +890,13 @@ func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
 	}
 	kern.SetScratch(cfg.Pool, r.id)
 	kern.SetMetrics(cfg.Metrics, r.id)
+	r.capture(pl)
+	return kern, nil
+}
+
+// capture records the values of the scalars pl's kernels bake in, for
+// SetScalar: a kernel compiled or re-bound this Run holds them.
+func (r *Rank) capture(pl *plan) {
 	for _, name := range pl.scalars {
 		if v, ok := r.lenv.Scalar(name); ok {
 			if r.captured == nil {
@@ -908,7 +905,6 @@ func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
 			r.captured[name] = v
 		}
 	}
-	return kern, nil
 }
 
 // Exec runs one registered block on this rank, exchanging stale halos
@@ -934,7 +930,8 @@ func (r *Rank) Exec(b *scan.Block) error {
 		return err
 	}
 
-	L := r.portion(b)
+	rb := r.block(pl)
+	L := rb.portion
 	var err error
 	switch {
 	case pl.an.NeedsTemp():
@@ -946,10 +943,10 @@ func (r *Rank) Exec(b *scan.Block) error {
 		err = scan.Exec(sub, r.lenv, scan.ExecOptions{ForceTemp: true, Trace: r.sess.cfg.Trace, TraceRank: r.id})
 		r.computed(t0, L.Size(), 0, -1, -1, -1)
 	case len(pl.pipeNames) > 0:
-		err = r.execWavefront(b, pl, L)
+		err = r.execWavefront(b, pl, rb)
 	default:
 		// Fully parallel (or anti-dependences only): compute the portion.
-		err = r.execParallel(b, pl, L)
+		err = r.execParallel(b, pl, rb)
 	}
 	if err != nil {
 		return err
@@ -961,22 +958,10 @@ func (r *Rank) Exec(b *scan.Block) error {
 	return nil
 }
 
-// kernelFor returns the rank's cached static-schedule kernel for b.
-func (r *Rank) kernelFor(b *scan.Block, pl *plan) (*scan.Kernel, error) {
-	if kern, ok := r.kernels[b]; ok {
-		return kern, nil
-	}
-	kern, err := r.newKernel(b, pl)
-	if err != nil {
-		return nil, err
-	}
-	r.kernels[b] = kern
-	return kern, nil
-}
-
 // execParallel computes a block without pipelined arrays over the rank's
 // whole portion, in one piece: no boundary messages order the ranks.
-func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
+func (r *Rank) execParallel(b *scan.Block, pl *plan, rb *rankBlock) error {
+	L := rb.portion
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
 		tg, err := r.taskGraphFor(b, pl, L)
 		if err != nil {
@@ -987,7 +972,7 @@ func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
 		r.computed(t0, L.Size(), 0, -1, -1, -1)
 		return nil
 	}
-	kern, err := r.kernelFor(b, pl)
+	kern, err := r.kernelFor(b, pl, rb)
 	if err != nil {
 		return err
 	}
@@ -1002,13 +987,15 @@ func (r *Rank) execParallel(b *scan.Block, pl *plan, L grid.Region) error {
 // forward its boundary downstream. Travel direction follows the block's
 // derived loop, so forward and backward sweeps flow through opposite
 // neighbours. The schedule (tile regions, boundary regions, message sizes)
-// comes from a cached execPlan, so the steady-state wave allocates nothing
-// when a buffer pool is attached. With checkpointing on, the top of every
-// tile after the first is a cut point (the first tile's is the operation's
-// start, see ckOp) — always before the tile's receives, where the portion
-// is exactly "tiles < t computed, recvd messages consumed".
-func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
-	if L.Dim(pl.wDim).Empty() {
+// comes from the execPlan the session keeps, so the steady-state wave
+// allocates nothing when a buffer pool is attached. With checkpointing on,
+// the top of every tile after the first is a cut point (the first tile's is
+// the operation's start, see ckOp) — always before the tile's receives,
+// where the portion is exactly "tiles < t computed, recvd messages
+// consumed".
+func (r *Rank) execWavefront(b *scan.Block, pl *plan, rb *rankBlock) error {
+	L, ep := rb.portion, rb.sched
+	if ep == nil {
 		// This rank's slab misses the block's wavefront extent entirely
 		// (shrinking factorization steps, sub-region sweeps): the active
 		// ranks pipeline around it, and it neither computes nor exchanges
@@ -1032,33 +1019,13 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, L grid.Region) error {
 	wave := r.waveRuns - 1
 	r.sess.cfg.Faults.SetWave(r.id, wave+1)
 
-	ep := r.eplans[b]
-	if ep == nil {
-		upstream, downstream := r.id-1, r.id+1
-		if pl.an.Loop.Dirs[pl.wDim] == grid.HighToLow {
-			upstream, downstream = r.id+1, r.id-1
-		}
-		// Only ranks whose slabs intersect the block region take part in
-		// the sweep; the active span is contiguous, so a peer is a pipeline
-		// neighbour exactly when it lies inside it. Idle ranks return above,
-		// so sender and receiver always agree on the message schedule.
-		aLo, aHi := r.sess.activeSpan(pl)
-		hasUp := upstream >= aLo && upstream <= aHi
-		hasDown := downstream >= aLo && downstream <= aHi
-		var upPortion grid.Region
-		if hasUp {
-			upPortion = r.sess.portionOf(b.Region, upstream)
-		}
-		ep = buildExecPlan(pl, r.locals, L, upPortion, hasUp, hasDown, upstream, downstream)
-		r.eplans[b] = ep
-	}
 	if pm != nil {
 		defer pm.obs.Swept(r.id, !ep.hasUp, !ep.hasDown, pm.obs.Now())
 	}
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
 		return r.execWavefrontDAG(b, pl, ep, L, wave)
 	}
-	kern, err := r.kernelFor(b, pl)
+	kern, err := r.kernelFor(b, pl, rb)
 	if err != nil {
 		return err
 	}
@@ -1183,14 +1150,15 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 	return nil
 }
 
-// buildXregs works out the halo-exchange geometry: for each written array
-// (no other is ever dirty) and each neighbour side, the rows of my slab the
-// neighbour's halo needs (send) and the rows of its slab my halo needs
-// (recv).
+// buildXregs works out the rank's halo-exchange geometry, kept for the
+// session: for each written array (no other is ever dirty) and each
+// neighbour side, the rows of my slab the neighbour's halo needs (send) and
+// the rows of its slab my halo needs (recv). A local's bounds are its box in
+// the ownership table, the same every Run.
 func (r *Rank) buildXregs() {
 	s := r.sess
 	slab := s.slabs[r.id]
-	r.xregs = make(map[string]xchgRegs, len(s.written))
+	xregs := make(map[string]xchgRegs, len(s.written))
 	w := s.cfg.WavefrontDim
 	for _, name := range s.written {
 		h := s.halos[name]
@@ -1224,8 +1192,9 @@ func (r *Rank) buildXregs() {
 				x.recv[sidePos] = rowRegion(grid.NewRange(lo, lo+h.pos[w]-1))
 			}
 		}
-		r.xregs[name] = x
+		xregs[name] = x
 	}
+	r.kept.xregs = xregs
 }
 
 // refresh brings up to date, on every rank at once, the halos an operation
@@ -1238,9 +1207,10 @@ func (r *Rank) buildXregs() {
 // with no array to move has no message at all; sender and receiver skip it
 // alike, because both derive the lists from the same plan and the same
 // dirty marks — so the per-peer tag counters stay in step. Regions are
-// worked out once, by the first refresh that moves rows, and payloads are
-// leased, so a steady-state refresh allocates nothing when a buffer pool is
-// attached; receivers return each payload to its sender's shard.
+// worked out once per session, by the first refresh that moves rows, and
+// payloads are leased, so a steady-state refresh allocates nothing when a
+// buffer pool is attached; receivers return each payload to its sender's
+// shard.
 func (r *Rank) refresh(want *[2][]string) error {
 	stale := 0
 	for side, names := range want {
@@ -1271,9 +1241,10 @@ func (r *Rank) refresh(want *[2][]string) error {
 
 // moveRows is the communication half of refresh.
 func (r *Rank) moveRows(needs *[2][]string) error {
-	if r.xregs == nil {
+	if r.kept.xregs == nil {
 		r.buildXregs()
 	}
+	xregs := r.kept.xregs
 	o := r.obs()
 	exchangeT0 := o.Now()
 	var took [2]bool // the neighbours that took part, by the side they are on
@@ -1288,14 +1259,14 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 		}
 		total := 0
 		for _, name := range names {
-			if reg := r.xregs[name].send[1-side]; reg.Rank() != 0 {
+			if reg := xregs[name].send[1-side]; reg.Rank() != 0 {
 				total += reg.Size()
 			}
 		}
 		buf := r.e.Lease(total)
 		off := 0
 		for _, name := range names {
-			reg := r.xregs[name].send[1-side]
+			reg := xregs[name].send[1-side]
 			if reg.Rank() == 0 {
 				continue
 			}
@@ -1322,7 +1293,7 @@ func (r *Rank) moveRows(needs *[2][]string) error {
 		}
 		off := 0
 		for _, name := range names {
-			reg := r.xregs[name].recv[side]
+			reg := xregs[name].recv[side]
 			if reg.Rank() == 0 {
 				continue
 			}
@@ -1415,11 +1386,12 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 	return out, err
 }
 
-// rankReducer is one reduction operand's state on a rank: the prepared
-// fold, the names of the arrays it reads across the slab boundary on each
-// side, by the sign of the reference's shift (sorted, distinct — the halos
-// to refresh when dirty), and this rank's portion of the last region
-// reduced over.
+// rankReducer is one reduction operand's state on a rank, kept for the
+// session: the prepared fold, the names of the arrays it reads across the
+// slab boundary on each side, by the sign of the reference's shift (sorted,
+// distinct — the halos to refresh when dirty), this rank's portion of the
+// last region reduced over, and the rank of the Run in flight whose fields
+// the fold is bound to (nil between Runs).
 type rankReducer struct {
 	node    expr.Node
 	fold    *scan.Reducer
@@ -1427,6 +1399,7 @@ type rankReducer struct {
 	region  grid.Region
 	portion grid.Region
 	sized   bool
+	bound   *Rank
 }
 
 // maxReducers bounds the per-rank operand cache. A program reduces over a
@@ -1435,16 +1408,22 @@ type rankReducer struct {
 // the bound the oldest entry is replaced.
 const maxReducers = 8
 
-// reducerFor returns the rank's cached state for an operand, preparing it on
-// first sight. Expression nodes hold slices, so they cannot key a map; the
-// list is short and expr.Equal does not allocate.
+// reducerFor returns the rank's kept state for an operand, re-bound to the
+// Run's fields at the Run's first fold of it (scan.Reducer.Rebind), or
+// prepares it on first sight. Expression nodes hold slices, so they cannot
+// key a map; the list is short and expr.Equal does not allocate.
 func (r *Rank) reducerFor(node expr.Node) *rankReducer {
-	for _, rr := range r.reducers {
+	k := r.kept
+	for _, rr := range k.reducers {
 		if expr.Equal(rr.node, node) {
+			if rr.bound != r {
+				rr.fold.Rebind(r.lenv)
+				rr.bound = r
+			}
 			return rr
 		}
 	}
-	rr := &rankReducer{node: node, fold: scan.NewReducer(node, r.lenv)}
+	rr := &rankReducer{node: node, fold: scan.NewReducer(node, r.lenv), bound: r}
 	rr.fold.SetEngine(r.sess.cfg.Kernel)
 	rr.fold.SetScratch(r.sess.cfg.Pool, r.id)
 	w := r.sess.cfg.WavefrontDim
@@ -1455,12 +1434,12 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 		}
 	}
 	sortSides(&rr.halo)
-	if len(r.reducers) < maxReducers {
-		r.reducers = append(r.reducers, rr)
+	if len(k.reducers) < maxReducers {
+		k.reducers = append(k.reducers, rr)
 	} else {
-		r.reducers[0].fold.ReleaseScratch()
-		copy(r.reducers, r.reducers[1:])
-		r.reducers[maxReducers-1] = rr
+		k.reducers[0].fold.ReleaseScratch()
+		copy(k.reducers, k.reducers[1:])
+		k.reducers[maxReducers-1] = rr
 	}
 	return rr
 }
@@ -1477,22 +1456,6 @@ func sortSides(lists *[2][]string) {
 			}
 		}
 		lists[side] = out
-	}
-}
-
-// releaseScratch retires the rank's execution resources when its Run ends:
-// cached kernels return pool-leased tape registers, and cached task-DAG
-// executors stop their worker pools (which also returns their kernels'
-// registers).
-func (r *Rank) releaseScratch() {
-	for _, kern := range r.kernels {
-		kern.ReleaseScratch()
-	}
-	for _, rr := range r.reducers {
-		rr.fold.ReleaseScratch()
-	}
-	for _, tg := range r.dags {
-		tg.Close()
 	}
 }
 

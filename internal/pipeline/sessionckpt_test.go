@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wavefront/internal/ckpt"
+	"wavefront/internal/comm"
 	"wavefront/internal/expr"
 	"wavefront/internal/fault"
 	"wavefront/internal/field"
@@ -115,41 +116,56 @@ func refreshRecvTag(t *testing.T, n, procs, iter int) int {
 // inside it, on the receive itself. With a snapshot at every cut point the
 // restart re-executes the refresh — the receive replayed from the comm
 // layer's retention, the send suppressed — and with one every third the
-// restart begins operations earlier.
+// restart begins operations earlier. The last rows run the session twice
+// and crash inside the refresh of the second Run, over the in-process and
+// the socket transport: the restarted rank re-binds the schedules, kernels
+// and reduction operands the session kept from the first Run to its own
+// fresh fields.
 func TestSessionCrashRecovery(t *testing.T) {
 	const n, iters, procs = 26, 3, 4
-	ref, err := workload.NewTomcatv(n, field.RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refResid []float64
-	for i := 0; i < iters; i++ {
-		if _, err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
-		refResid = append(refResid, ref.ResidualMax())
-	}
+	refreshTag := refreshRecvTag(t, n, procs, 1)
+	unix := comm.TransportConfig{Kind: comm.TransportUnix}
 	for _, c := range []struct {
-		name  string
-		rule  fault.Rule
-		every int
+		name      string
+		rule      fault.Rule
+		every     int
+		runs      int // the crash is in the last; 0 means 1
+		transport comm.TransportConfig
 	}{
 		// Rank 1's first boundary receive of the third sweep it enters
 		// (iteration 1's forward sweep): the refresh is behind it, no tile
 		// has run.
-		{"receiver, before its first tile",
-			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 3},
-		{"receiver, every cut point",
-			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 1},
+		{name: "receiver, before its first tile",
+			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 3},
+		{name: "receiver, every cut point",
+			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 1},
 		// Rank 0 heads that sweep: it sent aa's row up, received nothing, and
 		// crashes on its first boundary send.
-		{"sender, before its first boundary message",
-			fault.Rule{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, 1},
+		{name: "sender, before its first boundary message",
+			rule: fault.Rule{Op: fault.OpSend, Rank: 0, Peer: 1, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 1},
 		// The refresh message itself.
-		{"receiver, inside the refresh",
-			fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshRecvTag(t, n, procs, 1), Action: fault.ActCrash}, 1},
+		{name: "receiver, inside the refresh",
+			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshTag, Action: fault.ActCrash}, every: 1},
+		// The same message of the second Run: tags count per Run, so the
+		// first Run's passes once.
+		{name: "second Run, inside the refresh, chan",
+			rule:  fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshTag, After: 1, Action: fault.ActCrash},
+			every: 1, runs: 2},
+		{name: "second Run, inside the refresh, unix",
+			rule:  fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshTag, After: 1, Action: fault.ActCrash},
+			every: 1, runs: 2, transport: unix},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			runs := max(c.runs, 1)
+			ref, _ := workload.NewTomcatv(n, field.RowMajor)
+			var refResid []float64
+			for i := 0; i < runs*iters; i++ {
+				if _, err := ref.Step(); err != nil {
+					t.Fatal(err)
+				}
+				refResid = append(refResid, ref.ResidualMax())
+			}
+			refResid = refResid[len(refResid)-iters:] // the last Run's
 			par, _ := workload.NewTomcatv(n, field.RowMajor)
 			inj, err := fault.New(fault.Plan{Rules: []fault.Rule{c.rule}})
 			if err != nil {
@@ -159,17 +175,20 @@ func TestSessionCrashRecovery(t *testing.T) {
 			sess, err := NewSession(par.Env, blocks, SessionConfig{
 				Procs: procs, Domain: par.All, Block: 4,
 				Faults:     inj,
+				Transport:  c.transport,
 				Checkpoint: &CheckpointConfig{Every: c.every},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var parResid []float64
-			if err := sess.Run(tomcatvSession(par, blocks, iters, &parResid)); err != nil {
-				t.Fatalf("crash did not recover: %v", err)
-			}
-			if inj.Fired() == 0 {
-				t.Fatal("crash rule never fired; the run proves nothing")
+			for run := 1; run <= runs; run++ {
+				if err := sess.Run(tomcatvSession(par, blocks, iters, &parResid)); err != nil {
+					t.Fatalf("Run %d: crash did not recover: %v", run, err)
+				}
+				if fired := inj.Fired(); (fired != 0) != (run == runs) {
+					t.Fatalf("after Run %d of %d the crash rule fired %d times; it must fire in the last", run, runs, fired)
+				}
 			}
 			for _, name := range workload.TomcatvArrays {
 				if d := par.Env.Arrays[name].MaxAbsDiff(par.All, ref.Env.Arrays[name]); d != 0 {

@@ -81,9 +81,12 @@ type Kernel struct {
 	paths [numPaths]int64
 	mPath [numPaths]*metrics.Counter
 	mRank int
+	// stmts is the block's statement count, what each Run tallies.
+	stmts int64
 	// Tape engine (nil when the block could not be lowered).
 	prog *kernel.Program
-	// Per-point closure path (rhs is nil on a kernel that runs its tape).
+	// Per-point closure path (both nil on a kernel that runs its tape, which
+	// reaches its fields through prog alone).
 	dst []*field.Field
 	rhs []expr.Compiled
 }
@@ -127,23 +130,20 @@ func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV, e Engine) (*Kernel, e
 // compiler's error.
 func (k *Kernel) init(b *Block, env expr.Env, udvs []dep.UDV, lower bool, e Engine) error {
 	ns := len(b.Stmts)
-	k.engine = e
-	k.dst = make([]*field.Field, ns)
-	for i, s := range b.Stmts {
-		k.dst[i] = env.Array(s.LHS.Name)
-	}
+	k.engine, k.stmts = e, int64(ns)
 	if lower && e != EngineClosure {
-		rhs := make([]expr.Node, ns)
+		dsts, rhs := make([]string, ns), make([]expr.Node, ns)
 		for i, s := range b.Stmts {
-			rhs[i] = s.RHS
+			dsts[i], rhs[i] = s.LHS.Name, s.RHS
 		}
-		if prog, err := kernel.Lower(b.Region.Rank(), k.dst, rhs, env, udvs); err == nil {
+		if prog, err := kernel.Lower(b.Region.Rank(), dsts, rhs, env, udvs); err == nil {
 			k.prog = prog
 			return nil
 		}
 	}
-	k.rhs = make([]expr.Compiled, ns)
+	k.dst, k.rhs = make([]*field.Field, ns), make([]expr.Compiled, ns)
 	for i, s := range b.Stmts {
+		k.dst[i] = env.Array(s.LHS.Name)
 		c, err := expr.Compile(s.RHS, env)
 		if err != nil {
 			return err
@@ -167,6 +167,14 @@ func (k *Kernel) ReleaseScratch() {
 		k.prog.ReleaseScratch()
 	}
 }
+
+// Rebind points a tape kernel at env's arrays in place, without allocating
+// (kernel.Program.Rebind); a nil env drops every field reference, so a kept
+// kernel pins no storage. It reports false — build the kernel again — for a
+// kernel that runs closures, which bake their fields in, or a tape the new
+// fields do not fit. The scalars the kernel captured are the caller's to
+// check (Captured).
+func (k *Kernel) Rebind(env expr.Env) bool { return k.prog != nil && k.prog.Rebind(env) }
 
 // Instrument makes every Run record a fused-loop span to tr under the
 // given rank. A nil recorder disables tracing (the default).
@@ -209,9 +217,8 @@ func (k *Kernel) run(region grid.Region, loop dep.LoopSpec) {
 
 // tally records which executor path a Run took, one count per statement.
 func (k *Kernel) tally(p kernel.Path) {
-	ns := int64(len(k.dst))
-	k.paths[p] += ns
-	k.mPath[p].Add(k.mRank, ns)
+	k.paths[p] += k.stmts
+	k.mPath[p].Add(k.mRank, k.stmts)
 }
 
 // PathCounts returns the kernel's local executor-path tally.

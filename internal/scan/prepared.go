@@ -36,7 +36,7 @@ type Prepared struct {
 	checked bool
 	// scalars are the values the kernels were compiled with; bound says
 	// they were, for every part.
-	scalars captured
+	scalars Captured
 	bound   bool
 	// parts are the block's loop nests: the whole of a scan block, each
 	// statement of a plain one. one backs the single-nest case.
@@ -66,17 +66,20 @@ type part struct {
 	workers []*Kernel
 }
 
-// captured is the scalars a compilation read from its environment — a tape
+// Captured is the scalars a compilation read from its environment — a tape
 // holds them as immediates, a closure as captured values — and the values
 // it last saw.
-type captured struct {
+type Captured struct {
 	names []string
 	vals  []float64
 }
 
-// changed reports whether a scalar's value differs bit for bit from the one
+// Capture watches the named scalars; the first Changed records their values.
+func Capture(names []string) Captured { return Captured{names: names} }
+
+// Changed reports whether a scalar's value differs bit for bit from the one
 // recorded (or none was recorded yet), and records the current values.
-func (c *captured) changed(env expr.Env) bool {
+func (c *Captured) Changed(env expr.Env) bool {
 	changed := c.vals == nil
 	if changed {
 		c.vals = make([]float64, len(c.names))
@@ -127,8 +130,8 @@ func Prepare(b *Block, env expr.Env, opt ExecOptions) (*Prepared, error) {
 		pt.an = an
 		pt.temp = b.Kind == PlainKind && (an.NeedsTemp() || opt.ForceTemp)
 	}
-	p.scalars.names = p.refs.scalars
-	p.scalars.changed(env)
+	p.scalars = Capture(p.refs.scalars)
+	p.scalars.Changed(env)
 	if err := p.bind(); err != nil {
 		return nil, err
 	}
@@ -199,7 +202,7 @@ func (p *Prepared) Run(region grid.Region) error {
 		}
 		p.region, p.checked = region, true
 	}
-	if p.scalars.changed(p.env) || !p.bound {
+	if p.scalars.Changed(p.env) || !p.bound {
 		if err := p.bind(); err != nil {
 			return err
 		}

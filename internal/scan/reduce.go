@@ -100,7 +100,7 @@ type Reducer struct {
 	refs []expr.ArrayRef
 	// scalars are the operand's scalar names and the values the current
 	// tape and closure captured.
-	scalars captured
+	scalars Captured
 	// region is the last region that passed check; checked says there is one.
 	region  grid.Region
 	checked bool
@@ -120,7 +120,7 @@ type Reducer struct {
 
 // NewReducer binds node to env. Nothing is checked until the first Reduce.
 func NewReducer(node expr.Node, env expr.Env) *Reducer {
-	return &Reducer{node: node, env: env, refs: expr.Refs(node), scalars: captured{names: expr.Scalars(node)}}
+	return &Reducer{node: node, env: env, refs: expr.Refs(node), scalars: Capture(expr.Scalars(node))}
 }
 
 // SetEngine selects the fold: the span tape where it pays (EngineTape, the
@@ -140,6 +140,20 @@ func (rd *Reducer) SetScratch(pool *bufpool.Pool, rank int) {
 func (rd *Reducer) ReleaseScratch() {
 	if rd.tape != nil {
 		rd.tape.ReleaseScratch()
+	}
+}
+
+// Rebind points the reducer at env's arrays and keeps what does not depend
+// on them: a lowered tape re-resolves its fields in place (kernel.Expr.Rebind)
+// and is lowered again on the next fold only when they do not fit it; the
+// closure, which bakes its fields in, is compiled again, and the region is
+// checked again. A nil env drops every array reference: the reducer folds
+// again only after a Rebind to a non-nil env.
+func (rd *Reducer) Rebind(env expr.Env) {
+	rd.env, rd.fn, rd.checked = env, nil, false
+	if rd.tape != nil && !rd.tape.Rebind(env) {
+		rd.tape.ReleaseScratch()
+		rd.tape = nil
 	}
 }
 
@@ -183,7 +197,7 @@ func (rd *Reducer) Reduce(op ReduceOp, region grid.Region) (float64, error) {
 		}
 		rd.region, rd.checked = region, true
 	}
-	if rd.scalars.changed(rd.env) {
+	if rd.scalars.Changed(rd.env) {
 		rd.ReleaseScratch()
 		rd.tape, rd.refused, rd.fn = nil, false, nil
 	}
