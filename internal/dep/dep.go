@@ -72,19 +72,26 @@ func (u UDV) String() string {
 func (u UDV) Zero() bool { return grid.Direction(u.Dist).Zero() }
 
 // FromPrimed returns the true-dependence UDV induced by a primed reference
-// A'@d: the negation of d.
-func FromPrimed(d grid.Direction, array string, stmt int) UDV {
-	return UDV{Dist: d.Negate(), Kind: True, Array: array, Stmt: stmt}
+// A'@d: the negation of d. The distance is written into dist, which must be
+// as long as d, so a caller deriving many UDVs can carve their distances
+// from one allocation.
+func FromPrimed(dist, d grid.Direction, array string, stmt int) UDV {
+	for i, c := range d {
+		dist[i] = -c
+	}
+	return UDV{Dist: dist, Kind: True, Array: array, Stmt: stmt}
 }
 
 // FromUnprimed returns the UDV induced by a non-primed shifted reference
 // A@d to an array written in the block. writerEarlier indicates whether the
-// (nearest) writing statement lexically precedes the reading statement.
-func FromUnprimed(d grid.Direction, writerEarlier bool, array string, stmt int) UDV {
+// (nearest) writing statement lexically precedes the reading statement. The
+// distance is written into dist, as FromPrimed writes it.
+func FromUnprimed(dist, d grid.Direction, writerEarlier bool, array string, stmt int) UDV {
 	if writerEarlier {
-		return UDV{Dist: d.Negate(), Kind: True, Array: array, Stmt: stmt}
+		return FromPrimed(dist, d, array, stmt)
 	}
-	return UDV{Dist: append(grid.Direction(nil), d...), Kind: Anti, Array: array, Stmt: stmt}
+	copy(dist, d)
+	return UDV{Dist: dist, Kind: Anti, Array: array, Stmt: stmt}
 }
 
 // LoopSpec describes a loop nest over the dimensions of a data space:
@@ -169,40 +176,36 @@ func Derive(rank int, udvs []UDV) (LoopSpec, error) {
 	return DerivePreferred(rank, udvs, Preference{PreferLow: true})
 }
 
-// DerivePreferred is Derive with an explicit search bias.
+// DerivePreferred is Derive with an explicit search bias. It allocates the
+// loop spec it returns and nothing else: the search reads which UDVs are
+// still unsatisfied off the dimensions placed so far (unsatisfied).
 func DerivePreferred(rank int, udvs []UDV, pref Preference) (LoopSpec, error) {
 	for _, u := range udvs {
 		if len(u.Dist) != rank {
 			return LoopSpec{}, fmt.Errorf("dep: UDV %v has rank %d, want %d", u, len(u.Dist), rank)
 		}
 	}
-	order := pref.DimOrder
-	if order == nil {
-		order = make([]int, rank)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	// Only non-zero UDVs constrain the nest.
-	var active []UDV
-	for _, u := range udvs {
-		if !u.Zero() {
-			active = append(active, u)
-		}
-	}
+	dims := dimOrder{pref.DimOrder, rank}
 	spec := LoopSpec{Perm: make([]int, 0, rank), Dirs: make([]grid.LoopDir, rank)}
-	used := make([]bool, rank)
-	if derive(order, used, active, &spec, pref.PreferLow) {
+	if derive(dims, udvs, &spec, pref.PreferLow) {
 		return spec, nil
 	}
 	// Over-constrained: find a witness for the error message. Some UDV has a
 	// dimension-wise conflict with another; report the first UDV that no
 	// single-dimension choice can make lexicographically positive together
-	// with the rest. For diagnostics the first active UDV suffices when no
-	// better witness is found.
-	witness := active[0]
-	for _, u := range active {
-		if conflictsEverywhere(u, active) {
+	// with the rest. For diagnostics the first non-zero UDV suffices when no
+	// better witness is found. (A zero UDV constrains nothing and clashes
+	// with nothing.)
+	var witness UDV
+	found := false
+	for _, u := range udvs {
+		if u.Zero() {
+			continue
+		}
+		if !found {
+			witness, found = u, true
+		}
+		if conflictsEverywhere(u, udvs) {
 			witness = u
 			break
 		}
@@ -210,69 +213,114 @@ func DerivePreferred(rank int, udvs []UDV, pref Preference) (LoopSpec, error) {
 	return LoopSpec{}, &OverconstrainedError{Witness: witness}
 }
 
+// dimOrder is a Preference's dimension order: the DimOrder given, or
+// 0, 1, ..., rank-1 for a nil one.
+type dimOrder struct {
+	order []int
+	rank  int
+}
+
+func (o dimOrder) len() int {
+	if o.order == nil {
+		return o.rank
+	}
+	return len(o.order)
+}
+
+func (o dimOrder) at(i int) int {
+	if o.order == nil {
+		return i
+	}
+	return o.order[i]
+}
+
 // derive recursively chooses the next-outermost dimension. A dimension k
 // with direction s is feasible if every still-unsatisfied UDV has component
 // >= 0 in k after flipping (so none is made lexicographically negative);
-// UDVs with component > 0 become satisfied and drop out.
-func derive(order []int, used []bool, unsat []UDV, spec *LoopSpec, preferLow bool) bool {
-	if len(unsat) == 0 {
+// UDVs with component > 0 become satisfied.
+func derive(dims dimOrder, udvs []UDV, spec *LoopSpec, preferLow bool) bool {
+	if !anyUnsatisfied(udvs, spec) {
 		// Fill the remaining dimensions in preference order, low-to-high.
-		for _, k := range order {
-			if !used[k] {
+		for i := 0; i < dims.len(); i++ {
+			if k := dims.at(i); !spec.placed(k) {
 				spec.Perm = append(spec.Perm, k)
 				spec.Dirs[k] = grid.LowToHigh
-				used[k] = true
 			}
 		}
 		return true
 	}
-	if len(spec.Perm) == len(order) {
+	if len(spec.Perm) == dims.len() {
 		return false
 	}
-	dirs := []grid.LoopDir{grid.LowToHigh, grid.HighToLow}
+	dirs := [2]grid.LoopDir{grid.LowToHigh, grid.HighToLow}
 	if !preferLow {
 		dirs[0], dirs[1] = dirs[1], dirs[0]
 	}
-	for _, k := range order {
-		if used[k] {
+	for i := 0; i < dims.len(); i++ {
+		k := dims.at(i)
+		if spec.placed(k) {
 			continue
 		}
 		for _, dir := range dirs {
-			rest, ok := filter(unsat, k, dir)
-			if !ok {
+			if !feasible(udvs, spec, k, dir) {
 				continue
 			}
 			spec.Perm = append(spec.Perm, k)
 			spec.Dirs[k] = dir
-			used[k] = true
-			if derive(order, used, rest, spec, preferLow) {
+			if derive(dims, udvs, spec, preferLow) {
 				return true
 			}
-			used[k] = false
 			spec.Perm = spec.Perm[:len(spec.Perm)-1]
 		}
 	}
 	return false
 }
 
-// filter returns the UDVs still unsatisfied after placing dimension k with
-// direction dir, or ok=false if some UDV becomes lexicographically negative.
-func filter(unsat []UDV, k int, dir grid.LoopDir) ([]UDV, bool) {
-	var rest []UDV
-	for _, u := range unsat {
+// placed reports whether the partial spec has a loop over dimension k.
+func (s *LoopSpec) placed(k int) bool {
+	for _, p := range s.Perm {
+		if p == k {
+			return true
+		}
+	}
+	return false
+}
+
+// unsatisfied reports whether u still constrains the partial spec's inner
+// levels: it is non-zero, and every dimension placed so far leaves it at
+// zero. (A placed dimension with a non-zero component satisfied it — a
+// negative one would have made the placement infeasible.)
+func unsatisfied(u UDV, spec *LoopSpec) bool {
+	for _, k := range spec.Perm {
+		if u.Dist[k] != 0 {
+			return false
+		}
+	}
+	return !u.Zero()
+}
+
+func anyUnsatisfied(udvs []UDV, spec *LoopSpec) bool {
+	for _, u := range udvs {
+		if unsatisfied(u, spec) {
+			return true
+		}
+	}
+	return false
+}
+
+// feasible reports whether placing dimension k with direction dir next
+// leaves no unsatisfied UDV lexicographically negative.
+func feasible(udvs []UDV, spec *LoopSpec, k int, dir grid.LoopDir) bool {
+	for _, u := range udvs {
 		c := u.Dist[k]
 		if dir == grid.HighToLow {
 			c = -c
 		}
-		switch {
-		case c < 0:
-			return nil, false
-		case c == 0:
-			rest = append(rest, u)
+		if c < 0 && unsatisfied(u, spec) {
+			return false
 		}
-		// c > 0: satisfied, drop.
 	}
-	return rest, true
+	return true
 }
 
 // conflictsEverywhere reports whether u, for every dimension and direction

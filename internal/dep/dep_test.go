@@ -19,7 +19,7 @@ func udv(kind Kind, dist ...int) UDV {
 func TestFigure3(t *testing.T) {
 	north := grid.Direction{-1, 0}
 
-	anti := FromUnprimed(north, false, "a", 0)
+	anti := FromUnprimed(make(grid.Direction, len(north)), north, false, "a", 0)
 	spec, err := Derive(2, []UDV{anti})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestFigure3(t *testing.T) {
 		t.Errorf("unprimed @north: dim0 %v, want high->low", spec.Dirs[0])
 	}
 
-	prime := FromPrimed(north, "a", 0)
+	prime := FromPrimed(make(grid.Direction, len(north)), north, "a", 0)
 	if !prime.Dist.Equal(grid.Direction{1, 0}) {
 		t.Errorf("primed UDV = %v, want (1,0)", prime.Dist)
 	}
@@ -48,7 +48,7 @@ func TestPaperExamples(t *testing.T) {
 	primed := func(dirs ...grid.Direction) []UDV {
 		var out []UDV
 		for _, d := range dirs {
-			out = append(out, FromPrimed(d, "a", 0))
+			out = append(out, FromPrimed(make(grid.Direction, len(d)), d, "a", 0))
 		}
 		return out
 	}
@@ -89,8 +89,8 @@ func TestPaperExamples(t *testing.T) {
 // dimension 0 alone cannot order both dependences.
 func TestExample3Structure(t *testing.T) {
 	udvs := []UDV{
-		FromPrimed(grid.Direction{-1, 0}, "a", 0), // dist (1,0)
-		FromPrimed(grid.Direction{1, 1}, "a", 0),  // dist (-1,-1)
+		FromPrimed(make(grid.Direction, 2), grid.Direction{-1, 0}, "a", 0), // dist (1,0)
+		FromPrimed(make(grid.Direction, 2), grid.Direction{1, 1}, "a", 0),  // dist (-1,-1)
 	}
 	spec, err := Derive(2, udvs)
 	if err != nil {
@@ -110,8 +110,8 @@ func TestExample3Structure(t *testing.T) {
 func TestAntiPairNeedsTemp(t *testing.T) {
 	// a := a@north + a@south in place: contradictory anti-dependences.
 	udvs := []UDV{
-		FromUnprimed(grid.Direction{-1, 0}, false, "a", 0),
-		FromUnprimed(grid.Direction{1, 0}, false, "a", 0),
+		FromUnprimed(make(grid.Direction, 2), grid.Direction{-1, 0}, false, "a", 0),
+		FromUnprimed(make(grid.Direction, 2), grid.Direction{1, 0}, false, "a", 0),
 	}
 	if _, err := Derive(2, udvs); err == nil {
 		t.Fatal("opposite anti-dependences must be over-constrained")
@@ -123,9 +123,9 @@ func TestHiddenOverconstraint(t *testing.T) {
 	// the per-dimension summary loses the pairing. The dep algorithm must
 	// still reject it.
 	udvs := []UDV{
-		FromPrimed(grid.Direction{-1, 0}, "a", 0), // (1,0)
-		FromPrimed(grid.Direction{0, -1}, "a", 0), // (0,1)
-		FromPrimed(grid.Direction{0, 1}, "a", 0),  // (0,-1)
+		FromPrimed(make(grid.Direction, 2), grid.Direction{-1, 0}, "a", 0), // (1,0)
+		FromPrimed(make(grid.Direction, 2), grid.Direction{0, -1}, "a", 0), // (0,1)
+		FromPrimed(make(grid.Direction, 2), grid.Direction{0, 1}, "a", 0),  // (0,-1)
 	}
 	if _, err := Derive(2, udvs); err == nil {
 		t.Fatal("expected over-constraint")

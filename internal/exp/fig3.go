@@ -83,7 +83,7 @@ func wsvTable(quick bool) *Result {
 		cls := wsv.Classify(w)
 		var udvs []dep.UDV
 		for _, d := range c.dirs {
-			udvs = append(udvs, dep.FromPrimed(d, "a", 0))
+			udvs = append(udvs, dep.FromPrimed(make(grid.Direction, len(d)), d, "a", 0))
 		}
 		legal := "legal"
 		loop := ""

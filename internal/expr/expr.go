@@ -179,6 +179,17 @@ func (a ArrayRef) String() string {
 	return s
 }
 
+// Assign is one array assignment, LHS := RHS: a statement of a scan block
+// (scan.Stmt) and what the kernel lowerer reads of one.
+type Assign struct {
+	LHS ArrayRef
+	RHS Node
+}
+
+func (s Assign) String() string {
+	return fmt.Sprintf("%s := %s;", s.LHS, s.RHS)
+}
+
 // Unary applies a unary operator.
 type Unary struct {
 	Op Op

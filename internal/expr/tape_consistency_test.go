@@ -72,7 +72,7 @@ func TestTapeAgreesWithEvalCompile(t *testing.T) {
 					{Kind: dep.True, Dist: grid.Direction{0, 1}},
 				}
 			}
-			prog, err := kernel.Lower(2, []string{"dst"}, []expr.Node{n}, env, udvs)
+			prog, err := kernel.Lower(2, []expr.Assign{{LHS: expr.Ref("dst"), RHS: n}}, env, udvs)
 			if err != nil {
 				t.Fatalf("%s: Lower: %v", n, err)
 			}

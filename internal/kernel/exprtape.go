@@ -34,12 +34,8 @@ func LowerExpr(rank int, node expr.Node, env expr.Env) (*Expr, error) {
 	if rank < 1 {
 		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
 	}
-	pr := &Program{rank: rank}
-	lw := newLowerer(pr, env, node)
-	if err := lw.statement(node, yieldDst); err != nil {
-		return nil, err
-	}
-	if err := pr.finish(lw); err != nil {
+	pr, err := lower(rank, []expr.Assign{{RHS: node}}, env, true)
+	if err != nil {
 		return nil, err
 	}
 	return &Expr{pr: pr}, nil
@@ -76,12 +72,12 @@ func (x *Expr) Begin(region grid.Region) int {
 	}
 	x.region = region
 	x.n = pr.beginSpans(region, pr.rank-1)
-	for fi := range pr.fields {
-		off := 0
-		for d := 0; d < pr.rank; d++ {
-			off += (region.Dim(d).Lo - pr.lows[fi][d]) * pr.strides[fi][d]
+	clear(pr.base)
+	for d := 0; d < pr.rank; d++ {
+		lo, lows := region.Dim(d).Lo, pr.along(pr.lows, d)
+		for fi, s := range pr.along(pr.strides, d) {
+			pr.base[fi] += (lo - lows[fi]) * s
 		}
-		pr.base[fi] = off
 	}
 	return spans
 }
@@ -98,8 +94,8 @@ func (x *Expr) Span(k int) []float64 {
 		sz := r.Size()
 		i := k % sz
 		k /= sz
-		for fi := range pr.rbase {
-			pr.rbase[fi] += i * r.Stride * pr.strides[fi][d]
+		for fi, s := range pr.along(pr.strides, d) {
+			pr.rbase[fi] += i * r.Stride * s
 		}
 	}
 	pr.execRun(pr.rbase, x.n)

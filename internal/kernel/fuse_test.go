@@ -39,8 +39,8 @@ func TestFusedLoadDedup(t *testing.T) {
 	// four vectors, fusion needs only two.
 	rhsU := expr.Binary{Op: expr.Add, L: at("a", 0, 1), R: at("a", 0, -1)}
 	rhsV := expr.Binary{Op: expr.Mul, L: at("a", 0, -1), R: at("a", 0, 1)}
-	pr, err := Lower(2, []string{"u", "v"},
-		[]expr.Node{rhsU, rhsV}, env, nil)
+	pr, err := Lower(2, stmts([]string{"u", "v"},
+		[]expr.Node{rhsU, rhsV}), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestFusedStoreForwarding(t *testing.T) {
 	env := fuseEnv(8)
 	rhsU := expr.Binary{Op: expr.Mul, L: expr.Ref("a"), R: expr.Const(2)}
 	rhsV := expr.Binary{Op: expr.Add, L: expr.Ref("u"), R: expr.Ref("a")}
-	pr, err := Lower(2, []string{"u", "v"},
-		[]expr.Node{rhsU, rhsV}, env, nil)
+	pr, err := Lower(2, stmts([]string{"u", "v"},
+		[]expr.Node{rhsU, rhsV}), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func (c fuseCase) run(t *testing.T, n int) {
 	region := grid.Square(2, 0, n-1)
 	loop := dep.Identity(2)
 	lower := func(env *expr.MapEnv) *Program {
-		pr, err := Lower(2, []string{"u", "v"},
-			[]expr.Node{c.rhsU, c.rhsV}, env, c.udvs)
+		pr, err := Lower(2, stmts([]string{"u", "v"},
+			[]expr.Node{c.rhsU, c.rhsV}), env, c.udvs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

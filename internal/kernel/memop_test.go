@@ -17,12 +17,17 @@ import (
 // Hand-built SSA tapes for the classifier: value i is defined by
 // instruction i, exactly what fuse hands compactRegs.
 
-func ld(fld uint16, off int) instr      { return instr{op: opLoad, fld: fld, off: off} }
-func st(fld, val uint16) instr          { return instr{op: opStore, fld: fld, a: val} }
-func bin(o op, a, b uint16) instr       { return instr{op: o, a: a, b: b} }
-func immOp(o op, a uint16) instr        { return instr{op: o, a: a, imm: 2} }
-func elided(in instr) bool              { return in.flags&fElide != 0 }
-func classified(tape []instr) []instr   { out, _ := compactRegs(tape); return out }
+func ld(fld uint16, off int) instr { return instr{op: opLoad, fld: fld, off: off} }
+func st(fld, val uint16) instr     { return instr{op: opStore, fld: fld, a: val} }
+func bin(o op, a, b uint16) instr  { return instr{op: o, a: a, b: b} }
+func immOp(o op, a uint16) instr   { return instr{op: o, a: a, imm: 2} }
+func elided(in instr) bool         { return in.flags&fElide != 0 }
+func classified(tape []instr) []instr {
+	n := len(tape)
+	s := make([]uint16, 3*n)
+	out, _ := compactRegs(tape, s[:n], s[n:2*n], s[2*n:2*n:3*n])
+	return out
+}
 func hasFlag(in instr, f uint8) bool    { return in.flags&f != 0 }
 func memA(in instr, at uint16) bool     { return hasFlag(in, fMemA) && in.la == at }
 func memB(in instr, at uint16) bool     { return hasFlag(in, fMemB) && in.lb == at }
@@ -162,6 +167,15 @@ func tomcatvEnv(n int) *expr.MapEnv {
 	return env
 }
 
+// stmts pairs destination names with right-hand sides, as Lower reads them.
+func stmts(dsts []string, rhs []expr.Node) []expr.Assign {
+	out := make([]expr.Assign, len(dsts))
+	for i := range dsts {
+		out[i] = expr.Assign{LHS: expr.Ref(dsts[i]), RHS: rhs[i]}
+	}
+	return out
+}
+
 // tomcatvForward is the paper's Figure 2(b) forward block over env's arrays.
 func tomcatvForward(env *expr.MapEnv) (dsts []string, rhs []expr.Node, udvs []dep.UDV) {
 	ref := func(n string) expr.ArrayRef { return expr.Ref(n) }
@@ -235,7 +249,7 @@ func TestTomcatvTapeShapes(t *testing.T) {
 		if env == nil {
 			env = tomcatvEnv(16)
 		}
-		pr, err := Lower(env.Arrays[c.dsts[0]].Rank(), c.dsts, c.rhs, env, c.udvs)
+		pr, err := Lower(env.Arrays[c.dsts[0]].Rank(), stmts(c.dsts, c.rhs), env, c.udvs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -285,7 +299,7 @@ func TestProgramStateOwnsItsCacheLines(t *testing.T) {
 	var spans []span
 	var keep []*Program
 	for i := 0; i < 64; i++ {
-		pr, err := Lower(2, []string{"r"}, rhs, env, []dep.UDV{udv(1, 0)})
+		pr, err := Lower(2, stmts([]string{"r"}, rhs), env, []dep.UDV{udv(1, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +399,7 @@ type memopCase struct {
 // leaves every dimension span-legal: Run takes the span path.
 func (c memopCase) lower(t *testing.T, env *expr.MapEnv) *Program {
 	t.Helper()
-	pr, err := Lower(c.region.Rank(), c.dsts, c.rhs, env, nil)
+	pr, err := Lower(c.region.Rank(), stmts(c.dsts, c.rhs), env, nil)
 	if err != nil {
 		t.Fatalf("%s: Lower: %v", c.name, err)
 	}
@@ -435,8 +449,8 @@ func (c memopCase) check(t *testing.T, seed int64) (unit bool) {
 	if !c.region.Empty() {
 		v := c.loop.Perm[c.region.Rank()-1]
 		wantUnit := len(pr.views) > 0
-		for _, f := range pr.fields {
-			if f.Stride(v)*c.region.Dim(v).Stride != 1 {
+		for _, e := range pr.fields {
+			if e.f.Stride(v)*c.region.Dim(v).Stride != 1 {
 				wantUnit = false
 			}
 		}
@@ -585,7 +599,7 @@ func TestUnitStepMatchesCopyingSequence(t *testing.T) {
 		}
 		run := func(unit bool) *expr.MapEnv {
 			env := exprgen.Env(bounds, allLayouts(field.RowMajor), int64(iter))
-			pr, err := Lower(2, dsts, rhs, env, nil)
+			pr, err := Lower(2, stmts(dsts, rhs), env, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -222,22 +223,96 @@ func TestStoreForwardInPlace(t *testing.T) {
 	}
 }
 
-// TestLowerAllocsUnchanged: the peephole rewrites both tapes where they lie
-// and the in-place rule reuses classify's scan, so lowering the Tomcatv
-// forward block allocates no more than it did before either existed (40 at
-// 02cfdfe: the program, its field table, the lowerer's stream, fuse's and
-// the compactor's tables, the two tapes' own storage and the offset tables).
-// The name table Rebind reads costs nothing on top: each field's strides and
-// lows share one allocation, which pays for the table's growth and leaves 38.
+// TestLowerAllocsUnchanged: compiling a block allocates once per table,
+// whatever its width — the program, its field table (sized by the
+// references), the per-field int tables, the array both tapes share, the
+// passes' scratch, the views and the span mask; LowerExpr has an Expr where
+// Lower has the mask. Every row lowers in the same count, and the ceiling
+// is that count. History of the Tomcatv forward block: 40 at 02cfdfe (the
+// program, four field tables grown a field at a time, the lowerer's stream,
+// fuse's and the compactor's tables, the two tapes and the offset tables);
+// 38 once each field's strides and lows shared an allocation; 7 with every
+// table sized once.
 func TestLowerAllocsUnchanged(t *testing.T) {
-	env := tomcatvEnv(16)
-	dsts, rhs, udvs := tomcatvForward(env)
-	const want = 38
-	if got := testing.AllocsPerRun(50, func() {
-		if _, err := Lower(2, dsts, rhs, env, udvs); err != nil {
-			t.Fatal(err)
+	const ceiling = 7
+	ref, at := expr.Ref, func(name string, d grid.Direction) expr.ArrayRef { return expr.Ref(name).At(d) }
+	add := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Add, L: l, R: r} }
+	sub := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Sub, L: l, R: r} }
+	mul := func(l, r expr.Node) expr.Node { return expr.Binary{Op: expr.Mul, L: l, R: r} }
+	max2 := func(l, r expr.Node) expr.Node { return expr.Call{Fn: expr.Max, Args: []expr.Node{l, r}} }
+
+	tom := tomcatvEnv(16)
+	dsts, rhs, forwardUDVs := tomcatvForward(tom)
+	forward := stmts(dsts, rhs)
+	one := stmts([]string{"r"}, []expr.Node{mul(expr.Const(2), at("r", grid.North).Prime())})
+
+	// Twelve arrays in one statement: the destination and eleven read, every
+	// other one shifted.
+	bounds := grid.Square(2, 0, 17)
+	wideEnv := &expr.MapEnv{Arrays: map[string]*field.Field{}, Scalars: map[string]float64{}}
+	var sum expr.Node
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("w%d", i)
+		wideEnv.Arrays[name] = field.MustNew(name, bounds, field.RowMajor)
+		var r expr.Node = ref(name)
+		if i%2 == 0 {
+			r = at(name, grid.North)
 		}
-	}); got != want {
-		t.Errorf("Lower of the forward block allocates %v times, want %d", got, want)
+		switch i {
+		case 0:
+		case 1:
+			sum = r
+		default:
+			sum = add(sum, r)
+		}
+	}
+	wide := stmts([]string{"w0"}, []expr.Node{sum})
+
+	// Smith-Waterman's fill, the three-statement block that runs skewed.
+	swEnv := &expr.MapEnv{Arrays: map[string]*field.Field{}, Scalars: map[string]float64{}}
+	for _, name := range []string{"s", "e", "f", "match"} {
+		swEnv.Arrays[name] = field.MustNew(name, bounds, field.RowMajor)
+	}
+	open, ext := expr.Const(2), expr.Const(0.5)
+	fill := stmts([]string{"e", "f", "s"}, []expr.Node{
+		max2(sub(at("s", grid.West).Prime(), open), sub(at("e", grid.West).Prime(), ext)),
+		max2(sub(at("s", grid.North).Prime(), open), sub(at("f", grid.North).Prime(), ext)),
+		max2(expr.Const(0), max2(add(at("s", grid.NW).Prime(), ref("match")), max2(ref("e"), ref("f")))),
+	})
+	operand := add(mul(ref("rx"), ref("rx")), mul(ref("ry"), ref("ry")))
+	north, skewed := []dep.UDV{udv(1, 0)}, []dep.UDV{udv(0, 1), udv(1, 0), udv(1, 1)}
+
+	for _, c := range []struct {
+		name  string
+		lower func() error
+	}{
+		{"one array", func() error {
+			_, err := Lower(2, one, tom, north)
+			return err
+		}},
+		{"Tomcatv forward: 6 arrays, 4 statements", func() error {
+			_, err := Lower(2, forward, tom, forwardUDVs)
+			return err
+		}},
+		{"12 arrays", func() error {
+			_, err := Lower(2, wide, wideEnv, nil)
+			return err
+		}},
+		{"Smith-Waterman fill, skewed", func() error {
+			_, err := Lower(2, fill, swEnv, skewed)
+			return err
+		}},
+		{"reduction operand", func() error {
+			_, err := LowerExpr(2, operand, tom)
+			return err
+		}},
+	} {
+		var err error
+		if got := testing.AllocsPerRun(50, func() { err = c.lower() }); got != ceiling {
+			t.Errorf("%s: lowering allocates %v times, want %d", c.name, got, ceiling)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }

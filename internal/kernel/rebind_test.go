@@ -40,7 +40,7 @@ func TestRebindMatchesFreshLower(t *testing.T) {
 	first := tomcatvEnv(n)
 	fillEnv(first, 1)
 	dsts, rhs, udvs := tomcatvForward(first)
-	pr, err := Lower(2, dsts, rhs, first, udvs)
+	pr, err := Lower(2, stmts(dsts, rhs), first, udvs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRebindMatchesFreshLower(t *testing.T) {
 		if !pr.Rebind(kept) {
 			t.Fatalf("seed %d: Rebind refused fields of the shape the program was lowered for", seed)
 		}
-		want, err := Lower(2, dsts, rhs, fresh, udvs)
+		want, err := Lower(2, stmts(dsts, rhs), fresh, udvs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRebindMatchesFreshLower(t *testing.T) {
 		t.Fatal("Rebind(nil) refused")
 	}
 	for i := range pr.fields {
-		if pr.fields[i] != nil || pr.data[i] != nil {
+		if pr.fields[i].f != nil || pr.fields[i].data != nil {
 			t.Fatalf("field %d still referenced after Rebind(nil)", i)
 		}
 	}
@@ -106,15 +106,22 @@ func TestRebindRefusesWhatTheTapeWasNotLoweredFor(t *testing.T) {
 		{"aliased then", with(aliased), tomcatvEnv(n)},
 	} {
 		dsts, rhs, udvs := tomcatvForward(c.lowered)
-		pr, err := Lower(2, dsts, rhs, c.lowered, udvs)
+		pr, err := Lower(2, stmts(dsts, rhs), c.lowered, udvs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		before := slices.Clone(pr.fields)
+		bound := func() []*field.Field {
+			fs := make([]*field.Field, len(pr.fields))
+			for k, e := range pr.fields {
+				fs[k] = e.f
+			}
+			return fs
+		}
+		before := bound()
 		if pr.Rebind(c.next) {
 			t.Errorf("%s: Rebind accepted fields the tape was not lowered for", c.name)
 		}
-		if !slices.Equal(pr.fields, before) {
+		if !slices.Equal(bound(), before) {
 			t.Errorf("%s: a refused Rebind changed the field table", c.name)
 		}
 	}

@@ -95,12 +95,13 @@ func (pr *Program) beginWaves(loop dep.LoopSpec, sk dep.Skew, na, nb int) {
 	}
 	pr.ensureRegs(maxRun)
 	pr.setUnitRun(false) // a diagonal steps by a row and a column at once
+	stridesA, stridesB := pr.along(pr.strides, sk.A), pr.along(pr.strides, sk.B)
 	for fi := range pr.fields {
-		sa := pr.strides[fi][sk.A]
+		sa := stridesA[fi]
 		if loop.Dirs[sk.A] == grid.HighToLow {
 			sa = -sa
 		}
-		sb := pr.strides[fi][sk.B]
+		sb := stridesB[fi]
 		if loop.Dirs[sk.B] == grid.HighToLow {
 			sb = -sb
 		}

@@ -101,7 +101,7 @@ func skewEnv(rank, n int) *expr.MapEnv {
 func runSkew(t *testing.T, c skewCase, region grid.Region, n int) Path {
 	t.Helper()
 	lower := func(env *expr.MapEnv) *Program {
-		pr, err := Lower(c.rank, []string{"dst"}, []expr.Node{c.node}, env, c.udvs)
+		pr, err := Lower(c.rank, stmts([]string{"dst"}, []expr.Node{c.node}), env, c.udvs)
 		if err != nil {
 			t.Fatalf("Lower: %v", err)
 		}
@@ -135,7 +135,7 @@ func TestSkewedRecurrenceMatchesClosure(t *testing.T) {
 			v := c.loop.Perm[c.rank-1]
 			region := grid.Square(c.rank, 0, n)
 			envP := skewEnv(c.rank, n)
-			pr, err := Lower(c.rank, []string{"dst"}, []expr.Node{c.node}, envP, c.udvs)
+			pr, err := Lower(c.rank, stmts([]string{"dst"}, []expr.Node{c.node}), envP, c.udvs)
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
@@ -249,7 +249,7 @@ func TestWalkZeroAlloc(t *testing.T) {
 		{rank3, true, PathScalar},
 	} {
 		env := skewEnv(c.rank, n)
-		pr, err := Lower(c.rank, []string{"dst"}, []expr.Node{c.node}, env, c.udvs)
+		pr, err := Lower(c.rank, stmts([]string{"dst"}, []expr.Node{c.node}), env, c.udvs)
 		if err != nil {
 			t.Fatalf("Lower: %v", err)
 		}

@@ -137,18 +137,24 @@ type memView struct {
 // Program is a block lowered against concrete fields. It is not safe for
 // concurrent use; the pipelined runtime builds one per rank.
 type Program struct {
-	rank    int
-	fields  []*field.Field
-	data    [][]float64
-	strides [][]int // per field, per dimension
-	lows    [][]int
-	spanOK  []bool    // per dimension, from the block's UDVs
-	udvs    []dep.UDV // retained for skew derivation
+	rank   int
+	spanOK []bool    // per dimension, from the block's UDVs
+	udvs   []dep.UDV // retained for skew derivation
 
-	// names binds every array name the statements reference, destinations
-	// included, to its entry in the field table, once each; Rebind resolves
-	// them again.
-	names []fieldName
+	// fields is the field table: entry k is the k-th distinct field the
+	// statements touch, which tape instructions name by k. names binds every
+	// array name they reference, destinations included, once each, to its
+	// field entry; Rebind resolves them again. Both are views of one table
+	// (see fieldEntry), and lowering allocates it once, sized by the
+	// statements' array references.
+	fields []fieldEntry
+	names  []fieldEntry
+	// strides and lows are every field's geometry, dimension-major:
+	// strides[d*len(fields)+k] is field k's element stride along dimension
+	// d (along returns one dimension's row). They are carved from the
+	// allocation that holds the per-run offset tables below.
+	strides []int
+	lows    []int
 
 	// fused is every statement in one pass — loads deduped across
 	// statements, stores inline via opStore, in statement order — executed
@@ -195,10 +201,25 @@ type Program struct {
 	unitRun bool
 }
 
-// fieldName is one array name of a program and its field-table entry.
-type fieldName struct {
+// fieldEntry is one row of a program's table, read two ways. As fields[k]
+// it is the k-th distinct field the statements touch and its storage, which
+// the hot loops read; as names[k] it is the k-th distinct array name they
+// reference and the field entry that name binds to. Two names may alias one
+// field but no name binds two, so there are never fewer names than fields,
+// and both are interned in the order the lowerer meets them: one table
+// holds both.
+type fieldEntry struct {
+	data []float64
+	f    *field.Field
 	name string
 	fld  uint16
+}
+
+// along returns dimension d's row of a dimension-major per-field table
+// (strides, lows).
+func (pr *Program) along(t []int, d int) []int {
+	nf := len(pr.fields)
+	return t[d*nf : d*nf+nf]
 }
 
 // Path identifies the order in which a Run walked the tape: what the
@@ -228,65 +249,105 @@ func (p Path) String() string {
 	return fmt.Sprintf("Path(%d)", int8(p))
 }
 
-// Lower builds the program for a block's statements: dsts[i] names the
-// (unshifted) destination array of statement i and rhs[i] is its expression;
-// env resolves every name. udvs are the block's dependence distance vectors,
-// which determine span legality per dimension. Scalars are captured from env
-// at lower time, exactly as expr.Compile captures them. An error means the
-// block is not tape-executable (e.g. a referenced field's rank differs from
-// the region's) and the caller should fall back to the closure engine.
-func Lower(rank int, dsts []string, rhs []expr.Node, env expr.Env, udvs []dep.UDV) (*Program, error) {
-	if rank < 1 {
-		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
-	}
-	if len(dsts) != len(rhs) {
-		return nil, fmt.Errorf("kernel: %d destinations for %d statements", len(dsts), len(rhs))
-	}
-	pr := &Program{rank: rank}
-	lw := newLowerer(pr, env, rhs...)
-	for i := range rhs {
-		di, err := pr.bind(env, dsts[i])
-		if err != nil {
-			return nil, err
-		}
-		if err := lw.statement(rhs[i], di); err != nil {
-			return nil, err
-		}
+// Lower builds the program for a block's statements: each one's
+// destination must be an unshifted array reference; env resolves every
+// name. udvs are the block's dependence distance vectors, which determine
+// span legality per dimension. Scalars are captured from env at lower time,
+// exactly as expr.Compile captures them. An error means the block is not
+// tape-executable (e.g. a referenced field's rank differs from the region's)
+// and the caller should fall back to the closure engine.
+func Lower(rank int, stmts []expr.Assign, env expr.Env, udvs []dep.UDV) (*Program, error) {
+	pr, err := lower(rank, stmts, env, false)
+	if err != nil {
+		return nil, err
 	}
 	pr.spanOK = spanMask(rank, udvs)
 	pr.udvs = udvs
-	if err := pr.finish(lw); err != nil {
+	return pr, nil
+}
+
+// lower is Lower and LowerExpr: it lowers stmts against env — or, with
+// yield, the right-hand side of the one statement it is given, whose value
+// the tape hands back (opYield) instead of storing it.
+//
+// Compiling a block allocates once per table, whatever its width: a first
+// walk counts the nodes and the array references, which bound the
+// instructions and the distinct names; the table is allocated at the bound
+// and bound in the lowerer's order, which fixes the field count the offset
+// tables are carved for (allocState); the instruction stream is lowered into
+// the array that ends up holding both finished tapes (finish), and the
+// passes between take their tables from one scratch buffer.
+func lower(rank int, stmts []expr.Assign, env expr.Env, yield bool) (*Program, error) {
+	if rank < 1 {
+		return nil, fmt.Errorf("kernel: rank must be >= 1, got %d", rank)
+	}
+	// One instruction at most per node, since constants fold into their
+	// consumers and never expand, plus one store (or yield) per statement.
+	nodes, refs := len(stmts), 0
+	for _, s := range stmts {
+		expr.Walk(s.RHS, func(n expr.Node) {
+			nodes++
+			if _, ok := n.(expr.ArrayRef); ok {
+				refs++
+			}
+		})
+	}
+	if !yield {
+		refs += len(stmts)
+	}
+	if nodes > 0xffff {
+		return nil, fmt.Errorf("kernel: block of %d nodes is more than a tape can index", nodes)
+	}
+	pr := &Program{rank: rank}
+	if err := pr.bindAll(stmts, env, refs, yield); err != nil {
 		return nil, err
 	}
+	pr.allocState()
+	tapes := make([]instr, 2*nodes)
+	lw := lowerer{pr: pr, env: env, ins: tapes[:0:nodes]}
+	for _, s := range stmts {
+		dst := uint16(yieldDst)
+		if !yield {
+			dst = pr.fieldOf(s.LHS.Name)
+		}
+		if err := lw.statement(s.RHS, dst); err != nil {
+			return nil, err
+		}
+	}
+	pr.finish(&lw, tapes)
 	return pr, nil
 }
 
 // finish turns the lowerer's statements into the program's fused tape and
-// its unit-step form, forms the multiply-then-add superinstructions on both,
-// and carves the per-run state.
-func (pr *Program) finish(lw *lowerer) error {
-	ssa, err := fuse(lw.ins, lw.regs)
-	if err != nil {
-		return err
-	}
-	pr.fused, pr.fusedRegs = compactRegs(ssa)
-	pr.buildUnit()
+// its unit-step form and forms the multiply-then-add superinstructions on
+// both. The lowerer's stream fills the front half of tapes; fuse and
+// compactRegs rewrite it where it lies into the fused tape, and the
+// unit-step tape is built right behind it, so the two finished tapes share
+// one backing array. Their passes take remap, last, phys and the free list
+// from one scratch buffer that dies with the call; remap and last share its
+// first third, since fuse is done with remap before compactRegs fills last.
+func (pr *Program) finish(lw *lowerer, tapes []instr) {
+	n := cap(lw.ins)
+	scratch := make([]uint16, 3*n)
+	ssa := fuse(lw.ins, scratch[:lw.regs])
+	pr.fused, pr.fusedRegs = compactRegs(ssa, scratch[:n], scratch[n:2*n], scratch[2*n:2*n:3*n])
+	pr.buildUnit(tapes[len(pr.fused):len(pr.fused)])
 	pr.fused = fuseMulAdd(pr.fused, nil)
 	pr.unit = fuseMulAdd(pr.unit, pr.overwrites)
-	pr.allocState()
-	return nil
 }
 
 // cacheLine is the coherence granule the per-span state is kept apart by.
 const cacheLine = 64
 
-// allocState carves base, rbase, steps, stepA, stepB and saved out of the
-// middle of one allocation with a cache line of padding on either side, so
-// every line the tables touch lies inside the allocation.
+// allocState carves every per-field int table out of the middle of one
+// allocation with a cache line of padding on either side: base, rbase,
+// steps, stepA, stepB and saved, which runs rewrite, so every line they
+// touch lies inside the allocation; then the fields' strides and lows,
+// which it fills in.
 func (pr *Program) allocState() {
 	const pad = cacheLine / 8 // ints per line
 	nf := len(pr.fields)
-	need := (5 + pr.rank) * nf
+	need := (5 + 3*pr.rank) * nf
 	if need == 0 {
 		return // a constant expression touches no field
 	}
@@ -299,14 +360,22 @@ func (pr *Program) allocState() {
 	pr.base, pr.rbase, pr.steps = cut(nf), cut(nf), cut(nf)
 	pr.stepA, pr.stepB = cut(nf), cut(nf)
 	pr.saved = cut(pr.rank * nf)
+	pr.strides, pr.lows = cut(pr.rank*nf), cut(pr.rank*nf)
+	for k, e := range pr.fields {
+		for d := 0; d < pr.rank; d++ {
+			pr.along(pr.strides, d)[k] = e.f.Stride(d)
+			pr.along(pr.lows, d)[k] = e.f.Bounds().Dim(d).Lo
+		}
+	}
 }
 
-// buildUnit derives the unit-step tape from the annotated fused tape: the
-// elided loads and stores go, each distinct span an elided load reads or an
-// in-place destination writes becomes a view, and operands are renumbered
-// into ops — registers keep their numbers, view k is ops[Registers()+k]. A
-// program with nothing to elide has no views and never runs unit-step.
-func (pr *Program) buildUnit() {
+// buildUnit derives the unit-step tape from the annotated fused tape into
+// unit, an empty slice with room for it: the elided loads and stores go,
+// each distinct span an elided load reads or an in-place destination writes
+// becomes a view, and operands are renumbered into ops — registers keep
+// their numbers, view k is ops[Registers()+k]. A program with nothing to
+// elide has no views and never runs unit-step.
+func (pr *Program) buildUnit(unit []instr) {
 	nv := 0
 	for i := range pr.fused {
 		if in := &pr.fused[i]; in.op == opLoad && in.flags&fElide != 0 || in.flags&fMemDst != 0 {
@@ -318,7 +387,7 @@ func (pr *Program) buildUnit() {
 	}
 	r := pr.Registers()
 	pr.views = make([]memView, 0, nv)
-	pr.unit = make([]instr, 0, len(pr.fused)-nv)
+	pr.unit = unit
 	// One view per (field, offset): two instructions that name the same
 	// span share the slice header execRun points at it.
 	view := func(fld uint16, off int, inner bool) uint16 {
@@ -471,12 +540,12 @@ func readsB(o op) bool {
 // index of the instruction that defines it (every statement defines its
 // registers before it reads them, so one remap table serves them all) —
 // and compacted by compactRegs back to a stack-discipline footprint.
-func fuse(ins []instr, nregs int) ([]instr, error) {
-	if len(ins) > 0xffff {
-		return nil, fmt.Errorf("kernel: fused tape needs too many registers")
-	}
-	remap := make([]uint16, nregs)
-	ssa := make([]instr, 0, len(ins))
+//
+// The SSA tape is written over ins where it lies — instruction k lands at
+// or before position k, after it has been read — and remap, one entry per
+// lowerer register, is the caller's scratch.
+func fuse(ins []instr, remap []uint16) []instr {
+	ssa := ins[:0]
 	for _, in := range ins {
 		if in.op == opLoad {
 			if r, ok := loadedValue(ssa, in.fld, in.off); ok {
@@ -496,7 +565,7 @@ func fuse(ins []instr, nregs int) ([]instr, error) {
 		}
 		ssa = append(ssa, in)
 	}
-	return ssa, nil
+	return ssa
 }
 
 // loadedValue finds the SSA value on the tape so far that already holds
@@ -516,6 +585,9 @@ func loadedValue(ssa []instr, fld uint16, off int) (uint16, bool) {
 	return 0, false
 }
 
+// unread is compactRegs' last-use entry for a value nothing reads.
+const unread = 0xffff
+
 // compactRegs renumbers an SSA-form tape (instruction i defines value i;
 // stores define nothing) in place onto a small physical register set: a
 // last-use scan frees each register at its final read, and a LIFO free list
@@ -523,22 +595,26 @@ func loadedValue(ssa []instr, fld uint16, off int) (uint16, bool) {
 // the per-statement stack-discipline working set and its spans stay
 // cache-resident. The same scan feeds classify, which annotates each
 // instruction for unit-step runs as it is renumbered.
-func compactRegs(ssa []instr) ([]instr, int) {
-	last := make([]int, len(ssa))
+//
+// last, phys and free are the caller's scratch: last and phys hold one
+// entry per instruction, and free is empty with room for as many (a value is
+// freed at most once). A tape index fits a uint16 — lower refuses a block of
+// more than 0xffff nodes — so unread, which no index reaches, marks a value
+// nothing reads.
+func compactRegs(ssa []instr, last, phys, free []uint16) ([]instr, int) {
+	last = last[:len(ssa)]
 	for i := range last {
-		last[i] = -1
+		last[i] = unread
 	}
 	for i := range ssa {
 		in := &ssa[i]
 		if readsA(in.op) {
-			last[in.a] = i
+			last[in.a] = uint16(i)
 		}
 		if readsB(in.op) {
-			last[in.b] = i
+			last[in.b] = uint16(i)
 		}
 	}
-	phys := make([]uint16, len(ssa))
-	var free []uint16
 	high := 0
 	for i := range ssa {
 		in := &ssa[i]
@@ -554,10 +630,10 @@ func compactRegs(ssa []instr) ([]instr, int) {
 		// Free operands whose final read is this instruction before
 		// allocating dst: the result may then reuse an operand's register,
 		// which is safe because every op reads its inputs before writing.
-		if ra && last[sa] == i {
+		if ra && int(last[sa]) == i {
 			free = append(free, phys[sa])
 		}
-		if rb && last[sb] == i && sb != sa {
+		if rb && int(last[sb]) == i && sb != sa {
 			free = append(free, phys[sb])
 		}
 		if in.op != opStore && in.op != opYield {
@@ -604,12 +680,12 @@ func compactRegs(ssa []instr) ([]instr, int) {
 // Both rewrites move a memory access to a later (load) or earlier (store)
 // tape position across instructions that do not touch that memory, so a
 // unit-step run computes bit for bit what the copying sequence computes.
-func classify(ssa []instr, last []int, i int) {
+func classify(ssa []instr, last []uint16, i int) {
 	in := &ssa[i]
 	// storedBefore reports a store to fld after tape position from, up to and
 	// including position until.
-	storedBefore := func(fld uint16, from, until int) bool {
-		for j := from + 1; j <= until; j++ {
+	storedBefore := func(fld uint16, from int, until uint16) bool {
+		for j := from + 1; j <= int(until); j++ {
 			if ssa[j].op == opStore && ssa[j].fld == fld {
 				return true
 			}
@@ -618,7 +694,7 @@ func classify(ssa []instr, last []int, i int) {
 	}
 	switch in.op {
 	case opLoad:
-		if last[i] >= 0 && !storedBefore(in.fld, i, last[i]) {
+		if last[i] != unread && !storedBefore(in.fld, i, last[i]) {
 			in.flags |= fElide
 		}
 		return
@@ -722,50 +798,75 @@ func (pr *Program) FusedShape() (memOperands, inPlace, stored int) {
 	return
 }
 
-// bind resolves name in env and interns its field into the program's field
-// table, recording the name for Rebind.
-func (pr *Program) bind(env expr.Env, name string) (uint16, error) {
-	for _, fn := range pr.names {
-		if fn.name == name {
-			return fn.fld, nil
+// bindAll resolves every array name the statements reference into the
+// program's table — each destination (unless the statement yields), then
+// its right-hand side's references, in the order the lowerer meets them —
+// allocating the table once with room for refs names.
+func (pr *Program) bindAll(stmts []expr.Assign, env expr.Env, refs int, yield bool) error {
+	pr.names = make([]fieldEntry, 0, refs)
+	pr.fields = pr.names[:0]
+	var err error
+	for _, s := range stmts {
+		if !yield {
+			err = pr.bind(env, s.LHS.Name)
+		}
+		expr.Walk(s.RHS, func(n expr.Node) {
+			if r, ok := n.(expr.ArrayRef); ok && err == nil {
+				err = pr.bind(env, r.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bind resolves name in env and interns it, and its field if the field is
+// new, into the program's table. The table has room: bindAll sized it by
+// the references, and every name is one.
+func (pr *Program) bind(env expr.Env, name string) error {
+	for _, e := range pr.names {
+		if e.name == name {
+			return nil
 		}
 	}
 	f := env.Array(name)
 	if f == nil {
-		return 0, fmt.Errorf("kernel: unbound array %q", name)
+		return fmt.Errorf("kernel: unbound array %q", name)
 	}
-	fi, err := pr.fieldIndex(f)
-	if err != nil {
-		return 0, err
-	}
-	pr.names = append(pr.names, fieldName{name: name, fld: fi})
-	return fi, nil
-}
-
-// fieldIndex interns f into the program's field table.
-func (pr *Program) fieldIndex(f *field.Field) (uint16, error) {
 	if f.Rank() != pr.rank {
-		return 0, fmt.Errorf("kernel: field %q has rank %d, region has rank %d", f.Name(), f.Rank(), pr.rank)
+		return fmt.Errorf("kernel: field %q has rank %d, region has rank %d", f.Name(), f.Rank(), pr.rank)
 	}
-	for i, g := range pr.fields {
-		if g == f {
-			return uint16(i), nil
+	fld := len(pr.fields)
+	for k := range pr.fields {
+		if pr.fields[k].f == f {
+			fld = k
+			break
 		}
 	}
-	if len(pr.fields) > 0xffff {
-		return 0, fmt.Errorf("kernel: too many fields")
+	if fld >= yieldDst {
+		return fmt.Errorf("kernel: too many fields")
 	}
-	geom := make([]int, 2*pr.rank)
-	strides, lows := geom[:pr.rank:pr.rank], geom[pr.rank:]
-	for d := 0; d < pr.rank; d++ {
-		strides[d] = f.Stride(d)
-		lows[d] = f.Bounds().Dim(d).Lo
+	// The new name's row lies at or past the field count, so it overwrites
+	// no field; a new field's row lies at or before it, in a row no field
+	// has filled yet.
+	pr.names = append(pr.names, fieldEntry{name: name, fld: uint16(fld)})
+	if fld == len(pr.fields) {
+		pr.fields = pr.names[:fld+1]
+		pr.fields[fld].f, pr.fields[fld].data = f, f.Data()
 	}
-	pr.fields = append(pr.fields, f)
-	pr.data = append(pr.data, f.Data())
-	pr.strides = append(pr.strides, strides)
-	pr.lows = append(pr.lows, lows)
-	return uint16(len(pr.fields) - 1), nil
+	return nil
+}
+
+// fieldOf returns the field entry a bound name binds to.
+func (pr *Program) fieldOf(name string) uint16 {
+	for _, e := range pr.names {
+		if e.name == name {
+			return e.fld
+		}
+	}
+	panic(fmt.Sprintf("kernel: array %q was not bound before lowering", name))
 }
 
 // val is a lowering-time value: a scratch register or a compile-time
@@ -781,40 +882,14 @@ type val struct {
 // lowerer emits a block's statements into one instruction stream with
 // stack-discipline register reuse: registers free in LIFO order, so a tree
 // of depth d needs O(d) registers. next restarts with every statement;
-// regs is the widest any of them got.
+// regs is the widest any of them got. ins has room for every instruction
+// the statements can lower to (lower sizes it), so it never grows.
 type lowerer struct {
 	pr   *Program
 	env  expr.Env
 	ins  []instr
 	next int
 	regs int
-}
-
-// newLowerer sizes the instruction stream for the statements it is about to
-// lower, so lowering allocates it once and leaves no outgrown copies behind.
-func newLowerer(pr *Program, env expr.Env, rhs ...expr.Node) *lowerer {
-	n := len(rhs) // one store (or yield) each
-	for _, r := range rhs {
-		n += maxInstrs(r)
-	}
-	return &lowerer{pr: pr, env: env, ins: make([]instr, 0, n)}
-}
-
-// maxInstrs bounds the instructions n lowers to: at most one per node,
-// since constants fold into their consumers and never expand.
-func maxInstrs(n expr.Node) int {
-	k := 1
-	switch t := n.(type) {
-	case expr.Unary:
-		k += maxInstrs(t.X)
-	case expr.Binary:
-		k += maxInstrs(t.L) + maxInstrs(t.R)
-	case expr.Call:
-		for _, a := range t.Args {
-			k += maxInstrs(a)
-		}
-	}
-	return k
 }
 
 // statement lowers rhs followed by the store of its value to field dst —
@@ -875,10 +950,7 @@ func (lw *lowerer) lower(n expr.Node) (val, error) {
 		}
 		return val{konst: true, imm: v}, nil
 	case expr.ArrayRef:
-		fi, err := lw.pr.bind(lw.env, t.Name)
-		if err != nil {
-			return val{}, err
-		}
+		fi := lw.pr.fieldOf(t.Name)
 		off := 0
 		var flags uint8
 		if t.Shift != nil {
@@ -886,7 +958,7 @@ func (lw *lowerer) lower(n expr.Node) (val, error) {
 				return val{}, fmt.Errorf("kernel: reference %s has shift rank %d, want %d", t, len(t.Shift), lw.pr.rank)
 			}
 			for d, c := range t.Shift {
-				stride := lw.pr.strides[fi][d]
+				stride := lw.pr.along(lw.pr.strides, d)[fi]
 				off += c * stride
 				if c != 0 && stride == 1 {
 					flags = fInner
@@ -1101,20 +1173,22 @@ func (lw *lowerer) lowerCall(t expr.Call) (val, error) {
 // runs pins no storage; it runs again after a Rebind to a non-nil env.
 func (pr *Program) Rebind(env expr.Env) bool {
 	if env == nil {
-		clear(pr.fields)
-		clear(pr.data)
+		for k := range pr.fields {
+			pr.fields[k].f, pr.fields[k].data = nil, nil
+		}
 		if pr.ops != nil {
 			clear(pr.ops[len(pr.regs):]) // the unit tape's views of the last span
 		}
 		return true
 	}
-	for i, fn := range pr.names {
+	for i := range pr.names {
+		fn := &pr.names[i]
 		f := env.Array(fn.name)
 		if f == nil || f.Rank() != pr.rank {
 			return false
 		}
-		for d, s := range pr.strides[fn.fld] {
-			if f.Stride(d) != s {
+		for d := 0; d < pr.rank; d++ {
+			if f.Stride(d) != pr.along(pr.strides, d)[fn.fld] {
 				return false
 			}
 		}
@@ -1124,11 +1198,13 @@ func (pr *Program) Rebind(env expr.Env) bool {
 			}
 		}
 	}
-	for _, fn := range pr.names {
+	for i := range pr.names {
+		fn := &pr.names[i]
 		f := env.Array(fn.name)
-		pr.fields[fn.fld], pr.data[fn.fld] = f, f.Data()
-		for d := range pr.lows[fn.fld] {
-			pr.lows[fn.fld][d] = f.Bounds().Dim(d).Lo
+		e := &pr.fields[fn.fld]
+		e.f, e.data = f, f.Data()
+		for d := 0; d < pr.rank; d++ {
+			pr.along(pr.lows, d)[fn.fld] = f.Bounds().Dim(d).Lo
 		}
 	}
 	return true
@@ -1262,8 +1338,8 @@ func (pr *Program) beginSpans(region grid.Region, v int) int {
 	d := region.Dim(v)
 	pr.ensureRegs(d.Size())
 	unit := len(pr.views) > 0
-	for fi := range pr.fields {
-		pr.steps[fi] = pr.strides[fi][v] * d.Stride
+	for fi, s := range pr.along(pr.strides, v) {
+		pr.steps[fi] = s * d.Stride
 		if pr.steps[fi] != 1 {
 			unit = false
 		}
@@ -1297,17 +1373,17 @@ func (pr *Program) setUnitRun(unit bool) {
 // span mode the inner dimension v always starts at its low end; every other
 // mode starts every dimension at its direction start.
 func (pr *Program) initBase(region grid.Region, loop dep.LoopSpec, span bool, v int) {
-	for fi := range pr.fields {
-		off := 0
-		for d := 0; d < pr.rank; d++ {
-			r := region.Dim(d)
-			x := r.Lo
-			if loop.Dirs[d] == grid.HighToLow && !(span && d == v) {
-				x = r.Lo + (r.Size()-1)*r.Stride
-			}
-			off += (x - pr.lows[fi][d]) * pr.strides[fi][d]
+	clear(pr.base)
+	for d := 0; d < pr.rank; d++ {
+		r := region.Dim(d)
+		x := r.Lo
+		if loop.Dirs[d] == grid.HighToLow && !(span && d == v) {
+			x = r.Lo + (r.Size()-1)*r.Stride
 		}
-		pr.base[fi] = off
+		lows := pr.along(pr.lows, d)
+		for fi, s := range pr.along(pr.strides, d) {
+			pr.base[fi] += (x - lows[fi]) * s
+		}
 	}
 }
 
@@ -1334,13 +1410,14 @@ func (pr *Program) odometer(t *traversal, lvl int) {
 	}
 	save := pr.saved[lvl*len(pr.base) : (lvl+1)*len(pr.base)]
 	copy(save, pr.base)
+	strides := pr.along(pr.strides, d)
 	for i := 0; ; i++ {
 		pr.odometer(t, lvl+1)
 		if i+1 >= cnt {
 			break
 		}
-		for fi := range pr.base {
-			pr.base[fi] += step * pr.strides[fi][d]
+		for fi, s := range strides {
+			pr.base[fi] += step * s
 		}
 	}
 	copy(pr.base, save)
@@ -1365,7 +1442,7 @@ func (pr *Program) execRun(base []int, n int) {
 		for k := range pr.views {
 			v := &pr.views[k]
 			b := base[v.fld] + v.off
-			vs[k] = pr.data[v.fld][b : b+n]
+			vs[k] = pr.fields[v.fld].data[b : b+n]
 		}
 	}
 	for ii := range tape {
@@ -1373,7 +1450,7 @@ func (pr *Program) execRun(base []int, n int) {
 		switch in.op {
 		case opLoad:
 			dst := ops[in.dst][:n]
-			src := pr.data[in.fld]
+			src := pr.fields[in.fld].data
 			b := base[in.fld] + in.off
 			if step := pr.steps[in.fld]; step == 1 {
 				copy(dst, src[b:b+n])
@@ -1382,7 +1459,7 @@ func (pr *Program) execRun(base []int, n int) {
 			}
 		case opStore:
 			out := ops[in.a][:n]
-			dd := pr.data[in.fld]
+			dd := pr.fields[in.fld].data
 			b := base[in.fld]
 			if step := pr.steps[in.fld]; step == 1 {
 				copy(dd[b:b+n], out)

@@ -168,7 +168,7 @@ func TestTapeMatchesClosure(t *testing.T) {
 			if scalar {
 				udvs = forceScalar(rank)
 			}
-			pr, err := Lower(rank, []string{"dst"}, []expr.Node{node}, env, udvs)
+			pr, err := Lower(rank, stmts([]string{"dst"}, []expr.Node{node}), env, udvs)
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
@@ -229,8 +229,8 @@ func TestTapeMultiStatement(t *testing.T) {
 	})
 
 	env := mk()
-	pr, err := Lower(2, []string{"u", "v"},
-		[]expr.Node{rhsU, rhsV}, env, nil)
+	pr, err := Lower(2, stmts([]string{"u", "v"},
+		[]expr.Node{rhsU, rhsV}), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestScratchPool(t *testing.T) {
 	node := expr.Binary{Op: expr.Add,
 		L: expr.Binary{Op: expr.Mul, L: expr.Ref("a"), R: expr.Ref("a").At(grid.Direction{0, 1})},
 		R: expr.Ref("a").At(grid.Direction{0, -1})}
-	pr, err := Lower(2, []string{"dst"}, []expr.Node{node}, env, nil)
+	pr, err := Lower(2, stmts([]string{"dst"}, []expr.Node{node}), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,16 +301,16 @@ func TestLowerErrors(t *testing.T) {
 		Scalars: map[string]float64{},
 	}
 	dst := []string{"a"}
-	if _, err := Lower(2, dst, []expr.Node{expr.Ref("zz")}, env, nil); err == nil {
+	if _, err := Lower(2, stmts(dst, []expr.Node{expr.Ref("zz")}), env, nil); err == nil {
 		t.Error("unbound array must fail to lower")
 	}
-	if _, err := Lower(2, dst, []expr.Node{expr.Scalar("zz")}, env, nil); err == nil {
+	if _, err := Lower(2, stmts(dst, []expr.Node{expr.Scalar("zz")}), env, nil); err == nil {
 		t.Error("unbound scalar must fail to lower")
 	}
-	if _, err := Lower(2, dst, []expr.Node{expr.Ref("v")}, env, nil); err == nil {
+	if _, err := Lower(2, stmts(dst, []expr.Node{expr.Ref("v")}), env, nil); err == nil {
 		t.Error("rank-mismatched reference must fail to lower")
 	}
-	if _, err := Lower(2, []string{"zz"}, []expr.Node{expr.Const(1)}, env, nil); err == nil {
+	if _, err := Lower(2, stmts([]string{"zz"}, []expr.Node{expr.Const(1)}), env, nil); err == nil {
 		t.Error("unbound destination must fail to lower")
 	}
 }

@@ -240,13 +240,15 @@ func TestRunPoolReuseAcrossRuns(t *testing.T) {
 // ry in the caller's rows, every rank but the head reading its pipelined
 // halo rows where the upstream rank wrote them, so nothing is copied,
 // scattered or gathered, no message carries rows and no phase barrier is
-// built, and a kernel is lowered once, not lowered and compiled: about 35 KB
-// and 348 allocations a Run at p = 2, 60 KB and 593 at p = 4 (241 KB and
-// 509 at p = 2 with rank 1's copies of d, rx and ry; 569 KB and 536 with a
-// copy of every written array, 842 KB and 763 with a copy of every array
-// and both compilations). The ceilings sit just above, so one array copied
-// again or a second compilation fails here before a benchmark has to find
-// it.
+// built, and a kernel is lowered once, not lowered and compiled, into
+// tables each allocated once: about 28 KB and 229 allocations a Run at
+// p = 2, 51 KB and 390 at p = 4 (34 KB and 333, 59 KB and 560 while the
+// lowering's tables grew a field at a time and the analysis a reference at
+// a time; 241 KB and 509 at p = 2 with rank 1's copies of d, rx and ry;
+// 569 KB and 536 with a copy of every written array, 842 KB and 763 with a
+// copy of every array and both compilations). The ceilings sit just above,
+// so one array copied again, a second compilation or a table grown by
+// append again fails here before a benchmark has to find it.
 func TestOneShotGarbageCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -260,8 +262,8 @@ func TestOneShotGarbageCeiling(t *testing.T) {
 		procs               int
 		maxBytes, maxAllocs uint64
 	}{
-		{2, 48 << 10, 420},
-		{4, 80 << 10, 720},
+		{2, 32 << 10, 245},
+		{4, 56 << 10, 415},
 	} {
 		run := func() {
 			if _, err := Run(blk, tom.Env, DefaultConfig(c.procs, 16)); err != nil {
@@ -299,7 +301,8 @@ func TestOneShotGarbageCeiling(t *testing.T) {
 // every Run cut its schedules and lowered its kernels and reduction
 // operands again, 217 with them kept; one forward and one backward sweep of
 // a one-rank task-DAG session at two workers, taskdag_tiles' shape, read
-// 447–451 (432–434 with the table, 344 with the schedules kept).
+// 447–451 (432–434 with the table, 344 with the schedules kept, 223 once
+// the per-Run worker kernels lowered into tables each allocated once).
 func TestSessionRunAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -335,7 +338,7 @@ func TestSessionRunAllocsPinned(t *testing.T) {
 					return err
 				}
 				return r.Exec(bwd)
-			}, 350},
+			}, 240},
 	} {
 		sess, err := NewSession(tom.Env, c.blocks, c.cfg)
 		if err != nil {

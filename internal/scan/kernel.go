@@ -132,11 +132,7 @@ func (k *Kernel) init(b *Block, env expr.Env, udvs []dep.UDV, lower bool, e Engi
 	ns := len(b.Stmts)
 	k.engine, k.stmts = e, int64(ns)
 	if lower && e != EngineClosure {
-		dsts, rhs := make([]string, ns), make([]expr.Node, ns)
-		for i, s := range b.Stmts {
-			dsts[i], rhs[i] = s.LHS.Name, s.RHS
-		}
-		if prog, err := kernel.Lower(b.Region.Rank(), dsts, rhs, env, udvs); err == nil {
+		if prog, err := kernel.Lower(b.Region.Rank(), b.Stmts, env, udvs); err == nil {
 			k.prog = prog
 			return nil
 		}

@@ -42,15 +42,9 @@ func (k Kind) String() string {
 }
 
 // Stmt is one array assignment: LHS := RHS. The left-hand side must be an
-// unshifted, unprimed array reference.
-type Stmt struct {
-	LHS expr.ArrayRef
-	RHS expr.Node
-}
-
-func (s Stmt) String() string {
-	return fmt.Sprintf("%s := %s;", s.LHS, s.RHS)
-}
+// unshifted, unprimed array reference. It is the type the kernel lowerer
+// reads, so a block's statements lower as they stand.
+type Stmt = expr.Assign
 
 // Block is a region-covered group of statements.
 type Block struct {
@@ -186,8 +180,19 @@ type stmtRefs struct {
 	scalars []string
 }
 
+// refsOf walks the right-hand sides twice: the first walk counts the
+// references, so the list is allocated once.
 func refsOf(stmts []Stmt) stmtRefs {
-	r := stmtRefs{off: make([]int, len(stmts)+1)}
+	n := 0
+	count := func(m expr.Node) {
+		if _, ok := m.(expr.ArrayRef); ok {
+			n++
+		}
+	}
+	for _, s := range stmts {
+		expr.Walk(s.RHS, count)
+	}
+	r := stmtRefs{all: make([]expr.ArrayRef, 0, n), off: make([]int, len(stmts)+1)}
 	visit := func(n expr.Node) {
 		switch t := n.(type) {
 		case expr.ArrayRef:
@@ -269,9 +274,43 @@ func analyze(b *Block, refs stmtRefs, pref dep.Preference) (*Analysis, error) {
 // the dependence distance vectors plus the primed directions feeding the
 // WSV. It is the front half of Analyze, shared with the kernel lowering so
 // span legality comes from the same UDVs the loop derivation uses.
+//
+// A first pass counts the UDVs and the primed references, so the UDV list,
+// every UDV's distance and the primed list are allocated once each. A
+// primed direction is the reference's own shift (trees are immutable), or
+// one shared zero direction for an unshifted reference.
 func collectDeps(b *Block, refs stmtRefs) (udvs []dep.UDV, primed []grid.Direction, err error) {
 	rank := b.Region.Rank()
-	writers := b.Writers()
+	nu, np := 0, 0
+	for si := range b.Stmts {
+		for _, r := range refs.of(si) {
+			earlier, laterOrSame := writtenAround(b.Stmts, r.Name, si)
+			switch {
+			case r.Primed:
+				nu++
+				np++
+			case earlier && laterOrSame:
+				nu += 2
+			case earlier || laterOrSame:
+				nu++
+			}
+		}
+	}
+	var dists []int // the shared zero direction, then one distance per UDV
+	if nu > 0 {
+		dists = make([]int, (nu+1)*rank)
+		udvs = make([]dep.UDV, 0, nu)
+	}
+	dist := func() grid.Direction {
+		d := grid.Direction(dists[:rank:rank])
+		dists = dists[rank:]
+		return d
+	}
+	var zero grid.Direction
+	if np > 0 {
+		zero = dist()
+		primed = make([]grid.Direction, 0, np)
+	}
 	for si, s := range b.Stmts {
 		if s.LHS.Primed {
 			return nil, nil, &LegalityError{Msg: fmt.Sprintf("statement %d: primed left-hand side %s", si, s.LHS)}
@@ -285,9 +324,10 @@ func collectDeps(b *Block, refs stmtRefs) (udvs []dep.UDV, primed []grid.Directi
 		for _, r := range refs.of(si) {
 			d := r.Shift
 			if d == nil {
-				d = make(grid.Direction, rank)
+				d = zero
 			}
-			ws, written := writers[r.Name]
+			earlier, laterOrSame := writtenAround(b.Stmts, r.Name, si)
+			written := earlier || laterOrSame
 			if r.Primed {
 				if b.Kind != ScanKind && r.Name != s.LHS.Name {
 					return nil, nil, &LegalityError{Condition: 1, Msg: fmt.Sprintf(
@@ -297,33 +337,39 @@ func collectDeps(b *Block, refs stmtRefs) (udvs []dep.UDV, primed []grid.Directi
 					return nil, nil, &LegalityError{Condition: 1, Msg: fmt.Sprintf(
 						"statement %d: primed array %q is not defined in the block", si, r.Name)}
 				}
-				primed = append(primed, append(grid.Direction(nil), d...))
-				udvs = append(udvs, dep.FromPrimed(d, r.Name, si))
+				primed = append(primed, d)
+				udvs = append(udvs, dep.FromPrimed(dist(), d, r.Name, si))
 				continue
 			}
-			if !written {
-				continue // reads of arrays defined outside the block are free
-			}
-			// Non-primed reference to an array written in the block: the
-			// reader must see values of lexically preceding statements and
-			// pre-block values with respect to the current and later ones.
-			earlier, laterOrSame := false, false
-			for _, w := range ws {
-				if w < si {
-					earlier = true
-				} else {
-					laterOrSame = true
-				}
-			}
+			// Reads of arrays defined outside the block are free. A
+			// non-primed reference to an array written in the block must see
+			// values of lexically preceding statements and pre-block values
+			// with respect to the current and later ones.
 			if earlier {
-				udvs = append(udvs, dep.FromUnprimed(d, true, r.Name, si))
+				udvs = append(udvs, dep.FromUnprimed(dist(), d, true, r.Name, si))
 			}
 			if laterOrSame {
-				udvs = append(udvs, dep.FromUnprimed(d, false, r.Name, si))
+				udvs = append(udvs, dep.FromUnprimed(dist(), d, false, r.Name, si))
 			}
 		}
 	}
 	return udvs, primed, nil
+}
+
+// writtenAround reports whether a statement before statement si assigns
+// name, and whether si or one after it does.
+func writtenAround(stmts []Stmt, name string, si int) (earlier, laterOrSame bool) {
+	for w, s := range stmts {
+		if s.LHS.Name != name {
+			continue
+		}
+		if w < si {
+			earlier = true
+		} else {
+			laterOrSame = true
+		}
+	}
+	return earlier, laterOrSame
 }
 
 // needsTemp (on Analysis) records that in-place execution is impossible for

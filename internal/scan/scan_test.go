@@ -186,6 +186,50 @@ func TestTomcatvAnalysis(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllocsDoNotGrowWithReferences: the reference list, the UDVs
+// with their distances and the primed directions are each sized by a count
+// pass, and the loop derivation allocates only the nest it returns, so a
+// statement of twelve references — four primed reads of the destination and
+// eight reads of arrays the block does not write, shifted and not — analyzes
+// in as many allocations as a statement of one primed read. (Before: one
+// reference list grown by append, a writers map, a copy and a negation per
+// primed shift, and the derivation's identity order and active list.)
+func TestAnalyzeAllocsDoNotGrowWithReferences(t *testing.T) {
+	region := grid.Square(2, 1, 8)
+	one := NewScan(region, Stmt{LHS: expr.Ref("a"), RHS: expr.Ref("a").At(grid.North).Prime()})
+	var rhs expr.Node
+	for _, d := range []grid.Direction{{-1, -1}, {-1, 0}, {-1, 1}, {-2, 0}} {
+		r := expr.Ref("a").At(d).Prime()
+		if rhs == nil {
+			rhs = r
+			continue
+		}
+		rhs = expr.AddN(rhs, r)
+	}
+	for i, name := range []string{"b", "c", "d", "e", "f", "g", "h", "k"} {
+		r := expr.Ref(name)
+		if i%2 == 0 {
+			r = r.At(grid.West)
+		}
+		rhs = expr.AddN(rhs, r)
+	}
+	twelve := NewScan(region, Stmt{LHS: expr.Ref("a"), RHS: rhs})
+	if n := len(expr.Refs(rhs)); n != 12 {
+		t.Fatalf("the wide statement has %d references, want 12", n)
+	}
+	count := func(b *Block) float64 {
+		var err error
+		got := testing.AllocsPerRun(50, func() { _, err = Analyze(b, preferLow) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if a, b := count(one), count(twelve); a != b {
+		t.Errorf("Analyze allocates %v times for 1 reference and %v for 12, want the same", a, b)
+	}
+}
+
 func TestLegalityConditionI(t *testing.T) {
 	region := grid.Square(2, 2, 8)
 	// b is primed but never defined in the block.
