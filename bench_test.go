@@ -1226,7 +1226,7 @@ func BenchmarkKernelTileWidth(b *testing.B) {
 			for _, s := range sets {
 				k := kernels[s.env]
 				if k == nil {
-					if k, err = scan.NewKernelDeps(blk, s.env, an.UDVs, scan.EngineTape); err != nil {
+					if k, err = scan.NewKernelDeps(blk, s.env, an.UDVs); err != nil {
 						b.Fatal(err)
 					}
 					kernels[s.env] = k
@@ -1284,7 +1284,7 @@ func BenchmarkTaskDAGTileShape(b *testing.B) {
 					defer g.Stop()
 					kernels := make([]*scan.Kernel, workers)
 					for i := range kernels {
-						if kernels[i], err = scan.NewKernelDeps(blk, t.Env, an.UDVs, scan.EngineTape); err != nil {
+						if kernels[i], err = scan.NewKernelDeps(blk, t.Env, an.UDVs); err != nil {
 							b.Fatal(err)
 						}
 					}

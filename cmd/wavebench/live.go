@@ -19,7 +19,7 @@ import (
 // stop allocating. With autotune each Run re-plans from the drift fitted
 // over all prior ones. The loop stops after -duration, or on SIGINT/SIGTERM
 // when the duration is 0.
-func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, pmDir string) error {
+func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool, sched wavefront.Scheduler, workers int, pmDir string) error {
 	t, err := prepTomcatv(n)
 	if err != nil {
 		return err
@@ -33,7 +33,7 @@ func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool,
 		Procs: procs, Domain: fwd.Region, Block: block,
 		MetricsAddr: addr, Postmortem: pm,
 		Pool: wavefront.NewBufferPool(procs), AutoTune: autotune,
-		Kernel: engine, Scheduler: sched, Workers: workers,
+		Scheduler: sched, Workers: workers,
 	})
 	if err != nil {
 		return err

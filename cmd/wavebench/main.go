@@ -77,11 +77,10 @@ var (
 	serve     = flag.String("serve", "", "serve live metrics at this address (e.g. :8080) while looping the workload")
 	duration  = flag.Duration("duration", 0, "stop the -serve workload loop after this long (0 = until interrupted)")
 	autotune  = flag.Bool("autotune", false, "let the drift monitor retune the tile width between -serve workload-loop runs")
-	kernelSel = flag.String("kernel", "tape", "kernel execution engine: tape (span and skewed-run instruction tapes), closure (per-point reference path), or scalar (forced per-point tape baseline)")
 	schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (tile DAG on a worker pool)")
 	workers   = flag.Int("workers", 0, "task-DAG pool size per rank for -sched=taskdag (0 = GOMAXPROCS)")
 	postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
-	validate  = flag.Bool("validate", false, "run Tomcatv/SIMPLE/Sweep3D under both engines and both schedulers, serial and pipelined, and exit nonzero on any bit-level disagreement")
+	validate  = flag.Bool("validate", false, "run every workload family serially on the tape, closure and point-walk engines and pipelined under both schedulers, and exit nonzero on any bit-level disagreement")
 )
 
 func main() {
@@ -106,8 +105,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	engine, err := parseEngine(*kernelSel)
-	exitOn(err)
 	sched, err := wavefront.ParseScheduler(*schedSel)
 	exitOn(err)
 	tkind, err := wavefront.ParseTransport(*transp)
@@ -120,7 +117,7 @@ func main() {
 	}
 
 	if *serve != "" {
-		exitOn(runLive(*serve, *procs, *blockSize, *n, *duration, *autotune, engine, sched, *workers, *postmort))
+		exitOn(runLive(*serve, *procs, *blockSize, *n, *duration, *autotune, sched, *workers, *postmort))
 		return
 	}
 
@@ -130,7 +127,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		exitOn(runTraced(*traceOut, *procs, *blockSize, *n, *linkCap, engine, sched, *workers, *postmort))
+		exitOn(runTraced(*traceOut, *procs, *blockSize, *n, *linkCap, sched, *workers, *postmort))
 		return
 	}
 
@@ -165,7 +162,7 @@ func main() {
 // the recorder carries procs*(1+workers) rings so every DAG worker's tile
 // spans land in the trace and the validator replays the dynamic schedule
 // too.
-func runTraced(path string, procs, block, n, linkCap int, engine wavefront.KernelEngine, sched wavefront.Scheduler, workers int, pmDir string) error {
+func runTraced(path string, procs, block, n, linkCap int, sched wavefront.Scheduler, workers int, pmDir string) error {
 	t, err := workload.NewTomcatv(n, field.RowMajor)
 	if err != nil {
 		return err
@@ -186,7 +183,7 @@ func runTraced(path string, procs, block, n, linkCap int, engine wavefront.Kerne
 	reg := wavefront.NewMetrics(procs)
 	stats, err := wavefront.RunPipelined(t.ForwardBlock(), t.Env,
 		wavefront.Pipeline{Procs: procs, Block: block, Trace: rec, LinkCapacity: linkCap,
-			Kernel: engine, Scheduler: sched, Workers: workers, Postmortem: pm, Metrics: reg})
+			Scheduler: sched, Workers: workers, Postmortem: pm, Metrics: reg})
 	if err != nil {
 		if pm != nil {
 			if _, bp := pm.Last(); bp != "" {

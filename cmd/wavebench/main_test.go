@@ -18,20 +18,8 @@ import (
 	"wavefront"
 )
 
-func TestParseEngine(t *testing.T) {
-	if eng, err := parseEngine("tape"); err != nil || eng != wavefront.KernelTape {
-		t.Fatalf("tape: got (%v, %v)", eng, err)
-	}
-	if eng, err := parseEngine("closure"); err != nil || eng != wavefront.KernelClosure {
-		t.Fatalf("closure: got (%v, %v)", eng, err)
-	}
-	if _, err := parseEngine("jit"); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
 // TestRunValidateQuick runs the full differential matrix (all workload
-// families, serial tape+closure, p=1/2/4 across every scheduler leg) at a
+// families, serial tape/closure/scalar, p=1/2/4 across every scheduler leg) at a
 // small size. Any oracle mismatch makes runValidate return errCheckFailed.
 func TestRunValidateQuick(t *testing.T) {
 	if err := runValidate(16, 4); err != nil {
@@ -74,7 +62,7 @@ func TestRunChaosUnknownMode(t *testing.T) {
 func TestRunTraced(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "trace.json")
-	if err := runTraced(out, 4, 8, 32, 2, wavefront.KernelTape, wavefront.SchedStatic, 0, dir); err != nil {
+	if err := runTraced(out, 4, 8, 32, 2, wavefront.SchedStatic, 0, dir); err != nil {
 		t.Fatalf("traced run failed: %v", err)
 	}
 	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
@@ -86,7 +74,7 @@ func TestRunTraced(t *testing.T) {
 // session with autotune and the flight recorder on.
 func TestRunLive(t *testing.T) {
 	err := runLive("127.0.0.1:0", 2, 8, 24, 300*time.Millisecond,
-		true, wavefront.KernelTape, wavefront.SchedStatic, 0, t.TempDir())
+		true, wavefront.SchedStatic, 0, t.TempDir())
 	if err != nil {
 		t.Fatalf("live loop failed: %v", err)
 	}
@@ -110,7 +98,7 @@ func TestEveryFlagIsInREADME(t *testing.T) {
 			t.Errorf("README.md never mentions -%s", f.Name)
 		}
 	})
-	if count == 0 || count > 19 {
-		t.Errorf("wavebench registers %d flags, want 1..19", count)
+	if count == 0 || count > 18 {
+		t.Errorf("wavebench registers %d flags, want 1..18", count)
 	}
 }

@@ -14,45 +14,28 @@ import (
 	"wavefront/internal/workload"
 )
 
-// parseEngine maps the -kernel flag to an engine selector.
-func parseEngine(s string) (wavefront.KernelEngine, error) {
-	switch s {
-	case "tape":
-		return wavefront.KernelTape, nil
-	case "closure":
-		return wavefront.KernelClosure, nil
-	case "scalar":
-		return wavefront.KernelScalar, nil
-	}
-	return 0, fmt.Errorf("wavebench: unknown -kernel %q (want tape, closure, or scalar)", s)
-}
-
-// valLeg is one pipelined cell of the validation matrix: a kernel engine
-// crossed with a tile scheduler (and, for the task DAG, a pool size).
+// valLeg is one pipelined cell of the validation matrix: a tile scheduler
+// and, for the task DAG, a pool size. Every rank runs the tape; the closure
+// and point-walk engines are serial legs (serialEngines).
 type valLeg struct {
 	name    string
-	engine  wavefront.KernelEngine
 	sched   wavefront.Scheduler
 	workers int
 }
 
-// valLegs is the full scheduler×engine validation matrix: all three engines
-// under the static schedule, plus the task-DAG scheduler at 1, 2, 3, 4, and 8
-// workers (1 worker pins the degenerate pool; the wider pools move tiles
-// between workers, with 8 oversubscribing most portions; 3 cuts a dependence-free
-// span dimension into ragged chunks). The scalar leg pins the
-// forced per-point tape — the baseline the span and skewed paths must stay
-// bit-identical to.
+// valLegs is the pipelined half of the validation matrix: the static
+// schedule, plus the task-DAG scheduler at 1, 2, 3, 4, and 8 workers (1
+// worker pins the degenerate pool; the wider pools move tiles between
+// workers, with 8 oversubscribing most portions; 3 cuts a dependence-free
+// span dimension into ragged chunks).
 func valLegs() []valLeg {
 	return []valLeg{
-		{"tape", wavefront.KernelTape, wavefront.SchedStatic, 0},
-		{"closure", wavefront.KernelClosure, wavefront.SchedStatic, 0},
-		{"scalar", wavefront.KernelScalar, wavefront.SchedStatic, 0},
-		{"taskdag-w1", wavefront.KernelTape, wavefront.SchedTaskDAG, 1},
-		{"taskdag-w2", wavefront.KernelTape, wavefront.SchedTaskDAG, 2},
-		{"taskdag-w3", wavefront.KernelTape, wavefront.SchedTaskDAG, 3},
-		{"taskdag-w4", wavefront.KernelTape, wavefront.SchedTaskDAG, 4},
-		{"taskdag-w8", wavefront.KernelTape, wavefront.SchedTaskDAG, 8},
+		{"static", wavefront.SchedStatic, 0},
+		{"taskdag-w1", wavefront.SchedTaskDAG, 1},
+		{"taskdag-w2", wavefront.SchedTaskDAG, 2},
+		{"taskdag-w3", wavefront.SchedTaskDAG, 3},
+		{"taskdag-w4", wavefront.SchedTaskDAG, 4},
+		{"taskdag-w8", wavefront.SchedTaskDAG, 8},
 	}
 }
 
@@ -85,8 +68,8 @@ type valInst struct {
 }
 
 // runValidate pins the bit-identity contract on every workload family:
-// all three engines run serially and every (engine, scheduler) cell of the
-// pipelined matrix at p = 1, 2, 4 must reproduce the family's reference,
+// all three engines run serially, and the tape pipelined under every
+// scheduler leg at p = 1, 2, 4, must reproduce the family's reference,
 // every array bit for bit. Any disagreement is a check failure (exit 1).
 func runValidate(n, block int) error {
 	mismatches := 0
@@ -123,7 +106,7 @@ func runValidate(n, block int) error {
 					return err
 				}
 				sess, err := wavefront.NewSession(w.env, w.blocks, wavefront.SessionConfig{
-					Procs: p, Domain: w.domain, Block: fam.block, Kernel: leg.engine,
+					Procs: p, Domain: w.domain, Block: fam.block,
 					Scheduler: leg.sched, Workers: leg.workers})
 				if err != nil {
 					return err
@@ -144,7 +127,7 @@ func runValidate(n, block int) error {
 	if mismatches > 0 {
 		return fmt.Errorf("%w: %d disagreement(s) across the engine/scheduler matrix", errCheckFailed, mismatches)
 	}
-	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial and p=1/2/4; static and taskdag w=1/2/3/4/8)")
+	fmt.Println("validate: every engine/scheduler cell bit-identical on tomcatv, simple, sweep3d, sw, lu, cholesky, multioct (serial closure/scalar/tape; tape at p=1/2/4, static and taskdag w=1/2/3/4/8)")
 	return nil
 }
 

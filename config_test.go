@@ -16,7 +16,7 @@ func TestOneRunConfiguration(t *testing.T) {
 		"Procs", "Domain", "WavefrontDim", "Block",
 		"Trace", "Faults", "LinkCapacity", "Transport", "Checkpoint",
 		"Metrics", "MetricsAddr", "Pool", "AutoTune",
-		"Kernel", "Scheduler", "Workers", "Postmortem",
+		"Scheduler", "Workers", "Postmortem",
 	}
 	base := reflect.TypeOf(pipeline.Config{})
 	for name, typ := range map[string]reflect.Type{

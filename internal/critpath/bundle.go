@@ -7,8 +7,9 @@ package critpath
 // CaptureNow can bundle them on demand. A capture serializes one
 // versioned JSON artifact — run config, the recent trace tail from every
 // ring, a metrics snapshot, the wait-for graph, checkpoint metadata, and
-// the critical-path report — seals it with the same FNV-1a discipline as
-// ckpt snapshots, and writes it atomically (temp file + rename) like
+// the critical-path report — seals it with a byte-wise 64-bit FNV-1a (ckpt
+// snapshots use a word-wise hash of their own), and writes it atomically
+// (temp file + rename) like
 // ckpt.FileStore, so a half-written bundle is never observable.
 //
 // A nil *Postmortem is the disabled recorder: every method is safe and
@@ -402,7 +403,7 @@ func ReadBundle(path string) (*Bundle, error) {
 	return DecodeBundle(data)
 }
 
-// fnv1a is the same 64-bit FNV-1a the ckpt snapshots seal with.
+// fnv1a is the byte-wise 64-bit FNV-1a a bundle is sealed with.
 func fnv1a(data []byte) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -167,14 +167,13 @@ func snapFields(dst []ckpt.FieldSnap, names []string, locals map[string]*field.F
 }
 
 // Tag prefixes for the snapshot's Names/Vals pairs: rank-local scalars,
-// kernel-captured scalars, dirty and written array marks, and the reduce
-// log (in operation order).
+// dirty and written array marks, and the reduce log (in operation order).
+// restore refuses any other tag.
 const (
-	ckTagScalar   = "s:"
-	ckTagCaptured = "c:"
-	ckTagDirty    = "d:"
-	ckTagWrote    = "w:"
-	ckTagReduce   = "r:"
+	ckTagScalar = "s:"
+	ckTagDirty  = "d:"
+	ckTagWrote  = "w:"
+	ckTagReduce = "r:"
 )
 
 // A dirty mark's snapshot value carries its sides without a new field: 1
@@ -307,7 +306,6 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 		}
 	}
 	tagged(ckTagScalar, r.lenv.scalars)
-	tagged(ckTagCaptured, r.captured)
 	// Dirty and written marks are only ever set on arrays some block
 	// writes, whose names the session sorted once.
 	for _, name := range r.sess.written {
@@ -411,11 +409,6 @@ func (r *Rank) restore(ck *ckptRuntime) error {
 				r.lenv.scalars = map[string]float64{}
 			}
 			r.lenv.scalars[name[2:]] = v
-		case name[:2] == ckTagCaptured:
-			if r.captured == nil {
-				r.captured = map[string]float64{}
-			}
-			r.captured[name[2:]] = v
 		case name[:2] == ckTagDirty:
 			d, ok := dirtyMarkSides(v)
 			if !ok {

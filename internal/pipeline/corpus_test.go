@@ -37,8 +37,10 @@ func TestDifferentialCorpus(t *testing.T) {
 		if _, err := scan.Analyze(blk, dep.Preference{PreferLow: true}); err != nil {
 			t.Fatalf("seed %d: corpus block is illegal (%v); pick another seed\n%s", seed, err, blk)
 		}
+		// The oracle is the closure engine, which shares no lowering with
+		// the tape every rank runs.
 		serialEnv := genEnv(seed)
-		if err := scan.Exec(blk, serialEnv, scan.ExecOptions{}); err != nil {
+		if err := scan.Exec(blk, serialEnv, scan.ExecOptions{Engine: scan.EngineClosure}); err != nil {
 			t.Fatalf("seed %d: serial exec failed: %v\n%s", seed, err, blk)
 		}
 		for _, p := range procs {
@@ -101,25 +103,6 @@ func TestDifferentialCorpus(t *testing.T) {
 							if err := trace.ValidateRecorder(dagTrace); err != nil {
 								t.Errorf("seed %d p=%d b=%d workers=%d: taskdag schedule validation failed: %v",
 									seed, p, b, w, err)
-							}
-						}
-						// Engine legs: the default runs above use the tape
-						// (span or skewed as legality allows); the same cell
-						// forced onto the per-point closure reference path
-						// and onto the forced point walk must both stay
-						// bit-identical.
-						for _, eng := range []scan.Engine{scan.EngineClosure, scan.EngineScalar} {
-							engEnv := genEnv(seed)
-							ecfg := Config{Procs: p, Block: b, Kernel: eng}
-							if _, err := Run(blk, engEnv, ecfg); err != nil {
-								t.Fatalf("seed %d p=%d b=%d: engine %v run failed where tape passed: %v\n%s",
-									seed, p, b, eng, err, blk)
-							}
-							for _, name := range genNames {
-								if diff := engEnv.Arrays[name].MaxAbsDiff(bounds, parEnv.Arrays[name]); diff != 0 {
-									t.Errorf("seed %d p=%d b=%d: engine %v array %q differs from tape by %g\n%s",
-										seed, p, b, eng, name, diff, blk)
-								}
 							}
 						}
 					}
@@ -214,9 +197,9 @@ func TestTracingDefaultOff(t *testing.T) {
 // drawn over the block's arrays — shifted along both dimensions, across the
 // slab boundary as far as the session's halos reach, so a fold right after
 // the block must refresh the halos the block dirtied — serially and at
-// p = 1..4, on the tape engine and on the closure engine. Max and min must
-// match the serial closure fold bit for bit everywhere; a sum does at p = 1
-// and within rounding of the partial-sum association beyond.
+// p = 1..4. Max and min must match the serial closure fold bit for bit
+// everywhere; a sum does at p = 1 and within rounding of the partial-sum
+// association beyond.
 func TestDifferentialCorpusReduce(t *testing.T) {
 	seeds := []int64{3, 7, 10, 13, 33, 41}
 	ops := []scan.ReduceOp{scan.SumReduce, scan.MaxReduce, scan.MinReduce}
@@ -226,77 +209,75 @@ func TestDifferentialCorpusReduce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		blk := genScanBlock(rng)
 		for _, p := range []int{1, 2, 3, 4} {
-			for _, eng := range []scan.Engine{scan.EngineTape, scan.EngineClosure} {
-				env := genEnv(seed)
-				sess, err := NewSession(env, []*scan.Block{blk}, SessionConfig{Procs: p, Domain: region, Block: 3, Kernel: eng})
-				if errors.Is(err, ErrUnsupported) {
-					continue // this block does not decompose along dimension 0
+			env := genEnv(seed)
+			sess, err := NewSession(env, []*scan.Block{blk}, SessionConfig{Procs: p, Domain: region, Block: 3})
+			if errors.Is(err, ErrUnsupported) {
+				continue // this block does not decompose along dimension 0
+			}
+			if err != nil {
+				t.Fatalf("seed %d p=%d: %v\n%s", seed, p, err, blk)
+			}
+			ran++
+			// Operands may reach across the slab boundary exactly as far
+			// as the block's own references made the session allocate.
+			orng := rand.New(rand.NewSource(seed * 31))
+			ref := func() expr.Node {
+				name := sess.names[orng.Intn(len(sess.names))] // the arrays the block touches
+				h := sess.halos[name]
+				d0 := orng.Intn(h.neg[0]+h.pos[0]+1) - h.neg[0]
+				d1 := orng.Intn(2*genHalo+1) - genHalo
+				return expr.Ref(name).At(grid.Direction{d0, d1})
+			}
+			operands := []expr.Node{
+				ref(),
+				expr.Call{Fn: expr.Max, Args: []expr.Node{expr.Call{Fn: expr.Abs, Args: []expr.Node{ref()}}, ref()}},
+				expr.Binary{Op: expr.Sub, L: expr.MulN(expr.Const(0.5), ref()), R: ref()},
+			}
+			got := make([]float64, 0, len(operands)*len(ops))
+			err = sess.Run(func(r *Rank) error {
+				if err := r.Exec(blk); err != nil {
+					return err
 				}
-				if err != nil {
-					t.Fatalf("seed %d p=%d: %v\n%s", seed, p, err, blk)
-				}
-				ran++
-				// Operands may reach across the slab boundary exactly as far
-				// as the block's own references made the session allocate.
-				orng := rand.New(rand.NewSource(seed * 31))
-				ref := func() expr.Node {
-					name := sess.names[orng.Intn(len(sess.names))] // the arrays the block touches
-					h := sess.halos[name]
-					d0 := orng.Intn(h.neg[0]+h.pos[0]+1) - h.neg[0]
-					d1 := orng.Intn(2*genHalo+1) - genHalo
-					return expr.Ref(name).At(grid.Direction{d0, d1})
-				}
-				operands := []expr.Node{
-					ref(),
-					expr.Call{Fn: expr.Max, Args: []expr.Node{expr.Call{Fn: expr.Abs, Args: []expr.Node{ref()}}, ref()}},
-					expr.Binary{Op: expr.Sub, L: expr.MulN(expr.Const(0.5), ref()), R: ref()},
-				}
-				got := make([]float64, 0, len(operands)*len(ops))
-				err = sess.Run(func(r *Rank) error {
-					if err := r.Exec(blk); err != nil {
-						return err
-					}
-					for _, node := range operands {
-						for _, op := range ops {
-							v, err := r.Reduce(op, region, node)
-							if err != nil {
-								return err
-							}
-							if r.ID() == 0 {
-								got = append(got, v)
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("seed %d p=%d %v: %v\n%s", seed, p, eng, err, blk)
-				}
-				// env now holds the gathered arrays: the serial oracle folds
-				// over them with the closure engine.
-				i := 0
 				for _, node := range operands {
 					for _, op := range ops {
-						rd := scan.NewReducer(node, env)
-						rd.SetEngine(scan.EngineClosure)
-						want, err := rd.Reduce(op, region)
+						v, err := r.Reduce(op, region, node)
 						if err != nil {
-							t.Fatal(err)
+							return err
 						}
-						same := math.Float64bits(got[i]) == math.Float64bits(want)
-						if op == scan.SumReduce && p > 1 {
-							same = math.Abs(got[i]-want) <= 1e-12*math.Abs(want)
+						if r.ID() == 0 {
+							got = append(got, v)
 						}
-						if !same {
-							t.Errorf("seed %d p=%d %v: %v %s = %v, serial closure fold %v\n%s", seed, p, eng, op, node, got[i], want, blk)
-						}
-						i++
 					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("seed %d p=%d: %v\n%s", seed, p, err, blk)
+			}
+			// env now holds the gathered arrays: the serial oracle folds
+			// over them with the closure engine.
+			i := 0
+			for _, node := range operands {
+				for _, op := range ops {
+					rd := scan.NewReducer(node, env)
+					rd.SetEngine(scan.EngineClosure)
+					want, err := rd.Reduce(op, region)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := math.Float64bits(got[i]) == math.Float64bits(want)
+					if op == scan.SumReduce && p > 1 {
+						same = math.Abs(got[i]-want) <= 1e-12*math.Abs(want)
+					}
+					if !same {
+						t.Errorf("seed %d p=%d: %v %s = %v, serial closure fold %v\n%s", seed, p, op, node, got[i], want, blk)
+					}
+					i++
 				}
 			}
 		}
 	}
-	if ran < 24 {
-		t.Errorf("only %d of 48 session cells were accepted; the reduce leg exercises too little", ran)
+	if ran < 12 {
+		t.Errorf("only %d of 24 session cells were accepted; the reduce leg exercises too little", ran)
 	}
 }

@@ -85,8 +85,12 @@ func TestSessionRank3Sweep(t *testing.T) {
 	}
 }
 
-// TestSessionScalarCapture: SetScalar before first use works; changing a
-// captured scalar errors.
+// TestSessionScalarCapture: a rank follows the scalars its blocks read.
+// Setting one before the block's first Exec, setting the value it holds
+// again, or setting a scalar no block reads lowers nothing; a new value is
+// lowered once, at the block's next Exec. The second Run re-binds the kernel
+// the first left and lowers again only where c moved. Every Exec reads the
+// value set last, as a serial program would.
 func TestSessionScalarCapture(t *testing.T) {
 	n := 8
 	bounds := grid.Square(2, 1, n)
@@ -101,26 +105,35 @@ func TestSessionScalarCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sess.Run(func(r *Rank) error {
-		if err := r.SetScalar("c", 5); err != nil {
-			return err
-		}
+	body := func(r *Rank) error {
+		r.SetScalar("c", 4)
+		r.SetScalar("c", 5) // nothing is lowered yet: only the last value counts
 		if err := r.Exec(blk); err != nil {
 			return err
 		}
-		// Same value again: fine. Different value: error.
-		if err := r.SetScalar("c", 5); err != nil {
+		r.SetScalar("c", 5)
+		r.SetScalar("unread", 3)
+		if err := r.Exec(blk); err != nil {
 			return err
 		}
-		if err := r.SetScalar("c", 6); err == nil {
-			t.Error("changing a captured scalar must fail")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		r.SetScalar("c", 6)
+		return r.Exec(blk)
 	}
-	if got := env.Arrays["a"].At2(3, 3); got != 5 {
-		t.Errorf("a = %g, want 5", got)
+	for run, want := range []struct {
+		a      float64
+		builds int
+	}{{16, 2}, {32, 4}} {
+		if err := sess.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Arrays["a"].At2(3, 3); got != want.a {
+			t.Errorf("Run %d: a = %g, want %g (5 + 5 + 6 a Run)", run+1, got, want.a)
+		}
+		_, _, builds := keptCounts(sess, []*scan.Block{blk})
+		for rank, got := range builds[0] {
+			if got != want.builds {
+				t.Errorf("Run %d, rank %d: the block was lowered %d times, want %d", run+1, rank, got, want.builds)
+			}
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // Everything a rank's Exec needs that does not depend on storage is derived
 // once per session, per (rank, block): the portion when the block is
 // registered, the wavefront schedule at arm and on Retune, the kernel at the
-// rank's first Exec of the block. A Run — a restarted rank's too — only
+// rank's first Exec of the block and again after a scalar the block reads
+// changes value. A Run — a restarted rank's too — only
 // binds them to its local fields, at its first Exec of the block, and lets
 // go of them when the rank's body ends (releaseScratch), so nothing kept
 // pins a Run's copies.
@@ -24,9 +25,11 @@ type rankBlock struct {
 	// block and for a rank whose slab misses the sweep.
 	sched *execPlan
 	// kern is the static schedule's kernel: lowered at the rank's first Exec
-	// of the block and re-bound by every later Run's; scalars holds the values
-	// it captured. cuts and builds count schedules cut and kernels lowered,
-	// for the tests.
+	// of the block and re-bound by every later Run's. scalars watches the
+	// scalars the block reads (Session.adopt) and holds the values its kernels
+	// — this one, or the Run's task graph's — were last lowered with. cuts and
+	// builds count schedules cut and kernels lowered (a task graph counts
+	// once), for the tests.
 	kern         *scan.Kernel
 	scalars      scan.Captured
 	cuts, builds int
@@ -145,14 +148,27 @@ func (pl *plan) boundaries(L grid.Region) (regs [][]grid.Region, sizes [][]int, 
 	return regs, sizes, total
 }
 
-// block returns the rank's share of pl, bound to the Run's fields. The
-// rank's first Exec of the block in a Run points the schedule's payload
-// fields at its locals and re-binds the kept kernel in place; the kernel is
-// lowered again (kernelFor) only when a scalar it captured changed value or
-// the locals do not fit its tape (scan.Kernel.Rebind). releaseScratch lets
-// go of both.
-func (r *Rank) block(pl *plan) *rankBlock {
+// block returns the rank's share of b's plan pl, bound to the Run's fields.
+// Every Exec checks the scalars the block reads: when one has changed value
+// since the block's kernels were lowered, the kept kernel and this Run's
+// task graph for b are dropped, and kernelFor or taskGraphFor lowers them
+// again against the new value, as scan.Prepared.Run does. The rank's first
+// Exec of the block in a Run also points the schedule's payload fields at
+// its locals and re-binds the kept kernel in place, dropping it when the
+// locals do not fit its tape (scan.Kernel.Rebind). releaseScratch lets go
+// of both.
+func (r *Rank) block(b *scan.Block, pl *plan) *rankBlock {
 	rb := &pl.ranks[r.id]
+	if rb.scalars.Changed(r.lenv) {
+		if rb.kern != nil {
+			rb.kern.ReleaseScratch()
+			rb.kern = nil
+		}
+		if tg, ok := r.dags[b]; ok {
+			tg.Close()
+			delete(r.dags, b)
+		}
+	}
 	if rb.bound == r {
 		return rb
 	}
@@ -162,12 +178,8 @@ func (r *Rank) block(pl *plan) *rankBlock {
 			ep.fields[i] = r.locals[name]
 		}
 	}
-	if rb.kern != nil {
-		if rb.scalars.Changed(r.lenv) || !rb.kern.Rebind(r.lenv) {
-			rb.kern = nil
-		} else {
-			r.capture(pl)
-		}
+	if rb.kern != nil && !rb.kern.Rebind(r.lenv) {
+		rb.kern = nil
 	}
 	return rb
 }
@@ -184,8 +196,7 @@ func (r *Rank) kernelFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.Kernel, 
 	if err != nil {
 		return nil, err
 	}
-	rb.kern, rb.scalars = kern, scan.Capture(pl.scalars)
-	rb.scalars.Changed(r.lenv)
+	rb.kern = kern
 	rb.builds++
 	return kern, nil
 }

@@ -88,10 +88,21 @@ func sameArrays(got, want *workload.Tomcatv) error {
 // bit what a fresh session makes of the first Run's output. A captured
 // scalar changed between Runs lowers each kernel that reads it once more; a
 // Retune cuts every schedule again. Either way the Run stays bit-identical
-// to a fresh session's.
+// to a fresh session's. Within one Run (keptInRun), a scalar set through
+// SetScalar between iterations lowers the kernels that read it — the static
+// kernel, or the Run's task graph — once more per change of value.
 func TestSessionKeepsWhatARunDerives(t *testing.T) {
 	const n, block = 40, 8
 	for _, procs := range []int{2, 3} {
+		for _, sc := range []struct {
+			name    string
+			sched   scan.Scheduler
+			workers int
+		}{{"static", scan.SchedStatic, 0}, {"taskdag-w2", scan.SchedTaskDAG, 2}} {
+			t.Run(fmt.Sprintf("p%d/in-Run-scalar/%s", procs, sc.name), func(t *testing.T) {
+				keptInRun(t, procs, sc.sched, sc.workers)
+			})
+		}
 		for _, c := range []struct {
 			name    string
 			between func(sess *Session, tom *workload.Tomcatv)
@@ -166,6 +177,72 @@ func TestSessionKeepsWhatARunDerives(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// keptInRun runs four iterations of the kept program in one Run, setting w
+// through SetScalar before each, and holds the Run to serial Prepare/Run of
+// the same sequence bit for bit. The forward block, the one that reads w,
+// is lowered once more per change of value; every other leaf once.
+func keptInRun(t *testing.T, procs int, sched scan.Scheduler, workers int) {
+	const n, block = 40, 8
+	ws := []float64{1.125, 1.125, 0.875, 1.5} // the env's value, set again, then two changes
+	tom, blocks := keptProgram(t, n, ws[0])
+	sess, err := NewSession(tom.Env, blocks, Config{Procs: procs, Domain: tom.All, Block: block,
+		Scheduler: sched, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resid := make([]float64, len(ws))
+	err = sess.Run(func(r *Rank) error {
+		for i, w := range ws {
+			r.SetScalar("w", w)
+			if err := keptBody(tom, blocks, &resid[i])(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	serial, serialBlocks := keptProgram(t, n, ws[0])
+	prepared := make([]*scan.Prepared, len(serialBlocks))
+	for i, b := range serialBlocks {
+		if prepared[i], err = scan.Prepare(b, serial.Env, scan.ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range ws {
+		serial.Env.Scalars["w"] = w
+		for j, p := range prepared {
+			if err := p.Run(serialBlocks[j].Region); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := scan.Reduce(scan.MaxReduce, serial.Interior, residOperand(), serial.Env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(resid[i]) != math.Float64bits(want) {
+			t.Errorf("iteration %d (w = %g): residual %v, serial %v", i, w, resid[i], want)
+		}
+	}
+	if err := sameArrays(tom, serial); err != nil {
+		t.Errorf("the Run differs from serial Prepare/Run: %v", err)
+	}
+	leaves, _, builds := keptCounts(sess, blocks)
+	for i := range builds {
+		for r, got := range builds[i] {
+			want := 1
+			if leaves[i] == blocks[2] {
+				want = 3 // and once more for each of w's two changes
+			}
+			if got != want {
+				t.Errorf("leaf %d, rank %d: lowered %d times in the Run, want %d", i, r, got, want)
+			}
 		}
 	}
 }

@@ -114,10 +114,6 @@ type Config struct {
 	// a Config reused with the same registry, converges onto the model's
 	// choice as the machine drifts.
 	AutoTune bool
-	// Kernel selects the execution engine for compiled kernels: the span
-	// tape by default, or scan.EngineClosure to force the per-point
-	// compiled-closure reference path (the A/B leg for validation).
-	Kernel scan.Engine
 	// Scheduler selects how each rank executes its portion of a block: the
 	// static tile-by-tile pipeline schedule (scan.SchedStatic, default) or
 	// a task DAG over dependency-counted tiles on a pool of real
@@ -221,8 +217,8 @@ type plan struct {
 	refresh [2][]string
 	// written arrays (gathered back at the end).
 	written map[string]bool
-	// scalars names every scalar the statements reference, once each: a
-	// compiled kernel bakes their values in (Rank.newKernel).
+	// scalars names every scalar the statements reference, once each: what
+	// a rank's kernels of the block are lowered against (rankBlock.scalars).
 	scalars []string
 	// ranks is each rank's share of the block, by rank id (see rankBlock).
 	ranks []rankBlock

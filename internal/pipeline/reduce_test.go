@@ -257,8 +257,7 @@ func TestRankReduceRefusals(t *testing.T) {
 
 // TestRankReduceScalarRebinds: a reduction's operand may mention a scalar
 // the program rebinds between calls (a mean, then a variance about it); the
-// cached operand must fold with the current value, and SetScalar must not
-// treat it as captured by a kernel.
+// cached operand must fold with the current value.
 func TestRankReduceScalarRebinds(t *testing.T) {
 	tom, err := workload.NewTomcatv(64, field.RowMajor)
 	if err != nil {
@@ -272,9 +271,7 @@ func TestRankReduceScalarRebinds(t *testing.T) {
 	var got [2]float64
 	err = sess.Run(func(r *Rank) error {
 		for i, mean := range []float64{0, 0.5} {
-			if err := r.SetScalar("mean", mean); err != nil {
-				return err
-			}
+			r.SetScalar("mean", mean)
 			v, err := r.Reduce(scan.SumReduce, tom.Interior, about)
 			if err != nil {
 				return err
@@ -348,9 +345,9 @@ func TestReduceManyOperandsStaysBounded(t *testing.T) {
 // TestReduceConcurrentRanks runs whole Tomcatv iterations with a residual
 // reduce each, two ranks folding at once — under the static schedule and
 // with every rank's tiles on a two-worker task DAG — against the serial
-// program: arrays and residual history bit-identical, on the tape fold and
-// on the closure fold. Under -race it is the leg that would catch a fold
-// sharing registers or offset tables across ranks or workers.
+// program: arrays and residual history bit-identical. Under -race it is the
+// leg that would catch a fold sharing registers or offset tables across
+// ranks or workers.
 func TestReduceConcurrentRanks(t *testing.T) {
 	const n, iters, procs = 72, 4, 2
 	ref, err := workload.NewTomcatv(n, field.RowMajor)
@@ -369,16 +366,14 @@ func TestReduceConcurrentRanks(t *testing.T) {
 		name    string
 		sched   scan.Scheduler
 		workers int
-		engine  scan.Engine
 	}{
-		{"static/tape", scan.SchedStatic, 0, scan.EngineTape},
-		{"taskdag-w2/tape", scan.SchedTaskDAG, 2, scan.EngineTape},
-		{"static/closure", scan.SchedStatic, 0, scan.EngineClosure},
+		{"static", scan.SchedStatic, 0},
+		{"taskdag-w2", scan.SchedTaskDAG, 2},
 	} {
 		par, _ := workload.NewTomcatv(n, field.RowMajor)
 		blocks := par.Blocks()
 		sess, err := NewSession(par.Env, blocks, SessionConfig{Procs: procs, Domain: par.All, Block: 8,
-			Pool: bufpool.New(procs), Scheduler: c.sched, Workers: c.workers, Kernel: c.engine})
+			Pool: bufpool.New(procs), Scheduler: c.sched, Workers: c.workers})
 		if err != nil {
 			t.Fatal(err)
 		}

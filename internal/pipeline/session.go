@@ -348,6 +348,7 @@ func (s *Session) adopt(b *scan.Block, an *scan.Analysis, tDim int) error {
 	pl.ranks = make([]rankBlock, s.cfg.Procs)
 	for rank := range pl.ranks {
 		pl.ranks[rank].portion = s.portionOf(b.Region, rank)
+		pl.ranks[rank].scalars = scan.Capture(pl.scalars)
 	}
 	s.plans[b] = pl
 	return nil
@@ -624,10 +625,6 @@ type Rank struct {
 	// that side's halo was last exchanged. Every rank executes the same
 	// operations, so every rank holds the same marks.
 	dirty map[string]uint8
-	// captured records scalar values baked into the kernels this Run binds,
-	// to detect illegal later changes. Like dags it is allocated on first
-	// write: most runs never fill it.
-	captured map[string]float64
 	// wrote marks arrays written at all (a copy's slab is gathered at the
 	// end).
 	wrote map[string]bool
@@ -777,20 +774,14 @@ func (r *Rank) ID() int { return r.id }
 // metered).
 func (r *Rank) obs() *metrics.Observer { return r.sess.obs }
 
-// SetScalar binds a rank-local scalar, shadowing the global environment.
-// Because compiled kernels capture scalar values, a scalar already used by
-// an executed block must not change afterwards; Exec reports an error if
-// it does.
-func (r *Rank) SetScalar(name string, v float64) error {
-	if old, ok := r.captured[name]; ok && old != v {
-		return fmt.Errorf("pipeline: scalar %q was captured by a compiled block with value %g and cannot change to %g",
-			name, old, v)
-	}
+// SetScalar binds a rank-local scalar, shadowing the global environment. A
+// block that reads the scalar follows a new value from its next Exec on,
+// which lowers the block's kernels again (Rank.block).
+func (r *Rank) SetScalar(name string, v float64) {
 	if r.lenv.scalars == nil {
 		r.lenv.scalars = map[string]float64{}
 	}
 	r.lenv.scalars[name] = v
-	return nil
 }
 
 // GetScalar reads a scalar through the rank-local overlay.
@@ -878,33 +869,17 @@ func (s *Session) rowsOf(region grid.Region, rank int) grid.Range {
 // newKernel compiles b against the rank's local fields. It is the
 // runtime's one kernel-construction site — the static schedule's kernel
 // and every task-DAG worker's come from here — so each kernel reuses the
-// dependence walk of the block's analysis, runs on the session's engine,
-// leases tape registers from the rank's pool shard, and publishes its
-// path tallies. The scalars the compiled kernel bakes in are recorded so
-// SetScalar can refuse to change them afterwards.
+// dependence walk of the block's analysis, leases tape registers from the
+// rank's pool shard, and publishes its path tallies.
 func (r *Rank) newKernel(b *scan.Block, pl *plan) (*scan.Kernel, error) {
 	cfg := &r.sess.cfg
-	kern, err := scan.NewKernelDeps(b, r.lenv, pl.an.UDVs, cfg.Kernel)
+	kern, err := scan.NewKernelDeps(b, r.lenv, pl.an.UDVs)
 	if err != nil {
 		return nil, err
 	}
 	kern.SetScratch(cfg.Pool, r.id)
 	kern.SetMetrics(cfg.Metrics, r.id)
-	r.capture(pl)
 	return kern, nil
-}
-
-// capture records the values of the scalars pl's kernels bake in, for
-// SetScalar: a kernel compiled or re-bound this Run holds them.
-func (r *Rank) capture(pl *plan) {
-	for _, name := range pl.scalars {
-		if v, ok := r.lenv.Scalar(name); ok {
-			if r.captured == nil {
-				r.captured = map[string]float64{}
-			}
-			r.captured[name] = v
-		}
-	}
 }
 
 // Exec runs one registered block on this rank, exchanging stale halos
@@ -930,7 +905,7 @@ func (r *Rank) Exec(b *scan.Block) error {
 		return err
 	}
 
-	rb := r.block(pl)
+	rb := r.block(b, pl)
 	L := rb.portion
 	var err error
 	switch {
@@ -1424,7 +1399,6 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 		}
 	}
 	rr := &rankReducer{node: node, fold: scan.NewReducer(node, r.lenv), bound: r}
-	rr.fold.SetEngine(r.sess.cfg.Kernel)
 	rr.fold.SetScratch(r.sess.cfg.Pool, r.id)
 	w := r.sess.cfg.WavefrontDim
 	for _, ref := range expr.Refs(node) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,8 +20,9 @@ import (
 
 // tomcatvSession is the whole Tomcatv program — stencils, both wavefront
 // sweeps, reductions — as a session body over the blocks the session
-// registered, recording rank 0's residual history.
-func tomcatvSession(par *workload.Tomcatv, blocks []*scan.Block, iters int, resid *[]float64) func(r *Rank) error {
+// registered, recording rank 0's residual history. When w is not nil,
+// iteration i first sets the scalar w to w[i].
+func tomcatvSession(par *workload.Tomcatv, blocks []*scan.Block, iters int, w []float64, resid *[]float64) func(r *Rank) error {
 	absRx := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("rx")}}
 	absRy := expr.Call{Fn: expr.Abs, Args: []expr.Node{expr.Ref("ry")}}
 	return func(r *Rank) error {
@@ -28,6 +30,9 @@ func tomcatvSession(par *workload.Tomcatv, blocks []*scan.Block, iters int, resi
 			*resid = (*resid)[:0] // a restarted rank 0 re-runs the body from the top
 		}
 		for i := 0; i < iters; i++ {
+			if w != nil {
+				r.SetScalar("w", w[i])
+			}
 			for _, b := range blocks {
 				if err := r.Exec(b); err != nil {
 					return err
@@ -68,7 +73,7 @@ func refreshRecvTag(t *testing.T, n, procs, iter int) int {
 		t.Fatal(err)
 	}
 	var resid []float64
-	if err := sess.Run(tomcatvSession(par, blocks, iter+1, &resid)); err != nil {
+	if err := sess.Run(tomcatvSession(par, blocks, iter+1, nil, &resid)); err != nil {
 		t.Fatal(err)
 	}
 	var sweepStart int64 = -1
@@ -120,7 +125,9 @@ func refreshRecvTag(t *testing.T, n, procs, iter int) int {
 // and crash inside the refresh of the second Run, over the in-process and
 // the socket transport: the restarted rank re-binds the schedules, kernels
 // and reduction operands the session kept from the first Run to its own
-// fresh fields.
+// fresh fields. In one row the forward block reads a scalar the body changes
+// before the crash: the restarted rank replays SetScalar as it
+// fast-forwards.
 func TestSessionCrashRecovery(t *testing.T) {
 	const n, iters, procs = 26, 3, 4
 	refreshTag := refreshRecvTag(t, n, procs, 1)
@@ -131,6 +138,7 @@ func TestSessionCrashRecovery(t *testing.T) {
 		every     int
 		runs      int // the crash is in the last; 0 means 1
 		transport comm.TransportConfig
+		w         []float64 // w per iteration (keptProgram); nil: plain Tomcatv
 	}{
 		// Rank 1's first boundary receive of the third sweep it enters
 		// (iteration 1's forward sweep): the refresh is behind it, no tile
@@ -139,6 +147,12 @@ func TestSessionCrashRecovery(t *testing.T) {
 			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 3},
 		{name: "receiver, every cut point",
 			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 1},
+		// The same crash with w changed at the top of every iteration, so
+		// once before it: the restarted rank must resume with iteration 1's
+		// value.
+		{name: "receiver, after a scalar changed",
+			rule:  fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash},
+			every: 1, w: []float64{1.125, 0.875, 1.5}},
 		// Rank 0 heads that sweep: it sent aa's row up, received nothing, and
 		// crashes on its first boundary send.
 		{name: "sender, before its first boundary message",
@@ -157,21 +171,35 @@ func TestSessionCrashRecovery(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			runs := max(c.runs, 1)
-			ref, _ := workload.NewTomcatv(n, field.RowMajor)
+			program := func() (*workload.Tomcatv, []*scan.Block) {
+				if c.w != nil {
+					return keptProgram(t, n, c.w[0])
+				}
+				tom, err := workload.NewTomcatv(n, field.RowMajor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tom, tom.Blocks()
+			}
+			ref, refBlocks := program()
 			var refResid []float64
 			for i := 0; i < runs*iters; i++ {
-				if _, err := ref.Step(); err != nil {
-					t.Fatal(err)
+				if c.w != nil {
+					ref.Env.Scalars["w"] = c.w[i%iters]
+				}
+				for _, b := range refBlocks {
+					if err := scan.Exec(b, ref.Env, scan.ExecOptions{}); err != nil {
+						t.Fatal(err)
+					}
 				}
 				refResid = append(refResid, ref.ResidualMax())
 			}
 			refResid = refResid[len(refResid)-iters:] // the last Run's
-			par, _ := workload.NewTomcatv(n, field.RowMajor)
+			par, blocks := program()
 			inj, err := fault.New(fault.Plan{Rules: []fault.Rule{c.rule}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks := par.Blocks()
 			sess, err := NewSession(par.Env, blocks, SessionConfig{
 				Procs: procs, Domain: par.All, Block: 4,
 				Faults:     inj,
@@ -183,7 +211,7 @@ func TestSessionCrashRecovery(t *testing.T) {
 			}
 			var parResid []float64
 			for run := 1; run <= runs; run++ {
-				if err := sess.Run(tomcatvSession(par, blocks, iters, &parResid)); err != nil {
+				if err := sess.Run(tomcatvSession(par, blocks, iters, c.w, &parResid)); err != nil {
 					t.Fatalf("Run %d: crash did not recover: %v", run, err)
 				}
 				if fired := inj.Fired(); (fired != 0) != (run == runs) {
@@ -300,6 +328,47 @@ func TestRestoreKeepsDirtySides(t *testing.T) {
 	}
 	if diff := firstBitDifference(got.env, want.env); diff != "" {
 		t.Errorf("after restoring one-sided marks: %s", diff)
+	}
+}
+
+// capturedTagStore hands a restarting rank its snapshot with one more entry
+// under the "c:" tag, where snapshots recorded the scalar values a rank's
+// kernels had captured while a rank refused to change them.
+type capturedTagStore struct{ ckpt.Store }
+
+func (s capturedTagStore) Latest(rank int) (*ckpt.Snapshot, error) {
+	snap, err := s.Store.Latest(rank)
+	if snap != nil {
+		c := *snap
+		c.Names = append(slices.Clone(snap.Names), "c:w")
+		c.Vals = append(slices.Clone(snap.Vals), 1.125)
+		snap = &c
+	}
+	return snap, err
+}
+
+// TestRestoreRefusesCapturedScalarTag: a rank follows its scalars and keeps
+// no record of the values its kernels were lowered with, so restore refuses
+// a snapshot that still carries a "c:" entry with its unknown-tag error, and
+// the run fails instead of restarting from it.
+func TestRestoreRefusesCapturedScalarTag(t *testing.T) {
+	tom, blocks := keptProgram(t, 26, 1.125)
+	inj := fault.MustNew(fault.Plan{Rules: []fault.Rule{{
+		Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 1, After: 2, Action: fault.ActCrash}}})
+	sess, err := NewSession(tom.Env, blocks, Config{
+		Procs: 3, Domain: tom.All, Block: 4, Faults: inj,
+		Checkpoint: &CheckpointConfig{Every: 1, Store: capturedTagStore{ckpt.NewMemStore()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resid float64
+	err = sess.Run(keptBody(tom, blocks, &resid))
+	if inj.Fired() == 0 {
+		t.Fatal("crash rule never fired; the run proves nothing")
+	}
+	if err == nil || !strings.Contains(err.Error(), `unknown tag "c:"`) {
+		t.Errorf("run returned %v, want the snapshot refused for its \"c:\" entry", err)
 	}
 }
 

@@ -18,7 +18,8 @@ func resolveWorkers(w int) int {
 }
 
 // taskGraphFor returns the rank's cached task-DAG executor for b over its
-// portion L, building it on first use: the tile graph on the session's pool
+// portion L, building it on the Run's first use or after a scalar its
+// kernels read changed (Rank.block): the tile graph on the session's pool
 // size, trace rings and registry, with a Rank.newKernel per worker (they
 // share the rank's scratch pool shard).
 func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, L grid.Region) (*scan.TaskGraph, error) {
@@ -43,5 +44,6 @@ func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, L grid.Region) (*scan.TaskG
 		r.dags = map[*scan.Block]*scan.TaskGraph{}
 	}
 	r.dags[b] = tg
+	pl.ranks[r.id].builds++
 	return tg, nil
 }

@@ -108,12 +108,12 @@ func NewKernel(b *Block, env expr.Env) (*Kernel, error) {
 	return k, nil
 }
 
-// NewKernelDeps compiles the block like NewKernel, for engine e, but reuses
-// the UDVs of a prior Analyze (Analysis.UDVs) instead of recollecting them,
-// so the span legality the tape derives matches the loop derivation exactly.
-func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV, e Engine) (*Kernel, error) {
+// NewKernelDeps compiles the block like NewKernel but reuses the UDVs of a
+// prior Analyze (Analysis.UDVs) instead of recollecting them, so the span
+// legality the tape derives matches the loop derivation exactly.
+func NewKernelDeps(b *Block, env expr.Env, udvs []dep.UDV) (*Kernel, error) {
 	k := &Kernel{}
-	if err := k.init(b, env, udvs, true, e); err != nil {
+	if err := k.init(b, env, udvs, true, EngineTape); err != nil {
 		return nil, err
 	}
 	return k, nil

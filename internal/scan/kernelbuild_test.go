@@ -16,6 +16,16 @@ import (
 // by the closures it no longer builds, and the closure engine captures the
 // scalars the tape captures.
 
+// engineKernel builds b's kernel for engine e, as a Prepared part does under
+// ExecOptions.Engine; NewKernelDeps builds the tape.
+func engineKernel(b *Block, env expr.Env, udvs []dep.UDV, e Engine) (*Kernel, error) {
+	k := &Kernel{}
+	if err := k.init(b, env, udvs, true, e); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
 // TestConstructionErrorsUnchanged is every error NewKernel, NewKernelDeps
 // and Prepare reported while init compiled the closures first (113eb6a),
 // word for word, and the three cases that are not construction errors: an
@@ -77,10 +87,14 @@ func TestConstructionErrorsUnchanged(t *testing.T) {
 		if got := text(err); got != c.kernel {
 			t.Errorf("%s: NewKernel reports %q, want %q", c.name, got, c.kernel)
 		}
+		_, err = NewKernelDeps(blk, newEnv(), nil)
+		if got := text(err); got != c.kernel {
+			t.Errorf("%s: NewKernelDeps reports %q, want %q", c.name, got, c.kernel)
+		}
 		for _, e := range []Engine{EngineTape, EngineClosure, EngineScalar} {
-			_, err = NewKernelDeps(blk, newEnv(), nil, e)
+			_, err = engineKernel(blk, newEnv(), nil, e)
 			if got := text(err); got != c.kernel {
-				t.Errorf("%s: NewKernelDeps (engine %d) reports %q, want %q", c.name, e, got, c.kernel)
+				t.Errorf("%s: the engine %d kernel reports %q, want %q", c.name, e, got, c.kernel)
 			}
 			_, err = Prepare(blk, newEnv(), ExecOptions{Engine: e})
 			if got := text(err); got != c.prepare {
@@ -98,7 +112,7 @@ func tomcatvForward(n int) (*Block, *expr.MapEnv) {
 	return blk, env
 }
 
-// TestKernelConstructionAllocs: NewKernelDeps of the forward block allocated
+// TestKernelConstructionAllocs: building the forward block's kernel allocated
 // 68 times while it built the closures no tape run calls (25 of them) beside
 // the tape; it builds one or the other now — 27 for the closures, and for
 // the tape 43 while the statements were copied out for the lowerer and its
@@ -118,11 +132,11 @@ func TestKernelConstructionAllocs(t *testing.T) {
 		e := c.e
 		var k *Kernel
 		if got := testing.AllocsPerRun(50, func() {
-			if k, err = NewKernelDeps(blk, env, an.UDVs, e); err != nil {
+			if k, err = engineKernel(blk, env, an.UDVs, e); err != nil {
 				t.Fatal(err)
 			}
 		}); got > c.ceiling {
-			t.Errorf("engine %d: NewKernelDeps of the forward block allocates %v times, want at most %v (%d when it built tape and closures both)",
+			t.Errorf("engine %d: building the forward block's kernel allocates %v times, want at most %v (%d when it built tape and closures both)",
 				e, got, c.ceiling, before)
 		}
 		if tape, closures := k.prog != nil, k.rhs != nil; tape == closures || closures != (e == EngineClosure) {
@@ -135,8 +149,8 @@ func TestKernelConstructionAllocs(t *testing.T) {
 // block is prepared and before it first runs. The tape baked the old value
 // in at construction and so did the closure engine's closures; Prepared notices the change at
 // Run and compiles both again, so the two engines still agree bit for bit.
-// (A pipeline.Rank holds kernels without a Prepared's watch and refuses the
-// change instead: TestRankRefusesCapturedScalarChange.)
+// (A pipeline.Rank watches its kernels' scalars the same way:
+// TestSessionKeepsWhatARunDerives.)
 func TestClosureEngineCapturesWhatTheTapeCaptured(t *testing.T) {
 	const n = 24
 	run := func(e Engine, change bool) (*expr.MapEnv, *Prepared) {

@@ -191,7 +191,7 @@ func TestTaskGraphBindsOneKernelPerSpecAndWorker(t *testing.T) {
 	var asked []int
 	tg, err := NewTaskGraph(specs, taskdag.Options{Workers: workers}, func(sub, _ int) (*Kernel, error) {
 		asked = append(asked, sub)
-		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs, EngineTape)
+		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestTaskGraphBindsOneKernelPerSpecAndWorker(t *testing.T) {
 		if sub == 1 {
 			return nil, boom
 		}
-		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs, EngineTape)
+		return NewKernelDeps(blocks[sub], env, specs[sub].UDVs)
 	}); !errors.Is(err, boom) {
 		t.Fatalf("NewTaskGraph returned %v, want the factory's error", err)
 	}

@@ -122,7 +122,7 @@ func TestShortRunsMatchClosure(t *testing.T) {
 								return v
 							})
 						}
-						k, err := NewKernelDeps(blk, env, an.UDVs, e)
+						k, err := engineKernel(blk, env, an.UDVs, e)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -182,7 +182,7 @@ func BenchmarkKernelShortRuns(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			k, err := NewKernelDeps(blk, env, an.UDVs, EngineTape)
+			k, err := NewKernelDeps(blk, env, an.UDVs)
 			if err != nil {
 				b.Fatal(err)
 			}

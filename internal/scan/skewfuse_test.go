@@ -56,7 +56,7 @@ func TestSkewedEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := NewKernelDeps(blk, env, an.UDVs, e)
+		k, err := engineKernel(blk, env, an.UDVs, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -259,11 +259,11 @@ func (it *Interp) declare(d Decl) error {
 type machine interface {
 	// scalar reads a scalar's present value, as expr.Env does.
 	scalar(name string) (float64, bool)
-	setScalar(name string, v float64) error
+	setScalar(name string, v float64)
 	// enterLoop makes name a scalar variable for the length of a loop;
 	// leaveLoop puts back what enterLoop found.
 	enterLoop(name string) loopScope
-	leaveLoop(name string, sc loopScope) error
+	leaveLoop(name string, sc loopScope)
 	// block runs an array assignment or scan block over region.
 	block(s Stmt, slot int, pos Pos, region grid.Region) error
 	// fold reduces t's right-hand side over region.
@@ -280,10 +280,7 @@ type loopScope struct {
 
 func (it *Interp) scalar(name string) (float64, bool) { return it.env.Scalar(name) }
 
-func (it *Interp) setScalar(name string, v float64) error {
-	it.env.Scalars[name] = v
-	return nil
-}
+func (it *Interp) setScalar(name string, v float64) { it.env.Scalars[name] = v }
 
 func (it *Interp) enterLoop(name string) loopScope {
 	sc := loopScope{wasVar: it.scalarVars[name]}
@@ -292,14 +289,13 @@ func (it *Interp) enterLoop(name string) loopScope {
 	return sc
 }
 
-func (it *Interp) leaveLoop(name string, sc loopScope) error {
+func (it *Interp) leaveLoop(name string, sc loopScope) {
 	if sc.had {
 		it.env.Scalars[name] = sc.saved
 	} else {
 		delete(it.env.Scalars, name)
 	}
 	it.scalarVars[name] = sc.wasVar
-	return nil
 }
 
 func (it *Interp) out() io.Writer { return it.opts.Out }
@@ -349,7 +345,8 @@ func (it *Interp) exec(m machine, s Stmt, region *grid.Region) error {
 			if err != nil {
 				return err
 			}
-			return m.setScalar(t.Name, v)
+			m.setScalar(t.Name, v)
+			return nil
 		}
 		if it.constNames[t.Name] {
 			return errf(t.Pos, "cannot assign to constant %q", t.Name)
@@ -374,13 +371,10 @@ func (it *Interp) exec(m machine, s Stmt, region *grid.Region) error {
 		}
 		sc := m.enterLoop(t.Var)
 		for v := from; err == nil && ((step > 0 && v <= to) || (step < 0 && v >= to)); v += step {
-			if err = m.setScalar(t.Var, float64(v)); err == nil {
-				err = it.execAll(m, t.Body, region)
-			}
+			m.setScalar(t.Var, float64(v))
+			err = it.execAll(m, t.Body, region)
 		}
-		if lerr := m.leaveLoop(t.Var, sc); err == nil {
-			err = lerr
-		}
+		m.leaveLoop(t.Var, sc)
 		return err
 
 	case *IfStmt:
@@ -441,7 +435,8 @@ func (it *Interp) execReduce(m machine, t *AssignStmt, region *grid.Region) erro
 	if err != nil {
 		return err
 	}
-	return m.setScalar(t.Name, v)
+	m.setScalar(t.Name, v)
+	return nil
 }
 
 // fold reduces through the statement's handle, lowering the operand when

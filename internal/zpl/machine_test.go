@@ -82,6 +82,21 @@ end;
 writeln(x);
 [R] b := a;
 writeln(b);`},
+	// Every trip changes x and i, which two blocks read: each rank lowers
+	// them again, as the interpreter does.
+	{"scalar a block reads changes", walkerDecls + `
+direction north = [-1, 0];
+[R] a := 1;
+[R] b := 0;
+x := 1;
+for i := 1 to 3 do
+  x := x + 1;
+  [R] a := a * x;
+  [2..n, 1..n] b := x * b'@north + a + i;
+  [R] s := +<< b;
+  writeln(i, x, s);
+end;
+writeln(a);`},
 }
 
 // TestOneWalkerBothModes holds parallel mode to the serial interpreter

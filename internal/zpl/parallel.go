@@ -22,12 +22,11 @@ import (
 //     fixed decomposition);
 //   - so must inline @[…] shifts be, for the same reason;
 //   - writeln may print strings and scalars, not arrays (arrays gather
-//     only at the end of the run);
-//   - a scalar read by an array statement must not change afterwards
-//     (compiled kernels capture scalar values).
+//     only at the end of the run).
 //
 // Scalar statements and loop bounds evaluate identically on every rank
-// (SPMD).
+// (SPMD). An array statement reads its scalars' present values, as
+// serially: a rank lowers a block again when a scalar it reads changes.
 func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 	it.handles = make([]handle, prog.slots)
 	for _, d := range prog.Decls {
@@ -229,7 +228,7 @@ type rankMachine struct {
 
 func (m *rankMachine) scalar(name string) (float64, bool) { return m.r.GetScalar(name) }
 
-func (m *rankMachine) setScalar(name string, v float64) error { return m.r.SetScalar(name, v) }
+func (m *rankMachine) setScalar(name string, v float64) { m.r.SetScalar(name, v) }
 
 // enterLoop scopes the name as the interpreter does; the value lives in the
 // rank's overlay, which cannot forget one, so a loop variable's last value
@@ -241,12 +240,11 @@ func (m *rankMachine) enterLoop(name string) loopScope {
 	return sc
 }
 
-func (m *rankMachine) leaveLoop(name string, sc loopScope) error {
+func (m *rankMachine) leaveLoop(name string, sc loopScope) {
 	m.it.scalarVars[name] = sc.wasVar
 	if sc.had && sc.wasVar {
-		return m.r.SetScalar(name, sc.saved)
+		m.r.SetScalar(name, sc.saved)
 	}
-	return nil
 }
 
 // block runs the block the collector registered for s.

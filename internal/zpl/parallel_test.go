@@ -196,25 +196,6 @@ writeln(a);
 	}
 }
 
-// TestParallelRejectsCapturedScalarChange: a scalar baked into a compiled
-// block cannot change between executions.
-func TestParallelRejectsCapturedScalarChange(t *testing.T) {
-	_, err := RunParallelSource(`
-const n = 4;
-region R = [1..n, 1..n];
-var a : [R] double;
-var c : double;
-c := 1;
-for i := 1 to 3 do
-  c := c + 1;
-  [R] a := a * c;
-end;
-`, Options{}, 2, 0)
-	if err == nil || !strings.Contains(err.Error(), "captured") {
-		t.Fatalf("err = %v, want captured-scalar rejection", err)
-	}
-}
-
 // TestParallelScalarOnlyProgramFallsBack: programs with no array work run
 // serially.
 func TestParallelScalarOnlyProgramFallsBack(t *testing.T) {
