@@ -657,11 +657,13 @@ func BenchmarkMultiOctant(b *testing.B) {
 
 // BenchmarkTaskDAGFamilies prices the one-shot task-DAG scheduler on the
 // families whose tile cost varies with position — LU and Cholesky at n = 96,
-// a shrinking trailing block per elimination step, ~480 small graphs a run —
-// and on the Smith-Waterman 256² fill, one graph with every dimension
+// a shrinking trailing block per elimination step, ~480 small graph runs an
+// op — and on the Smith-Waterman 256² fill, one graph with every dimension
 // carried, at W = 1 / 2 / 4. It is the table that decides what the pool has
-// to be good at (EXPERIMENTS.md "Scheduler floor"). Each op builds its
-// graphs, as every scan.Exec caller does.
+// to be good at (EXPERIMENTS.md "Scheduler floor", "PR 36"). Each op starts
+// its pools and builds its graphs, as every caller that prepares once does:
+// Factor.Run one pool and one graph per statement shape, re-cut every step,
+// scan.Exec of the fill one of each.
 func BenchmarkTaskDAGFamilies(b *testing.B) {
 	// family returns one op of the named family: a whole factorization from
 	// a reset matrix, or one fill.

@@ -110,6 +110,11 @@ func NewRegion(dims ...Range) (Region, error) {
 	return Region{dims: cp}, nil
 }
 
+// RegionOver returns the region of dims, keeping the slice instead of
+// copying it: the caller must not change dims while the region is in use.
+// Strides are not checked — it is for ranges cut from a valid region.
+func RegionOver(dims []Range) Region { return Region{dims: dims} }
+
 // MustRegion is NewRegion for statically known-good arguments; it panics on
 // error and is intended for tests, examples, and package-level tables.
 func MustRegion(dims ...Range) Region {

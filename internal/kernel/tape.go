@@ -1218,38 +1218,46 @@ func (pr *Program) SetScratch(pool *bufpool.Pool, rank int) {
 	if pr.pool == pool && pr.prank == rank {
 		return
 	}
-	pr.ReleaseScratch()
+	pr.dropRegs()
 	pr.pool = pool
 	pr.prank = rank
 }
 
-// ReleaseScratch returns the leased registers to the pool. The next Run
-// re-leases; callers that track pool.Outstanding should release when a
-// run retires.
+// ReleaseScratch returns the leased registers to the pool; the next Run
+// re-leases them into the same operand table. Callers that track
+// pool.Outstanding should release when a run retires. Without a pool the
+// registers are the program's own scratch, not a lease, and stay: a kept
+// program runs again without allocating them.
 func (pr *Program) ReleaseScratch() {
-	if pr.regs == nil {
-		return
+	if pr.pool != nil {
+		pr.dropRegs()
 	}
+}
+
+// dropRegs hands the registers back to their source — the pool, or the GC
+// — and leaves the operand table unleased.
+func (pr *Program) dropRegs() {
 	for i := range pr.regs {
 		pr.pool.Put(pr.prank, pr.regs[i])
 		pr.regs[i] = nil
 	}
-	pr.regs, pr.ops = nil, nil
 	pr.regCap = 0
 }
 
 func (pr *Program) ensureRegs(n int) {
-	if pr.regs != nil && pr.regCap >= n {
+	if pr.ops != nil && pr.regCap >= n {
 		return
 	}
-	pr.ReleaseScratch()
-	// One table: the registers, then the unit tape's views. The views are
-	// repointed every span, so the table is padded like the offset tables —
-	// a line of slice headers either side.
-	const pad = (cacheLine + 23) / 24
-	nr := pr.Registers()
-	pr.ops = make([][]float64, nr+len(pr.views)+2*pad)[pad : pad+nr+len(pr.views)]
-	pr.regs = pr.ops[:nr]
+	pr.dropRegs()
+	if pr.ops == nil {
+		// One table: the registers, then the unit tape's views. The views
+		// are repointed every span, so the table is padded like the offset
+		// tables — a line of slice headers either side.
+		const pad = (cacheLine + 23) / 24
+		nr := pr.Registers()
+		pr.ops = make([][]float64, nr+len(pr.views)+2*pad)[pad : pad+nr+len(pr.views)]
+		pr.regs = pr.ops[:nr]
+	}
 	for i := range pr.regs {
 		pr.regs[i] = pr.pool.Get(pr.prank, n)
 	}

@@ -243,7 +243,10 @@ func TestTapeMultiStatement(t *testing.T) {
 }
 
 // TestScratchPool checks the register lease lifecycle: leases come from the
-// pool, survive repeated runs without re-leasing, and drain on release.
+// pool, survive repeated runs without re-leasing, and drain on release,
+// which keeps the operand table; without a pool the registers are the
+// program's own scratch and a release keeps them too, so a kept program
+// reruns without allocating.
 func TestScratchPool(t *testing.T) {
 	bounds := grid.Square(2, 0, 9)
 	env := &expr.MapEnv{
@@ -287,6 +290,18 @@ func TestScratchPool(t *testing.T) {
 	pr.ReleaseScratch()
 	if got := env.Arrays["dst"].At(grid.Point{4, 4}); got != 1.5*1.5+1.5 {
 		t.Errorf("pooled run computed %g, want %g", got, 1.5*1.5+1.5)
+	}
+	loop := dep.Identity(2)
+	rerun := func() {
+		pr.Run(region, loop)
+		pr.ReleaseScratch()
+	}
+	if a := testing.AllocsPerRun(20, rerun); a != 0 {
+		t.Errorf("a pooled run and release allocate %.0f times, want 0", a)
+	}
+	pr.SetScratch(nil, 0)
+	if a := testing.AllocsPerRun(20, rerun); a != 0 {
+		t.Errorf("an unpooled run and release allocate %.0f times, want 0", a)
 	}
 }
 

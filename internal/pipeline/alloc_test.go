@@ -302,7 +302,10 @@ func TestOneShotGarbageCeiling(t *testing.T) {
 // operands again, 217 with them kept; one forward and one backward sweep of
 // a one-rank task-DAG session at two workers, taskdag_tiles' shape, read
 // 447–451 (432–434 with the table, 344 with the schedules kept, 223 once
-// the per-Run worker kernels lowered into tables each allocated once).
+// the per-Run worker kernels lowered into tables each allocated once, 29
+// once the rank kept its pool, tile graphs and worker kernels with their
+// registers across Runs — what is left is the Run's own: topology, rank,
+// locals).
 func TestSessionRunAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -338,7 +341,7 @@ func TestSessionRunAllocsPinned(t *testing.T) {
 					return err
 				}
 				return r.Exec(bwd)
-			}, 240},
+			}, 40},
 	} {
 		sess, err := NewSession(tom.Env, c.blocks, c.cfg)
 		if err != nil {

@@ -4,17 +4,20 @@ import (
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
 	"wavefront/internal/scan"
+	"wavefront/internal/taskdag"
+	"wavefront/internal/trace"
 )
 
 // What a session keeps of each rank between Runs, and how a Run binds it.
 // Everything a rank's Exec needs that does not depend on storage is derived
 // once per session, per (rank, block): the portion when the block is
-// registered, the wavefront schedule at arm and on Retune, the kernel at the
-// rank's first Exec of the block and again after a scalar the block reads
-// changes value. A Run — a restarted rank's too — only
+// registered, the wavefront schedule at arm and on Retune, the kernel — or
+// under the task DAG the tile graph with its worker kernels, on the rank's
+// one pool — at the rank's first Exec of the block and again after a scalar
+// the block reads changes value. A Run — a restarted rank's too — only
 // binds them to its local fields, at its first Exec of the block, and lets
 // go of them when the rank's body ends (releaseScratch), so nothing kept
-// pins a Run's copies.
+// pins a Run's copies and no goroutine starts in a warm Run.
 
 // rankBlock is what the session keeps of one rank's share of one block
 // (plan.ranks).
@@ -24,13 +27,14 @@ type rankBlock struct {
 	// sched is the rank's schedule of a wavefront block; nil for any other
 	// block and for a rank whose slab misses the sweep.
 	sched *execPlan
-	// kern is the static schedule's kernel: lowered at the rank's first Exec
-	// of the block and re-bound by every later Run's. scalars watches the
-	// scalars the block reads (Session.adopt) and holds the values its kernels
-	// — this one, or the Run's task graph's — were last lowered with. cuts and
-	// builds count schedules cut and kernels lowered (a task graph counts
-	// once), for the tests.
+	// kern is the static schedule's kernel and dag the task DAG's graph and
+	// worker kernels: built at the rank's first Exec of the block and
+	// re-bound by every later Run's. scalars watches the scalars the block
+	// reads (Session.adopt) and holds the values they were last lowered
+	// with. cuts and builds count schedules cut and kernels lowered (a task
+	// graph counts once), for the tests.
 	kern         *scan.Kernel
+	dag          *scan.TaskGraph
 	scalars      scan.Captured
 	cuts, builds int
 	// bound is the rank of the Run in flight whose fields sched and kern
@@ -39,11 +43,14 @@ type rankBlock struct {
 }
 
 // kept is what the session keeps of one rank beside its blocks' shares: the
-// halo-exchange geometry, built by the rank's first exchange, and the
-// reduction operands it folds, re-bound by each Run's first fold of them.
+// halo-exchange geometry, built by the rank's first exchange, the reduction
+// operands it folds, re-bound by each Run's first fold of them, and under
+// the task DAG the worker pool every graph of the rank runs on, started by
+// its first Exec and stopped by Session.Close.
 type kept struct {
 	xregs    map[string]xchgRegs
 	reducers []*rankReducer
+	pool     *taskdag.Pool
 }
 
 // execPlan is a rank's fully materialized schedule for one wavefront
@@ -150,24 +157,17 @@ func (pl *plan) boundaries(L grid.Region) (regs [][]grid.Region, sizes [][]int, 
 
 // block returns the rank's share of b's plan pl, bound to the Run's fields.
 // Every Exec checks the scalars the block reads: when one has changed value
-// since the block's kernels were lowered, the kept kernel and this Run's
-// task graph for b are dropped, and kernelFor or taskGraphFor lowers them
-// again against the new value, as scan.Prepared.Run does. The rank's first
-// Exec of the block in a Run also points the schedule's payload fields at
-// its locals and re-binds the kept kernel in place, dropping it when the
-// locals do not fit its tape (scan.Kernel.Rebind). releaseScratch lets go
-// of both.
+// since the block's kernels were lowered, the kept kernel and task graph
+// are dropped, and kernelFor or taskGraphFor builds them again against the
+// new value, as scan.Prepared.Run does. The rank's first Exec of the block
+// in a Run — a restarted rank's too — also points the schedule's payload
+// fields at its locals and re-binds the kept kernels in place, dropping
+// what the locals do not fit (scan.Kernel.Rebind). releaseScratch lets go
+// of them.
 func (r *Rank) block(b *scan.Block, pl *plan) *rankBlock {
 	rb := &pl.ranks[r.id]
 	if rb.scalars.Changed(r.lenv) {
-		if rb.kern != nil {
-			rb.kern.ReleaseScratch()
-			rb.kern = nil
-		}
-		if tg, ok := r.dags[b]; ok {
-			tg.Close()
-			delete(r.dags, b)
-		}
+		rb.drop()
 	}
 	if rb.bound == r {
 		return rb
@@ -181,7 +181,23 @@ func (r *Rank) block(b *scan.Block, pl *plan) *rankBlock {
 	if rb.kern != nil && !rb.kern.Rebind(r.lenv) {
 		rb.kern = nil
 	}
+	if rb.dag != nil && !rb.dag.Rebind(r.lenv) {
+		rb.drop()
+	}
 	return rb
+}
+
+// drop lets go of the block's kernels and task graph, returning their
+// leased registers.
+func (rb *rankBlock) drop() {
+	if rb.kern != nil {
+		rb.kern.ReleaseScratch()
+		rb.kern = nil
+	}
+	if rb.dag != nil {
+		rb.dag.Close()
+		rb.dag = nil
+	}
 }
 
 // kernelFor returns the rank's static-schedule kernel for b: the kept one,
@@ -201,13 +217,36 @@ func (r *Rank) kernelFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.Kernel, 
 	return kern, nil
 }
 
-// releaseScratch retires the rank's execution resources when its body
-// ends, error paths included: the kept kernels and reduction operands
-// return their pool-leased registers and drop every field and data
-// reference (a kernel that cannot — closures bake their fields in — is
-// dropped itself), the schedules their fields, and the Run's task-DAG
-// executors stop their worker pools (which also returns their kernels'
-// registers).
+// taskGraphFor returns the rank's task-DAG executor for b, as kernelFor
+// does its kernel: the tile graph of the rank's portion on the rank's pool
+// (started on first use), traced and metered as the session is, with a
+// Rank.newKernel per worker (they share the rank's scratch pool shard).
+func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.TaskGraph, error) {
+	if rb.dag != nil {
+		return rb.dag, nil
+	}
+	s := r.sess
+	if r.kept.pool == nil {
+		r.kept.pool = taskdag.NewPool(s.workers)
+	}
+	tg, err := scan.NewTaskGraph([]taskdag.Spec{{Region: rb.portion, Loop: pl.an.Loop, UDVs: pl.an.UDVs}},
+		taskdag.Options{Pool: r.kept.pool, Trace: s.cfg.Trace, Metrics: s.cfg.Metrics, MetricsRank: r.id,
+			TraceBase: trace.Layout{Procs: s.cfg.Procs, Workers: s.workers}.WorkerBase(r.id)},
+		func(int, int) (*scan.Kernel, error) { return r.newKernel(b, pl) })
+	if err != nil {
+		return nil, err
+	}
+	rb.dag = tg
+	rb.builds++
+	return tg, nil
+}
+
+// releaseScratch lets go of the Run's fields when the rank's body ends,
+// error paths included: the kept kernels, task graphs and reduction
+// operands return their pool-leased registers and drop every field and
+// data reference (a kernel that cannot — closures bake their fields in — is
+// dropped itself), the schedules their fields. Nothing stops: the worker
+// pool waits parked for the next Run.
 func (r *Rank) releaseScratch() {
 	for _, pl := range r.sess.plans {
 		rb := &pl.ranks[r.id]
@@ -224,6 +263,12 @@ func (r *Rank) releaseScratch() {
 				rb.kern = nil
 			}
 		}
+		if rb.dag != nil {
+			rb.dag.ReleaseScratch()
+			if !rb.dag.Rebind(nil) {
+				rb.drop()
+			}
+		}
 	}
 	for _, rr := range r.kept.reducers {
 		if rr.bound == r {
@@ -231,8 +276,5 @@ func (r *Rank) releaseScratch() {
 			rr.fold.Rebind(nil)
 			rr.bound = nil
 		}
-	}
-	for _, tg := range r.dags {
-		tg.Close()
 	}
 }

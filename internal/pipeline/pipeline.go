@@ -275,6 +275,7 @@ func runDims(b *scan.Block, env expr.Env, cfg Config, wDim, tDim int) (*Stats, e
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	if err := sess.Run(func(r *Rank) error { return r.Exec(b) }); err != nil {
 		return nil, err
 	}

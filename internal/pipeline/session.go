@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -163,7 +164,7 @@ func newSession(env expr.Env, cfg Config) (*Session, error) {
 		halos:     map[string]haloSpec{},
 	}
 	if cfg.Scheduler == scan.SchedTaskDAG {
-		sess.workers = resolveWorkers(cfg.Workers)
+		sess.workers = cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0))
 	}
 	return sess, nil
 }
@@ -243,9 +244,16 @@ func (s *Session) MetricsAddr() string {
 	return s.msrv.Addr()
 }
 
-// Close releases the session's metrics endpoint, if any. A session may
-// still Run after Close; only the HTTP listener is gone.
+// Close stops the ranks' task-DAG worker pools and releases the metrics
+// endpoint, if any. A session may still Run after Close: the pools start
+// again lazily; only the HTTP listener is gone. A session dropped without
+// Close has its pools stopped by the garbage collector.
 func (s *Session) Close() error {
+	for _, k := range s.kept {
+		if k.pool != nil {
+			k.pool.Stop()
+		}
+	}
 	if s.msrv == nil {
 		return nil
 	}
@@ -636,11 +644,6 @@ type Rank struct {
 	// executes the same block sequence, equal counts identify the same run
 	// in the trace on every rank.
 	waveRuns int
-	// dags caches each block's task-DAG executor (tile graph + per-worker
-	// kernels) when the session scheduler is SchedTaskDAG; built on first
-	// Exec and reused so steady-state DAG waves allocate nothing. Closed by
-	// releaseScratch when the Run retires.
-	dags map[*scan.Block]*scan.TaskGraph
 	// needs is the reusable scratch list, per halo side, of the stale arrays
 	// an operation is about to read (refresh).
 	needs [2][]string
@@ -938,7 +941,7 @@ func (r *Rank) Exec(b *scan.Block) error {
 func (r *Rank) execParallel(b *scan.Block, pl *plan, rb *rankBlock) error {
 	L := rb.portion
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
-		tg, err := r.taskGraphFor(b, pl, L)
+		tg, err := r.taskGraphFor(b, pl, rb)
 		if err != nil {
 			return err
 		}
@@ -969,7 +972,7 @@ func (r *Rank) execParallel(b *scan.Block, pl *plan, rb *rankBlock) error {
 // where the portion is exactly "tiles < t computed, recvd messages
 // consumed".
 func (r *Rank) execWavefront(b *scan.Block, pl *plan, rb *rankBlock) error {
-	L, ep := rb.portion, rb.sched
+	ep := rb.sched
 	if ep == nil {
 		// This rank's slab misses the block's wavefront extent entirely
 		// (shrinking factorization steps, sub-region sweeps): the active
@@ -998,7 +1001,7 @@ func (r *Rank) execWavefront(b *scan.Block, pl *plan, rb *rankBlock) error {
 		defer pm.obs.Swept(r.id, !ep.hasUp, !ep.hasDown, pm.obs.Now())
 	}
 	if r.sess.cfg.Scheduler == scan.SchedTaskDAG {
-		return r.execWavefrontDAG(b, pl, ep, L, wave)
+		return r.execWavefrontDAG(b, pl, rb, wave)
 	}
 	kern, err := r.kernelFor(b, pl, rb)
 	if err != nil {
@@ -1097,7 +1100,8 @@ func (r *Rank) sendWave(ep *execPlan, t, wave int) error {
 // price is pipeline overlap across ranks, which the in-rank parallelism
 // replaces. The portion runs as one piece, so the operation's start is the
 // sweep's only checkpoint cut point.
-func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Region, wave int) error {
+func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, rb *rankBlock, wave int) error {
+	ep := rb.sched
 	T := len(ep.tiles)
 	peer, need := -1, -1
 	if ep.hasUp {
@@ -1108,13 +1112,13 @@ func (r *Rank) execWavefrontDAG(b *scan.Block, pl *plan, ep *execPlan, L grid.Re
 			}
 		}
 	}
-	tg, err := r.taskGraphFor(b, pl, L)
+	tg, err := r.taskGraphFor(b, pl, rb)
 	if err != nil {
 		return err
 	}
 	t0 := r.obs().Now()
 	tg.Run()
-	r.computed(t0, L.Size(), 0, wave, peer, need)
+	r.computed(t0, rb.portion.Size(), 0, wave, peer, need)
 	if ep.hasDown {
 		for t := 0; t < T; t++ {
 			if err := r.sendWave(ep, t, wave); err != nil {

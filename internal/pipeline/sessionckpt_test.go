@@ -139,6 +139,7 @@ func TestSessionCrashRecovery(t *testing.T) {
 		runs      int // the crash is in the last; 0 means 1
 		transport comm.TransportConfig
 		w         []float64 // w per iteration (keptProgram); nil: plain Tomcatv
+		workers   int       // > 0: the task DAG at this many workers
 	}{
 		// Rank 1's first boundary receive of the third sweep it enters
 		// (iteration 1's forward sweep): the refresh is behind it, no tile
@@ -168,6 +169,14 @@ func TestSessionCrashRecovery(t *testing.T) {
 		{name: "second Run, inside the refresh, unix",
 			rule:  fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshTag, After: 1, Action: fault.ActCrash},
 			every: 1, runs: 2, transport: unix},
+		// On the task DAG the second Run's restarted rank re-binds the tile
+		// graphs the first Run built; it builds none.
+		{name: "second Run, inside the refresh, task DAG",
+			rule:  fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: refreshTag, After: 1, Action: fault.ActCrash},
+			every: 1, runs: 2, workers: 2},
+		{name: "receiver, before its first tile, task DAG",
+			rule: fault.Rule{Op: fault.OpRecv, Rank: 1, Peer: 0, Tag: fault.Any, Wave: 3, Action: fault.ActCrash}, every: 3,
+			workers: 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			runs := max(c.runs, 1)
@@ -200,15 +209,20 @@ func TestSessionCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(par.Env, blocks, SessionConfig{
+			cfg := SessionConfig{
 				Procs: procs, Domain: par.All, Block: 4,
 				Faults:     inj,
 				Transport:  c.transport,
 				Checkpoint: &CheckpointConfig{Every: c.every},
-			})
+			}
+			if c.workers > 0 {
+				cfg.Scheduler, cfg.Workers = scan.SchedTaskDAG, c.workers
+			}
+			sess, err := NewSession(par.Env, blocks, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer sess.Close()
 			var parResid []float64
 			for run := 1; run <= runs; run++ {
 				if err := sess.Run(tomcatvSession(par, blocks, iters, c.w, &parResid)); err != nil {
@@ -229,6 +243,16 @@ func TestSessionCrashRecovery(t *testing.T) {
 			for i := range refResid {
 				if parResid[i] != refResid[i] {
 					t.Errorf("iter %d: residual %g != %g", i, parResid[i], refResid[i])
+				}
+			}
+			if c.workers > 0 {
+				_, _, builds := keptCounts(sess, blocks)
+				for i := range builds {
+					for r, got := range builds[i] {
+						if got != 1 {
+							t.Errorf("leaf %d, rank %d: task graph built %d times over %d Runs and a restart, want 1", i, r, got, runs)
+						}
+					}
 				}
 			}
 		})

@@ -42,13 +42,15 @@ type ExecOptions struct {
 
 // Exec runs the block serially against env. Scan blocks execute as a single
 // fused loop nest in the derived order; plain blocks execute statement by
-// statement with ordinary array semantics. It is Prepare and one Run; a
-// caller that executes the block again holds the Prepared instead.
+// statement with ordinary array semantics. It is Prepare, one Run and
+// Close, so no task-DAG worker outlives it; a caller that executes the
+// block again holds the Prepared instead.
 func Exec(b *Block, env expr.Env, opt ExecOptions) error {
 	p, err := Prepare(b, env, opt)
 	if err != nil {
 		return err
 	}
+	defer p.Close()
 	return p.Run(b.Region)
 }
 

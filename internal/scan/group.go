@@ -12,7 +12,8 @@ import (
 // in order — independence makes the order irrelevant. Under SchedTaskDAG the
 // scan blocks' tile DAGs merge onto one worker pool (taskdag.NewMulti),
 // so counter-propagating wavefronts keep every worker busy through each
-// other's ramp-up and ramp-down phases.
+// other's ramp-up and ramp-down phases; the graph and its pool live for the
+// call.
 //
 // Independence is validated at array granularity: no two blocks may write
 // the same array, and no block may read an array another block writes. A
@@ -55,14 +56,22 @@ func ExecGroup(blocks []*Block, env expr.Env, opt ExecOptions) error {
 
 	parts := make([]*part, len(blocks))
 	regions := make([]grid.Region, len(blocks))
+	elems := 0
 	for i, b := range blocks {
 		p, err := Prepare(b, env, opt)
 		if err != nil {
 			return err
 		}
 		parts[i], regions[i] = &p.parts[0], b.Region
+		elems += b.Region.Size() * len(b.Stmts)
 	}
-	return runTaskGraph(parts, regions)
+	tg, err := newTaskGraph(parts, regions, nil)
+	if err != nil {
+		return err
+	}
+	defer tg.Close()
+	tg.runSpan(&opt, elems)
+	return nil
 }
 
 // fuseGroup merges an all-scan group over one shared region into a single

@@ -7,6 +7,7 @@ import (
 	"wavefront/internal/expr"
 	"wavefront/internal/field"
 	"wavefront/internal/grid"
+	"wavefront/internal/taskdag"
 	"wavefront/internal/trace"
 )
 
@@ -22,9 +23,12 @@ import (
 // bound when the block is prepared, as a Kernel binds them.
 //
 // The caller holds the handle for as long as it runs the block; nothing is
-// cached behind it. Under SchedTaskDAG every Run still builds and closes
-// its tile graph (the graph is cut for one region), so no goroutine
-// outlives a Run and a Prepared needs no Close. It is not safe for
+// cached behind it. Under SchedTaskDAG the first Run starts a worker pool
+// and builds each nest's tile graph with one kernel per worker; later Runs
+// reuse them, re-cutting a graph when the region changes. Close stops the
+// pool's goroutines (a later Run starts them again); a Prepared dropped
+// without Close has them stopped by the garbage collector. Under
+// SchedStatic there is no pool and Close does nothing. It is not safe for
 // concurrent use.
 type Prepared struct {
 	stmts []Stmt
@@ -42,6 +46,9 @@ type Prepared struct {
 	// statement of a plain one. one backs the single-nest case.
 	parts []part
 	one   [1]part
+	// pool runs every part's task graph; nil until the first Run under
+	// SchedTaskDAG.
+	pool *taskdag.Pool
 	// builds counts kernel compilations, for the tests.
 	builds int
 }
@@ -59,11 +66,12 @@ type part struct {
 	rhs  expr.Compiled
 	dst  *field.Field
 	tmp  *field.Field
-	// An in-place nest runs on kern under the static schedule and on one
-	// kernel per pool worker, built as a graph first asks, under the task
-	// DAG (a tape owns scratch registers, so workers cannot share one).
-	kern    Kernel
-	workers []*Kernel
+	// An in-place nest runs on kern under the static schedule and on dag
+	// under the task DAG: its tile graph with one kernel per pool worker (a
+	// tape owns scratch registers, so workers cannot share one), built by
+	// the first Run and re-cut for a new region.
+	kern Kernel
+	dag  *TaskGraph
 }
 
 // Captured is the scalars a compilation read from its environment — a tape
@@ -152,7 +160,10 @@ func (p *Prepared) bind() error {
 			}
 			pt.rhs, pt.dst = rhs, p.env.Array(s.LHS.Name)
 		case p.opt.Scheduler == SchedTaskDAG:
-			pt.workers = pt.workers[:0]
+			if pt.dag != nil {
+				pt.dag.Close()
+				pt.dag = nil
+			}
 		default:
 			pt.kern = Kernel{}
 			if err := pt.build(&pt.kern); err != nil {
@@ -176,19 +187,35 @@ func (pt *part) build(k *Kernel) error {
 	return nil
 }
 
-// worker returns the nest's kernel for pool worker w.
-func (pt *part) worker(w int) (*Kernel, error) {
-	for len(pt.workers) <= w {
-		pt.workers = append(pt.workers, nil)
-	}
-	if pt.workers[w] == nil {
-		k := &Kernel{}
-		if err := pt.build(k); err != nil {
-			return nil, err
+// runDAG runs the nest over region on its task graph: built on the
+// Prepared's pool by the first Run (and after a scalar change), re-cut when
+// the region is not the last one's.
+func (pt *part) runDAG(region grid.Region) error {
+	p := pt.p
+	regions := [1]grid.Region{region}
+	if pt.dag == nil {
+		if p.pool == nil {
+			p.pool = taskdag.NewPool(p.opt.Workers)
 		}
-		pt.workers[w] = k
+		dag, err := newTaskGraph([]*part{pt}, regions[:], p.pool)
+		if err != nil {
+			return err
+		}
+		pt.dag = dag
+	} else if err := pt.dag.Recut(regions[:]); err != nil {
+		return err
 	}
-	return pt.workers[w], nil
+	pt.dag.runSpan(&p.opt, region.Size()*len(pt.blk.Stmts))
+	return nil
+}
+
+// Close stops the task-DAG workers the Runs started; the graphs and kernels
+// stay, and a later Run starts the workers again. Under SchedStatic it does
+// nothing.
+func (p *Prepared) Close() {
+	if p.pool != nil {
+		p.pool.Stop()
+	}
 }
 
 // Run executes the block over region. The region is validated when it
@@ -215,7 +242,7 @@ func (p *Prepared) Run(region grid.Region) error {
 				return err
 			}
 		case p.opt.Scheduler == SchedTaskDAG:
-			if err := runTaskGraph([]*part{pt}, []grid.Region{region}); err != nil {
+			if err := pt.runDAG(region); err != nil {
 				return err
 			}
 		default:

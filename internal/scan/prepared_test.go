@@ -136,6 +136,7 @@ func checkPrepared(t *testing.T, what string, b *scan.Block, got, want *expr.Map
 	if err != nil {
 		t.Fatalf("%s: Prepare: %v", what, err)
 	}
+	defer p.Close()
 	oracle := scan.ExecOptions{Engine: scan.EngineClosure}
 	for i, region := range []grid.Region{b.Region, shrunk(b.Region), b.Region} {
 		if i == 2 && !b.Region.Empty() { // an empty region reads nothing, anywhere

@@ -3,6 +3,7 @@ package scan
 import (
 	"fmt"
 
+	"wavefront/internal/expr"
 	"wavefront/internal/grid"
 	"wavefront/internal/taskdag"
 	"wavefront/internal/trace"
@@ -78,7 +79,8 @@ func SetTaskDAGOrderSeed(seed int64) (restore func()) {
 // compiled tape owns mutable scratch registers, so workers cannot share a
 // kernel. The graph's edges come from the same UDVs as each block's loop
 // derivation, so the dynamic schedule satisfies exactly the dependences the
-// in-place loop order does.
+// in-place loop order does. A caller that runs the blocks again keeps the
+// TaskGraph: Recut follows a new region, Rebind new fields.
 type TaskGraph struct {
 	g       *taskdag.Graph
 	kernels []*Kernel // spec-major: spec sub's kernel for worker w is kernels[sub*Workers+w]
@@ -86,9 +88,8 @@ type TaskGraph struct {
 
 // NewTaskGraph builds the merged graph of specs under opt (its OrderSeed
 // belongs to the test hook) and calls newKernel(sub, worker) once for every
-// spec and worker: a fresh kernel, or one the caller kept from an earlier
-// graph of the same block. Kernels may share a mutex-guarded scratch pool
-// shard: each leases its own registers, so concurrent first runs are safe.
+// spec and worker. Kernels may share a mutex-guarded scratch pool shard:
+// each leases its own registers, so concurrent first runs are safe.
 func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub, worker int) (*Kernel, error)) (*TaskGraph, error) {
 	opt.OrderSeed = taskdagOrderSeed
 	g, err := taskdag.NewMulti(specs, opt)
@@ -121,37 +122,61 @@ func NewTaskGraph(specs []taskdag.Spec, opt taskdag.Options, newKernel func(sub,
 // Run executes every tile once; allocation-free after the first call.
 func (tg *TaskGraph) Run() { tg.g.Run() }
 
-// Close retires the pool's goroutines and returns leased tape registers.
-// The graph cannot Run afterwards.
-func (tg *TaskGraph) Close() {
-	tg.g.Stop()
+// Recut cuts the graph again over regions, one per spec
+// (taskdag.Graph.Recut); the kernels stay.
+func (tg *TaskGraph) Recut(regions []grid.Region) error { return tg.g.Recut(regions) }
+
+// Rebind points every kernel at env's arrays in place (Kernel.Rebind); a
+// nil env drops every field reference. It reports false — build the graph
+// again — when a kernel cannot follow.
+func (tg *TaskGraph) Rebind(env expr.Env) bool {
+	for _, k := range tg.kernels {
+		if !k.Rebind(env) {
+			return false
+		}
+	}
+	return true
+}
+
+// ReleaseScratch returns the kernels' pool-leased registers; the next Run
+// leases them again.
+func (tg *TaskGraph) ReleaseScratch() {
 	for _, k := range tg.kernels {
 		k.ReleaseScratch()
 	}
 }
 
-// runTaskGraph runs prepared in-place nests — one, or a group of mutually
-// independent scan blocks — over their regions under the task-DAG scheduler
-// as one TaskGraph, built for these regions and closed after the run, and
-// records the whole run as one kernel span. The nests share one set of
-// options; each supplies its own per-worker kernels.
-func runTaskGraph(parts []*part, regions []grid.Region) error {
+// Close retires the graph — and its pool when the graph started the pool
+// itself — and returns leased registers. The graph cannot Run afterwards.
+func (tg *TaskGraph) Close() {
+	tg.g.Stop()
+	tg.ReleaseScratch()
+}
+
+// newTaskGraph builds the graph of prepared in-place nests — one, or a
+// group of mutually independent scan blocks — over their regions on pool
+// (nil: a pool of the graph's own), with every worker's kernel compiled
+// under the nests' one set of options.
+func newTaskGraph(parts []*part, regions []grid.Region, pool *taskdag.Pool) (*TaskGraph, error) {
 	opt := &parts[0].p.opt
 	specs := make([]taskdag.Spec, len(parts))
-	elems := 0
 	for i, pt := range parts {
 		specs[i] = taskdag.Spec{Region: regions[i], Loop: pt.an.Loop, UDVs: pt.an.UDVs}
-		elems += regions[i].Size() * len(pt.blk.Stmts)
 	}
-	tg, err := NewTaskGraph(specs, taskdag.Options{
+	return NewTaskGraph(specs, taskdag.Options{
+		Pool:      pool,
 		Workers:   opt.Workers,
 		Trace:     opt.Trace,
 		TraceBase: opt.TraceRank,
-	}, func(sub, worker int) (*Kernel, error) { return parts[sub].worker(worker) })
-	if err != nil {
-		return err
-	}
-	defer tg.Close()
+	}, func(sub, _ int) (*Kernel, error) {
+		k := &Kernel{}
+		return k, parts[sub].build(k)
+	})
+}
+
+// runSpan runs the graph once and records the run as one kernel span of
+// elems statement-points.
+func (tg *TaskGraph) runSpan(opt *ExecOptions, elems int) {
 	var t0 int64
 	if opt.Trace != nil {
 		t0 = opt.Trace.Now()
@@ -162,5 +187,4 @@ func runTaskGraph(parts []*part, regions []grid.Region) error {
 		ev.Elems = elems
 		opt.Trace.Record(ev)
 	}
-	return nil
 }

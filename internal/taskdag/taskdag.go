@@ -24,10 +24,13 @@
 // after the other free dimensions have supplied theirs — one (whole rows)
 // when they supply enough, Workers when it is the only free dimension.
 //
-// Ready tiles wait on one LIFO stack under the graph's mutex — the same
-// mutex whose condition variable parks and wakes the pool: the caller
-// participates as worker 0 and Workers-1 goroutines are spawned once at
-// NewMulti and parked between runs. A worker's whole scheduling step is one
+// Ready tiles wait on one LIFO stack under the pool's mutex — the same
+// mutex whose condition variable parks and wakes the workers: the caller
+// participates as worker 0 and the Pool's Workers-1 goroutines are spawned
+// by its first run and parked between runs, whichever graph runs next. A
+// graph is cut once and re-cut in place for a new region (Recut), so a
+// caller that keeps a pool and its graphs starts no goroutine and builds
+// no graph per run. A worker's whole scheduling step is one
 // critical section per tile: count the finished tile's successors down,
 // push the ones that reach zero, pop the next tile, signal one parked
 // worker when it leaves work behind, and park while the stack is empty and
@@ -57,8 +60,11 @@ import (
 
 // Options configures a Graph.
 type Options struct {
+	// Pool, when non-nil, is the pool the graph runs on, which outlives it;
+	// nil starts one of Workers that the graph's Stop stops.
+	Pool *Pool
 	// Workers is the pool size including the calling goroutine; <= 0
-	// selects runtime.GOMAXPROCS(0).
+	// selects runtime.GOMAXPROCS(0). Ignored with a Pool.
 	Workers int
 	// TileW fixes per-dimension tile widths; entries <= 0 (and a nil or
 	// short slice) select the automatic width: about 4*Workers chunks (at
@@ -113,14 +119,103 @@ type Spec struct {
 // numbers) never collide in one recorder.
 var graphSeq atomic.Int64
 
-// Graph is the tiled dependence DAG of one or more regions, bound to a
+// Pool is the Workers-1 goroutines that run graphs beside the caller, with
+// their park, wake and exit hand-shake. It is started lazily — the first
+// Run of a graph on it spawns the goroutines — and Stop retires them; a
+// later Run starts them again. Graphs sharing a pool must not Run
+// concurrently. A Pool that becomes unreachable is stopped by the garbage
+// collector: the goroutines hold only its state, never the handle, so an
+// owner dropped without Stop leaks none.
+type Pool struct{ *pool }
+
+type pool struct {
+	workers int
+	wg      sync.WaitGroup
+	// mu guards the fields below and, while a graph runs, that graph's
+	// scheduling state; cond parks and wakes workers on it.
+	mu     sync.Mutex
+	cond   sync.Cond
+	live   bool   // the spawned goroutines are running
+	job    *Graph // the graph of the run in flight; nil between runs
+	gen    int64  // run generation
+	exited int    // spawned workers done with the current run
+}
+
+// NewPool returns a pool of workers, the caller included (<= 0 selects
+// runtime.GOMAXPROCS(0)). It spawns nothing until a graph runs on it.
+func NewPool(workers int) *Pool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := &Pool{&pool{workers: workers}}
+	p.cond.L = &p.mu
+	if workers > 1 {
+		runtime.SetFinalizer(p, (*Pool).Stop)
+	}
+	return p
+}
+
+// Workers returns the pool size, the caller included.
+func (p *Pool) Workers() int { return p.workers }
+
+// Stop retires the pool's goroutines and waits for them. Idempotent; must
+// not overlap a Run on the pool. A later Run starts them again.
+func (p *Pool) Stop() {
+	p.mu.Lock()
+	p.live = false
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// start spawns the workers if they are not running. Called with mu held.
+func (p *pool) start() {
+	if p.live || p.workers == 1 {
+		return
+	}
+	p.live = true
+	for i := 1; i < p.workers; i++ {
+		p.wg.Add(1)
+		go p.loop(i, p.gen)
+	}
+}
+
+// loop is a spawned worker's life: wait for a run generation, work its
+// graph dry, check out, repeat until Stop.
+func (p *pool) loop(id int, last int64) {
+	defer p.wg.Done()
+	for {
+		p.mu.Lock()
+		for p.gen == last && p.live {
+			p.cond.Wait()
+		}
+		if !p.live {
+			p.mu.Unlock()
+			return
+		}
+		last = p.gen
+		g := p.job
+		p.mu.Unlock()
+		g.work(p, id)
+		p.mu.Lock()
+		p.exited++
+		if p.exited == p.workers-1 {
+			p.cond.Broadcast()
+		}
+		p.mu.Unlock()
+	}
+}
+
+// Graph is the tiled dependence DAG of one or more regions, run on a
 // worker pool. Build one with New or NewMulti, attach a tile body with
-// SetRunner or SetRunnerSub, execute with Run (repeatable), and release the
-// pool's goroutines with Stop. Run and Stop must not be called
+// SetRunner or SetRunnerSub, execute with Run (repeatable), cut it again
+// over other regions with Recut, and retire it with Stop, which also stops
+// a pool the graph started itself. Run, Recut and Stop must not be called
 // concurrently; WorkerStats and CorruptCounter may only be called with no
 // Run in flight.
 type Graph struct {
 	specs []Spec
+	fixW  []int // Options.TileW, for Recut
 
 	// Geometry of the first spec (Shape, Offsets, the span-width gauge).
 	shape   []int // tiles per dimension
@@ -128,7 +223,8 @@ type Graph struct {
 	offsets [][]int
 
 	tiles   []grid.Region
-	subOf   []int32 // owning spec per tile; nil with one spec
+	bounds  []grid.Range // the tiles' ranges, rank per tile
+	subOf   []int32      // owning spec per tile; nil with one spec
 	preds   [][]int32
 	succs   [][]int32
 	initCnt []int32
@@ -136,19 +232,16 @@ type Graph struct {
 
 	runner    func(worker int, tile grid.Region)
 	runnerSub func(worker, sub int, tile grid.Region)
-	wg        sync.WaitGroup
+	pool      *Pool
+	owned     bool // the graph started pool; Stop stops it
 
-	// mu guards every field below it: the whole scheduling state.
-	mu      sync.Mutex
-	cond    sync.Cond
+	// The scheduling state, guarded by the pool's mutex.
 	counts  []int32 // unmet dependences per tile
 	stack   []int32 // ready tiles; the top is the last element
 	by      []int32 // the worker whose completion released each tile, -1 for a seed
 	pending int     // tiles of the current run not yet completed
 	parked  int     // workers waiting for a ready tile
 	rng     uint64  // OrderSeed's xorshift64 state; 0 pops the top
-	gen     int64   // run generation
-	exited  int     // spawned workers done with the current run
 	stopped bool
 	stats   []WorkerStats
 
@@ -171,8 +264,8 @@ func New(region grid.Region, loop dep.LoopSpec, udvs []dep.UDV, opt Options) (*G
 
 // NewMulti builds one Graph whose tile set is the union of every spec's
 // tile DAG — each under its own derived loop and UDVs; a loop spec orders
-// execution within a tile only, across tiles the DAG rules — and spawns the
-// worker pool (parked until Run). Merging is how counter-propagating
+// execution within a tile only, across tiles the DAG rules — on
+// Options.Pool, or on a pool of its own. Merging is how counter-propagating
 // wavefronts (multi-octant sweeps) share workers: each octant keeps its own
 // internal dependence structure, and the one ready stack interleaves tiles
 // from all of them, so a worker starved by one octant's ramp-down picks up
@@ -187,43 +280,24 @@ func NewMulti(specs []Spec, opt Options) (*Graph, error) {
 		return nil, fmt.Errorf("taskdag: NewMulti with no specs")
 	}
 	for si, sp := range specs {
-		rank := sp.Region.Rank()
-		if rank == 0 {
-			return nil, fmt.Errorf("taskdag: spec %d has a rank-0 region", si)
-		}
-		if len(sp.Loop.Perm) != rank {
-			return nil, fmt.Errorf("taskdag: spec %d loop spec has rank %d, region has rank %d", si, len(sp.Loop.Perm), rank)
+		if err := checkSpec(si, sp.Region, sp); err != nil {
+			return nil, err
 		}
 		for _, u := range sp.UDVs {
-			if len(u.Dist) != rank {
-				return nil, fmt.Errorf("taskdag: spec %d UDV %v has rank %d, want %d", si, u, len(u.Dist), rank)
+			if len(u.Dist) != sp.Region.Rank() {
+				return nil, fmt.Errorf("taskdag: spec %d UDV %v has rank %d, want %d", si, u, len(u.Dist), sp.Region.Rank())
 			}
 		}
 	}
-	W := opt.Workers
-	if W <= 0 {
-		W = runtime.GOMAXPROCS(0)
+	g := &Graph{specs: slices.Clone(specs), fixW: slices.Clone(opt.TileW), pool: opt.Pool, metricsRank: opt.MetricsRank}
+	if g.pool == nil {
+		g.pool, g.owned = NewPool(opt.Workers), true
 	}
-	g := &Graph{specs: slices.Clone(specs), metricsRank: opt.MetricsRank}
-	g.cond.L = &g.mu
+	W := g.pool.workers
 	g.waveBase = int(graphSeq.Add(1)) << 16
 	if opt.OrderSeed != 0 {
 		g.rng = uint64(opt.OrderSeed)*0x9e3779b97f4a7c15 | 1
 	}
-	for si := range g.specs {
-		g.decompose(si, opt.TileW, W)
-	}
-	first := &g.specs[0]
-	if g.shape == nil { // the first spec's region is empty
-		g.shape = make([]int, first.Region.Rank())
-		g.tileW = make([]int, first.Region.Rank())
-	}
-
-	n := len(g.tiles)
-	g.counts = make([]int32, n)
-	g.stack = make([]int32, 0, n)
-	g.by = make([]int32, n)
-	g.corrupt = make([]bool, n)
 	g.stats = make([]WorkerStats, W)
 	if opt.Trace != nil && opt.TraceBase >= 0 && opt.TraceBase+W <= opt.Trace.Procs() {
 		g.tr = opt.Trace
@@ -236,24 +310,106 @@ func NewMulti(specs []Spec, opt Options) (*Graph, error) {
 		g.mParks = opt.Metrics.Counter(metrics.TaskParks)
 		g.mUnpark = opt.Metrics.Counter(metrics.TaskUnparks)
 		g.flushed = make([]WorkerStats, W)
-		span := first.Loop.Perm[len(first.Loop.Perm)-1]
-		opt.Metrics.Gauge(metrics.TaskSpanWidth).Set(float64(g.tileW[span]))
 	}
-	for i := 1; i < W; i++ {
-		g.wg.Add(1)
-		go g.workerLoop(i)
-	}
+	g.cut()
 	return g, nil
+}
+
+// checkSpec refuses a region that spec sp's loop cannot walk.
+func checkSpec(si int, region grid.Region, sp Spec) error {
+	if region.Rank() == 0 {
+		return fmt.Errorf("taskdag: spec %d has a rank-0 region", si)
+	}
+	if len(sp.Loop.Perm) != region.Rank() {
+		return fmt.Errorf("taskdag: spec %d loop spec has rank %d, region has rank %d", si, len(sp.Loop.Perm), region.Rank())
+	}
+	return nil
+}
+
+// Recut cuts the graph again over regions, one per spec, each keeping its
+// loop and dependences; the runner, the pool and the counters stay. The
+// tile and adjacency slices are reused where they fit, and regions equal
+// to the present ones leave the graph as it is. Tile indices change, so a
+// CorruptCounter mark is dropped. Call only with no Run in flight.
+func (g *Graph) Recut(regions []grid.Region) error {
+	if len(regions) != len(g.specs) {
+		return fmt.Errorf("taskdag: Recut with %d regions, graph has %d specs", len(regions), len(g.specs))
+	}
+	same := true
+	for si, r := range regions {
+		if err := checkSpec(si, r, g.specs[si]); err != nil {
+			return err
+		}
+		same = same && r.Equal(g.specs[si].Region)
+	}
+	if same {
+		return nil
+	}
+	for si, r := range regions {
+		g.specs[si].Region = r
+	}
+	g.cut()
+	return nil
+}
+
+// cut decomposes every spec into the graph's tiles, edges and counts.
+func (g *Graph) cut() {
+	g.tiles, g.bounds, g.subOf, g.initCnt = g.tiles[:0], g.bounds[:0], g.subOf[:0], g.initCnt[:0]
+	g.preds, g.succs = g.preds[:0], g.succs[:0]
+	g.shape = nil
+	for si := range g.specs {
+		g.decompose(si)
+	}
+	first := &g.specs[0]
+	if g.shape == nil { // the first spec's region is empty
+		g.shape = make([]int, first.Region.Rank())
+		g.tileW = make([]int, first.Region.Rank())
+	}
+	n := len(g.tiles)
+	g.counts = resize(g.counts, n)
+	g.by = resize(g.by, n)
+	g.corrupt = resize(g.corrupt, n)
+	clear(g.corrupt)
+	g.stack = resize(g.stack, n)[:0]
+	if g.reg != nil {
+		span := first.Loop.Perm[len(first.Loop.Perm)-1]
+		g.reg.Gauge(metrics.TaskSpanWidth).Set(float64(g.tileW[span]))
+	}
+}
+
+// resize returns s at length n, its first len(s) elements kept, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
+}
+
+// extend lengthens lists by n empty lists, reusing the arrays of lists a
+// previous cut left beyond its length.
+func extend(lists [][]int32, n int) [][]int32 {
+	old := len(lists)
+	lists = resize(lists, old+n)
+	for i := old; i < old+n; i++ {
+		lists[i] = lists[i][:0]
+	}
+	return lists
 }
 
 // decompose chooses spec si's tile widths, proves its tile DAG acyclic
 // (collapsing dimensions that defeat the proof), and appends its tile
 // regions, adjacency lists and initial in-degrees to the graph's. An empty
 // region contributes no tiles.
-func (g *Graph) decompose(si int, tileW []int, W int) {
+func (g *Graph) decompose(si int) {
+	tileW, W := g.fixW, g.pool.workers
 	region, loop, udvs := g.specs[si].Region, g.specs[si].Loop, g.specs[si].UDVs
 	rank := region.Rank()
-	sizes := make([]int, rank)
+	// One array holds the per-dimension tables (tw and shape outlive the
+	// call as the first spec's geometry).
+	ints := make([]int, 6*rank)
+	table := func(i int) []int { return ints[i*rank : (i+1)*rank : (i+1)*rank] }
+	sizes, reach, tw, shape, strides, idx := table(0), table(1), table(2), table(3), table(4), table(5)
 	for d := range sizes {
 		if sizes[d] = region.Dim(d).Size(); sizes[d] == 0 {
 			return
@@ -261,7 +417,6 @@ func (g *Graph) decompose(si int, tileW []int, W int) {
 	}
 	// reach: the farthest (in iteration steps) any dependence spans per
 	// dimension; a tile at least this wide keeps every edge adjacent.
-	reach := make([]int, rank)
 	for _, u := range udvs {
 		if u.Zero() {
 			continue
@@ -277,8 +432,6 @@ func (g *Graph) decompose(si int, tileW []int, W int) {
 			}
 		}
 	}
-	tw := make([]int, rank)
-	shape := make([]int, rank)
 	// setWidth fixes dimension d's tile width: the caller's TileW entry
 	// when set, else the dimension cut into about `chunks` pieces — tiles
 	// below 8 points per side would defeat the span engine's dispatch
@@ -361,24 +514,26 @@ func (g *Graph) decompose(si int, tileW []int, W int) {
 	// Enumerate tiles row-major over shape, after the tiles of the specs
 	// before this one.
 	n := 1
-	strides := make([]int, rank)
 	for d := rank - 1; d >= 0; d-- {
 		strides[d] = n
 		n *= shape[d]
 	}
 	base := len(g.tiles)
-	g.tiles = append(g.tiles, make([]grid.Region, n)...)
-	g.preds = append(g.preds, make([][]int32, n)...)
-	g.succs = append(g.succs, make([][]int32, n)...)
-	g.initCnt = append(g.initCnt, make([]int32, n)...)
+	g.tiles = resize(g.tiles, base+n)
+	g.preds = extend(g.preds, n)
+	g.succs = extend(g.succs, n)
+	g.initCnt = resize(g.initCnt, base+n)
 	if len(g.specs) > 1 {
 		for i := 0; i < n; i++ {
 			g.subOf = append(g.subOf, int32(si))
 		}
 	}
-	dims := make([]grid.Range, rank)
-	idx := make([]int, rank)
+	// The tiles' ranges share one array, reused by the next cut.
+	g.bounds = slices.Grow(g.bounds, n*rank)
 	for i := 0; i < n; i++ {
+		k := len(g.bounds)
+		g.bounds = g.bounds[:k+rank]
+		dims := g.bounds[k : k+rank : k+rank]
 		rem := i
 		for d := 0; d < rank; d++ {
 			idx[d] = rem / strides[d]
@@ -395,7 +550,7 @@ func (g *Graph) decompose(si int, tileW []int, W int) {
 				Stride: r.Stride,
 			}
 		}
-		g.tiles[base+i] = grid.MustRegion(dims...)
+		g.tiles[base+i] = grid.RegionOver(dims)
 
 		// Adjacency: tile τ depends on τ-e for every offset e that stays
 		// in bounds. Offsets are deduplicated, so each (pred, succ) pair
@@ -548,7 +703,7 @@ func (g *Graph) Runner() func(worker int, tile grid.Region) { return g.runner }
 func (g *Graph) Tiles() int { return len(g.tiles) }
 
 // Workers returns the pool size (including the caller).
-func (g *Graph) Workers() int { return len(g.stats) }
+func (g *Graph) Workers() int { return g.pool.workers }
 
 // Subs returns the number of specs the graph merged (1 for New graphs).
 func (g *Graph) Subs() int { return len(g.specs) }
@@ -601,24 +756,26 @@ func (g *Graph) CorruptCounter(t int) error {
 }
 
 // Run executes every tile once, respecting the DAG, with the caller acting
-// as worker 0. It returns when all tiles completed and every pool worker
-// has retired from the run. Repeated Runs reuse all state and allocate
-// nothing. Run before SetRunner and Run after Stop are bugs in the caller
-// and panic.
+// as worker 0 and the pool's goroutines — started here if they are not
+// running — as the rest. It returns when all tiles completed and every
+// pool worker has retired from the run. Repeated Runs reuse all state and
+// allocate nothing. Run before SetRunner and Run after Stop are bugs in the
+// caller and panic.
 func (g *Graph) Run() {
 	if g.runner == nil && g.runnerSub == nil {
 		panic("taskdag: Run before SetRunner")
 	}
-	g.mu.Lock()
+	p := g.pool.pool
+	p.mu.Lock()
 	if g.stopped {
-		g.mu.Unlock()
+		p.mu.Unlock()
 		panic("taskdag: Run after Stop")
 	}
 	g.wave = g.waveBase + (g.runSeq & 0xffff)
 	g.runSeq++
 	n := len(g.tiles)
 	if n == 0 {
-		g.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 	// Seeds are pushed in reverse so the stack pops them in DAG order.
@@ -635,77 +792,56 @@ func (g *Graph) Run() {
 		}
 	}
 	g.pending = n
-	g.gen++
-	g.exited = 0
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	g.work(0)
-	g.mu.Lock()
-	for g.exited < len(g.stats)-1 {
-		g.cond.Wait()
+	p.start()
+	p.job = g
+	p.gen++
+	p.exited = 0
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	g.work(p, 0)
+	p.mu.Lock()
+	for p.exited < p.workers-1 {
+		p.cond.Wait()
 	}
-	g.mu.Unlock()
+	p.job = nil
+	p.mu.Unlock()
 	g.flushMetrics()
 }
 
-// Stop retires the pool's goroutines. The graph cannot Run afterwards.
-// Idempotent; must not overlap a Run.
+// Stop retires the graph — it cannot Run afterwards — and the pool with
+// it when the graph started the pool itself. Idempotent; must not overlap
+// a Run.
 func (g *Graph) Stop() {
-	g.mu.Lock()
+	g.pool.mu.Lock()
 	g.stopped = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	g.wg.Wait()
-}
-
-// workerLoop is a spawned worker's life: wait for a run generation,
-// work it dry, check out, repeat until Stop.
-func (g *Graph) workerLoop(id int) {
-	defer g.wg.Done()
-	var last int64
-	for {
-		g.mu.Lock()
-		for g.gen == last && !g.stopped {
-			g.cond.Wait()
-		}
-		if g.stopped {
-			g.mu.Unlock()
-			return
-		}
-		last = g.gen
-		g.mu.Unlock()
-		g.work(id)
-		g.mu.Lock()
-		g.exited++
-		if g.exited == len(g.stats)-1 {
-			g.cond.Broadcast()
-		}
-		g.mu.Unlock()
+	g.pool.mu.Unlock()
+	if g.owned {
+		g.pool.Stop()
 	}
 }
 
-// work is worker w's share of one run, and the whole scheduler: one
-// critical section per tile. Inside it the worker counts the successors of
-// the tile it just finished down, pushes those that reach zero (lowest
+// work is worker w's share of one run on pool p, and the whole scheduler:
+// one critical section per tile. Inside it the worker counts the successors
+// of the tile it just finished down, pushes those that reach zero (lowest
 // index on top, so one worker walks the DAG in index order), parks while
 // the stack is empty and tiles are in flight, pops its next tile, and
 // signals one parked worker when it leaves ready tiles behind. The mutex
 // hand-over is also what makes a tile's body see its predecessors' writes.
 // The last tile's completion wakes everyone; a worker leaves when nothing
 // is ready and nothing is pending.
-func (g *Graph) work(w int) {
+func (g *Graph) work(p *pool, w int) {
 	st := &g.stats[w]
-	g.mu.Lock()
+	p.mu.Lock()
 	for {
 		for len(g.stack) == 0 && g.pending > 0 {
 			st.Parks++
 			g.parked++
-			g.cond.Wait()
+			p.cond.Wait()
 			g.parked--
 			st.Unparks++
 		}
 		if len(g.stack) == 0 {
-			g.mu.Unlock()
+			p.mu.Unlock()
 			return
 		}
 		top := len(g.stack) - 1
@@ -722,11 +858,11 @@ func (g *Graph) work(w int) {
 			st.Steals++
 		}
 		if top > 0 && g.parked > 0 {
-			g.cond.Signal()
+			p.cond.Signal()
 		}
-		g.mu.Unlock()
+		p.mu.Unlock()
 		g.execTile(w, t)
-		g.mu.Lock()
+		p.mu.Lock()
 		st.Tiles++
 		succs := g.succs[t]
 		for i := len(succs) - 1; i >= 0; i-- {
@@ -737,7 +873,7 @@ func (g *Graph) work(w int) {
 			}
 		}
 		if g.pending--; g.pending == 0 {
-			g.cond.Broadcast()
+			p.cond.Broadcast()
 		}
 	}
 }

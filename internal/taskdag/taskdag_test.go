@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -622,10 +623,12 @@ func TestBuildAllocs(t *testing.T) {
 		tiles int
 		max   float64
 	}{
-		// Measured 57 and 111; the string-keyed dedup read 64 and 139 (a
-		// formatted key per candidate offset per UDV, plus the map).
-		{"tomcatv", []dep.UDV{u(1, 0), u(0, 0), {Dist: grid.Direction{0, 0}, Kind: dep.Anti}, u(1, 0), u(0, 0)}, 8, 60},
-		{"sw", []dep.UDV{u(0, 1), u(0, 1), u(1, 0), u(1, 0), u(1, 1), u(0, 0)}, 16, 118},
+		// Measured 42 and 85; 52 and 103 while every tile's region and
+		// every per-dimension table was an allocation of its own (and the
+		// graph spawned its pool), and the string-keyed dedup read 64 and
+		// 139 (a formatted key per candidate offset per UDV, plus the map).
+		{"tomcatv", []dep.UDV{u(1, 0), u(0, 0), {Dist: grid.Direction{0, 0}, Kind: dep.Anti}, u(1, 0), u(0, 0)}, 8, 45},
+		{"sw", []dep.UDV{u(0, 1), u(0, 1), u(1, 0), u(1, 0), u(1, 1), u(0, 0)}, 16, 90},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			region := grid.Square(2, 1, 64)
@@ -748,9 +751,9 @@ func TestPoolRunsReadyTilesConcurrently(t *testing.T) {
 			switch {
 			case tile.Equal(g.TileRegion(0)):
 				for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
-					g.mu.Lock()
+					g.pool.mu.Lock()
 					parked := g.parked
-					g.mu.Unlock()
+					g.pool.mu.Unlock()
 					if parked == 2 {
 						return
 					}
@@ -825,4 +828,134 @@ func TestNewMultiMatchesSingleGraphs(t *testing.T) {
 	if int(ran.Load()) != base {
 		t.Fatalf("pool ran %d of %d tiles", ran.Load(), base)
 	}
+}
+
+// TestRecutMatchesFreshGraph: a graph re-cut over a shrinking region, the
+// way LU's elimination steps shrink it, is tile for tile and edge for edge
+// the graph New builds over that region, runs in DAG order, and re-cut
+// over the region it already has allocates nothing. A wrong region count
+// or rank is refused.
+func TestRecutMatchesFreshGraph(t *testing.T) {
+	opt := Options{Workers: 3}
+	g, err := New(grid.Square(2, 0, 63), loop2(), forward2(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	for _, lo := range []int{0, 5, 20, 41, 60, 63, 64, 10} {
+		region := grid.Square(2, lo, 63)
+		if err := g.Recut([]grid.Region{region}); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(region, loop2(), forward2(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(g.Shape(), g.Offsets()), fmt.Sprint(fresh.Shape(), fresh.Offsets()); got != want {
+			t.Fatalf("lo %d: re-cut shape and offsets %s, fresh %s", lo, got, want)
+		}
+		if g.Tiles() != fresh.Tiles() {
+			t.Fatalf("lo %d: re-cut graph has %d tiles, fresh %d", lo, g.Tiles(), fresh.Tiles())
+		}
+		for i := 0; i < g.Tiles(); i++ {
+			if !g.TileRegion(i).Equal(fresh.TileRegion(i)) || fmt.Sprint(g.Preds(i)) != fmt.Sprint(fresh.Preds(i)) {
+				t.Fatalf("lo %d, tile %d: re-cut %v after %v, fresh %v after %v",
+					lo, i, g.TileRegion(i), g.Preds(i), fresh.TileRegion(i), fresh.Preds(i))
+			}
+		}
+		fresh.Stop()
+		runDAGAndCheckOrder(t, g)
+		same := []grid.Region{region}
+		if a := testing.AllocsPerRun(10, func() { _ = g.Recut(same) }); a != 0 {
+			t.Errorf("lo %d: re-cut over the same region allocates %.0f times", lo, a)
+		}
+	}
+	if err := g.Recut(nil); err == nil {
+		t.Error("Recut with no region for the graph's one spec was accepted")
+	}
+	if err := g.Recut([]grid.Region{grid.Square(3, 0, 7)}); err == nil {
+		t.Error("Recut over a rank-3 region of a rank-2 spec was accepted")
+	}
+}
+
+// poolWorkers returns the IDs of the goroutines running a pool's worker
+// loop that others does not hold.
+func poolWorkers(others map[string]bool) map[string]bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if f := strings.Fields(g); len(f) > 1 && strings.Contains(g, "taskdag.(*pool).loop") && !others[f[1]] {
+			ids[f[1]] = true
+		}
+	}
+	return ids
+}
+
+// TestPoolRunsGraphsAcrossStop: graphs that share a pool run on the same
+// workers, spawned by the first Run and parked between Runs; retiring one
+// graph leaves the pool to the others, Pool.Stop retires the workers, and a
+// later Run starts them again. A pool that becomes unreachable is stopped
+// by the collector.
+func TestPoolRunsGraphsAcrossStop(t *testing.T) {
+	others := poolWorkers(nil)
+	settle := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); len(poolWorkers(others)) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d pool workers left", what, len(poolWorkers(others)))
+			}
+			runtime.GC()
+		}
+	}
+	p := NewPool(3)
+	var graphs [2]*Graph
+	for i := range graphs {
+		g, err := New(grid.Square(2, 0, 63), loop2(), forward2(), Options{Pool: p, TileW: []int{8, 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Workers() != 3 {
+			t.Fatalf("a graph on a pool of 3 reports %d workers", g.Workers())
+		}
+		graphs[i] = g
+	}
+	if got := len(poolWorkers(others)); got != 0 {
+		t.Fatalf("%d pool workers before any Run: the pool spawned eagerly", got)
+	}
+	var first map[string]bool
+	for run := 0; run < 3; run++ {
+		for _, g := range graphs {
+			runDAGAndCheckOrder(t, g)
+		}
+		now := poolWorkers(others)
+		if first == nil {
+			first = now
+		}
+		if len(now) != 2 || len(poolWorkers(first)) != 0 || len(first) != 2 {
+			t.Fatalf("run %d: pool workers %v, after the first run %v: want the same 2", run, now, first)
+		}
+	}
+	graphs[0].Stop()
+	runDAGAndCheckOrder(t, graphs[1])
+	if got := len(poolWorkers(others)); got != 2 {
+		t.Fatalf("%d pool workers after a graph on the pool stopped, want 2: the pool went with it", got)
+	}
+	p.Stop()
+	settle("after Pool.Stop")
+	runDAGAndCheckOrder(t, graphs[1])
+	p.Stop()
+	settle("after the second Pool.Stop")
+
+	func() {
+		g, err := New(grid.Square(2, 0, 63), loop2(), forward2(), Options{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runDAGAndCheckOrder(t, g)
+	}()
+	settle("after a graph and its pool became unreachable")
 }

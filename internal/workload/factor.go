@@ -163,9 +163,18 @@ func (w *Factor) Reset() {
 // Run executes the factorization serially under the given options. The
 // program is five statement shapes (six with Cholesky's diagonal square
 // root) over shrinking regions, so each shape is prepared once, from its
-// first block, and every step passes its own region.
+// first block, every step passes its own region, and each is closed at the
+// end: under SchedTaskDAG a shape keeps one pool and one graph, re-cut per
+// step, and no worker outlives the call.
 func (w *Factor) Run(opts scan.ExecOptions) error {
 	var shapes [6]*scan.Prepared
+	defer func() {
+		for _, p := range shapes {
+			if p != nil {
+				p.Close()
+			}
+		}
+	}()
 	for i, b := range w.blocks {
 		p := shapes[w.shape[i]]
 		if p == nil {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"wavefront/internal/field"
 	"wavefront/internal/pipeline"
@@ -10,8 +12,11 @@ import (
 
 // TestFactorMatchesReference: the block program must reproduce the straight-
 // loop elimination bit for bit, for both LU and Cholesky, under both engines
-// and both schedulers, and the factors must actually factor the matrix.
+// and both schedulers, and the factors must actually factor the matrix. A
+// task-DAG Run closes the pools its prepared shapes started: no worker
+// outlives it, with or without a collection.
 func TestFactorMatchesReference(t *testing.T) {
+	base := runtime.NumGoroutine()
 	makers := []struct {
 		name string
 		mk   func(n int, seed int64, layout field.Layout) (*Factor, error)
@@ -38,6 +43,11 @@ func TestFactorMatchesReference(t *testing.T) {
 			w.Reset()
 			if err := w.Run(o.opt); err != nil {
 				t.Fatalf("%s/%s: %v", mk.name, o.name, err)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s/%s: %d goroutines after Run, %d before", mk.name, o.name, runtime.NumGoroutine(), base)
+				}
 			}
 			if d := w.Env.Arrays["a"].MaxAbsDiff(w.All, ref); d != 0 {
 				t.Errorf("%s/%s: factored matrix differs from oracle by %g", mk.name, o.name, d)

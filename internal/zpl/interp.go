@@ -156,9 +156,18 @@ func (it *Interp) RegionOf(array string) (grid.Region, bool) {
 	return it.Region(rn)
 }
 
-// Run executes a parsed program: declarations first, then statements.
+// Run executes a parsed program: declarations first, then statements. At
+// the end it closes what the statements prepared, so no task-DAG worker
+// outlives the program.
 func (it *Interp) Run(prog *Program) error {
 	it.handles = make([]handle, prog.slots)
+	defer func() {
+		for i := range it.handles {
+			if p := it.handles[i].prep; p != nil {
+				p.Close()
+			}
+		}
+	}()
 	for _, d := range prog.Decls {
 		if err := it.declare(d); err != nil {
 			return err
@@ -478,6 +487,9 @@ func reduceOp(prefix string) (scan.ReduceOp, bool) {
 func (it *Interp) block(s Stmt, slot int, pos Pos, region grid.Region) error {
 	h := &it.handles[slot]
 	if h.stale(it) {
+		if h.prep != nil {
+			h.prep.Close()
+		}
 		*h = handle{builds: h.builds}
 		blk, err := it.lowerBlock(s, region, h)
 		if err == errScanBody {

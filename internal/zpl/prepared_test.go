@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
+
+	"wavefront/internal/scan"
 )
 
 // TestLoopVariableByEveryRoute: statements are prepared on their first trip
@@ -78,5 +82,35 @@ func TestHeatPreparesEachStatementOnce(t *testing.T) {
 	}
 	if prepared != 8 || folds != 1 {
 		t.Errorf("%d prepared array statements and %d held reductions, want 8 and 1", prepared, folds)
+	}
+}
+
+// TestTaskDAGProgramClosesItsPools: under the task DAG the interpreter
+// closes what its statements prepared — a statement prepared again because
+// a scalar its lowering inlined changed, and every handle at program end —
+// so no pool worker outlives the run, collected or not, and the output is
+// the static schedule's.
+func TestTaskDAGProgramClosesItsPools(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "loopvar.zpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "loopvar.out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	var out bytes.Buffer
+	opts := Options{Out: &out, Exec: scan.ExecOptions{Scheduler: scan.SchedTaskDAG, Workers: 3}}
+	if _, err := RunSource(string(src), opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("task-DAG output differs from testdata/loopvar.out:\n--- want ---\n%s--- got ---\n%s", want, out.Bytes())
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the program, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
