@@ -111,7 +111,9 @@ func runValidate(n, block int) error {
 				if err != nil {
 					return err
 				}
-				if err := sess.Run(w.body); err != nil {
+				err = sess.Run(w.body)
+				sess.Close()
+				if err != nil {
 					return err
 				}
 				w.check(ref, fmt.Sprintf("p=%d %s", p, leg.name), p)

@@ -129,16 +129,16 @@ type waitInfo struct {
 // Recv fails fast. Cancel is idempotent — the first cause wins — and safe
 // to call from any goroutine, including outside Run. A nil cause records a
 // generic cancellation.
-func (t *Topology) Cancel(cause error) { t.cancel(-1, cause) }
+func (t *topology) Cancel(cause error) { t.cancel(-1, cause) }
 
 // Err returns the cancellation cause, or nil while the topology is healthy.
-func (t *Topology) Err() error {
+func (t *topology) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.cause
 }
 
-func (t *Topology) cancel(rank int, cause error) {
+func (t *topology) cancel(rank int, cause error) {
 	if cause == nil {
 		cause = errors.New("canceled by caller")
 	}
@@ -174,7 +174,7 @@ func (t *Topology) cancel(rank int, cause error) {
 }
 
 // cancelError builds the error a poisoned operation returns.
-func (t *Topology) cancelError() error {
+func (t *topology) cancelError() error {
 	t.mu.Lock()
 	cause, rank := t.cause, t.causeRank
 	t.mu.Unlock()
@@ -188,7 +188,7 @@ func (t *Topology) cancelError() error {
 // Run is now blocked, it pokes the deadlock watchdog. Callers may hold
 // the waited link's lock (the lock order is link.mu before Topology.mu;
 // cancel and checkDeadlock never hold mu while taking a link lock).
-func (t *Topology) beginWait(rank int, w waitInfo) {
+func (t *topology) beginWait(rank int, w waitInfo) {
 	w.active = true
 	t.mu.Lock()
 	t.waits[rank] = w
@@ -205,7 +205,7 @@ func (t *Topology) beginWait(rank int, w waitInfo) {
 }
 
 // endWait deregisters rank after it wakes.
-func (t *Topology) endWait(rank int) {
+func (t *topology) endWait(rank int) {
 	t.mu.Lock()
 	t.waits[rank].active = false
 	t.blocked--
@@ -215,7 +215,7 @@ func (t *Topology) endWait(rank int) {
 
 // rankDone retires a Run participant; the remaining live ranks may now all
 // be blocked, so the deadlock condition is re-evaluated.
-func (t *Topology) rankDone(rank int) {
+func (t *topology) rankDone(rank int) {
 	t.mu.Lock()
 	t.live--
 	t.waitGen++
@@ -228,14 +228,16 @@ func (t *Topology) rankDone(rank int) {
 	t.mu.Unlock()
 }
 
-// watchdog is the Run-scoped deadlock checker: one persistent goroutine
-// woken through the buffered wake channel whenever the last live rank
-// blocks. A single goroutine with preallocated scratch keeps the
-// all-blocked notification — a routine event whenever a sender's wake-up
-// broadcast races a fresh wait — free of per-event allocations; a poke
-// arriving mid-check coalesces into the buffered slot and triggers one
-// more check, so no suspicion is ever dropped.
-func (t *Topology) watchdog(wake <-chan struct{}) {
+// watchdog is the deadlock checker: one goroutine kept with the ranks',
+// parked between Runs and woken through the buffered wake channel whenever
+// the last live rank blocks. A single goroutine with preallocated scratch
+// keeps the all-blocked notification — a routine event whenever a sender's
+// wake-up broadcast races a fresh wait — free of per-event allocations; a
+// poke arriving mid-check coalesces into the buffered slot and triggers one
+// more check, so no suspicion is ever dropped. A poke left over from an
+// earlier Run finds no live rank, or a wait generation that moved on.
+func (t *topology) watchdog(wake <-chan struct{}) {
+	defer t.exited.Done()
 	suspects := make([]suspect, 0, t.p)
 	entries := make([]WaitEntry, 0, t.p)
 	for range wake {
@@ -256,13 +258,13 @@ type suspect struct {
 // is unchanged) — every blocked rank is in cond.Wait, so the state it
 // verified cannot move afterwards. The scratch slices are the watchdog's;
 // confirmed diagnoses are cloned out of them.
-func (t *Topology) checkDeadlock(suspects []suspect, entries []WaitEntry) {
+func (t *topology) checkDeadlock(suspects []suspect, entries []WaitEntry) {
 	t.mu.Lock()
 	if t.canceled.Load() || t.live == 0 || t.blocked != t.live {
 		t.mu.Unlock()
 		return
 	}
-	gen := t.waitGen
+	gen, capacity := t.waitGen, t.capacity
 	suspects = suspects[:0]
 	for r := range t.waits {
 		if t.waits[r].active {
@@ -292,7 +294,7 @@ func (t *Topology) checkDeadlock(suspects []suspect, entries []WaitEntry) {
 			case waitRecv:
 				satisfiable = qlen > 0
 			case waitSend:
-				satisfiable = qlen < t.capacity
+				satisfiable = qlen < capacity
 			}
 			l.mu.Unlock()
 			if satisfiable {
@@ -313,8 +315,9 @@ func (t *Topology) checkDeadlock(suspects []suspect, entries []WaitEntry) {
 	t.cancel(-1, &DeadlockError{Waits: append([]WaitEntry(nil), entries...)})
 }
 
-// pokeWatchdog re-triggers the deadlock check if a Run is still active.
-func (t *Topology) pokeWatchdog() {
+// pokeWatchdog re-triggers the deadlock check while the watchdog runs; with
+// no Run in flight the check finds no live rank and returns.
+func (t *topology) pokeWatchdog() {
 	t.mu.Lock()
 	if t.wake != nil && !t.canceled.Load() {
 		select {
@@ -328,7 +331,7 @@ func (t *Topology) pokeWatchdog() {
 // stall implements the injector's ActStall: the rank parks — visible to the
 // deadlock detector — until the topology is canceled, then reports the
 // cancellation.
-func (t *Topology) stall(rank, peer, tag int, op fault.Op) error {
+func (t *topology) stall(rank, peer, tag int, op fault.Op) error {
 	w := waitInfo{op: waitStallSend, peer: peer, tag: tag, link: -1}
 	if op == fault.OpRecv {
 		w.op = waitStallRecv

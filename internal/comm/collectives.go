@@ -41,10 +41,16 @@ func (e *Endpoint) Barrier() error {
 // ReduceOp combines two partial values.
 type ReduceOp func(a, b float64) float64
 
-// MaxOp and SumOp are the common reductions.
+// MaxOp, MinOp and SumOp are the common reductions.
 var (
 	MaxOp ReduceOp = func(a, b float64) float64 {
 		if a > b {
+			return a
+		}
+		return b
+	}
+	MinOp ReduceOp = func(a, b float64) float64 {
+		if a < b {
 			return a
 		}
 		return b

@@ -20,6 +20,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +44,7 @@ type Message struct {
 // queue, its condition variable, and its accounting.
 type link struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond
 	queue []Message
 	// consumed counts messages dequeued over the link's lifetime — the
 	// receiver-side cursor checkpoint/restart keys replay on (recovery.go).
@@ -57,14 +58,24 @@ type link struct {
 
 func newLink() *link {
 	l := &link{}
-	l.cond = sync.NewCond(&l.mu)
+	l.cond.L = &l.mu
 	return l
 }
 
-// Topology is a set of P ranks with a link for every ordered pair.
-type Topology struct {
+// Topology is a set of P ranks with a link for every ordered pair. It keeps
+// one goroutine per rank and a deadlock watchdog from its first Run until
+// Close, parked between Runs, and Reset readies it for the next Run in
+// place. The goroutines hold the topology's state, never this handle, so a
+// Topology that becomes unreachable while they run is closed by the garbage
+// collector. Close disarms that: a finalizer keeps everything the handle
+// reaches alive for one more collection.
+type Topology struct{ *topology }
+
+type topology struct {
 	p     int
 	links []*link // links[from*p+to]
+	// eps are the ranks' endpoints, one per rank for the topology's life.
+	eps []Endpoint
 	// obs, when non-nil, is handed one event per send, receive, fired fault
 	// and canceled operation (blocked-wait durations included), which it
 	// records to the per-rank trace and folds into the live metrics. Set
@@ -115,45 +126,63 @@ type Topology struct {
 	blocked   int        // ranks registered as blocked in a wait
 	waitGen   uint64     // bumped on every wait/live transition
 	waits     []waitInfo // per-rank registered wait
-	// wake pokes the Run's persistent deadlock watchdog (buffered, so the
-	// all-blocked notification never blocks and coalesces while a check is
-	// in flight); nil outside Run.
+	// wake pokes the deadlock watchdog (buffered, so the all-blocked
+	// notification never blocks and coalesces while a check is in flight);
+	// nil while the topology's goroutines are not running.
 	wake chan struct{}
+
+	// The rank goroutines' hand-shake (see serve): start[r] hands rank r's
+	// goroutine a Run, one token per Run, and is nil while the goroutines
+	// are not running; body and errs are the Run in flight's, written before
+	// the tokens are sent and read after ranksDone, which counts the ranks
+	// out of the Run. exited counts the goroutines out of the topology's
+	// life.
+	start     []chan struct{}
+	body      func(e *Endpoint) error
+	errs      []error
+	ranksDone sync.WaitGroup
+	exited    sync.WaitGroup
 }
 
-// NewTopology creates a topology of p ranks.
+// NewTopology creates a topology of p ranks. It starts no goroutine until
+// its first Run.
 func NewTopology(p int) (*Topology, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("comm: topology needs at least 1 rank, got %d", p)
 	}
-	t := &Topology{
+	t := &topology{
 		p:         p,
 		links:     make([]*link, p*p),
+		eps:       make([]Endpoint, p),
 		done:      make(chan struct{}),
 		causeRank: -1,
 		waits:     make([]waitInfo, p),
+		errs:      make([]error, p),
 	}
 	for i := range t.links {
 		t.links[i] = newLink()
 	}
+	for r := range t.eps {
+		t.eps[r] = Endpoint{rank: r, topo: t}
+	}
 	t.tp = chanTransport{t}
-	return t, nil
+	return &Topology{t}, nil
 }
 
 // P returns the number of ranks.
-func (t *Topology) P() int { return t.p }
+func (t *topology) P() int { return t.p }
 
 // SetObserver attaches the run's observer (metrics.Observe over at least P
 // ranks). Must be called before Run; a nil observer (the default) disables
 // tracing and metrics at the cost of one pointer comparison per operation.
-func (t *Topology) SetObserver(o *metrics.Observer) { t.obs = o }
+func (t *topology) SetObserver(o *metrics.Observer) { t.obs = o }
 
 // SetFaults attaches a fault injector consulted on every send and receive.
 // Must be called before Run; a nil injector disables injection (the
 // default) at the cost of one pointer comparison per operation. Attaching
 // an injector drops any buffer pool: injected duplicates and corruptions
 // alias payload buffers, which a recycling pool must never see.
-func (t *Topology) SetFaults(in *fault.Injector) {
+func (t *topology) SetFaults(in *fault.Injector) {
 	t.inj = in
 	if in != nil {
 		t.pool = nil
@@ -167,7 +196,7 @@ func (t *Topology) SetFaults(in *fault.Injector) {
 // same contract as SetObserver. Pooling is incompatible with fault injection
 // (ActDuplicate enqueues one payload twice; ActCorrupt swaps payloads),
 // so SetBufPool fails while an injector is attached.
-func (t *Topology) SetBufPool(p *bufpool.Pool) error {
+func (t *topology) SetBufPool(p *bufpool.Pool) error {
 	if p == nil {
 		t.pool = nil
 		return nil
@@ -183,12 +212,12 @@ func (t *Topology) SetBufPool(p *bufpool.Pool) error {
 }
 
 // BufPool returns the attached pool (nil when pooling is disabled).
-func (t *Topology) BufPool() *bufpool.Pool { return t.pool }
+func (t *topology) BufPool() *bufpool.Pool { return t.pool }
 
 // SetLinkCapacity bounds every link to at most n queued messages; senders
 // block on a full link until the receiver drains it (backpressure mode).
 // n = 0 restores the default unbounded behavior. Must be called before Run.
-func (t *Topology) SetLinkCapacity(n int) error {
+func (t *topology) SetLinkCapacity(n int) error {
 	if n < 0 {
 		return fmt.Errorf("comm: link capacity must be >= 0, got %d", n)
 	}
@@ -201,16 +230,17 @@ func (t *Topology) SetLinkCapacity(n int) error {
 	return nil
 }
 
-func (t *Topology) link(from, to int) *link { return t.links[from*t.p+to] }
+func (t *topology) link(from, to int) *link { return t.links[from*t.p+to] }
 
-func (t *Topology) linkIndex(from, to int) int { return from*t.p + to }
+func (t *topology) linkIndex(from, to int) int { return from*t.p + to }
 
-// Endpoint returns rank r's handle for sending and receiving.
-func (t *Topology) Endpoint(r int) *Endpoint {
+// Endpoint returns rank r's handle for sending and receiving, the same one
+// for the topology's life.
+func (t *topology) Endpoint(r int) *Endpoint {
 	if r < 0 || r >= t.p {
 		panic(fmt.Sprintf("comm: endpoint rank %d out of range [0,%d)", r, t.p))
 	}
-	return &Endpoint{rank: r, topo: t}
+	return &t.eps[r]
 }
 
 // Stats is a snapshot of communication volume.
@@ -227,7 +257,7 @@ type Stats struct {
 func (s Stats) Bytes() int64 { return s.Elements * 8 }
 
 // Stats sums message, element, and blocked-send counts over all links.
-func (t *Topology) Stats() Stats {
+func (t *topology) Stats() Stats {
 	var s Stats
 	for _, l := range t.links {
 		l.mu.Lock()
@@ -242,7 +272,7 @@ func (t *Topology) Stats() Stats {
 
 // PendingMessages reports the number of sent-but-unreceived messages, which
 // must be zero after a quiescent parallel section. Useful as a test oracle.
-func (t *Topology) PendingMessages() int {
+func (t *topology) PendingMessages() int {
 	n := 0
 	for _, l := range t.links {
 		l.mu.Lock()
@@ -256,7 +286,7 @@ func (t *Topology) PendingMessages() int {
 // at capacity. It reports the time spent blocked and fails if the topology
 // is canceled while waiting. Every transport's delivery terminates here, so
 // link accounting, backpressure, and send retention are transport-agnostic.
-func (t *Topology) enqueue(from, to int, m Message) (time.Duration, error) {
+func (t *topology) enqueue(from, to int, m Message) (time.Duration, error) {
 	l := t.link(from, to)
 	l.mu.Lock()
 	var blocked time.Duration
@@ -298,7 +328,7 @@ func (t *Topology) enqueue(from, to int, m Message) (time.Duration, error) {
 // dequeue pops the next message on the from→to link, blocking while the
 // link is empty. It reports the time spent blocked and fails on a tag
 // mismatch or if the topology is canceled while waiting.
-func (t *Topology) dequeue(from, to, tag int) (Message, time.Duration, error) {
+func (t *topology) dequeue(from, to, tag int) (Message, time.Duration, error) {
 	l := t.link(from, to)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -341,7 +371,7 @@ func (t *Topology) dequeue(from, to, tag int) (Message, time.Duration, error) {
 // Endpoint is one rank's view of the topology.
 type Endpoint struct {
 	rank int
-	topo *Topology
+	topo *topology
 }
 
 // Rank returns the endpoint's rank.
@@ -369,7 +399,7 @@ func (e *Endpoint) ReleaseTo(rank int, buf []float64) {
 
 // recordFault reports an injected fault firing at rank; the action code
 // travels in Seq.
-func (t *Topology) recordFault(rank, peer, tag, elems int, out fault.Outcome) {
+func (t *topology) recordFault(rank, peer, tag, elems int, out fault.Outcome) {
 	if o := t.obs; o != nil {
 		now := o.Now()
 		ev := trace.Ev(trace.KindFault, rank, now, now)
@@ -379,7 +409,7 @@ func (t *Topology) recordFault(rank, peer, tag, elems int, out fault.Outcome) {
 }
 
 // recordCancel reports an operation aborted by cancellation.
-func (t *Topology) recordCancel(rank, peer, tag int, start int64) {
+func (t *topology) recordCancel(rank, peer, tag int, start int64) {
 	if o := t.obs; o != nil {
 		ev := trace.Ev(trace.KindCancel, rank, start, o.Now())
 		ev.Peer, ev.Tag = peer, tag
@@ -511,12 +541,16 @@ func (e *Endpoint) Recv(from, tag int) ([]float64, error) {
 	return m.Data, nil
 }
 
-// Run spawns one goroutine per rank executing body and waits for all of
+// Run hands body to every rank's goroutine — started by the first Run, or
+// the first after Close, and parked between Runs — and waits for all of
 // them. It is the SPMD entry point of the runtime. When a rank's body
 // returns an error, the topology is canceled so blocked peers unwind
 // instead of hanging, and Run reports that rank's error wrapped with the
 // cancellation; a watchdog-diagnosed deadlock surfaces as a DeadlockError.
-func (t *Topology) Run(body func(e *Endpoint) error) error {
+// The topology keeps its link counters and a cancellation until Reset.
+func (h *Topology) Run(body func(e *Endpoint) error) error {
+	defer runtime.KeepAlive(h) // Close, the finalizer's too, must not overlap a Run
+	t := h.topology
 	t.mu.Lock()
 	if t.running {
 		t.mu.Unlock()
@@ -525,43 +559,29 @@ func (t *Topology) Run(body func(e *Endpoint) error) error {
 	t.running = true
 	t.live = t.p
 	t.waitGen++
-	wake := make(chan struct{}, 1)
-	t.wake = wake
 	t.mu.Unlock()
-	go t.watchdog(wake)
 
-	errs := make([]error, t.p)
-	var wg sync.WaitGroup
-	wg.Add(t.p)
-	for r := 0; r < t.p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			ep := t.Endpoint(r)
-			err := body(ep)
-			// Recovery: a recoverable failure restarts the body in this same
-			// goroutine — the rank never retires, so the watchdog keeps
-			// counting it live and peers blocked on its messages are simply
-			// waiting, not deadlocked.
-			for attempt := 1; err != nil && t.tryRestart(r, attempt, err); attempt++ {
-				err = body(ep)
-			}
-			errs[r] = err
-			if err != nil && !errors.Is(err, ErrCanceled) {
-				// Cancel before retiring so the watchdog can never diagnose
-				// a "deadlock" among peers this failure is about to unblock.
-				t.cancel(r, err)
-			}
-			t.rankDone(r)
-		}(r)
+	t.body = body
+	t.ranksDone.Add(t.p)
+	if t.start == nil {
+		t.spawn()
+		// A dropped topology's goroutines are told to stop, and not waited
+		// for: the collection that found it makes no goroutine block.
+		runtime.SetFinalizer(h, func(h *Topology) { h.stop(false); h.tp.Close() })
+	} else {
+		for _, start := range t.start {
+			start <- struct{}{}
+		}
 	}
-	wg.Wait()
+	t.ranksDone.Wait()
+	t.body = nil
 
 	t.mu.Lock()
 	t.running = false
-	t.wake = nil
 	canceled, cause, causeRank := t.canceled.Load(), t.cause, t.causeRank
 	t.mu.Unlock()
-	close(wake) // no rank is left to poke the watchdog; retire it
+	errs := t.errs
+	defer clear(errs)
 	if canceled {
 		if causeRank >= 0 {
 			return fmt.Errorf("comm: rank %d failed, peers canceled: %w", causeRank, cause)
@@ -578,4 +598,103 @@ func (t *Topology) Run(body func(e *Endpoint) error) error {
 		}
 	}
 	return nil
+}
+
+// spawn starts the watchdog and the rank goroutines, each with the Run's
+// token already in its start channel: a goroutine that had to park for its
+// first token would be woken onto the spawning goroutine's processor, behind
+// it, instead of running where the scheduler put it. A channel holds one
+// token, so a Run never waits to hand a rank its token.
+func (t *topology) spawn() {
+	wake := make(chan struct{}, 1)
+	t.mu.Lock()
+	t.wake = wake
+	t.mu.Unlock()
+	t.start = make([]chan struct{}, t.p)
+	t.exited.Add(t.p + 1)
+	go t.watchdog(wake)
+	for r := range t.start {
+		t.start[r] = make(chan struct{}, 1)
+		t.start[r] <- struct{}{}
+		go t.serve(r, t.start[r])
+	}
+}
+
+// serve is rank r's goroutine: for every token, run the Run's body —
+// restarting it in place while recovery grants a restart — and check out;
+// return when stop closes the channel.
+func (t *topology) serve(r int, start <-chan struct{}) {
+	defer t.exited.Done()
+	ep := &t.eps[r]
+	for range start {
+		body := t.body
+		err := body(ep)
+		// Recovery: a recoverable failure restarts the body in this same
+		// goroutine — the rank never retires, so the watchdog keeps
+		// counting it live and peers blocked on its messages are simply
+		// waiting, not deadlocked.
+		for attempt := 1; err != nil && t.tryRestart(r, attempt, err); attempt++ {
+			err = body(ep)
+		}
+		t.errs[r] = err
+		if err != nil && !errors.Is(err, ErrCanceled) {
+			// Cancel before retiring so the watchdog can never diagnose
+			// a "deadlock" among peers this failure is about to unblock.
+			t.cancel(r, err)
+		}
+		t.rankDone(r)
+		t.ranksDone.Done()
+	}
+}
+
+// stop retires the rank goroutines and the watchdog and, with wait, returns
+// once they have exited; a later Run starts them again. Must not overlap a
+// Run.
+func (t *topology) stop(wait bool) {
+	if t.start == nil {
+		return
+	}
+	for _, start := range t.start {
+		close(start)
+	}
+	t.start = nil
+	t.mu.Lock()
+	wake := t.wake
+	t.wake = nil
+	t.mu.Unlock()
+	close(wake)
+	if wait {
+		t.exited.Wait()
+	}
+}
+
+// Reset readies the topology for its next Run as if it were new, keeping
+// its goroutines, transport and settings: it empties every link queue
+// (keeping its capacity), zeroes the link counters Stats and the
+// checkpoint cursors read, clears a cancellation, and drops the send
+// retention and suppression of a recovery. Must not overlap a Run.
+func (t *topology) Reset() {
+	for i, l := range t.links {
+		l.mu.Lock()
+		clear(l.queue[:cap(l.queue)])
+		l.queue = l.queue[:0]
+		l.consumed, l.messages, l.elements, l.blockedSends, l.blockedNs = 0, 0, 0, 0, 0
+		if t.retain != nil {
+			clear(t.retain[i].msgs[:cap(t.retain[i].msgs)])
+			t.retain[i] = retainLog{msgs: t.retain[i].msgs[:0]}
+			t.sent[i].Store(0)
+			t.suppress[i].Store(0)
+		}
+		l.mu.Unlock()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.canceled.Load() {
+		t.canceled.Store(false)
+		t.done = make(chan struct{})
+	}
+	t.cause, t.causeRank = nil, -1
+	t.blocked = 0
+	clear(t.waits)
+	t.waitGen++
 }

@@ -66,7 +66,8 @@ type retainLog struct {
 // SetRecovery arms restart-from-checkpoint recovery. Must be called before
 // Run; passing nil disarms it and drops the retention logs. While armed,
 // every enqueue retains a payload copy until TrimRetained releases it.
-func (t *Topology) SetRecovery(rec *Recovery) error {
+// Arming again starts the logs afresh in the storage of the last arming.
+func (t *topology) SetRecovery(rec *Recovery) error {
 	if rec == nil {
 		t.rec = nil
 		t.retain = nil
@@ -81,15 +82,20 @@ func (t *Topology) SetRecovery(rec *Recovery) error {
 		rec.MaxRestarts = defaultMaxRestarts
 	}
 	t.rec = rec
-	t.retain = make([]retainLog, t.p*t.p)
-	t.sent = make([]atomic.Int64, t.p*t.p)
+	if t.retain == nil {
+		t.retain = make([]retainLog, t.p*t.p)
+		t.sent = make([]atomic.Int64, t.p*t.p)
+		t.suppress = make([]atomic.Int64, t.p*t.p)
+	}
 	for i, l := range t.links {
 		l.mu.Lock()
-		t.retain[i].base = l.messages
+		msgs := t.retain[i].msgs
+		clear(msgs[:cap(msgs)])
+		t.retain[i] = retainLog{base: l.messages, msgs: msgs[:0]}
 		t.sent[i].Store(l.messages)
+		t.suppress[i].Store(0)
 		l.mu.Unlock()
 	}
-	t.suppress = make([]atomic.Int64, t.p*t.p)
 	return nil
 }
 
@@ -97,7 +103,7 @@ func (t *Topology) SetRecovery(rec *Recovery) error {
 // enqueue with the link's mu held. With a pool attached the copy is a
 // leased buffer from the sender's shard (the queued original is owned by
 // the receiver and will be released by it — the two must never alias).
-func (t *Topology) retainLocked(idx, from int, m Message) {
+func (t *topology) retainLocked(idx, from int, m Message) {
 	cp := m
 	if t.pool != nil {
 		cp.Data = t.pool.Get(from, len(m.Data))
@@ -111,7 +117,7 @@ func (t *Topology) retainLocked(idx, from int, m Message) {
 // TrimRetained releases rank's inbound retention below the given per-peer
 // consumed cursors — called after rank persists a snapshot, since no
 // restart will ever need messages the snapshot already covers.
-func (t *Topology) TrimRetained(rank int, recv []int64) {
+func (t *topology) TrimRetained(rank int, recv []int64) {
 	if t.retain == nil {
 		return
 	}
@@ -146,7 +152,7 @@ func (t *Topology) TrimRetained(rank int, recv []int64) {
 // tryRestart decides whether rank's failure is recoverable and, when it
 // is, rewinds the communication state to the rank's last snapshot. It runs
 // on the failed rank's goroutine between body invocations.
-func (t *Topology) tryRestart(rank int, attempt int, err error) bool {
+func (t *topology) tryRestart(rank int, attempt int, err error) bool {
 	rec := t.rec
 	if rec == nil || errors.Is(err, ErrCanceled) || t.canceled.Load() {
 		return false
@@ -172,7 +178,7 @@ func (t *Topology) tryRestart(rank int, attempt int, err error) bool {
 // armSuppression counts, per outbound link, how many sends the pre-crash
 // body issued beyond the snapshot cursor; Endpoint.Send swallows that many
 // re-issued sends after the restart.
-func (t *Topology) armSuppression(rank int, send []int64) {
+func (t *topology) armSuppression(rank int, send []int64) {
 	for to := 0; to < t.p; to++ {
 		if to == rank {
 			continue
@@ -196,7 +202,7 @@ func (t *Topology) armSuppression(rank int, send []int64) {
 // link's consumed count to the cursor. The restarted body then re-receives
 // exactly the sequence it saw the first time, ahead of anything peers have
 // queued since. Returns the number of messages replayed.
-func (t *Topology) replayInbound(rank int, recv []int64) int {
+func (t *topology) replayInbound(rank int, recv []int64) int {
 	replayed := 0
 	for from := 0; from < t.p; from++ {
 		if from == rank {

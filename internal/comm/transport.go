@@ -22,6 +22,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -126,7 +127,7 @@ func (c TransportConfig) withDefaults() TransportConfig {
 // chanTransport is the in-process default: delivery is an enqueue on the
 // receiver's link under its lock, exactly the pre-transport hot path, so
 // the pooled steady state still allocates nothing.
-type chanTransport struct{ t *Topology }
+type chanTransport struct{ t *topology }
 
 func (c chanTransport) Send(from, to int, m Message) (time.Duration, error) {
 	return c.t.enqueue(from, to, m)
@@ -144,7 +145,7 @@ func (c chanTransport) Close() error { return nil }
 // so callers should defer Close. Socket transports are incompatible with
 // SetLinkCapacity: backpressure accounting needs the sender to see the
 // receiver's queue, which only the in-process transport can.
-func (t *Topology) SetTransport(cfg TransportConfig) error {
+func (t *topology) SetTransport(cfg TransportConfig) error {
 	switch cfg.Kind {
 	case TransportChan:
 		t.closeTransport()
@@ -166,18 +167,19 @@ func (t *Topology) SetTransport(cfg TransportConfig) error {
 }
 
 // closeTransport releases a previously attached socket transport.
-func (t *Topology) closeTransport() {
+func (t *topology) closeTransport() {
 	if t.tp != nil {
 		t.tp.Close()
 	}
 }
 
-// Close releases the topology's transport (sockets, demux goroutines, the
-// unix socket file). Safe to call on the default channel transport and
-// idempotent; a closed topology must not Run again over a socket transport.
-func (t *Topology) Close() error {
-	if t.tp == nil {
-		return nil
-	}
-	return t.tp.Close()
+// Close stops the rank goroutines and the watchdog and releases the
+// topology's transport (sockets, demux goroutines, the unix socket file).
+// Idempotent; must not overlap a Run. A later Run starts the goroutines
+// again, on the channel transport only: a closed socket transport stays
+// closed.
+func (h *Topology) Close() error {
+	runtime.SetFinalizer(h, nil)
+	h.stop(true)
+	return h.tp.Close()
 }

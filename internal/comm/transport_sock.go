@@ -46,7 +46,7 @@ import (
 )
 
 type sockTransport struct {
-	t   *Topology
+	t   *topology
 	cfg TransportConfig
 
 	network string
@@ -100,7 +100,7 @@ type recvGate struct {
 	delivered int64 // last sequence number enqueued
 }
 
-func newSockTransport(t *Topology, cfg TransportConfig) (*sockTransport, error) {
+func newSockTransport(t *topology, cfg TransportConfig) (*sockTransport, error) {
 	s := &sockTransport{
 		t: t, cfg: cfg,
 		links: make([]*sockLink, t.p*t.p),

@@ -40,7 +40,7 @@ func spinWait(mu *sync.Mutex, t0 time.Time) bool {
 // spins reports whether link waits yield-spin before parking: only on the
 // in-process transport. A socket link's wake-up comes from the netpoller,
 // which a P kept busy by a spinning goroutine never polls.
-func (t *Topology) spins() bool {
+func (t *topology) spins() bool {
 	_, inProcess := t.tp.(chanTransport)
 	return inProcess
 }

@@ -132,10 +132,8 @@ func newField(name string, bounds grid.Region, layout Layout, pad int) (*Field, 
 		}
 		dims[i] = grid.NewRange(d.Lo, d.Hi)
 	}
-	box, err := grid.NewRegion(dims...)
-	if err != nil {
-		return nil, err
-	}
+	// The ranges are stride 1 and dims is the field's own: the bounds keep it.
+	box := grid.RegionOver(dims)
 	f := &Field{name: name, bounds: box, layout: layout}
 	// Strides from the unit-stride dimension outwards; only its extent is
 	// padded, so every outer stride is a whole number of pitches.

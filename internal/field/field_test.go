@@ -204,3 +204,34 @@ func TestRank3(t *testing.T) {
 		t.Errorf("rank-3 strides = %d %d %d", f.Stride(0), f.Stride(1), f.Stride(2))
 	}
 }
+
+// TestNewFieldAllocs: a field is four allocations whatever its rank — the
+// Field, its bounds' ranges (the region keeps the slice it was built over),
+// its strides and its data — padded or not, and its bounds are its own: the
+// caller's region may change afterwards.
+func TestNewFieldAllocs(t *testing.T) {
+	for _, bounds := range []grid.Region{
+		grid.Square(1, 0, 7),
+		grid.Square(2, 1, 512),
+		grid.MustRegion(grid.NewRange(0, 3), grid.NewRange(-2, 5), grid.NewRange(1, 9)),
+	} {
+		for _, layout := range []Layout{RowMajor, ColMajor} {
+			if got := testing.AllocsPerRun(20, func() { MustNew("a", bounds, layout) }); got != 4 {
+				t.Errorf("New over %v (%v): %.0f allocations, want 4", bounds, layout, got)
+			}
+			if got := testing.AllocsPerRun(20, func() {
+				if _, err := NewLocal("a", bounds, layout, 32); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 4 {
+				t.Errorf("NewLocal over %v (%v): %.0f allocations, want 4", bounds, layout, got)
+			}
+		}
+	}
+	dims := []grid.Range{grid.NewRange(0, 3), grid.NewRange(0, 3)}
+	f := MustNew("a", grid.RegionOver(dims), RowMajor)
+	dims[0] = grid.NewRange(5, 9)
+	if got := f.Bounds().Dim(0); got != grid.NewRange(0, 3) {
+		t.Errorf("the field's bounds follow the caller's slice: dim 0 is %v", got)
+	}
+}

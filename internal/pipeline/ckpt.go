@@ -294,18 +294,15 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 		s.Ints = append(s.Ints, int64(v))
 	}
 	s.Names, s.Vals = s.Names[:0], s.Vals[:0]
-	tagged := func(tag string, m map[string]float64) {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s.Names = append(s.Names, tag+name)
-			s.Vals = append(s.Vals, m[name])
-		}
+	scalars := make([]string, 0, len(r.lenv.scalars))
+	for name := range r.lenv.scalars {
+		scalars = append(scalars, name)
 	}
-	tagged(ckTagScalar, r.lenv.scalars)
+	sort.Strings(scalars)
+	for _, name := range scalars {
+		s.Names = append(s.Names, ckTagScalar+name)
+		s.Vals = append(s.Vals, r.lenv.scalars[name])
+	}
 	// Dirty and written marks are only ever set on arrays some block
 	// writes, whose names the session sorted once.
 	for _, name := range r.sess.written {
@@ -327,7 +324,7 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 
 	var elems int
 	// Only what some block writes can differ from the globals: a restarted
-	// rank binds the read-only arrays from them again (see newRank).
+	// rank binds the read-only arrays from them again (see Session.rank).
 	s.Fields, elems = snapFields(s.Fields, r.sess.written, r.locals)
 	if err := ck.store.Save(s); err != nil {
 		return fmt.Errorf("pipeline: rank %d: checkpoint at op %d tile %d: %w", r.id, op, tile, err)
@@ -346,7 +343,7 @@ func (r *Rank) snapshot(ck *ckptRuntime, c, tile, recvd int) error {
 // copied into the locals of the written arrays — fresh copies, or views of
 // the caller's rows that no other rank reads or writes (geometry and the
 // choice between the two are pure functions of the session config, so
-// bounds and lengths always agree; the read-only arrays newRank bound are
+// bounds and lengths always agree; the read-only arrays Session.rank bound are
 // never written, by a snapshot either),
 // counters and tagged state overwrite the rank's zero state, and the
 // fast-forward horizon is set to the snapshot's operation and tile.

@@ -26,42 +26,27 @@ func Probe(rounds int) (alpha, beta float64, err error) {
 		if err != nil {
 			return 0, err
 		}
+		defer topo.Close()
 		payload := make([]float64, sz)
 		var elapsed time.Duration
 		err = topo.Run(func(e *comm.Endpoint) error {
-			// Warm up the links before timing.
-			for w := 0; w < 3; w++ {
-				if e.Rank() == 0 {
-					if err := e.Send(1, w, payload); err != nil {
-						return err
-					}
-					if _, err := e.Recv(1, w); err != nil {
-						return err
-					}
-				} else {
-					if _, err := e.Recv(0, w); err != nil {
-						return err
-					}
-					if err := e.Send(0, w, payload); err != nil {
+			peer := 1 - e.Rank()
+			const warm = 3 // untimed round trips that warm the links up
+			var start time.Time
+			for i := -warm; i < rounds; i++ {
+				if i == 0 {
+					start = time.Now()
+				}
+				if e.Rank() == 1 {
+					if _, err := e.Recv(peer, i); err != nil {
 						return err
 					}
 				}
-			}
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				tag := 100 + i
+				if err := e.Send(peer, i, payload); err != nil {
+					return err
+				}
 				if e.Rank() == 0 {
-					if err := e.Send(1, tag, payload); err != nil {
-						return err
-					}
-					if _, err := e.Recv(1, tag); err != nil {
-						return err
-					}
-				} else {
-					if _, err := e.Recv(0, tag); err != nil {
-						return err
-					}
-					if err := e.Send(0, tag, payload); err != nil {
+					if _, err := e.Recv(peer, i); err != nil {
 						return err
 					}
 				}

@@ -42,17 +42,6 @@ type rankBlock struct {
 	bound *Rank
 }
 
-// kept is what the session keeps of one rank beside its blocks' shares: the
-// halo-exchange geometry, built by the rank's first exchange, the reduction
-// operands it folds, re-bound by each Run's first fold of them, and under
-// the task DAG the worker pool every graph of the rank runs on, started by
-// its first Exec and stopped by Session.Close.
-type kept struct {
-	xregs    map[string]xchgRegs
-	reducers []*rankReducer
-	pool     *taskdag.Pool
-}
-
 // execPlan is a rank's fully materialized schedule for one wavefront
 // block: every tile region, every boundary region, and every message size
 // the hot loop needs, cut from regions and sizes alone once per session
@@ -226,11 +215,11 @@ func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.TaskG
 		return rb.dag, nil
 	}
 	s := r.sess
-	if r.kept.pool == nil {
-		r.kept.pool = taskdag.NewPool(s.workers)
+	if r.pool == nil {
+		r.pool = taskdag.NewPool(s.workers)
 	}
 	tg, err := scan.NewTaskGraph([]taskdag.Spec{{Region: rb.portion, Loop: pl.an.Loop, UDVs: pl.an.UDVs}},
-		taskdag.Options{Pool: r.kept.pool, Trace: s.cfg.Trace, Metrics: s.cfg.Metrics, MetricsRank: r.id,
+		taskdag.Options{Pool: r.pool, Trace: s.cfg.Trace, Metrics: s.cfg.Metrics, MetricsRank: r.id,
 			TraceBase: trace.Layout{Procs: s.cfg.Procs, Workers: s.workers}.WorkerBase(r.id)},
 		func(int, int) (*scan.Kernel, error) { return r.newKernel(b, pl) })
 	if err != nil {
@@ -245,9 +234,15 @@ func (r *Rank) taskGraphFor(b *scan.Block, pl *plan, rb *rankBlock) (*scan.TaskG
 // error paths included: the kept kernels, task graphs and reduction
 // operands return their pool-leased registers and drop every field and
 // data reference (a kernel that cannot — closures bake their fields in — is
-// dropped itself), the schedules their fields. Nothing stops: the worker
-// pool waits parked for the next Run.
+// dropped itself), the schedules their fields, and the Rank its locals,
+// marks, scalar overlay and endpoint. Nothing stops: the rank's goroutine
+// and worker pool wait parked for the next Run.
 func (r *Rank) releaseScratch() {
+	clear(r.locals)
+	clear(r.dirty)
+	clear(r.wrote)
+	clear(r.lenv.scalars)
+	r.e = nil
 	for _, pl := range r.sess.plans {
 		rb := &pl.ranks[r.id]
 		if rb.bound != r {
@@ -270,7 +265,7 @@ func (r *Rank) releaseScratch() {
 			}
 		}
 	}
-	for _, rr := range r.kept.reducers {
+	for _, rr := range r.reducers {
 		if rr.bound == r {
 			rr.fold.ReleaseScratch()
 			rr.fold.Rebind(nil)

@@ -12,9 +12,9 @@ import (
 	"wavefront/internal/workload"
 )
 
-// poolWorkers returns the IDs of the goroutines running a task-DAG pool's
-// worker loop that others does not hold.
-func poolWorkers(others map[string]bool) map[string]bool {
+// goroutinesIn returns the IDs of the goroutines whose stack holds one of
+// frames and that others does not hold.
+func goroutinesIn(frames []string, others map[string]bool) map[string]bool {
 	buf := make([]byte, 1<<16)
 	n := runtime.Stack(buf, true)
 	for ; n == len(buf); n = runtime.Stack(buf, true) {
@@ -22,29 +22,41 @@ func poolWorkers(others map[string]bool) map[string]bool {
 	}
 	ids := map[string]bool{}
 	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-		if f := strings.Fields(g); len(f) > 1 && strings.Contains(g, "taskdag.(*pool).loop") && !others[f[1]] {
-			ids[f[1]] = true
+		f := strings.Fields(g)
+		if len(f) < 2 || others[f[1]] {
+			continue
+		}
+		for _, frame := range frames {
+			if strings.Contains(g, frame) {
+				ids[f[1]] = true
+			}
 		}
 	}
 	return ids
 }
 
-// settleGoroutines waits until at most want goroutines and no pool worker
-// but others' are left, and fails with what it saw when two seconds pass
-// first: a worker that returned is reaped a moment after Stop. With
-// collect the loop also collects garbage, which stops the pool of an owner
-// that became unreachable; without it nothing but a Close can have stopped
-// them (the loop allocates nothing until the count is down, so no
-// collection runs a finalizer for it).
-func settleGoroutines(t *testing.T, others map[string]bool, want int, what string, collect bool) {
+// poolWorkers returns the IDs of the goroutines running a task-DAG pool's
+// worker loop that others does not hold.
+func poolWorkers(others map[string]bool) map[string]bool {
+	return goroutinesIn([]string{"taskdag.(*pool).loop"}, others)
+}
+
+// settleGoroutines waits until at most want goroutines and none that find
+// reports but others' are left, and fails with what it saw when two seconds
+// pass first: a goroutine that returned is reaped a moment after its stop.
+// With collect the loop also collects garbage, which stops the goroutines
+// of an owner that became unreachable; without it nothing but a Close can
+// have stopped them (the loop allocates nothing until the count is down, so
+// no collection runs a finalizer for it).
+func settleGoroutines(t *testing.T, find func(map[string]bool) map[string]bool, others map[string]bool, want int, what string, collect bool) {
 	t.Helper()
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		if runtime.NumGoroutine() <= want && len(poolWorkers(others)) == 0 {
+		if runtime.NumGoroutine() <= want && len(find(others)) == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d pool workers and %d goroutines left, want none and at most %d",
-				what, len(poolWorkers(others)), runtime.NumGoroutine(), want)
+			t.Fatalf("%s: %d of the watched goroutines and %d in all left, want none and at most %d",
+				what, len(find(others)), runtime.NumGoroutine(), want)
 		}
 		if collect {
 			runtime.GC()
@@ -134,8 +146,10 @@ func TestTaskDAGKeptAcrossRuns(t *testing.T) {
 
 // TestTaskDAGWarmRunStartsNoGoroutine: a one-rank task-DAG session at four
 // workers starts its pool's three goroutines in the first Run's first Exec
-// and parks them between Runs; a warm Run's Execs start none, and the first
-// Run's workers are the ones still parked after them.
+// and parks them between Runs; a warm Run's Execs start none, the first
+// Run's workers are the ones still parked after them, and the rank runs on
+// the goroutine it ran on in the first Run (TestStaticWarmRunStartsNoGoroutine
+// holds the static schedule's ranks to the same).
 func TestTaskDAGWarmRunStartsNoGoroutine(t *testing.T) {
 	tom, err := workload.NewTomcatv(64, field.RowMajor)
 	if err != nil {
@@ -149,7 +163,9 @@ func TestTaskDAGWarmRunStartsNoGoroutine(t *testing.T) {
 	}
 	defer sess.Close()
 	var started, after map[string]bool
+	var rank string
 	body := func(r *Rank) error {
+		rank = goid()
 		before := poolWorkers(nil)
 		if err := r.Exec(fwd); err != nil {
 			return err
@@ -166,13 +182,16 @@ func TestTaskDAGWarmRunStartsNoGoroutine(t *testing.T) {
 	if len(started) != 3 {
 		t.Fatalf("the first Run's Execs started %d pool workers, want 3", len(started))
 	}
-	first := started
+	first, firstRank := started, rank
 	for run := 0; run < 3; run++ {
 		if err := sess.Run(body); err != nil {
 			t.Fatal(err)
 		}
 		if len(started) != 0 {
 			t.Errorf("warm Run %d: its Execs started %d pool workers", run, len(started))
+		}
+		if rank != firstRank {
+			t.Errorf("warm Run %d: the rank ran on goroutine %s, the first Run's on %s", run, rank, firstRank)
 		}
 		for id := range first {
 			if !after[id] {
@@ -202,7 +221,7 @@ func TestTaskDAGSessionPoolsStopAtClose(t *testing.T) {
 		t.Fatalf("%d pool workers parked after a Run, want the two ranks' 2 each", got)
 	}
 	sess.Close()
-	settleGoroutines(t, others, base, "after Close", false)
+	settleGoroutines(t, poolWorkers, others, base, "after Close", false)
 
 	fresh, freshBlocks := keptProgram(t, 40, 1.125)
 	for name, f := range tom.Env.Arrays {
@@ -230,12 +249,12 @@ func TestTaskDAGSessionPoolsStopAtClose(t *testing.T) {
 		t.Fatalf("%d pool workers parked after a Run after Close, want the two ranks' 2 each", got)
 	}
 	sess.Close()
-	settleGoroutines(t, others, base, "after the second Close", false)
+	settleGoroutines(t, poolWorkers, others, base, "after the second Close", false)
 
 	if _, err := Run(tom.ForwardBlock(), tom.Env, Config{Procs: 2, Block: 8, Scheduler: scan.SchedTaskDAG, Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
-	settleGoroutines(t, others, base, "after a one-shot Run", false)
+	settleGoroutines(t, poolWorkers, others, base, "after a one-shot Run", false)
 }
 
 // TestTaskDAGDroppedSessionStopsPools: a session that becomes unreachable
@@ -258,5 +277,5 @@ func TestTaskDAGDroppedSessionStopsPools(t *testing.T) {
 			t.Fatalf("%d pool workers parked after a Run, want the two ranks' 2 each", got)
 		}
 	}()
-	settleGoroutines(t, others, base, "after the session became unreachable", true)
+	settleGoroutines(t, poolWorkers, others, base, "after the session became unreachable", true)
 }

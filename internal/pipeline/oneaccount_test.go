@@ -60,6 +60,7 @@ func runAccountLeg(t *testing.T, leg accountLeg, tr *trace.Recorder, reg *metric
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sess.Close() })
 	node := residOperand()
 	var lastStart int64
 	for run := 0; run < leg.runs; run++ {

@@ -10,9 +10,9 @@ import (
 )
 
 // own is what a rank holds of one array, for the whole session: one entry
-// of the ownership table Session.bind fills at arm. newRank binds by it,
+// of the ownership table Session.bind fills at arm. Session.rank binds by it,
 // gather copies back by it, Session.cutSchedules lays messages out by it
-// (through plan.payload) and Run decides its phase barrier by it.
+// (through plan.payload) and bind decides Run's phase barrier by it.
 type own uint8
 
 const (
@@ -48,6 +48,10 @@ type binding struct {
 	box    grid.Region
 	global *field.Field // the caller's field
 	view   *field.Field // global's rows over box (ownRows, ownRowsHalo)
+	// slab is, for an ownCopy, the rows of the rank's slab within the
+	// caller's storage and the full extent elsewhere: what gather copies
+	// back. nil for any other entry and where the slab holds none of them.
+	slab *grid.Region
 }
 
 // binding returns rank's entry for s.names[i].
@@ -105,7 +109,7 @@ func (s *Session) boxes() error {
 // written is a copy. Run needs its phase barrier only when some rank copies
 // rows another rank's slab holds.
 func (s *Session) bind() {
-	s.barrier = false
+	barrier := false
 	var byRef []string // sorted: the arrays whose messages carry no rows
 	for i, name := range s.names {
 		if !s.writes(name) {
@@ -136,11 +140,22 @@ func (s *Session) bind() {
 			if b.own == ownRowsHalo && !shared {
 				b.own, b.view = ownCopy, nil
 			}
-			s.barrier = s.barrier || b.own == ownCopy && s.reaches(rank, b.box)
+			b.slab = nil
+			if b.own == ownCopy {
+				barrier = barrier || s.reaches(rank, b.box)
+				if !s.rowsOf(b.box, rank).Empty() {
+					slab := s.portionOf(b.box, rank)
+					b.slab = &slab
+				}
+			}
 		}
 		if shared {
 			byRef = append(byRef, name)
 		}
+	}
+	s.phase = nil
+	if barrier {
+		s.phase = comm.NewSyncBarrier(len(s.slabs))
 	}
 	for _, pl := range s.plans {
 		pl.payload = pl.pipeNames

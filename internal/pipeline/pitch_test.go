@@ -162,7 +162,7 @@ func TestPaddedPitchSessionBitIdentity(t *testing.T) {
 	}
 }
 
-// TestLocalTileFollowsTheTiling pins the width newRank hands field.NewLocal:
+// TestLocalTileFollowsTheTiling pins the width Session.rank hands field.NewLocal:
 // the static schedule's Block when a registered sweep cuts the array's
 // unit-stride dimension into tiles that stay that wide for the whole Run,
 // else 0 — dense storage.

@@ -61,6 +61,7 @@ func oneShot(t *testing.T, b *scan.Block, env expr.Env, cfg Config, written []st
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Close()
 	if !slices.Equal(sess.written, written) {
 		t.Fatalf("the session writes %v, want %v", sess.written, written)
 	}
@@ -231,6 +232,7 @@ func TestReadOnlyArraysAreShared(t *testing.T) {
 						look(r)
 						return r.Exec(blk)
 					})
+					sess.Close()
 				}
 			} else {
 				err = oneShot(t, blk, tc.Env, cfg, c.written, look)

@@ -328,8 +328,8 @@ func TestReduceManyOperandsStaysBounded(t *testing.T) {
 					t.Errorf("operand %d: %g, want %g", k, got, want)
 				}
 			}
-			if len(r.kept.reducers) > maxReducers {
-				t.Errorf("%d cached operands, bound is %d", len(r.kept.reducers), maxReducers)
+			if len(r.reducers) > maxReducers {
+				t.Errorf("%d cached operands, bound is %d", len(r.reducers), maxReducers)
 			}
 		}
 		return nil

@@ -202,6 +202,7 @@ func TestScheduleMatchesRun(t *testing.T) {
 							sess, err := NewSession(fam.env, []*scan.Block{b}, cfg)
 							if err == nil {
 								err = sess.Run(func(r *Rank) error { return r.Exec(b) })
+								sess.Close()
 							}
 							if err != nil {
 								t.Fatalf("block %d over %v: %v", i, kind, err)

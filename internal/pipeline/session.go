@@ -18,6 +18,7 @@ import (
 	"wavefront/internal/grid"
 	"wavefront/internal/metrics"
 	"wavefront/internal/scan"
+	"wavefront/internal/taskdag"
 	"wavefront/internal/trace"
 )
 
@@ -55,26 +56,36 @@ type Session struct {
 	// written is the sorted subset of names some registered block assigns:
 	// the arrays a rank binds over its slab plus halo, exchanges halos of and
 	// snapshots. The rest are read-only for the whole session and a rank
-	// binds the caller's field itself (see newRank).
+	// binds the caller's field itself (see Session.rank).
 	written []string
 	// binds is the ownership table: what each rank holds of each array,
 	// names-major per rank (see binding and bind). It is filled at arm and
 	// changes only with the tile width.
 	binds []binding
-	// barrier records that some rank copies rows another rank's slab holds,
-	// so Run must order every scatter before any write.
-	barrier bool
+	// phase, where some rank copies rows another rank's slab holds, is the
+	// barrier that orders every scatter of a Run before any write; nil where
+	// none does. bind sets it, and every rank passes it once a Run.
+	phase *comm.SyncBarrier
 	// oneShot marks Run's one-block session, which executes its block
 	// exactly once: the only session whose pipelined halo rows may be read
 	// by reference (see haloByReference).
 	oneShot bool
+	// flightTrace marks cfg.Trace as the session-owned flight ring (armed
+	// for the flight recorder or the /debug/critpath endpoint, reset per
+	// Run); SessionStats.Summary stays nil then, as if tracing were off.
+	flightTrace bool
 	// workers is each rank's resolved task-DAG pool size — also the number
 	// of worker trace rings per rank — and 0 under SchedStatic.
 	workers int
-	// mu guards topo, which exists only while Run is in flight (Cancel may
-	// be called from any goroutine).
+	// topo is the session's ranks: their goroutines, links and transport,
+	// built by the first Run and kept, parked, until Close; a Run that fails
+	// throws it away and the next builds another.
+	topo *comm.Topology
+	// mu guards live, topo while a Run is in flight and nil otherwise, so
+	// that Cancel, which may be called from any goroutine, reaches only the
+	// Run in flight.
 	mu    sync.Mutex
-	topo  *comm.Topology
+	live  *comm.Topology
 	stats SessionStats
 	// obs is the observer of the Run in flight — the one thing every
 	// instrumented site emits to (nil when Config.Trace and Config.Metrics
@@ -86,16 +97,12 @@ type Session struct {
 	// ck is the checkpoint runtime of the Run in flight (nil when
 	// Config.Checkpoint is nil).
 	ck *ckptRuntime
-	// flightTrace marks cfg.Trace as the session-owned flight ring (armed
-	// for the flight recorder or the /debug/critpath endpoint, reset per
-	// Run); SessionStats.Summary stays nil then, as if tracing were off.
-	flightTrace bool
 	// cpHolder publishes the last completed Run's critical-path report at
 	// /debug/critpath when the session serves metrics.
 	cpHolder *critpath.Holder
-	// kept is what the session keeps of each rank beside its blocks' shares
-	// (plan.ranks), indexed by rank id; see execplan.go.
-	kept []kept
+	// ranks is the Rank of each id, kept with what it derives beside its
+	// blocks' shares (plan.ranks) and reset by every Run (Session.rank).
+	ranks []Rank
 }
 
 // SessionStats summarizes a finished Run.
@@ -208,7 +215,14 @@ func (s *Session) arm() error {
 	for _, pl := range s.plans {
 		s.cutSchedules(pl)
 	}
-	s.kept = make([]kept, cfg.Procs)
+	s.ranks = make([]Rank, cfg.Procs)
+	for id := range s.ranks {
+		r := &s.ranks[id]
+		*r = Rank{sess: s, id: id, locals: map[string]*field.Field{}, dirty: map[string]uint8{},
+			wrote: map[string]bool{}, sendSeq: make([]int, cfg.Procs), recvSeq: make([]int, cfg.Procs),
+			needs: [2][]string{make([]string, 0, len(s.written)), make([]string, 0, len(s.written))}}
+		r.lenv = &forwardEnv{arrays: r.locals, parent: s.genv}
+	}
 	if (cfg.Postmortem.Enabled() || cfg.MetricsAddr != "") && cfg.Trace == nil {
 		// Arm an internal flight ring: the flight recorder needs a trace
 		// tail and /debug/critpath needs events, but the caller asked for
@@ -244,14 +258,15 @@ func (s *Session) MetricsAddr() string {
 	return s.msrv.Addr()
 }
 
-// Close stops the ranks' task-DAG worker pools and releases the metrics
-// endpoint, if any. A session may still Run after Close: the pools start
-// again lazily; only the HTTP listener is gone. A session dropped without
-// Close has its pools stopped by the garbage collector.
+// Close stops the ranks' goroutines and task-DAG pools, closes the transport
+// and releases the metrics endpoint, if any. A session may still Run after
+// Close, which starts them again; only the HTTP listener is gone. A session
+// dropped without Close has its goroutines stopped by the garbage collector.
 func (s *Session) Close() error {
-	for _, k := range s.kept {
-		if k.pool != nil {
-			k.pool.Stop()
+	s.dropTopology()
+	for i := range s.ranks {
+		if p := s.ranks[i].pool; p != nil {
+			p.Stop()
 		}
 	}
 	if s.msrv == nil {
@@ -368,14 +383,22 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // Cancel aborts an in-flight Run: the topology is poisoned with cause, every
 // blocked rank unwinds with a cancellation error, and Run reports it.
 // Idempotent — the first cause wins — and safe to call from any goroutine;
-// a Cancel with no Run in flight is a no-op. Each Run builds a fresh
-// topology, so a canceled session may Run again.
+// a Cancel with no Run in flight is a no-op. A canceled Run throws its
+// topology away, so the session may Run again.
 func (s *Session) Cancel(cause error) {
 	s.mu.Lock()
-	topo := s.topo
-	s.mu.Unlock()
-	if topo != nil {
-		topo.Cancel(cause)
+	defer s.mu.Unlock()
+	if s.live != nil {
+		s.live.Cancel(cause)
+	}
+}
+
+// dropTopology closes the kept topology and forgets it; the next Run builds
+// another.
+func (s *Session) dropTopology() {
+	if s.topo != nil {
+		s.topo.Close()
+		s.topo = nil
 	}
 }
 
@@ -431,17 +454,33 @@ func (s *Session) linkCapacity() int {
 // the caller's fields or rows elsewhere — executes body on every rank
 // concurrently, gathers the copies' slabs back into the global arrays, and
 // records statistics. A Session may Run multiple times; each Run binds and
-// scatters anew.
-func (s *Session) Run(body func(r *Rank) error) error {
+// scatters anew, on the ranks the first Run started: their goroutines,
+// links and Rank values are kept, reset in place, until Close or a Run that
+// fails. Runs must not overlap.
+func (s *Session) Run(body func(r *Rank) error) (err error) {
 	if s.cfg.AutoTune {
 		if b, ok := s.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
 			s.Retune(b)
 		}
 	}
-	topo, err := comm.NewTopology(s.cfg.Procs)
+	defer func() {
+		if err != nil {
+			s.dropTopology()
+		}
+	}()
+	if s.topo != nil {
+		s.topo.Reset()
+	} else if s.topo, err = comm.NewTopology(s.cfg.Procs); err != nil {
+		return err
+	} else if err = s.topo.SetLinkCapacity(s.linkCapacity()); err == nil {
+		// The link bound goes first: a socket transport refuses a bounded
+		// topology with the error that names the transport.
+		err = s.topo.SetTransport(s.cfg.Transport)
+	}
 	if err != nil {
 		return err
 	}
+	topo := s.topo
 	tr := s.cfg.Trace
 	if s.flightTrace {
 		// The session owns the flight ring: reset it so each Run's bundle
@@ -462,10 +501,6 @@ func (s *Session) Run(body func(r *Rank) error) error {
 	if err := topo.SetLinkCapacity(s.linkCapacity()); err != nil {
 		return err
 	}
-	if err := topo.SetTransport(s.cfg.Transport); err != nil {
-		return err
-	}
-	defer topo.Close()
 	pm := newPipeMetrics(s.cfg.Metrics, obs)
 	var ck *ckptRuntime
 	if s.cfg.Checkpoint != nil {
@@ -474,21 +509,15 @@ func (s *Session) Run(body func(r *Rank) error) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.topo = topo
 	s.obs, s.pm = obs, pm
 	s.ck = ck
-	s.mu.Unlock()
 	dropBase := pm.traceDropBase(tr)
 	// Where a rank copies rows another rank's slab holds, all ranks must
 	// finish scattering (reading the global arrays) before any rank may
 	// write them — computing in the caller's rows or gathering; with no
 	// other messages in flight nothing else orders the ranks. Where none
 	// does, no rank reads rows another writes before a token says so.
-	var phase *comm.SyncBarrier
-	if s.barrier {
-		phase = comm.NewSyncBarrier(s.cfg.Procs)
-	}
+	phase := s.phase
 	var mem0 runtime.MemStats
 	var waves0 int64
 	if pm != nil {
@@ -496,20 +525,21 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		runtime.ReadMemStats(&mem0)
 	}
 	start := time.Now()
+	s.mu.Lock()
+	s.live = topo
+	s.mu.Unlock()
 	err = topo.Run(func(e *comm.Endpoint) error {
 		// A restarted rank restores from its snapshot instead of
 		// re-scattering — by restart time other ranks may already have
 		// gathered into the globals — and must not re-enter the phase
 		// barrier its previous incarnation already passed.
 		restoring := ck != nil && ck.pending[e.Rank()].Swap(false)
-		rk, err := s.newRank(e, restoring)
-		if rk != nil {
-			// Pool-leased tape registers go back when the rank's body ends
-			// — error paths included — so post-run Outstanding() audits see
-			// a drained pool, and the kept kernels and schedules let go of
-			// the rank's fields: the next Run binds its own.
-			defer rk.releaseScratch()
-		}
+		rk, err := s.rank(e, restoring)
+		// Pool-leased tape registers go back when the rank's body ends —
+		// error paths included — so post-run Outstanding() audits see a
+		// drained pool, and the kept rank, kernels and schedules let go of
+		// the Run's fields: the next Run binds its own.
+		defer rk.releaseScratch()
 		if !restoring && phase != nil {
 			barrierT0 := obs.Now()
 			phase.Wait()
@@ -528,8 +558,12 @@ func (s *Session) Run(body func(r *Rank) error) error {
 		if err := body(rk); err != nil {
 			return err
 		}
-		return rk.gather()
+		rk.gather()
+		return nil
 	})
+	s.mu.Lock()
+	s.live = nil
+	s.mu.Unlock()
 	err = ck.refused(err)
 	elapsed := time.Since(start)
 	var drift *metrics.DriftReport
@@ -619,16 +653,23 @@ func (s *Session) runConfigPM() critpath.RunConfig {
 }
 
 // Rank is one SPMD participant's handle: its local arrays, its endpoint,
-// and its view of the session's plans.
+// and its view of the session's plans. The session keeps one per id from
+// arm on; a Run resets it (Session.rank) and lets go of the Run's fields at
+// the end (releaseScratch).
 type Rank struct {
 	sess   *Session
 	e      *comm.Endpoint
 	id     int
 	locals map[string]*field.Field
 	lenv   *forwardEnv
-	// kept is the session's state of this rank that outlives the Run
-	// (Session.kept); the rank's share of each block is plan.ranks[id].
-	kept *kept
+	// What the rank derives for the session beside its share of each block
+	// (plan.ranks[id]): the halo-exchange geometry, built by its first
+	// exchange; the reduction operands it folds, re-bound by each Run's
+	// first fold of them; under the task DAG the worker pool every graph of
+	// the rank runs on, started by its first Exec and stopped by Close.
+	xregs    map[string]xchgRegs
+	reducers []*rankReducer
+	pool     *taskdag.Pool
 	// dirty marks, per side (dirtyNeg, dirtyPos), the arrays written since
 	// that side's halo was last exchanged. Every rank executes the same
 	// operations, so every rank holds the same marks.
@@ -691,7 +732,9 @@ type xchgRegs struct {
 	send, recv [2]grid.Region
 }
 
-// newRank builds one rank's local state as the ownership table says. An
+// rank readies the session's Rank of e's id for one body invocation — a
+// Run's, or a restarted rank's — with the state of a rank that has run
+// nothing, and binds its local fields as the ownership table says. An
 // array some block writes gets a local field over its box — the rank's
 // slab plus its halo along the wavefront dimension: a view of the caller's
 // rows, or a copy filled from them (scatter). An array no block writes has
@@ -702,22 +745,13 @@ type xchgRegs struct {
 // restore overwrites every element from the snapshot, and reading the
 // globals here would race the gathers of ranks that already finished
 // (nobody gathers into a read-only array or into a view's rows).
-func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
+func (s *Session) rank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 	scatterT0 := s.obs.Now()
-	r := &Rank{
-		sess:    s,
-		e:       e,
-		id:      e.Rank(),
-		locals:  map[string]*field.Field{},
-		kept:    &s.kept[e.Rank()],
-		dirty:   map[string]uint8{},
-		wrote:   map[string]bool{},
-		sendSeq: make([]int, s.cfg.Procs),
-		recvSeq: make([]int, s.cfg.Procs),
-	}
-	for side := range r.needs {
-		r.needs[side] = make([]string, 0, len(s.written))
-	}
+	r := &s.ranks[e.Rank()]
+	r.e, r.waveRuns, r.reduceLog, r.reduceIdx = e, 0, r.reduceLog[:0], 0
+	r.ops, r.cuts, r.lastSnap, r.ffOp, r.ffTile, r.ffRecvd = 0, 0, 0, 0, 0, 0
+	clear(r.sendSeq)
+	clear(r.recvSeq)
 	for i, name := range s.names {
 		b := s.binding(r.id, i)
 		switch b.own {
@@ -732,7 +766,7 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 			g := b.global
 			lf, err := field.NewLocal(name, b.box, g.Layout(), s.localTile(g))
 			if err != nil {
-				return nil, err
+				return r, err
 			}
 			if !restoring {
 				lf.CopyRegion(b.box, g)
@@ -740,7 +774,6 @@ func (s *Session) newRank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 			r.locals[name] = lf
 		}
 	}
-	r.lenv = &forwardEnv{arrays: r.locals, parent: s.genv}
 	if o := s.obs; o != nil && !restoring {
 		o.Emit(trace.Ev(trace.KindScatter, r.id, scatterT0, o.Now()))
 	}
@@ -1173,7 +1206,7 @@ func (r *Rank) buildXregs() {
 		}
 		xregs[name] = x
 	}
-	r.kept.xregs = xregs
+	r.xregs = xregs
 }
 
 // refresh brings up to date, on every rank at once, the halos an operation
@@ -1220,10 +1253,10 @@ func (r *Rank) refresh(want *[2][]string) error {
 
 // moveRows is the communication half of refresh.
 func (r *Rank) moveRows(needs *[2][]string) error {
-	if r.kept.xregs == nil {
+	if r.xregs == nil {
 		r.buildXregs()
 	}
-	xregs := r.kept.xregs
+	xregs := r.xregs
 	o := r.obs()
 	exchangeT0 := o.Now()
 	var took [2]bool // the neighbours that took part, by the side they are on
@@ -1347,12 +1380,7 @@ func (r *Rank) Reduce(op scan.ReduceOp, region grid.Region, node expr.Node) (flo
 	case scan.MaxReduce:
 		commOp = comm.MaxOp
 	case scan.MinReduce:
-		commOp = func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
+		commOp = comm.MinOp
 	}
 	reduceT0 := o.Now()
 	out, err := r.e.AllReduce(local, commOp)
@@ -1392,8 +1420,7 @@ const maxReducers = 8
 // prepares it on first sight. Expression nodes hold slices, so they cannot
 // key a map; the list is short and expr.Equal does not allocate.
 func (r *Rank) reducerFor(node expr.Node) *rankReducer {
-	k := r.kept
-	for _, rr := range k.reducers {
+	for _, rr := range r.reducers {
 		if expr.Equal(rr.node, node) {
 			if rr.bound != r {
 				rr.fold.Rebind(r.lenv)
@@ -1412,12 +1439,12 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 		}
 	}
 	sortSides(&rr.halo)
-	if len(k.reducers) < maxReducers {
-		k.reducers = append(k.reducers, rr)
+	if len(r.reducers) < maxReducers {
+		r.reducers = append(r.reducers, rr)
 	} else {
-		k.reducers[0].fold.ReleaseScratch()
-		copy(k.reducers, k.reducers[1:])
-		k.reducers[maxReducers-1] = rr
+		r.reducers[0].fold.ReleaseScratch()
+		copy(r.reducers, r.reducers[1:])
+		r.reducers[maxReducers-1] = rr
 	}
 	return rr
 }
@@ -1426,44 +1453,23 @@ func (r *Rank) reducerFor(node expr.Node) *rankReducer {
 // of a refresh message's payload, which both ends must agree on.
 func sortSides(lists *[2][]string) {
 	for side, names := range lists {
-		sort.Strings(names)
-		out := names[:0]
-		for i, s := range names {
-			if i == 0 || s != names[i-1] {
-				out = append(out, s)
-			}
-		}
-		lists[side] = out
+		slices.Sort(names)
+		lists[side] = slices.Compact(names)
 	}
 }
 
 // gather writes the slab of every copy the rank wrote back to the global
-// fields. Slabs are disjoint, so concurrent ranks touch disjoint elements.
-func (r *Rank) gather() error {
+// fields, over the regions the ownership table cut at arm. Slabs are
+// disjoint, so concurrent ranks touch disjoint elements.
+func (r *Rank) gather() {
 	o := r.obs()
 	gatherT0 := o.Now()
-	defer func() {
-		if o != nil {
-			o.Emit(trace.Ev(trace.KindGather, r.id, gatherT0, o.Now()))
-		}
-	}()
-	w := r.sess.cfg.WavefrontDim
 	for i, name := range r.sess.names {
-		b := r.sess.binding(r.id, i)
-		if b.own != ownCopy || !r.wrote[name] {
-			continue
+		if b := r.sess.binding(r.id, i); b.slab != nil && r.wrote[name] {
+			b.global.CopyRegion(*b.slab, r.locals[name])
 		}
-		g, lf := b.global, r.locals[name]
-		dims := g.Bounds().Dims()
-		rows, err := dims[w].Intersect(r.sess.slabs[r.id].Dim(w))
-		if err != nil {
-			return err
-		}
-		if rows.Empty() {
-			continue
-		}
-		dims[w] = rows
-		g.CopyRegion(grid.MustRegion(dims...), lf)
 	}
-	return nil
+	if o != nil {
+		o.Emit(trace.Ev(trace.KindGather, r.id, gatherT0, o.Now()))
+	}
 }

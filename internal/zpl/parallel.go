@@ -70,6 +70,7 @@ func (it *Interp) RunParallel(prog *Program, procs, blockWidth int) error {
 	if err != nil {
 		return err
 	}
+	defer sess.Close()
 	finalScalars := map[string]float64{}
 	err = sess.Run(func(r *pipeline.Rank) error {
 		// Every rank runs the program on an interpreter of its own: the
