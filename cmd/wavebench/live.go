@@ -16,10 +16,9 @@ import (
 // path at /debug/critpath, the last post-mortem bundle at /debug/bundle),
 // the flight ring behind the last two, and one buffer pool whose warm free
 // lists carry from Run to Run, so after the first the steady-state waves
-// stop allocating. With autotune each Run re-plans from the drift fitted
-// over all prior ones. The loop stops after -duration, or on SIGINT/SIGTERM
+// stop allocating. The loop stops after -duration, or on SIGINT/SIGTERM
 // when the duration is 0.
-func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool, sched wavefront.Scheduler, workers int, pmDir string) error {
+func runLive(addr string, procs, block, n int, dur time.Duration, sched wavefront.Scheduler, workers int, pmDir string) error {
 	t, err := prepTomcatv(n)
 	if err != nil {
 		return err
@@ -32,8 +31,7 @@ func runLive(addr string, procs, block, n int, dur time.Duration, autotune bool,
 	sess, err := wavefront.NewSession(t.Env, []*wavefront.Block{fwd}, wavefront.SessionConfig{
 		Procs: procs, Domain: fwd.Region, Block: block,
 		MetricsAddr: addr, Postmortem: pm,
-		Pool: wavefront.NewBufferPool(procs), AutoTune: autotune,
-		Scheduler: sched, Workers: workers,
+		Pool: wavefront.NewBufferPool(procs), Scheduler: sched, Workers: workers,
 	})
 	if err != nil {
 		return err

@@ -76,7 +76,6 @@ var (
 	transp    = flag.String("transport", "chan", "message transport: chan (in-process), tcp, or unix (loopback sockets)")
 	serve     = flag.String("serve", "", "serve live metrics at this address (e.g. :8080) while looping the workload")
 	duration  = flag.Duration("duration", 0, "stop the -serve workload loop after this long (0 = until interrupted)")
-	autotune  = flag.Bool("autotune", false, "let the drift monitor retune the tile width between -serve workload-loop runs")
 	schedSel  = flag.String("sched", "static", "tile scheduler: static (pipeline schedule) or taskdag (tile DAG on a worker pool)")
 	workers   = flag.Int("workers", 0, "task-DAG pool size per rank for -sched=taskdag (0 = GOMAXPROCS)")
 	postmort  = flag.String("postmortem", "", "arm the flight recorder: write post-mortem bundles into this directory (with -trace, -chaos, or -serve)")
@@ -117,7 +116,7 @@ func main() {
 	}
 
 	if *serve != "" {
-		exitOn(runLive(*serve, *procs, *blockSize, *n, *duration, *autotune, sched, *workers, *postmort))
+		exitOn(runLive(*serve, *procs, *blockSize, *n, *duration, sched, *workers, *postmort))
 		return
 	}
 

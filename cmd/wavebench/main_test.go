@@ -71,10 +71,10 @@ func TestRunTraced(t *testing.T) {
 }
 
 // TestRunLive loops the workload for a short bounded duration in a serving
-// session with autotune and the flight recorder on.
+// session with the flight recorder on.
 func TestRunLive(t *testing.T) {
 	err := runLive("127.0.0.1:0", 2, 8, 24, 300*time.Millisecond,
-		true, wavefront.SchedStatic, 0, t.TempDir())
+		wavefront.SchedStatic, 0, t.TempDir())
 	if err != nil {
 		t.Fatalf("live loop failed: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestEveryFlagIsInREADME(t *testing.T) {
 			t.Errorf("README.md never mentions -%s", f.Name)
 		}
 	})
-	if count == 0 || count > 18 {
-		t.Errorf("wavebench registers %d flags, want 1..18", count)
+	if count == 0 || count > 17 {
+		t.Errorf("wavebench registers %d flags, want 1..17", count)
 	}
 }

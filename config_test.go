@@ -15,7 +15,7 @@ func TestOneRunConfiguration(t *testing.T) {
 	want := []string{
 		"Procs", "Domain", "WavefrontDim", "Block",
 		"Trace", "Faults", "LinkCapacity", "Transport", "Checkpoint",
-		"Metrics", "MetricsAddr", "Pool", "AutoTune",
+		"Metrics", "MetricsAddr", "Pool",
 		"Scheduler", "Workers", "Postmortem",
 	}
 	base := reflect.TypeOf(pipeline.Config{})

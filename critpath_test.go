@@ -38,28 +38,85 @@ func TestCritPathReconcilesWithTraceSummary(t *testing.T) {
 	// third of the run once scatter stopped dominating it.
 	const n, procs, block = 256, 4, 8
 
-	// How the ranks interleave is the scheduler's choice, and one legal
-	// outcome is a path that never leaves rank 0 (its gather finishes
-	// last). So the accounting identities are checked on every traced
-	// run, the cross-rank shape on any one of a few.
-	const attempts = 5
-	var shape error
-	for i := 0; i < attempts; i++ {
+	// How the ranks of a real run interleave is the scheduler's choice, and
+	// with more ranks than CPUs one legal outcome is a path that never
+	// leaves one rank (a rank that starts late, or whose gather finishes
+	// last). So the accounting identities are checked on real traced runs,
+	// and the cross-rank shape on a pipeline whose interleaving is fixed.
+	for i := 0; i < 5; i++ {
 		rec := tracedTomcatv(t, procs, block, n)
-		rep, err := wavefront.AnalyzeCritPath(rec, nil)
-		if err != nil {
-			t.Fatalf("AnalyzeCritPath: %v", err)
-		}
-		if len(rep.Violations) != 0 {
-			t.Fatalf("clean traced run produced violations: %+v", rep.Violations)
-		}
-		checkCritPathAccounting(t, rep, rec.Summarize())
-		if shape = crossRankShape(rep); shape == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", i, shape)
+		checkCritPathAccounting(t, analyzeClean(t, rec), rec.Summarize())
 	}
-	t.Errorf("no cross-rank critical path in %d traced runs of a %d-rank pipeline; last: %v", attempts, procs, shape)
+	rec := syntheticPipeline(procs, 8)
+	rep := analyzeClean(t, rec)
+	checkCritPathAccounting(t, rep, rec.Summarize())
+	if err := crossRankShape(rep); err != nil {
+		t.Errorf("%d-rank synthetic pipeline: %v\n%s", procs, err, rep)
+	}
+}
+
+// analyzeClean runs the analyzer over rec and fails on an error or on any
+// violation: every trace it is given is a clean run's.
+func analyzeClean(t *testing.T, rec *wavefront.TraceRecorder) *wavefront.CritPathReport {
+	t.Helper()
+	rep, err := wavefront.AnalyzeCritPath(rec, nil)
+	if err != nil {
+		t.Fatalf("AnalyzeCritPath: %v", err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("clean trace produced violations: %+v", rep.Violations)
+	}
+	return rep
+}
+
+// syntheticPipeline records, on a fixed clock, the events a static-schedule
+// sweep of tiles tiles over procs ranks records: per rank a scatter, then
+// per tile a boundary receive from the rank above (a comm receive nested in
+// the wave receive), the tile's compute and a boundary send to the rank
+// below (a comm send nested in the wave send), then a gather. Every rank
+// starts at 0, so each rank's first tile waits on its upstream's, and the
+// critical path runs down the pipeline.
+func syntheticPipeline(procs, tiles int) *wavefront.TraceRecorder {
+	const phase, comp, msg = 50, 100, 10
+	rec := wavefront.NewTraceRecorder(procs)
+	var sent []int64 // the rank above's comm-send end per tile
+	for r := 0; r < procs; r++ {
+		rec.Record(trace.Ev(trace.KindScatter, r, 0, phase))
+		clock := int64(phase)
+		var ends []int64
+		for tile := 0; tile < tiles; tile++ {
+			if r > 0 {
+				start, end := clock, max(clock, sent[tile])+msg
+				recv := trace.Ev(trace.KindRecv, r, start+1, end-1)
+				recv.Peer, recv.Tag, recv.Blocked = r-1, tile, max(sent[tile]-start-1, 0)
+				wave := trace.Ev(trace.KindWaveRecv, r, start, end)
+				wave.Peer, wave.Wave, wave.Seq = r-1, 0, tile
+				rec.Record(recv)
+				rec.Record(wave)
+				clock = end
+			}
+			c := trace.Ev(trace.KindCompute, r, clock, clock+comp)
+			c.Wave, c.Tile = 0, tile
+			if r > 0 {
+				c.Peer, c.Need = r-1, tile
+			}
+			rec.Record(c)
+			clock += comp
+			if r < procs-1 {
+				send := trace.Ev(trace.KindSend, r, clock+1, clock+msg-1)
+				send.Peer, send.Tag = r+1, tile
+				wave := trace.Ev(trace.KindWaveSend, r, clock, clock+msg)
+				wave.Peer, wave.Wave, wave.Seq = r+1, 0, tile
+				rec.Record(send)
+				rec.Record(wave)
+				ends = append(ends, send.End)
+				clock += msg
+			}
+		}
+		rec.Record(trace.Ev(trace.KindGather, r, clock, clock+phase))
+		sent = ends
+	}
+	return rec
 }
 
 func checkCritPathAccounting(t *testing.T, rep *wavefront.CritPathReport, sum *wavefront.TraceSummary) {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"wavefront/internal/field"
@@ -72,7 +71,7 @@ func fig7(quick bool) *Result {
 		for _, prog := range programs {
 			m := model.Model2(mc.par.Alpha, mc.par.Beta)
 			for _, p := range mc.ps {
-				b := int(math.Max(1, math.Round(m.OptimalBlock(float64(n), float64(p)))))
+				b := m.TileWidth(n, p)
 				pipe, err := prog.sweeps.simulate(mc.par, p, b)
 				if err != nil {
 					return &Result{Err: err}

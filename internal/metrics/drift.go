@@ -114,14 +114,7 @@ func (r *Registry) UpdateDrift(in DriftInput) DriftReport {
 	}
 	rep.Alpha = rep.AlphaNs / rep.TauNs
 	rep.BetaTile = rep.BetaNs * depth / rep.TauNs
-	m := model.Model2(rep.Alpha, rep.BetaTile)
-	bOpt := int(m.OptimalBlock(float64(in.NT), float64(in.P)) + 0.5)
-	if bOpt < 1 {
-		bOpt = 1
-	}
-	if bOpt > in.NT {
-		bOpt = in.NT
-	}
+	bOpt := model.Model2(rep.Alpha, rep.BetaTile).TileWidth(in.NT, in.P)
 	rep.OptimalBlock = bOpt
 
 	betaColNs := rep.BetaNs * depth
@@ -142,32 +135,4 @@ func (r *Registry) UpdateDrift(in DriftInput) DriftReport {
 	r.Gauge(ModelDrift).Set(rep.DriftRatio)
 	r.Gauge(ModelSamples).Set(rep.Samples)
 	return rep
-}
-
-// SuggestBlock is the online-retuning decision: it reads the drift gauges
-// the last UpdateDrift published and recommends the model's recomputed
-// optimal tile width when (a) the α/β estimate rests on at least
-// minSamples comm-cost observations and (b) the block size last used is
-// predicted to cost at least `mistune` times the optimum (e.g. 1.05 = a
-// 5% penalty). Pure reads of stable gauges: between runs every rank that
-// calls it sees the same values and reaches the same decision, which is
-// what makes barrier-synchronized mid-run retuning safe. Returns (0,
-// false) on a nil registry or when retuning is not (yet) justified.
-func (r *Registry) SuggestBlock(minSamples int, mistune float64) (int, bool) {
-	if r == nil {
-		return 0, false
-	}
-	if r.Gauge(ModelSamples).Value() < float64(minSamples) {
-		return 0, false
-	}
-	opt := int(r.Gauge(ModelOptBlock).Value())
-	if opt < 1 {
-		return 0, false
-	}
-	predOpt := r.Gauge(ModelPredictedNs).Value()
-	predActual := r.Gauge(ModelPredActualNs).Value()
-	if predOpt <= 0 || predActual <= 0 || predActual < predOpt*mistune {
-		return 0, false
-	}
-	return opt, true
 }

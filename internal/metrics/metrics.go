@@ -93,14 +93,13 @@ const (
 	ModelDrift        = "model_drift_ratio"
 	ModelSamples      = "model_comm_samples" // comm-cost observations behind α/β
 
-	// buffer pool and allocation health (gauges refreshed per run from the
-	// pool's own totals; see internal/bufpool).
-	PoolHits      = "pool_hits_total"
-	PoolMisses    = "pool_misses_total"
-	PoolReturns   = "pool_returns_total"
-	PoolDiscards  = "pool_discards_total"
-	PoolHitRatio  = "pool_hit_ratio"
-	AllocsPerWave = "allocs_per_wave" // heap objects allocated per wave epoch
+	// buffer pool health (gauges refreshed per run from the pool's own
+	// totals; see internal/bufpool).
+	PoolHits     = "pool_hits_total"
+	PoolMisses   = "pool_misses_total"
+	PoolReturns  = "pool_returns_total"
+	PoolDiscards = "pool_discards_total"
+	PoolHitRatio = "pool_hit_ratio"
 
 	// task-DAG scheduler (per-rank counters; the rank's worker pool flushes
 	// its per-worker totals here after every DAG run). A steal is a tile run

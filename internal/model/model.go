@@ -76,6 +76,13 @@ func (m Model) OptimalBlock(n, p float64) float64 {
 	return math.Sqrt(m.Alpha * n * p / ((p*m.Beta + n) * (p - 1)))
 }
 
+// TileWidth is OptimalBlock as a width a run can use: rounded to the
+// nearest integer and clamped to [1, n].
+func (m Model) TileWidth(n, p int) int {
+	b := int(math.Round(m.OptimalBlock(float64(n), float64(p))))
+	return max(1, min(b, n))
+}
+
 // OptimalBlockApprox is the paper's approximation sqrt(αn/(pβ + n)); with
 // β = 0 it reduces to Hiranandani's b = sqrt(α).
 func (m Model) OptimalBlockApprox(n, p float64) float64 {

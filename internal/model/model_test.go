@@ -148,6 +148,27 @@ func TestOptimalBlockEdge(t *testing.T) {
 	}
 }
 
+// TestTileWidth: Equation (1) rounded to the nearest integer and clamped to
+// [1, n].
+func TestTileWidth(t *testing.T) {
+	for _, c := range []struct {
+		m    Model
+		n, p int
+		want int
+	}{
+		{Model2(1500, 72), 512, 4, 36}, // sqrt(1280) = 35.78
+		{Model2(350, 6), 512, 4, 21},   // sqrt(445.8) = 21.11
+		{Model1(0), 64, 4, 1},
+		{Model1(1e9), 16, 2, 16},
+		{Model2(100, 1), 64, 1, 64},
+	} {
+		if got := c.m.TileWidth(c.n, c.p); got != c.want {
+			t.Errorf("%v.TileWidth(%d, %d) = %d (Eq (1) %g), want %d",
+				c.m, c.n, c.p, got, c.m.OptimalBlock(float64(c.n), float64(c.p)), c.want)
+		}
+	}
+}
+
 func TestFitAlphaBeta(t *testing.T) {
 	alpha, beta := 120.0, 3.5
 	cost := func(n int) float64 { return alpha + beta*float64(n) }

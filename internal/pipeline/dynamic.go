@@ -91,13 +91,5 @@ func ChooseBlock(n, p int, alpha, beta, elemTime float64) (int, error) {
 	if elemTime <= 0 {
 		return 0, fmt.Errorf("pipeline: element time must be positive, got %g", elemTime)
 	}
-	m := model.Model2(alpha/elemTime, beta/elemTime)
-	b := int(m.OptimalBlock(float64(n), float64(p)) + 0.5)
-	if b < 1 {
-		b = 1
-	}
-	if b > n {
-		b = n
-	}
-	return b, nil
+	return model.Model2(alpha/elemTime, beta/elemTime).TileWidth(n, p), nil
 }

@@ -105,15 +105,6 @@ type Config struct {
 	// duplicates and corruptions alias buffers a recycling pool must never
 	// see.
 	Pool *bufpool.Pool
-	// AutoTune, when true and metrics are enabled, re-reads the drift
-	// monitor's α/β/τ estimates at the start of every Run and re-plans all
-	// registered blocks at Equation (1)'s recomputed optimal tile width
-	// when the estimates rest on enough observations and the predicted
-	// mistune penalty exceeds ~5% (see metrics.SuggestBlock). Calibration
-	// carries across Runs through the registry, so a long-lived session, or
-	// a Config reused with the same registry, converges onto the model's
-	// choice as the machine drifts.
-	AutoTune bool
 	// Scheduler selects how each rank executes its portion of a block: the
 	// static tile-by-tile pipeline schedule (scan.SchedStatic, default) or
 	// a task DAG over dependency-counted tiles on a pool of real
@@ -141,15 +132,6 @@ type Config struct {
 
 // SessionConfig is Config under the name NewSession's callers use.
 type SessionConfig = Config
-
-// Retuning thresholds: how many comm-cost samples the α/β estimate needs
-// before it is trusted, and the predicted mistune penalty (predicted
-// actual / predicted optimal) that justifies abandoning the configured
-// block size.
-const (
-	autoTuneMinSamples = 32
-	autoTuneMistune    = 1.05
-)
 
 // DefaultConfig returns a Config for procs ranks and tile width block with
 // every optional layer off.

@@ -25,14 +25,14 @@ func newPipeMetrics(reg *metrics.Registry, obs *metrics.Observer) *pipeMetrics {
 	if reg == nil {
 		return nil
 	}
-	// Pre-register the drift and allocation gauges so every scrape carries
+	// Pre-register the drift and pool gauges so every scrape carries
 	// the full family set even before the first run completes (the
 	// Observer does the same for the gauges it publishes).
 	for _, name := range []string{
 		metrics.ModelAlphaNs, metrics.ModelBetaNs, metrics.ModelElemNs,
 		metrics.ModelOptBlock, metrics.ModelPredictedNs, metrics.ModelPredActualNs,
 		metrics.ModelObservedNs, metrics.ModelDrift, metrics.ModelSamples,
-		metrics.PoolHitRatio, metrics.AllocsPerWave,
+		metrics.PoolHitRatio,
 	} {
 		reg.Gauge(name)
 	}
@@ -78,23 +78,18 @@ func (pm *pipeMetrics) publishTraceDrops(tr *trace.Recorder, base []int64, rings
 	}
 }
 
-// publishAlloc publishes the run's allocation health: heap objects
-// allocated per wave epoch (a whole-process figure — scatter, gather, and
-// unrelated goroutines included — so it bounds the hot path from above)
-// and the buffer pool's cumulative totals. Call after the run's ranks
-// have retired.
-func (pm *pipeMetrics) publishAlloc(mallocs, waves int64, pool *bufpool.Pool) {
-	if waves > 0 {
-		pm.reg.Gauge(metrics.AllocsPerWave).Set(float64(mallocs) / float64(waves))
+// publishPool publishes the buffer pool's cumulative totals. Call after
+// the run's ranks have retired.
+func (pm *pipeMetrics) publishPool(pool *bufpool.Pool) {
+	if pool == nil {
+		return
 	}
-	if pool != nil {
-		st := pool.Stats()
-		pm.reg.Gauge(metrics.PoolHits).Set(float64(st.Hits))
-		pm.reg.Gauge(metrics.PoolMisses).Set(float64(st.Misses))
-		pm.reg.Gauge(metrics.PoolReturns).Set(float64(st.Returns))
-		pm.reg.Gauge(metrics.PoolDiscards).Set(float64(st.Discards))
-		pm.reg.Gauge(metrics.PoolHitRatio).Set(st.HitRatio())
-	}
+	st := pool.Stats()
+	pm.reg.Gauge(metrics.PoolHits).Set(float64(st.Hits))
+	pm.reg.Gauge(metrics.PoolMisses).Set(float64(st.Misses))
+	pm.reg.Gauge(metrics.PoolReturns).Set(float64(st.Returns))
+	pm.reg.Gauge(metrics.PoolDiscards).Set(float64(st.Discards))
+	pm.reg.Gauge(metrics.PoolHitRatio).Set(st.HitRatio())
 }
 
 // finishRun publishes the run-level gauges (Observer.Finish), records the

@@ -164,8 +164,8 @@ func TestPaddedPitchSessionBitIdentity(t *testing.T) {
 
 // TestLocalTileFollowsTheTiling pins the width Session.rank hands field.NewLocal:
 // the static schedule's Block when a registered sweep cuts the array's
-// unit-stride dimension into tiles that stay that wide for the whole Run,
-// else 0 — dense storage.
+// unit-stride dimension into tiles, else 0 — dense storage. A Retune
+// between Runs re-pitches the next Run's copies at the new width.
 func TestLocalTileFollowsTheTiling(t *testing.T) {
 	pp := newPitchProgram()
 	rowMajor := pp.env.Arrays["a"]
@@ -181,8 +181,6 @@ func TestLocalTileFollowsTheTiling(t *testing.T) {
 		{"a column-major array's unit stride runs down the rows, which no sweep tiles",
 			pp.blocks, func(*SessionConfig) {}, colMajor, 0},
 		{"no sweep, no tiles", pp.blocks[:1], func(*SessionConfig) {}, rowMajor, 0},
-		{"a retune may widen the tiles after the storage is laid out",
-			pp.blocks, func(c *SessionConfig) { c.AutoTune = true }, rowMajor, 0},
 		{"the task DAG walks wide chains", pp.blocks,
 			func(c *SessionConfig) { c.Scheduler, c.Workers = scan.SchedTaskDAG, 2 }, rowMajor, 0},
 		{"the naive schedule walks whole rows", pp.blocks, func(c *SessionConfig) { c.Block = 0 }, rowMajor, 0},
@@ -195,6 +193,33 @@ func TestLocalTileFollowsTheTiling(t *testing.T) {
 		}
 		if got := sess.localTile(c.f); got != c.want {
 			t.Errorf("%s: localTile = %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	// Tiles of 32 columns pad the 512-wide rows; after Retune(256) the tiles
+	// are half a row wide, and the second Run's copies are dense again.
+	retuned, err := NewSession(pp.env, pp.blocks, SessionConfig{Procs: 2, Domain: pp.all, Block: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer retuned.Close()
+	for _, want := range []struct{ block, pitch int }{{32, 520}, {256, 512}} {
+		retuned.Retune(want.block)
+		if err := retuned.Run(func(r *Rank) error {
+			for _, f := range r.locals {
+				if f.Stride(0) != want.pitch {
+					t.Errorf("block %d, rank %d: local %s has pitch %d, want %d",
+						want.block, r.ID(), f.Name(), f.Stride(0), want.pitch)
+				}
+			}
+			for _, b := range pp.blocks {
+				if err := r.Exec(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 

@@ -403,8 +403,7 @@ func (s *Session) dropTopology() {
 }
 
 // Retune re-plans every registered block at tile width b. It must not be
-// called while a Run is in flight; Runs themselves call it when AutoTune
-// decides a new width is justified. The shared plans change nowhere else,
+// called while a Run is in flight. The shared plans change nowhere else,
 // so every rank of a Run walks one tiling; the ownership table is decided
 // again with them, since the width says whether a copy would be padded, and
 // every rank's schedules are cut again.
@@ -458,11 +457,6 @@ func (s *Session) linkCapacity() int {
 // links and Rank values are kept, reset in place, until Close or a Run that
 // fails. Runs must not overlap.
 func (s *Session) Run(body func(r *Rank) error) (err error) {
-	if s.cfg.AutoTune {
-		if b, ok := s.cfg.Metrics.SuggestBlock(autoTuneMinSamples, autoTuneMistune); ok {
-			s.Retune(b)
-		}
-	}
 	defer func() {
 		if err != nil {
 			s.dropTopology()
@@ -518,12 +512,6 @@ func (s *Session) Run(body func(r *Rank) error) (err error) {
 	// other messages in flight nothing else orders the ranks. Where none
 	// does, no rank reads rows another writes before a token says so.
 	phase := s.phase
-	var mem0 runtime.MemStats
-	var waves0 int64
-	if pm != nil {
-		waves0 = pm.waves.Value()
-		runtime.ReadMemStats(&mem0)
-	}
 	start := time.Now()
 	s.mu.Lock()
 	s.live = topo
@@ -576,9 +564,7 @@ func (s *Session) Run(body func(r *Rank) error) (err error) {
 		}
 		rep := pm.finishRun(nW, nT, s.cfg.Procs, s.cfg.Block, elapsed)
 		drift = &rep
-		var mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem1)
-		pm.publishAlloc(int64(mem1.Mallocs-mem0.Mallocs), pm.waves.Value()-waves0, topo.BufPool())
+		pm.publishPool(topo.BufPool())
 	}
 	var poolStats *bufpool.Stats
 	if p := topo.BufPool(); p != nil {
@@ -785,10 +771,10 @@ func (s *Session) rank(e *comm.Endpoint, restoring bool) (*Rank, error) {
 // dense storage — unless the width is known and narrow for the whole Run:
 // the static schedule (the task DAG keeps whole rows or one long column
 // chain per worker, see taskdag.decompose, and the naive schedule whole
-// rows), a tiling that a retune will not widen, and a registered sweep that
-// cuts that dimension rather than another.
+// rows) and a registered sweep that cuts that dimension rather than
+// another. Every Run allocates its copies anew, so they follow a Retune.
 func (s *Session) localTile(g *field.Field) int {
-	if s.cfg.Scheduler != scan.SchedStatic || s.cfg.AutoTune {
+	if s.cfg.Scheduler != scan.SchedStatic {
 		return 0
 	}
 	unit := g.Rank() - 1
